@@ -6,8 +6,7 @@ serving two cells, the joint optimization of transmission direction
 Carlo simulator that validates the closed form.
 """
 
-from .errors import (ConfigError, GeometryError, GuardViolationError,
-                     InvalidAltitudePairError, MissingKeyError,
+from .errors import (ConfigError, GuardViolationError, MissingKeyError,
                      NonPositiveRateError, OutOfRangeError,
                      RateExceedsPopulationError)
 from .montecarlo import (ActivationModel, FrameRealization, SimResult, UserLayout,
@@ -19,13 +18,12 @@ from .params import (DerivedConstants, SystemParams, default_config,
                      load_params, validate_and_derive)
 from .rates import (RateSet, rate_cochannel_diff, rate_cochannel_same,
                     rate_individual, rate_set)
-from .sinr import (Configuration, all_configurations, altitude_indicator,
-                   candidate_configurations, config_label, sinr_dl_diff,
-                   sinr_dl_same, sinr_ul_diff, sinr_ul_same, snr_individual)
+from .sinr import (Configuration, all_configurations, candidate_configurations,
+                   sinr_dl_diff, sinr_dl_same, sinr_ul_diff, sinr_ul_same,
+                   snr_individual)
 from .throughput import (LoadDistribution, ThroughputBreakdown,
                          average_throughput, conditional_throughput,
-                         exhaustive_throughput, optimal_configuration,
-                         skellam_pmf)
+                         optimal_configuration, skellam_pmf)
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Antenna gain and large-scale received-power primitives.
+"""Large-scale received-power primitives.
 
 UAV-ground links are LoS and see the UAV's conical directional antenna;
 ground-ground links are NLoS and omnidirectional. Shadow fading is normal
@@ -7,9 +7,6 @@ in dB and divides the received power as a linear factor.
 
 from __future__ import annotations
 
-import math
-
-from .errors import GeometryError
 from .params import DerivedConstants, SystemParams
 
 
@@ -33,21 +30,6 @@ class ShadowingMode:
 
 
 MEAN_DB = ShadowingMode()
-
-
-def antenna_gain(distance: float, altitude: float, params: SystemParams,
-                 derived: DerivedConstants) -> float:
-    """Directional gain seen by a ground node at slant ``distance`` [m].
-
-    The main lobe is a cone of half-angle phi_b; the boundary is inside the
-    lobe. ``distance`` can never be below the altitude for a ground node.
-    """
-    if distance < altitude:
-        raise GeometryError(
-            f"slant distance {distance!r} m below altitude {altitude!r} m")
-    if distance <= altitude / math.cos(params.phi_b):
-        return derived.g0 / params.phi_b ** 2
-    return 0.0
 
 
 def rx_power_uav_to_ground(d: float, params: SystemParams, derived: DerivedConstants,

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import (ConfigError, InvalidAltitudePairError, NonPositiveRateError,
-                     RateExceedsPopulationError)
+from .errors import ConfigError, NonPositiveRateError, RateExceedsPopulationError
 from .montecarlo import ActivationModel, simulate, simulate_exhaustive
 from .pairing import AccountingMode
 from .params import load_params
-from .sinr import (all_configurations, altitude_label, candidate_configurations,
-                   config_label)
+from .sinr import all_configurations, candidate_configurations
 from .throughput import (LoadDistribution, average_throughput,
                          optimal_configuration)
 
@@ -33,8 +32,12 @@ CSV_COLUMNS = ["lambda1", "lambda2", "configuration", "r", "h1", "h2", "h1_m", "
                "accounting_mode", "throughput_bpshz", "mc_mean", "mc_ci_low",
                "mc_ci_high", "n_frames", "seed"]
 
+ALTITUDE_SYMBOLS = ("H_l", "H_h")  # indexed by altitude level
+
 OPTIMAL = "optimal"
 EXHAUSTIVE = "exhaustive"
+
+MAX_AXIS_VALUES = 10_000  # values per load axis of a grid
 
 
 def _parse_values(spec: str, flag: str) -> list[float]:
@@ -45,10 +48,14 @@ def _parse_values(spec: str, flag: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError
             start, stop, step = parts
+            if not all(math.isfinite(p) for p in parts):
+                raise ConfigError(f"{flag}={spec!r}: start, stop and step must be finite")
             if step <= 0:
                 raise ConfigError(f"{flag}={spec!r}: step must be > 0")
-            count = int((stop - start) / step + 1e-9) + 1
-            values = [start + i * step for i in range(count)]
+            last = (stop - start) / step + 1e-9  # index of the last value
+            if last >= MAX_AXIS_VALUES:  # checked before the list is built
+                raise ConfigError(f"{flag}={spec!r}: more than {MAX_AXIS_VALUES} values")
+            values = [start + i * step for i in range(int(last) + 1)]
         else:
             values = [float(p) for p in spec.split(",") if p.strip()]
     except ConfigError:
@@ -58,12 +65,14 @@ def _parse_values(spec: str, flag: str) -> list[float]:
             f"{flag}={spec!r}: expected a number, a comma list, or start:stop:step") from None
     if not values:
         raise ConfigError(f"{flag}={spec!r}: empty range")
+    if len(values) > MAX_AXIS_VALUES:
+        raise ConfigError(f"{flag}={spec!r}: more than {MAX_AXIS_VALUES} values")
     return values
 
 
-def _resolve_configurations(names: str, derived) -> list[tuple[str, object]]:
+def _resolve_configurations(names: str) -> list[tuple[str, object]]:
     """Map a comma list of labels (or optimal/exhaustive) to configurations."""
-    everything = all_configurations(derived)
+    everything = all_configurations()
     selected = []
     for name in (n.strip() for n in names.split(",")):
         if not name:
@@ -102,11 +111,15 @@ class SweepSpec:
     workers: int
 
     @classmethod
-    def from_args(cls, args, derived) -> "SweepSpec":
+    def from_args(cls, args) -> "SweepSpec":
+        if args.frames < 0:
+            raise ConfigError(f"--frames={args.frames}: must be >= 0")
+        if args.workers < 1:
+            raise ConfigError(f"--workers={args.workers}: must be >= 1")
         return cls(
             lambda1_values=tuple(_parse_values(args.lambda1, "--lambda1")),
             lambda2_values=tuple(_parse_values(args.lambda2, "--lambda2")),
-            selections=tuple(_resolve_configurations(args.configurations, derived)),
+            selections=tuple(_resolve_configurations(args.configurations)),
             accounting=_accounting(args),
             frames=args.frames,
             seed=args.seed,
@@ -132,17 +145,16 @@ def _point_rows(task) -> list[dict]:
         if label == OPTIMAL:
             cfg, breakdown = optimal_configuration(loads, params, derived, accounting)
         else:
-            breakdown = average_throughput(cfg, loads, params, derived, accounting,
-                                           allow_both_high=True)
+            breakdown = average_throughput(cfg, loads, params, derived, accounting)
         row = {
             "lambda1": repr(float(lambda1)),
             "lambda2": repr(float(lambda2)),
             "configuration": label,
             "r": cfg.r,
-            "h1": altitude_label(cfg.h1, derived),
-            "h2": altitude_label(cfg.h2, derived),
-            "h1_m": repr(cfg.h1),
-            "h2_m": repr(cfg.h2),
+            "h1": ALTITUDE_SYMBOLS[cfg.t1],
+            "h2": ALTITUDE_SYMBOLS[cfg.t2],
+            "h1_m": repr(derived.altitude(cfg.t1)),
+            "h2_m": repr(derived.altitude(cfg.t2)),
             "accounting_mode": accounting.value,
             "throughput_bpshz": repr(breakdown.total),
             "mc_mean": "", "mc_ci_low": "", "mc_ci_high": "",
@@ -187,7 +199,7 @@ def _deviation_flag(analytical, mc_mean, half_width, worst_case, mean_shadow,
 
 def _run_grid(args, parser_name: str) -> list[dict]:
     params, derived = load_params(args.config, args.set)
-    spec = SweepSpec.from_args(args, derived)
+    spec = SweepSpec.from_args(args)
     if parser_name == "compare" and spec.frames < 1 and spec.activation != "exhaustive":
         raise ConfigError("compare requires --frames >= 1 (or --activation exhaustive)")
 
@@ -230,15 +242,15 @@ def cmd_eval(args) -> int:
     loads = LoadDistribution(args.lambda1, args.lambda2)
     accounting = _accounting(args)
     if args.exhaustive:
-        configs = all_configurations(derived)
+        configs = all_configurations()
     elif args.configuration:
-        everything = all_configurations(derived)
+        everything = all_configurations()
         if args.configuration not in everything:
             raise ConfigError(f"unknown configuration {args.configuration!r}; "
                               f"choose from: {', '.join(everything)}")
         configs = {args.configuration: everything[args.configuration]}
     else:
-        configs = candidate_configurations(derived)
+        configs = candidate_configurations()
 
     print(f"lambda1={args.lambda1!r} lambda2={args.lambda2!r} "
           f"accounting={accounting.value}")
@@ -246,15 +258,14 @@ def cmd_eval(args) -> int:
           f"{'h2_m':>10}  throughput_bpshz")
     breakdowns = {}
     for label, cfg in configs.items():
-        breakdown = average_throughput(cfg, loads, params, derived, accounting,
-                                       allow_both_high=True)
+        breakdown = average_throughput(cfg, loads, params, derived, accounting)
         breakdowns[label] = breakdown
-        print(f"{label:<14} {cfg.r:>1} {altitude_label(cfg.h1, derived):>3} "
-              f"{altitude_label(cfg.h2, derived):>3} {cfg.h1:>10.4f} {cfg.h2:>10.4f}  "
-              f"{breakdown.total!r}")
+        print(f"{label:<14} {cfg.r:>1} {ALTITUDE_SYMBOLS[cfg.t1]:>3} "
+              f"{ALTITUDE_SYMBOLS[cfg.t2]:>3} {derived.altitude(cfg.t1):>10.4f} "
+              f"{derived.altitude(cfg.t2):>10.4f}  {breakdown.total!r}")
 
     best_cfg, best = optimal_configuration(loads, params, derived, accounting)
-    print(f"optimal: {config_label(best_cfg, derived)} -> {best.total!r}")
+    print(f"optimal: {best_cfg.label} -> {best.total!r}")
 
     if args.per_k:
         n = params.n_users
@@ -271,9 +282,9 @@ def cmd_optimize(args) -> int:
     loads = LoadDistribution(args.lambda1, args.lambda2)
     cfg, breakdown = optimal_configuration(loads, params, derived, _accounting(args))
     print(f"optimal configuration for lambda1={args.lambda1!r}, lambda2={args.lambda2!r}: "
-          f"{config_label(cfg, derived)}")
-    print(f"  r={cfg.r} h1={altitude_label(cfg.h1, derived)} ({cfg.h1!r} m) "
-          f"h2={altitude_label(cfg.h2, derived)} ({cfg.h2!r} m)")
+          f"{cfg.label}")
+    print(f"  r={cfg.r} h1={ALTITUDE_SYMBOLS[cfg.t1]} ({derived.altitude(cfg.t1)!r} m) "
+          f"h2={ALTITUDE_SYMBOLS[cfg.t2]} ({derived.altitude(cfg.t2)!r} m)")
     print(f"  throughput_bpshz={breakdown.total!r}")
     return EXIT_OK
 
@@ -364,8 +375,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidAltitudePairError, NonPositiveRateError,
-            RateExceedsPopulationError, FileNotFoundError) as error:
+    except (ConfigError, NonPositiveRateError, RateExceedsPopulationError,
+            FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, ValueError) as error:

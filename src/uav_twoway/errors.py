@@ -17,16 +17,8 @@ class GuardViolationError(ConfigError):
     """The low altitude would reach or exceed the high altitude."""
 
 
-class GeometryError(ValueError):
-    """A slant distance is shorter than the altitude below it."""
-
-
-class InvalidAltitudePairError(ValueError):
-    """Both UAVs high is not a schedulable altitude pair."""
-
-
 class NonPositiveRateError(ValueError):
-    """Mean activity rates must be strictly positive."""
+    """Mean activity rates must be finite and strictly positive."""
 
 
 class RateExceedsPopulationError(ValueError):

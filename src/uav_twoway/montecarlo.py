@@ -25,7 +25,7 @@ from .channel import MEAN_DB, ShadowingMode
 from .errors import RateExceedsPopulationError
 from .pairing import schedule_frame
 from .params import DerivedConstants, SystemParams
-from .sinr import Configuration, altitude_indicator
+from .sinr import Configuration
 from .throughput import LoadDistribution, admissible_k2, skellam_pmf
 
 DOWNLINK = "dl"
@@ -157,7 +157,8 @@ class _Geometry:
         self.derived = derived
         self.layout = layout
         self.worst_case = worst_case
-        self.altitude = {1: cfg.h1, 2: cfg.h2}
+        self.level = {1: cfg.t1, 2: cfg.t2}
+        self.altitude = {1: derived.altitude(cfg.t1), 2: derived.altitude(cfg.t2)}
         self.center = {1: (0.0, 0.0), 2: (params.d_sep, 0.0)}
         self.cos_phi = math.cos(params.phi_b)
 
@@ -176,7 +177,7 @@ class _Geometry:
         """Reachability and distance of an interfering UAV at a ground user."""
         h = self.altitude[tx_link]
         if self.worst_case:
-            reachable = bool(altitude_indicator(h, self.derived)) or user[0] == tx_link
+            reachable = bool(self.level[tx_link]) or user[0] == tx_link
             return reachable, h
         distance = self._slant(tx_link, user)
         return distance <= h / self.cos_phi, distance
@@ -189,7 +190,7 @@ class _Geometry:
         """
         h = self.altitude[rx_link]
         if self.worst_case:
-            reachable = bool(altitude_indicator(h, self.derived)) or user[0] == rx_link
+            reachable = bool(self.level[rx_link]) or user[0] == rx_link
             return reachable, h
         distance = self._slant(rx_link, user)
         return distance <= h / self.cos_phi, distance
@@ -219,11 +220,10 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams,
     if layout is None and not worst_case_distances:
         layout = sample_layout(k1, k2, params, rng)
 
-    units = schedule_frame(active1, active2, cfg, derived)
+    units = schedule_frame(active1, active2, cfg)
     geometry = _Geometry(cfg, params, derived, layout, worst_case_distances)
     shadowing = MEAN_DB if mean_shadowing else ShadowingMode(rng)
-    p1, p2 = cfg.spins()
-    spin = {1: p1, 2: p2}
+    spin = {1: 0, 2: cfg.r}  # link 1 is downlink-first
 
     ledger = []
     for unit in units:
@@ -306,16 +306,22 @@ def frame_rng(seed, frame_index: int):
     return np.random.default_rng(sequence)
 
 
+def _split_weights(k: int, n: int) -> tuple[list[int], list[float]]:
+    """Admissible K2 for load difference k, with the case-count weights
+    C(n, K2 + k) * C(n, K2) normalized to sum to one."""
+    splits = list(admissible_k2(k, n))
+    weights = [math.comb(n, big_k2 + k) * math.comb(n, big_k2) for big_k2 in splits]
+    total = float(sum(weights))
+    return splits, [weight / total for weight in weights]
+
+
 def _stratum_tables(n: int) -> dict:
     """Per-k admissible splits with their cumulative case-count weights."""
     tables = {}
     for k in range(-n, n + 1):
-        splits = list(admissible_k2(k, n))
-        if not splits:
-            continue
-        weights = [math.comb(n, big_k2 + k) * math.comb(n, big_k2) for big_k2 in splits]
-        total = float(sum(weights))
-        tables[k] = (splits, np.cumsum([w / total for w in weights]))
+        splits, weights = _split_weights(k, n)
+        if splits:
+            tables[k] = (splits, np.cumsum(weights))
     return tables
 
 
@@ -397,16 +403,14 @@ def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
     n = params.n_users
     total = 0.0
     for k in range(-n, n + 1):
-        splits = list(admissible_k2(k, n))
+        splits, weights = _split_weights(k, n)
         if not splits:
             continue
-        weights = [math.comb(n, big_k2 + k) * math.comb(n, big_k2) for big_k2 in splits]
-        stratum_mass = float(sum(weights))
         pmf = skellam_pmf(k, loads.lambda1, loads.lambda2)
         inner = 0.0
         for weight, big_k2 in zip(weights, splits):
             frame = run_frame(cfg, big_k2 + k, big_k2, params, derived,
                               worst_case_distances=True, mean_shadowing=True)
-            inner += (weight / stratum_mass) * frame.throughput
+            inner += weight * frame.throughput
         total += pmf * inner
     return total

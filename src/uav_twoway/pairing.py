@@ -12,9 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidAltitudePairError
-from .params import DerivedConstants
-from .sinr import Configuration, altitude_indicator
+from .sinr import Configuration
 
 CROSS_CELL = "cross_cell"
 SAME_CELL = "same_cell"
@@ -52,26 +50,20 @@ class PairCounts:
         return 2 * self.units
 
 
-def pair_counts(k: int, big_k2: int, h1: float, h2: float, derived: DerivedConstants,
-                mode: AccountingMode = AccountingMode.CONSISTENT, *,
-                allow_both_high: bool = False) -> PairCounts:
-    """Unit counts for load difference k = K1 - K2 and K2 active users in cell 2.
+def pair_counts(k: int, big_k2: int, t1: int, t2: int,
+                mode: AccountingMode = AccountingMode.CONSISTENT) -> PairCounts:
+    """Unit counts for load difference k = K1 - K2 and K2 active users in cell 2,
+    with UAV altitude levels t1, t2 (0 low, 1 high).
 
     The surplus cell's users can be served pairwise only when the *other*
-    cell's UAV is high (its lobe then covers both cells). (h_high, h_high)
-    is never a candidate configuration and is rejected unless
-    ``allow_both_high`` is set for exhaustive verification sweeps.
+    cell's UAV is high (its lobe then covers both cells).
     """
     if big_k2 < 0 or big_k2 + k < 0:
         raise ValueError(f"active-user counts must be non-negative: k={k}, K2={big_k2}")
-    t1 = altitude_indicator(h1, derived)
-    t2 = altitude_indicator(h2, derived)
-    if t1 and t2 and not allow_both_high:
-        raise InvalidAltitudePairError("both UAVs high is not a candidate altitude pair")
 
     a_d = min(big_k2 + k, big_k2)
     surplus = abs(k)
-    helping = bool(t2) if k > 0 else bool(t1)
+    helping = t2 if k > 0 else t1
     if surplus and helping:
         a_s = surplus if mode is AccountingMode.PAPER_LITERAL else surplus // 2
         b = surplus - 2 * (surplus // 2)
@@ -91,7 +83,7 @@ class ServiceUnit:
 
 
 def schedule_frame(active_users_cell1: Sequence, active_users_cell2: Sequence,
-                   cfg: Configuration, derived: DerivedConstants) -> list[ServiceUnit]:
+                   cfg: Configuration) -> list[ServiceUnit]:
     """Ordered unit plan for one frame. Pairing is by index order, which is
     admissible because the rate bounds do not depend on the matching."""
     users1 = list(active_users_cell1)
@@ -103,11 +95,11 @@ def schedule_frame(active_users_cell1: Sequence, active_users_cell2: Sequence,
     if len(users1) >= len(users2):
         surplus_cell, own_link, helper_link = 1, 1, 2
         leftover = users1[shared:]
-        helper_high = altitude_indicator(cfg.h2, derived)
+        helper_high = cfg.t2
     else:
         surplus_cell, own_link, helper_link = 2, 2, 1
         leftover = users2[shared:]
-        helper_high = altitude_indicator(cfg.h1, derived)
+        helper_high = cfg.t1
 
     if helper_high:
         while len(leftover) >= 2:

@@ -66,6 +66,10 @@ class DerivedConstants:
     d_min: float
     k_freespace: float
 
+    def altitude(self, t: int) -> float:
+        """Altitude [m] of level ``t``: 0 is h_low, 1 is h_high."""
+        return self.h_high if t else self.h_low
+
 
 def _positive(value: float, key: str) -> float:
     if not value > 0:

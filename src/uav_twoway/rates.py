@@ -63,6 +63,6 @@ def rate_set(cfg: Configuration, params: SystemParams, derived: DerivedConstants
     return RateSet(
         r_cochannel_diff=rate_cochannel_diff(cfg, params, derived),
         r_cochannel_same=rate_cochannel_same(cfg, params, derived),
-        r_individual_1=rate_individual(cfg.h1, params, derived),
-        r_individual_2=rate_individual(cfg.h2, params, derived),
+        r_individual_1=rate_individual(derived.altitude(cfg.t1), params, derived),
+        r_individual_2=rate_individual(derived.altitude(cfg.t2), params, derived),
     )

@@ -19,80 +19,46 @@ from .params import DerivedConstants, SystemParams
 
 @dataclass(frozen=True)
 class Configuration:
-    """Joint decision variable: relative spin and the two UAV altitudes.
+    """Joint decision variable: relative spin and the two UAV altitude levels.
 
     ``r`` is the XOR of the per-link spins: 0 when both two-way links use
-    the same transmission direction in each slot, 1 when opposite. The
-    per-link spins p1/p2 are optional; when absent, link 1 defaults to
-    downlink-first and link 2 follows from ``r``.
+    the same transmission direction in each slot, 1 when opposite. ``t1``
+    and ``t2`` are the altitude levels of UAV1 and UAV2: 0 low, 1 high.
     """
 
     r: int
-    h1: float
-    h2: float
-    p1: int | None = None
-    p2: int | None = None
+    t1: int
+    t2: int
 
     def __post_init__(self):
-        if self.r not in (0, 1):
-            raise ValueError(f"relative spin must be 0 or 1, got {self.r!r}")
-        if (self.p1 is None) != (self.p2 is None):
-            raise ValueError("per-link spins must be given together or not at all")
-        if self.p1 is not None and (self.p1 ^ self.p2) != self.r:
-            raise ValueError(
-                f"per-link spins ({self.p1}, {self.p2}) inconsistent with relative spin {self.r}")
+        for name, value in (("r", self.r), ("t1", self.t1), ("t2", self.t2)):
+            if value not in (0, 1):
+                raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
-    def spins(self) -> tuple[int, int]:
-        if self.p1 is not None:
-            return self.p1, self.p2
-        return 0, self.r
+    @property
+    def label(self) -> str:
+        low_high = ("Hl", "Hh")
+        return f"r{self.r}_{low_high[self.t1]}_{low_high[self.t2]}"
 
 
-def altitude_indicator(h: float, derived: DerivedConstants) -> int:
-    """1 if ``h`` is the high altitude, 0 if the low one."""
-    if math.isclose(h, derived.h_low, rel_tol=1e-9, abs_tol=1e-9):
-        return 0
-    if math.isclose(h, derived.h_high, rel_tol=1e-9, abs_tol=1e-9):
-        return 1
-    raise ValueError(
-        f"altitude {h!r} m is neither h_low={derived.h_low!r} nor h_high={derived.h_high!r}")
-
-
-def altitude_label(h: float, derived: DerivedConstants) -> str:
-    return "H_h" if altitude_indicator(h, derived) else "H_l"
-
-
-def config_label(cfg: Configuration, derived: DerivedConstants) -> str:
-    low_high = ("Hl", "Hh")
-    return (f"r{cfg.r}_{low_high[altitude_indicator(cfg.h1, derived)]}"
-            f"_{low_high[altitude_indicator(cfg.h2, derived)]}")
-
-
-def candidate_configurations(derived: DerivedConstants) -> dict[str, Configuration]:
+def candidate_configurations() -> dict[str, Configuration]:
     """The three configurations that can attain the maximal throughput."""
-    candidates = (
-        Configuration(1, derived.h_low, derived.h_high),
-        Configuration(1, derived.h_high, derived.h_low),
-        Configuration(0, derived.h_low, derived.h_low),
-    )
-    return {config_label(cfg, derived): cfg for cfg in candidates}
+    candidates = (Configuration(1, 0, 1), Configuration(1, 1, 0), Configuration(0, 0, 0))
+    return {cfg.label: cfg for cfg in candidates}
 
 
-def all_configurations(derived: DerivedConstants) -> dict[str, Configuration]:
-    """All 8 (r, h1, h2) tuples, for exhaustive verification sweeps."""
-    levels = (derived.h_low, derived.h_high)
-    configs = {}
-    for r, h1, h2 in product((0, 1), levels, levels):
-        cfg = Configuration(r, h1, h2)
-        configs[config_label(cfg, derived)] = cfg
-    return configs
+def all_configurations() -> dict[str, Configuration]:
+    """All 8 (r, t1, t2) tuples, for exhaustive verification sweeps."""
+    configs = (Configuration(*bits) for bits in product((0, 1), repeat=3))
+    return {cfg.label: cfg for cfg in configs}
 
 
-def _serving_and_other(cfg: Configuration, link: int) -> tuple[float, float]:
+def _serving_and_other(cfg: Configuration, link: int) -> tuple[int, int]:
+    """Altitude levels of the serving UAV and of the other UAV."""
     if link == 1:
-        return cfg.h1, cfg.h2
+        return cfg.t1, cfg.t2
     if link == 2:
-        return cfg.h2, cfg.h1
+        return cfg.t2, cfg.t1
     raise ValueError(f"link must be 1 or 2, got {link!r}")
 
 
@@ -104,9 +70,9 @@ def sinr_dl_diff(cfg: Configuration, params: SystemParams, derived: DerivedConst
     other UAV interferes only if it is high enough for its lobe to cover
     the receiver's cell.
     """
-    h_serve, h_other = _serving_and_other(cfg, link)
+    t_serve, t_other = _serving_and_other(cfg, link)
+    h_serve, h_other = derived.altitude(t_serve), derived.altitude(t_other)
     signal = channel.rx_power_uav_to_ground(h_serve / math.cos(params.phi_b), params, derived)
-    t_other = altitude_indicator(h_other, derived)
     denom = (cfg.r * channel.rx_power_ground_to_ground(derived.d_min, params, derived)
              + t_other * (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params, derived)
              + params.noise_power)
@@ -120,9 +86,9 @@ def sinr_ul_diff(cfg: Configuration, params: SystemParams, derived: DerivedConst
     The other cell's simultaneous uplink (r=0) is heard only when the
     receiving UAV is high; a low UAV's receive cone excludes the other cell.
     """
-    h_serve, _ = _serving_and_other(cfg, link)
+    t_serve, _ = _serving_and_other(cfg, link)
+    h_serve = derived.altitude(t_serve)
     signal = channel.rx_power_ground_to_uav(h_serve / math.cos(params.phi_b), params, derived)
-    t_serve = altitude_indicator(h_serve, derived)
     denom = (t_serve * (1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params, derived)
              + params.noise_power)
     return signal / denom
@@ -135,7 +101,8 @@ def sinr_dl_same(cfg: Configuration, params: SystemParams, derived: DerivedConst
     The partner UAV serves the same cell, so with r=0 its downlink always
     interferes regardless of the altitude indicator.
     """
-    h_serve, h_other = _serving_and_other(cfg, link)
+    t_serve, t_other = _serving_and_other(cfg, link)
+    h_serve, h_other = derived.altitude(t_serve), derived.altitude(t_other)
     signal = channel.rx_power_uav_to_ground(h_serve / math.cos(params.phi_b), params, derived)
     denom = (cfg.r * channel.rx_power_ground_to_ground(derived.d_min, params, derived)
              + (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params, derived)
@@ -147,7 +114,8 @@ def sinr_ul_same(cfg: Configuration, params: SystemParams, derived: DerivedConst
                  link: int = 1) -> float:
     """Uplink SINR bound, same-cell scenario: the co-channel user is always
     inside the receiving UAV's cone, so only r=1 silences it."""
-    h_serve, _ = _serving_and_other(cfg, link)
+    t_serve, _ = _serving_and_other(cfg, link)
+    h_serve = derived.altitude(t_serve)
     signal = channel.rx_power_ground_to_uav(h_serve / math.cos(params.phi_b), params, derived)
     denom = ((1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params, derived)
              + params.noise_power)

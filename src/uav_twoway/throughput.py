@@ -17,20 +17,24 @@ from .errors import NonPositiveRateError
 from .pairing import AccountingMode, pair_counts
 from .params import DerivedConstants, SystemParams
 from .rates import RateSet, rate_set
-from .sinr import Configuration, candidate_configurations, all_configurations
+from .sinr import Configuration, candidate_configurations
+
+
+def _check_rates(lambda1: float, lambda2: float) -> None:
+    if not (0 < lambda1 < math.inf and 0 < lambda2 < math.inf):
+        raise NonPositiveRateError(
+            f"activity rates must be finite and > 0, got ({lambda1!r}, {lambda2!r})")
 
 
 @dataclass(frozen=True)
 class LoadDistribution:
-    """Mean number of active users per cell and frame (both > 0)."""
+    """Mean number of active users per cell and frame (both finite and > 0)."""
 
     lambda1: float
     lambda2: float
 
     def __post_init__(self):
-        if not (self.lambda1 > 0 and self.lambda2 > 0):
-            raise NonPositiveRateError(
-                f"activity rates must be > 0, got ({self.lambda1!r}, {self.lambda2!r})")
+        _check_rates(self.lambda1, self.lambda2)
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,7 @@ def _log_bessel_i(order: int, z: float) -> float:
 
 def skellam_pmf(k: int, lambda1: float, lambda2: float) -> float:
     """P{K1 - K2 = k} for independent Poisson counts with means lambda1, lambda2."""
-    if not (lambda1 > 0 and lambda2 > 0):
-        raise NonPositiveRateError(
-            f"activity rates must be > 0, got ({lambda1!r}, {lambda2!r})")
+    _check_rates(lambda1, lambda2)
     z = 2.0 * math.sqrt(lambda1 * lambda2)
     log_pmf = (-(lambda1 + lambda2)
                + 0.5 * k * (math.log(lambda1) - math.log(lambda2))
@@ -97,16 +99,14 @@ def _log_choose(n: int, m: int) -> float:
 def conditional_throughput(k: int, big_k2: int, cfg: Configuration, params: SystemParams,
                            derived: DerivedConstants,
                            mode: AccountingMode = AccountingMode.CONSISTENT,
-                           rates: RateSet | None = None, *,
-                           allow_both_high: bool = False) -> float:
+                           rates: RateSet | None = None) -> float:
     """Per-slot throughput [bits/s/Hz] of one frame with loads (K2 + k, K2).
 
     The individual rate applies the altitude of the surplus cell's own UAV,
     which is the one that serves leftover users in the final step. An empty
     frame (no units at all) contributes 0 by convention.
     """
-    counts = pair_counts(k, big_k2, cfg.h1, cfg.h2, derived, mode,
-                         allow_both_high=allow_both_high)
+    counts = pair_counts(k, big_k2, cfg.t1, cfg.t2, mode)
     if counts.units == 0:
         return 0.0
     if rates is None:
@@ -120,8 +120,7 @@ def conditional_throughput(k: int, big_k2: int, cfg: Configuration, params: Syst
 
 def average_throughput(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
                        derived: DerivedConstants,
-                       mode: AccountingMode = AccountingMode.CONSISTENT, *,
-                       allow_both_high: bool = False) -> ThroughputBreakdown:
+                       mode: AccountingMode = AccountingMode.CONSISTENT) -> ThroughputBreakdown:
     """Skellam-weighted average of the conditional throughput over k in [-N, N].
 
     A k whose stratum has no admissible split contributes zero without
@@ -144,8 +143,7 @@ def average_throughput(cfg: Configuration, loads: LoadDistribution, params: Syst
         log_total = _logsumexp(log_weights)
         average = math.fsum(
             math.exp(log_w - log_total)
-            * conditional_throughput(k, big_k2, cfg, params, derived, mode,
-                                     rates, allow_both_high=allow_both_high)
+            * conditional_throughput(k, big_k2, cfg, params, derived, mode, rates)
             for log_w, big_k2 in zip(log_weights, splits))
         per_k[k] = (pmf, average)
         return pmf * average
@@ -171,7 +169,7 @@ def optimal_configuration(loads: LoadDistribution, params: SystemParams,
 
     Ties prefer the same-direction low/low configuration, then low/high.
     """
-    candidates = candidate_configurations(derived)
+    candidates = candidate_configurations()
     priority = ("r0_Hl_Hl", "r1_Hl_Hh", "r1_Hh_Hl")
     best = None
     for label in priority:
@@ -180,14 +178,3 @@ def optimal_configuration(loads: LoadDistribution, params: SystemParams,
         if best is None or breakdown.total > best[1].total:
             best = (cfg, breakdown)
     return best
-
-
-def exhaustive_throughput(loads: LoadDistribution, params: SystemParams,
-                          derived: DerivedConstants,
-                          mode: AccountingMode = AccountingMode.CONSISTENT
-                          ) -> dict[str, ThroughputBreakdown]:
-    """Average throughput of every (r, h1, h2) tuple, including both-high,
-    to verify numerically that the three candidates suffice."""
-    return {label: average_throughput(cfg, loads, params, derived, mode,
-                                      allow_both_high=True)
-            for label, cfg in all_configurations(derived).items()}

@@ -19,5 +19,5 @@ def derived(setup):
 
 
 @pytest.fixture(scope="session")
-def candidates(derived):
-    return candidate_configurations(derived)
+def candidates():
+    return candidate_configurations()

@@ -11,7 +11,7 @@ from uav_twoway import default_config, validate_and_derive
 from uav_twoway.cli import main as cli_main
 from uav_twoway.montecarlo import ActivationModel, simulate, simulate_exhaustive
 from uav_twoway.pairing import AccountingMode, pair_counts, schedule_frame, unit_counts
-from uav_twoway.sinr import Configuration, candidate_configurations, config_label
+from uav_twoway.sinr import Configuration, candidate_configurations
 from uav_twoway.throughput import (LoadDistribution, average_throughput,
                                    optimal_configuration, skellam_pmf)
 
@@ -52,9 +52,7 @@ def test_criterion_3_regrouping_small_n():
     config = default_config()
     config["n_users"] = 6
     params, derived = validate_and_derive(config)
-    configs = (Configuration(1, derived.h_low, derived.h_high),
-               Configuration(1, derived.h_high, derived.h_low),
-               Configuration(0, derived.h_low, derived.h_low))
+    configs = (Configuration(1, 0, 1), Configuration(1, 1, 0), Configuration(0, 0, 0))
     rng = random.Random(2024)
     worst = 0.0
     for _ in range(5):
@@ -69,22 +67,20 @@ def test_criterion_3_regrouping_small_n():
            f"max_rel_err={worst:.2e}")
 
 
-def test_criterion_4_pair_count_conservation(derived):
-    candidates = candidate_configurations(derived)
+def test_criterion_4_pair_count_conservation():
+    candidates = candidate_configurations()
     ok = True
     for cfg in candidates.values():
         for k1 in range(0, 31):
             for k2 in range(0, 31):
-                counts = pair_counts(k1 - k2, k2, cfg.h1, cfg.h2, derived,
-                                     AccountingMode.CONSISTENT)
+                counts = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2, AccountingMode.CONSISTENT)
                 if 2 * counts.a_d + 2 * counts.a_s + counts.b != k1 + k2:
                     ok = False
                 scheduled = unit_counts(schedule_frame(
-                    list(range(k1)), list(range(k1, k1 + k2)), cfg, derived))
+                    list(range(k1)), list(range(k1, k1 + k2)), cfg))
                 if scheduled != counts:
                     ok = False
-    literal = pair_counts(3, 2, derived.h_low, derived.h_high, derived,
-                          AccountingMode.PAPER_LITERAL)
+    literal = pair_counts(3, 2, 0, 1, AccountingMode.PAPER_LITERAL)
     ok_literal = (literal.a_d, literal.a_s, literal.b) == (2, 3, 1)
     report("criterion 4 (pair-count conservation and scheduler match)",
            ok and ok_literal,
@@ -92,15 +88,14 @@ def test_criterion_4_pair_count_conservation(derived):
 
 
 def test_criterion_5_qualitative_reproduction(params, derived):
-    candidates = candidate_configurations(derived)
+    candidates = candidate_configurations()
     ok_balanced = True
     for lam in (5.0, 10.0, 15.0, 20.0):
         cfg, _ = optimal_configuration(LoadDistribution(lam, lam), params, derived)
-        ok_balanced &= config_label(cfg, derived) == "r0_Hl_Hl"
+        ok_balanced &= cfg.label == "r0_Hl_Hl"
     cfg_heavy1, _ = optimal_configuration(LoadDistribution(25.0, 2.0), params, derived)
     cfg_heavy2, _ = optimal_configuration(LoadDistribution(2.0, 25.0), params, derived)
-    ok_skewed = (config_label(cfg_heavy1, derived) == "r1_Hl_Hh"
-                 and config_label(cfg_heavy2, derived) == "r1_Hh_Hl")
+    ok_skewed = cfg_heavy1.label == "r1_Hl_Hh" and cfg_heavy2.label == "r1_Hh_Hl"
     ok_mirror = True
     for lam1, lam2 in ((25.0, 2.0), (13.0, 4.0), (7.5, 19.25)):
         direct = average_throughput(candidates["r1_Hl_Hh"],
@@ -140,7 +135,7 @@ def test_criterion_6_optimizer_dominance(sweep_rows):
 
 
 def test_criterion_7_model_simulator_consistency(params, derived):
-    candidates = candidate_configurations(derived)
+    candidates = candidate_configurations()
     worst_rel = 0.0
     for lam1, lam2 in ((10.0, 5.0), (25.0, 2.0)):
         loads = LoadDistribution(lam1, lam2)
@@ -165,7 +160,7 @@ def test_criterion_7_model_simulator_consistency(params, derived):
 
 
 def test_criterion_8_bound_dominance(params, derived):
-    candidates = candidate_configurations(derived)
+    candidates = candidate_configurations()
     ok = True
     tightest = math.inf
     for lam1 in GRID_LAMBDA1:

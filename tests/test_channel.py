@@ -2,37 +2,16 @@ import math
 import random
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from uav_twoway import default_config, validate_and_derive
-from uav_twoway.channel import (MEAN_DB, ShadowingMode, antenna_gain,
-                                rx_power_ground_to_ground, rx_power_ground_to_uav,
-                                rx_power_uav_to_ground)
-from uav_twoway.errors import GeometryError
+from uav_twoway.channel import (MEAN_DB, ShadowingMode, rx_power_ground_to_ground,
+                                rx_power_ground_to_uav, rx_power_uav_to_ground)
 
 # frozen from a standalone transcription of the link-budget formulas
-GAIN_IN_LOBE = 2.0833333333333335
 P_UAV_GROUND_EDGE_LOW = 5.395927595490394e-08   # slant = h_low / cos(phi_b)
 P_GROUND_UAV_EDGE_LOW = 5.917296749379056e-08
 P_GROUND_GROUND_DMIN = 7.404647825753171e-14
-
-
-def test_gain_at_nadir(params, derived):
-    assert_allclose(antenna_gain(100.0, 100.0, params, derived), GAIN_IN_LOBE, rtol=1e-12)
-
-
-def test_gain_boundary_inclusive(params, derived):
-    altitude = 120.0
-    boundary = altitude / math.cos(params.phi_b)
-    assert antenna_gain(boundary, altitude, params, derived) == antenna_gain(
-        altitude, altitude, params, derived)
-    assert antenna_gain(1.001 * boundary, altitude, params, derived) == 0.0
-
-
-def test_gain_rejects_impossible_geometry(params, derived):
-    with pytest.raises(GeometryError):
-        antenna_gain(99.0, 100.0, params, derived)
 
 
 def test_rx_power_pins(params, derived):

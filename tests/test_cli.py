@@ -1,7 +1,11 @@
 import csv
+import math
+
+import pytest
 
 from uav_twoway import default_config, validate_and_derive
 from uav_twoway.cli import CSV_COLUMNS, main
+from uav_twoway.errors import NonPositiveRateError
 from uav_twoway.throughput import LoadDistribution, average_throughput
 
 
@@ -65,6 +69,16 @@ def test_bad_set_override_exits_2(capsys):
 
 def test_nonpositive_load_exits_2(capsys):
     assert run_cli("eval", "--lambda1", "0", "--lambda2", "1") == 2
+    # the library check comes first: a non-finite rate that got past it
+    # would never finish the command lines below
+    with pytest.raises(NonPositiveRateError):
+        LoadDistribution(math.inf, 1.0)
+    for argv in (("eval", "--lambda1", "inf", "--lambda2", "5"),
+                 ("optimize", "--lambda1", "5", "--lambda2", "inf"),
+                 ("sweep", "--lambda1", "inf", "--lambda2", "5")):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_optimize_reports_config(capsys):
@@ -110,6 +124,17 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
     assert run_cli("sweep", "--lambda1", "3", "--lambda2", "2",
                    "--configurations", "bogus",
                    "--out", str(tmp_path / "x.csv")) == 2
+    # (extra arguments, the flag the error must name); in the over-long
+    # range, --lambda2 0 stops the run at its first point should the
+    # range itself ever be accepted
+    for extra, flag in ((("--lambda1", "1:inf:1", "--lambda2", "5"), "--lambda1"),
+                        (("--lambda1", "5", "--lambda2", "5", "--frames", "-3"), "--frames"),
+                        (("--lambda1", "5", "--lambda2", "5", "--workers", "0"), "--workers"),
+                        (("--lambda1", "5", "--lambda2", "5", "--workers", "-2"), "--workers"),
+                        (("--lambda1", "1:10001:1", "--lambda2", "0"), "--lambda1")):
+        capsys.readouterr()
+        assert run_cli("sweep", *extra, "--out", str(tmp_path / "x.csv")) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_sweep_byte_identical_across_runs_and_workers(tmp_path):

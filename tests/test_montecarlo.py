@@ -83,7 +83,7 @@ def test_slot_accounting_matches_pairing(params, derived, candidates):
             k2 = int(rng_master.integers(0, 31))
             frame = run_frame(cfg, k1, k2, params, derived,
                               np.random.default_rng(int(rng_master.integers(1 << 31))))
-            expected = pair_counts(k1 - k2, k2, cfg.h1, cfg.h2, derived)
+            expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
             assert frame.slot_count == expected.slot_count
 
 

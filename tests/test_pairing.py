@@ -2,78 +2,68 @@ import random
 
 import pytest
 
-from uav_twoway.errors import InvalidAltitudePairError
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, AccountingMode,
                                 PairCounts, pair_counts, schedule_frame, unit_counts)
 from uav_twoway.sinr import Configuration
 
 
-def test_worked_example_paper_literal(derived):
-    counts = pair_counts(3, 2, derived.h_low, derived.h_high, derived,
-                         AccountingMode.PAPER_LITERAL)
+def test_worked_example_paper_literal():
+    counts = pair_counts(3, 2, 0, 1, AccountingMode.PAPER_LITERAL)
     assert (counts.a_d, counts.a_s, counts.b) == (2, 3, 1)
 
 
-def test_worked_example_consistent(derived):
-    counts = pair_counts(3, 2, derived.h_low, derived.h_high, derived,
-                         AccountingMode.CONSISTENT)
+def test_worked_example_consistent():
+    counts = pair_counts(3, 2, 0, 1, AccountingMode.CONSISTENT)
     assert (counts.a_d, counts.a_s, counts.b) == (2, 1, 1)
     assert 2 * counts.a_d + 2 * counts.a_s + counts.b == 5 + 2
 
 
-def test_balanced_load(derived):
+def test_balanced_load():
     for big_k2 in (0, 1, 7, 30):
-        for h1, h2 in ((derived.h_low, derived.h_low),
-                       (derived.h_low, derived.h_high),
-                       (derived.h_high, derived.h_low)):
-            counts = pair_counts(0, big_k2, h1, h2, derived)
+        for t1, t2 in ((0, 0), (0, 1), (1, 0)):
+            counts = pair_counts(0, big_k2, t1, t2)
             assert (counts.a_d, counts.a_s, counts.b) == (big_k2, 0, 0)
 
 
-def test_low_low_surplus_served_individually(derived):
-    counts = pair_counts(4, 1, derived.h_low, derived.h_low, derived,
-                         AccountingMode.PAPER_LITERAL)
+def test_low_low_surplus_served_individually():
+    counts = pair_counts(4, 1, 0, 0, AccountingMode.PAPER_LITERAL)
     assert (counts.a_d, counts.a_s, counts.b) == (1, 0, 4)
     # identical in both accounting modes outside the helping branch
-    assert counts == pair_counts(4, 1, derived.h_low, derived.h_low, derived)
+    assert counts == pair_counts(4, 1, 0, 0)
 
 
-def test_high_high_rejected(derived):
-    with pytest.raises(InvalidAltitudePairError):
-        pair_counts(3, 2, derived.h_high, derived.h_high, derived)
-    counts = pair_counts(3, 2, derived.h_high, derived.h_high, derived,
-                         allow_both_high=True)
+def test_high_high_rejected():
+    # both high is not a candidate, but it still counts like any helped surplus
+    counts = pair_counts(3, 2, 1, 1)
     assert (counts.a_d, counts.a_s, counts.b) == (2, 1, 1)
 
 
-def test_negative_counts_rejected(derived):
+def test_negative_counts_rejected():
     with pytest.raises(ValueError):
-        pair_counts(-3, 2, derived.h_low, derived.h_low, derived)
+        pair_counts(-3, 2, 0, 0)
 
 
-def test_conservation_consistent(derived):
+def test_conservation_consistent():
     for k1 in range(0, 31):
         for k2 in range(0, 31):
-            for h1, h2 in ((derived.h_low, derived.h_high),
-                           (derived.h_high, derived.h_low),
-                           (derived.h_low, derived.h_low)):
-                counts = pair_counts(k1 - k2, k2, h1, h2, derived)
+            for t1, t2 in ((0, 1), (1, 0), (0, 0)):
+                counts = pair_counts(k1 - k2, k2, t1, t2)
                 assert 2 * counts.a_d + 2 * counts.a_s + counts.b == k1 + k2
                 assert counts.slot_count == 2 * counts.units
 
 
-def test_mirror_symmetry(derived):
+def test_mirror_symmetry():
     rng = random.Random(3)
     for _ in range(200):
         k1, k2 = rng.randint(0, 30), rng.randint(0, 30)
-        direct = pair_counts(k1 - k2, k2, derived.h_low, derived.h_high, derived)
-        mirrored = pair_counts(k2 - k1, k1, derived.h_high, derived.h_low, derived)
+        direct = pair_counts(k1 - k2, k2, 0, 1)
+        mirrored = pair_counts(k2 - k1, k1, 1, 0)
         assert direct == mirrored
 
 
-def test_schedule_three_steps(derived):
-    cfg = Configuration(1, derived.h_low, derived.h_high)
-    units = schedule_frame(list("abcde"), list("xy"), cfg, derived)
+def test_schedule_three_steps():
+    cfg = Configuration(1, 0, 1)
+    units = schedule_frame(list("abcde"), list("xy"), cfg)
     kinds = [unit.kind for unit in units]
     assert kinds == [CROSS_CELL, CROSS_CELL, SAME_CELL, INDIVIDUAL]
     assert 2 * len(units) == 8
@@ -82,23 +72,23 @@ def test_schedule_three_steps(derived):
     assert units[3].served == ((1, "e"),)
 
 
-def test_schedule_balanced_only_cross(derived):
-    cfg = Configuration(0, derived.h_low, derived.h_low)
-    units = schedule_frame([1, 2, 3], [4, 5, 6], cfg, derived)
+def test_schedule_balanced_only_cross():
+    cfg = Configuration(0, 0, 0)
+    units = schedule_frame([1, 2, 3], [4, 5, 6], cfg)
     assert all(unit.kind == CROSS_CELL for unit in units)
     assert 2 * len(units) == 2 * 3  # one 2-slot unit per cross pair
 
 
-def test_schedule_single_user(derived):
-    cfg = Configuration(0, derived.h_low, derived.h_low)
-    units = schedule_frame(["solo"], [], cfg, derived)
+def test_schedule_single_user():
+    cfg = Configuration(0, 0, 0)
+    units = schedule_frame(["solo"], [], cfg)
     assert [unit.kind for unit in units] == [INDIVIDUAL]
     assert units[0].served == ((1, "solo"),)
 
 
-def test_schedule_surplus_cell2(derived):
-    cfg = Configuration(1, derived.h_high, derived.h_low)
-    units = schedule_frame([1], [2, 3, 4, 5, 6], cfg, derived)
+def test_schedule_surplus_cell2():
+    cfg = Configuration(1, 1, 0)
+    units = schedule_frame([1], [2, 3, 4, 5, 6], cfg)
     counts = unit_counts(units)
     assert (counts.a_d, counts.a_s, counts.b) == (1, 2, 0)
     same = [unit for unit in units if unit.kind == SAME_CELL]
@@ -106,16 +96,13 @@ def test_schedule_surplus_cell2(derived):
     assert same[0].served[0][0] == 2 and same[0].served[1][0] == 1
 
 
-def test_schedule_matches_pair_counts_everywhere(derived):
-    configs = (Configuration(1, derived.h_low, derived.h_high),
-               Configuration(1, derived.h_high, derived.h_low),
-               Configuration(0, derived.h_low, derived.h_low))
+def test_schedule_matches_pair_counts_everywhere():
+    configs = (Configuration(1, 0, 1), Configuration(1, 1, 0), Configuration(0, 0, 0))
     for cfg in configs:
         for k1 in range(0, 31, 3):
             for k2 in range(0, 31, 3):
-                units = schedule_frame(list(range(k1)), list(range(100, 100 + k2)),
-                                       cfg, derived)
-                expected = pair_counts(k1 - k2, k2, cfg.h1, cfg.h2, derived)
+                units = schedule_frame(list(range(k1)), list(range(100, 100 + k2)), cfg)
+                expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
                 assert unit_counts(units) == expected
 
 

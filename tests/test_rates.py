@@ -32,7 +32,7 @@ def test_four_equal_streams():
     config = default_config()
     config["phi_b_rad"] = 1.0
     params, derived = validate_and_derive(config)
-    cfg = Configuration(0, derived.h_low, derived.h_low)
+    cfg = Configuration(0, 0, 0)
     snr_dl, snr_ul = snr_individual(derived.h_low, params, derived)
     assert snr_dl == snr_ul
     assert_allclose(rate_cochannel_diff(cfg, params, derived),
@@ -49,9 +49,9 @@ def test_interference_free_reduction(params, derived, candidates):
 
 def test_cochannel_bounded_by_individual_sum(params, derived):
     from uav_twoway.sinr import all_configurations
-    for cfg in all_configurations(derived).values():
-        ceiling = rate_individual(cfg.h1, params, derived) + rate_individual(
-            cfg.h2, params, derived)
+    for cfg in all_configurations().values():
+        ceiling = (rate_individual(derived.altitude(cfg.t1), params, derived)
+                   + rate_individual(derived.altitude(cfg.t2), params, derived))
         assert rate_cochannel_diff(cfg, params, derived) <= ceiling
         assert rate_cochannel_same(cfg, params, derived) <= ceiling
 
@@ -61,10 +61,9 @@ def test_rates_decrease_with_noise(candidates):
     noisier_cfg["noise_dbm"] = -110.0
     noisier, derived_n = validate_and_derive(noisier_cfg)
     base, derived_b = validate_and_derive(default_config())
-    cfg_n = Configuration(1, derived_n.h_low, derived_n.h_high)
-    cfg_b = Configuration(1, derived_b.h_low, derived_b.h_high)
-    assert rate_cochannel_diff(cfg_n, noisier, derived_n) < rate_cochannel_diff(
-        cfg_b, base, derived_b)
+    cfg = Configuration(1, 0, 1)
+    assert rate_cochannel_diff(cfg, noisier, derived_n) < rate_cochannel_diff(
+        cfg, base, derived_b)
     assert rate_individual(derived_n.h_low, noisier, derived_n) < rate_individual(
         derived_b.h_low, base, derived_b)
 
@@ -79,8 +78,8 @@ def test_rate_set_bundles_everything(params, derived, candidates):
     rates = rate_set(cfg, params, derived)
     assert rates.r_cochannel_diff == rate_cochannel_diff(cfg, params, derived)
     assert rates.r_cochannel_same == rate_cochannel_same(cfg, params, derived)
-    assert rates.r_individual_1 == rate_individual(cfg.h1, params, derived)
-    assert rates.r_individual_2 == rate_individual(cfg.h2, params, derived)
+    assert rates.r_individual_1 == rate_individual(derived.altitude(cfg.t1), params, derived)
+    assert rates.r_individual_2 == rate_individual(derived.altitude(cfg.t2), params, derived)
 
 
 def test_mirrored_configs_have_identical_rates(params, derived, candidates):
@@ -94,8 +93,8 @@ def test_mirrored_configs_have_identical_rates(params, derived, candidates):
 
 def test_all_rates_nonnegative_finite(params, derived):
     from uav_twoway.sinr import all_configurations
-    for cfg in all_configurations(derived).values():
+    for cfg in all_configurations().values():
         for value in (rate_cochannel_diff(cfg, params, derived),
                       rate_cochannel_same(cfg, params, derived),
-                      rate_individual(cfg.h1, params, derived)):
+                      rate_individual(derived.altitude(cfg.t1), params, derived)):
             assert value >= 0 and math.isfinite(value)

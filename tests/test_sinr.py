@@ -4,9 +4,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from uav_twoway import default_config, validate_and_derive
-from uav_twoway.sinr import (Configuration, all_configurations, altitude_indicator,
-                             config_label, sinr_dl_diff, sinr_dl_same, sinr_ul_diff,
-                             sinr_ul_same, snr_individual)
+from uav_twoway.sinr import (Configuration, all_configurations, sinr_dl_diff,
+                             sinr_dl_same, sinr_ul_diff, sinr_ul_same, snr_individual)
 
 # frozen from a standalone transcription of the bound expressions
 SINR_DL_DIFF_LOW_SERVE_R1 = 719011.4340840313      # serve h_low, r=1
@@ -17,28 +16,18 @@ SNR_DL_LOW = 53959275.95490394
 SNR_UL_LOW = 59172967.49379055
 
 
-def test_configuration_validation(derived):
+def test_configuration_validation():
     with pytest.raises(ValueError):
-        Configuration(2, derived.h_low, derived.h_low)
+        Configuration(2, 0, 0)
     with pytest.raises(ValueError):
-        Configuration(1, derived.h_low, derived.h_high, p1=1, p2=1)
-    cfg = Configuration(1, derived.h_low, derived.h_high, p1=1, p2=0)
-    assert cfg.spins() == (1, 0)
-    assert Configuration(1, derived.h_low, derived.h_high).spins() == (0, 1)
+        Configuration(1, 0, 2)
 
 
-def test_altitude_indicator(derived):
-    assert altitude_indicator(derived.h_low, derived) == 0
-    assert altitude_indicator(derived.h_high, derived) == 1
-    with pytest.raises(ValueError):
-        altitude_indicator(120.0, derived)
-
-
-def test_candidate_set(derived, candidates):
+def test_candidate_set(candidates):
     assert list(candidates) == ["r1_Hl_Hh", "r1_Hh_Hl", "r0_Hl_Hl"]
-    assert len(all_configurations(derived)) == 8
+    assert len(all_configurations()) == 8
     for label, cfg in candidates.items():
-        assert config_label(cfg, derived) == label
+        assert cfg.label == label
 
 
 def test_dl_diff_r1_only_ground_interference(params, derived, candidates):
@@ -50,23 +39,23 @@ def test_dl_diff_r1_only_ground_interference(params, derived, candidates):
 
 def test_dl_diff_r0_low_partner_is_interference_free(params, derived, candidates):
     cfg = candidates["r0_Hl_Hl"]
-    snr_dl, _ = snr_individual(cfg.h1, params, derived)
+    snr_dl, _ = snr_individual(derived.altitude(cfg.t1), params, derived)
     assert sinr_dl_diff(cfg, params, derived, link=1) == snr_dl
 
 
 def test_ul_diff_trivial_zeros(params, derived, candidates):
     # serving UAV low: interference-free for either spin
     low_cfg = candidates["r0_Hl_Hl"]
-    _, snr_ul = snr_individual(low_cfg.h1, params, derived)
+    _, snr_ul = snr_individual(derived.altitude(low_cfg.t1), params, derived)
     assert sinr_ul_diff(low_cfg, params, derived, link=1) == snr_ul
     # r=1: interference-free even at the high altitude
     high_r1 = candidates["r1_Hh_Hl"]
-    _, snr_ul_high = snr_individual(high_r1.h1, params, derived)
+    _, snr_ul_high = snr_individual(derived.altitude(high_r1.t1), params, derived)
     assert sinr_ul_diff(high_r1, params, derived, link=1) == snr_ul_high
 
 
 def test_ul_diff_high_serve_r0_pin(params, derived):
-    cfg = Configuration(0, derived.h_high, derived.h_low)
+    cfg = Configuration(0, 1, 0)
     assert_allclose(sinr_ul_diff(cfg, params, derived, link=1),
                     SINR_UL_DIFF_HIGH_SERVE_R0, rtol=1e-12)
 
@@ -91,7 +80,7 @@ def test_ul_same_pins(params, derived, candidates):
     assert_allclose(sinr_ul_same(low_low, params, derived, link=1),
                     SINR_UL_SAME_R0_LOW, rtol=1e-12)
     r1 = candidates["r1_Hl_Hh"]
-    _, snr_ul = snr_individual(r1.h1, params, derived)
+    _, snr_ul = snr_individual(derived.altitude(r1.t1), params, derived)
     assert sinr_ul_same(r1, params, derived, link=1) == snr_ul
 
 
@@ -118,9 +107,9 @@ def test_snr_ratio_is_beamwidth_squared(params, derived):
 
 
 def test_every_sinr_below_matching_snr(params, derived):
-    for cfg in all_configurations(derived).values():
+    for cfg in all_configurations().values():
         for link in (1, 2):
-            h_serve = cfg.h1 if link == 1 else cfg.h2
+            h_serve = derived.altitude(cfg.t1 if link == 1 else cfg.t2)
             snr_dl, snr_ul = snr_individual(h_serve, params, derived)
             assert sinr_dl_diff(cfg, params, derived, link) <= snr_dl
             assert sinr_dl_same(cfg, params, derived, link) <= snr_dl
@@ -129,7 +118,7 @@ def test_every_sinr_below_matching_snr(params, derived):
 
 
 def test_all_bounds_positive_finite(params, derived):
-    for cfg in all_configurations(derived).values():
+    for cfg in all_configurations().values():
         for link in (1, 2):
             for func in (sinr_dl_diff, sinr_ul_diff, sinr_dl_same, sinr_ul_same):
                 value = func(cfg, params, derived, link)
@@ -145,7 +134,7 @@ def test_same_cell_dl_below_diff_cell_when_low_partner_r0(params, derived, candi
 
 
 def test_link_two_swaps_roles(params, derived):
-    cfg = Configuration(1, derived.h_low, derived.h_high)
-    mirrored = Configuration(1, derived.h_high, derived.h_low)
+    cfg = Configuration(1, 0, 1)
+    mirrored = Configuration(1, 1, 0)
     for func in (sinr_dl_diff, sinr_ul_diff, sinr_dl_same, sinr_ul_same):
         assert func(cfg, params, derived, link=2) == func(mirrored, params, derived, link=1)

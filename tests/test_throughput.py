@@ -8,11 +8,10 @@ from uav_twoway import default_config, validate_and_derive
 from uav_twoway.errors import NonPositiveRateError
 from uav_twoway.pairing import AccountingMode
 from uav_twoway.rates import rate_set
-from uav_twoway.sinr import Configuration, config_label
+from uav_twoway.sinr import Configuration, all_configurations
 from uav_twoway.throughput import (LoadDistribution, admissible_k2,
                                    average_throughput, conditional_throughput,
-                                   exhaustive_throughput, optimal_configuration,
-                                   skellam_pmf)
+                                   optimal_configuration, skellam_pmf)
 
 SKELLAM_0_1_1 = 0.30850832255367105  # frozen from the convolution oracle below
 COND_K3_K2_2_MIXED = 37.43071684735904
@@ -44,9 +43,7 @@ def brute_force_average(cfg, lam1, lam2, params, derived):
             # independent transcription of the consistent unit counts
             a_d = min(k1, k2)
             surplus = abs(k)
-            high2 = cfg.h2 == derived.h_high
-            high1 = cfg.h1 == derived.h_high
-            helping = high2 if k > 0 else high1
+            helping = (cfg.t2 if k > 0 else cfg.t1) == 1
             a_s = surplus // 2 if helping else 0
             b = surplus - 2 * a_s
             r_ind = rates.r_individual_1 if k > 0 else rates.r_individual_2
@@ -82,6 +79,12 @@ def test_skellam_rejects_nonpositive_rates():
         skellam_pmf(0, 0.0, 1.0)
     with pytest.raises(NonPositiveRateError):
         LoadDistribution(1.0, -2.0)
+    # LoadDistribution first: a non-finite rate that reached the Bessel
+    # series would never return
+    with pytest.raises(NonPositiveRateError, match="finite"):
+        LoadDistribution(math.inf, 1.0)
+    with pytest.raises(NonPositiveRateError, match="finite"):
+        skellam_pmf(0, 1.0, math.inf)
 
 
 def test_admissible_k2_bounds():
@@ -115,9 +118,7 @@ def test_average_matches_brute_force_small_n(candidates):
     config = default_config()
     config["n_users"] = 2
     params, derived = validate_and_derive(config)
-    configs = (Configuration(1, derived.h_low, derived.h_high),
-               Configuration(1, derived.h_high, derived.h_low),
-               Configuration(0, derived.h_low, derived.h_low))
+    configs = (Configuration(1, 0, 1), Configuration(1, 1, 0), Configuration(0, 0, 0))
     for cfg in configs:
         for lam1, lam2 in ((1.0, 1.0), (2.0, 0.5), (0.7, 1.9)):
             expected = brute_force_average(cfg, lam1, lam2, params, derived)
@@ -168,20 +169,19 @@ def test_invariant_under_joint_power_noise_scaling(derived, candidates):
     scaled, derived_s = validate_and_derive(scaled_cfg)
     base, derived_b = validate_and_derive(default_config())
     loads = LoadDistribution(12.0, 4.0)
-    cfg_s = Configuration(1, derived_s.h_low, derived_s.h_high)
-    cfg_b = Configuration(1, derived_b.h_low, derived_b.h_high)
-    assert_allclose(average_throughput(cfg_s, loads, scaled, derived_s).total,
-                    average_throughput(cfg_b, loads, base, derived_b).total,
+    cfg = Configuration(1, 0, 1)
+    assert_allclose(average_throughput(cfg, loads, scaled, derived_s).total,
+                    average_throughput(cfg, loads, base, derived_b).total,
                     rtol=1e-12)
 
 
 def test_optimal_configuration_choices(params, derived):
     cfg, _ = optimal_configuration(LoadDistribution(10.0, 10.0), params, derived)
-    assert config_label(cfg, derived) == "r0_Hl_Hl"
+    assert cfg.label == "r0_Hl_Hl"
     cfg, _ = optimal_configuration(LoadDistribution(25.0, 2.0), params, derived)
-    assert config_label(cfg, derived) == "r1_Hl_Hh"
+    assert cfg.label == "r1_Hl_Hh"
     cfg, _ = optimal_configuration(LoadDistribution(2.0, 25.0), params, derived)
-    assert config_label(cfg, derived) == "r1_Hh_Hl"
+    assert cfg.label == "r1_Hh_Hl"
 
 
 def test_optimal_breakdown_is_argmax(params, derived, candidates):
@@ -190,7 +190,7 @@ def test_optimal_breakdown_is_argmax(params, derived, candidates):
     totals = {label: average_throughput(cfg, loads, params, derived).total
               for label, cfg in candidates.items()}
     assert best.total == max(totals.values())
-    assert totals[config_label(best_cfg, derived)] == best.total
+    assert totals[best_cfg.label] == best.total
 
 
 def test_optimal_invariant_under_rate_rescaling(params, derived, candidates):
@@ -201,7 +201,7 @@ def test_optimal_invariant_under_rate_rescaling(params, derived, candidates):
               for label, cfg in candidates.items()}
     for scale in (1e-6, 3.7, 1e6):
         scaled_argmax = max(totals, key=lambda label: scale * totals[label])
-        assert scaled_argmax == config_label(best_cfg, derived)
+        assert scaled_argmax == best_cfg.label
 
 
 def test_tie_break_prefers_same_direction_low_low(params, derived, candidates):
@@ -215,7 +215,9 @@ def test_tie_break_prefers_same_direction_low_low(params, derived, candidates):
 
 
 def test_exhaustive_covers_all_eight(params, derived):
-    results = exhaustive_throughput(LoadDistribution(10.0, 10.0), params, derived)
+    loads = LoadDistribution(10.0, 10.0)
+    results = {label: average_throughput(cfg, loads, params, derived)
+               for label, cfg in all_configurations().items()}
     assert len(results) == 8
     # the three-candidate reduction: no excluded tuple beats the candidates
     best_excluded = max(total.total for label, total in results.items()
