@@ -3,15 +3,14 @@
 Analytical Skellam-weighted throughput of two co-channel UAV base stations
 serving two cells, the joint optimization of transmission direction
 (relative spin) and the two-level UAV altitudes, and a frame-level Monte
-Carlo simulator that validates the closed form.
+Carlo simulator that validates the closed form. Only the simulator needs
+numpy: its names load ``montecarlo`` on first use, so the analytical path
+never imports it.
 """
 
 from .errors import (ConfigError, GuardViolationError, MissingKeyError,
                      NonPositiveRateError, OutOfRangeError,
                      RateExceedsPopulationError)
-from .montecarlo import (ActivationModel, FrameRealization, SimResult, UserLayout,
-                         draw_activation, run_frame, sample_layout, simulate,
-                         simulate_exhaustive)
 from .pairing import (AccountingMode, PairCounts, ServiceUnit, pair_counts,
                       schedule_frame, unit_counts)
 from .params import (DerivedConstants, SystemParams, default_config,
@@ -21,10 +20,22 @@ from .rates import (RateSet, rate_cochannel_diff, rate_cochannel_same,
 from .sinr import (Configuration, all_configurations, candidate_configurations,
                    sinr_dl_diff, sinr_dl_same, sinr_ul_diff, sinr_ul_same,
                    snr_individual)
-from .throughput import (LoadDistribution, ThroughputBreakdown,
-                         average_throughput, conditional_throughput,
-                         optimal_configuration, skellam_pmf)
+from .throughput import (ConditionalTable, LoadDistribution, ThroughputBreakdown,
+                         average_throughput, conditional_table,
+                         conditional_throughput, optimal_configuration,
+                         skellam_pmf, skellam_vector)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_SIMULATOR = ("ActivationModel", "FrameRealization", "SimResult", "UserLayout",
+              "draw_activation", "run_frame", "sample_layout", "simulate",
+              "simulate_exhaustive")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_SIMULATOR)
+
+
+def __getattr__(name):
+    if name in _SIMULATOR:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

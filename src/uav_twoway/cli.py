@@ -13,16 +13,14 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ConfigError, NonPositiveRateError, RateExceedsPopulationError
-from .montecarlo import ActivationModel, simulate, simulate_exhaustive
 from .pairing import AccountingMode
 from .params import load_params
 from .sinr import all_configurations, candidate_configurations
-from .throughput import (LoadDistribution, average_throughput,
-                         optimal_configuration)
+from .throughput import (OPTIMAL_PRIORITY, LoadDistribution, average_throughput,
+                         conditional_table, optimal_configuration, pick_optimal)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,16 +134,30 @@ def _float_cell(value) -> str:
 
 def _point_rows(task) -> list[dict]:
     """All CSV rows for one (lambda1, lambda2) grid point. Module-level and
-    argument-complete so worker processes can run it."""
-    (lambda1, lambda2, selections, params, derived, accounting, frames,
+    argument-complete so worker processes can run it.
+
+    ``tables`` maps each configuration label the point needs to its
+    conditional table; the Skellam vector is computed once for the point,
+    and every configuration's average once, the optimum reusing the
+    candidates'."""
+    (lambda1, lambda2, selections, tables, params, derived, accounting, frames,
      seed, point_index, activation, worst_case, mean_shadow) = task
     loads = LoadDistribution(lambda1, lambda2)
+    breakdowns = {}
+
+    def average(label):
+        if label not in breakdowns:
+            breakdowns[label] = average_throughput(tables[label], loads, params, derived,
+                                                   accounting)
+        return breakdowns[label]
+
     rows = []
     for config_index, (label, cfg) in enumerate(selections):
         if label == OPTIMAL:
-            cfg, breakdown = optimal_configuration(loads, params, derived, accounting)
+            breakdown = pick_optimal({c: average(c) for c in OPTIMAL_PRIORITY})
+            cfg = breakdown.config
         else:
-            breakdown = average_throughput(cfg, loads, params, derived, accounting)
+            breakdown = average(label)
         row = {
             "lambda1": repr(float(lambda1)),
             "lambda2": repr(float(lambda2)),
@@ -162,6 +174,7 @@ def _point_rows(task) -> list[dict]:
             "seed": seed,
         }
         if frames or activation == "exhaustive":
+            from .montecarlo import ActivationModel, simulate, simulate_exhaustive
             if activation == "exhaustive":
                 mc_mean, half_width, used_frames = (
                     simulate_exhaustive(cfg, loads, params, derived), 0.0, 0)
@@ -203,17 +216,25 @@ def _run_grid(args, parser_name: str) -> list[dict]:
     if parser_name == "compare" and spec.frames < 1 and spec.activation != "exhaustive":
         raise ConfigError("compare requires --frames >= 1 (or --activation exhaustive)")
 
+    configs = {label: cfg for label, cfg in spec.selections if label != OPTIMAL}
+    if any(label == OPTIMAL for label, _ in spec.selections):
+        configs.update(candidate_configurations())
+    tables = {label: conditional_table(cfg, params, derived, spec.accounting)
+              for label, cfg in configs.items()}
+
     tasks = []
     index = 0
     for lambda1 in spec.lambda1_values:
         for lambda2 in spec.lambda2_values:
-            tasks.append((lambda1, lambda2, spec.selections, params, derived,
+            tasks.append((lambda1, lambda2, spec.selections, tables, params, derived,
                           spec.accounting, spec.frames, spec.seed, index,
                           spec.activation, spec.worst_case_distances,
                           spec.mean_shadowing))
             index += 1
 
     if spec.workers > 1:
+        # imported here: it loads multiprocessing, which one process does not need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             per_point = list(pool.map(_point_rows, tasks))
     else:
@@ -252,20 +273,22 @@ def cmd_eval(args) -> int:
     else:
         configs = candidate_configurations()
 
+    breakdowns = {label: average_throughput(cfg, loads, params, derived, accounting)
+                  for label, cfg in configs.items()}
+    best = pick_optimal({
+        label: breakdowns.get(label) or average_throughput(cfg, loads, params, derived,
+                                                           accounting)
+        for label, cfg in candidate_configurations().items()})
+
     print(f"lambda1={args.lambda1!r} lambda2={args.lambda2!r} "
-          f"accounting={accounting.value}")
+          f"accounting={accounting.value} covered_mass={best.covered_mass!r}")
     print(f"{'configuration':<14} {'r':>1} {'h1':>3} {'h2':>3} {'h1_m':>10} "
           f"{'h2_m':>10}  throughput_bpshz")
-    breakdowns = {}
     for label, cfg in configs.items():
-        breakdown = average_throughput(cfg, loads, params, derived, accounting)
-        breakdowns[label] = breakdown
         print(f"{label:<14} {cfg.r:>1} {ALTITUDE_SYMBOLS[cfg.t1]:>3} "
               f"{ALTITUDE_SYMBOLS[cfg.t2]:>3} {derived.altitude(cfg.t1):>10.4f} "
-              f"{derived.altitude(cfg.t2):>10.4f}  {breakdown.total!r}")
-
-    best_cfg, best = optimal_configuration(loads, params, derived, accounting)
-    print(f"optimal: {best_cfg.label} -> {best.total!r}")
+              f"{derived.altitude(cfg.t2):>10.4f}  {breakdowns[label].total!r}")
+    print(f"optimal: {best.config.label} -> {best.total!r}")
 
     if args.per_k:
         n = params.n_users

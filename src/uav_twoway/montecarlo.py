@@ -26,7 +26,7 @@ from .errors import RateExceedsPopulationError
 from .pairing import schedule_frame
 from .params import DerivedConstants, SystemParams
 from .sinr import Configuration
-from .throughput import LoadDistribution, admissible_k2, skellam_pmf
+from .throughput import LoadDistribution, _split_weights
 
 DOWNLINK = "dl"
 UPLINK = "ul"
@@ -306,15 +306,6 @@ def frame_rng(seed, frame_index: int):
     return np.random.default_rng(sequence)
 
 
-def _split_weights(k: int, n: int) -> tuple[list[int], list[float]]:
-    """Admissible K2 for load difference k, with the case-count weights
-    C(n, K2 + k) * C(n, K2) normalized to sum to one."""
-    splits = list(admissible_k2(k, n))
-    weights = [math.comb(n, big_k2 + k) * math.comb(n, big_k2) for big_k2 in splits]
-    total = float(sum(weights))
-    return splits, [weight / total for weight in weights]
-
-
 def _stratum_tables(n: int) -> dict:
     """Per-k admissible splits with their cumulative case-count weights."""
     tables = {}
@@ -401,16 +392,16 @@ def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
     scheduler and slot engine end to end.
     """
     n = params.n_users
+    pmf = loads.skellam_vector(n)
     total = 0.0
     for k in range(-n, n + 1):
         splits, weights = _split_weights(k, n)
         if not splits:
             continue
-        pmf = skellam_pmf(k, loads.lambda1, loads.lambda2)
         inner = 0.0
         for weight, big_k2 in zip(weights, splits):
             frame = run_frame(cfg, big_k2 + k, big_k2, params, derived,
                               worst_case_distances=True, mean_shadowing=True)
             inner += weight * frame.throughput
-        total += pmf * inner
+        total += pmf[k] * inner
     return total

@@ -6,6 +6,12 @@ Skellam distribution. For each k, the admissible splits (K2, K2 + k) with
 both counts in [1, N] are averaged with weights C(N, K2+k)*C(N, K2)
 (the number of distinct active-user cases), and each split contributes its
 conditional per-slot throughput.
+
+The average therefore factors into a load-only vector P(lambda)[k]
+(``skellam_vector``) and a configuration-only vector C(cfg)[k]
+(``conditional_table``), and the closed form is their dot product over
+k in [-N, N]. Both vectors hold 2N + 1 floats indexed by k itself: k >= 0
+at position k and -k at position -k, so ``vector[k]`` reads either sign.
 """
 
 from __future__ import annotations
@@ -18,6 +24,15 @@ from .pairing import AccountingMode, pair_counts
 from .params import DerivedConstants, SystemParams
 from .rates import RateSet, rate_set
 from .sinr import Configuration, candidate_configurations
+
+# Candidates in tie-break order: the optimum is the first strictly largest.
+OPTIMAL_PRIORITY = ("r0_Hl_Hl", "r1_Hl_Hh", "r1_Hh_Hl")
+
+# Miller's recurrence multiplies its values by 1/_RESCALE before they can
+# overflow; below _SERIES_Z the leading power-series term is exact instead.
+_RESCALE = 1e250
+_LOG_RESCALE = math.log(_RESCALE)
+_SERIES_Z = 1e-8
 
 
 def _check_rates(lambda1: float, lambda2: float) -> None:
@@ -32,9 +47,18 @@ class LoadDistribution:
 
     lambda1: float
     lambda2: float
+    _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_rates(self.lambda1, self.lambda2)
+
+    def skellam_vector(self, n: int) -> tuple[float, ...]:
+        """``skellam_vector(n, lambda1, lambda2)``, computed once per n for
+        this load pair."""
+        vector = self._vectors.get(n)
+        if vector is None:
+            vector = self._vectors[n] = tuple(skellam_vector(n, self.lambda1, self.lambda2))
+        return vector
 
 
 @dataclass(frozen=True)
@@ -43,6 +67,8 @@ class ThroughputBreakdown:
 
     ``per_k`` maps k to (probability weight, conditional average); the
     total is the weight-conditional dot product over k in [-N, N].
+    ``covered_mass`` is the Skellam probability of [-N, N]: the mass
+    outside it contributes nothing and is not renormalised away.
     """
 
     total: float
@@ -52,39 +78,61 @@ class ThroughputBreakdown:
     lambda2: float = None
     accounting: AccountingMode = AccountingMode.CONSISTENT
     shadowing: str = "mean_db"  # the closed form always uses the mean-dB factor
+    covered_mass: float = None
 
 
-def _log_bessel_i(order: int, z: float) -> float:
-    """log I_k(z) for integer order via the ascending power series.
+def _log_scaled_bessel(n: int, z: float) -> list[float]:
+    """log(e^-z I_k(z)) for k = 0..n, z > 0.
 
-    Terms are accumulated in log space; the series is truncated once past
-    its peak when terms drop below 1e-17 of the running maximum.
+    Miller's backward recurrence I_{k-1} = (2k/z) I_k + I_{k+1} (A&S 9.12,
+    Numerical Recipes 6.6) starts far enough above both n and the bulk of
+    e^z = I_0 + 2 sum_{k>=1} I_k (about 9 sqrt(z) orders) that its error
+    has died out, and that sum normalises it. Each stored value keeps the
+    number of rescalings made before it, so tiny values keep their precision.
     """
-    k = abs(order)
-    if z == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    log_half_z = math.log(z / 2.0)
-    term_logs = []
-    peak = -math.inf
-    m = 0
-    while True:
-        term = (2 * m + k) * log_half_z - math.lgamma(m + 1) - math.lgamma(m + k + 1)
-        term_logs.append(term)
-        peak = max(peak, term)
-        if m > z / 2.0 and term < peak - 40.0:
-            break
-        m += 1
-    return peak + math.log(math.fsum(math.exp(t - peak) for t in term_logs))
+    if z < _SERIES_Z:  # e^-z I_k(z) = (z/2)^k / k! to within z^2/4 relative
+        log_half_z = math.log(0.5 * z)
+        return [k * log_half_z - math.lgamma(k + 1) - z for k in range(n + 1)]
+    start = n + 20 + int(math.sqrt(80.0 * z + 400.0))
+    upper, current = 0.0, 1.0  # I_{m+1}, I_m up to a common factor
+    total, scale = 0.0, 0
+    stored = [(0.0, 0)] * (n + 1)
+    for m in range(start, 0, -1):
+        if m <= n:
+            stored[m] = (current, scale)
+        total += 2.0 * current
+        upper, current = current, (2.0 * m / z) * current + upper
+        if current > _RESCALE:
+            upper /= _RESCALE
+            current /= _RESCALE
+            total /= _RESCALE
+            scale += 1
+    stored[0] = (current, scale)
+    total += current
+    log_total = math.log(total)
+    return [math.log(value) - (scale - at) * _LOG_RESCALE - log_total
+            for value, at in stored]
+
+
+def skellam_vector(n: int, lambda1: float, lambda2: float) -> list[float]:
+    """P{K1 - K2 = k} for k in [-n, n], indexed by k (see the module notes).
+
+    Each entry is exp(-(sqrt(l1) - sqrt(l2))^2 + k/2 (log l1 - log l2)
+    + log(e^-z I_|k|(z))) with z = 2 sqrt(l1 l2), so values far below 1 keep
+    full relative precision, and swapping the rates mirrors k bit for bit.
+    """
+    _check_rates(lambda1, lambda2)
+    root1, root2 = math.sqrt(lambda1), math.sqrt(lambda2)
+    base = -(root1 - root2) ** 2  # -(lambda1 + lambda2) + z, without cancellation
+    half_log_ratio = 0.5 * (math.log(lambda1) - math.log(lambda2))
+    logs = _log_scaled_bessel(n, 2.0 * root1 * root2)
+    return ([math.exp(base + k * half_log_ratio + logs[k]) for k in range(n + 1)]
+            + [math.exp(base - k * half_log_ratio + logs[k]) for k in range(n, 0, -1)])
 
 
 def skellam_pmf(k: int, lambda1: float, lambda2: float) -> float:
     """P{K1 - K2 = k} for independent Poisson counts with means lambda1, lambda2."""
-    _check_rates(lambda1, lambda2)
-    z = 2.0 * math.sqrt(lambda1 * lambda2)
-    log_pmf = (-(lambda1 + lambda2)
-               + 0.5 * k * (math.log(lambda1) - math.log(lambda2))
-               + _log_bessel_i(abs(k), z))
-    return math.exp(log_pmf)
+    return skellam_vector(abs(k), lambda1, lambda2)[k]
 
 
 def admissible_k2(k: int, n: int) -> range:
@@ -92,8 +140,13 @@ def admissible_k2(k: int, n: int) -> range:
     return range(max(1, 1 - k), min(n, n - k) + 1)
 
 
-def _log_choose(n: int, m: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+def _split_weights(k: int, n: int) -> tuple[list[int], list[float]]:
+    """Admissible K2 for load difference k, with the case-count weights
+    C(n, K2 + k) * C(n, K2) normalized to sum to one."""
+    splits = list(admissible_k2(k, n))
+    weights = [math.comb(n, big_k2 + k) * math.comb(n, big_k2) for big_k2 in splits]
+    total = float(sum(weights))
+    return splits, [weight / total for weight in weights]
 
 
 def conditional_throughput(k: int, big_k2: int, cfg: Configuration, params: SystemParams,
@@ -118,47 +171,73 @@ def conditional_throughput(k: int, big_k2: int, cfg: Configuration, params: Syst
     return numerator / (2 * counts.units)
 
 
-def average_throughput(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
-                       derived: DerivedConstants,
-                       mode: AccountingMode = AccountingMode.CONSISTENT) -> ThroughputBreakdown:
-    """Skellam-weighted average of the conditional throughput over k in [-N, N].
+@dataclass(frozen=True)
+class ConditionalTable:
+    """C(cfg)[k]: the split-weighted conditional throughput of one
+    configuration under one accounting mode, for k in [-N, N], indexed by k.
+    A k without admissible split holds 0."""
 
-    A k whose stratum has no admissible split contributes zero without
-    renormalizing the remaining probability mass. Contributions are
-    accumulated as (+k) + (-k) pairs so that swapping cells and mirroring
-    the configuration reproduces the total bitwise.
-    """
+    config: Configuration
+    mode: AccountingMode
+    values: tuple[float, ...]
+
+
+def conditional_table(cfg: Configuration, params: SystemParams, derived: DerivedConstants,
+                      mode: AccountingMode = AccountingMode.CONSISTENT) -> ConditionalTable:
+    """Build C(cfg). Each entry is an exactly rounded sum (``math.fsum``),
+    so it does not depend on the order of the splits."""
     n = params.n_users
     rates = rate_set(cfg, params, derived)
-    per_k = {}
 
-    def contribution(k: int) -> float:
-        pmf = skellam_pmf(k, loads.lambda1, loads.lambda2)
-        splits = admissible_k2(k, n)
-        if len(splits) == 0:
-            per_k[k] = (pmf, 0.0)
-            return 0.0
-        log_weights = [_log_choose(n, big_k2 + k) + _log_choose(n, big_k2)
-                       for big_k2 in splits]
-        log_total = _logsumexp(log_weights)
-        average = math.fsum(
-            math.exp(log_w - log_total)
-            * conditional_throughput(k, big_k2, cfg, params, derived, mode, rates)
-            for log_w, big_k2 in zip(log_weights, splits))
-        per_k[k] = (pmf, average)
-        return pmf * average
+    def entry(k: int) -> float:
+        splits, weights = _split_weights(k, n)
+        return math.fsum(
+            weight * conditional_throughput(k, big_k2, cfg, params, derived, mode, rates)
+            for weight, big_k2 in zip(weights, splits))
 
-    total = contribution(0)
+    return ConditionalTable(config=cfg, mode=mode,
+                            values=tuple(entry(k) for k in (*range(n + 1), *range(-n, 0))))
+
+
+def average_throughput(cfg: Configuration | ConditionalTable, loads: LoadDistribution,
+                       params: SystemParams, derived: DerivedConstants,
+                       mode: AccountingMode = AccountingMode.CONSISTENT) -> ThroughputBreakdown:
+    """Skellam-weighted average of the conditional throughput over k in
+    [-N, N]: the product P(lambda) . C(cfg).
+
+    ``cfg`` may be the configuration's already built ConditionalTable; it
+    must match ``params`` and ``mode``. The mass outside [-N, N] contributes
+    zero without renormalizing. Contributions are accumulated as (+k) + (-k)
+    pairs so that swapping cells and mirroring the configuration reproduces
+    the total bitwise.
+    """
+    n = params.n_users
+    table = cfg if isinstance(cfg, ConditionalTable) else conditional_table(
+        cfg, params, derived, mode)
+    if table.mode is not mode or len(table.values) != 2 * n + 1:
+        raise ValueError(f"conditional table for {table.mode.value} accounting and "
+                         f"N={len(table.values) // 2} used with {mode.value} and N={n}")
+    pmf = loads.skellam_vector(n)
+    conditional = table.values
+    per_k = {0: (pmf[0], conditional[0])}
+    total = pmf[0] * conditional[0]
     for j in range(1, n + 1):
-        total += contribution(j) + contribution(-j)
-    return ThroughputBreakdown(total=total, per_k=per_k, config=cfg,
+        per_k[j] = (pmf[j], conditional[j])
+        per_k[-j] = (pmf[-j], conditional[-j])
+        total += pmf[j] * conditional[j] + pmf[-j] * conditional[-j]
+    return ThroughputBreakdown(total=total, per_k=per_k, config=table.config,
                                lambda1=loads.lambda1, lambda2=loads.lambda2,
-                               accounting=mode)
+                               accounting=mode, covered_mass=math.fsum(pmf))
 
 
-def _logsumexp(values) -> float:
-    peak = max(values)
-    return peak + math.log(math.fsum(math.exp(v - peak) for v in values))
+def pick_optimal(breakdowns: dict) -> ThroughputBreakdown:
+    """The optimum of the candidates' breakdowns (label -> breakdown): the
+    largest total, ties going to the earliest label in OPTIMAL_PRIORITY."""
+    best = None
+    for label in OPTIMAL_PRIORITY:
+        if best is None or breakdowns[label].total > best.total:
+            best = breakdowns[label]
+    return best
 
 
 def optimal_configuration(loads: LoadDistribution, params: SystemParams,
@@ -169,12 +248,6 @@ def optimal_configuration(loads: LoadDistribution, params: SystemParams,
 
     Ties prefer the same-direction low/low configuration, then low/high.
     """
-    candidates = candidate_configurations()
-    priority = ("r0_Hl_Hl", "r1_Hl_Hh", "r1_Hh_Hl")
-    best = None
-    for label in priority:
-        cfg = candidates[label]
-        breakdown = average_throughput(cfg, loads, params, derived, mode)
-        if best is None or breakdown.total > best[1].total:
-            best = (cfg, breakdown)
-    return best
+    best = pick_optimal({label: average_throughput(cfg, loads, params, derived, mode)
+                         for label, cfg in candidate_configurations().items()})
+    return best.config, best

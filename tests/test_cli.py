@@ -1,12 +1,18 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uav_twoway
 from uav_twoway import default_config, validate_and_derive
 from uav_twoway.cli import CSV_COLUMNS, main
 from uav_twoway.errors import NonPositiveRateError
-from uav_twoway.throughput import LoadDistribution, average_throughput
+from uav_twoway.throughput import (LoadDistribution, average_throughput,
+                                   optimal_configuration)
 
 
 def run_cli(*argv):
@@ -24,9 +30,11 @@ def test_eval_matches_library(capsys, params, derived, candidates):
     line = next(l for l in out.splitlines() if l.startswith("r0_Hl_Hl"))
     printed = float(line.split()[-1])
     expected = average_throughput(candidates["r0_Hl_Hl"],
-                                  LoadDistribution(10.0, 10.0), params, derived).total
-    assert printed == expected
+                                  LoadDistribution(10.0, 10.0), params, derived)
+    assert printed == expected.total
     assert "optimal: r0_Hl_Hl" in out
+    header = out.splitlines()[0]
+    assert header.endswith(f" covered_mass={expected.covered_mass!r}")
 
 
 def test_eval_exhaustive_lists_eight(capsys):
@@ -114,6 +122,44 @@ def test_sweep_optimal_dominates_rowwise(tmp_path):
     for values in by_point.values():
         for label in ("r1_Hl_Hh", "r1_Hh_Hl", "r0_Hl_Hl"):
             assert values["optimal"] >= values[label]
+
+
+def test_sweep_optimal_row_is_the_optimizer_result(tmp_path, params, derived):
+    # the optimal row is picked from the candidate columns; it must match
+    # optimal_configuration bit for bit, including the mirrored ties at
+    # lambda1 == lambda2
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--lambda1", "2,9,17", "--lambda2", "2,9,17",
+                   "--out", str(out)) == 0
+    levels = {"H_l": "Hl", "H_h": "Hh"}
+    optimal_rows = [row for row in read_rows(out) if row["configuration"] == "optimal"]
+    assert len(optimal_rows) == 9
+    for row in optimal_rows:
+        loads = LoadDistribution(float(row["lambda1"]), float(row["lambda2"]))
+        cfg, best = optimal_configuration(loads, params, derived)
+        assert f"r{row['r']}_{levels[row['h1']]}_{levels[row['h2']]}" == cfg.label
+        assert row["throughput_bpshz"] == repr(best.total)
+
+
+def test_analytical_commands_do_not_import_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(uav_twoway.__file__).parents[1]))
+
+    def child(code):
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    child("import contextlib, io, sys\n"
+          "from uav_twoway.cli import main\n"
+          "with contextlib.redirect_stdout(io.StringIO()):\n"
+          "    assert main(['sweep', '--lambda1', '1,2', '--lambda2', '3']) == 0\n"
+          "    assert main(['eval', '--lambda1', '4', '--lambda2', '5']) == 0\n"
+          "    assert main(['optimize', '--lambda1', '4', '--lambda2', '5']) == 0\n"
+          "assert 'numpy' not in sys.modules\n")
+    # the simulator's names stay importable from the package
+    child("from uav_twoway import ActivationModel, simulate\n"
+          "import uav_twoway.montecarlo as mc\n"
+          "assert simulate is mc.simulate and ActivationModel is mc.ActivationModel\n")
 
 
 def test_sweep_rejects_bad_range(capsys, tmp_path):

@@ -10,8 +10,9 @@ from uav_twoway.pairing import AccountingMode
 from uav_twoway.rates import rate_set
 from uav_twoway.sinr import Configuration, all_configurations
 from uav_twoway.throughput import (LoadDistribution, admissible_k2,
-                                   average_throughput, conditional_throughput,
-                                   optimal_configuration, skellam_pmf)
+                                   average_throughput, conditional_table,
+                                   conditional_throughput, optimal_configuration,
+                                   skellam_pmf, skellam_vector)
 
 SKELLAM_0_1_1 = 0.30850832255367105  # frozen from the convolution oracle below
 COND_K3_K2_2_MIXED = 37.43071684735904
@@ -72,6 +73,47 @@ def test_skellam_symmetry():
 def test_skellam_mass_sums_to_one():
     mass = math.fsum(skellam_pmf(k, 5.0, 5.0) for k in range(-60, 61))
     assert abs(mass - 1.0) < 1e-12
+
+
+def test_skellam_vector_matches_convolution():
+    # tiny z, and z large enough that the recurrence starts far above N;
+    # the oracle needs more terms once the Poisson mass reaches ~300 + 10 sd
+    for lam1 in (1e-3, 50.0, 300.0):
+        for lam2 in (1e-3, 50.0, 300.0):
+            pmf = skellam_vector(30, lam1, lam2)
+            assert len(pmf) == 61
+            for k in range(-30, 31):
+                assert abs(pmf[k] - skellam_convolution(k, lam1, lam2, terms=1000)) <= 1e-10
+    # z = 2 sqrt(lambda1 lambda2) so small that the recurrence would overflow
+    for lam1, lam2 in ((1e-60, 1e-60), (1e-60, 3.0)):
+        pmf = skellam_vector(30, lam1, lam2)
+        for k in range(-30, 31):
+            assert abs(pmf[k] - skellam_convolution(k, lam1, lam2)) <= 1e-10
+        assert math.isclose(pmf[1], skellam_convolution(1, lam1, lam2), rel_tol=1e-12)
+
+
+def test_skellam_vector_mass_at_large_rate():
+    # the sd of K1 - K2 is sqrt(2e5) = 447; [-4000, 4000] leaves out < 1e-17,
+    # while [-3000, 3000] would leave out 2e-11
+    assert abs(math.fsum(skellam_vector(4000, 1e5, 1e5)) - 1.0) <= 1e-12
+
+
+def test_skellam_vector_mirror_bitwise():
+    for lam1, lam2 in ((100.0, 1000.0), (300.0, 100.0), (1e-3, 7.0)):
+        forward = skellam_vector(30, lam1, lam2)
+        backward = skellam_vector(30, lam2, lam1)
+        for k in range(-30, 31):
+            assert forward[k] == backward[-k]
+            assert skellam_pmf(k, lam1, lam2) == skellam_pmf(-k, lam2, lam1)
+
+
+@pytest.mark.parametrize("lam, mass", [(40.0, 0.99932), (100.0, 0.96895),
+                                       (1000.0, 0.50479), (1e5, 0.054374)])
+def test_covered_mass(params, derived, candidates, lam, mass):
+    breakdown = average_throughput(candidates["r0_Hl_Hl"], LoadDistribution(lam, lam),
+                                   params, derived)
+    assert abs(breakdown.covered_mass - mass) <= 1e-4
+    assert math.isfinite(breakdown.total)
 
 
 def test_skellam_rejects_nonpositive_rates():
@@ -160,6 +202,29 @@ def test_mirror_symmetry_exact(params, derived, candidates):
         mirrored = average_throughput(candidates["r1_Hh_Hl"],
                                       LoadDistribution(lam2, lam1), params, derived).total
         assert direct == mirrored
+
+
+def test_mirror_symmetry_exact_at_heavy_loads(params, derived, candidates):
+    # totals near 1e-190 and 1e-82: the pmf is assembled in log space
+    for lam1, lam2 in ((100.0, 1000.0), (1000.0, 300.0)):
+        for label, mirror in (("r1_Hl_Hh", "r1_Hh_Hl"), ("r0_Hl_Hl", "r0_Hl_Hl")):
+            direct = average_throughput(candidates[label], LoadDistribution(lam1, lam2),
+                                        params, derived).total
+            mirrored = average_throughput(candidates[mirror], LoadDistribution(lam2, lam1),
+                                          params, derived).total
+            assert 0.0 < direct == mirrored
+
+
+def test_prebuilt_table_gives_the_same_bits(params, derived, candidates):
+    cfg = candidates["r1_Hl_Hh"]
+    loads = LoadDistribution(7.0, 3.0)
+    table = conditional_table(cfg, params, derived, AccountingMode.PAPER_LITERAL)
+    from_table = average_throughput(table, loads, params, derived,
+                                    AccountingMode.PAPER_LITERAL)
+    direct = average_throughput(cfg, loads, params, derived, AccountingMode.PAPER_LITERAL)
+    assert from_table.total == direct.total and from_table.config == cfg
+    with pytest.raises(ValueError, match="accounting"):
+        average_throughput(table, loads, params, derived, AccountingMode.CONSISTENT)
 
 
 def test_invariant_under_joint_power_noise_scaling(derived, candidates):
