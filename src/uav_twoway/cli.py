@@ -20,7 +20,8 @@ from .pairing import AccountingMode
 from .params import load_params
 from .sinr import all_configurations, candidate_configurations
 from .throughput import (OPTIMAL_PRIORITY, LoadDistribution, average_throughput,
-                         conditional_table, optimal_configuration, pick_optimal)
+                         check_rate, conditional_table, optimal_configuration,
+                         pick_optimal)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,6 +67,19 @@ def _parse_values(spec: str, flag: str) -> list[float]:
     if len(values) > MAX_AXIS_VALUES:
         raise ConfigError(f"{flag}={spec!r}: more than {MAX_AXIS_VALUES} values")
     return values
+
+
+def _load_axis(spec: str, flag: str) -> tuple[float, ...]:
+    values = _parse_values(spec, flag)
+    for value in values:
+        check_rate(value, flag)
+    return tuple(values)
+
+
+def _point_loads(args) -> LoadDistribution:
+    check_rate(args.lambda1, "--lambda1")
+    check_rate(args.lambda2, "--lambda2")
+    return LoadDistribution(args.lambda1, args.lambda2)
 
 
 def _resolve_configurations(names: str) -> list[tuple[str, object]]:
@@ -115,8 +129,8 @@ class SweepSpec:
         if args.workers < 1:
             raise ConfigError(f"--workers={args.workers}: must be >= 1")
         return cls(
-            lambda1_values=tuple(_parse_values(args.lambda1, "--lambda1")),
-            lambda2_values=tuple(_parse_values(args.lambda2, "--lambda2")),
+            lambda1_values=_load_axis(args.lambda1, "--lambda1"),
+            lambda2_values=_load_axis(args.lambda2, "--lambda2"),
             selections=tuple(_resolve_configurations(args.configurations)),
             accounting=_accounting(args),
             frames=args.frames,
@@ -260,7 +274,7 @@ def _write_csv(rows: list[dict], path, with_flag: bool) -> None:
 
 def cmd_eval(args) -> int:
     params, derived = load_params(args.config, args.set)
-    loads = LoadDistribution(args.lambda1, args.lambda2)
+    loads = _point_loads(args)
     accounting = _accounting(args)
     if args.exhaustive:
         configs = all_configurations()
@@ -302,7 +316,7 @@ def cmd_eval(args) -> int:
 
 def cmd_optimize(args) -> int:
     params, derived = load_params(args.config, args.set)
-    loads = LoadDistribution(args.lambda1, args.lambda2)
+    loads = _point_loads(args)
     cfg, breakdown = optimal_configuration(loads, params, derived, _accounting(args))
     print(f"optimal configuration for lambda1={args.lambda1!r}, lambda2={args.lambda2!r}: "
           f"{cfg.label}")

@@ -18,7 +18,7 @@ class GuardViolationError(ConfigError):
 
 
 class NonPositiveRateError(ValueError):
-    """Mean activity rates must be finite and strictly positive."""
+    """Mean activity rates must be > 0 and at most ``throughput.MAX_RATE``."""
 
 
 class RateExceedsPopulationError(ValueError):

@@ -1,11 +1,12 @@
 """Frame-level stochastic simulator with explicit user positions.
 
 Each frame draws the active-user counts, places users uniformly in their
-cells, schedules service units with the three-step scheme, and walks the
-slots computing per-reception rates from exact distances and per-slot
-shadowing draws. A matched-assumption mode substitutes the worst-case
-distances and mean shadowing, in which case the frame reproduces the
-analytical conditional throughput and validates the closed form.
+cells, schedules service units with the three-step scheme, and computes
+all its receptions at once as columns (one row per receiver and slot)
+from exact distances and per-reception shadowing draws. A
+matched-assumption mode substitutes the worst-case distances and mean
+shadowing, in which case the frame reproduces the analytical conditional
+throughput and validates the closed form.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -16,12 +17,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import channel
-from .channel import MEAN_DB, ShadowingMode
 from .errors import RateExceedsPopulationError
 from .pairing import schedule_frame
 from .params import DerivedConstants, SystemParams
@@ -30,9 +29,6 @@ from .throughput import LoadDistribution, _split_weights
 
 DOWNLINK = "dl"
 UPLINK = "ul"
-
-# spawn key reserved for the fixed-layout stream; frame streams use (0..n-1)
-_LAYOUT_STREAM = 0xFFFFFFFF
 
 
 class ActivationModel(enum.Enum):
@@ -59,11 +55,6 @@ class UserLayout:
 
     cell1: np.ndarray
     cell2: np.ndarray
-
-    def position(self, user: tuple[int, int]) -> tuple[float, float]:
-        cell, index = user
-        row = (self.cell1 if cell == 1 else self.cell2)[index]
-        return float(row[0]), float(row[1])
 
 
 def sample_layout(k1: int, k2: int, params: SystemParams, rng) -> UserLayout:
@@ -99,181 +90,127 @@ def draw_activation(loads: LoadDistribution, params: SystemParams,
     raise ValueError(f"draw_activation does not handle {model!r}")
 
 
-@dataclass(frozen=True)
-class Reception:
-    """One receiver's view of one slot."""
-
-    link: int                 # serving link (UAV index)
-    direction: str            # "dl" | "ul"
-    user: tuple[int, int]     # (cell, index) of the ground endpoint
-    signal: float             # W
-    interference: float       # W
-    interferer: str           # "none" | "uav" | "ground"
-    rate: float               # bits/s/Hz
-
-
-@dataclass(frozen=True)
-class SlotRecord:
-    index: int
-    kind: str
-    receptions: tuple[Reception, ...]
-
-    @property
-    def rate(self) -> float:
-        return sum(reception.rate for reception in self.receptions)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameRealization:
+    """One frame's receptions as columns, one row per receiver and slot, in
+    slot order; a slot holds one row, or two for a co-channel pair.
+
+    ``link`` is the serving UAV, ``cell`` and ``user`` the ground endpoint
+    (its cell, its index there), ``direction`` "dl" or "ul", ``interferer``
+    "none", "uav" or "ground". Powers are in W; ``rate`` and
+    ``throughput``, the mean slot sum-rate, in bits/s/Hz.
+    """
+
     k1: int
     k2: int
-    ledger: tuple[SlotRecord, ...]
-    seed: object = None  # provenance tag; None for directly supplied streams
+    slot: np.ndarray
+    kind: np.ndarray
+    link: np.ndarray
+    direction: np.ndarray
+    cell: np.ndarray
+    user: np.ndarray
+    signal: np.ndarray
+    interference: np.ndarray
+    interferer: np.ndarray
+    rate: np.ndarray
+    throughput: float
 
     @property
     def slot_count(self) -> int:
-        return len(self.ledger)
-
-    @cached_property
-    def throughput(self) -> float:
-        if not self.ledger:
-            return 0.0
-        return sum(slot.rate for slot in self.ledger) / self.slot_count
-
-
-class _Geometry:
-    """Distances and reachability for one frame, exact or worst-case.
-
-    In worst-case mode the serving distance is the lobe edge and every
-    reachable interferer sits at its closest admissible position; whether
-    an interferer is reachable then follows from the altitude indicator
-    and cell membership instead of actual positions.
-    """
-
-    def __init__(self, cfg: Configuration, params: SystemParams,
-                 derived: DerivedConstants, layout: UserLayout | None,
-                 worst_case: bool):
-        self.params = params
-        self.derived = derived
-        self.layout = layout
-        self.worst_case = worst_case
-        self.level = {1: cfg.t1, 2: cfg.t2}
-        self.altitude = {1: derived.altitude(cfg.t1), 2: derived.altitude(cfg.t2)}
-        self.center = {1: (0.0, 0.0), 2: (params.d_sep, 0.0)}
-        self.cos_phi = math.cos(params.phi_b)
-
-    def _slant(self, link: int, user) -> float:
-        x, y = self.layout.position(user)
-        cx, cy = self.center[link]
-        h = self.altitude[link]
-        return math.sqrt((x - cx) ** 2 + (y - cy) ** 2 + h * h)
-
-    def serve_distance(self, link: int, user) -> float:
-        if self.worst_case:
-            return self.altitude[link] / self.cos_phi
-        return self._slant(link, user)
-
-    def uav_interference(self, tx_link: int, user) -> tuple[bool, float]:
-        """Reachability and distance of an interfering UAV at a ground user."""
-        h = self.altitude[tx_link]
-        if self.worst_case:
-            reachable = bool(self.level[tx_link]) or user[0] == tx_link
-            return reachable, h
-        distance = self._slant(tx_link, user)
-        return distance <= h / self.cos_phi, distance
-
-    def ground_interference_at_uav(self, rx_link: int, user) -> tuple[bool, float]:
-        """Reachability and distance of an interfering ground user at a UAV.
-
-        The receive cone mirrors the transmit lobe: a low UAV cannot hear
-        the other cell.
-        """
-        h = self.altitude[rx_link]
-        if self.worst_case:
-            reachable = bool(self.level[rx_link]) or user[0] == rx_link
-            return reachable, h
-        distance = self._slant(rx_link, user)
-        return distance <= h / self.cos_phi, distance
-
-    def ground_to_ground(self, tx_user, rx_user) -> float:
-        if self.worst_case:
-            return self.derived.d_min
-        tx, rx = self.layout.position(tx_user), self.layout.position(rx_user)
-        return math.hypot(tx[0] - rx[0], tx[1] - rx[1])
+        return int(self.slot[-1]) + 1 if self.slot.size else 0
 
 
 def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams,
               derived: DerivedConstants, rng=None, *,
-              worst_case_distances: bool = False, mean_shadowing: bool = False,
-              randomize_matching: bool = False,
-              layout: UserLayout | None = None, seed=None) -> FrameRealization:
-    """Simulate one frame and return its full slot ledger.
+              worst_case_distances: bool = False,
+              mean_shadowing: bool = False) -> FrameRealization:
+    """Simulate one frame and return its receptions as columns.
 
-    Draw order per frame: optional matching permutations, layout (unless
-    worst-case or given), then shadowing per reception in slot order.
+    Draw order per frame: the layout (unless worst-case), then one
+    shadowing deviate per reception in slot order, for its signal and then
+    for its interferer if one reaches it. In worst-case mode the serving
+    distance is the lobe edge, every reachable interferer sits at its
+    closest admissible position, and whether it is reachable follows from
+    the altitude levels and cell membership instead of actual positions.
     """
-    active1 = [(1, i) for i in range(k1)]
-    active2 = [(2, i) for i in range(k2)]
-    if randomize_matching and not worst_case_distances:
-        active1 = [active1[i] for i in rng.permutation(k1)]
-        active2 = [active2[i] for i in rng.permutation(k2)]
-    if layout is None and not worst_case_distances:
+    # users are numbered across both cells: cell 1 is 0..k1-1, cell 2 follows
+    units = schedule_frame(range(k1), range(k1, k1 + k2), cfg)
+    # (unit, link, user, co-channel partner); a lone user is its own partner
+    served = np.array([(index, link, user, partner)
+                       for index, unit in enumerate(units)
+                       for (link, user), (_, partner) in zip(unit.served, unit.served[::-1])],
+                      dtype=np.int64).reshape(-1, 4)
+    # each unit's receivers in its first slot, then again in its second
+    slot = np.concatenate((2 * served[:, 0], 2 * served[:, 0] + 1))
+    order = np.argsort(slot, kind="stable")
+    slot = slot[order]
+    link, user, partner = np.concatenate((served, served))[order, 1:].T
+    downlink = ((link == 2) * cfg.r + slot) % 2 == 0  # link 1 is downlink-first
+    cell_of = np.repeat([1, 2], (k1, k2))  # by user number
+
+    # With r = 0 a pair shares one direction and its interference is LoS:
+    # the other UAV at a downlink receiver, the partner at an uplink one.
+    # With r = 1 only a downlink receiver is interfered, by the partner
+    # over NLoS.
+    uav = np.where(downlink, 3 - link, link)
+    ground = np.where(downlink, user, partner)
+    altitude = np.array([derived.altitude(cfg.t1), derived.altitude(cfg.t2)])
+    edge = altitude / math.cos(params.phi_b)
+    if worst_case_distances:
+        serve = edge[link - 1]
+        los = altitude[uav - 1]
+        high = np.array([cfg.t1, cfg.t2])[uav - 1] == 1
+        reaches = high | (cell_of[ground] == uav)
+        nlos = np.full(slot.shape, derived.d_min)
+    else:
         layout = sample_layout(k1, k2, params, rng)
+        x, y = np.concatenate((layout.cell1, layout.cell2)).T
+        center = np.array([0.0, params.d_sep])
 
-    units = schedule_frame(active1, active2, cfg)
-    geometry = _Geometry(cfg, params, derived, layout, worst_case_distances)
-    shadowing = MEAN_DB if mean_shadowing else ShadowingMode(rng)
-    spin = {1: 0, 2: cfg.r}  # link 1 is downlink-first
+        def slant(links, users):
+            return np.sqrt((x[users] - center[links - 1]) ** 2 + y[users] ** 2
+                           + altitude[links - 1] * altitude[links - 1])
 
-    ledger = []
-    for unit in units:
-        for half in (0, 1):
-            receptions = []
-            active = [(link, user, DOWNLINK if (spin[link] + half) % 2 == 0 else UPLINK)
-                      for link, user in unit.served]
-            for link, user, direction in active:
-                others = [entry for entry in active if entry[0] != link]
-                distance = geometry.serve_distance(link, user)
-                if direction == DOWNLINK:
-                    signal = channel.rx_power_uav_to_ground(distance, params, derived, shadowing)
-                else:
-                    signal = channel.rx_power_ground_to_uav(distance, params, derived, shadowing)
+        serve = slant(link, user)
+        los = slant(uav, ground)
+        reaches = los <= edge[uav - 1]
+        nlos = np.hypot(x[partner] - x[user], y[partner] - y[user])
+    hit = (partner != user) & (reaches if cfg.r == 0 else downlink)
 
-                interference, interferer = 0.0, "none"
-                if others:
-                    other_link, other_user, other_direction = others[0]
-                    if direction == DOWNLINK:
-                        # receiver is the ground user
-                        if other_direction == DOWNLINK:
-                            reachable, dist = geometry.uav_interference(other_link, user)
-                            if reachable:
-                                interference = channel.rx_power_uav_to_ground(
-                                    dist, params, derived, shadowing)
-                                interferer = "uav"
-                        else:
-                            dist = geometry.ground_to_ground(other_user, user)
-                            interference = channel.rx_power_ground_to_ground(
-                                dist, params, derived, shadowing)
-                            interferer = "ground"
-                    else:
-                        # receiver is the serving UAV; a simultaneous downlink
-                        # would be UAV-to-UAV interference, which the guard
-                        # altitude suppresses entirely
-                        if other_direction == UPLINK:
-                            reachable, dist = geometry.ground_interference_at_uav(
-                                link, other_user)
-                            if reachable:
-                                interference = channel.rx_power_ground_to_uav(
-                                    dist, params, derived, shadowing)
-                                interferer = "ground"
+    deviates = 1 + hit  # per row: its signal's, then its interferer's
+    if mean_shadowing:
+        z_signal = z_interference = 0.0
+    else:
+        z = rng.standard_normal(int(deviates.sum()))
+        first = np.cumsum(deviates) - deviates
+        z_signal, z_interference = z[first], z[first[hit] + 1]
 
-                rate = math.log2(1.0 + signal / (interference + params.noise_power))
-                receptions.append(Reception(link=link, direction=direction, user=user,
-                                            signal=signal, interference=interference,
-                                            interferer=interferer, rate=rate))
-            ledger.append(SlotRecord(index=len(ledger), kind=unit.kind,
-                                     receptions=tuple(receptions)))
-    return FrameRealization(k1=k1, k2=k2, ledger=tuple(ledger), seed=seed)
+    signal = np.where(downlink,
+                      channel.rx_power_uav_to_ground(serve, params, derived, z_signal),
+                      channel.rx_power_ground_to_uav(serve, params, derived, z_signal))
+    interference = np.zeros(slot.shape)
+    if cfg.r == 0:
+        interference[hit] = np.where(
+            downlink[hit],
+            channel.rx_power_uav_to_ground(los[hit], params, derived, z_interference),
+            channel.rx_power_ground_to_uav(los[hit], params, derived, z_interference))
+        interferer = np.where(downlink, "uav", "ground")
+    else:
+        interference[hit] = channel.rx_power_ground_to_ground(
+            nlos[hit], params, derived, z_interference)
+        interferer = "ground"
+    rate = np.log2(1.0 + signal / (interference + params.noise_power))
+
+    # summed slot by slot in order; numpy's pairwise sum would round differently
+    slot_rates = np.bincount(slot, weights=rate).tolist()
+    cell = cell_of[user]
+    return FrameRealization(
+        k1=k1, k2=k2, slot=slot,
+        kind=np.array([unit.kind for unit in units], dtype=str)[slot // 2],
+        link=link, direction=np.where(downlink, DOWNLINK, UPLINK),
+        cell=cell, user=user - k1 * (cell == 2), signal=signal,
+        interference=interference, interferer=np.where(hit, interferer, "none"),
+        rate=rate, throughput=sum(slot_rates) / len(slot_rates) if slot_rates else 0.0)
 
 
 @dataclass(frozen=True)
@@ -319,9 +256,8 @@ def _stratum_tables(n: int) -> dict:
 def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
              derived: DerivedConstants, n_frames: int, seed, *,
              activation: ActivationModel = ActivationModel.TRUNCATED_POISSON,
-             worst_case_distances: bool = False, mean_shadowing: bool = False,
-             randomize_matching: bool = False,
-             fixed_layout: bool = False) -> SimResult:
+             worst_case_distances: bool = False,
+             mean_shadowing: bool = False) -> SimResult:
     """Empirical mean throughput over ``n_frames`` independent frames.
 
     Deterministic given ``seed``: frame i uses its own stream derived from
@@ -335,12 +271,6 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     matched = worst_case_distances and mean_shadowing
     memo: dict | None = {} if matched else None
     tables = _stratum_tables(n) if activation is ActivationModel.MODEL_MATCHED else None
-
-    layout = None
-    if fixed_layout and not worst_case_distances:
-        layout_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=_entropy(seed), spawn_key=(_LAYOUT_STREAM,)))
-        layout = sample_layout(n, n, params, layout_rng)
 
     values = np.empty(n_frames)
     for i in range(n_frames):
@@ -366,15 +296,10 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
                                       mean_shadowing=True).throughput
             values[i] = memo[key]
         else:
-            frame_layout = None
-            if layout is not None:
-                frame_layout = UserLayout(cell1=layout.cell1[:k1], cell2=layout.cell2[:k2])
             values[i] = run_frame(
                 cfg, k1, k2, params, derived, rng,
                 worst_case_distances=worst_case_distances,
-                mean_shadowing=mean_shadowing,
-                randomize_matching=randomize_matching,
-                layout=frame_layout, seed=_entropy(seed) + (i,)).throughput
+                mean_shadowing=mean_shadowing).throughput
 
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if n_frames > 1 else 0.0

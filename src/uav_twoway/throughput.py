@@ -35,15 +35,26 @@ _LOG_RESCALE = math.log(_RESCALE)
 _SERIES_Z = 1e-8
 
 
-def _check_rates(lambda1: float, lambda2: float) -> None:
-    if not (0 < lambda1 < math.inf and 0 < lambda2 < math.inf):
+# Miller's recurrence runs about 9*sqrt(2*lambda) steps: 0.2 s at this
+# ceiling, and without one a huge finite rate would never end.
+MAX_RATE = 1e10
+
+
+def check_rate(value: float, name: str) -> None:
+    """Reject an activity rate outside (0, MAX_RATE], naming it."""
+    if not 0 < value <= MAX_RATE:
         raise NonPositiveRateError(
-            f"activity rates must be finite and > 0, got ({lambda1!r}, {lambda2!r})")
+            f"{name}={value!r}: activity rate must be finite, > 0 and <= {MAX_RATE:g}")
+
+
+def _check_rates(lambda1: float, lambda2: float) -> None:
+    check_rate(lambda1, "lambda1")
+    check_rate(lambda2, "lambda2")
 
 
 @dataclass(frozen=True)
 class LoadDistribution:
-    """Mean number of active users per cell and frame (both finite and > 0)."""
+    """Mean number of active users per cell and frame, each in (0, MAX_RATE]."""
 
     lambda1: float
     lambda2: float

@@ -5,8 +5,8 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from uav_twoway import default_config, validate_and_derive
-from uav_twoway.channel import (MEAN_DB, ShadowingMode, rx_power_ground_to_ground,
-                                rx_power_ground_to_uav, rx_power_uav_to_ground)
+from uav_twoway.channel import (rx_power_ground_to_ground, rx_power_ground_to_uav,
+                                rx_power_uav_to_ground)
 
 # frozen from a standalone transcription of the link-budget formulas
 P_UAV_GROUND_EDGE_LOW = 5.395927595490394e-08   # slant = h_low / cos(phi_b)
@@ -95,23 +95,37 @@ def test_independent_of_noise_power(derived):
         100.0, base, derived)
 
 
-def test_sampled_shadowing_mean_converges(params):
-    rng = np.random.default_rng(123)
-    mode = ShadowingMode(rng)
-    n = 100_000
-    draws_db = np.array([10.0 * math.log10(mode.factor(params.mu_nlos, params.sigma_nlos))
-                         for _ in range(n)])
+def test_sampled_shadowing_mean_converges(params, derived):
+    # a column of deviates: the shadowing in dB is mu + sigma * z
+    z = np.random.default_rng(123).standard_normal(100_000)
+    d = 80.0
+    column = rx_power_ground_to_ground(d, params, derived, z)
+    draws_db = params.mu_nlos + 10.0 * np.log10(
+        rx_power_ground_to_ground(d, params, derived) / column)
+    n = len(z)
     assert abs(draws_db.mean() - params.mu_nlos) < 3.0 * params.sigma_nlos / math.sqrt(n)
     assert abs(draws_db.std() - params.sigma_nlos) < 0.1
 
 
 def test_sampled_shadowing_deterministic(params, derived):
-    first = ShadowingMode(np.random.default_rng(5))
-    second = ShadowingMode(np.random.default_rng(5))
-    for _ in range(10):
-        assert first.factor(params.mu_los, params.sigma_los) == second.factor(
-            params.mu_los, params.sigma_los)
+    # a column of deviates gives, row by row, the powers of scalar calls
+    z = np.random.default_rng(5).standard_normal(10)
+    for func in (rx_power_uav_to_ground, rx_power_ground_to_uav,
+                 rx_power_ground_to_ground):
+        column = func(120.0, params, derived, z)
+        assert np.array_equal(column, func(120.0, params, derived, z.copy()))
+        assert_allclose(column, [func(120.0, params, derived, float(v)) for v in z],
+                        rtol=1e-14)
 
 
-def test_mean_mode_is_deterministic(params):
-    assert MEAN_DB.factor(params.mu_los, params.sigma_los) == 10.0 ** 0.1
+def test_mean_mode_is_deterministic(params, derived):
+    # the default deviate is the mean, bit for bit; one standard deviation
+    # up divides the power by 10^(sigma/10)
+    edge = derived.h_low / math.cos(params.phi_b)
+    at_mean = (params.p_u * (derived.g0 / params.phi_b ** 2) / 10.0 ** (params.mu_los / 10.0)
+               * (derived.k_freespace * edge) ** (-params.n_los))
+    assert rx_power_uav_to_ground(edge, params, derived) == at_mean
+    assert rx_power_uav_to_ground(edge, params, derived, 0.0) == at_mean
+    assert_allclose(rx_power_uav_to_ground(100.0, params, derived, 1.0),
+                    rx_power_uav_to_ground(100.0, params, derived)
+                    / 10.0 ** (params.sigma_los / 10.0), rtol=1e-12)

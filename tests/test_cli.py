@@ -89,6 +89,29 @@ def test_nonpositive_load_exits_2(capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def test_out_of_domain_load_exits_2_naming_the_flag(tmp_path):
+    # in child processes with a time limit: a rate that slipped past the
+    # check would hang the Skellam recurrence, and the test must fail
+    env = dict(os.environ, PYTHONPATH=str(Path(uav_twoway.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "uav_twoway.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+    for argv, flag in ((("eval", "--lambda1", "1e300", "--lambda2", "1e300"), "--lambda1"),
+                       (("optimize", "--lambda1", "5", "--lambda2", "1.1e10"), "--lambda2"),
+                       (("eval", "--lambda1", "-1", "--lambda2", "1"), "--lambda1"),
+                       (("sweep", "--lambda1", "5", "--lambda2", "1,nan"), "--lambda2"),
+                       (("compare", "--lambda1", "1e10:1e11:1e10", "--lambda2", "3",
+                         "--frames", "2"), "--lambda1")):
+        done = run(*argv)
+        assert done.returncode == 2, (argv, done.stderr)
+        assert f"error: {flag}=" in done.stderr, (argv, done.stderr)
+    # the ceiling itself is accepted, and ends
+    done = run("eval", "--lambda1", "1e10", "--lambda2", "1e10")
+    assert done.returncode == 0, done.stderr
+
+
 def test_optimize_reports_config(capsys):
     assert run_cli("optimize", "--lambda1", "25", "--lambda2", "2") == 0
     assert "r1_Hl_Hh" in capsys.readouterr().out

@@ -1,14 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from uav_twoway.errors import RateExceedsPopulationError
-from uav_twoway.montecarlo import (ActivationModel, UserLayout, draw_activation,
-                                   frame_rng, run_frame, sample_layout, simulate,
+from uav_twoway.montecarlo import (ActivationModel, draw_activation, frame_rng,
+                                   run_frame, sample_layout, simulate,
                                    simulate_exhaustive)
-from uav_twoway.pairing import pair_counts
+from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts
+from uav_twoway.sinr import all_configurations
 from uav_twoway.throughput import (LoadDistribution, average_throughput,
                                    conditional_throughput)
 
@@ -66,56 +70,99 @@ def test_activation_deterministic(params):
         assert first == second
 
 
+def frame_columns(frame):
+    return {field.name: getattr(frame, field.name) for field in dataclasses.fields(frame)}
+
+
 def test_frame_ledger_bit_identical(params, derived, candidates):
     cfg = candidates["r1_Hl_Hh"]
-    one = run_frame(cfg, 6, 3, params, derived, frame_rng(42, 0))
-    other = run_frame(cfg, 6, 3, params, derived, frame_rng(42, 0))
-    assert one == other
-    different = run_frame(cfg, 6, 3, params, derived, frame_rng(43, 0))
-    assert different != one
+    one = frame_columns(run_frame(cfg, 6, 3, params, derived, frame_rng(42, 0)))
+    other = frame_columns(run_frame(cfg, 6, 3, params, derived, frame_rng(42, 0)))
+    assert all(np.array_equal(one[name], other[name]) for name in one)
+    different = frame_columns(run_frame(cfg, 6, 3, params, derived, frame_rng(43, 0)))
+    assert not np.array_equal(different["signal"], one["signal"])
 
 
-def test_slot_accounting_matches_pairing(params, derived, candidates):
-    rng_master = np.random.default_rng(5)
-    for cfg in candidates.values():
-        for _ in range(10):
-            k1 = int(rng_master.integers(0, 31))
-            k2 = int(rng_master.integers(0, 31))
-            frame = run_frame(cfg, k1, k2, params, derived,
-                              np.random.default_rng(int(rng_master.integers(1 << 31))))
-            expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
-            assert frame.slot_count == expected.slot_count
+# (cfg label, K1, K2, frame index) -> throughput of frame_rng(2024, index),
+# frozen per mode from the per-reception engine the columnar one replaced;
+# they pin the layout and shadowing draw order
+FROZEN_FRAMES = {
+    "exact_sampled": {("r1_Hl_Hh", 9, 4, 0): 46.734043655864305,
+                      ("r0_Hl_Hl", 7, 7, 1): 54.01902848921328,
+                      ("r0_Hh_Hh", 5, 12, 2): 5.528192742571292,
+                      ("r1_Hh_Hl", 3, 11, 3): 49.37835988089667},
+    "exact_mean": {("r1_Hl_Hh", 9, 4, 0): 46.469579827471144,
+                   ("r0_Hl_Hl", 7, 7, 1): 53.85423293641202,
+                   ("r0_Hh_Hh", 5, 12, 2): 5.381073998821304,
+                   ("r1_Hh_Hl", 3, 11, 3): 49.464802921917816},
+    "worst_mean": {("r1_Hl_Hh", 9, 4, 0): 39.09911906721986,
+                   ("r0_Hl_Hl", 7, 7, 1): 51.503802616666704,
+                   ("r0_Hh_Hh", 5, 12, 2): 2.9946999363675264,
+                   ("r1_Hh_Hl", 3, 11, 3): 41.3236553603676},
+}
+MODES = {"exact_sampled": {}, "exact_mean": {"mean_shadowing": True},
+         "worst_mean": {"worst_case_distances": True, "mean_shadowing": True}}
 
 
-def test_each_user_served_once_each_direction(params, derived, candidates):
-    cfg = candidates["r1_Hl_Hh"]
-    frame = run_frame(cfg, 9, 4, params, derived, frame_rng(6, 0))
-    seen = {}
-    for slot in frame.ledger:
-        for reception in slot.receptions:
-            seen.setdefault(reception.user, []).append(reception.direction)
-    assert len(seen) == 13
-    assert all(sorted(directions) == ["dl", "ul"] for directions in seen.values())
+def test_seeded_streams_match_frozen_values(params, derived):
+    configs = all_configurations()
+    for mode, frozen in FROZEN_FRAMES.items():
+        for (label, k1, k2, index), expected in frozen.items():
+            frame = run_frame(configs[label], k1, k2, params, derived,
+                              frame_rng(2024, index), **MODES[mode])
+            assert_allclose(frame.throughput, expected, rtol=1e-13)
+    # one cell of the acceptance criterion 8 grid
+    result = simulate(configs["r1_Hl_Hh"], LoadDistribution(10.0, 2.0), params, derived,
+                      300, seed=(31, 10, 2), mean_shadowing=True,
+                      activation=ActivationModel.MODEL_MATCHED)
+    assert_allclose(result.mean, 49.06499427395505, rtol=1e-13)
 
 
-def test_interference_bookkeeping(params, derived, candidates):
+frames = st.tuples(st.sampled_from(list(all_configurations().values())),
+                   st.integers(0, 30), st.integers(0, 30), st.integers(0, 2 ** 32 - 1),
+                   st.sampled_from(list(MODES.values()) + [{"worst_case_distances": True}]))
+
+
+def draw_frame(args, params, derived):
+    cfg, k1, k2, seed, mode = args
+    return cfg, run_frame(cfg, k1, k2, params, derived, frame_rng(seed, 0), **mode)
+
+
+@given(frames)
+def test_slot_accounting_matches_pairing(params, derived, args):
+    cfg, frame = draw_frame(args, params, derived)
+    expected = pair_counts(frame.k1 - frame.k2, frame.k2, cfg.t1, cfg.t2)
+    assert frame.slot_count == expected.slot_count
+    _, first_rows = np.unique(frame.slot, return_index=True)
+    slot_kinds = frame.kind[first_rows].tolist()
+    assert [slot_kinds.count(kind) for kind in (CROSS_CELL, SAME_CELL, INDIVIDUAL)] == [
+        2 * expected.a_d, 2 * expected.a_s, 2 * expected.b]
+
+
+@given(frames)
+def test_each_user_served_once_each_direction(params, derived, args):
+    _, frame = draw_frame(args, params, derived)
+    served = zip(frame.cell.tolist(), frame.user.tolist(), frame.direction.tolist())
+    assert sorted(served) == [(cell, index, direction)
+                              for cell, count in ((1, frame.k1), (2, frame.k2))
+                              for index in range(count) for direction in ("dl", "ul")]
+
+
+@given(frames)
+def test_interference_bookkeeping(params, derived, args):
     # a reception sees at most the one co-channel transmitter of its slot,
     # and a UAV receiver never accrues UAV interference
-    for label, cfg in candidates.items():
-        frame = run_frame(cfg, 8, 5, params, derived, frame_rng(7, 0))
-        for slot in frame.ledger:
-            for reception in slot.receptions:
-                if len(slot.receptions) == 1:
-                    assert reception.interferer == "none"
-                    assert reception.interference == 0.0
-                if reception.direction == "ul" and cfg.r == 1:
-                    assert reception.interferer == "none"
-        if cfg.r == 0:
-            downlinks = [reception for slot in frame.ledger
-                         for reception in slot.receptions
-                         if reception.direction == "dl" and len(slot.receptions) == 2]
-            assert all(reception.interferer in ("none", "uav")
-                       for reception in downlinks)
+    cfg, frame = draw_frame(args, params, derived)
+    alone = np.bincount(frame.slot)[frame.slot] == 1
+    assert np.all(frame.interferer[alone] == "none")
+    assert np.all(frame.interference[alone] == 0.0)
+    assert np.array_equal(frame.interference == 0.0, frame.interferer == "none")
+    uplink = frame.direction == "ul"
+    assert not np.any(frame.interferer[uplink] == "uav")
+    if cfg.r == 1:
+        assert np.all(frame.interferer[uplink] == "none")
+    else:
+        assert not np.any(frame.interferer[~uplink] == "ground")
 
 
 def test_matched_frame_equals_conditional(params, derived, candidates):
@@ -172,51 +219,12 @@ def test_exact_distances_dominate_bound(params, derived, candidates):
             assert result.mean >= analytical
 
 
-def test_randomized_matching_keeps_matched_value(params, derived, candidates):
-    # the matched value depends only on the counts, not on who pairs with whom
-    cfg = candidates["r1_Hl_Hh"]
-    loads = LoadDistribution(9.0, 2.0)
-    plain = simulate(cfg, loads, params, derived, 60, seed=14,
-                     worst_case_distances=True, mean_shadowing=True)
-    shuffled = simulate(cfg, loads, params, derived, 60, seed=14,
-                        worst_case_distances=True, mean_shadowing=True,
-                        randomize_matching=True)
-    assert plain.mean == shuffled.mean
-
-
-def test_randomized_matching_mean_stays_close(params, derived, candidates):
-    cfg = candidates["r1_Hl_Hh"]
-    loads = LoadDistribution(9.0, 2.0)
-    plain = simulate(cfg, loads, params, derived, 400, seed=15, mean_shadowing=True)
-    shuffled = simulate(cfg, loads, params, derived, 400, seed=15,
-                        mean_shadowing=True, randomize_matching=True)
-    gap = abs(plain.mean - shuffled.mean)
-    assert gap <= 3.0 * (plain.ci_half_width + shuffled.ci_half_width)
-
-
-def test_fixed_layout_reuses_positions(params, derived, candidates):
-    cfg = candidates["r0_Hl_Hl"]
-    loads = LoadDistribution(30.0, 30.0)  # binomial at full rate: everyone active
-    result_a = simulate(cfg, loads, params, derived, 3, seed=16,
-                        activation=ActivationModel.BINOMIAL_PER_USER,
-                        fixed_layout=True, mean_shadowing=True)
-    # fixed layout + full activation + mean shadowing: every frame is
-    # identical, so the confidence interval collapses
-    assert result_a.ci_half_width == 0.0
-
-
 def test_sampled_shadowing_changes_frames(params, derived, candidates):
+    # the same stream places the same users; only the shadowing differs
     cfg = candidates["r0_Hl_Hl"]
-    layout = sample_layout(4, 4, params, np.random.default_rng(17))
-    one = run_frame(cfg, 4, 4, params, derived, frame_rng(18, 0), layout=layout)
-    other = run_frame(cfg, 4, 4, params, derived, frame_rng(18, 1), layout=layout)
-    assert one.throughput != other.throughput
-
-
-def test_user_layout_lookup(params):
-    layout = UserLayout(cell1=np.array([[1.0, 2.0]]), cell2=np.array([[3.0, 4.0]]))
-    assert layout.position((1, 0)) == (1.0, 2.0)
-    assert layout.position((2, 0)) == (3.0, 4.0)
+    sampled = run_frame(cfg, 4, 4, params, derived, frame_rng(18, 0))
+    mean = run_frame(cfg, 4, 4, params, derived, frame_rng(18, 0), mean_shadowing=True)
+    assert sampled.throughput != mean.throughput
 
 
 def test_simulate_rejects_zero_frames(params, derived, candidates):

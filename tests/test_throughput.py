@@ -127,6 +127,12 @@ def test_skellam_rejects_nonpositive_rates():
         LoadDistribution(math.inf, 1.0)
     with pytest.raises(NonPositiveRateError, match="finite"):
         skellam_pmf(0, 1.0, math.inf)
+    # above the 1e10 ceiling the recurrence would run without bound
+    LoadDistribution(1e10, 1e10)
+    with pytest.raises(NonPositiveRateError, match="lambda2=1e\\+300"):
+        LoadDistribution(1.0, 1e300)
+    with pytest.raises(NonPositiveRateError, match="lambda1"):
+        skellam_vector(3, 2e10, 1.0)
 
 
 def test_admissible_k2_bounds():
