@@ -13,8 +13,8 @@ from .errors import (ConfigError, GuardViolationError, MissingKeyError,
                      RateExceedsPopulationError)
 from .pairing import (AccountingMode, PairCounts, ServiceUnit, pair_counts,
                       schedule_frame, unit_counts)
-from .params import (DerivedConstants, SystemParams, default_config,
-                     load_params, validate_and_derive)
+from .params import (SystemParams, default_config, load_params,
+                     validate_and_derive)
 from .rates import (RateSet, rate_cochannel_diff, rate_cochannel_same,
                     rate_individual, rate_set)
 from .sinr import (Configuration, all_configurations, candidate_configurations,

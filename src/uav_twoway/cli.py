@@ -14,10 +14,12 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 from .errors import ConfigError, NonPositiveRateError, RateExceedsPopulationError
 from .pairing import AccountingMode
-from .params import load_params
+from .params import SystemParams, load_params
 from .sinr import all_configurations, candidate_configurations
 from .throughput import (OPTIMAL_PRIORITY, LoadDistribution, average_throughput,
                          check_rate, conditional_table, optimal_configuration,
@@ -109,11 +111,14 @@ def _accounting(args) -> AccountingMode:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One grid run: load ranges, configuration set, and mode flags."""
+    """One grid run: parameters, load ranges, configuration set with the
+    conditional tables it needs, and mode flags."""
 
+    params: SystemParams
     lambda1_values: tuple
     lambda2_values: tuple
     selections: tuple            # (label, Configuration-or-None) pairs
+    tables: dict                 # label -> ConditionalTable, optimal's candidates included
     accounting: AccountingMode
     frames: int
     seed: int
@@ -124,15 +129,29 @@ class SweepSpec:
 
     @classmethod
     def from_args(cls, args) -> "SweepSpec":
+        params = load_params(args.config, args.set)
         if args.frames < 0:
             raise ConfigError(f"--frames={args.frames}: must be >= 0")
         if args.workers < 1:
             raise ConfigError(f"--workers={args.workers}: must be >= 1")
+        lambda1_values = _load_axis(args.lambda1, "--lambda1")
+        lambda2_values = _load_axis(args.lambda2, "--lambda2")
+        selections = tuple(_resolve_configurations(args.configurations))
+        if args.command == "compare" and args.frames < 1 and args.activation != "exhaustive":
+            raise ConfigError("compare requires --frames >= 1 (or --activation exhaustive)")
+
+        accounting = _accounting(args)
+        configs = {label: cfg for label, cfg in selections if label != OPTIMAL}
+        if any(label == OPTIMAL for label, _ in selections):
+            configs.update(candidate_configurations())
         return cls(
-            lambda1_values=_load_axis(args.lambda1, "--lambda1"),
-            lambda2_values=_load_axis(args.lambda2, "--lambda2"),
-            selections=tuple(_resolve_configurations(args.configurations)),
-            accounting=_accounting(args),
+            params=params,
+            lambda1_values=lambda1_values,
+            lambda2_values=lambda2_values,
+            selections=selections,
+            tables={label: conditional_table(cfg, params, accounting)
+                    for label, cfg in configs.items()},
+            accounting=accounting,
             frames=args.frames,
             seed=args.seed,
             activation=args.activation,
@@ -146,27 +165,24 @@ def _float_cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _point_rows(task) -> list[dict]:
-    """All CSV rows for one (lambda1, lambda2) grid point. Module-level and
-    argument-complete so worker processes can run it.
+def _point_rows(spec: SweepSpec, point: tuple) -> list[dict]:
+    """All CSV rows for one grid point ``(index, lambda1, lambda2)``.
+    Module-level so worker processes can run it.
 
-    ``tables`` maps each configuration label the point needs to its
-    conditional table; the Skellam vector is computed once for the point,
-    and every configuration's average once, the optimum reusing the
-    candidates'."""
-    (lambda1, lambda2, selections, tables, params, derived, accounting, frames,
-     seed, point_index, activation, worst_case, mean_shadow) = task
+    The Skellam vector is computed once for the point, and every
+    configuration's average once, the optimum reusing the candidates'."""
+    point_index, lambda1, lambda2 = point
+    params, accounting, activation = spec.params, spec.accounting, spec.activation
     loads = LoadDistribution(lambda1, lambda2)
     breakdowns = {}
 
     def average(label):
         if label not in breakdowns:
-            breakdowns[label] = average_throughput(tables[label], loads, params, derived,
-                                                   accounting)
+            breakdowns[label] = average_throughput(spec.tables[label], loads, params, accounting)
         return breakdowns[label]
 
     rows = []
-    for config_index, (label, cfg) in enumerate(selections):
+    for config_index, (label, cfg) in enumerate(spec.selections):
         if label == OPTIMAL:
             breakdown = pick_optimal({c: average(c) for c in OPTIMAL_PRIORITY})
             cfg = breakdown.config
@@ -179,34 +195,35 @@ def _point_rows(task) -> list[dict]:
             "r": cfg.r,
             "h1": ALTITUDE_SYMBOLS[cfg.t1],
             "h2": ALTITUDE_SYMBOLS[cfg.t2],
-            "h1_m": repr(derived.altitude(cfg.t1)),
-            "h2_m": repr(derived.altitude(cfg.t2)),
+            "h1_m": repr(params.altitude(cfg.t1)),
+            "h2_m": repr(params.altitude(cfg.t2)),
             "accounting_mode": accounting.value,
             "throughput_bpshz": repr(breakdown.total),
             "mc_mean": "", "mc_ci_low": "", "mc_ci_high": "",
             "n_frames": 0,
-            "seed": seed,
+            "seed": spec.seed,
         }
-        if frames or activation == "exhaustive":
+        if spec.frames or activation == "exhaustive":
             from .montecarlo import ActivationModel, simulate, simulate_exhaustive
             if activation == "exhaustive":
                 mc_mean, half_width, used_frames = (
-                    simulate_exhaustive(cfg, loads, params, derived), 0.0, 0)
+                    simulate_exhaustive(cfg, loads, params), 0.0, 0)
             else:
                 result = simulate(
-                    cfg, loads, params, derived, frames,
-                    seed=(seed, point_index, config_index),
+                    cfg, loads, params, spec.frames,
+                    seed=(spec.seed, point_index, config_index),
                     activation=ActivationModel(activation),
-                    worst_case_distances=worst_case, mean_shadowing=mean_shadow)
+                    worst_case_distances=spec.worst_case_distances,
+                    mean_shadowing=spec.mean_shadowing)
                 mc_mean, half_width, used_frames = (
-                    result.mean, result.ci_half_width, frames)
+                    result.mean, result.ci_half_width, spec.frames)
             row.update(mc_mean=_float_cell(mc_mean),
                        mc_ci_low=_float_cell(mc_mean - half_width),
                        mc_ci_high=_float_cell(mc_mean + half_width),
                        n_frames=used_frames)
             row["_deviation"] = _deviation_flag(
-                breakdown.total, mc_mean, half_width, worst_case, mean_shadow,
-                activation)
+                breakdown.total, mc_mean, half_width, spec.worst_case_distances,
+                spec.mean_shadowing, activation)
         rows.append(row)
     return rows
 
@@ -224,35 +241,18 @@ def _deviation_flag(analytical, mc_mean, half_width, worst_case, mean_shadow,
     return "DEVIATION" if gap > 3.0 * half_width + 1e-12 else "ok"
 
 
-def _run_grid(args, parser_name: str) -> list[dict]:
-    params, derived = load_params(args.config, args.set)
+def _run_grid(args) -> list[dict]:
     spec = SweepSpec.from_args(args)
-    if parser_name == "compare" and spec.frames < 1 and spec.activation != "exhaustive":
-        raise ConfigError("compare requires --frames >= 1 (or --activation exhaustive)")
-
-    configs = {label: cfg for label, cfg in spec.selections if label != OPTIMAL}
-    if any(label == OPTIMAL for label, _ in spec.selections):
-        configs.update(candidate_configurations())
-    tables = {label: conditional_table(cfg, params, derived, spec.accounting)
-              for label, cfg in configs.items()}
-
-    tasks = []
-    index = 0
-    for lambda1 in spec.lambda1_values:
-        for lambda2 in spec.lambda2_values:
-            tasks.append((lambda1, lambda2, spec.selections, tables, params, derived,
-                          spec.accounting, spec.frames, spec.seed, index,
-                          spec.activation, spec.worst_case_distances,
-                          spec.mean_shadowing))
-            index += 1
-
+    points = [(index, *loads) for index, loads in
+              enumerate(product(spec.lambda1_values, spec.lambda2_values))]
+    rows_of = partial(_point_rows, spec)
     if spec.workers > 1:
         # imported here: it loads multiprocessing, which one process does not need
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            per_point = list(pool.map(_point_rows, tasks))
+            per_point = list(pool.map(rows_of, points))
     else:
-        per_point = [_point_rows(task) for task in tasks]
+        per_point = [rows_of(point) for point in points]
     return [row for rows in per_point for row in rows]
 
 
@@ -273,7 +273,7 @@ def _write_csv(rows: list[dict], path, with_flag: bool) -> None:
 
 
 def cmd_eval(args) -> int:
-    params, derived = load_params(args.config, args.set)
+    params = load_params(args.config, args.set)
     loads = _point_loads(args)
     accounting = _accounting(args)
     if args.exhaustive:
@@ -287,11 +287,10 @@ def cmd_eval(args) -> int:
     else:
         configs = candidate_configurations()
 
-    breakdowns = {label: average_throughput(cfg, loads, params, derived, accounting)
+    breakdowns = {label: average_throughput(cfg, loads, params, accounting)
                   for label, cfg in configs.items()}
     best = pick_optimal({
-        label: breakdowns.get(label) or average_throughput(cfg, loads, params, derived,
-                                                           accounting)
+        label: breakdowns.get(label) or average_throughput(cfg, loads, params, accounting)
         for label, cfg in candidate_configurations().items()})
 
     print(f"lambda1={args.lambda1!r} lambda2={args.lambda2!r} "
@@ -300,8 +299,8 @@ def cmd_eval(args) -> int:
           f"{'h2_m':>10}  throughput_bpshz")
     for label, cfg in configs.items():
         print(f"{label:<14} {cfg.r:>1} {ALTITUDE_SYMBOLS[cfg.t1]:>3} "
-              f"{ALTITUDE_SYMBOLS[cfg.t2]:>3} {derived.altitude(cfg.t1):>10.4f} "
-              f"{derived.altitude(cfg.t2):>10.4f}  {breakdowns[label].total!r}")
+              f"{ALTITUDE_SYMBOLS[cfg.t2]:>3} {params.altitude(cfg.t1):>10.4f} "
+              f"{params.altitude(cfg.t2):>10.4f}  {breakdowns[label].total!r}")
     print(f"optimal: {best.config.label} -> {best.total!r}")
 
     if args.per_k:
@@ -315,25 +314,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    params, derived = load_params(args.config, args.set)
+    params = load_params(args.config, args.set)
     loads = _point_loads(args)
-    cfg, breakdown = optimal_configuration(loads, params, derived, _accounting(args))
+    cfg, breakdown = optimal_configuration(loads, params, _accounting(args))
     print(f"optimal configuration for lambda1={args.lambda1!r}, lambda2={args.lambda2!r}: "
           f"{cfg.label}")
-    print(f"  r={cfg.r} h1={ALTITUDE_SYMBOLS[cfg.t1]} ({derived.altitude(cfg.t1)!r} m) "
-          f"h2={ALTITUDE_SYMBOLS[cfg.t2]} ({derived.altitude(cfg.t2)!r} m)")
+    print(f"  r={cfg.r} h1={ALTITUDE_SYMBOLS[cfg.t1]} ({params.altitude(cfg.t1)!r} m) "
+          f"h2={ALTITUDE_SYMBOLS[cfg.t2]} ({params.altitude(cfg.t2)!r} m)")
     print(f"  throughput_bpshz={breakdown.total!r}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    rows = _run_grid(args, "sweep")
+    rows = _run_grid(args)
     _write_csv(rows, args.out, with_flag=False)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    rows = _run_grid(args, "compare")
+    rows = _run_grid(args)
     _write_csv(rows, args.out, with_flag=True)
     flagged = [row for row in rows if row.get("_deviation") == "DEVIATION"]
     if flagged:

@@ -23,7 +23,7 @@ import numpy as np
 from . import channel
 from .errors import RateExceedsPopulationError
 from .pairing import schedule_frame
-from .params import DerivedConstants, SystemParams
+from .params import SystemParams
 from .sinr import Configuration
 from .throughput import LoadDistribution, _split_weights
 
@@ -120,8 +120,7 @@ class FrameRealization:
         return int(self.slot[-1]) + 1 if self.slot.size else 0
 
 
-def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams,
-              derived: DerivedConstants, rng=None, *,
+def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=None, *,
               worst_case_distances: bool = False,
               mean_shadowing: bool = False) -> FrameRealization:
     """Simulate one frame and return its receptions as columns.
@@ -132,7 +131,13 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams,
     distance is the lobe edge, every reachable interferer sits at its
     closest admissible position, and whether it is reachable follows from
     the altitude levels and cell membership instead of actual positions.
+    Only worst-case distances with mean shadowing draw nothing and may
+    leave ``rng`` out.
     """
+    if rng is None and not (worst_case_distances and mean_shadowing):
+        distances = "worst-case" if worst_case_distances else "exact"
+        shadowing = "mean" if mean_shadowing else "sampled"
+        raise ValueError(f"rng is required for {distances} distances with {shadowing} shadowing")
     # users are numbered across both cells: cell 1 is 0..k1-1, cell 2 follows
     units = schedule_frame(range(k1), range(k1, k1 + k2), cfg)
     # (unit, link, user, co-channel partner); a lone user is its own partner
@@ -154,14 +159,14 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams,
     # over NLoS.
     uav = np.where(downlink, 3 - link, link)
     ground = np.where(downlink, user, partner)
-    altitude = np.array([derived.altitude(cfg.t1), derived.altitude(cfg.t2)])
+    altitude = np.array([params.altitude(cfg.t1), params.altitude(cfg.t2)])
     edge = altitude / math.cos(params.phi_b)
     if worst_case_distances:
         serve = edge[link - 1]
         los = altitude[uav - 1]
         high = np.array([cfg.t1, cfg.t2])[uav - 1] == 1
         reaches = high | (cell_of[ground] == uav)
-        nlos = np.full(slot.shape, derived.d_min)
+        nlos = np.full(slot.shape, params.d_min)
     else:
         layout = sample_layout(k1, k2, params, rng)
         x, y = np.concatenate((layout.cell1, layout.cell2)).T
@@ -186,18 +191,17 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams,
         z_signal, z_interference = z[first], z[first[hit] + 1]
 
     signal = np.where(downlink,
-                      channel.rx_power_uav_to_ground(serve, params, derived, z_signal),
-                      channel.rx_power_ground_to_uav(serve, params, derived, z_signal))
+                      channel.rx_power_uav_to_ground(serve, params, z_signal),
+                      channel.rx_power_ground_to_uav(serve, params, z_signal))
     interference = np.zeros(slot.shape)
     if cfg.r == 0:
         interference[hit] = np.where(
             downlink[hit],
-            channel.rx_power_uav_to_ground(los[hit], params, derived, z_interference),
-            channel.rx_power_ground_to_uav(los[hit], params, derived, z_interference))
+            channel.rx_power_uav_to_ground(los[hit], params, z_interference),
+            channel.rx_power_ground_to_uav(los[hit], params, z_interference))
         interferer = np.where(downlink, "uav", "ground")
     else:
-        interference[hit] = channel.rx_power_ground_to_ground(
-            nlos[hit], params, derived, z_interference)
+        interference[hit] = channel.rx_power_ground_to_ground(nlos[hit], params, z_interference)
         interferer = "ground"
     rate = np.log2(1.0 + signal / (interference + params.noise_power))
 
@@ -254,7 +258,7 @@ def _stratum_tables(n: int) -> dict:
 
 
 def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
-             derived: DerivedConstants, n_frames: int, seed, *,
+             n_frames: int, seed, *,
              activation: ActivationModel = ActivationModel.TRUNCATED_POISSON,
              worst_case_distances: bool = False,
              mean_shadowing: bool = False) -> SimResult:
@@ -291,15 +295,13 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
         if matched:
             key = (k1, k2)
             if key not in memo:
-                memo[key] = run_frame(cfg, k1, k2, params, derived, rng,
-                                      worst_case_distances=True,
+                memo[key] = run_frame(cfg, k1, k2, params, rng, worst_case_distances=True,
                                       mean_shadowing=True).throughput
             values[i] = memo[key]
         else:
-            values[i] = run_frame(
-                cfg, k1, k2, params, derived, rng,
-                worst_case_distances=worst_case_distances,
-                mean_shadowing=mean_shadowing).throughput
+            values[i] = run_frame(cfg, k1, k2, params, rng,
+                                  worst_case_distances=worst_case_distances,
+                                  mean_shadowing=mean_shadowing).throughput
 
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if n_frames > 1 else 0.0
@@ -307,8 +309,7 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     return SimResult(mean=mean, ci_half_width=half_width, n_frames=n_frames, seed=seed)
 
 
-def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
-                        params: SystemParams, derived: DerivedConstants) -> float:
+def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams) -> float:
     """Exact expectation of the matched-assumption simulator.
 
     Enumerates every admissible (K1, K2), runs one deterministic worst-case
@@ -325,7 +326,7 @@ def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
             continue
         inner = 0.0
         for weight, big_k2 in zip(weights, splits):
-            frame = run_frame(cfg, big_k2 + k, big_k2, params, derived,
+            frame = run_frame(cfg, big_k2 + k, big_k2, params,
                               worst_case_distances=True, mean_shadowing=True)
             inner += weight * frame.throughput
         total += pmf[k] * inner

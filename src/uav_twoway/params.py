@@ -1,4 +1,5 @@
-"""System constants: config parsing, validation, dBm conversion, derived geometry.
+"""System constants: config parsing, validation, dBm conversion, and the
+geometry they imply.
 
 Single source of truth for every symbol used by the channel, SINR, rate and
 throughput layers. Powers are configured in dBm and stored linear (watts);
@@ -8,7 +9,7 @@ everything else is plain SI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import ConfigError, GuardViolationError, MissingKeyError, OutOfRangeError
@@ -26,11 +27,16 @@ def watts_to_dbm(watts: float) -> float:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Validated physical and layout constants.
+    """Validated physical and layout constants, with the geometry they imply.
 
     f_c [Hz], c_light [m/s], p_u/p_g/noise_power [W] (stored linear),
     d_0/d_sep/h_0 [m], phi_b [rad] in (0, pi/2), path-loss exponents
     dimensionless, shadowing means/stds in dB.
+
+    Computed on construction: g0 the antenna gain coefficient, h_low/h_high
+    [m] the two admissible UAV altitudes, d_min [m] the equidistant-grid
+    minimal user separation, k_freespace = 4*pi*f_c/c [1/m]. Construction
+    raises GuardViolationError unless h_low < h_high.
     """
 
     f_c: float
@@ -49,22 +55,24 @@ class SystemParams:
     sigma_los: float
     mu_nlos: float
     sigma_nlos: float
+    g0: float = field(init=False)
+    h_low: float = field(init=False)
+    h_high: float = field(init=False)
+    d_min: float = field(init=False)
+    k_freespace: float = field(init=False)
 
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Constants derived from :class:`SystemParams`.
-
-    g0 is the antenna gain coefficient, h_low/h_high [m] the two admissible
-    UAV altitudes, d_min [m] the equidistant-grid minimal user separation,
-    k_freespace = 4*pi*f_c/c [1/m].
-    """
-
-    g0: float
-    h_low: float
-    h_high: float
-    d_min: float
-    k_freespace: float
+    def __post_init__(self):
+        h_low = self.d_0 / math.tan(self.phi_b) + self.h_0
+        h_high = (self.d_0 + self.d_sep) / math.tan(self.phi_b)
+        if not h_low < h_high:
+            raise GuardViolationError(
+                f"h_low={h_low:.3f} m must stay below h_high={h_high:.3f} m "
+                f"(guard offset h_0_m too large for d_sep_m)")
+        for name, value in (("g0", 30000.0 / 4.0 * (math.pi / 180.0) ** 2),
+                            ("h_low", h_low), ("h_high", h_high),
+                            ("d_min", 2.0 * self.d_0 / self.n_users),
+                            ("k_freespace", 4.0 * math.pi * self.f_c / self.c_light)):
+            object.__setattr__(self, name, value)
 
     def altitude(self, t: int) -> float:
         """Altitude [m] of level ``t``: 0 is h_low, 1 is h_high."""
@@ -142,12 +150,12 @@ def default_config() -> dict:
     }
 
 
-def validate_and_derive(raw: Mapping) -> tuple[SystemParams, DerivedConstants]:
-    """Validate a raw key-value mapping and derive the geometry constants.
+def validate_and_derive(raw: Mapping) -> SystemParams:
+    """Validate a raw key-value mapping into one SystemParams.
 
     Values may be numbers or strings (as read from a config file). Raises
-    MissingKeyError / OutOfRangeError naming the offending key, and
-    GuardViolationError if the derived altitudes collapse (h_low >= h_high).
+    MissingKeyError / OutOfRangeError naming the offending key; building
+    the SystemParams raises GuardViolationError if h_low >= h_high.
     """
     unknown = sorted(set(raw) - set(CONFIG_SCHEMA))
     if unknown:
@@ -165,7 +173,7 @@ def validate_and_derive(raw: Mapping) -> tuple[SystemParams, DerivedConstants]:
             raise OutOfRangeError(f"{key}={raw[key]!r}: must be finite")
         values[key] = validator(numeric, key)
 
-    params = SystemParams(
+    return SystemParams(
         f_c=values["f_c_hz"],
         c_light=values["c_mps"],
         p_u=dbm_to_watts(values["p_u_dbm"]),
@@ -183,23 +191,6 @@ def validate_and_derive(raw: Mapping) -> tuple[SystemParams, DerivedConstants]:
         mu_nlos=values["mu_nlos_db"],
         sigma_nlos=values["sigma_nlos_db"],
     )
-    return params, derive_constants(params)
-
-
-def derive_constants(params: SystemParams) -> DerivedConstants:
-    derived = DerivedConstants(
-        g0=30000.0 / 4.0 * (math.pi / 180.0) ** 2,
-        h_low=params.d_0 / math.tan(params.phi_b) + params.h_0,
-        h_high=(params.d_0 + params.d_sep) / math.tan(params.phi_b),
-        d_min=2.0 * params.d_0 / params.n_users,
-        k_freespace=4.0 * math.pi * params.f_c / params.c_light,
-    )
-    if not derived.h_low < derived.h_high:
-        raise GuardViolationError(
-            f"h_low={derived.h_low:.3f} m must stay below h_high={derived.h_high:.3f} m "
-            f"(guard offset h_0_m too large for d_sep_m)"
-        )
-    return derived
 
 
 def parse_config_file(path) -> dict:
@@ -228,7 +219,7 @@ def apply_overrides(config: Mapping, assignments: Iterable[str]) -> dict:
     return merged
 
 
-def load_params(config_path=None, overrides: Iterable[str] = ()) -> tuple[SystemParams, DerivedConstants]:
+def load_params(config_path=None, overrides: Iterable[str] = ()) -> SystemParams:
     """Defaults, overlaid with an optional config file, then ``--set`` overrides."""
     config = default_config()
     if config_path is not None:

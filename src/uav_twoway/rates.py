@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import DerivedConstants, SystemParams
+from .params import SystemParams
 from .sinr import (Configuration, sinr_dl_diff, sinr_dl_same, sinr_ul_diff,
                    sinr_ul_same, snr_individual)
 
@@ -29,40 +29,34 @@ def _shannon(sinr: float) -> float:
     return math.log2(1.0 + sinr)
 
 
-def rate_cochannel_diff(cfg: Configuration, params: SystemParams,
-                        derived: DerivedConstants) -> float:
+def rate_cochannel_diff(cfg: Configuration, params: SystemParams) -> float:
     """Sum-rate of two co-channel links serving users in different cells.
 
     Per-link sums are grouped before the final add so that mirrored
     configurations produce bitwise-identical totals.
     """
-    link1 = _shannon(sinr_dl_diff(cfg, params, derived, 1)) + _shannon(
-        sinr_ul_diff(cfg, params, derived, 1))
-    link2 = _shannon(sinr_dl_diff(cfg, params, derived, 2)) + _shannon(
-        sinr_ul_diff(cfg, params, derived, 2))
+    link1 = _shannon(sinr_dl_diff(cfg, params, 1)) + _shannon(sinr_ul_diff(cfg, params, 1))
+    link2 = _shannon(sinr_dl_diff(cfg, params, 2)) + _shannon(sinr_ul_diff(cfg, params, 2))
     return link1 + link2
 
 
-def rate_cochannel_same(cfg: Configuration, params: SystemParams,
-                        derived: DerivedConstants) -> float:
+def rate_cochannel_same(cfg: Configuration, params: SystemParams) -> float:
     """Sum-rate of two co-channel links jointly serving one cell."""
-    link1 = _shannon(sinr_dl_same(cfg, params, derived, 1)) + _shannon(
-        sinr_ul_same(cfg, params, derived, 1))
-    link2 = _shannon(sinr_dl_same(cfg, params, derived, 2)) + _shannon(
-        sinr_ul_same(cfg, params, derived, 2))
+    link1 = _shannon(sinr_dl_same(cfg, params, 1)) + _shannon(sinr_ul_same(cfg, params, 1))
+    link2 = _shannon(sinr_dl_same(cfg, params, 2)) + _shannon(sinr_ul_same(cfg, params, 2))
     return link1 + link2
 
 
-def rate_individual(h: float, params: SystemParams, derived: DerivedConstants) -> float:
+def rate_individual(h: float, params: SystemParams) -> float:
     """Two-way sum-rate of an interference-free individually served user."""
-    snr_dl, snr_ul = snr_individual(h, params, derived)
+    snr_dl, snr_ul = snr_individual(h, params)
     return _shannon(snr_dl) + _shannon(snr_ul)
 
 
-def rate_set(cfg: Configuration, params: SystemParams, derived: DerivedConstants) -> RateSet:
+def rate_set(cfg: Configuration, params: SystemParams) -> RateSet:
     return RateSet(
-        r_cochannel_diff=rate_cochannel_diff(cfg, params, derived),
-        r_cochannel_same=rate_cochannel_same(cfg, params, derived),
-        r_individual_1=rate_individual(derived.altitude(cfg.t1), params, derived),
-        r_individual_2=rate_individual(derived.altitude(cfg.t2), params, derived),
+        r_cochannel_diff=rate_cochannel_diff(cfg, params),
+        r_cochannel_same=rate_cochannel_same(cfg, params),
+        r_individual_1=rate_individual(params.altitude(cfg.t1), params),
+        r_individual_2=rate_individual(params.altitude(cfg.t2), params),
     )

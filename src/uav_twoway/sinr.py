@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import channel
-from .params import DerivedConstants, SystemParams
+from .params import SystemParams
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ def _serving_and_other(cfg: Configuration, link: int) -> tuple[int, int]:
     raise ValueError(f"link must be 1 or 2, got {link!r}")
 
 
-def sinr_dl_diff(cfg: Configuration, params: SystemParams, derived: DerivedConstants,
-                 link: int = 1) -> float:
+def sinr_dl_diff(cfg: Configuration, params: SystemParams, link: int = 1) -> float:
     """Downlink SINR bound when the co-channel users sit in different cells.
 
     With r=1 the interference is ground-to-ground at d_min; with r=0 the
@@ -71,60 +70,57 @@ def sinr_dl_diff(cfg: Configuration, params: SystemParams, derived: DerivedConst
     the receiver's cell.
     """
     t_serve, t_other = _serving_and_other(cfg, link)
-    h_serve, h_other = derived.altitude(t_serve), derived.altitude(t_other)
-    signal = channel.rx_power_uav_to_ground(h_serve / math.cos(params.phi_b), params, derived)
-    denom = (cfg.r * channel.rx_power_ground_to_ground(derived.d_min, params, derived)
-             + t_other * (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params, derived)
+    h_serve, h_other = params.altitude(t_serve), params.altitude(t_other)
+    signal = channel.rx_power_uav_to_ground(h_serve / math.cos(params.phi_b), params)
+    denom = (cfg.r * channel.rx_power_ground_to_ground(params.d_min, params)
+             + t_other * (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params)
              + params.noise_power)
     return signal / denom
 
 
-def sinr_ul_diff(cfg: Configuration, params: SystemParams, derived: DerivedConstants,
-                 link: int = 1) -> float:
+def sinr_ul_diff(cfg: Configuration, params: SystemParams, link: int = 1) -> float:
     """Uplink SINR bound, different-cell scenario.
 
     The other cell's simultaneous uplink (r=0) is heard only when the
     receiving UAV is high; a low UAV's receive cone excludes the other cell.
     """
     t_serve, _ = _serving_and_other(cfg, link)
-    h_serve = derived.altitude(t_serve)
-    signal = channel.rx_power_ground_to_uav(h_serve / math.cos(params.phi_b), params, derived)
-    denom = (t_serve * (1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params, derived)
+    h_serve = params.altitude(t_serve)
+    signal = channel.rx_power_ground_to_uav(h_serve / math.cos(params.phi_b), params)
+    denom = (t_serve * (1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params)
              + params.noise_power)
     return signal / denom
 
 
-def sinr_dl_same(cfg: Configuration, params: SystemParams, derived: DerivedConstants,
-                 link: int = 1) -> float:
+def sinr_dl_same(cfg: Configuration, params: SystemParams, link: int = 1) -> float:
     """Downlink SINR bound when both co-channel users share one cell.
 
     The partner UAV serves the same cell, so with r=0 its downlink always
     interferes regardless of the altitude indicator.
     """
     t_serve, t_other = _serving_and_other(cfg, link)
-    h_serve, h_other = derived.altitude(t_serve), derived.altitude(t_other)
-    signal = channel.rx_power_uav_to_ground(h_serve / math.cos(params.phi_b), params, derived)
-    denom = (cfg.r * channel.rx_power_ground_to_ground(derived.d_min, params, derived)
-             + (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params, derived)
+    h_serve, h_other = params.altitude(t_serve), params.altitude(t_other)
+    signal = channel.rx_power_uav_to_ground(h_serve / math.cos(params.phi_b), params)
+    denom = (cfg.r * channel.rx_power_ground_to_ground(params.d_min, params)
+             + (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params)
              + params.noise_power)
     return signal / denom
 
 
-def sinr_ul_same(cfg: Configuration, params: SystemParams, derived: DerivedConstants,
-                 link: int = 1) -> float:
+def sinr_ul_same(cfg: Configuration, params: SystemParams, link: int = 1) -> float:
     """Uplink SINR bound, same-cell scenario: the co-channel user is always
     inside the receiving UAV's cone, so only r=1 silences it."""
     t_serve, _ = _serving_and_other(cfg, link)
-    h_serve = derived.altitude(t_serve)
-    signal = channel.rx_power_ground_to_uav(h_serve / math.cos(params.phi_b), params, derived)
-    denom = ((1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params, derived)
+    h_serve = params.altitude(t_serve)
+    signal = channel.rx_power_ground_to_uav(h_serve / math.cos(params.phi_b), params)
+    denom = ((1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params)
              + params.noise_power)
     return signal / denom
 
 
-def snr_individual(h: float, params: SystemParams, derived: DerivedConstants) -> tuple[float, float]:
+def snr_individual(h: float, params: SystemParams) -> tuple[float, float]:
     """(downlink, uplink) SNR of an individually served user at altitude h [m]."""
     d = h / math.cos(params.phi_b)
-    snr_dl = channel.rx_power_uav_to_ground(d, params, derived) / params.noise_power
-    snr_ul = channel.rx_power_ground_to_uav(d, params, derived) / params.noise_power
+    snr_dl = channel.rx_power_uav_to_ground(d, params) / params.noise_power
+    snr_ul = channel.rx_power_ground_to_uav(d, params) / params.noise_power
     return snr_dl, snr_ul

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import NonPositiveRateError
 from .pairing import AccountingMode, pair_counts
-from .params import DerivedConstants, SystemParams
+from .params import SystemParams
 from .rates import RateSet, rate_set
 from .sinr import Configuration, candidate_configurations
 
@@ -85,10 +85,6 @@ class ThroughputBreakdown:
     total: float
     per_k: dict = field(repr=False)
     config: Configuration = None
-    lambda1: float = None
-    lambda2: float = None
-    accounting: AccountingMode = AccountingMode.CONSISTENT
-    shadowing: str = "mean_db"  # the closed form always uses the mean-dB factor
     covered_mass: float = None
 
 
@@ -161,7 +157,6 @@ def _split_weights(k: int, n: int) -> tuple[list[int], list[float]]:
 
 
 def conditional_throughput(k: int, big_k2: int, cfg: Configuration, params: SystemParams,
-                           derived: DerivedConstants,
                            mode: AccountingMode = AccountingMode.CONSISTENT,
                            rates: RateSet | None = None) -> float:
     """Per-slot throughput [bits/s/Hz] of one frame with loads (K2 + k, K2).
@@ -174,7 +169,7 @@ def conditional_throughput(k: int, big_k2: int, cfg: Configuration, params: Syst
     if counts.units == 0:
         return 0.0
     if rates is None:
-        rates = rate_set(cfg, params, derived)
+        rates = rate_set(cfg, params)
     r_ind = rates.r_individual_1 if k > 0 else rates.r_individual_2
     numerator = (counts.a_d * rates.r_cochannel_diff
                  + counts.a_s * rates.r_cochannel_same
@@ -193,17 +188,17 @@ class ConditionalTable:
     values: tuple[float, ...]
 
 
-def conditional_table(cfg: Configuration, params: SystemParams, derived: DerivedConstants,
+def conditional_table(cfg: Configuration, params: SystemParams,
                       mode: AccountingMode = AccountingMode.CONSISTENT) -> ConditionalTable:
     """Build C(cfg). Each entry is an exactly rounded sum (``math.fsum``),
     so it does not depend on the order of the splits."""
     n = params.n_users
-    rates = rate_set(cfg, params, derived)
+    rates = rate_set(cfg, params)
 
     def entry(k: int) -> float:
         splits, weights = _split_weights(k, n)
         return math.fsum(
-            weight * conditional_throughput(k, big_k2, cfg, params, derived, mode, rates)
+            weight * conditional_throughput(k, big_k2, cfg, params, mode, rates)
             for weight, big_k2 in zip(weights, splits))
 
     return ConditionalTable(config=cfg, mode=mode,
@@ -211,8 +206,8 @@ def conditional_table(cfg: Configuration, params: SystemParams, derived: Derived
 
 
 def average_throughput(cfg: Configuration | ConditionalTable, loads: LoadDistribution,
-                       params: SystemParams, derived: DerivedConstants,
-                       mode: AccountingMode = AccountingMode.CONSISTENT) -> ThroughputBreakdown:
+                       params: SystemParams, mode: AccountingMode = AccountingMode.CONSISTENT
+                       ) -> ThroughputBreakdown:
     """Skellam-weighted average of the conditional throughput over k in
     [-N, N]: the product P(lambda) . C(cfg).
 
@@ -223,8 +218,7 @@ def average_throughput(cfg: Configuration | ConditionalTable, loads: LoadDistrib
     the total bitwise.
     """
     n = params.n_users
-    table = cfg if isinstance(cfg, ConditionalTable) else conditional_table(
-        cfg, params, derived, mode)
+    table = cfg if isinstance(cfg, ConditionalTable) else conditional_table(cfg, params, mode)
     if table.mode is not mode or len(table.values) != 2 * n + 1:
         raise ValueError(f"conditional table for {table.mode.value} accounting and "
                          f"N={len(table.values) // 2} used with {mode.value} and N={n}")
@@ -237,8 +231,7 @@ def average_throughput(cfg: Configuration | ConditionalTable, loads: LoadDistrib
         per_k[-j] = (pmf[-j], conditional[-j])
         total += pmf[j] * conditional[j] + pmf[-j] * conditional[-j]
     return ThroughputBreakdown(total=total, per_k=per_k, config=table.config,
-                               lambda1=loads.lambda1, lambda2=loads.lambda2,
-                               accounting=mode, covered_mass=math.fsum(pmf))
+                               covered_mass=math.fsum(pmf))
 
 
 def pick_optimal(breakdowns: dict) -> ThroughputBreakdown:
@@ -252,13 +245,12 @@ def pick_optimal(breakdowns: dict) -> ThroughputBreakdown:
 
 
 def optimal_configuration(loads: LoadDistribution, params: SystemParams,
-                          derived: DerivedConstants,
                           mode: AccountingMode = AccountingMode.CONSISTENT
                           ) -> tuple[Configuration, ThroughputBreakdown]:
     """Argmax of the average throughput over the three candidate configurations.
 
     Ties prefer the same-direction low/low configuration, then low/high.
     """
-    best = pick_optimal({label: average_throughput(cfg, loads, params, derived, mode)
+    best = pick_optimal({label: average_throughput(cfg, loads, params, mode)
                          for label, cfg in candidate_configurations().items()})
     return best.config, best

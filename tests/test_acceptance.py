@@ -27,12 +27,12 @@ def report(criterion: str, ok: bool, detail: str = ""):
     assert ok, f"{criterion} failed: {detail}"
 
 
-def test_criterion_1_constants(derived):
-    ok_g0 = abs(derived.g0 - 2.2846) < 1e-4
-    ok_low = abs(derived.h_low - 58.735) < 1e-3
-    ok_high = abs(derived.h_high - 230.94) < 1e-3
+def test_criterion_1_constants(params):
+    ok_g0 = abs(params.g0 - 2.2846) < 1e-4
+    ok_low = abs(params.h_low - 58.735) < 1e-3
+    ok_high = abs(params.h_high - 230.94) < 1e-3
     report("criterion 1 (derived constants)", ok_g0 and ok_low and ok_high,
-           f"g0={derived.g0:.5f} h_low={derived.h_low:.3f} h_high={derived.h_high:.3f}")
+           f"g0={params.g0:.5f} h_low={params.h_low:.3f} h_high={params.h_high:.3f}")
 
 
 def test_criterion_2_skellam_oracle():
@@ -51,7 +51,7 @@ def test_criterion_2_skellam_oracle():
 def test_criterion_3_regrouping_small_n():
     config = default_config()
     config["n_users"] = 6
-    params, derived = validate_and_derive(config)
+    params = validate_and_derive(config)
     configs = (Configuration(1, 0, 1), Configuration(1, 1, 0), Configuration(0, 0, 0))
     rng = random.Random(2024)
     worst = 0.0
@@ -59,9 +59,9 @@ def test_criterion_3_regrouping_small_n():
         lam1 = rng.uniform(0.5, 6.0)
         lam2 = rng.uniform(0.5, 6.0)
         for cfg in configs:
-            expected = brute_force_average(cfg, lam1, lam2, params, derived)
+            expected = brute_force_average(cfg, lam1, lam2, params)
             actual = average_throughput(cfg, LoadDistribution(lam1, lam2),
-                                        params, derived).total
+                                        params).total
             worst = max(worst, abs(actual - expected) / abs(expected))
     report("criterion 3 (load-difference regrouping, N=6)", worst <= 1e-9,
            f"max_rel_err={worst:.2e}")
@@ -87,21 +87,21 @@ def test_criterion_4_pair_count_conservation():
            f"exhaustive 31x31x3 conservation={ok} literal_example={ok_literal}")
 
 
-def test_criterion_5_qualitative_reproduction(params, derived):
+def test_criterion_5_qualitative_reproduction(params):
     candidates = candidate_configurations()
     ok_balanced = True
     for lam in (5.0, 10.0, 15.0, 20.0):
-        cfg, _ = optimal_configuration(LoadDistribution(lam, lam), params, derived)
+        cfg, _ = optimal_configuration(LoadDistribution(lam, lam), params)
         ok_balanced &= cfg.label == "r0_Hl_Hl"
-    cfg_heavy1, _ = optimal_configuration(LoadDistribution(25.0, 2.0), params, derived)
-    cfg_heavy2, _ = optimal_configuration(LoadDistribution(2.0, 25.0), params, derived)
+    cfg_heavy1, _ = optimal_configuration(LoadDistribution(25.0, 2.0), params)
+    cfg_heavy2, _ = optimal_configuration(LoadDistribution(2.0, 25.0), params)
     ok_skewed = cfg_heavy1.label == "r1_Hl_Hh" and cfg_heavy2.label == "r1_Hh_Hl"
     ok_mirror = True
     for lam1, lam2 in ((25.0, 2.0), (13.0, 4.0), (7.5, 19.25)):
         direct = average_throughput(candidates["r1_Hl_Hh"],
-                                    LoadDistribution(lam1, lam2), params, derived).total
+                                    LoadDistribution(lam1, lam2), params).total
         mirrored = average_throughput(candidates["r1_Hh_Hl"],
-                                      LoadDistribution(lam2, lam1), params, derived).total
+                                      LoadDistribution(lam2, lam1), params).total
         ok_mirror &= direct == mirrored
     report("criterion 5 (qualitative optima and exact mirror symmetry)",
            ok_balanced and ok_skewed and ok_mirror,
@@ -134,21 +134,21 @@ def test_criterion_6_optimizer_dominance(sweep_rows):
            f"points={len(by_point)}")
 
 
-def test_criterion_7_model_simulator_consistency(params, derived):
+def test_criterion_7_model_simulator_consistency(params):
     candidates = candidate_configurations()
     worst_rel = 0.0
     for lam1, lam2 in ((10.0, 5.0), (25.0, 2.0)):
         loads = LoadDistribution(lam1, lam2)
         for cfg in candidates.values():
-            analytical = average_throughput(cfg, loads, params, derived).total
-            exact = simulate_exhaustive(cfg, loads, params, derived)
+            analytical = average_throughput(cfg, loads, params).total
+            exact = simulate_exhaustive(cfg, loads, params)
             worst_rel = max(worst_rel, abs(exact - analytical) / analytical)
     ok_exhaustive = worst_rel <= 1e-9
 
     loads = LoadDistribution(10.0, 5.0)
     cfg = candidates["r1_Hl_Hh"]
-    analytical = average_throughput(cfg, loads, params, derived).total
-    sampled = simulate(cfg, loads, params, derived, 100_000, seed=2718,
+    analytical = average_throughput(cfg, loads, params).total
+    sampled = simulate(cfg, loads, params, 100_000, seed=2718,
                        activation=ActivationModel.MODEL_MATCHED,
                        worst_case_distances=True, mean_shadowing=True)
     gap = abs(sampled.mean - analytical)
@@ -159,7 +159,7 @@ def test_criterion_7_model_simulator_consistency(params, derived):
            f"3hw={3.0 * sampled.ci_half_width:.4f}")
 
 
-def test_criterion_8_bound_dominance(params, derived):
+def test_criterion_8_bound_dominance(params):
     candidates = candidate_configurations()
     ok = True
     tightest = math.inf
@@ -167,8 +167,8 @@ def test_criterion_8_bound_dominance(params, derived):
         for lam2 in GRID_LAMBDA2:
             loads = LoadDistribution(lam1, lam2)
             for cfg in candidates.values():
-                analytical = average_throughput(cfg, loads, params, derived).total
-                empirical = simulate(cfg, loads, params, derived, 300,
+                analytical = average_throughput(cfg, loads, params).total
+                empirical = simulate(cfg, loads, params, 300,
                                      seed=(31, int(lam1), int(lam2)),
                                      mean_shadowing=True,
                                      activation=ActivationModel.MODEL_MATCHED)

@@ -24,13 +24,13 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_eval_matches_library(capsys, params, derived, candidates):
+def test_eval_matches_library(capsys, params, candidates):
     assert run_cli("eval", "--lambda1", "10", "--lambda2", "10") == 0
     out = capsys.readouterr().out
     line = next(l for l in out.splitlines() if l.startswith("r0_Hl_Hl"))
     printed = float(line.split()[-1])
     expected = average_throughput(candidates["r0_Hl_Hl"],
-                                  LoadDistribution(10.0, 10.0), params, derived)
+                                  LoadDistribution(10.0, 10.0), params)
     assert printed == expected.total
     assert "optimal: r0_Hl_Hl" in out
     header = out.splitlines()[0]
@@ -147,7 +147,7 @@ def test_sweep_optimal_dominates_rowwise(tmp_path):
             assert values["optimal"] >= values[label]
 
 
-def test_sweep_optimal_row_is_the_optimizer_result(tmp_path, params, derived):
+def test_sweep_optimal_row_is_the_optimizer_result(tmp_path, params):
     # the optimal row is picked from the candidate columns; it must match
     # optimal_configuration bit for bit, including the mirrored ties at
     # lambda1 == lambda2
@@ -159,7 +159,7 @@ def test_sweep_optimal_row_is_the_optimizer_result(tmp_path, params, derived):
     assert len(optimal_rows) == 9
     for row in optimal_rows:
         loads = LoadDistribution(float(row["lambda1"]), float(row["lambda2"]))
-        cfg, best = optimal_configuration(loads, params, derived)
+        cfg, best = optimal_configuration(loads, params)
         assert f"r{row['r']}_{levels[row['h1']]}_{levels[row['h2']]}" == cfg.label
         assert row["throughput_bpshz"] == repr(best.total)
 
@@ -255,9 +255,9 @@ def test_config_file_and_overrides_flow(tmp_path, capsys):
     expected_config = default_config()
     expected_config["n_users"] = 10
     expected_config["d_0_m"] = 50
-    params, derived = validate_and_derive(expected_config)
+    params = validate_and_derive(expected_config)
     out = capsys.readouterr().out
-    assert f"{derived.h_low:.4f}" in out
+    assert f"{params.h_low:.4f}" in out
 
 
 def test_missing_config_file_exits_2(capsys):

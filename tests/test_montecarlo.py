@@ -12,7 +12,7 @@ from uav_twoway.montecarlo import (ActivationModel, draw_activation, frame_rng,
                                    run_frame, sample_layout, simulate,
                                    simulate_exhaustive)
 from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts
-from uav_twoway.sinr import all_configurations
+from uav_twoway.sinr import Configuration, all_configurations
 from uav_twoway.throughput import (LoadDistribution, average_throughput,
                                    conditional_throughput)
 
@@ -74,12 +74,12 @@ def frame_columns(frame):
     return {field.name: getattr(frame, field.name) for field in dataclasses.fields(frame)}
 
 
-def test_frame_ledger_bit_identical(params, derived, candidates):
+def test_frame_ledger_bit_identical(params, candidates):
     cfg = candidates["r1_Hl_Hh"]
-    one = frame_columns(run_frame(cfg, 6, 3, params, derived, frame_rng(42, 0)))
-    other = frame_columns(run_frame(cfg, 6, 3, params, derived, frame_rng(42, 0)))
+    one = frame_columns(run_frame(cfg, 6, 3, params, frame_rng(42, 0)))
+    other = frame_columns(run_frame(cfg, 6, 3, params, frame_rng(42, 0)))
     assert all(np.array_equal(one[name], other[name]) for name in one)
-    different = frame_columns(run_frame(cfg, 6, 3, params, derived, frame_rng(43, 0)))
+    different = frame_columns(run_frame(cfg, 6, 3, params, frame_rng(43, 0)))
     assert not np.array_equal(different["signal"], one["signal"])
 
 
@@ -104,15 +104,15 @@ MODES = {"exact_sampled": {}, "exact_mean": {"mean_shadowing": True},
          "worst_mean": {"worst_case_distances": True, "mean_shadowing": True}}
 
 
-def test_seeded_streams_match_frozen_values(params, derived):
+def test_seeded_streams_match_frozen_values(params):
     configs = all_configurations()
     for mode, frozen in FROZEN_FRAMES.items():
         for (label, k1, k2, index), expected in frozen.items():
-            frame = run_frame(configs[label], k1, k2, params, derived,
+            frame = run_frame(configs[label], k1, k2, params,
                               frame_rng(2024, index), **MODES[mode])
             assert_allclose(frame.throughput, expected, rtol=1e-13)
     # one cell of the acceptance criterion 8 grid
-    result = simulate(configs["r1_Hl_Hh"], LoadDistribution(10.0, 2.0), params, derived,
+    result = simulate(configs["r1_Hl_Hh"], LoadDistribution(10.0, 2.0), params,
                       300, seed=(31, 10, 2), mean_shadowing=True,
                       activation=ActivationModel.MODEL_MATCHED)
     assert_allclose(result.mean, 49.06499427395505, rtol=1e-13)
@@ -123,14 +123,14 @@ frames = st.tuples(st.sampled_from(list(all_configurations().values())),
                    st.sampled_from(list(MODES.values()) + [{"worst_case_distances": True}]))
 
 
-def draw_frame(args, params, derived):
+def draw_frame(args, params):
     cfg, k1, k2, seed, mode = args
-    return cfg, run_frame(cfg, k1, k2, params, derived, frame_rng(seed, 0), **mode)
+    return cfg, run_frame(cfg, k1, k2, params, frame_rng(seed, 0), **mode)
 
 
 @given(frames)
-def test_slot_accounting_matches_pairing(params, derived, args):
-    cfg, frame = draw_frame(args, params, derived)
+def test_slot_accounting_matches_pairing(params, args):
+    cfg, frame = draw_frame(args, params)
     expected = pair_counts(frame.k1 - frame.k2, frame.k2, cfg.t1, cfg.t2)
     assert frame.slot_count == expected.slot_count
     _, first_rows = np.unique(frame.slot, return_index=True)
@@ -140,8 +140,8 @@ def test_slot_accounting_matches_pairing(params, derived, args):
 
 
 @given(frames)
-def test_each_user_served_once_each_direction(params, derived, args):
-    _, frame = draw_frame(args, params, derived)
+def test_each_user_served_once_each_direction(params, args):
+    _, frame = draw_frame(args, params)
     served = zip(frame.cell.tolist(), frame.user.tolist(), frame.direction.tolist())
     assert sorted(served) == [(cell, index, direction)
                               for cell, count in ((1, frame.k1), (2, frame.k2))
@@ -149,10 +149,10 @@ def test_each_user_served_once_each_direction(params, derived, args):
 
 
 @given(frames)
-def test_interference_bookkeeping(params, derived, args):
+def test_interference_bookkeeping(params, args):
     # a reception sees at most the one co-channel transmitter of its slot,
     # and a UAV receiver never accrues UAV interference
-    cfg, frame = draw_frame(args, params, derived)
+    cfg, frame = draw_frame(args, params)
     alone = np.bincount(frame.slot)[frame.slot] == 1
     assert np.all(frame.interferer[alone] == "none")
     assert np.all(frame.interference[alone] == 0.0)
@@ -165,69 +165,104 @@ def test_interference_bookkeeping(params, derived, args):
         assert not np.any(frame.interferer[~uplink] == "ground")
 
 
-def test_matched_frame_equals_conditional(params, derived, candidates):
-    for cfg in candidates.values():
-        for k1, k2 in ((5, 2), (2, 5), (4, 4), (1, 0), (0, 3), (30, 1)):
-            frame = run_frame(cfg, k1, k2, params, derived,
-                              worst_case_distances=True, mean_shadowing=True)
-            expected = conditional_throughput(k1 - k2, k2, cfg, params, derived)
-            if frame.slot_count:
-                assert_allclose(frame.throughput, expected, rtol=1e-12)
-            else:
-                assert expected == 0.0
+def matched_frame(cfg, k1, k2, params):
+    return run_frame(cfg, k1, k2, params, worst_case_distances=True, mean_shadowing=True)
 
 
-def test_exhaustive_matches_analytical(params, derived, candidates):
+@given(frames)
+def test_matched_frame_equals_conditional(params, args):
+    cfg, k1, k2, _, _ = args
+    frame = matched_frame(cfg, k1, k2, params)
+    expected = conditional_throughput(k1 - k2, k2, cfg, params)
+    if frame.slot_count:
+        assert_allclose(frame.throughput, expected, rtol=1e-12)
+    else:
+        assert expected == 0.0
+
+
+@given(frames)
+def test_matched_frame_mirror(params, args):
+    # swapping the cells and the UAVs' altitudes serves the mirrored system;
+    # the rows come in another order, so the sums agree to rounding only
+    cfg, k1, k2, _, _ = args
+    mirrored = Configuration(cfg.r, cfg.t2, cfg.t1)
+    assert_allclose(matched_frame(mirrored, k2, k1, params).throughput,
+                    matched_frame(cfg, k1, k2, params).throughput, rtol=1e-14)
+
+
+@given(frames)
+def test_exact_receptions_dominate_worst_case(params, args):
+    # row by row against the worst-case frame of the same (cfg, K1, K2); a
+    # same-cell ground interferer may stand closer than d_min (see README)
+    cfg, k1, k2, seed, _ = args
+    exact = run_frame(cfg, k1, k2, params, frame_rng(seed, 0), mean_shadowing=True)
+    worst = matched_frame(cfg, k1, k2, params)
+    assert np.array_equal(exact.slot, worst.slot) and np.array_equal(exact.user, worst.user)
+    exempt = (exact.kind == SAME_CELL) & (exact.interferer == "ground")
+    assert np.all((exact.rate >= worst.rate) | exempt)
+
+
+@pytest.mark.parametrize("mode,named", [
+    ({}, "exact distances with sampled shadowing"),
+    ({"mean_shadowing": True}, "exact distances with mean shadowing"),
+    ({"worst_case_distances": True}, "worst-case distances with sampled shadowing"),
+])
+def test_run_frame_without_stream_names_rng_and_mode(params, candidates, mode, named):
+    with pytest.raises(ValueError, match=f"rng is required for {named}"):
+        run_frame(candidates["r0_Hl_Hl"], 3, 2, params, **mode)
+
+
+def test_exhaustive_matches_analytical(params, candidates):
     loads = LoadDistribution(7.0, 4.0)
     for cfg in candidates.values():
-        analytical = average_throughput(cfg, loads, params, derived).total
-        assert_allclose(simulate_exhaustive(cfg, loads, params, derived),
+        analytical = average_throughput(cfg, loads, params).total
+        assert_allclose(simulate_exhaustive(cfg, loads, params),
                         analytical, rtol=1e-9)
 
 
-def test_model_matched_sampling_is_unbiased(params, derived, candidates):
+def test_model_matched_sampling_is_unbiased(params, candidates):
     cfg = candidates["r1_Hl_Hh"]
     loads = LoadDistribution(10.0, 5.0)
-    analytical = average_throughput(cfg, loads, params, derived).total
-    result = simulate(cfg, loads, params, derived, 20_000, seed=8,
+    analytical = average_throughput(cfg, loads, params).total
+    result = simulate(cfg, loads, params, 20_000, seed=8,
                       activation=ActivationModel.MODEL_MATCHED,
                       worst_case_distances=True, mean_shadowing=True)
     assert abs(result.mean - analytical) <= 3.0 * result.ci_half_width
 
 
-def test_simulate_deterministic_and_seed_sensitive(params, derived, candidates):
+def test_simulate_deterministic_and_seed_sensitive(params, candidates):
     cfg = candidates["r0_Hl_Hl"]
     loads = LoadDistribution(5.0, 5.0)
     kwargs = dict(n_frames=50, activation=ActivationModel.TRUNCATED_POISSON)
-    one = simulate(cfg, loads, params, derived, seed=11, **kwargs)
-    two = simulate(cfg, loads, params, derived, seed=11, **kwargs)
-    other = simulate(cfg, loads, params, derived, seed=12, **kwargs)
+    one = simulate(cfg, loads, params, seed=11, **kwargs)
+    two = simulate(cfg, loads, params, seed=11, **kwargs)
+    other = simulate(cfg, loads, params, seed=12, **kwargs)
     assert one.mean == two.mean and one.ci_half_width == two.ci_half_width
     assert other.mean != one.mean
 
 
-def test_exact_distances_dominate_bound(params, derived, candidates):
+def test_exact_distances_dominate_bound(params, candidates):
     # the bound comparison needs both sides to weight (K1, K2) identically,
     # hence the model-matched activation sampler
     for lam1, lam2 in ((10.0, 5.0), (20.0, 3.0)):
         loads = LoadDistribution(lam1, lam2)
         for cfg in candidates.values():
-            analytical = average_throughput(cfg, loads, params, derived).total
-            result = simulate(cfg, loads, params, derived, 200, seed=13,
+            analytical = average_throughput(cfg, loads, params).total
+            result = simulate(cfg, loads, params, 200, seed=13,
                               mean_shadowing=True,
                               activation=ActivationModel.MODEL_MATCHED)
             assert result.mean >= analytical
 
 
-def test_sampled_shadowing_changes_frames(params, derived, candidates):
+def test_sampled_shadowing_changes_frames(params, candidates):
     # the same stream places the same users; only the shadowing differs
     cfg = candidates["r0_Hl_Hl"]
-    sampled = run_frame(cfg, 4, 4, params, derived, frame_rng(18, 0))
-    mean = run_frame(cfg, 4, 4, params, derived, frame_rng(18, 0), mean_shadowing=True)
+    sampled = run_frame(cfg, 4, 4, params, frame_rng(18, 0))
+    mean = run_frame(cfg, 4, 4, params, frame_rng(18, 0), mean_shadowing=True)
     assert sampled.throughput != mean.throughput
 
 
-def test_simulate_rejects_zero_frames(params, derived, candidates):
+def test_simulate_rejects_zero_frames(params, candidates):
     with pytest.raises(ValueError):
-        simulate(candidates["r0_Hl_Hl"], LoadDistribution(5.0, 5.0), params, derived,
+        simulate(candidates["r0_Hl_Hl"], LoadDistribution(5.0, 5.0), params,
                  0, seed=1)

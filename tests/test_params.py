@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 from numpy.testing import assert_allclose
 
-from uav_twoway import default_config, validate_and_derive
+from uav_twoway import SystemParams, default_config, validate_and_derive
 from uav_twoway.errors import (ConfigError, GuardViolationError, MissingKeyError,
                                OutOfRangeError)
 from uav_twoway.params import (apply_overrides, dbm_to_watts, load_params,
@@ -18,16 +19,16 @@ D_MIN = 6.666666666666667
 K_FREESPACE = 83.83380087806727
 
 
-def test_derived_constants(derived):
-    assert_allclose(derived.g0, G0, rtol=1e-12)
-    assert_allclose(derived.h_low, H_LOW, rtol=1e-12)
-    assert_allclose(derived.h_high, H_HIGH, rtol=1e-12)
-    assert_allclose(derived.d_min, D_MIN, rtol=1e-12)
-    assert_allclose(derived.k_freespace, K_FREESPACE, rtol=1e-12)
+def test_derived_constants(params):
+    assert_allclose(params.g0, G0, rtol=1e-12)
+    assert_allclose(params.h_low, H_LOW, rtol=1e-12)
+    assert_allclose(params.h_high, H_HIGH, rtol=1e-12)
+    assert_allclose(params.d_min, D_MIN, rtol=1e-12)
+    assert_allclose(params.k_freespace, K_FREESPACE, rtol=1e-12)
 
 
-def test_g0_reference_value(derived):
-    assert abs(derived.g0 - 2.2846) < 1e-4
+def test_g0_reference_value(params):
+    assert abs(params.g0 - 2.2846) < 1e-4
 
 
 def test_powers_stored_linear(params):
@@ -78,6 +79,24 @@ def test_guard_violation():
         validate_and_derive(config)
 
 
+def test_guard_runs_at_construction(params):
+    # every SystemParams is consistent when built, not only a validated one
+    gap = params.h_high - params.h_low + params.h_0  # h_0 at which h_low = h_high
+    for h_0 in (params.h_high, 1.01 * gap):
+        with pytest.raises(GuardViolationError, match="h_low"):
+            dataclasses.replace(params, h_0=h_0)
+    assert dataclasses.replace(params, h_0=0.99 * gap).h_low < params.h_high
+
+
+def test_geometry_is_computed_not_passed(params):
+    assert isinstance(validate_and_derive(default_config()), SystemParams)
+    assert (params.altitude(0), params.altitude(1)) == (params.h_low, params.h_high)
+    with pytest.raises(ValueError, match="h_low"):
+        dataclasses.replace(params, h_low=1.0)
+    narrower = dataclasses.replace(params, n_users=10)
+    assert narrower.d_min == 2.0 * params.d_0 / 10
+
+
 def test_derivation_is_pure():
     first = validate_and_derive(default_config())
     second = validate_and_derive(default_config())
@@ -94,13 +113,13 @@ def test_high_above_low_for_random_valid_configs():
         # keep the guard below the separation-driven gap so the config is valid
         gap = config["d_sep_m"] / math.tan(config["phi_b_rad"])
         config["h_0_m"] = rng.uniform(0.0, 0.95 * gap)
-        _, derived = validate_and_derive(config)
-        assert derived.h_high > derived.h_low
+        params = validate_and_derive(config)
+        assert params.h_high > params.h_low
 
 
 def test_string_values_accepted():
     config = {key: str(value) for key, value in default_config().items()}
-    params, _ = validate_and_derive(config)
+    params = validate_and_derive(config)
     assert params.n_users == 30
 
 
@@ -127,7 +146,7 @@ def test_apply_overrides():
 def test_load_params_layering(tmp_path):
     path = tmp_path / "system.cfg"
     path.write_text("d_0_m = 50\n")
-    params, _ = load_params(path, overrides=["n_users=10"])
+    params = load_params(path, overrides=["n_users=10"])
     assert params.d_0 == 50.0
     assert params.n_users == 10
 

@@ -30,111 +30,110 @@ def test_candidate_set(candidates):
         assert cfg.label == label
 
 
-def test_dl_diff_r1_only_ground_interference(params, derived, candidates):
+def test_dl_diff_r1_only_ground_interference(params, candidates):
     # r=1 with the partner high: the altitude-gated UAV term vanishes
     cfg = candidates["r1_Hl_Hh"]
-    value = sinr_dl_diff(cfg, params, derived, link=1)
+    value = sinr_dl_diff(cfg, params, link=1)
     assert_allclose(value, SINR_DL_DIFF_LOW_SERVE_R1, rtol=1e-12)
 
 
-def test_dl_diff_r0_low_partner_is_interference_free(params, derived, candidates):
+def test_dl_diff_r0_low_partner_is_interference_free(params, candidates):
     cfg = candidates["r0_Hl_Hl"]
-    snr_dl, _ = snr_individual(derived.altitude(cfg.t1), params, derived)
-    assert sinr_dl_diff(cfg, params, derived, link=1) == snr_dl
+    snr_dl, _ = snr_individual(params.altitude(cfg.t1), params)
+    assert sinr_dl_diff(cfg, params, link=1) == snr_dl
 
 
-def test_ul_diff_trivial_zeros(params, derived, candidates):
+def test_ul_diff_trivial_zeros(params, candidates):
     # serving UAV low: interference-free for either spin
     low_cfg = candidates["r0_Hl_Hl"]
-    _, snr_ul = snr_individual(derived.altitude(low_cfg.t1), params, derived)
-    assert sinr_ul_diff(low_cfg, params, derived, link=1) == snr_ul
+    _, snr_ul = snr_individual(params.altitude(low_cfg.t1), params)
+    assert sinr_ul_diff(low_cfg, params, link=1) == snr_ul
     # r=1: interference-free even at the high altitude
     high_r1 = candidates["r1_Hh_Hl"]
-    _, snr_ul_high = snr_individual(derived.altitude(high_r1.t1), params, derived)
-    assert sinr_ul_diff(high_r1, params, derived, link=1) == snr_ul_high
+    _, snr_ul_high = snr_individual(params.altitude(high_r1.t1), params)
+    assert sinr_ul_diff(high_r1, params, link=1) == snr_ul_high
 
 
-def test_ul_diff_high_serve_r0_pin(params, derived):
+def test_ul_diff_high_serve_r0_pin(params):
     cfg = Configuration(0, 1, 0)
-    assert_allclose(sinr_ul_diff(cfg, params, derived, link=1),
+    assert_allclose(sinr_ul_diff(cfg, params, link=1),
                     SINR_UL_DIFF_HIGH_SERVE_R0, rtol=1e-12)
 
 
-def test_dl_same_matches_diff_when_r1(params, derived, candidates):
+def test_dl_same_matches_diff_when_r1(params, candidates):
     # with r=1 both scenarios see only the d_min ground interferer
     cfg = candidates["r1_Hh_Hl"]
-    assert sinr_dl_same(cfg, params, derived, link=2) == sinr_dl_diff(
-        cfg, params, derived, link=2)
-    assert_allclose(sinr_dl_same(cfg, params, derived, link=2),
+    assert sinr_dl_same(cfg, params, link=2) == sinr_dl_diff(
+        cfg, params, link=2)
+    assert_allclose(sinr_dl_same(cfg, params, link=2),
                     SINR_DL_DIFF_LOW_SERVE_R1, rtol=1e-12)
 
 
-def test_dl_same_r0_pin(params, derived, candidates):
+def test_dl_same_r0_pin(params, candidates):
     cfg = candidates["r0_Hl_Hl"]
-    assert_allclose(sinr_dl_same(cfg, params, derived, link=1),
+    assert_allclose(sinr_dl_same(cfg, params, link=1),
                     SINR_DL_SAME_R0_LOW_LOW, rtol=1e-12)
 
 
-def test_ul_same_pins(params, derived, candidates):
+def test_ul_same_pins(params, candidates):
     low_low = candidates["r0_Hl_Hl"]
-    assert_allclose(sinr_ul_same(low_low, params, derived, link=1),
+    assert_allclose(sinr_ul_same(low_low, params, link=1),
                     SINR_UL_SAME_R0_LOW, rtol=1e-12)
     r1 = candidates["r1_Hl_Hh"]
-    _, snr_ul = snr_individual(derived.altitude(r1.t1), params, derived)
-    assert sinr_ul_same(r1, params, derived, link=1) == snr_ul
+    _, snr_ul = snr_individual(params.altitude(r1.t1), params)
+    assert sinr_ul_same(r1, params, link=1) == snr_ul
 
 
-def test_snr_individual_pins(params, derived):
-    snr_dl, snr_ul = snr_individual(derived.h_low, params, derived)
+def test_snr_individual_pins(params):
+    snr_dl, snr_ul = snr_individual(params.h_low, params)
     assert_allclose(snr_dl, SNR_DL_LOW, rtol=1e-12)
     assert_allclose(snr_ul, SNR_UL_LOW, rtol=1e-12)
 
 
-def test_snr_scales_with_noise(derived):
+def test_snr_scales_with_noise(params):
     config = default_config()
     config["noise_dbm"] = -130.0
-    quieter, derived_q = validate_and_derive(config)
-    base, derived_b = validate_and_derive(default_config())
-    dl_q, ul_q = snr_individual(derived_q.h_low, quieter, derived_q)
-    dl_b, ul_b = snr_individual(derived_b.h_low, base, derived_b)
+    quieter = validate_and_derive(config)
+    dl_q, ul_q = snr_individual(quieter.h_low, quieter)
+    dl_b, ul_b = snr_individual(params.h_low, params)
     assert_allclose(dl_q, 10.0 * dl_b, rtol=1e-12)
     assert_allclose(ul_q, 10.0 * ul_b, rtol=1e-12)
 
 
-def test_snr_ratio_is_beamwidth_squared(params, derived):
-    snr_dl, snr_ul = snr_individual(derived.h_low, params, derived)
+def test_snr_ratio_is_beamwidth_squared(params):
+    snr_dl, snr_ul = snr_individual(params.h_low, params)
     assert_allclose(snr_ul / snr_dl, params.phi_b ** 2, rtol=1e-12)
 
 
-def test_every_sinr_below_matching_snr(params, derived):
+def test_every_sinr_below_matching_snr(params):
     for cfg in all_configurations().values():
         for link in (1, 2):
-            h_serve = derived.altitude(cfg.t1 if link == 1 else cfg.t2)
-            snr_dl, snr_ul = snr_individual(h_serve, params, derived)
-            assert sinr_dl_diff(cfg, params, derived, link) <= snr_dl
-            assert sinr_dl_same(cfg, params, derived, link) <= snr_dl
-            assert sinr_ul_diff(cfg, params, derived, link) <= snr_ul
-            assert sinr_ul_same(cfg, params, derived, link) <= snr_ul
+            h_serve = params.altitude(cfg.t1 if link == 1 else cfg.t2)
+            snr_dl, snr_ul = snr_individual(h_serve, params)
+            assert sinr_dl_diff(cfg, params, link) <= snr_dl
+            assert sinr_dl_same(cfg, params, link) <= snr_dl
+            assert sinr_ul_diff(cfg, params, link) <= snr_ul
+            assert sinr_ul_same(cfg, params, link) <= snr_ul
 
 
-def test_all_bounds_positive_finite(params, derived):
+def test_all_bounds_positive_finite(params):
     for cfg in all_configurations().values():
         for link in (1, 2):
             for func in (sinr_dl_diff, sinr_ul_diff, sinr_dl_same, sinr_ul_same):
-                value = func(cfg, params, derived, link)
+                value = func(cfg, params, link)
                 assert value > 0 and math.isfinite(value)
 
 
-def test_same_cell_dl_below_diff_cell_when_low_partner_r0(params, derived, candidates):
+def test_same_cell_dl_below_diff_cell_when_low_partner_r0(params, candidates):
     # the shared-cell bound keeps the partner-UAV term that the cross-cell
     # bound gates away at the low altitude
     cfg = candidates["r0_Hl_Hl"]
-    assert sinr_dl_same(cfg, params, derived, link=1) < sinr_dl_diff(
-        cfg, params, derived, link=1)
+    assert sinr_dl_same(cfg, params, link=1) < sinr_dl_diff(
+        cfg, params, link=1)
 
 
-def test_link_two_swaps_roles(params, derived):
+def test_link_two_swaps_roles(params):
     cfg = Configuration(1, 0, 1)
     mirrored = Configuration(1, 1, 0)
     for func in (sinr_dl_diff, sinr_ul_diff, sinr_dl_same, sinr_ul_same):
-        assert func(cfg, params, derived, link=2) == func(mirrored, params, derived, link=1)
+        assert func(cfg, params, link=2) == func(mirrored, params, link=1)

@@ -28,11 +28,11 @@ def skellam_convolution(k, lam1, lam2, terms=600):
     return total
 
 
-def brute_force_average(cfg, lam1, lam2, params, derived):
+def brute_force_average(cfg, lam1, lam2, params):
     """Independent oracle: double sum over every (K1, K2) split with the
     convolution pmf and exact integer case-count weights."""
     n = params.n_users
-    rates = rate_set(cfg, params, derived)
+    rates = rate_set(cfg, params)
     total = 0.0
     for k1 in range(1, n + 1):
         for k2 in range(1, n + 1):
@@ -109,9 +109,9 @@ def test_skellam_vector_mirror_bitwise():
 
 @pytest.mark.parametrize("lam, mass", [(40.0, 0.99932), (100.0, 0.96895),
                                        (1000.0, 0.50479), (1e5, 0.054374)])
-def test_covered_mass(params, derived, candidates, lam, mass):
+def test_covered_mass(params, candidates, lam, mass):
     breakdown = average_throughput(candidates["r0_Hl_Hl"], LoadDistribution(lam, lam),
-                                   params, derived)
+                                   params)
     assert abs(breakdown.covered_mass - mass) <= 1e-4
     assert math.isfinite(breakdown.total)
 
@@ -143,151 +143,149 @@ def test_admissible_k2_bounds():
     assert list(admissible_k2(-4, 4)) == []
 
 
-def test_conditional_single_rate_class(params, derived, candidates):
+def test_conditional_single_rate_class(params, candidates):
     # balanced load: only cross-cell pairs, the ratio collapses to R/2
     cfg = candidates["r0_Hl_Hl"]
-    rates = rate_set(cfg, params, derived)
+    rates = rate_set(cfg, params)
     for big_k2 in (1, 3, 17):
-        assert conditional_throughput(0, big_k2, cfg, params, derived) == (
+        assert conditional_throughput(0, big_k2, cfg, params) == (
             rates.r_cochannel_diff / 2.0)
 
 
-def test_conditional_pinned_mixed_case(params, derived, candidates):
-    value = conditional_throughput(3, 2, candidates["r1_Hl_Hh"], params, derived,
+def test_conditional_pinned_mixed_case(params, candidates):
+    value = conditional_throughput(3, 2, candidates["r1_Hl_Hh"], params,
                                    AccountingMode.CONSISTENT)
     assert_allclose(value, COND_K3_K2_2_MIXED, rtol=1e-12)
 
 
-def test_conditional_empty_frame_is_zero(params, derived, candidates):
-    assert conditional_throughput(0, 0, candidates["r0_Hl_Hl"], params, derived) == 0.0
+def test_conditional_empty_frame_is_zero(params, candidates):
+    assert conditional_throughput(0, 0, candidates["r0_Hl_Hl"], params) == 0.0
 
 
 def test_average_matches_brute_force_small_n(candidates):
     config = default_config()
     config["n_users"] = 2
-    params, derived = validate_and_derive(config)
+    params = validate_and_derive(config)
     configs = (Configuration(1, 0, 1), Configuration(1, 1, 0), Configuration(0, 0, 0))
     for cfg in configs:
         for lam1, lam2 in ((1.0, 1.0), (2.0, 0.5), (0.7, 1.9)):
-            expected = brute_force_average(cfg, lam1, lam2, params, derived)
+            expected = brute_force_average(cfg, lam1, lam2, params)
             actual = average_throughput(cfg, LoadDistribution(lam1, lam2),
-                                        params, derived).total
+                                        params).total
             assert_allclose(actual, expected, rtol=1e-9)
 
 
-def test_total_is_per_k_dot_product(params, derived, candidates):
+def test_total_is_per_k_dot_product(params, candidates):
     breakdown = average_throughput(candidates["r1_Hl_Hh"],
-                                   LoadDistribution(8.0, 3.0), params, derived)
+                                   LoadDistribution(8.0, 3.0), params)
     recomputed = math.fsum(weight * conditional
                            for weight, conditional in breakdown.per_k.values())
     assert_allclose(breakdown.total, recomputed, rtol=1e-12)
     assert set(breakdown.per_k) == set(range(-30, 31))
 
 
-def test_empty_strata_carry_zero_conditional(params, derived, candidates):
+def test_empty_strata_carry_zero_conditional(params, candidates):
     breakdown = average_throughput(candidates["r0_Hl_Hl"],
-                                   LoadDistribution(5.0, 5.0), params, derived)
+                                   LoadDistribution(5.0, 5.0), params)
     weight, conditional = breakdown.per_k[30]
     assert weight > 0 and conditional == 0.0
 
 
-def test_equal_loads_make_mirrors_equal(params, derived, candidates):
+def test_equal_loads_make_mirrors_equal(params, candidates):
     loads = LoadDistribution(9.0, 9.0)
-    one = average_throughput(candidates["r1_Hl_Hh"], loads, params, derived).total
-    other = average_throughput(candidates["r1_Hh_Hl"], loads, params, derived).total
+    one = average_throughput(candidates["r1_Hl_Hh"], loads, params).total
+    other = average_throughput(candidates["r1_Hh_Hl"], loads, params).total
     assert one == other
 
 
-def test_mirror_symmetry_exact(params, derived, candidates):
+def test_mirror_symmetry_exact(params, candidates):
     rng = random.Random(19)
     for _ in range(10):
         lam1 = rng.uniform(0.3, 28.0)
         lam2 = rng.uniform(0.3, 28.0)
         direct = average_throughput(candidates["r1_Hl_Hh"],
-                                    LoadDistribution(lam1, lam2), params, derived).total
+                                    LoadDistribution(lam1, lam2), params).total
         mirrored = average_throughput(candidates["r1_Hh_Hl"],
-                                      LoadDistribution(lam2, lam1), params, derived).total
+                                      LoadDistribution(lam2, lam1), params).total
         assert direct == mirrored
 
 
-def test_mirror_symmetry_exact_at_heavy_loads(params, derived, candidates):
+def test_mirror_symmetry_exact_at_heavy_loads(params, candidates):
     # totals near 1e-190 and 1e-82: the pmf is assembled in log space
     for lam1, lam2 in ((100.0, 1000.0), (1000.0, 300.0)):
         for label, mirror in (("r1_Hl_Hh", "r1_Hh_Hl"), ("r0_Hl_Hl", "r0_Hl_Hl")):
             direct = average_throughput(candidates[label], LoadDistribution(lam1, lam2),
-                                        params, derived).total
+                                        params).total
             mirrored = average_throughput(candidates[mirror], LoadDistribution(lam2, lam1),
-                                          params, derived).total
+                                          params).total
             assert 0.0 < direct == mirrored
 
 
-def test_prebuilt_table_gives_the_same_bits(params, derived, candidates):
+def test_prebuilt_table_gives_the_same_bits(params, candidates):
     cfg = candidates["r1_Hl_Hh"]
     loads = LoadDistribution(7.0, 3.0)
-    table = conditional_table(cfg, params, derived, AccountingMode.PAPER_LITERAL)
-    from_table = average_throughput(table, loads, params, derived,
+    table = conditional_table(cfg, params, AccountingMode.PAPER_LITERAL)
+    from_table = average_throughput(table, loads, params,
                                     AccountingMode.PAPER_LITERAL)
-    direct = average_throughput(cfg, loads, params, derived, AccountingMode.PAPER_LITERAL)
+    direct = average_throughput(cfg, loads, params, AccountingMode.PAPER_LITERAL)
     assert from_table.total == direct.total and from_table.config == cfg
     with pytest.raises(ValueError, match="accounting"):
-        average_throughput(table, loads, params, derived, AccountingMode.CONSISTENT)
+        average_throughput(table, loads, params, AccountingMode.CONSISTENT)
 
 
-def test_invariant_under_joint_power_noise_scaling(derived, candidates):
+def test_invariant_under_joint_power_noise_scaling(params, candidates):
     scaled_cfg = default_config()
     for key in ("p_u_dbm", "p_g_dbm", "noise_dbm"):
         scaled_cfg[key] = scaled_cfg[key] + 7.0
-    scaled, derived_s = validate_and_derive(scaled_cfg)
-    base, derived_b = validate_and_derive(default_config())
+    scaled = validate_and_derive(scaled_cfg)
     loads = LoadDistribution(12.0, 4.0)
     cfg = Configuration(1, 0, 1)
-    assert_allclose(average_throughput(cfg, loads, scaled, derived_s).total,
-                    average_throughput(cfg, loads, base, derived_b).total,
-                    rtol=1e-12)
+    assert_allclose(average_throughput(cfg, loads, scaled).total,
+                    average_throughput(cfg, loads, params).total, rtol=1e-12)
 
 
-def test_optimal_configuration_choices(params, derived):
-    cfg, _ = optimal_configuration(LoadDistribution(10.0, 10.0), params, derived)
+def test_optimal_configuration_choices(params):
+    cfg, _ = optimal_configuration(LoadDistribution(10.0, 10.0), params)
     assert cfg.label == "r0_Hl_Hl"
-    cfg, _ = optimal_configuration(LoadDistribution(25.0, 2.0), params, derived)
+    cfg, _ = optimal_configuration(LoadDistribution(25.0, 2.0), params)
     assert cfg.label == "r1_Hl_Hh"
-    cfg, _ = optimal_configuration(LoadDistribution(2.0, 25.0), params, derived)
+    cfg, _ = optimal_configuration(LoadDistribution(2.0, 25.0), params)
     assert cfg.label == "r1_Hh_Hl"
 
 
-def test_optimal_breakdown_is_argmax(params, derived, candidates):
+def test_optimal_breakdown_is_argmax(params, candidates):
     loads = LoadDistribution(17.0, 6.0)
-    best_cfg, best = optimal_configuration(loads, params, derived)
-    totals = {label: average_throughput(cfg, loads, params, derived).total
+    best_cfg, best = optimal_configuration(loads, params)
+    totals = {label: average_throughput(cfg, loads, params).total
               for label, cfg in candidates.items()}
     assert best.total == max(totals.values())
     assert totals[best_cfg.label] == best.total
 
 
-def test_optimal_invariant_under_rate_rescaling(params, derived, candidates):
+def test_optimal_invariant_under_rate_rescaling(params, candidates):
     # a monotone rescale of every candidate total cannot move the argmax
     loads = LoadDistribution(21.0, 3.0)
-    best_cfg, _ = optimal_configuration(loads, params, derived)
-    totals = {label: average_throughput(cfg, loads, params, derived).total
+    best_cfg, _ = optimal_configuration(loads, params)
+    totals = {label: average_throughput(cfg, loads, params).total
               for label, cfg in candidates.items()}
     for scale in (1e-6, 3.7, 1e6):
         scaled_argmax = max(totals, key=lambda label: scale * totals[label])
         assert scaled_argmax == best_cfg.label
 
 
-def test_tie_break_prefers_same_direction_low_low(params, derived, candidates):
+def test_tie_break_prefers_same_direction_low_low(params, candidates):
     # equal loads tie the two mirrored candidates; the optimizer must still
     # deterministically prefer low/low when it wins, and never return the
     # mirror of the winner on re-evaluation
     loads = LoadDistribution(6.0, 6.0)
-    first = optimal_configuration(loads, params, derived)
-    second = optimal_configuration(loads, params, derived)
+    first = optimal_configuration(loads, params)
+    second = optimal_configuration(loads, params)
     assert first[0] == second[0]
 
 
-def test_exhaustive_covers_all_eight(params, derived):
+def test_exhaustive_covers_all_eight(params):
     loads = LoadDistribution(10.0, 10.0)
-    results = {label: average_throughput(cfg, loads, params, derived)
+    results = {label: average_throughput(cfg, loads, params)
                for label, cfg in all_configurations().items()}
     assert len(results) == 8
     # the three-candidate reduction: no excluded tuple beats the candidates
