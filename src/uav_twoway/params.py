@@ -15,6 +15,10 @@ from typing import Iterable, Mapping
 from .errors import ConfigError, GuardViolationError, MissingKeyError, OutOfRangeError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+# Users per cell. The conditional tables cost O(N^2) big-integer binomials:
+# `eval` takes about 1 s at this ceiling, and their float sum overflows
+# from about N = 512.
+MAX_USERS = 200
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -91,8 +95,21 @@ def _non_negative(value: float, key: str) -> float:
     return value
 
 
-def _any_real(value: float, key: str) -> float:
-    return value
+def _within(low: float, high: float):
+    """Validator of the closed range [low, high]."""
+    def check(value: float, key: str) -> float:
+        if not low <= value <= high:
+            raise OutOfRangeError(f"{key}={value!r}: must lie in [{low:g}, {high:g}]")
+        return value
+    return check
+
+
+# Far beyond any deployment, and far inside the float range: 10 ** (dB / 10)
+# neither overflows nor reaches zero, so no power, noise or shadowing factor
+# turns into inf or a division by zero.
+_POWER_DBM = _within(-100.0, 100.0)
+_NOISE_DBM = _within(-250.0, 0.0)
+_SHADOWING_MEAN_DB = _within(-100.0, 100.0)
 
 
 def _half_beamwidth(value: float, key: str) -> float:
@@ -102,8 +119,8 @@ def _half_beamwidth(value: float, key: str) -> float:
 
 
 def _user_count(value: float, key: str) -> int:
-    if value != int(value) or int(value) < 1:
-        raise OutOfRangeError(f"{key}={value!r}: must be an integer >= 1")
+    if value != int(value) or not 1 <= int(value) <= MAX_USERS:
+        raise OutOfRangeError(f"{key}={value!r}: must be an integer in [1, {MAX_USERS}]")
     return int(value)
 
 
@@ -111,9 +128,9 @@ def _user_count(value: float, key: str) -> int:
 CONFIG_SCHEMA = {
     "f_c_hz": (_positive, "carrier frequency [Hz]"),
     "c_mps": (_positive, "propagation speed [m/s]"),
-    "p_u_dbm": (_any_real, "UAV transmit power [dBm]"),
-    "p_g_dbm": (_any_real, "ground-user transmit power [dBm]"),
-    "noise_dbm": (_any_real, "noise power [dBm]"),
+    "p_u_dbm": (_POWER_DBM, "UAV transmit power [dBm]"),
+    "p_g_dbm": (_POWER_DBM, "ground-user transmit power [dBm]"),
+    "noise_dbm": (_NOISE_DBM, "noise power [dBm]"),
     "d_0_m": (_positive, "cell radius [m]"),
     "d_sep_m": (_positive, "distance between cell centers [m]"),
     "n_users": (_user_count, "users per cell"),
@@ -121,9 +138,9 @@ CONFIG_SCHEMA = {
     "h_0_m": (_non_negative, "altitude guard offset [m]"),
     "n_los": (_positive, "LoS path-loss exponent"),
     "n_nlos": (_positive, "NLoS path-loss exponent"),
-    "mu_los_db": (_any_real, "LoS shadowing mean [dB]"),
+    "mu_los_db": (_SHADOWING_MEAN_DB, "LoS shadowing mean [dB]"),
     "sigma_los_db": (_non_negative, "LoS shadowing std [dB]"),
-    "mu_nlos_db": (_any_real, "NLoS shadowing mean [dB]"),
+    "mu_nlos_db": (_SHADOWING_MEAN_DB, "NLoS shadowing mean [dB]"),
     "sigma_nlos_db": (_non_negative, "NLoS shadowing std [dB]"),
 }
 

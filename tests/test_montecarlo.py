@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from uav_twoway.errors import RateExceedsPopulationError
-from uav_twoway.montecarlo import (ActivationModel, draw_activation, frame_rng,
-                                   run_frame, sample_layout, simulate,
-                                   simulate_exhaustive)
+from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, _stratum_tables,
+                                   draw_activation, frame_rng, run_frame, sample_layout,
+                                   simulate, simulate_exhaustive)
 from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts
 from uav_twoway.sinr import Configuration, all_configurations
 from uav_twoway.throughput import (LoadDistribution, average_throughput,
@@ -260,6 +260,50 @@ def test_sampled_shadowing_changes_frames(params, candidates):
     sampled = run_frame(cfg, 4, 4, params, frame_rng(18, 0))
     mean = run_frame(cfg, 4, 4, params, frame_rng(18, 0), mean_shadowing=True)
     assert sampled.throughput != mean.throughput
+
+
+def frame_by_frame(cfg, loads, params, n_frames, seed, activation, mode):
+    """Per-frame throughputs of a plain run_frame loop over frame_rng(seed, i):
+    the reference the block engine must match bit for bit."""
+    tables = _stratum_tables(params.n_users)
+    values = []
+    for i in range(n_frames):
+        rng = frame_rng(seed, i)
+        if activation is ActivationModel.MODEL_MATCHED:
+            k = int(rng.poisson(loads.lambda1)) - int(rng.poisson(loads.lambda2))
+            if k not in tables:  # no admissible split: an empty frame
+                values.append(0.0)
+                continue
+            splits, cumulative = tables[k]
+            position = int(np.searchsorted(cumulative, rng.random(), side="right"))
+            big_k2 = splits[min(position, len(splits) - 1)]
+            k1, k2 = big_k2 + k, big_k2
+        else:
+            k1, k2 = draw_activation(loads, params, activation, rng)
+        values.append(run_frame(cfg, k1, k2, params, rng, **mode).throughput)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("mode", [{}, {"mean_shadowing": True}, {"worst_case_distances": True},
+                                  {"worst_case_distances": True, "mean_shadowing": True}],
+                         ids=["exact_sampled", "exact_mean", "worst_sampled", "worst_mean"])
+@pytest.mark.parametrize("activation,lambdas", [
+    (ActivationModel.TRUNCATED_POISSON, (6.0, 4.0)),
+    (ActivationModel.BINOMIAL_PER_USER, (0.05, 0.3)),  # mostly empty frames
+    (ActivationModel.MODEL_MATCHED, (34.0, 2.0)),      # often |k| > N: no split
+], ids=["poisson", "binomial", "model"])
+def test_block_engine_matches_frame_loop(params, candidates, mode, activation, lambdas):
+    # two full blocks and a partial one
+    n_frames = 2 * BLOCK_FRAMES + 3
+    loads = LoadDistribution(*lambdas)
+    for cfg in candidates.values():
+        values = frame_by_frame(cfg, loads, params, n_frames, (3, 7), activation, mode)
+        result = simulate(cfg, loads, params, n_frames, seed=(3, 7),
+                          activation=activation, **mode)
+        assert result.mean == float(values.mean())
+        assert result.ci_half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(n_frames)
+        if activation is not ActivationModel.TRUNCATED_POISSON:
+            assert 0.0 in values and values.max() > 0.0
 
 
 def test_simulate_rejects_zero_frames(params, candidates):

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, AccountingMode,
                                 PairCounts, pair_counts, schedule_frame, unit_counts)
-from uav_twoway.sinr import Configuration
+from uav_twoway.sinr import Configuration, all_configurations
 
 
 def test_worked_example_paper_literal():
@@ -50,6 +52,22 @@ def test_conservation_consistent():
                 counts = pair_counts(k1 - k2, k2, t1, t2)
                 assert 2 * counts.a_d + 2 * counts.a_s + counts.b == k1 + k2
                 assert counts.slot_count == 2 * counts.units
+
+
+@given(st.sampled_from(list(all_configurations().values())),
+       st.integers(0, 200), st.integers(0, 200))
+def test_conservation_property(cfg, k1, k2):
+    # consistent accounting serves every active user once: 2a_d + 2a_s + b = K1 + K2
+    consistent = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2, AccountingMode.CONSISTENT)
+    assert 2 * consistent.a_d + 2 * consistent.a_s + consistent.b == k1 + k2
+    # paper accounting counts a_s = |k| where a surplus is helped: the known
+    # overshoot of 2 * ceil(|k| / 2) users, and none otherwise
+    paper = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2, AccountingMode.PAPER_LITERAL)
+    surplus = abs(k1 - k2)
+    helped = surplus > 0 and (cfg.t2 if k1 > k2 else cfg.t1) == 1
+    overshoot = 2 * ((surplus + 1) // 2) if helped else 0
+    assert 2 * paper.a_d + 2 * paper.a_s + paper.b == k1 + k2 + overshoot
+    assert (paper.a_d, paper.b) == (consistent.a_d, consistent.b)
 
 
 def test_mirror_symmetry():

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from uav_twoway import SystemParams, default_config, validate_and_derive
 from uav_twoway.errors import (ConfigError, GuardViolationError, MissingKeyError,
                                OutOfRangeError)
-from uav_twoway.params import (apply_overrides, dbm_to_watts, load_params,
+from uav_twoway.cli import main
+from uav_twoway.params import (MAX_USERS, apply_overrides, dbm_to_watts, load_params,
                                parse_config_file, watts_to_dbm)
 
 # frozen from a standalone transcription of the defining formulas
@@ -55,13 +56,35 @@ def test_missing_key():
     ("d_0_m", -5), ("d_0_m", 0), ("f_c_hz", 0), ("n_users", 0), ("n_users", 2.5),
     ("phi_b_rad", 0.0), ("phi_b_rad", math.pi / 2), ("phi_b_rad", 2.0),
     ("h_0_m", -1), ("sigma_los_db", -0.5), ("n_los", 0), ("d_sep_m", "abc"),
-    ("mu_los_db", math.nan), ("p_u_dbm", math.inf),
+    ("mu_los_db", math.nan), ("p_u_dbm", math.inf), ("n_users", MAX_USERS + 1),
+    ("p_u_dbm", 100.5), ("p_g_dbm", -101), ("noise_dbm", 0.5), ("noise_dbm", -251),
+    ("mu_los_db", 101), ("mu_nlos_db", -101),
 ])
 def test_out_of_range(key, value):
     config = default_config()
     config[key] = value
     with pytest.raises(OutOfRangeError, match=key):
         validate_and_derive(config)
+
+
+@pytest.mark.parametrize("assignment", [
+    "mu_los_db=4000", "mu_nlos_db=-4000", "p_u_dbm=4000", "p_g_dbm=4000",
+    "noise_dbm=-4000", "n_users=1000",
+])
+def test_out_of_range_override_exits_2_naming_the_key(capsys, assignment):
+    # each once overflowed, divided by zero or ran for seconds past validation
+    assert main(["eval", "--lambda1", "5", "--lambda2", "3", "--set", assignment]) == 2
+    key = assignment.partition("=")[0]
+    assert f"error: {key}=" in capsys.readouterr().err
+
+
+def test_range_ends_are_accepted():
+    config = default_config()
+    config.update(p_u_dbm=100.0, p_g_dbm=-100.0, noise_dbm=-250.0, mu_los_db=-100.0,
+                  mu_nlos_db=100.0, n_users=MAX_USERS)
+    assert validate_and_derive(config).n_users == MAX_USERS
+    config.update(noise_dbm=0.0)
+    assert validate_and_derive(config).noise_power == dbm_to_watts(0.0)
 
 
 def test_unknown_key():
