@@ -8,11 +8,11 @@ matched-assumption mode substitutes the worst-case distances and mean
 shadowing, in which case the frame reproduces the analytical conditional
 throughput and validates the closed form.
 
-One engine computes a block of frames at once: each frame draws from its
-own stream, in the order a lone frame would, and the block's geometry,
-powers and rates are filled in one numpy pass. ``run_frame`` is a block
-of one; ``simulate`` runs blocks of BLOCK_FRAMES and plans each (K1, K2)
-once, so a frame has the same value either way, bit for bit.
+One engine computes a block of frames at once, in one numpy pass. A block
+draws from one stream: every frame's counts, then the layouts of all its
+users, then all its shadowing deviates, one call each. ``run_frame`` is a
+block of one; ``simulate`` runs blocks of BLOCK_FRAMES, block b from
+``frame_rng(seed, b)``, and plans each (K1, K2) once.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -21,6 +21,7 @@ outside the high UAV's main lobe.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,8 @@ from .throughput import LoadDistribution, _split_weights
 
 DOWNLINK = "dl"
 UPLINK = "ul"
-# Frames per numpy pass of ``simulate``. Larger blocks gain little, since
-# each frame's own stream remains, and cost memory.
+# Frames per stream and numpy pass of ``simulate``. Larger blocks run
+# faster but hold more rows in memory at once.
 BLOCK_FRAMES = 64
 
 
@@ -87,25 +88,59 @@ def sample_layout(k1: int, k2: int, params: SystemParams, rng) -> UserLayout:
     return UserLayout(cell1=xy[:k1], cell2=xy[k1:])
 
 
+@functools.lru_cache(maxsize=None)
+def _split_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Model-matched splits by load difference, row k + N for k in [-N, N]:
+    the first admissible K2, the number of splits (0 for none) and their
+    cumulative case-count weights, padded with inf."""
+    first = np.zeros(2 * n + 1, dtype=np.int64)
+    count = np.zeros(2 * n + 1, dtype=np.int64)
+    cumulative = np.full((2 * n + 1, n), np.inf)
+    for k in range(-n, n + 1):
+        splits, weights = _split_weights(k, n)
+        if splits:
+            first[k + n], count[k + n] = splits[0], len(splits)
+            cumulative[k + n, :len(splits)] = np.cumsum(weights)
+    for table in (first, count, cumulative):
+        table.flags.writeable = False
+    return first, count, cumulative
+
+
 def draw_activation(loads: LoadDistribution, params: SystemParams,
-                    model: ActivationModel, rng) -> tuple[int, int]:
-    """Draw (K1, K2) for one frame under a physical activation model."""
+                    model: ActivationModel, rng, frames: int) -> np.ndarray:
+    """Draw (K1, K2) for ``frames`` frames, one row each, in one call per
+    draw: the Poisson or binomial counts of every frame, both cells at once.
+
+    TRUNCATED_POISSON then redraws only the counts outside [1, N], until
+    none is left. MODEL_MATCHED then draws one uniform per frame for its
+    split, and gives (0, 0), an empty frame, where the load difference
+    has no admissible split.
+    """
     n = params.n_users
-    if model is ActivationModel.TRUNCATED_POISSON:
-        def truncated(lam):
-            while True:
-                count = int(rng.poisson(lam))
-                if 1 <= count <= n:
-                    return count
-        return truncated(loads.lambda1), truncated(loads.lambda2)
+    lambdas = np.array((loads.lambda1, loads.lambda2))
     if model is ActivationModel.BINOMIAL_PER_USER:
         if loads.lambda1 > n or loads.lambda2 > n:
             raise RateExceedsPopulationError(
                 f"lambda exceeds the {n}-user population: "
                 f"({loads.lambda1!r}, {loads.lambda2!r})")
-        return (int(rng.binomial(n, loads.lambda1 / n)),
-                int(rng.binomial(n, loads.lambda2 / n)))
-    raise ValueError(f"draw_activation does not handle {model!r}")
+        return rng.binomial(n, lambdas / n, size=(frames, 2))
+    if model not in (ActivationModel.TRUNCATED_POISSON, ActivationModel.MODEL_MATCHED):
+        raise ValueError(f"draw_activation does not handle {model!r}")
+    counts = rng.poisson(lambdas, size=(frames, 2))
+    if model is ActivationModel.TRUNCATED_POISSON:
+        redraw = (counts < 1) | (counts > n)
+        while redraw.any():
+            counts[redraw] = rng.poisson(np.broadcast_to(lambdas, counts.shape)[redraw])
+            redraw = (counts < 1) | (counts > n)
+        return counts
+    first, count, cumulative = _split_table(n)
+    k = counts[:, 0] - counts[:, 1]
+    inside = np.abs(k) <= n
+    row = np.where(inside, k + n, n)
+    split = inside & (count[row] > 0)
+    position = (cumulative[row] <= rng.random(frames)[:, None]).sum(axis=1)
+    big_k2 = np.where(split, first[row] + np.minimum(position, count[row] - 1), 0)
+    return np.column_stack((np.where(split, big_k2 + k, 0), big_k2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,17 +218,18 @@ class _Receptions:
     throughput: list
 
 
-def _receptions(cfg: Configuration, plans: list, rngs: list, params: SystemParams,
+def _receptions(cfg: Configuration, plans: list, rng, params: SystemParams,
                 worst_case_distances: bool, mean_shadowing: bool) -> _Receptions:
     """Every reception of a block of frames, in one pass.
 
-    Frame j follows ``plans[j]`` and draws from ``rngs[j]``: its layout
-    (unless worst-case), then one shadowing deviate per reception in slot
-    order, for its signal and then for its interferer if one reaches it
-    (unless mean). In worst-case mode the serving distance is the lobe
-    edge, every reachable interferer sits at its closest admissible
-    position, and whether it is reachable follows from the altitude levels
-    and cell membership instead of actual positions.
+    Frame j follows ``plans[j]``. The block draws from ``rng`` in two
+    calls: the layout of all its users, frame after frame (unless
+    worst-case), then one shadowing deviate per reception, frame after
+    frame in slot order, for its signal and then for its interferer if one
+    reaches it (unless mean). In worst-case mode the serving distance is
+    the lobe edge, every reachable interferer sits at its closest
+    admissible position, and whether it is reachable follows from the
+    altitude levels and cell membership instead of actual positions.
     """
     frames = len(plans)
     sizes = np.array([(plan.k1, plan.k2) for plan in plans], dtype=np.int64).reshape(-1)
@@ -224,9 +260,7 @@ def _receptions(cfg: Configuration, plans: list, rngs: list, params: SystemParam
         reaches = high | (cell[ground] == uav)
         nlos = np.full(slot.shape, params.d_min)
     else:
-        x, y = _positions(np.concatenate([rng.random(2 * count)
-                                          for rng, count in zip(rngs, frame_users.tolist())]),
-                          sizes, params)
+        x, y = _positions(rng.random(2 * int(frame_users.sum())), sizes, params)
         center = np.array([0.0, params.d_sep])
 
         def slant(links, users):
@@ -242,12 +276,9 @@ def _receptions(cfg: Configuration, plans: list, rngs: list, params: SystemParam
     if mean_shadowing:
         z_signal = z_interference = 0.0
     else:
-        # each frame from its own stream: one deviate per row, one more per hit
-        draws = np.bincount(frame[hit], minlength=frames) + receptions
-        z = np.concatenate([rng.standard_normal(count)
-                            for rng, count in zip(rngs, draws.tolist())])
         deviates = 1 + hit  # per row: its signal's, then its interferer's
         first = np.cumsum(deviates) - deviates
+        z = rng.standard_normal(int(deviates.sum()))
         z_signal, z_interference = z[first], z[first[hit] + 1]
 
     signal = np.where(downlink,
@@ -280,16 +311,16 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=No
     """Simulate one frame and return its receptions as columns.
 
     The frame is a block of one: it draws its layout (unless worst-case),
-    then its shadowing deviates (unless mean), as frame i of a ``simulate``
-    run with seed s does from ``frame_rng(s, i)``. Only worst-case
-    distances with mean shadowing draw nothing and may leave ``rng`` out.
+    then its shadowing deviates (unless mean), as a block of ``simulate``
+    does after its counts. Only worst-case distances with mean shadowing
+    draw nothing and may leave ``rng`` out.
     """
     if rng is None and not (worst_case_distances and mean_shadowing):
         distances = "worst-case" if worst_case_distances else "exact"
         shadowing = "mean" if mean_shadowing else "sampled"
         raise ValueError(f"rng is required for {distances} distances with {shadowing} shadowing")
     plan = _plan(cfg, k1, k2)
-    frame = _receptions(cfg, [plan], [rng], params, worst_case_distances, mean_shadowing)
+    frame = _receptions(cfg, [plan], rng, params, worst_case_distances, mean_shadowing)
     cell = frame.cell[frame.user]
     interferer = np.where(frame.downlink, "uav", "ground") if cfg.r == 0 else "ground"
     return FrameRealization(
@@ -324,20 +355,22 @@ def _entropy(seed) -> tuple:
     return (int(seed),)
 
 
-def frame_rng(seed, frame_index: int):
-    """Independent stream for one frame, a pure function of (seed, index)."""
-    sequence = np.random.SeedSequence(entropy=_entropy(seed), spawn_key=(frame_index,))
+def frame_rng(seed, index: int):
+    """Independent stream number ``index``, a pure function of (seed,
+    index): block ``index`` of a ``simulate`` run draws from it."""
+    sequence = np.random.SeedSequence(entropy=_entropy(seed), spawn_key=(index,))
     return np.random.default_rng(sequence)
 
 
-def _stratum_tables(n: int) -> dict:
-    """Per-k admissible splits with their cumulative case-count weights."""
-    tables = {}
-    for k in range(-n, n + 1):
-        splits, weights = _split_weights(k, n)
-        if splits:
-            tables[k] = (splits, np.cumsum(weights))
-    return tables
+def _fill_memo(cfg: Configuration, memo: dict, keys, params: SystemParams) -> None:
+    """Add the matched-assumption value of every (K1, K2) in ``keys`` that
+    ``memo`` lacks, one engine pass per BLOCK_FRAMES new keys. Such a frame
+    draws nothing, so its value is a function of (K1, K2)."""
+    new = list(dict.fromkeys(key for key in keys if key not in memo))
+    for start in range(0, len(new), BLOCK_FRAMES):
+        chunk = new[start:start + BLOCK_FRAMES]
+        plans = [_plan(cfg, *key) for key in chunk]
+        memo.update(zip(chunk, _receptions(cfg, plans, None, params, True, True).throughput))
 
 
 def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
@@ -347,57 +380,35 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
              mean_shadowing: bool = False) -> SimResult:
     """Empirical mean throughput over ``n_frames`` independent frames.
 
-    Deterministic given ``seed``: frame i uses its own stream derived from
-    (seed, i), so results do not depend on scheduling order or worker
-    count. Frames run in blocks of BLOCK_FRAMES through the engine of
-    ``run_frame``, each (K1, K2) planned once, and give the values
-    ``run_frame`` gives them one by one. With worst-case distances and mean
-    shadowing the per-frame value depends only on (K1, K2) and is memoized.
+    Deterministic given ``seed``: frames run in blocks of BLOCK_FRAMES, and
+    block b (frames b * BLOCK_FRAMES onward) draws from its own stream
+    ``frame_rng(seed, b)``, so results do not depend on scheduling order or
+    worker count. A block draws the counts of all its frames with
+    ``draw_activation``, then what ``run_frame`` draws, for all its frames
+    at once; each (K1, K2) is planned once. With worst-case distances and
+    mean shadowing a frame's value depends only on (K1, K2) and is
+    memoized.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
     matched = worst_case_distances and mean_shadowing
-    tables = (_stratum_tables(params.n_users)
-              if activation is ActivationModel.MODEL_MATCHED else None)
-
-    def counts(rng):
-        """(K1, K2) of one frame; None for a load difference with no split."""
-        if tables is None:
-            return draw_activation(loads, params, activation, rng)
-        k = int(rng.poisson(loads.lambda1)) - int(rng.poisson(loads.lambda2))
-        entry = tables.get(k)
-        if entry is None:
-            return None
-        splits, cumulative = entry
-        position = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        big_k2 = splits[min(position, len(splits) - 1)]
-        return big_k2 + k, big_k2
-
     plans: dict = {}
     memo: dict = {}
     values = np.zeros(n_frames)
-    for start in range(0, n_frames, BLOCK_FRAMES):
-        block, block_plans, rngs = [], [], []
-        for i in range(start, min(start + BLOCK_FRAMES, n_frames)):
-            rng = frame_rng(seed, i)
-            key = counts(rng)
-            if key is None:
-                continue  # an empty frame: its value stays 0
-            if matched:
-                if key not in memo:
-                    memo[key] = run_frame(cfg, *key, params, worst_case_distances=True,
-                                          mean_shadowing=True).throughput
-                values[i] = memo[key]
-                continue
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = _plan(cfg, *key)
-            block.append(i)
-            block_plans.append(plan)
-            rngs.append(rng)
-        if block:
-            values[block] = _receptions(cfg, block_plans, rngs, params, worst_case_distances,
-                                        mean_shadowing).throughput
+    for block, start in enumerate(range(0, n_frames, BLOCK_FRAMES)):
+        stop = min(start + BLOCK_FRAMES, n_frames)
+        rng = frame_rng(seed, block)
+        keys = list(map(tuple, draw_activation(loads, params, activation, rng,
+                                               stop - start).tolist()))
+        if matched:
+            _fill_memo(cfg, memo, keys, params)
+            values[start:stop] = [memo[key] for key in keys]
+            continue
+        for key in keys:
+            if key not in plans:
+                plans[key] = _plan(cfg, *key)
+        values[start:stop] = _receptions(cfg, [plans[key] for key in keys], rng, params,
+                                         worst_case_distances, mean_shadowing).throughput
 
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if n_frames > 1 else 0.0
@@ -408,22 +419,24 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
 def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams) -> float:
     """Exact expectation of the matched-assumption simulator.
 
-    Enumerates every admissible (K1, K2), runs one deterministic worst-case
-    mean-shadowing frame each, and applies the same probability weights as
-    the closed form. Agreement with the analytical average validates the
-    scheduler and slot engine end to end.
+    Enumerates every admissible (K1, K2), computes its deterministic
+    worst-case mean-shadowing frame with the engine ``simulate`` memoizes
+    in that mode, and applies the same probability weights as the closed
+    form. Agreement with the analytical average validates the scheduler
+    and slot engine end to end.
     """
     n = params.n_users
     pmf = loads.skellam_vector(n)
+    strata = [(k, *_split_weights(k, n)) for k in range(-n, n + 1)]
+    memo: dict = {}
+    _fill_memo(cfg, memo, [(big_k2 + k, big_k2) for k, splits, _ in strata for big_k2 in splits],
+               params)
     total = 0.0
-    for k in range(-n, n + 1):
-        splits, weights = _split_weights(k, n)
+    for k, splits, weights in strata:
         if not splits:
             continue
         inner = 0.0
         for weight, big_k2 in zip(weights, splits):
-            frame = run_frame(cfg, big_k2 + k, big_k2, params,
-                              worst_case_distances=True, mean_shadowing=True)
-            inner += weight * frame.throughput
+            inner += weight * memo[big_k2 + k, big_k2]
         total += pmf[k] * inner
     return total

@@ -83,12 +83,6 @@ class SystemParams:
         return self.h_high if t else self.h_low
 
 
-def _positive(value: float, key: str) -> float:
-    if not value > 0:
-        raise OutOfRangeError(f"{key}={value!r}: must be > 0")
-    return value
-
-
 def _non_negative(value: float, key: str) -> float:
     if value < 0:
         raise OutOfRangeError(f"{key}={value!r}: must be >= 0")
@@ -106,10 +100,19 @@ def _within(low: float, high: float):
 
 # Far beyond any deployment, and far inside the float range: 10 ** (dB / 10)
 # neither overflows nor reaches zero, so no power, noise or shadowing factor
-# turns into inf or a division by zero.
+# turns into inf or a division by zero, even at a shadowing deviate of 10.
 _POWER_DBM = _within(-100.0, 100.0)
 _NOISE_DBM = _within(-250.0, 0.0)
 _SHADOWING_MEAN_DB = _within(-100.0, 100.0)
+_SHADOWING_STD_DB = _within(0.0, 50.0)
+# Likewise for the path loss (k d) ** -n, k = 4 pi f_c / c: k lies in
+# [0.0126, 1.26e6] 1/m and d from d_min = 2 d_0 / N >= 0.01 m, so it stays
+# finite and nonzero.
+_FREQUENCY_HZ = _within(1e6, 1e12)
+_SPEED_MPS = _within(1e7, 1e9)
+_RADIUS_M = _within(1.0, 1e5)
+_SEPARATION_M = _within(1.0, 1e6)
+_EXPONENT = _within(1.0, 10.0)
 
 
 def _half_beamwidth(value: float, key: str) -> float:
@@ -126,22 +129,22 @@ def _user_count(value: float, key: str) -> int:
 
 # key -> (validator, unit note). Powers are given in dBm and converted on load.
 CONFIG_SCHEMA = {
-    "f_c_hz": (_positive, "carrier frequency [Hz]"),
-    "c_mps": (_positive, "propagation speed [m/s]"),
+    "f_c_hz": (_FREQUENCY_HZ, "carrier frequency [Hz]"),
+    "c_mps": (_SPEED_MPS, "propagation speed [m/s]"),
     "p_u_dbm": (_POWER_DBM, "UAV transmit power [dBm]"),
     "p_g_dbm": (_POWER_DBM, "ground-user transmit power [dBm]"),
     "noise_dbm": (_NOISE_DBM, "noise power [dBm]"),
-    "d_0_m": (_positive, "cell radius [m]"),
-    "d_sep_m": (_positive, "distance between cell centers [m]"),
+    "d_0_m": (_RADIUS_M, "cell radius [m]"),
+    "d_sep_m": (_SEPARATION_M, "distance between cell centers [m]"),
     "n_users": (_user_count, "users per cell"),
     "phi_b_rad": (_half_beamwidth, "antenna half beamwidth [rad], open (0, pi/2)"),
     "h_0_m": (_non_negative, "altitude guard offset [m]"),
-    "n_los": (_positive, "LoS path-loss exponent"),
-    "n_nlos": (_positive, "NLoS path-loss exponent"),
+    "n_los": (_EXPONENT, "LoS path-loss exponent"),
+    "n_nlos": (_EXPONENT, "NLoS path-loss exponent"),
     "mu_los_db": (_SHADOWING_MEAN_DB, "LoS shadowing mean [dB]"),
-    "sigma_los_db": (_non_negative, "LoS shadowing std [dB]"),
+    "sigma_los_db": (_SHADOWING_STD_DB, "LoS shadowing std [dB]"),
     "mu_nlos_db": (_SHADOWING_MEAN_DB, "NLoS shadowing mean [dB]"),
-    "sigma_nlos_db": (_non_negative, "NLoS shadowing std [dB]"),
+    "sigma_nlos_db": (_SHADOWING_STD_DB, "NLoS shadowing std [dB]"),
 }
 
 

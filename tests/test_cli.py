@@ -217,6 +217,18 @@ def test_sweep_byte_identical_across_runs_and_workers(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_compare_blocks_byte_identical_across_workers(tmp_path):
+    # three blocks of frames per row, each from its own stream, with model
+    # activation's empty frames among them
+    args = ("--lambda1", "6,31", "--lambda2", "4", "--configurations", "r1_Hl_Hh,r0_Hl_Hl",
+            "--frames", "150", "--activation", "model", "--seed", "13")
+    paths = [tmp_path / f"run{i}.csv" for i in range(2)]
+    assert run_cli("compare", *args, "--workers", "1", "--out", str(paths[0])) == 0
+    assert run_cli("compare", *args, "--workers", "2", "--out", str(paths[1])) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(read_rows(paths[0])) == 4
+
+
 def test_compare_matched_mode_agrees(tmp_path):
     out = tmp_path / "compare.csv"
     assert run_cli("compare", "--lambda1", "6", "--lambda2", "4",

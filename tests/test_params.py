@@ -58,7 +58,9 @@ def test_missing_key():
     ("h_0_m", -1), ("sigma_los_db", -0.5), ("n_los", 0), ("d_sep_m", "abc"),
     ("mu_los_db", math.nan), ("p_u_dbm", math.inf), ("n_users", MAX_USERS + 1),
     ("p_u_dbm", 100.5), ("p_g_dbm", -101), ("noise_dbm", 0.5), ("noise_dbm", -251),
-    ("mu_los_db", 101), ("mu_nlos_db", -101),
+    ("mu_los_db", 101), ("mu_nlos_db", -101), ("sigma_los_db", 1e300), ("sigma_nlos_db", 50.5),
+    ("f_c_hz", 1e-300), ("f_c_hz", 2e12), ("c_mps", 1e6), ("c_mps", 1e300), ("d_0_m", 1e-300),
+    ("d_0_m", 2e5), ("d_sep_m", 0.5), ("d_sep_m", 2e6), ("n_los", 0.5), ("n_nlos", 11),
 ])
 def test_out_of_range(key, value):
     config = default_config()
@@ -69,7 +71,7 @@ def test_out_of_range(key, value):
 
 @pytest.mark.parametrize("assignment", [
     "mu_los_db=4000", "mu_nlos_db=-4000", "p_u_dbm=4000", "p_g_dbm=4000",
-    "noise_dbm=-4000", "n_users=1000",
+    "noise_dbm=-4000", "n_users=1000", "f_c_hz=1e-300", "d_0_m=1e-300", "c_mps=1e300",
 ])
 def test_out_of_range_override_exits_2_naming_the_key(capsys, assignment):
     # each once overflowed, divided by zero or ran for seconds past validation
@@ -78,12 +80,21 @@ def test_out_of_range_override_exits_2_naming_the_key(capsys, assignment):
     assert f"error: {key}=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assignment", ["sigma_los_db=1e300", "sigma_nlos_db=1e300"])
+def test_unbounded_shadowing_std_exits_2_naming_the_key(capsys, assignment):
+    # sigma_los_db=1e300 once gave an inf mean and nan interval cells with exit 0
+    assert main(["compare", "--lambda1", "5", "--lambda2", "3", "--frames", "3",
+                 "--configurations", "r0_Hl_Hl", "--set", assignment]) == 2
+    assert f"error: {assignment.partition('=')[0]}=" in capsys.readouterr().err
+
+
 def test_range_ends_are_accepted():
     config = default_config()
     config.update(p_u_dbm=100.0, p_g_dbm=-100.0, noise_dbm=-250.0, mu_los_db=-100.0,
-                  mu_nlos_db=100.0, n_users=MAX_USERS)
+                  mu_nlos_db=100.0, n_users=MAX_USERS, sigma_los_db=50.0, sigma_nlos_db=0.0,
+                  f_c_hz=1e6, c_mps=1e9, d_0_m=1.0, d_sep_m=1e6, n_los=1.0, n_nlos=10.0)
     assert validate_and_derive(config).n_users == MAX_USERS
-    config.update(noise_dbm=0.0)
+    config.update(noise_dbm=0.0, f_c_hz=1e12, c_mps=1e7, d_0_m=1e5, n_los=10.0, n_nlos=1.0)
     assert validate_and_derive(config).noise_power == dbm_to_watts(0.0)
 
 
