@@ -11,8 +11,7 @@ never imports it.
 from .errors import (ConfigError, GuardViolationError, MissingKeyError,
                      NonPositiveRateError, OutOfRangeError,
                      RateExceedsPopulationError)
-from .pairing import (AccountingMode, PairCounts, ServiceUnit, pair_counts,
-                      schedule_frame, unit_counts)
+from .pairing import AccountingMode, PairCounts, Schedule, pair_counts, schedule_frame
 from .params import (SystemParams, default_config, load_params,
                      validate_and_derive)
 from .rates import (RateSet, rate_cochannel_diff, rate_cochannel_same,
@@ -27,9 +26,8 @@ from .throughput import (ConditionalTable, LoadDistribution, ThroughputBreakdown
 
 __version__ = "0.1.0"
 
-_SIMULATOR = ("ActivationModel", "FrameRealization", "SimResult", "UserLayout",
-              "draw_activation", "run_frame", "sample_layout", "simulate",
-              "simulate_exhaustive")
+_SIMULATOR = ("ActivationModel", "FrameRealization", "SimResult", "draw_activation",
+              "run_frame", "simulate", "simulate_exhaustive")
 
 __all__ = [name for name in dir() if not name.startswith("_")] + list(_SIMULATOR)
 

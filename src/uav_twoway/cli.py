@@ -39,6 +39,11 @@ OPTIMAL = "optimal"
 EXHAUSTIVE = "exhaustive"
 
 MAX_AXIS_VALUES = 10_000  # values per load axis of a grid
+# Monte Carlo frames per row: a row holds one float per frame, 80 MB here.
+MAX_FRAMES = 10_000_000
+# Worker processes of a grid run. A process pool forks all its workers at
+# the first task, so the count is checked before any pool exists.
+MAX_WORKERS = 64
 
 
 def _parse_values(spec: str, flag: str) -> list[float]:
@@ -130,10 +135,12 @@ class SweepSpec:
     @classmethod
     def from_args(cls, args) -> "SweepSpec":
         params = load_params(args.config, args.set)
-        if args.frames < 0:
-            raise ConfigError(f"--frames={args.frames}: must be >= 0")
-        if args.workers < 1:
-            raise ConfigError(f"--workers={args.workers}: must be >= 1")
+        if not 0 <= args.frames <= MAX_FRAMES:
+            raise ConfigError(f"--frames={args.frames}: must lie in [0, {MAX_FRAMES}]")
+        if not 1 <= args.workers <= MAX_WORKERS:
+            raise ConfigError(f"--workers={args.workers}: must lie in [1, {MAX_WORKERS}]")
+        if args.seed < 0:
+            raise ConfigError(f"--seed={args.seed}: must be >= 0")
         lambda1_values = _load_axis(args.lambda1, "--lambda1")
         lambda2_values = _load_axis(args.lambda2, "--lambda2")
         selections = tuple(_resolve_configurations(args.configurations))
@@ -370,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma list of configuration labels, 'optimal', or 'exhaustive'")
     grid.add_argument("--out", default=None, metavar="CSV",
                       help="output path (default: stdout)")
-    grid.add_argument("--seed", type=int, default=1, help="base RNG seed")
+    grid.add_argument("--seed", type=int, default=1, help="base RNG seed, >= 0")
     grid.add_argument("--frames", type=int, default=0,
-                      help="Monte Carlo frames per row (0 = analytical only)")
+                      help=f"Monte Carlo frames per row, at most {MAX_FRAMES:,} "
+                           "(0 = analytical only)")
     grid.add_argument("--activation", choices=["poisson", "binomial", "model", "exhaustive"],
                       default="poisson", help="activation model for Monte Carlo rows")
     grid.add_argument("--distances", choices=["exact", "worst"], default="exact",
@@ -380,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--shadowing", choices=["sampled", "mean"], default="sampled",
                       help="simulator shadowing mode")
     grid.add_argument("--workers", type=int, default=1,
-                      help="parallel workers over grid points (output order is fixed)")
+                      help=f"parallel workers over grid points, 1 to {MAX_WORKERS} "
+                           "(output order is fixed)")
 
     sub = subparsers.add_parser("eval", parents=[common, point],
                                 help="evaluate the candidate configurations at one point")

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import channel
 from .errors import RateExceedsPopulationError
-from .pairing import schedule_frame
+from .pairing import Schedule, schedule_frame
 from .params import SystemParams
 from .sinr import Configuration
 from .throughput import LoadDistribution, _split_weights
@@ -56,17 +56,6 @@ class ActivationModel(enum.Enum):
     MODEL_MATCHED = "model"
 
 
-@dataclass(frozen=True)
-class UserLayout:
-    """Active-user coordinates [m], one row per user, per cell.
-
-    Cell 1 is centered at the origin, cell 2 at (d_sep, 0).
-    """
-
-    cell1: np.ndarray
-    cell2: np.ndarray
-
-
 def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
     """User coordinates [m], users numbered cell after cell, from one draw
     of uniforms: a cell of k users takes 2k of them, its k radii and then
@@ -78,14 +67,6 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
     angle = 2.0 * np.pi * uniforms[radius_at + count]
     center_x = np.repeat(np.tile((0.0, params.d_sep), sizes.size // 2), sizes)
     return center_x + radius * np.cos(angle), radius * np.sin(angle)
-
-
-def sample_layout(k1: int, k2: int, params: SystemParams, rng) -> UserLayout:
-    """Uniform positions in each disc of radius d_0, drawn as a frame draws
-    them: cell 1's radii and angles, then cell 2's."""
-    x, y = _positions(rng.random(2 * (k1 + k2)), np.array((k1, k2)), params)
-    xy = np.column_stack((x, y))
-    return UserLayout(cell1=xy[:k1], cell2=xy[k1:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,33 +155,6 @@ class FrameRealization:
 
 
 @dataclass(frozen=True, eq=False)
-class _Plan:
-    """The schedule of a (K1, K2) frame before any draw: each unit's class,
-    and the frame's receptions in slot order, one column per row of
-    ``rows`` (slot, link, user, partner). Users are numbered across both
-    cells, cell 1 first; a lone user is its own partner."""
-
-    k1: int
-    k2: int
-    kinds: list  # a list: freed tuples of up to 19 items stay on CPython's free lists
-    rows: np.ndarray
-
-    @property
-    def slot_count(self) -> int:
-        return 2 * len(self.kinds)
-
-
-def _plan(cfg: Configuration, k1: int, k2: int) -> _Plan:
-    units = schedule_frame(range(k1), range(k1, k1 + k2), cfg)
-    # each unit's receivers in its first slot, then again in its second
-    rows = [(slot, link, user, partner)
-            for index, unit in enumerate(units) for slot in (2 * index, 2 * index + 1)
-            for (link, user), (_, partner) in zip(unit.served, unit.served[::-1])]
-    return _Plan(k1, k2, [unit.kind for unit in units],
-                 np.array(rows, dtype=np.int64).reshape(-1, 4).T)
-
-
-@dataclass(frozen=True, eq=False)
 class _Receptions:
     """The receptions of a block of frames as columns, frame after frame.
     Slots and users are numbered across the block; ``cell`` is indexed by
@@ -218,7 +172,7 @@ class _Receptions:
     throughput: list
 
 
-def _receptions(cfg: Configuration, plans: list, rng, params: SystemParams,
+def _receptions(cfg: Configuration, plans: list[Schedule], rng, params: SystemParams,
                 worst_case_distances: bool, mean_shadowing: bool) -> _Receptions:
     """Every reception of a block of frames, in one pass.
 
@@ -319,7 +273,7 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=No
         distances = "worst-case" if worst_case_distances else "exact"
         shadowing = "mean" if mean_shadowing else "sampled"
         raise ValueError(f"rng is required for {distances} distances with {shadowing} shadowing")
-    plan = _plan(cfg, k1, k2)
+    plan = schedule_frame(cfg, k1, k2)
     frame = _receptions(cfg, [plan], rng, params, worst_case_distances, mean_shadowing)
     cell = frame.cell[frame.user]
     interferer = np.where(frame.downlink, "uav", "ground") if cfg.r == 0 else "ground"
@@ -369,7 +323,7 @@ def _fill_memo(cfg: Configuration, memo: dict, keys, params: SystemParams) -> No
     new = list(dict.fromkeys(key for key in keys if key not in memo))
     for start in range(0, len(new), BLOCK_FRAMES):
         chunk = new[start:start + BLOCK_FRAMES]
-        plans = [_plan(cfg, *key) for key in chunk]
+        plans = [schedule_frame(cfg, *key) for key in chunk]
         memo.update(zip(chunk, _receptions(cfg, plans, None, params, True, True).throughput))
 
 
@@ -406,7 +360,7 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
             continue
         for key in keys:
             if key not in plans:
-                plans[key] = _plan(cfg, *key)
+                plans[key] = schedule_frame(cfg, *key)
         values[start:stop] = _receptions(cfg, [plans[key] for key in keys], rng, params,
                                          worst_case_distances, mean_shadowing).throughput
 

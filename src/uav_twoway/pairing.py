@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 from .sinr import Configuration
 
@@ -73,44 +72,49 @@ def pair_counts(k: int, big_k2: int, t1: int, t2: int,
     return PairCounts(a_d=a_d, a_s=a_s, b=b)
 
 
-@dataclass(frozen=True)
-class ServiceUnit:
-    """One 2-slot unit: which UAV serves which user(s), and under which
-    rate class (cross-cell pair, same-cell pair, or individual)."""
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """The plan of a (K1, K2) frame, fixed before any draw: each unit's
+    class, in order, and the frame's receptions in slot order, one column
+    of ``rows`` (slot, link, user, partner) each. Users are numbered across
+    both cells, cell 1 first; a lone user is its own partner. A unit's
+    receivers fill its first slot, then again its second."""
 
-    kind: str
-    served: tuple  # ((link, user), ...) with link in {1, 2}
+    k1: int
+    k2: int
+    kinds: list  # a list: freed tuples of up to 19 items stay on CPython's free lists
+    rows: object  # 4 x R int64 numpy array
+
+    @property
+    def slot_count(self) -> int:
+        return 2 * len(self.kinds)
+
+    @property
+    def counts(self) -> PairCounts:
+        """The schedule tallied into pair counts (always consistent)."""
+        return PairCounts(a_d=self.kinds.count(CROSS_CELL), a_s=self.kinds.count(SAME_CELL),
+                          b=self.kinds.count(INDIVIDUAL))
 
 
-def schedule_frame(active_users_cell1: Sequence, active_users_cell2: Sequence,
-                   cfg: Configuration) -> list[ServiceUnit]:
-    """Ordered unit plan for one frame. Pairing is by index order, which is
-    admissible because the rate bounds do not depend on the matching."""
-    users1 = list(active_users_cell1)
-    users2 = list(active_users_cell2)
-    units = [ServiceUnit(CROSS_CELL, ((1, u1), (2, u2)))
-             for u1, u2 in zip(users1, users2)]
+def schedule_frame(cfg: Configuration, k1: int, k2: int) -> Schedule:
+    """The plan of a frame with k1 and k2 active users. Pairing is by index
+    order, which is admissible because the rate bounds do not depend on the
+    matching."""
+    import numpy as np  # here, so that the closed form loads no numpy
 
-    shared = min(len(users1), len(users2))
-    if len(users1) >= len(users2):
-        surplus_cell, own_link, helper_link = 1, 1, 2
-        leftover = users1[shared:]
-        helper_high = cfg.t2
+    shared = min(k1, k2)
+    if k1 >= k2:
+        own_link, helper_link, leftover, helper_high = 1, 2, range(shared, k1), cfg.t2
     else:
-        surplus_cell, own_link, helper_link = 2, 2, 1
-        leftover = users2[shared:]
-        helper_high = cfg.t1
-
-    if helper_high:
-        while len(leftover) >= 2:
-            pair, leftover = leftover[:2], leftover[2:]
-            units.append(ServiceUnit(SAME_CELL, ((own_link, pair[0]), (helper_link, pair[1]))))
-    units.extend(ServiceUnit(INDIVIDUAL, ((own_link, user),)) for user in leftover)
-    return units
-
-
-def unit_counts(units: Sequence[ServiceUnit]) -> PairCounts:
-    """Tally a schedule back into pair counts (always consistent)."""
-    kinds = [unit.kind for unit in units]
-    return PairCounts(a_d=kinds.count(CROSS_CELL), a_s=kinds.count(SAME_CELL),
-                      b=kinds.count(INDIVIDUAL))
+        own_link, helper_link, leftover, helper_high = 2, 1, range(k1 + shared, k1 + k2), cfg.t1
+    pairs = len(leftover) // 2 if helper_high else 0
+    # each unit as (kind, its (link, user) receivers); the helper serves second
+    units = [(CROSS_CELL, ((1, user), (2, k1 + user))) for user in range(shared)]
+    units += [(SAME_CELL, ((own_link, leftover[2 * i]), (helper_link, leftover[2 * i + 1])))
+              for i in range(pairs)]
+    units += [(INDIVIDUAL, ((own_link, user),)) for user in leftover[2 * pairs:]]
+    rows = [(slot, link, user, partner)
+            for index, (_, served) in enumerate(units) for slot in (2 * index, 2 * index + 1)
+            for (link, user), (_, partner) in zip(served, served[::-1])]
+    return Schedule(k1, k2, [kind for kind, _ in units],
+                    np.array(rows, dtype=np.int64).reshape(-1, 4).T)

@@ -9,7 +9,7 @@ import pytest
 
 import uav_twoway
 from uav_twoway import default_config, validate_and_derive
-from uav_twoway.cli import CSV_COLUMNS, main
+from uav_twoway.cli import CSV_COLUMNS, MAX_FRAMES, MAX_WORKERS, main
 from uav_twoway.errors import NonPositiveRateError
 from uav_twoway.throughput import (LoadDistribution, average_throughput,
                                    optimal_configuration)
@@ -173,6 +173,7 @@ def test_analytical_commands_do_not_import_numpy(tmp_path):
         assert done.returncode == 0, done.stderr
 
     child("import contextlib, io, sys\n"
+          "import uav_twoway.pairing\n"
           "from uav_twoway.cli import main\n"
           "with contextlib.redirect_stdout(io.StringIO()):\n"
           "    assert main(['sweep', '--lambda1', '1,2', '--lambda2', '3']) == 0\n"
@@ -193,14 +194,20 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
     assert run_cli("sweep", "--lambda1", "3", "--lambda2", "2",
                    "--configurations", "bogus",
                    "--out", str(tmp_path / "x.csv")) == 2
-    # (extra arguments, the flag the error must name); in the over-long
-    # range, --lambda2 0 stops the run at its first point should the
-    # range itself ever be accepted
+    # (extra arguments, the flag the error must name); --lambda2 0 stops
+    # the run before any frame or worker process, should an over-long range
+    # or a count above its ceiling ever be accepted
     for extra, flag in ((("--lambda1", "1:inf:1", "--lambda2", "5"), "--lambda1"),
                         (("--lambda1", "5", "--lambda2", "5", "--frames", "-3"), "--frames"),
                         (("--lambda1", "5", "--lambda2", "5", "--workers", "0"), "--workers"),
                         (("--lambda1", "5", "--lambda2", "5", "--workers", "-2"), "--workers"),
-                        (("--lambda1", "1:10001:1", "--lambda2", "0"), "--lambda1")):
+                        (("--lambda1", "1:10001:1", "--lambda2", "0"), "--lambda1"),
+                        (("--lambda1", "5", "--lambda2", "5", "--frames", "3", "--seed", "-1"),
+                         "--seed"),
+                        (("--lambda1", "5", "--lambda2", "0", "--frames", str(MAX_FRAMES + 1)),
+                         "--frames"),
+                        (("--lambda1", "5", "--lambda2", "0", "--workers", str(MAX_WORKERS + 1)),
+                         "--workers")):
         capsys.readouterr()
         assert run_cli("sweep", *extra, "--out", str(tmp_path / "x.csv")) == 2
         assert flag in capsys.readouterr().err

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from uav_twoway.errors import RateExceedsPopulationError
-from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, draw_activation,
-                                   frame_rng, run_frame, sample_layout, simulate,
+from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, _positions,
+                                   draw_activation, frame_rng, run_frame, simulate,
                                    simulate_exhaustive)
 from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts
 from uav_twoway.sinr import Configuration, all_configurations
@@ -18,18 +18,18 @@ from uav_twoway.throughput import (LoadDistribution, average_throughput,
 
 
 def test_layout_inside_discs(params):
-    rng = np.random.default_rng(0)
-    layout = sample_layout(200, 200, params, rng)
-    assert np.all(np.hypot(layout.cell1[:, 0], layout.cell1[:, 1]) <= params.d_0)
-    assert np.all(np.hypot(layout.cell2[:, 0] - params.d_sep,
-                           layout.cell2[:, 1]) <= params.d_0)
+    # two frames of (200, 200) users: cell 1 around the origin, cell 2 at d_sep
+    sizes = np.array((200, 200, 200, 200))
+    x, y = _positions(np.random.default_rng(0).random(1600), sizes, params)
+    center = np.tile(np.repeat((0.0, params.d_sep), 200), 2)
+    assert np.all(np.hypot(x - center, y) <= params.d_0)
 
 
 def test_layout_reproducible(params):
-    one = sample_layout(10, 10, params, np.random.default_rng(9))
-    other = sample_layout(10, 10, params, np.random.default_rng(9))
-    assert np.array_equal(one.cell1, other.cell1)
-    assert np.array_equal(one.cell2, other.cell2)
+    sizes = np.array((10, 10))
+    one = _positions(np.random.default_rng(9).random(40), sizes, params)
+    other = _positions(np.random.default_rng(9).random(40), sizes, params)
+    assert np.array_equal(one, other)
 
 
 def test_binomial_full_rate_always_everyone(params):

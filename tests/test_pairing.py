@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, AccountingMode,
-                                PairCounts, pair_counts, schedule_frame, unit_counts)
+                                PairCounts, pair_counts, schedule_frame)
 from uav_twoway.sinr import Configuration, all_configurations
 
 
@@ -79,49 +79,58 @@ def test_mirror_symmetry():
         assert direct == mirrored
 
 
+def units_of(schedule):
+    """(kind, ((link, user), ...)) per unit, read from the rows of its first slot."""
+    slot, link, user, _ = schedule.rows.tolist()
+    return [(kind, tuple((l, u) for s, l, u in zip(slot, link, user) if s == 2 * index))
+            for index, kind in enumerate(schedule.kinds)]
+
+
 def test_schedule_three_steps():
-    cfg = Configuration(1, 0, 1)
-    units = schedule_frame(list("abcde"), list("xy"), cfg)
-    kinds = [unit.kind for unit in units]
-    assert kinds == [CROSS_CELL, CROSS_CELL, SAME_CELL, INDIVIDUAL]
-    assert 2 * len(units) == 8
+    # users 0-4 in cell 1, 5-6 in cell 2
+    schedule = schedule_frame(Configuration(1, 0, 1), 5, 2)
+    units = units_of(schedule)
+    assert [kind for kind, _ in units] == [CROSS_CELL, CROSS_CELL, SAME_CELL, INDIVIDUAL]
+    assert schedule.slot_count == 8
+    assert units[:2] == [(CROSS_CELL, ((1, 0), (2, 5))), (CROSS_CELL, ((1, 1), (2, 6)))]
     # the high partner serves the second member of the same-cell pair
-    assert units[2].served == ((1, "c"), (2, "d"))
-    assert units[3].served == ((1, "e"),)
+    assert units[2] == (SAME_CELL, ((1, 2), (2, 3)))
+    assert units[3] == (INDIVIDUAL, ((1, 4),))
+    # each unit's receivers again in its second slot; a pair's members are
+    # each other's partner, a lone user is its own
+    assert schedule.rows.tolist() == [[0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7],
+                                      [1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1],
+                                      [0, 5, 0, 5, 1, 6, 1, 6, 2, 3, 2, 3, 4, 4],
+                                      [5, 0, 5, 0, 6, 1, 6, 1, 3, 2, 3, 2, 4, 4]]
 
 
 def test_schedule_balanced_only_cross():
-    cfg = Configuration(0, 0, 0)
-    units = schedule_frame([1, 2, 3], [4, 5, 6], cfg)
-    assert all(unit.kind == CROSS_CELL for unit in units)
-    assert 2 * len(units) == 2 * 3  # one 2-slot unit per cross pair
+    schedule = schedule_frame(Configuration(0, 0, 0), 3, 3)
+    assert schedule.kinds == [CROSS_CELL] * 3
+    assert schedule.slot_count == 2 * 3  # one 2-slot unit per cross pair
 
 
 def test_schedule_single_user():
-    cfg = Configuration(0, 0, 0)
-    units = schedule_frame(["solo"], [], cfg)
-    assert [unit.kind for unit in units] == [INDIVIDUAL]
-    assert units[0].served == ((1, "solo"),)
+    schedule = schedule_frame(Configuration(0, 0, 0), 1, 0)
+    assert units_of(schedule) == [(INDIVIDUAL, ((1, 0),))]
 
 
 def test_schedule_surplus_cell2():
-    cfg = Configuration(1, 1, 0)
-    units = schedule_frame([1], [2, 3, 4, 5, 6], cfg)
-    counts = unit_counts(units)
+    # user 0 in cell 1, users 1-5 in cell 2
+    schedule = schedule_frame(Configuration(1, 1, 0), 1, 5)
+    counts = schedule.counts
     assert (counts.a_d, counts.a_s, counts.b) == (1, 2, 0)
-    same = [unit for unit in units if unit.kind == SAME_CELL]
+    same = [served for kind, served in units_of(schedule) if kind == SAME_CELL]
     # cell 2's own UAV serves first, the high helper (UAV1) second
-    assert same[0].served[0][0] == 2 and same[0].served[1][0] == 1
+    assert same == [((2, 2), (1, 3)), ((2, 4), (1, 5))]
 
 
 def test_schedule_matches_pair_counts_everywhere():
-    configs = (Configuration(1, 0, 1), Configuration(1, 1, 0), Configuration(0, 0, 0))
-    for cfg in configs:
+    for cfg in all_configurations().values():
         for k1 in range(0, 31, 3):
             for k2 in range(0, 31, 3):
-                units = schedule_frame(list(range(k1)), list(range(100, 100 + k2)), cfg)
                 expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
-                assert unit_counts(units) == expected
+                assert schedule_frame(cfg, k1, k2).counts == expected
 
 
 def test_pair_counts_is_a_value_type():

@@ -54,7 +54,7 @@ def test_missing_key():
 
 @pytest.mark.parametrize("key,value", [
     ("d_0_m", -5), ("d_0_m", 0), ("f_c_hz", 0), ("n_users", 0), ("n_users", 2.5),
-    ("phi_b_rad", 0.0), ("phi_b_rad", math.pi / 2), ("phi_b_rad", 2.0),
+    ("phi_b_rad", 0.0), ("phi_b_rad", math.pi / 2), ("phi_b_rad", 2.0), ("phi_b_rad", 1e-300),
     ("h_0_m", -1), ("sigma_los_db", -0.5), ("n_los", 0), ("d_sep_m", "abc"),
     ("mu_los_db", math.nan), ("p_u_dbm", math.inf), ("n_users", MAX_USERS + 1),
     ("p_u_dbm", 100.5), ("p_g_dbm", -101), ("noise_dbm", 0.5), ("noise_dbm", -251),
@@ -72,6 +72,7 @@ def test_out_of_range(key, value):
 @pytest.mark.parametrize("assignment", [
     "mu_los_db=4000", "mu_nlos_db=-4000", "p_u_dbm=4000", "p_g_dbm=4000",
     "noise_dbm=-4000", "n_users=1000", "f_c_hz=1e-300", "d_0_m=1e-300", "c_mps=1e300",
+    "phi_b_rad=1e-300",
 ])
 def test_out_of_range_override_exits_2_naming_the_key(capsys, assignment):
     # each once overflowed, divided by zero or ran for seconds past validation
