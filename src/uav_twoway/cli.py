@@ -13,11 +13,12 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
-from .errors import ConfigError, NonPositiveRateError, RateExceedsPopulationError
+from .errors import ConfigError, NonPositiveRateError
 from .pairing import AccountingMode
 from .params import SystemParams, load_params
 from .sinr import all_configurations, candidate_configurations
@@ -110,6 +111,17 @@ def _resolve_configurations(names: str) -> list[tuple[str, object]]:
     return selected
 
 
+def _load_params(args) -> SystemParams:
+    """The parameters of ``--config`` and ``--set``; a ``--config`` file
+    that cannot be read as text is a configuration error naming the flag."""
+    try:
+        return load_params(args.config, args.set)
+    except OSError as error:
+        raise ConfigError(f"--config={args.config!r}: {error.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"--config={args.config!r}: not UTF-8 text") from None
+
+
 def _accounting(args) -> AccountingMode:
     return AccountingMode.PAPER_LITERAL if args.accounting == "paper" else AccountingMode.CONSISTENT
 
@@ -134,7 +146,7 @@ class SweepSpec:
 
     @classmethod
     def from_args(cls, args) -> "SweepSpec":
-        params = load_params(args.config, args.set)
+        params = _load_params(args)
         if not 0 <= args.frames <= MAX_FRAMES:
             raise ConfigError(f"--frames={args.frames}: must lie in [0, {MAX_FRAMES}]")
         if not 1 <= args.workers <= MAX_WORKERS:
@@ -146,6 +158,13 @@ class SweepSpec:
         selections = tuple(_resolve_configurations(args.configurations))
         if args.command == "compare" and args.frames < 1 and args.activation != "exhaustive":
             raise ConfigError("compare requires --frames >= 1 (or --activation exhaustive)")
+        if args.frames and args.activation == "binomial":
+            # each user is active with probability lambda / N
+            for flag, values in (("--lambda1", lambda1_values), ("--lambda2", lambda2_values)):
+                for value in values:
+                    if value > params.n_users:
+                        raise ConfigError(f"{flag}={value!r}: binomial activation needs "
+                                          f"lambda <= n_users={params.n_users}")
 
         accounting = _accounting(args)
         configs = {label: cfg for label, cfg in selections if label != OPTIMAL}
@@ -248,39 +267,52 @@ def _deviation_flag(analytical, mc_mean, half_width, worst_case, mean_shadow,
     return "DEVIATION" if gap > 3.0 * half_width + 1e-12 else "ok"
 
 
-def _run_grid(args) -> list[dict]:
-    spec = SweepSpec.from_args(args)
-    points = [(index, *loads) for index, loads in
-              enumerate(product(spec.lambda1_values, spec.lambda2_values))]
-    rows_of = partial(_point_rows, spec)
-    if spec.workers > 1:
-        # imported here: it loads multiprocessing, which one process does not need
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            per_point = list(pool.map(rows_of, points))
-    else:
-        per_point = [rows_of(point) for point in points]
-    return [row for rows in per_point for row in rows]
-
-
-def _write_csv(rows: list[dict], path, with_flag: bool) -> None:
-    columns = CSV_COLUMNS + (["deviation_flag"] if with_flag else [])
-    out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+@contextmanager
+def _output(path):
+    """``--out`` opened for writing, or stdout without it."""
+    if not path:
+        yield sys.stdout
+        return
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            record = [row.get(c, "") for c in CSV_COLUMNS]
-            if with_flag:
-                record.append(row.get("_deviation", ""))
-            writer.writerow(record)
-    finally:
-        if path:
-            out.close()
+        out = open(path, "w", newline="", encoding="utf-8")
+    except OSError as error:
+        raise ConfigError(f"--out={path!r}: {error.strerror}") from None
+    with out:
+        yield out
+
+
+def _run_grid(args, with_flag: bool) -> list[dict]:
+    """Validate the run, open ``--out`` before any row is computed, then
+    compute the rows and write them as CSV."""
+    spec = SweepSpec.from_args(args)
+    with _output(args.out) as out:
+        points = [(index, *loads) for index, loads in
+                  enumerate(product(spec.lambda1_values, spec.lambda2_values))]
+        rows_of = partial(_point_rows, spec)
+        if spec.workers > 1:
+            # imported here: it loads multiprocessing, which one process does not need
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+                per_point = list(pool.map(rows_of, points))
+        else:
+            per_point = [rows_of(point) for point in points]
+        rows = [row for rows in per_point for row in rows]
+        _write_csv(rows, out, with_flag)
+    return rows
+
+
+def _write_csv(rows: list[dict], out, with_flag: bool) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS + (["deviation_flag"] if with_flag else []))
+    for row in rows:
+        record = [row.get(c, "") for c in CSV_COLUMNS]
+        if with_flag:
+            record.append(row.get("_deviation", ""))
+        writer.writerow(record)
 
 
 def cmd_eval(args) -> int:
-    params = load_params(args.config, args.set)
+    params = _load_params(args)
     loads = _point_loads(args)
     accounting = _accounting(args)
     if args.exhaustive:
@@ -315,13 +347,12 @@ def cmd_eval(args) -> int:
         for label, breakdown in breakdowns.items():
             print(f"\nper-k breakdown for {label} (k, weight, conditional):")
             for k in range(-n, n + 1):
-                weight, conditional = breakdown.per_k[k]
-                print(f"  {k:>4} {weight!r} {conditional!r}")
+                print(f"  {k:>4} {breakdown.pmf[k]!r} {breakdown.conditional[k]!r}")
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    params = load_params(args.config, args.set)
+    params = _load_params(args)
     loads = _point_loads(args)
     cfg, breakdown = optimal_configuration(loads, params, _accounting(args))
     print(f"optimal configuration for lambda1={args.lambda1!r}, lambda2={args.lambda2!r}: "
@@ -333,14 +364,12 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = _run_grid(args)
-    _write_csv(rows, args.out, with_flag=False)
+    _run_grid(args, with_flag=False)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    rows = _run_grid(args)
-    _write_csv(rows, args.out, with_flag=True)
+    rows = _run_grid(args, with_flag=True)
     flagged = [row for row in rows if row.get("_deviation") == "DEVIATION"]
     if flagged:
         print(f"warning: {len(flagged)} row(s) deviate from the closed form "
@@ -420,8 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NonPositiveRateError, RateExceedsPopulationError,
-            FileNotFoundError) as error:
+    except (ConfigError, NonPositiveRateError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, ValueError) as error:

@@ -34,8 +34,6 @@ from .params import SystemParams
 from .sinr import Configuration
 from .throughput import LoadDistribution, _split_weights
 
-DOWNLINK = "dl"
-UPLINK = "ul"
 # Frames per stream and numpy pass of ``simulate``. Larger blocks run
 # faster but hold more rows in memory at once.
 BLOCK_FRAMES = 64
@@ -126,54 +124,37 @@ def draw_activation(loads: LoadDistribution, params: SystemParams,
 
 @dataclass(frozen=True, eq=False)
 class FrameRealization:
-    """One frame's receptions as columns, one row per receiver and slot, in
-    slot order; a slot holds one row, or two for a co-channel pair.
+    """The receptions of a block of frames as columns, one row per receiver
+    and slot, frame after frame in slot order; a slot holds one row, or two
+    for a co-channel pair.
 
-    ``link`` is the serving UAV, ``cell`` and ``user`` the ground endpoint
-    (its cell, its index there), ``direction`` "dl" or "ul", ``interferer``
-    "none", "uav" or "ground". Powers are in W; ``rate`` and
-    ``throughput``, the mean slot sum-rate, in bits/s/Hz.
+    Slots and users are numbered across the block, each frame's cell-1
+    users first, so a row of a block of one belongs to the service class
+    ``schedule.kinds[slot // 2]`` of its frame's Schedule. ``link`` is the
+    serving UAV, ``user`` the ground endpoint, ``downlink`` whether the UAV
+    transmits and ``hit`` whether the slot's co-channel transmitter reaches
+    the receiver. ``cell`` is indexed by user. Powers are in W; ``rate``
+    and ``throughput``, one mean slot sum-rate per frame, in bits/s/Hz.
     """
 
-    k1: int
-    k2: int
     slot: np.ndarray
-    kind: np.ndarray
     link: np.ndarray
-    direction: np.ndarray
-    cell: np.ndarray
     user: np.ndarray
+    downlink: np.ndarray
+    hit: np.ndarray
     signal: np.ndarray
     interference: np.ndarray
-    interferer: np.ndarray
     rate: np.ndarray
-    throughput: float
+    cell: np.ndarray
+    throughput: list
 
     @property
     def slot_count(self) -> int:
         return int(self.slot[-1]) + 1 if self.slot.size else 0
 
 
-@dataclass(frozen=True, eq=False)
-class _Receptions:
-    """The receptions of a block of frames as columns, frame after frame.
-    Slots and users are numbered across the block; ``cell`` is indexed by
-    user and ``throughput`` holds one value per frame."""
-
-    slot: np.ndarray
-    link: np.ndarray
-    user: np.ndarray
-    downlink: np.ndarray
-    cell: np.ndarray
-    hit: np.ndarray
-    signal: np.ndarray
-    interference: np.ndarray
-    rate: np.ndarray
-    throughput: list
-
-
 def _receptions(cfg: Configuration, plans: list[Schedule], rng, params: SystemParams,
-                worst_case_distances: bool, mean_shadowing: bool) -> _Receptions:
+                worst_case_distances: bool, mean_shadowing: bool) -> FrameRealization:
     """Every reception of a block of frames, in one pass.
 
     Frame j follows ``plans[j]``. The block draws from ``rng`` in two
@@ -254,35 +235,28 @@ def _receptions(cfg: Configuration, plans: list[Schedule], rng, params: SystemPa
     for count in slot_counts:
         throughput.append(sum(slot_rates[start:start + count]) / count if count else 0.0)
         start += count
-    return _Receptions(slot=slot, link=link, user=user, downlink=downlink, cell=cell, hit=hit,
-                       signal=signal, interference=interference, rate=rate,
-                       throughput=throughput)
+    return FrameRealization(slot=slot, link=link, user=user, downlink=downlink, hit=hit,
+                            signal=signal, interference=interference, rate=rate, cell=cell,
+                            throughput=throughput)
 
 
 def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=None, *,
               worst_case_distances: bool = False,
               mean_shadowing: bool = False) -> FrameRealization:
-    """Simulate one frame and return its receptions as columns.
+    """Simulate one frame: the record of a block of one, whose
+    ``throughput[0]`` is the frame's value.
 
-    The frame is a block of one: it draws its layout (unless worst-case),
-    then its shadowing deviates (unless mean), as a block of ``simulate``
-    does after its counts. Only worst-case distances with mean shadowing
-    draw nothing and may leave ``rng`` out.
+    It draws its layout (unless worst-case), then its shadowing deviates
+    (unless mean), as a block of ``simulate`` does after its counts. Only
+    worst-case distances with mean shadowing draw nothing and may leave
+    ``rng`` out.
     """
     if rng is None and not (worst_case_distances and mean_shadowing):
         distances = "worst-case" if worst_case_distances else "exact"
         shadowing = "mean" if mean_shadowing else "sampled"
         raise ValueError(f"rng is required for {distances} distances with {shadowing} shadowing")
-    plan = schedule_frame(cfg, k1, k2)
-    frame = _receptions(cfg, [plan], rng, params, worst_case_distances, mean_shadowing)
-    cell = frame.cell[frame.user]
-    interferer = np.where(frame.downlink, "uav", "ground") if cfg.r == 0 else "ground"
-    return FrameRealization(
-        k1=k1, k2=k2, slot=frame.slot, kind=np.array(plan.kinds, dtype=str)[frame.slot // 2],
-        link=frame.link, direction=np.where(frame.downlink, DOWNLINK, UPLINK), cell=cell,
-        user=frame.user - k1 * (cell == 2), signal=frame.signal,
-        interference=frame.interference, interferer=np.where(frame.hit, interferer, "none"),
-        rate=frame.rate, throughput=frame.throughput[0])
+    return _receptions(cfg, [schedule_frame(cfg, k1, k2)], rng, params,
+                       worst_case_distances, mean_shadowing)
 
 
 @dataclass(frozen=True)
@@ -291,8 +265,6 @@ class SimResult:
 
     mean: float
     ci_half_width: float
-    n_frames: int
-    seed: object
 
     @property
     def ci_low(self) -> float:
@@ -367,7 +339,7 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if n_frames > 1 else 0.0
     half_width = 1.96 * std / math.sqrt(n_frames)
-    return SimResult(mean=mean, ci_half_width=half_width, n_frames=n_frames, seed=seed)
+    return SimResult(mean=mean, ci_half_width=half_width)
 
 
 def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams) -> float:

@@ -70,8 +70,9 @@ class SystemParams:
         h_high = (self.d_0 + self.d_sep) / math.tan(self.phi_b)
         if not h_low < h_high:
             raise GuardViolationError(
-                f"h_low={h_low:.3f} m must stay below h_high={h_high:.3f} m "
-                f"(guard offset h_0_m too large for d_sep_m)")
+                f"h_low={h_low:.3f} m must stay below h_high={h_high:.3f} m: the guard "
+                f"offset h_0_m={self.h_0!r} must be below d_sep_m / tan(phi_b_rad) = "
+                f"{self.d_sep!r} / tan({self.phi_b!r})")
         for name, value in (("g0", 30000.0 / 4.0 * (math.pi / 180.0) ** 2),
                             ("h_low", h_low), ("h_high", h_high),
                             ("d_min", 2.0 * self.d_0 / self.n_users),

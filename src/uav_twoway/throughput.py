@@ -74,18 +74,21 @@ class LoadDistribution:
 
 @dataclass(frozen=True)
 class ThroughputBreakdown:
-    """Average throughput with its per-load-difference decomposition.
-
-    ``per_k`` maps k to (probability weight, conditional average); the
-    total is the weight-conditional dot product over k in [-N, N].
-    ``covered_mass`` is the Skellam probability of [-N, N]: the mass
-    outside it contributes nothing and is not renormalised away.
+    """Average throughput of one configuration with the two vectors it
+    multiplies: ``total`` is the dot product of ``pmf``, P(lambda), and
+    ``conditional``, C(cfg), over k in [-N, N], both indexed by k.
     """
 
     total: float
-    per_k: dict = field(repr=False)
-    config: Configuration = None
-    covered_mass: float = None
+    config: Configuration
+    pmf: tuple = field(repr=False)
+    conditional: tuple = field(repr=False)
+
+    @property
+    def covered_mass(self) -> float:
+        """The Skellam probability of [-N, N]: the mass outside it
+        contributes nothing and is not renormalised away."""
+        return math.fsum(self.pmf)
 
 
 def _log_scaled_bessel(n: int, z: float) -> list[float]:
@@ -224,14 +227,11 @@ def average_throughput(cfg: Configuration | ConditionalTable, loads: LoadDistrib
                          f"N={len(table.values) // 2} used with {mode.value} and N={n}")
     pmf = loads.skellam_vector(n)
     conditional = table.values
-    per_k = {0: (pmf[0], conditional[0])}
     total = pmf[0] * conditional[0]
     for j in range(1, n + 1):
-        per_k[j] = (pmf[j], conditional[j])
-        per_k[-j] = (pmf[-j], conditional[-j])
         total += pmf[j] * conditional[j] + pmf[-j] * conditional[-j]
-    return ThroughputBreakdown(total=total, per_k=per_k, config=table.config,
-                               covered_mass=math.fsum(pmf))
+    return ThroughputBreakdown(total=total, config=table.config, pmf=pmf,
+                               conditional=conditional)
 
 
 def pick_optimal(breakdowns: dict) -> ThroughputBreakdown:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import math
 import os
 import subprocess
@@ -6,11 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import uav_twoway
-from uav_twoway import default_config, validate_and_derive
+from uav_twoway import cli, default_config, validate_and_derive
 from uav_twoway.cli import CSV_COLUMNS, MAX_FRAMES, MAX_WORKERS, main
 from uav_twoway.errors import NonPositiveRateError
+from uav_twoway.params import CONFIG_SCHEMA, MAX_USERS
 from uav_twoway.throughput import (LoadDistribution, average_throughput,
                                    optimal_configuration)
 
@@ -282,3 +287,118 @@ def test_config_file_and_overrides_flow(tmp_path, capsys):
 def test_missing_config_file_exits_2(capsys):
     assert run_cli("eval", "--lambda1", "1", "--lambda2", "1",
                    "--config", "/nonexistent/path.cfg") == 2
+
+
+@pytest.fixture
+def no_rows(monkeypatch):
+    """Fails the test if a grid command computes any CSV row."""
+    def computed(*args):
+        pytest.fail("a row was computed before the input was rejected")
+    monkeypatch.setattr(cli, "_point_rows", computed)
+
+
+def test_unusable_config_or_out_exits_2_naming_the_flag(capsys, tmp_path, no_rows):
+    # a directory once ended in an IsADirectoryError traceback, a binary
+    # file in exit 3, and a missing --out directory was reported after the
+    # whole grid had run
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\x7fELF\xff\xfe\x00\x01")
+    point = ("--lambda1", "5", "--lambda2", "3")
+    grid = (*point, "--frames", "3")
+    for argv, flag in ((("eval", *point, "--config", str(tmp_path)), "--config"),
+                       (("optimize", *point, "--config", str(binary)), "--config"),
+                       (("eval", *point, "--config", str(tmp_path / "missing.cfg")), "--config"),
+                       (("compare", *grid, "--config", str(binary)), "--config"),
+                       (("sweep", *grid, "--out", str(tmp_path)), "--out"),
+                       (("compare", *grid, "--out", str(tmp_path / "missing" / "x.csv")),
+                        "--out")):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2, argv
+        assert f"error: {flag}=" in capsys.readouterr().err, argv
+
+
+def test_binomial_rate_above_population_exits_2_naming_the_flag(capsys, no_rows):
+    # each user is active with probability lambda / N, N = 30 here
+    for lambda1, lambda2, named in (("50", "3", "--lambda1=50.0"),
+                                    ("3", "2,31", "--lambda2=31.0")):
+        capsys.readouterr()
+        assert run_cli("compare", "--lambda1", lambda1, "--lambda2", lambda2,
+                       "--frames", "3", "--activation", "binomial") == 2
+        assert f"error: {named}:" in capsys.readouterr().err
+
+
+def test_binomial_rate_above_population_is_fine_without_frames(capsys):
+    assert run_cli("sweep", "--lambda1", "50", "--lambda2", "3", "--frames", "0",
+                   "--activation", "binomial") == 0
+
+
+# key -> (low, high): CONFIG_SCHEMA's documented range ends. phi_b_rad's
+# high end is excluded; h_0_m has none, and 1e6 m breaks the guard.
+RANGE_ENDS = {
+    "f_c_hz": (1e6, 1e12), "c_mps": (1e7, 1e9), "p_u_dbm": (-100.0, 100.0),
+    "p_g_dbm": (-100.0, 100.0), "noise_dbm": (-250.0, 0.0), "d_0_m": (1.0, 1e5),
+    "d_sep_m": (1.0, 1e6), "n_users": (1, MAX_USERS), "phi_b_rad": (1e-3, math.pi / 2),
+    "h_0_m": (0.0, 1e6), "n_los": (1.0, 10.0), "n_nlos": (1.0, 10.0),
+    "mu_los_db": (-100.0, 100.0), "sigma_los_db": (0.0, 50.0),
+    "mu_nlos_db": (-100.0, 100.0), "sigma_nlos_db": (0.0, 50.0),
+}
+NOT_NUMBERS = ("abc", "", "nan", "-inf")
+IN_RANGE_LOADS = ("1e-09", "5", "1e10")
+LOADS = IN_RANGE_LOADS + ("0", "2e10", "inf", "nan")
+
+
+def inside(key):
+    """The key's range ends, the values just inside them and its middle.
+    n_users stays at most 60, so an example takes a fraction of a second."""
+    low, high = RANGE_ENDS[key]
+    if key == "n_users":
+        return (1, 2, 30, 59, 60)
+    ends = (low, high) if key != "phi_b_rad" else (low,)
+    return (*ends, math.nextafter(low, high), math.nextafter(high, low), (low + high) / 2)
+
+
+def outside(key):
+    """The values just outside the key's range ends, and non-numbers."""
+    low, high = RANGE_ENDS[key]
+    if key == "n_users":
+        return (0, high + 1, 1.5, *NOT_NUMBERS)
+    beyond = [math.nextafter(low, -math.inf)]
+    if key == "phi_b_rad":
+        beyond.append(high)  # the excluded end
+    if key != "h_0_m":
+        beyond.append(math.nextafter(high, math.inf))
+    return (*beyond, *NOT_NUMBERS)
+
+
+@st.composite
+def overrides(draw):
+    """In-range values for a random subset of the keys, and at most one
+    key outside its range."""
+    keys = sorted(RANGE_ENDS)
+    values = {key: draw(st.sampled_from(inside(key)))
+              for key in draw(st.lists(st.sampled_from(keys), unique=True))}
+    bad = draw(st.none() | st.sampled_from(keys))
+    if bad is not None:
+        values[bad] = draw(st.sampled_from(outside(bad)))
+    return values
+
+
+def test_range_ends_cover_every_key():
+    assert set(RANGE_ENDS) == set(CONFIG_SCHEMA)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((("eval",), ("eval", "--exhaustive"), ("optimize",))), overrides(),
+       *[st.sampled_from(IN_RANGE_LOADS) | st.sampled_from(LOADS)] * 2)
+def test_point_commands_exit_0_or_2_naming_the_input(command, values, lambda1, lambda2):
+    # eval and optimize end in bounded time whatever their input: every
+    # exit 2 names a key that was set, or a load
+    assignments = [f"--set={key}={value}" for key, value in values.items()]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*command, "--lambda1", lambda1, "--lambda2", lambda2, *assignments])
+    message = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 2), message
+    if code == 2:
+        assert any(name in message for name in (*values, "--lambda1=", "--lambda2=")), message

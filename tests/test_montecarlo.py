@@ -11,7 +11,8 @@ from uav_twoway.errors import RateExceedsPopulationError
 from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, _positions,
                                    draw_activation, frame_rng, run_frame, simulate,
                                    simulate_exhaustive)
-from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts
+from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts,
+                                schedule_frame)
 from uav_twoway.sinr import Configuration, all_configurations
 from uav_twoway.throughput import (LoadDistribution, average_throughput,
                                    conditional_throughput)
@@ -152,44 +153,46 @@ frames = st.tuples(st.sampled_from(list(all_configurations().values())),
 
 def draw_frame(args, params):
     cfg, k1, k2, seed, mode = args
-    return cfg, run_frame(cfg, k1, k2, params, frame_rng(seed, 0), **mode)
+    return cfg, k1, k2, run_frame(cfg, k1, k2, params, frame_rng(seed, 0), **mode)
+
+
+def row_kinds(frame, cfg, k1, k2):
+    """Each row's service class, read from its frame's schedule."""
+    return np.array(schedule_frame(cfg, k1, k2).kinds, dtype=str)[frame.slot // 2]
 
 
 @given(frames)
 def test_slot_accounting_matches_pairing(params, args):
-    cfg, frame = draw_frame(args, params)
-    expected = pair_counts(frame.k1 - frame.k2, frame.k2, cfg.t1, cfg.t2)
+    cfg, k1, k2, frame = draw_frame(args, params)
+    expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
     assert frame.slot_count == expected.slot_count
+    assert np.array_equal(frame.slot, schedule_frame(cfg, k1, k2).rows[0])
     _, first_rows = np.unique(frame.slot, return_index=True)
-    slot_kinds = frame.kind[first_rows].tolist()
+    slot_kinds = row_kinds(frame, cfg, k1, k2)[first_rows].tolist()
     assert [slot_kinds.count(kind) for kind in (CROSS_CELL, SAME_CELL, INDIVIDUAL)] == [
         2 * expected.a_d, 2 * expected.a_s, 2 * expected.b]
 
 
 @given(frames)
 def test_each_user_served_once_each_direction(params, args):
-    _, frame = draw_frame(args, params)
-    served = zip(frame.cell.tolist(), frame.user.tolist(), frame.direction.tolist())
-    assert sorted(served) == [(cell, index, direction)
-                              for cell, count in ((1, frame.k1), (2, frame.k2))
-                              for index in range(count) for direction in ("dl", "ul")]
+    _, k1, k2, frame = draw_frame(args, params)
+    served = zip(frame.user.tolist(), frame.downlink.tolist())
+    assert sorted(served) == [(user, downlink) for user in range(k1 + k2)
+                              for downlink in (False, True)]
+    assert frame.cell.tolist() == [1] * k1 + [2] * k2
 
 
 @given(frames)
 def test_interference_bookkeeping(params, args):
     # a reception sees at most the one co-channel transmitter of its slot,
-    # and a UAV receiver never accrues UAV interference
-    cfg, frame = draw_frame(args, params)
+    # and with r = 1 a UAV receiver sees none
+    cfg, _, _, frame = draw_frame(args, params)
     alone = np.bincount(frame.slot)[frame.slot] == 1
-    assert np.all(frame.interferer[alone] == "none")
+    assert not np.any(frame.hit[alone])
     assert np.all(frame.interference[alone] == 0.0)
-    assert np.array_equal(frame.interference == 0.0, frame.interferer == "none")
-    uplink = frame.direction == "ul"
-    assert not np.any(frame.interferer[uplink] == "uav")
+    assert np.array_equal(frame.interference == 0.0, ~frame.hit)
     if cfg.r == 1:
-        assert np.all(frame.interferer[uplink] == "none")
-    else:
-        assert not np.any(frame.interferer[~uplink] == "ground")
+        assert not np.any(frame.hit[~frame.downlink])
 
 
 def matched_frame(cfg, k1, k2, params):
@@ -225,7 +228,8 @@ def test_exact_receptions_dominate_worst_case(params, args):
     exact = run_frame(cfg, k1, k2, params, frame_rng(seed, 0), mean_shadowing=True)
     worst = matched_frame(cfg, k1, k2, params)
     assert np.array_equal(exact.slot, worst.slot) and np.array_equal(exact.user, worst.user)
-    exempt = (exact.kind == SAME_CELL) & (exact.interferer == "ground")
+    ground = exact.hit & ((cfg.r == 1) | ~exact.downlink)  # a ground user interferes
+    exempt = (row_kinds(exact, cfg, k1, k2) == SAME_CELL) & ground
     assert np.all((exact.rate >= worst.rate) | exempt)
 
 

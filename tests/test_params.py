@@ -114,6 +114,13 @@ def test_guard_violation():
         validate_and_derive(config)
 
 
+def test_guard_violation_names_every_key_it_involves(capsys):
+    # phi_b_rad=1.5707 lies inside its range, but lifts h_low above h_high
+    assert main(["eval", "--lambda1", "5", "--lambda2", "3", "--set", "phi_b_rad=1.5707"]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("h_0_m", "d_sep_m", "phi_b_rad")), err
+
+
 def test_guard_runs_at_construction(params):
     # every SystemParams is consistent when built, not only a validated one
     gap = params.h_high - params.h_low + params.h_0  # h_0 at which h_low = h_high

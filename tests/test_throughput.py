@@ -179,16 +179,15 @@ def test_total_is_per_k_dot_product(params, candidates):
     breakdown = average_throughput(candidates["r1_Hl_Hh"],
                                    LoadDistribution(8.0, 3.0), params)
     recomputed = math.fsum(weight * conditional
-                           for weight, conditional in breakdown.per_k.values())
+                           for weight, conditional in zip(breakdown.pmf, breakdown.conditional))
     assert_allclose(breakdown.total, recomputed, rtol=1e-12)
-    assert set(breakdown.per_k) == set(range(-30, 31))
+    assert len(breakdown.pmf) == len(breakdown.conditional) == 2 * 30 + 1
 
 
 def test_empty_strata_carry_zero_conditional(params, candidates):
     breakdown = average_throughput(candidates["r0_Hl_Hl"],
                                    LoadDistribution(5.0, 5.0), params)
-    weight, conditional = breakdown.per_k[30]
-    assert weight > 0 and conditional == 0.0
+    assert breakdown.pmf[30] > 0 and breakdown.conditional[30] == 0.0
 
 
 def test_equal_loads_make_mirrors_equal(params, candidates):
