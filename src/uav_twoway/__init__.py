@@ -22,7 +22,7 @@ from .sinr import (Configuration, all_configurations, candidate_configurations,
 from .throughput import (ConditionalTable, LoadDistribution, ThroughputBreakdown,
                          average_throughput, conditional_table,
                          conditional_throughput, optimal_configuration,
-                         skellam_pmf, skellam_vector)
+                         skellam_vector)
 
 __version__ = "0.1.0"
 

@@ -22,9 +22,8 @@ from .errors import ConfigError, NonPositiveRateError
 from .pairing import AccountingMode
 from .params import SystemParams, load_params
 from .sinr import all_configurations, candidate_configurations
-from .throughput import (OPTIMAL_PRIORITY, LoadDistribution, average_throughput,
-                         check_rate, conditional_table, optimal_configuration,
-                         pick_optimal)
+from .throughput import (LoadDistribution, average_throughput, check_rate,
+                         conditional_table, optimal_configuration, pick_optimal)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -195,25 +194,19 @@ def _point_rows(spec: SweepSpec, point: tuple) -> list[dict]:
     """All CSV rows for one grid point ``(index, lambda1, lambda2)``.
     Module-level so worker processes can run it.
 
-    The Skellam vector is computed once for the point, and every
-    configuration's average once, the optimum reusing the candidates'."""
+    The Skellam vector is computed once for the point, and every table's
+    average once, the optimum reusing the candidates'."""
     point_index, lambda1, lambda2 = point
     params, accounting, activation = spec.params, spec.accounting, spec.activation
     loads = LoadDistribution(lambda1, lambda2)
-    breakdowns = {}
-
-    def average(label):
-        if label not in breakdowns:
-            breakdowns[label] = average_throughput(spec.tables[label], loads, params, accounting)
-        return breakdowns[label]
-
+    breakdowns = {label: average_throughput(table, loads) for label, table in spec.tables.items()}
     rows = []
     for config_index, (label, cfg) in enumerate(spec.selections):
         if label == OPTIMAL:
-            breakdown = pick_optimal({c: average(c) for c in OPTIMAL_PRIORITY})
+            breakdown = pick_optimal(breakdowns)
             cfg = breakdown.config
         else:
-            breakdown = average(label)
+            breakdown = breakdowns[label]
         row = {
             "lambda1": repr(float(lambda1)),
             "lambda2": repr(float(lambda2)),
@@ -326,11 +319,9 @@ def cmd_eval(args) -> int:
     else:
         configs = candidate_configurations()
 
-    breakdowns = {label: average_throughput(cfg, loads, params, accounting)
-                  for label, cfg in configs.items()}
-    best = pick_optimal({
-        label: breakdowns.get(label) or average_throughput(cfg, loads, params, accounting)
-        for label, cfg in candidate_configurations().items()})
+    breakdowns = {label: average_throughput(conditional_table(cfg, params, accounting), loads)
+                  for label, cfg in {**configs, **candidate_configurations()}.items()}
+    best = pick_optimal(breakdowns)
 
     print(f"lambda1={args.lambda1!r} lambda2={args.lambda2!r} "
           f"accounting={accounting.value} covered_mass={best.covered_mass!r}")
@@ -344,7 +335,8 @@ def cmd_eval(args) -> int:
 
     if args.per_k:
         n = params.n_users
-        for label, breakdown in breakdowns.items():
+        for label in configs:
+            breakdown = breakdowns[label]
             print(f"\nper-k breakdown for {label} (k, weight, conditional):")
             for k in range(-n, n + 1):
                 print(f"  {k:>4} {breakdown.pmf[k]!r} {breakdown.conditional[k]!r}")
@@ -422,10 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("eval", parents=[common, point],
                                 help="evaluate the candidate configurations at one point")
-    sub.add_argument("--configuration", default=None, metavar="LABEL",
-                     help="evaluate a single configuration (e.g. r1_Hl_Hh)")
-    sub.add_argument("--exhaustive", action="store_true",
-                     help="include all 8 (r, h1, h2) tuples")
+    selection = sub.add_mutually_exclusive_group()
+    selection.add_argument("--configuration", default=None, metavar="LABEL",
+                           help="evaluate a single configuration (e.g. r1_Hl_Hh)")
+    selection.add_argument("--exhaustive", action="store_true",
+                           help="include all 8 (r, h1, h2) tuples")
     sub.add_argument("--per-k", action="store_true", dest="per_k",
                      help="print the per-load-difference breakdown")
     sub.set_defaults(func=cmd_eval)

@@ -32,7 +32,8 @@ from .errors import RateExceedsPopulationError
 from .pairing import Schedule, schedule_frame
 from .params import SystemParams
 from .sinr import Configuration
-from .throughput import LoadDistribution, _split_weights
+from .throughput import (ConditionalTable, LoadDistribution, _split_weights, _weighted_table,
+                         admissible_k2, average_throughput)
 
 # Frames per stream and numpy pass of ``simulate``. Larger blocks run
 # faster but hold more rows in memory at once.
@@ -342,27 +343,21 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     return SimResult(mean=mean, ci_half_width=half_width)
 
 
-def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams) -> float:
-    """Exact expectation of the matched-assumption simulator.
-
-    Enumerates every admissible (K1, K2), computes its deterministic
-    worst-case mean-shadowing frame with the engine ``simulate`` memoizes
-    in that mode, and applies the same probability weights as the closed
-    form. Agreement with the analytical average validates the scheduler
-    and slot engine end to end.
-    """
+def _matched_table(cfg: Configuration, params: SystemParams) -> ConditionalTable:
+    """C(cfg) of the matched-assumption engine: each entry the split-weighted
+    sum of the deterministic worst-case mean-shadowing frame values that
+    ``simulate`` memoizes in that mode, every admissible (K1, K2) computed
+    BLOCK_FRAMES per engine pass."""
     n = params.n_users
-    pmf = loads.skellam_vector(n)
-    strata = [(k, *_split_weights(k, n)) for k in range(-n, n + 1)]
     memo: dict = {}
-    _fill_memo(cfg, memo, [(big_k2 + k, big_k2) for k, splits, _ in strata for big_k2 in splits],
-               params)
-    total = 0.0
-    for k, splits, weights in strata:
-        if not splits:
-            continue
-        inner = 0.0
-        for weight, big_k2 in zip(weights, splits):
-            inner += weight * memo[big_k2 + k, big_k2]
-        total += pmf[k] * inner
-    return total
+    _fill_memo(cfg, memo, [(big_k2 + k, big_k2) for k in range(-n, n + 1)
+                           for big_k2 in admissible_k2(k, n)], params)
+    return _weighted_table(cfg, n, lambda k, big_k2: memo[big_k2 + k, big_k2])
+
+
+def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams) -> float:
+    """Exact expectation of the matched-assumption simulator: the engine's
+    own C(cfg) times the closed form's P(lambda). Agreement with the
+    analytical average validates the scheduler and slot engine end to end.
+    """
+    return average_throughput(_matched_table(cfg, params), loads).total

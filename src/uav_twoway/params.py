@@ -34,7 +34,7 @@ class SystemParams:
     """Validated physical and layout constants, with the geometry they imply.
 
     f_c [Hz], c_light [m/s], p_u/p_g/noise_power [W] (stored linear),
-    d_0/d_sep/h_0 [m], phi_b [rad] in [1e-3, pi/2), path-loss exponents
+    d_0/d_sep/h_0 [m], phi_b [rad] in [1e-3, pi/2 - 1e-3], path-loss exponents
     dimensionless, shadowing means/stds in dB.
 
     Computed on construction: g0 the antenna gain coefficient, h_low/h_high
@@ -117,14 +117,17 @@ _EXPONENT = _within(1.0, 10.0)
 
 
 # Narrower lobes lift the UAVs above d_0 / tan(1e-3), 1000 cell radii, and
-# below about 1e-162 rad the gain g0 / phi_b ** 2 divides by zero.
+# below about 1e-162 rad the gain g0 / phi_b ** 2 divides by zero. Wider
+# lobes put the low UAV below d_0 / tan(pi/2 - 1e-3), d_0 / 1000, and
+# towards pi/2 on the ground.
 MIN_HALF_BEAMWIDTH = 1e-3  # rad
+MAX_HALF_BEAMWIDTH = math.pi / 2 - 1e-3  # rad
 
 
 def _half_beamwidth(value: float, key: str) -> float:
-    if not MIN_HALF_BEAMWIDTH <= value < math.pi / 2:
+    if not MIN_HALF_BEAMWIDTH <= value <= MAX_HALF_BEAMWIDTH:
         raise OutOfRangeError(
-            f"{key}={value!r}: must lie in [{MIN_HALF_BEAMWIDTH:g}, pi/2) rad")
+            f"{key}={value!r}: must lie in [{MIN_HALF_BEAMWIDTH:g}, pi/2 - 1e-3] rad")
     return value
 
 
@@ -144,7 +147,7 @@ CONFIG_SCHEMA = {
     "d_0_m": (_RADIUS_M, "cell radius [m]"),
     "d_sep_m": (_SEPARATION_M, "distance between cell centers [m]"),
     "n_users": (_user_count, "users per cell"),
-    "phi_b_rad": (_half_beamwidth, "antenna half beamwidth [rad], in [1e-3, pi/2)"),
+    "phi_b_rad": (_half_beamwidth, "antenna half beamwidth [rad], in [1e-3, pi/2 - 1e-3]"),
     "h_0_m": (_non_negative, "altitude guard offset [m]"),
     "n_los": (_EXPONENT, "LoS path-loss exponent"),
     "n_nlos": (_EXPONENT, "NLoS path-loss exponent"),

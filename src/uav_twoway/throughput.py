@@ -140,11 +140,6 @@ def skellam_vector(n: int, lambda1: float, lambda2: float) -> list[float]:
             + [math.exp(base - k * half_log_ratio + logs[k]) for k in range(n, 0, -1)])
 
 
-def skellam_pmf(k: int, lambda1: float, lambda2: float) -> float:
-    """P{K1 - K2 = k} for independent Poisson counts with means lambda1, lambda2."""
-    return skellam_vector(abs(k), lambda1, lambda2)[k]
-
-
 def admissible_k2(k: int, n: int) -> range:
     """K2 values with both K2 and K2 + k inside [1, n]."""
     return range(max(1, 1 - k), min(n, n - k) + 1)
@@ -183,48 +178,44 @@ def conditional_throughput(k: int, big_k2: int, cfg: Configuration, params: Syst
 @dataclass(frozen=True)
 class ConditionalTable:
     """C(cfg)[k]: the split-weighted conditional throughput of one
-    configuration under one accounting mode, for k in [-N, N], indexed by k.
-    A k without admissible split holds 0."""
+    configuration for k in [-N, N], indexed by k, so N is
+    ``len(values) // 2``. A k without admissible split holds 0."""
 
     config: Configuration
-    mode: AccountingMode
     values: tuple[float, ...]
+
+
+def _weighted_table(cfg: Configuration, n: int, value) -> ConditionalTable:
+    """C(cfg) from ``value(k, K2)``, the throughput of the frame with loads
+    (K2 + k, K2). Each entry is an exactly rounded sum (``math.fsum``), so
+    it does not depend on the order of the splits."""
+
+    def entry(k: int) -> float:
+        splits, weights = _split_weights(k, n)
+        return math.fsum(weight * value(k, big_k2) for weight, big_k2 in zip(weights, splits))
+
+    return ConditionalTable(config=cfg,
+                            values=tuple(entry(k) for k in (*range(n + 1), *range(-n, 0))))
 
 
 def conditional_table(cfg: Configuration, params: SystemParams,
                       mode: AccountingMode = AccountingMode.CONSISTENT) -> ConditionalTable:
-    """Build C(cfg). Each entry is an exactly rounded sum (``math.fsum``),
-    so it does not depend on the order of the splits."""
-    n = params.n_users
+    """Build C(cfg) from the closed-form conditional throughput under
+    accounting ``mode``."""
     rates = rate_set(cfg, params)
-
-    def entry(k: int) -> float:
-        splits, weights = _split_weights(k, n)
-        return math.fsum(
-            weight * conditional_throughput(k, big_k2, cfg, params, mode, rates)
-            for weight, big_k2 in zip(weights, splits))
-
-    return ConditionalTable(config=cfg, mode=mode,
-                            values=tuple(entry(k) for k in (*range(n + 1), *range(-n, 0))))
+    return _weighted_table(cfg, params.n_users, lambda k, big_k2: conditional_throughput(
+        k, big_k2, cfg, params, mode, rates))
 
 
-def average_throughput(cfg: Configuration | ConditionalTable, loads: LoadDistribution,
-                       params: SystemParams, mode: AccountingMode = AccountingMode.CONSISTENT
-                       ) -> ThroughputBreakdown:
+def average_throughput(table: ConditionalTable, loads: LoadDistribution) -> ThroughputBreakdown:
     """Skellam-weighted average of the conditional throughput over k in
-    [-N, N]: the product P(lambda) . C(cfg).
+    [-N, N]: the product P(lambda) . C(cfg), with N taken from ``table``.
 
-    ``cfg`` may be the configuration's already built ConditionalTable; it
-    must match ``params`` and ``mode``. The mass outside [-N, N] contributes
-    zero without renormalizing. Contributions are accumulated as (+k) + (-k)
-    pairs so that swapping cells and mirroring the configuration reproduces
-    the total bitwise.
+    The mass outside [-N, N] contributes zero without renormalizing.
+    Contributions are accumulated as (+k) + (-k) pairs so that swapping
+    cells and mirroring the configuration reproduces the total bitwise.
     """
-    n = params.n_users
-    table = cfg if isinstance(cfg, ConditionalTable) else conditional_table(cfg, params, mode)
-    if table.mode is not mode or len(table.values) != 2 * n + 1:
-        raise ValueError(f"conditional table for {table.mode.value} accounting and "
-                         f"N={len(table.values) // 2} used with {mode.value} and N={n}")
+    n = len(table.values) // 2
     pmf = loads.skellam_vector(n)
     conditional = table.values
     total = pmf[0] * conditional[0]
@@ -235,8 +226,9 @@ def average_throughput(cfg: Configuration | ConditionalTable, loads: LoadDistrib
 
 
 def pick_optimal(breakdowns: dict) -> ThroughputBreakdown:
-    """The optimum of the candidates' breakdowns (label -> breakdown): the
-    largest total, ties going to the earliest label in OPTIMAL_PRIORITY."""
+    """The optimum of the candidates' breakdowns (label -> breakdown, other
+    labels ignored): the largest total, ties going to the earliest label in
+    OPTIMAL_PRIORITY."""
     best = None
     for label in OPTIMAL_PRIORITY:
         if best is None or breakdowns[label].total > best.total:
@@ -251,6 +243,6 @@ def optimal_configuration(loads: LoadDistribution, params: SystemParams,
 
     Ties prefer the same-direction low/low configuration, then low/high.
     """
-    best = pick_optimal({label: average_throughput(cfg, loads, params, mode)
+    best = pick_optimal({label: average_throughput(conditional_table(cfg, params, mode), loads)
                          for label, cfg in candidate_configurations().items()})
     return best.config, best

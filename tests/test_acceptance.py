@@ -12,8 +12,8 @@ from uav_twoway.cli import main as cli_main
 from uav_twoway.montecarlo import ActivationModel, simulate, simulate_exhaustive
 from uav_twoway.pairing import AccountingMode, pair_counts, schedule_frame
 from uav_twoway.sinr import Configuration, candidate_configurations
-from uav_twoway.throughput import (LoadDistribution, average_throughput,
-                                   optimal_configuration, skellam_pmf)
+from uav_twoway.throughput import (LoadDistribution, average_throughput, conditional_table,
+                                   optimal_configuration, skellam_vector)
 
 from test_throughput import brute_force_average, skellam_convolution
 
@@ -40,9 +40,10 @@ def test_criterion_2_skellam_oracle():
     for lam1 in (0.5, 2.0, 10.0):
         for lam2 in (0.5, 2.0, 10.0):
             for k in range(-30, 31):
-                gap = abs(skellam_pmf(k, lam1, lam2) - skellam_convolution(k, lam1, lam2))
+                gap = abs(skellam_vector(abs(k), lam1, lam2)[k]
+                          - skellam_convolution(k, lam1, lam2))
                 worst = max(worst, gap)
-    mass_gap = abs(math.fsum(skellam_pmf(k, 5.0, 5.0) for k in range(-60, 61)) - 1.0)
+    mass_gap = abs(math.fsum(skellam_vector(abs(k), 5.0, 5.0)[k] for k in range(-60, 61)) - 1.0)
     report("criterion 2 (Skellam vs convolution oracle)",
            worst <= 1e-10 and mass_gap < 1e-12,
            f"max_abs_err={worst:.2e} mass_gap={mass_gap:.2e}")
@@ -60,8 +61,8 @@ def test_criterion_3_regrouping_small_n():
         lam2 = rng.uniform(0.5, 6.0)
         for cfg in configs:
             expected = brute_force_average(cfg, lam1, lam2, params)
-            actual = average_throughput(cfg, LoadDistribution(lam1, lam2),
-                                        params).total
+            actual = average_throughput(conditional_table(cfg, params),
+                                        LoadDistribution(lam1, lam2)).total
             worst = max(worst, abs(actual - expected) / abs(expected))
     report("criterion 3 (load-difference regrouping, N=6)", worst <= 1e-9,
            f"max_rel_err={worst:.2e}")
@@ -97,10 +98,10 @@ def test_criterion_5_qualitative_reproduction(params):
     ok_skewed = cfg_heavy1.label == "r1_Hl_Hh" and cfg_heavy2.label == "r1_Hh_Hl"
     ok_mirror = True
     for lam1, lam2 in ((25.0, 2.0), (13.0, 4.0), (7.5, 19.25)):
-        direct = average_throughput(candidates["r1_Hl_Hh"],
-                                    LoadDistribution(lam1, lam2), params).total
-        mirrored = average_throughput(candidates["r1_Hh_Hl"],
-                                      LoadDistribution(lam2, lam1), params).total
+        direct = average_throughput(conditional_table(candidates["r1_Hl_Hh"], params),
+                                    LoadDistribution(lam1, lam2)).total
+        mirrored = average_throughput(conditional_table(candidates["r1_Hh_Hl"], params),
+                                      LoadDistribution(lam2, lam1)).total
         ok_mirror &= direct == mirrored
     report("criterion 5 (qualitative optima and exact mirror symmetry)",
            ok_balanced and ok_skewed and ok_mirror,
@@ -139,14 +140,14 @@ def test_criterion_7_model_simulator_consistency(params):
     for lam1, lam2 in ((10.0, 5.0), (25.0, 2.0)):
         loads = LoadDistribution(lam1, lam2)
         for cfg in candidates.values():
-            analytical = average_throughput(cfg, loads, params).total
+            analytical = average_throughput(conditional_table(cfg, params), loads).total
             exact = simulate_exhaustive(cfg, loads, params)
             worst_rel = max(worst_rel, abs(exact - analytical) / analytical)
     ok_exhaustive = worst_rel <= 1e-9
 
     loads = LoadDistribution(10.0, 5.0)
     cfg = candidates["r1_Hl_Hh"]
-    analytical = average_throughput(cfg, loads, params).total
+    analytical = average_throughput(conditional_table(cfg, params), loads).total
     sampled = simulate(cfg, loads, params, 100_000, seed=2718,
                        activation=ActivationModel.MODEL_MATCHED,
                        worst_case_distances=True, mean_shadowing=True)
@@ -166,7 +167,7 @@ def test_criterion_8_bound_dominance(params):
         for lam2 in GRID_LAMBDA2:
             loads = LoadDistribution(lam1, lam2)
             for cfg in candidates.values():
-                analytical = average_throughput(cfg, loads, params).total
+                analytical = average_throughput(conditional_table(cfg, params), loads).total
                 empirical = simulate(cfg, loads, params, 300,
                                      seed=(31, int(lam1), int(lam2)),
                                      mean_shadowing=True,

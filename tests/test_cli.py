@@ -16,7 +16,7 @@ from uav_twoway import cli, default_config, validate_and_derive
 from uav_twoway.cli import CSV_COLUMNS, MAX_FRAMES, MAX_WORKERS, main
 from uav_twoway.errors import NonPositiveRateError
 from uav_twoway.params import CONFIG_SCHEMA, MAX_USERS
-from uav_twoway.throughput import (LoadDistribution, average_throughput,
+from uav_twoway.throughput import (LoadDistribution, average_throughput, conditional_table,
                                    optimal_configuration)
 
 
@@ -34,8 +34,8 @@ def test_eval_matches_library(capsys, params, candidates):
     out = capsys.readouterr().out
     line = next(l for l in out.splitlines() if l.startswith("r0_Hl_Hl"))
     printed = float(line.split()[-1])
-    expected = average_throughput(candidates["r0_Hl_Hl"],
-                                  LoadDistribution(10.0, 10.0), params)
+    expected = average_throughput(conditional_table(candidates["r0_Hl_Hl"], params),
+                                  LoadDistribution(10.0, 10.0))
     assert printed == expected.total
     assert "optimal: r0_Hl_Hl" in out
     header = out.splitlines()[0]
@@ -57,6 +57,16 @@ def test_eval_single_configuration(capsys):
     assert len(rows) == 1 and rows[0].startswith("r1_Hh_Hl")
     assert run_cli("eval", "--lambda1", "5", "--lambda2", "5",
                    "--configuration", "nope") == 2
+
+
+def test_eval_configuration_and_exhaustive_exclude_each_other(capsys):
+    # together, one of them would be ignored
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("eval", "--lambda1", "5", "--lambda2", "5", "--exhaustive",
+                "--configuration", "r1_Hh_Hl")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--exhaustive" in err and "--configuration" in err, err
 
 
 def test_eval_per_k_table(capsys):
@@ -332,12 +342,12 @@ def test_binomial_rate_above_population_is_fine_without_frames(capsys):
                    "--activation", "binomial") == 0
 
 
-# key -> (low, high): CONFIG_SCHEMA's documented range ends. phi_b_rad's
-# high end is excluded; h_0_m has none, and 1e6 m breaks the guard.
+# key -> (low, high): CONFIG_SCHEMA's documented range ends. h_0_m has
+# none, and 1e6 m breaks the guard.
 RANGE_ENDS = {
     "f_c_hz": (1e6, 1e12), "c_mps": (1e7, 1e9), "p_u_dbm": (-100.0, 100.0),
     "p_g_dbm": (-100.0, 100.0), "noise_dbm": (-250.0, 0.0), "d_0_m": (1.0, 1e5),
-    "d_sep_m": (1.0, 1e6), "n_users": (1, MAX_USERS), "phi_b_rad": (1e-3, math.pi / 2),
+    "d_sep_m": (1.0, 1e6), "n_users": (1, MAX_USERS), "phi_b_rad": (1e-3, math.pi / 2 - 1e-3),
     "h_0_m": (0.0, 1e6), "n_los": (1.0, 10.0), "n_nlos": (1.0, 10.0),
     "mu_los_db": (-100.0, 100.0), "sigma_los_db": (0.0, 50.0),
     "mu_nlos_db": (-100.0, 100.0), "sigma_nlos_db": (0.0, 50.0),
@@ -353,8 +363,7 @@ def inside(key):
     low, high = RANGE_ENDS[key]
     if key == "n_users":
         return (1, 2, 30, 59, 60)
-    ends = (low, high) if key != "phi_b_rad" else (low,)
-    return (*ends, math.nextafter(low, high), math.nextafter(high, low), (low + high) / 2)
+    return (low, high, math.nextafter(low, high), math.nextafter(high, low), (low + high) / 2)
 
 
 def outside(key):
@@ -363,8 +372,6 @@ def outside(key):
     if key == "n_users":
         return (0, high + 1, 1.5, *NOT_NUMBERS)
     beyond = [math.nextafter(low, -math.inf)]
-    if key == "phi_b_rad":
-        beyond.append(high)  # the excluded end
     if key != "h_0_m":
         beyond.append(math.nextafter(high, math.inf))
     return (*beyond, *NOT_NUMBERS)

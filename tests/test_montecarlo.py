@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from uav_twoway.errors import RateExceedsPopulationError
-from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, _positions,
+from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, _matched_table, _positions,
                                    draw_activation, frame_rng, run_frame, simulate,
                                    simulate_exhaustive)
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts,
                                 schedule_frame)
 from uav_twoway.sinr import Configuration, all_configurations
-from uav_twoway.throughput import (LoadDistribution, average_throughput,
-                                   conditional_throughput)
+from uav_twoway.throughput import (LoadDistribution, admissible_k2, average_throughput,
+                                   conditional_table, conditional_throughput)
 
 
 def test_layout_inside_discs(params):
@@ -246,15 +246,29 @@ def test_run_frame_without_stream_names_rng_and_mode(params, candidates, mode, n
 def test_exhaustive_matches_analytical(params, candidates):
     loads = LoadDistribution(7.0, 4.0)
     for cfg in candidates.values():
-        analytical = average_throughput(cfg, loads, params).total
+        analytical = average_throughput(conditional_table(cfg, params), loads).total
         assert_allclose(simulate_exhaustive(cfg, loads, params),
                         analytical, rtol=1e-9)
+
+
+def test_matched_table_matches_conditional_table_per_k(params):
+    # the engine's C(cfg) entry by entry, every configuration; a load
+    # difference without admissible split holds exactly 0 on both sides
+    n = params.n_users
+    for cfg in all_configurations().values():
+        matched = _matched_table(cfg, params)
+        expected = conditional_table(cfg, params)
+        assert matched.config == cfg and len(matched.values) == 2 * n + 1
+        assert_allclose(matched.values, expected.values, rtol=1e-12)
+        for k in range(-n, n + 1):
+            if not admissible_k2(k, n):
+                assert matched.values[k] == expected.values[k] == 0.0
 
 
 def test_model_matched_sampling_is_unbiased(params, candidates):
     cfg = candidates["r1_Hl_Hh"]
     loads = LoadDistribution(10.0, 5.0)
-    analytical = average_throughput(cfg, loads, params).total
+    analytical = average_throughput(conditional_table(cfg, params), loads).total
     result = simulate(cfg, loads, params, 20_000, seed=8,
                       activation=ActivationModel.MODEL_MATCHED,
                       worst_case_distances=True, mean_shadowing=True)
@@ -278,7 +292,7 @@ def test_exact_distances_dominate_bound(params, candidates):
     for lam1, lam2 in ((10.0, 5.0), (20.0, 3.0)):
         loads = LoadDistribution(lam1, lam2)
         for cfg in candidates.values():
-            analytical = average_throughput(cfg, loads, params).total
+            analytical = average_throughput(conditional_table(cfg, params), loads).total
             result = simulate(cfg, loads, params, 200, seed=13,
                               mean_shadowing=True,
                               activation=ActivationModel.MODEL_MATCHED)

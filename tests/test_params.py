@@ -9,8 +9,8 @@ from uav_twoway import SystemParams, default_config, validate_and_derive
 from uav_twoway.errors import (ConfigError, GuardViolationError, MissingKeyError,
                                OutOfRangeError)
 from uav_twoway.cli import main
-from uav_twoway.params import (MAX_USERS, apply_overrides, dbm_to_watts, load_params,
-                               parse_config_file, watts_to_dbm)
+from uav_twoway.params import (MAX_HALF_BEAMWIDTH, MAX_USERS, apply_overrides, dbm_to_watts,
+                               load_params, parse_config_file, watts_to_dbm)
 
 # frozen from a standalone transcription of the defining formulas
 G0 = 2.2846306484003143
@@ -55,6 +55,7 @@ def test_missing_key():
 @pytest.mark.parametrize("key,value", [
     ("d_0_m", -5), ("d_0_m", 0), ("f_c_hz", 0), ("n_users", 0), ("n_users", 2.5),
     ("phi_b_rad", 0.0), ("phi_b_rad", math.pi / 2), ("phi_b_rad", 2.0), ("phi_b_rad", 1e-300),
+    ("phi_b_rad", 1.5707963267948963), ("phi_b_rad", math.nextafter(MAX_HALF_BEAMWIDTH, 2.0)),
     ("h_0_m", -1), ("sigma_los_db", -0.5), ("n_los", 0), ("d_sep_m", "abc"),
     ("mu_los_db", math.nan), ("p_u_dbm", math.inf), ("n_users", MAX_USERS + 1),
     ("p_u_dbm", 100.5), ("p_g_dbm", -101), ("noise_dbm", 0.5), ("noise_dbm", -251),
@@ -115,8 +116,9 @@ def test_guard_violation():
 
 
 def test_guard_violation_names_every_key_it_involves(capsys):
-    # phi_b_rad=1.5707 lies inside its range, but lifts h_low above h_high
-    assert main(["eval", "--lambda1", "5", "--lambda2", "3", "--set", "phi_b_rad=1.5707"]) == 2
+    # phi_b_rad=1.569 lies inside its range, but d_sep / tan(phi_b) = 0.54 m
+    # is below h_0 = 1 m, which lifts h_low above h_high
+    assert main(["eval", "--lambda1", "5", "--lambda2", "3", "--set", "phi_b_rad=1.569"]) == 2
     err = capsys.readouterr().err
     assert all(key in err for key in ("h_0_m", "d_sep_m", "phi_b_rad")), err
 

@@ -12,7 +12,7 @@ from uav_twoway.sinr import Configuration, all_configurations
 from uav_twoway.throughput import (LoadDistribution, admissible_k2,
                                    average_throughput, conditional_table,
                                    conditional_throughput, optimal_configuration,
-                                   skellam_pmf, skellam_vector)
+                                   skellam_vector)
 
 SKELLAM_0_1_1 = 0.30850832255367105  # frozen from the convolution oracle below
 COND_K3_K2_2_MIXED = 37.43071684735904
@@ -55,23 +55,23 @@ def brute_force_average(cfg, lam1, lam2, params):
 
 
 def test_skellam_pinned_value():
-    assert_allclose(skellam_pmf(0, 1.0, 1.0), SKELLAM_0_1_1, rtol=1e-12)
+    assert_allclose(skellam_vector(0, 1.0, 1.0)[0], SKELLAM_0_1_1, rtol=1e-12)
 
 
 def test_skellam_matches_convolution():
     for lam1, lam2 in ((0.5, 0.5), (2.0, 0.5), (10.0, 2.0), (10.0, 10.0)):
         for k in range(-30, 31):
-            assert abs(skellam_pmf(k, lam1, lam2)
+            assert abs(skellam_vector(abs(k), lam1, lam2)[k]
                        - skellam_convolution(k, lam1, lam2)) <= 1e-10
 
 
 def test_skellam_symmetry():
     for k in range(0, 25):
-        assert skellam_pmf(k, 5.0, 5.0) == skellam_pmf(-k, 5.0, 5.0)
+        assert skellam_vector(k, 5.0, 5.0)[k] == skellam_vector(k, 5.0, 5.0)[-k]
 
 
 def test_skellam_mass_sums_to_one():
-    mass = math.fsum(skellam_pmf(k, 5.0, 5.0) for k in range(-60, 61))
+    mass = math.fsum(skellam_vector(abs(k), 5.0, 5.0)[k] for k in range(-60, 61))
     assert abs(mass - 1.0) < 1e-12
 
 
@@ -104,21 +104,21 @@ def test_skellam_vector_mirror_bitwise():
         backward = skellam_vector(30, lam2, lam1)
         for k in range(-30, 31):
             assert forward[k] == backward[-k]
-            assert skellam_pmf(k, lam1, lam2) == skellam_pmf(-k, lam2, lam1)
+            assert skellam_vector(abs(k), lam1, lam2)[k] == skellam_vector(abs(k), lam2, lam1)[-k]
 
 
 @pytest.mark.parametrize("lam, mass", [(40.0, 0.99932), (100.0, 0.96895),
                                        (1000.0, 0.50479), (1e5, 0.054374)])
 def test_covered_mass(params, candidates, lam, mass):
-    breakdown = average_throughput(candidates["r0_Hl_Hl"], LoadDistribution(lam, lam),
-                                   params)
+    breakdown = average_throughput(conditional_table(candidates["r0_Hl_Hl"], params),
+                                   LoadDistribution(lam, lam))
     assert abs(breakdown.covered_mass - mass) <= 1e-4
     assert math.isfinite(breakdown.total)
 
 
 def test_skellam_rejects_nonpositive_rates():
     with pytest.raises(NonPositiveRateError):
-        skellam_pmf(0, 0.0, 1.0)
+        skellam_vector(0, 0.0, 1.0)
     with pytest.raises(NonPositiveRateError):
         LoadDistribution(1.0, -2.0)
     # LoadDistribution first: a non-finite rate that reached the Bessel
@@ -126,7 +126,7 @@ def test_skellam_rejects_nonpositive_rates():
     with pytest.raises(NonPositiveRateError, match="finite"):
         LoadDistribution(math.inf, 1.0)
     with pytest.raises(NonPositiveRateError, match="finite"):
-        skellam_pmf(0, 1.0, math.inf)
+        skellam_vector(0, 1.0, math.inf)
     # above the 1e10 ceiling the recurrence would run without bound
     LoadDistribution(1e10, 1e10)
     with pytest.raises(NonPositiveRateError, match="lambda2=1e\\+300"):
@@ -170,14 +170,14 @@ def test_average_matches_brute_force_small_n(candidates):
     for cfg in configs:
         for lam1, lam2 in ((1.0, 1.0), (2.0, 0.5), (0.7, 1.9)):
             expected = brute_force_average(cfg, lam1, lam2, params)
-            actual = average_throughput(cfg, LoadDistribution(lam1, lam2),
-                                        params).total
+            actual = average_throughput(conditional_table(cfg, params),
+                                        LoadDistribution(lam1, lam2)).total
             assert_allclose(actual, expected, rtol=1e-9)
 
 
 def test_total_is_per_k_dot_product(params, candidates):
-    breakdown = average_throughput(candidates["r1_Hl_Hh"],
-                                   LoadDistribution(8.0, 3.0), params)
+    breakdown = average_throughput(conditional_table(candidates["r1_Hl_Hh"], params),
+                                   LoadDistribution(8.0, 3.0))
     recomputed = math.fsum(weight * conditional
                            for weight, conditional in zip(breakdown.pmf, breakdown.conditional))
     assert_allclose(breakdown.total, recomputed, rtol=1e-12)
@@ -185,15 +185,15 @@ def test_total_is_per_k_dot_product(params, candidates):
 
 
 def test_empty_strata_carry_zero_conditional(params, candidates):
-    breakdown = average_throughput(candidates["r0_Hl_Hl"],
-                                   LoadDistribution(5.0, 5.0), params)
+    breakdown = average_throughput(conditional_table(candidates["r0_Hl_Hl"], params),
+                                   LoadDistribution(5.0, 5.0))
     assert breakdown.pmf[30] > 0 and breakdown.conditional[30] == 0.0
 
 
 def test_equal_loads_make_mirrors_equal(params, candidates):
     loads = LoadDistribution(9.0, 9.0)
-    one = average_throughput(candidates["r1_Hl_Hh"], loads, params).total
-    other = average_throughput(candidates["r1_Hh_Hl"], loads, params).total
+    one = average_throughput(conditional_table(candidates["r1_Hl_Hh"], params), loads).total
+    other = average_throughput(conditional_table(candidates["r1_Hh_Hl"], params), loads).total
     assert one == other
 
 
@@ -202,10 +202,10 @@ def test_mirror_symmetry_exact(params, candidates):
     for _ in range(10):
         lam1 = rng.uniform(0.3, 28.0)
         lam2 = rng.uniform(0.3, 28.0)
-        direct = average_throughput(candidates["r1_Hl_Hh"],
-                                    LoadDistribution(lam1, lam2), params).total
-        mirrored = average_throughput(candidates["r1_Hh_Hl"],
-                                      LoadDistribution(lam2, lam1), params).total
+        direct = average_throughput(conditional_table(candidates["r1_Hl_Hh"], params),
+                                    LoadDistribution(lam1, lam2)).total
+        mirrored = average_throughput(conditional_table(candidates["r1_Hh_Hl"], params),
+                                      LoadDistribution(lam2, lam1)).total
         assert direct == mirrored
 
 
@@ -213,23 +213,11 @@ def test_mirror_symmetry_exact_at_heavy_loads(params, candidates):
     # totals near 1e-190 and 1e-82: the pmf is assembled in log space
     for lam1, lam2 in ((100.0, 1000.0), (1000.0, 300.0)):
         for label, mirror in (("r1_Hl_Hh", "r1_Hh_Hl"), ("r0_Hl_Hl", "r0_Hl_Hl")):
-            direct = average_throughput(candidates[label], LoadDistribution(lam1, lam2),
-                                        params).total
-            mirrored = average_throughput(candidates[mirror], LoadDistribution(lam2, lam1),
-                                          params).total
+            direct = average_throughput(conditional_table(candidates[label], params),
+                                        LoadDistribution(lam1, lam2)).total
+            mirrored = average_throughput(conditional_table(candidates[mirror], params),
+                                          LoadDistribution(lam2, lam1)).total
             assert 0.0 < direct == mirrored
-
-
-def test_prebuilt_table_gives_the_same_bits(params, candidates):
-    cfg = candidates["r1_Hl_Hh"]
-    loads = LoadDistribution(7.0, 3.0)
-    table = conditional_table(cfg, params, AccountingMode.PAPER_LITERAL)
-    from_table = average_throughput(table, loads, params,
-                                    AccountingMode.PAPER_LITERAL)
-    direct = average_throughput(cfg, loads, params, AccountingMode.PAPER_LITERAL)
-    assert from_table.total == direct.total and from_table.config == cfg
-    with pytest.raises(ValueError, match="accounting"):
-        average_throughput(table, loads, params, AccountingMode.CONSISTENT)
 
 
 def test_invariant_under_joint_power_noise_scaling(params, candidates):
@@ -239,8 +227,8 @@ def test_invariant_under_joint_power_noise_scaling(params, candidates):
     scaled = validate_and_derive(scaled_cfg)
     loads = LoadDistribution(12.0, 4.0)
     cfg = Configuration(1, 0, 1)
-    assert_allclose(average_throughput(cfg, loads, scaled).total,
-                    average_throughput(cfg, loads, params).total, rtol=1e-12)
+    assert_allclose(average_throughput(conditional_table(cfg, scaled), loads).total,
+                    average_throughput(conditional_table(cfg, params), loads).total, rtol=1e-12)
 
 
 def test_optimal_configuration_choices(params):
@@ -255,7 +243,7 @@ def test_optimal_configuration_choices(params):
 def test_optimal_breakdown_is_argmax(params, candidates):
     loads = LoadDistribution(17.0, 6.0)
     best_cfg, best = optimal_configuration(loads, params)
-    totals = {label: average_throughput(cfg, loads, params).total
+    totals = {label: average_throughput(conditional_table(cfg, params), loads).total
               for label, cfg in candidates.items()}
     assert best.total == max(totals.values())
     assert totals[best_cfg.label] == best.total
@@ -265,7 +253,7 @@ def test_optimal_invariant_under_rate_rescaling(params, candidates):
     # a monotone rescale of every candidate total cannot move the argmax
     loads = LoadDistribution(21.0, 3.0)
     best_cfg, _ = optimal_configuration(loads, params)
-    totals = {label: average_throughput(cfg, loads, params).total
+    totals = {label: average_throughput(conditional_table(cfg, params), loads).total
               for label, cfg in candidates.items()}
     for scale in (1e-6, 3.7, 1e6):
         scaled_argmax = max(totals, key=lambda label: scale * totals[label])
@@ -284,7 +272,7 @@ def test_tie_break_prefers_same_direction_low_low(params, candidates):
 
 def test_exhaustive_covers_all_eight(params):
     loads = LoadDistribution(10.0, 10.0)
-    results = {label: average_throughput(cfg, loads, params)
+    results = {label: average_throughput(conditional_table(cfg, params), loads)
                for label, cfg in all_configurations().items()}
     assert len(results) == 8
     # the three-candidate reduction: no excluded tuple beats the candidates
