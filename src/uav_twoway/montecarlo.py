@@ -8,11 +8,12 @@ matched-assumption mode substitutes the worst-case distances and mean
 shadowing, in which case the frame reproduces the analytical conditional
 throughput and validates the closed form.
 
-One engine computes a block of frames at once, in one numpy pass. A block
-draws from one stream: every frame's counts, then the layouts of all its
-users, then all its shadowing deviates, one call each. ``run_frame`` is a
-block of one; ``simulate`` runs blocks of BLOCK_FRAMES, block b from
-``frame_rng(seed, b)``, and plans each (K1, K2) once.
+One engine computes a block of frames at once, from the rows
+``pairing.schedule_block`` makes of their (K1, K2). A block draws from one
+stream: every frame's counts, then the layouts of all its users, then all
+its shadowing deviates, one call each. ``run_frame`` is a block of one;
+``simulate`` runs blocks of BLOCK_FRAMES, block b from
+``frame_rng(seed, b)``, and keeps no matched-mode value beyond the call.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -24,20 +25,25 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import channel
 from .errors import RateExceedsPopulationError
-from .pairing import Schedule, schedule_frame
+from .pairing import schedule_block
 from .params import SystemParams
 from .sinr import Configuration
 from .throughput import (ConditionalTable, LoadDistribution, _split_weights, _weighted_table,
-                         admissible_k2, average_throughput)
+                         average_throughput)
 
 # Frames per stream and numpy pass of ``simulate``. Larger blocks run
 # faster but hold more rows in memory at once.
 BLOCK_FRAMES = 64
+# Matched mode: frames drawn before their values are looked up (whole
+# blocks), and about the users of an engine pass that fills new values;
+# more users per pass hold more rows in memory at once.
+FILL_FRAMES, FILL_USERS = 64 * BLOCK_FRAMES, 2048
 
 
 class ActivationModel(enum.Enum):
@@ -129,9 +135,8 @@ class FrameRealization:
     and slot, frame after frame in slot order; a slot holds one row, or two
     for a co-channel pair.
 
-    Slots and users are numbered across the block, each frame's cell-1
-    users first, so a row of a block of one belongs to the service class
-    ``schedule.kinds[slot // 2]`` of its frame's Schedule. ``link`` is the
+    Slots and users are numbered as in the block's ``schedule_block``, so
+    a row's service class is its ``kinds[slot // 2]``. ``link`` is the
     serving UAV, ``user`` the ground endpoint, ``downlink`` whether the UAV
     transmits and ``hit`` whether the slot's co-channel transmitter reaches
     the receiver. ``cell`` is indexed by user. Powers are in W; ``rate``
@@ -154,32 +159,25 @@ class FrameRealization:
         return int(self.slot[-1]) + 1 if self.slot.size else 0
 
 
-def _receptions(cfg: Configuration, plans: list[Schedule], rng, params: SystemParams,
+def _receptions(cfg: Configuration, counts: np.ndarray, rng, params: SystemParams,
                 worst_case_distances: bool, mean_shadowing: bool) -> FrameRealization:
     """Every reception of a block of frames, in one pass.
 
-    Frame j follows ``plans[j]``. The block draws from ``rng`` in two
-    calls: the layout of all its users, frame after frame (unless
-    worst-case), then one shadowing deviate per reception, frame after
-    frame in slot order, for its signal and then for its interferer if one
-    reaches it (unless mean). In worst-case mode the serving distance is
-    the lobe edge, every reachable interferer sits at its closest
-    admissible position, and whether it is reachable follows from the
-    altitude levels and cell membership instead of actual positions.
+    Frame j has counts[j] = (K1, K2) and follows ``schedule_block``. The
+    block draws from ``rng`` in two calls: the layout of all its users,
+    frame after frame (unless worst-case), then one shadowing deviate per
+    reception, frame after frame in slot order, for its signal and then
+    for its interferer if one reaches it (unless mean). In worst-case mode
+    the serving distance is the lobe edge, every reachable interferer sits
+    at its closest admissible position, and whether it is reachable
+    follows from the altitude levels and cell membership instead of
+    actual positions.
     """
-    frames = len(plans)
-    sizes = np.array([(plan.k1, plan.k2) for plan in plans], dtype=np.int64).reshape(-1)
-    frame_users = sizes[::2] + sizes[1::2]
-    receptions = [plan.rows.shape[1] for plan in plans]
-    slot_counts = [plan.slot_count for plan in plans]
-    slot, link, user, partner = np.concatenate([plan.rows for plan in plans], axis=1)
-    frame = np.repeat(np.arange(frames), receptions)
-    first_user = (np.cumsum(frame_users) - frame_users)[frame]
-    user, partner = user + first_user, partner + first_user
-    # a frame's slots start at an even number, so each keeps its parity
-    slot = slot + (np.cumsum(slot_counts) - slot_counts)[frame]
+    schedule = schedule_block(cfg, counts[:, 0], counts[:, 1])
+    slot, link, user, partner = schedule.rows
+    sizes = counts.reshape(-1)
     downlink = ((link == 2) * cfg.r + slot) % 2 == 0  # link 1 is downlink-first
-    cell = np.repeat(np.tile((1, 2), frames), sizes)
+    cell = np.repeat(np.tile((1, 2), len(counts)), sizes)
 
     # With r = 0 a pair shares one direction and its interference is LoS:
     # the other UAV at a downlink receiver, the partner at an uplink one.
@@ -196,7 +194,7 @@ def _receptions(cfg: Configuration, plans: list[Schedule], rng, params: SystemPa
         reaches = high | (cell[ground] == uav)
         nlos = np.full(slot.shape, params.d_min)
     else:
-        x, y = _positions(rng.random(2 * int(frame_users.sum())), sizes, params)
+        x, y = _positions(rng.random(2 * int(sizes.sum())), sizes, params)
         center = np.array([0.0, params.d_sep])
 
         def slant(links, users):
@@ -231,11 +229,9 @@ def _receptions(cfg: Configuration, plans: list[Schedule], rng, params: SystemPa
     rate = np.log2(1.0 + signal / (interference + params.noise_power))
 
     # summed slot by slot in order; numpy's pairwise sum would round differently
-    slot_rates = np.bincount(slot, weights=rate).tolist()
-    throughput, start = [], 0
-    for count in slot_counts:
-        throughput.append(sum(slot_rates[start:start + count]) / count if count else 0.0)
-        start += count
+    slot_rates = iter(np.bincount(slot, weights=rate).tolist())
+    throughput = [sum(islice(slot_rates, n)) / n if n else 0.0
+                  for n in schedule.slot_counts.tolist()]
     return FrameRealization(slot=slot, link=link, user=user, downlink=downlink, hit=hit,
                             signal=signal, interference=interference, rate=rate, cell=cell,
                             throughput=throughput)
@@ -256,8 +252,8 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=No
         distances = "worst-case" if worst_case_distances else "exact"
         shadowing = "mean" if mean_shadowing else "sampled"
         raise ValueError(f"rng is required for {distances} distances with {shadowing} shadowing")
-    return _receptions(cfg, [schedule_frame(cfg, k1, k2)], rng, params,
-                       worst_case_distances, mean_shadowing)
+    return _receptions(cfg, np.array([[k1, k2]]), rng, params, worst_case_distances,
+                       mean_shadowing)
 
 
 @dataclass(frozen=True)
@@ -289,15 +285,19 @@ def frame_rng(seed, index: int):
     return np.random.default_rng(sequence)
 
 
-def _fill_memo(cfg: Configuration, memo: dict, keys, params: SystemParams) -> None:
-    """Add the matched-assumption value of every (K1, K2) in ``keys`` that
-    ``memo`` lacks, one engine pass per BLOCK_FRAMES new keys. Such a frame
-    draws nothing, so its value is a function of (K1, K2)."""
-    new = list(dict.fromkeys(key for key in keys if key not in memo))
-    for start in range(0, len(new), BLOCK_FRAMES):
-        chunk = new[start:start + BLOCK_FRAMES]
-        plans = [schedule_frame(cfg, *key) for key in chunk]
-        memo.update(zip(chunk, _receptions(cfg, plans, None, params, True, True).throughput))
+def _matched_values(cfg: Configuration, params: SystemParams, table: np.ndarray,
+                    counts: np.ndarray) -> np.ndarray:
+    """The matched-assumption value of each frame, a row (K1, K2) of
+    ``counts``, read from ``table[K1, K2]``. Entries still NaN are computed
+    first, in engine passes of about FILL_USERS users. Such a frame draws
+    nothing, so its value is a function of (K1, K2)."""
+    drawn = np.zeros(table.shape, dtype=bool)
+    drawn[tuple(counts.T)] = True
+    missing = np.argwhere(drawn & np.isnan(table))  # each new (K1, K2) once
+    passes = np.flatnonzero(np.diff(np.cumsum(missing.sum(axis=1)) // FILL_USERS)) + 1
+    for block in filter(len, np.split(missing, passes)):  # no pass when nothing is new
+        table[tuple(block.T)] = _receptions(cfg, block, None, params, True, True).throughput
+    return table[tuple(counts.T)]
 
 
 def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
@@ -312,30 +312,29 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     ``frame_rng(seed, b)``, so results do not depend on scheduling order or
     worker count. A block draws the counts of all its frames with
     ``draw_activation``, then what ``run_frame`` draws, for all its frames
-    at once; each (K1, K2) is planned once. With worst-case distances and
-    mean shadowing a frame's value depends only on (K1, K2) and is
-    memoized.
+    at once. With worst-case distances and mean shadowing a frame's value
+    is a function of (K1, K2): the counts of FILL_FRAMES frames are drawn,
+    then their new values filled into an (N + 1)^2 array that the frames
+    read. Nothing outlives the call.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
-    matched = worst_case_distances and mean_shadowing
-    plans: dict = {}
-    memo: dict = {}
-    values = np.zeros(n_frames)
-    for block, start in enumerate(range(0, n_frames, BLOCK_FRAMES)):
-        stop = min(start + BLOCK_FRAMES, n_frames)
-        rng = frame_rng(seed, block)
-        keys = list(map(tuple, draw_activation(loads, params, activation, rng,
-                                               stop - start).tolist()))
-        if matched:
-            _fill_memo(cfg, memo, keys, params)
-            values[start:stop] = [memo[key] for key in keys]
-            continue
-        for key in keys:
-            if key not in plans:
-                plans[key] = schedule_frame(cfg, *key)
-        values[start:stop] = _receptions(cfg, [plans[key] for key in keys], rng, params,
-                                         worst_case_distances, mean_shadowing).throughput
+
+    def blocks(start, stop):
+        for first in range(start, min(stop, n_frames), BLOCK_FRAMES):
+            rng = frame_rng(seed, first // BLOCK_FRAMES)
+            yield rng, draw_activation(loads, params, activation, rng,
+                                       min(BLOCK_FRAMES, n_frames - first))
+
+    if worst_case_distances and mean_shadowing:
+        table = np.full((params.n_users + 1,) * 2, np.nan)
+        chunks = (np.concatenate([counts for _, counts in blocks(start, start + FILL_FRAMES)])
+                  for start in range(0, n_frames, FILL_FRAMES))
+        values = np.concatenate([_matched_values(cfg, params, table, counts) for counts in chunks])
+    else:
+        values = np.concatenate([_receptions(cfg, counts, rng, params, worst_case_distances,
+                                             mean_shadowing).throughput
+                                 for rng, counts in blocks(0, n_frames)])
 
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if n_frames > 1 else 0.0
@@ -345,14 +344,12 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
 
 def _matched_table(cfg: Configuration, params: SystemParams) -> ConditionalTable:
     """C(cfg) of the matched-assumption engine: each entry the split-weighted
-    sum of the deterministic worst-case mean-shadowing frame values that
-    ``simulate`` memoizes in that mode, every admissible (K1, K2) computed
-    BLOCK_FRAMES per engine pass."""
-    n = params.n_users
-    memo: dict = {}
-    _fill_memo(cfg, memo, [(big_k2 + k, big_k2) for k in range(-n, n + 1)
-                           for big_k2 in admissible_k2(k, n)], params)
-    return _weighted_table(cfg, n, lambda k, big_k2: memo[big_k2 + k, big_k2])
+    sum of the frame values that ``simulate`` reads in that mode, every
+    admissible (K1, K2) filled into one array that lives for this call."""
+    table = np.full((params.n_users + 1,) * 2, np.nan)
+    _matched_values(cfg, params, table, np.argwhere(np.isnan(table[1:, 1:])) + 1)  # [1, N]^2
+    values = table.tolist()
+    return _weighted_table(cfg, params.n_users, lambda k, big_k2: values[big_k2 + k][big_k2])
 
 
 def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams) -> float:

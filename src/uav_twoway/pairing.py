@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 from .sinr import Configuration
 
-CROSS_CELL = "cross_cell"
-SAME_CELL = "same_cell"
-INDIVIDUAL = "individual"
+CROSS_CELL, SAME_CELL, INDIVIDUAL = range(3)  # service unit classes
 
 
 class AccountingMode(enum.Enum):
@@ -74,16 +72,14 @@ def pair_counts(k: int, big_k2: int, t1: int, t2: int,
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """The plan of a (K1, K2) frame, fixed before any draw: each unit's
-    class, in order, and the frame's receptions in slot order, one column
-    of ``rows`` (slot, link, user, partner) each. Users are numbered across
-    both cells, cell 1 first; a lone user is its own partner. A unit's
-    receivers fill its first slot, then again its second."""
+    """The plan of a block of frames, fixed before any draw: one column of
+    ``rows`` (slot, link, user, partner) per reception, in slot order, with
+    slots and users numbered across the block, each frame's cell-1 users
+    first; a lone user is its own partner. Unit u holds slots 2u and 2u + 1."""
 
-    k1: int
-    k2: int
-    kinds: list  # a list: freed tuples of up to 19 items stay on CPython's free lists
     rows: object  # 4 x R int64 numpy array
+    kinds: object  # per unit: CROSS_CELL, SAME_CELL or INDIVIDUAL
+    slot_counts: object  # per frame
 
     @property
     def slot_count(self) -> int:
@@ -91,30 +87,37 @@ class Schedule:
 
     @property
     def counts(self) -> PairCounts:
-        """The schedule tallied into pair counts (always consistent)."""
-        return PairCounts(a_d=self.kinds.count(CROSS_CELL), a_s=self.kinds.count(SAME_CELL),
-                          b=self.kinds.count(INDIVIDUAL))
+        """The units tallied into pair counts (always consistent)."""
+        return PairCounts(*map(self.kinds.tolist().count, (CROSS_CELL, SAME_CELL, INDIVIDUAL)))
+
+
+def schedule_block(cfg: Configuration, k1, k2) -> Schedule:
+    """The plan of the frames with k1[j] and k2[j] active users. Pairing is by
+    index order, admissible because the rate bounds ignore the matching."""
+    import numpy as np  # here, so that the closed form loads no numpy
+
+    k1, k2 = np.asarray(k1, dtype=np.int64), np.asarray(k2, dtype=np.int64)
+    shared, surplus, surplus_in_2 = np.minimum(k1, k2), np.abs(k1 - k2), k1 < k2
+    pairs = surplus // 2 * np.where(surplus_in_2, cfg.t1, cfg.t2)  # the helper must be high
+    units = shared + surplus - pairs
+    # per unit: its frame, and its place among the frame's leftovers (< 0: cross-cell)
+    frame = np.repeat(np.arange(k1.size), units)
+    leftover = np.arange(frame.size) - (np.cumsum(units) - units + shared)[frame]
+    cross, solo = leftover < 0, leftover >= pairs[frame]
+    # the first receiver: cross-cell pair i serves cell 1's user i; leftover j
+    # the surplus cell's user shared + j + min(j, pairs), pairs taking two each
+    user = ((np.cumsum(k1 + k2) - k2 - k1 + shared)[frame] + leftover
+            + np.clip(leftover, 0, pairs[frame]) + ~cross * (surplus_in_2 * k1)[frame])
+    partner = user + np.where(cross, k1[frame], ~solo)
+    link = 1 + (~cross & surplus_in_2[frame])  # the surplus cell's own UAV serves first
+    slot = 2 * np.arange(frame.size)
+    columns = np.array([[slot, slot, slot + 1, slot + 1], [link, 3 - link, link, 3 - link],
+                        [user, partner, user, partner], [partner, user, partner, user]])
+    receivers = np.array([True, False, True, False]) | ~solo[:, None]
+    return Schedule(columns.transpose(0, 2, 1)[:, receivers],
+                    np.where(cross, CROSS_CELL, np.where(solo, INDIVIDUAL, SAME_CELL)), 2 * units)
 
 
 def schedule_frame(cfg: Configuration, k1: int, k2: int) -> Schedule:
-    """The plan of a frame with k1 and k2 active users. Pairing is by index
-    order, which is admissible because the rate bounds do not depend on the
-    matching."""
-    import numpy as np  # here, so that the closed form loads no numpy
-
-    shared = min(k1, k2)
-    if k1 >= k2:
-        own_link, helper_link, leftover, helper_high = 1, 2, range(shared, k1), cfg.t2
-    else:
-        own_link, helper_link, leftover, helper_high = 2, 1, range(k1 + shared, k1 + k2), cfg.t1
-    pairs = len(leftover) // 2 if helper_high else 0
-    # each unit as (kind, its (link, user) receivers); the helper serves second
-    units = [(CROSS_CELL, ((1, user), (2, k1 + user))) for user in range(shared)]
-    units += [(SAME_CELL, ((own_link, leftover[2 * i]), (helper_link, leftover[2 * i + 1])))
-              for i in range(pairs)]
-    units += [(INDIVIDUAL, ((own_link, user),)) for user in leftover[2 * pairs:]]
-    rows = [(slot, link, user, partner)
-            for index, (_, served) in enumerate(units) for slot in (2 * index, 2 * index + 1)
-            for (link, user), (_, partner) in zip(served, served[::-1])]
-    return Schedule(k1, k2, [kind for kind, _ in units],
-                    np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+    """The plan of a frame with k1 and k2 active users: a block of one."""
+    return schedule_block(cfg, [k1], [k2])

@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from uav_twoway import montecarlo
 from uav_twoway.errors import RateExceedsPopulationError
-from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, _matched_table, _positions,
-                                   draw_activation, frame_rng, run_frame, simulate,
-                                   simulate_exhaustive)
+from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, _matched_table,
+                                   _matched_values, _positions, draw_activation, frame_rng,
+                                   run_frame, simulate, simulate_exhaustive)
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts,
                                 schedule_frame)
 from uav_twoway.sinr import Configuration, all_configurations
@@ -158,7 +159,7 @@ def draw_frame(args, params):
 
 def row_kinds(frame, cfg, k1, k2):
     """Each row's service class, read from its frame's schedule."""
-    return np.array(schedule_frame(cfg, k1, k2).kinds, dtype=str)[frame.slot // 2]
+    return schedule_frame(cfg, k1, k2).kinds[frame.slot // 2]
 
 
 @given(frames)
@@ -263,6 +264,20 @@ def test_matched_table_matches_conditional_table_per_k(params):
         for k in range(-n, n + 1):
             if not admissible_k2(k, n):
                 assert matched.values[k] == expected.values[k] == 0.0
+
+
+def test_matched_values_match_conditional_per_key(params):
+    # every (K1, K2) in [0, 30]^2, computed in one call's array, against the
+    # closed form's conditional throughput of that frame
+    n = params.n_users
+    k1, k2 = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    for cfg in all_configurations().values():
+        values = _matched_values(cfg, params, np.full((n + 1, n + 1), np.nan),
+                                 np.column_stack((k1, k2)))
+        expected = [conditional_throughput(a - b, b, cfg, params)
+                    for a, b in zip(k1.tolist(), k2.tolist())]
+        assert_allclose(values, expected, rtol=1e-12)
+        assert values[0] == expected[0] == 0.0
 
 
 def test_model_matched_sampling_is_unbiased(params, candidates):
@@ -371,6 +386,29 @@ def test_block_engine_matches_frame_loop(params, candidates, mode, activation, l
         assert result.ci_half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(n_frames)
         if activation is not ActivationModel.TRUNCATED_POISSON:
             assert 0.0 in values and values.max() > 0.0
+
+
+@pytest.mark.parametrize("activation,lambdas", [
+    (ActivationModel.TRUNCATED_POISSON, (6.0, 4.0)),
+    (ActivationModel.BINOMIAL_PER_USER, (0.05, 0.3)),
+    (ActivationModel.MODEL_MATCHED, (34.0, 2.0)),
+], ids=["poisson", "binomial", "model"])
+def test_matched_fill_chunks_match_frame_loop(params, candidates, monkeypatch, activation,
+                                              lambdas):
+    # matched mode draws FILL_FRAMES frames' counts before it fills their
+    # values, FILL_USERS users per engine pass; shrunk here, a run crosses a
+    # chunk boundary into a partial chunk and fills in several passes
+    monkeypatch.setattr(montecarlo, "FILL_FRAMES", 2 * BLOCK_FRAMES)
+    monkeypatch.setattr(montecarlo, "FILL_USERS", 40)
+    n_frames = 2 * BLOCK_FRAMES + 3
+    mode = {"worst_case_distances": True, "mean_shadowing": True}
+    loads = LoadDistribution(*lambdas)
+    for cfg in candidates.values():
+        values = frame_by_frame(cfg, loads, params, n_frames, (3, 7), activation, mode)
+        result = simulate(cfg, loads, params, n_frames, seed=(3, 7),
+                          activation=activation, **mode)
+        assert result.mean == float(values.mean())
+        assert result.ci_half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(n_frames)
 
 
 def test_simulate_rejects_zero_frames(params, candidates):

@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, AccountingMode,
-                                PairCounts, pair_counts, schedule_frame)
+                                PairCounts, pair_counts, schedule_block, schedule_frame)
 from uav_twoway.sinr import Configuration, all_configurations
 
 
@@ -83,7 +84,7 @@ def units_of(schedule):
     """(kind, ((link, user), ...)) per unit, read from the rows of its first slot."""
     slot, link, user, _ = schedule.rows.tolist()
     return [(kind, tuple((l, u) for s, l, u in zip(slot, link, user) if s == 2 * index))
-            for index, kind in enumerate(schedule.kinds)]
+            for index, kind in enumerate(schedule.kinds.tolist())]
 
 
 def test_schedule_three_steps():
@@ -106,7 +107,7 @@ def test_schedule_three_steps():
 
 def test_schedule_balanced_only_cross():
     schedule = schedule_frame(Configuration(0, 0, 0), 3, 3)
-    assert schedule.kinds == [CROSS_CELL] * 3
+    assert schedule.kinds.tolist() == [CROSS_CELL] * 3
     assert schedule.slot_count == 2 * 3  # one 2-slot unit per cross pair
 
 
@@ -131,6 +132,42 @@ def test_schedule_matches_pair_counts_everywhere():
             for k2 in range(0, 31, 3):
                 expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
                 assert schedule_frame(cfg, k1, k2).counts == expected
+
+
+blocks = st.tuples(st.sampled_from(list(all_configurations().values())),
+                   st.lists(st.one_of(st.just((0, 0)),
+                                      st.tuples(st.integers(0, 40), st.integers(0, 40))),
+                            max_size=40))
+
+
+@given(blocks)
+def test_block_schedule_joins_frame_schedules(args):
+    # frame j's rows are its own schedule's, its slots and users shifted
+    # past those of frames 0..j-1
+    cfg, keys = args
+    block = schedule_block(cfg, [k1 for k1, _ in keys], [k2 for _, k2 in keys])
+    rows, kinds, slots, users = [np.zeros((4, 0), dtype=np.int64)], [], 0, 0
+    for k1, k2 in keys:
+        frame = schedule_frame(cfg, k1, k2)
+        rows.append(frame.rows + np.array([[slots], [0], [users], [users]]))
+        kinds += frame.kinds.tolist()
+        slots, users = slots + frame.slot_count, users + k1 + k2
+    assert np.array_equal(block.rows, np.concatenate(rows, axis=1))
+    assert block.kinds.tolist() == kinds
+    assert block.slot_counts.tolist() == [schedule_frame(cfg, *key).slot_count for key in keys]
+
+
+@given(blocks)
+def test_block_schedule_tallies_to_pair_counts(args):
+    # each frame's units, read off the block by its slot count, tally to the
+    # closed form's pair counts
+    cfg, keys = args
+    block = schedule_block(cfg, [k1 for k1, _ in keys], [k2 for _, k2 in keys])
+    ends = np.cumsum(block.slot_counts) // 2
+    for (k1, k2), kinds in zip(keys, np.split(block.kinds, ends[:-1])):
+        expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
+        assert [kinds.tolist().count(kind) for kind in (CROSS_CELL, SAME_CELL, INDIVIDUAL)] == [
+            expected.a_d, expected.a_s, expected.b]
 
 
 def test_pair_counts_is_a_value_type():
