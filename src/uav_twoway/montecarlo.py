@@ -10,10 +10,10 @@ throughput and validates the closed form.
 
 One engine computes a block of frames at once, from the rows
 ``pairing.schedule_block`` makes of their (K1, K2). A block draws from one
-stream: every frame's counts, then the layouts of all its users, then all
-its shadowing deviates, one call each. ``run_frame`` is a block of one;
-``simulate`` runs blocks of BLOCK_FRAMES, block b from
-``frame_rng(seed, b)``, and keeps no matched-mode value beyond the call.
+stream, one call per draw: counts, layouts, then shadowing deviates.
+``run_frame`` is a block of one; ``simulate`` runs blocks of
+BLOCK_FRAMES, block b from ``frame_rng(seed, b)``. A matched chunk draws
+its blocks' counts stream by stream and splits them in one pass.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -93,40 +93,43 @@ def _split_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def draw_activation(loads: LoadDistribution, params: SystemParams,
-                    model: ActivationModel, rng, frames: int) -> np.ndarray:
-    """Draw (K1, K2) for ``frames`` frames, one row each, in one call per
-    draw: the Poisson or binomial counts of every frame, both cells at once.
-
-    TRUNCATED_POISSON then redraws only the counts outside [1, N], until
-    none is left. MODEL_MATCHED then draws one uniform per frame for its
-    split, and gives (0, 0), an empty frame, where the load difference
-    has no admissible split.
+                    model: ActivationModel, streams) -> np.ndarray:
+    """Draw (K1, K2) for the frames of ``streams``, (rng, frames) pairs, one
+    row per frame, stream after stream. A stream draws, one call per draw,
+    its frames' Poisson or binomial counts, both cells at once; then
+    TRUNCATED_POISSON redraws the counts outside [1, N] until none is left,
+    and MODEL_MATCHED draws one uniform per frame. Model splits are looked
+    up in one pass over all streams; a load difference without one gives
+    (0, 0), an empty frame. No stream's rows or final state depend on another.
     """
     n = params.n_users
     lambdas = np.array((loads.lambda1, loads.lambda2))
-    if model is ActivationModel.BINOMIAL_PER_USER:
-        if loads.lambda1 > n or loads.lambda2 > n:
-            raise RateExceedsPopulationError(
-                f"lambda exceeds the {n}-user population: "
-                f"({loads.lambda1!r}, {loads.lambda2!r})")
-        return rng.binomial(n, lambdas / n, size=(frames, 2))
-    if model not in (ActivationModel.TRUNCATED_POISSON, ActivationModel.MODEL_MATCHED):
+    if not isinstance(model, ActivationModel):
         raise ValueError(f"draw_activation does not handle {model!r}")
-    counts = rng.poisson(lambdas, size=(frames, 2))
-    if model is ActivationModel.TRUNCATED_POISSON:
-        redraw = (counts < 1) | (counts > n)
-        while redraw.any():
+    if model is ActivationModel.BINOMIAL_PER_USER and (loads.lambda1 > n or loads.lambda2 > n):
+        raise RateExceedsPopulationError(
+            f"lambda exceeds the {n}-user population: ({loads.lambda1!r}, {loads.lambda2!r})")
+
+    def draw(rng, frames):
+        if model is ActivationModel.BINOMIAL_PER_USER:
+            return rng.binomial(n, lambdas / n, size=(frames, 2))
+        counts = rng.poisson(lambdas, size=(frames, 2))
+        if model is ActivationModel.MODEL_MATCHED:
+            return counts, rng.random(frames)
+        while (redraw := (counts < 1) | (counts > n)).any():
             counts[redraw] = rng.poisson(np.broadcast_to(lambdas, counts.shape)[redraw])
-            redraw = (counts < 1) | (counts > n)
         return counts
+
+    draws = [draw(rng, frames) for rng, frames in streams]
+    if model is not ActivationModel.MODEL_MATCHED:
+        return np.concatenate(draws)
+    counts, uniforms = map(np.concatenate, zip(*draws))
     first, count, cumulative = _split_table(n)
     k = counts[:, 0] - counts[:, 1]
-    inside = np.abs(k) <= n
-    row = np.where(inside, k + n, n)
-    split = inside & (count[row] > 0)
-    position = (cumulative[row] <= rng.random(frames)[:, None]).sum(axis=1)
-    big_k2 = np.where(split, first[row] + np.minimum(position, count[row] - 1), 0)
-    return np.column_stack((np.where(split, big_k2 + k, 0), big_k2))
+    row = np.clip(k + n, 0, 2 * n)  # |k| >= N: a row without splits
+    position = (cumulative[row] <= uniforms[:, None]).sum(axis=1)
+    big_k2 = np.where(count[row] > 0, first[row] + np.minimum(position, count[row] - 1), 0)
+    return np.column_stack((np.where(big_k2 > 0, big_k2 + k, 0), big_k2))  # a split has K2 >= 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,39 +310,36 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
              mean_shadowing: bool = False) -> SimResult:
     """Empirical mean throughput over ``n_frames`` independent frames.
 
-    Deterministic given ``seed``: frames run in blocks of BLOCK_FRAMES, and
-    block b (frames b * BLOCK_FRAMES onward) draws from its own stream
-    ``frame_rng(seed, b)``, so results do not depend on scheduling order or
-    worker count. A block draws the counts of all its frames with
+    Deterministic given ``seed``: block b of BLOCK_FRAMES frames draws from
+    its own stream ``frame_rng(seed, b)``, so results do not depend on
+    scheduling order or worker count. A block draws its counts with
     ``draw_activation``, then what ``run_frame`` draws, for all its frames
     at once. With worst-case distances and mean shadowing a frame's value
-    is a function of (K1, K2): the counts of FILL_FRAMES frames are drawn,
-    then their new values filled into an (N + 1)^2 array that the frames
-    read. Nothing outlives the call.
+    is a function of (K1, K2): one ``draw_activation`` call draws a chunk of
+    FILL_FRAMES frames' counts stream by stream and splits them in one
+    pass, then the chunk's new values fill an (N + 1)^2 array that the
+    frames read. Nothing outlives the call.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
 
-    def blocks(start, stop):
+    def blocks(start, stop):  # (stream, frames) of each block in [start, stop)
         for first in range(start, min(stop, n_frames), BLOCK_FRAMES):
-            rng = frame_rng(seed, first // BLOCK_FRAMES)
-            yield rng, draw_activation(loads, params, activation, rng,
-                                       min(BLOCK_FRAMES, n_frames - first))
+            yield frame_rng(seed, first // BLOCK_FRAMES), min(BLOCK_FRAMES, n_frames - first)
 
     if worst_case_distances and mean_shadowing:
         table = np.full((params.n_users + 1,) * 2, np.nan)
-        chunks = (np.concatenate([counts for _, counts in blocks(start, start + FILL_FRAMES)])
+        chunks = (draw_activation(loads, params, activation, blocks(start, start + FILL_FRAMES))
                   for start in range(0, n_frames, FILL_FRAMES))
         values = np.concatenate([_matched_values(cfg, params, table, counts) for counts in chunks])
     else:
-        values = np.concatenate([_receptions(cfg, counts, rng, params, worst_case_distances,
-                                             mean_shadowing).throughput
-                                 for rng, counts in blocks(0, n_frames)])
+        values = np.concatenate([
+            _receptions(cfg, draw_activation(loads, params, activation, [(rng, frames)]), rng,
+                        params, worst_case_distances, mean_shadowing).throughput
+            for rng, frames in blocks(0, n_frames)])
 
-    mean = float(values.mean())
     std = float(values.std(ddof=1)) if n_frames > 1 else 0.0
-    half_width = 1.96 * std / math.sqrt(n_frames)
-    return SimResult(mean=mean, ci_half_width=half_width)
+    return SimResult(mean=float(values.mean()), ci_half_width=1.96 * std / math.sqrt(n_frames))
 
 
 def _matched_table(cfg: Configuration, params: SystemParams) -> ConditionalTable:

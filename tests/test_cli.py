@@ -251,6 +251,25 @@ def test_compare_blocks_byte_identical_across_workers(tmp_path):
     assert len(read_rows(paths[0])) == 4
 
 
+def test_matched_compare_across_fill_chunks_byte_identical(tmp_path):
+    # 4,200 matched frames per row cross a FILL_FRAMES chunk; each chunk's
+    # counts come from one draw over its blocks' streams
+    from uav_twoway.montecarlo import FILL_FRAMES
+    assert FILL_FRAMES < 4200
+    args = ("--lambda1", "6,31", "--lambda2", "4", "--configurations", "r1_Hl_Hh,r0_Hl_Hl",
+            "--frames", "4200", "--activation", "model", "--distances", "worst",
+            "--shadowing", "mean")
+    paths = [tmp_path / f"run{i}.csv" for i in range(3)]
+    assert run_cli("compare", *args, "--workers", "1", "--out", str(paths[0])) == 0
+    assert run_cli("compare", *args, "--workers", "2", "--out", str(paths[1])) == 0
+    assert run_cli("compare", *args, "--workers", "1", "--out", str(paths[2])) == 0
+    blobs = [path.read_bytes() for path in paths]
+    assert blobs[0] == blobs[1] == blobs[2]
+    rows = read_rows(paths[0])
+    assert len(rows) == 4 and {row["n_frames"] for row in rows} == {"4200"}
+    assert {row["deviation_flag"] for row in rows} == {"ok"}
+
+
 def test_compare_matched_mode_agrees(tmp_path):
     out = tmp_path / "compare.csv"
     assert run_cli("compare", "--lambda1", "6", "--lambda2", "4",

@@ -38,13 +38,13 @@ def test_binomial_full_rate_always_everyone(params):
     loads = LoadDistribution(30.0, 30.0)
     rng = np.random.default_rng(1)
     assert np.all(draw_activation(loads, params, ActivationModel.BINOMIAL_PER_USER,
-                                  rng, 20) == (30, 30))
+                                  [(rng, 20)]) == (30, 30))
 
 
 def test_binomial_rejects_excess_rate(params):
     with pytest.raises(RateExceedsPopulationError):
         draw_activation(LoadDistribution(31.0, 5.0), params,
-                        ActivationModel.BINOMIAL_PER_USER, np.random.default_rng(2), 1)
+                        ActivationModel.BINOMIAL_PER_USER, [(np.random.default_rng(2), 1)])
 
 
 def test_truncated_poisson_mean(params):
@@ -57,18 +57,38 @@ def test_truncated_poisson_mean(params):
         weights) - expected ** 2
     rng = np.random.default_rng(3)
     loads = LoadDistribution(lam, lam)
-    draws = draw_activation(loads, params, ActivationModel.TRUNCATED_POISSON, rng,
-                            20_000)[:, 0]
+    draws = draw_activation(loads, params, ActivationModel.TRUNCATED_POISSON,
+                            [(rng, 20_000)])[:, 0]
     assert abs(np.mean(draws) - expected) < 3.0 * math.sqrt(variance / len(draws))
     assert min(draws) >= 1 and max(draws) <= n
 
 
 def test_activation_deterministic(params):
     loads = LoadDistribution(7.0, 3.0)
-    for model in (ActivationModel.TRUNCATED_POISSON, ActivationModel.BINOMIAL_PER_USER):
-        first = draw_activation(loads, params, model, np.random.default_rng(4), 50)
-        second = draw_activation(loads, params, model, np.random.default_rng(4), 50)
+    for model in ActivationModel:
+        first = draw_activation(loads, params, model, [(np.random.default_rng(4), 50)])
+        second = draw_activation(loads, params, model, [(np.random.default_rng(4), 50)])
         assert np.array_equal(first, second)
+
+
+@given(st.sampled_from([(ActivationModel.TRUNCATED_POISSON, (6.0, 4.0)),
+                        (ActivationModel.TRUNCATED_POISSON, (2.0, 29.0)),  # many redraws
+                        (ActivationModel.BINOMIAL_PER_USER, (0.05, 0.3)),
+                        (ActivationModel.MODEL_MATCHED, (6.0, 4.0)),
+                        (ActivationModel.MODEL_MATCHED, (34.0, 2.0))]),  # empty frames
+       st.lists(st.integers(1, 64), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+def test_activation_over_streams_concatenates_one_stream_calls(params, case, sizes, seed):
+    # one call over several streams, as simulate's matched mode makes per
+    # chunk, gives each stream's rows and leaves each stream where a call
+    # of its own would, bit for bit
+    model, lambdas = case
+    loads = LoadDistribution(*lambdas)
+    joint = [frame_rng(seed, b) for b in range(len(sizes))]
+    alone = [frame_rng(seed, b) for b in range(len(sizes))]
+    rows = draw_activation(loads, params, model, zip(joint, sizes))
+    one_by_one = [draw_activation(loads, params, model, [stream]) for stream in zip(alone, sizes)]
+    assert np.array_equal(rows, np.concatenate(one_by_one))
+    assert [rng.bit_generator.state for rng in joint] == [rng.bit_generator.state for rng in alone]
 
 
 def test_truncated_poisson_redraws_only_out_of_range(params):
@@ -78,7 +98,7 @@ def test_truncated_poisson_redraws_only_out_of_range(params):
     first = np.random.default_rng(5).poisson(lambdas, size=(400, 2))
     kept = (first >= 1) & (first <= n)
     drawn = draw_activation(LoadDistribution(*lambdas), params,
-                            ActivationModel.TRUNCATED_POISSON, np.random.default_rng(5), 400)
+                            ActivationModel.TRUNCATED_POISSON, [(np.random.default_rng(5), 400)])
     assert not kept[:, 0].all() and not kept[:, 1].all()
     assert np.array_equal(drawn[kept], first[kept])
     assert drawn.min() >= 1 and drawn.max() <= n
@@ -92,7 +112,7 @@ def test_model_activation_splits_the_poisson_difference(params):
     pair = np.random.default_rng(6).poisson(lambdas, size=(500, 2))
     k = pair[:, 0] - pair[:, 1]
     drawn = draw_activation(LoadDistribution(*lambdas), params,
-                            ActivationModel.MODEL_MATCHED, np.random.default_rng(6), 500)
+                            ActivationModel.MODEL_MATCHED, [(np.random.default_rng(6), 500)])
     empty = np.all(drawn == 0, axis=1)
     assert np.array_equal(empty, np.abs(k) >= n) and empty.any() and not empty.all()
     assert np.array_equal(drawn[~empty, 0] - drawn[~empty, 1], k[~empty])
@@ -352,8 +372,8 @@ def frame_by_frame(cfg, loads, params, n_frames, seed, activation, mode):
     values = []
     for block, start in enumerate(range(0, n_frames, BLOCK_FRAMES)):
         rng = frame_rng(seed, block)
-        keys = draw_activation(loads, params, activation, rng,
-                               min(BLOCK_FRAMES, n_frames - start))
+        keys = draw_activation(loads, params, activation,
+                               [(rng, min(BLOCK_FRAMES, n_frames - start))])
         users = int(keys.sum())
         uniforms = rng.random(0 if mode.get("worst_case_distances") else 2 * users)
         # a user has two receptions and a reception at most two deviates; a
