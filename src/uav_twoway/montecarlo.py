@@ -12,8 +12,8 @@ One engine computes a block of frames at once, from the rows
 ``pairing.schedule_block`` makes of their (K1, K2). A block draws from one
 stream, one call per draw: counts, layouts, then shadowing deviates.
 ``run_frame`` is a block of one; ``simulate`` runs blocks of
-BLOCK_FRAMES, block b from ``frame_rng(seed, b)``. A matched chunk draws
-its blocks' counts stream by stream and splits them in one pass.
+BLOCK_FRAMES, block b from ``frame_rng(seed, b)``. Model activation maps
+one uniform per frame to (K1, K2), a matched chunk's in one search.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -51,9 +51,9 @@ class ActivationModel(enum.Enum):
 
     TRUNCATED_POISSON resamples a Poisson count until it lands in [1, N].
     BINOMIAL_PER_USER activates each of the N users independently with
-    probability lambda/N. MODEL_MATCHED draws the load difference from the
-    untruncated Poisson pair and the split from the case-count weights, so
-    the sampled mean is an unbiased estimate of the closed-form average.
+    probability lambda/N. MODEL_MATCHED draws (K1, K2) from the closed
+    form's own law (``_model_pmf``), so the sampled mean is an unbiased
+    estimate of the closed-form average.
     """
 
     TRUNCATED_POISSON = "poisson"
@@ -75,32 +75,35 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
 
 
 @functools.lru_cache(maxsize=None)
-def _split_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Model-matched splits by load difference, row k + N for k in [-N, N]:
-    the first admissible K2, the number of splits (0 for none) and their
-    cumulative case-count weights, padded with inf."""
-    first = np.zeros(2 * n + 1, dtype=np.int64)
-    count = np.zeros(2 * n + 1, dtype=np.int64)
-    cumulative = np.full((2 * n + 1, n), np.inf)
-    for k in range(-n, n + 1):
-        splits, weights = _split_weights(k, n)
-        if splits:
-            first[k + n], count[k + n] = splits[0], len(splits)
-            cumulative[k + n, :len(splits)] = np.cumsum(weights)
-    for table in (first, count, cumulative):
-        table.flags.writeable = False
-    return first, count, cumulative
+def _split_matrix(n: int) -> np.ndarray:
+    """W[K1, K2] on [0, N]^2: normalised split weights, 0 off the admissible set."""
+    weights = np.zeros((n + 1, n + 1))
+    for k in range(1 - n, n):  # |k| = N has no admissible split
+        splits, split_weights = _split_weights(k, n)
+        weights[np.add(splits, k), splits] = split_weights
+    weights.flags.writeable = False
+    return weights
+
+
+def _model_pmf(loads: LoadDistribution, n: int) -> np.ndarray:
+    """The joint pmf of MODEL_MATCHED's (K1, K2) on [0, N]^2, the closed
+    form's law: P(lambda)[K1 - K2] * W[K1, K2], and the rest, the Skellam
+    mass of |k| >= N, on (0, 0), the empty frame."""
+    big_k1, big_k2 = np.indices((n + 1, n + 1))
+    pmf = np.asarray(loads.skellam_vector(n))[big_k1 - big_k2] * _split_matrix(n)
+    pmf[0, 0] = max(0.0, 1.0 - pmf.sum())
+    return pmf
 
 
 def draw_activation(loads: LoadDistribution, params: SystemParams,
                     model: ActivationModel, streams) -> np.ndarray:
     """Draw (K1, K2) for the frames of ``streams``, (rng, frames) pairs, one
     row per frame, stream after stream. A stream draws, one call per draw,
-    its frames' Poisson or binomial counts, both cells at once; then
-    TRUNCATED_POISSON redraws the counts outside [1, N] until none is left,
-    and MODEL_MATCHED draws one uniform per frame. Model splits are looked
-    up in one pass over all streams; a load difference without one gives
-    (0, 0), an empty frame. No stream's rows or final state depend on another.
+    its frames' Poisson or binomial counts, both cells at once, and
+    TRUNCATED_POISSON redraws those outside [1, N] until none is left. Under
+    MODEL_MATCHED it draws one uniform per frame, and one search of the
+    row-major cdf of ``_model_pmf`` inverts them all. No stream's rows or
+    final state depend on another.
     """
     n = params.n_users
     lambdas = np.array((loads.lambda1, loads.lambda2))
@@ -111,25 +114,21 @@ def draw_activation(loads: LoadDistribution, params: SystemParams,
             f"lambda exceeds the {n}-user population: ({loads.lambda1!r}, {loads.lambda2!r})")
 
     def draw(rng, frames):
+        if model is ActivationModel.MODEL_MATCHED:
+            return rng.random(frames)
         if model is ActivationModel.BINOMIAL_PER_USER:
             return rng.binomial(n, lambdas / n, size=(frames, 2))
         counts = rng.poisson(lambdas, size=(frames, 2))
-        if model is ActivationModel.MODEL_MATCHED:
-            return counts, rng.random(frames)
         while (redraw := (counts < 1) | (counts > n)).any():
             counts[redraw] = rng.poisson(np.broadcast_to(lambdas, counts.shape)[redraw])
         return counts
 
-    draws = [draw(rng, frames) for rng, frames in streams]
+    draws = np.concatenate([draw(rng, frames) for rng, frames in streams])
     if model is not ActivationModel.MODEL_MATCHED:
-        return np.concatenate(draws)
-    counts, uniforms = map(np.concatenate, zip(*draws))
-    first, count, cumulative = _split_table(n)
-    k = counts[:, 0] - counts[:, 1]
-    row = np.clip(k + n, 0, 2 * n)  # |k| >= N: a row without splits
-    position = (cumulative[row] <= uniforms[:, None]).sum(axis=1)
-    big_k2 = np.where(count[row] > 0, first[row] + np.minimum(position, count[row] - 1), 0)
-    return np.column_stack((np.where(big_k2 > 0, big_k2 + k, 0), big_k2))  # a split has K2 >= 1
+        return draws
+    cdf = np.cumsum(_model_pmf(loads, n))  # u >= cdf[-1]: the last cell where cdf rises
+    cell = np.minimum(np.searchsorted(cdf, draws, side="right"), np.searchsorted(cdf, cdf[-1]))
+    return np.column_stack(np.divmod(cell, n + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,9 +314,9 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     scheduling order or worker count. A block draws its counts with
     ``draw_activation``, then what ``run_frame`` draws, for all its frames
     at once. With worst-case distances and mean shadowing a frame's value
-    is a function of (K1, K2): one ``draw_activation`` call draws a chunk of
-    FILL_FRAMES frames' counts stream by stream and splits them in one
-    pass, then the chunk's new values fill an (N + 1)^2 array that the
+    is a function of (K1, K2): one ``draw_activation`` call draws the
+    counts of a chunk of FILL_FRAMES frames, each block from its own
+    stream, then the chunk's new values fill an (N + 1)^2 array that the
     frames read. Nothing outlives the call.
     """
     if n_frames < 1:

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 from uav_twoway import montecarlo
 from uav_twoway.errors import RateExceedsPopulationError
 from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, _matched_table,
-                                   _matched_values, _positions, draw_activation, frame_rng,
-                                   run_frame, simulate, simulate_exhaustive)
+                                   _matched_values, _model_pmf, _positions, draw_activation,
+                                   frame_rng, run_frame, simulate, simulate_exhaustive)
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts,
                                 schedule_frame)
 from uav_twoway.sinr import Configuration, all_configurations
@@ -104,19 +104,59 @@ def test_truncated_poisson_redraws_only_out_of_range(params):
     assert drawn.min() >= 1 and drawn.max() <= n
 
 
-def test_model_activation_splits_the_poisson_difference(params):
-    # K1 - K2 is the Poisson difference; a difference with no admissible
-    # split (|k| >= N) gives the empty frame (0, 0)
+@pytest.mark.parametrize("lambdas", [(6.0, 4.0), (34.0, 2.0), (1.0, 18.0)],
+                         ids=["lambda_6_4", "lambda_34_2", "lambda_1_18"])
+def test_model_activation_inverts_the_joint_cdf(params, lambdas):
+    # cell i = K1 (N + 1) + K2 takes the uniforms of its step [cdf[i - 1],
+    # cdf[i]) of the row-major cumulative pmf; uniforms from the top of the
+    # cdf up go to the last cell whose step is not empty
     n = params.n_users
-    lambdas = (34.0, 2.0)
-    pair = np.random.default_rng(6).poisson(lambdas, size=(500, 2))
-    k = pair[:, 0] - pair[:, 1]
-    drawn = draw_activation(LoadDistribution(*lambdas), params,
-                            ActivationModel.MODEL_MATCHED, [(np.random.default_rng(6), 500)])
+    loads = LoadDistribution(*lambdas)
+    pmf = _model_pmf(loads, n).ravel()
+    cdf = np.cumsum(pmf)
+    lower = np.concatenate(([0.0], cdf[:-1]))
+    steps = cdf[np.flatnonzero(pmf)][:-1]
+    chosen = steps[::max(1, steps.size // 16)]
+    uniforms = np.concatenate(([0.0, 1.0 - 2.0 ** -53], chosen, np.nextafter(chosen, 0.0),
+                               np.linspace(0.0, 1.0, 4001)[:-1]))
+    stream = Replay(uniforms, np.empty(0))  # hands out the chosen uniforms
+    drawn = draw_activation(loads, params, ActivationModel.MODEL_MATCHED,
+                            [(stream, uniforms.size)])
+    assert stream.used == {"random": uniforms.size, "standard_normal": 0}
+    cell = drawn[:, 0] * (n + 1) + drawn[:, 1]
+    inside = uniforms < cdf[-1]
+    assert np.all((lower[cell] <= uniforms) & (uniforms < cdf[cell]) | ~inside)
+    assert np.all(cell[~inside] == np.flatnonzero(cdf > lower)[-1])
+    assert np.all(pmf[cell] > 0.0)
     empty = np.all(drawn == 0, axis=1)
-    assert np.array_equal(empty, np.abs(k) >= n) and empty.any() and not empty.all()
-    assert np.array_equal(drawn[~empty, 0] - drawn[~empty, 1], k[~empty])
+    assert empty[0] and not empty.all()  # u = 0 draws the empty frame
     assert drawn[~empty].min() >= 1 and drawn[~empty].max() <= n
+    assert np.all(np.abs(drawn[:, 0] - drawn[:, 1]) < n)  # |k| >= N only as (0, 0)
+
+
+def test_model_pmf_expectation_is_the_closed_form(params):
+    # the exact expectation of the sampled law, sum of pmf * c over [0, N]^2,
+    # is the closed form: why matched sampling with model activation is
+    # unbiased
+    n = params.n_users
+    big_k1, big_k2 = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    laws = {}
+    for lambdas in ((6.0, 4.0), (34.0, 2.0), (1.0, 18.0)):
+        loads = LoadDistribution(*lambdas)
+        pmf = _model_pmf(loads, n)
+        assert abs(math.fsum(pmf.flat) - 1.0) <= 1e-15
+        # the empty frame holds the Skellam mass of every |k| >= N; a cell
+        # with a zero count and the other not holds none
+        skellam = loads.skellam_vector(n)
+        assert abs(pmf[0, 0] - (1.0 - math.fsum(skellam[k] for k in range(1 - n, n)))) <= 1e-15
+        assert not pmf[0, 1:].any() and not pmf[1:, 0].any()
+        laws[loads] = pmf.ravel()
+    for cfg in all_configurations().values():
+        values = [conditional_throughput(a - b, b, cfg, params)
+                  for a, b in zip(big_k1.tolist(), big_k2.tolist())]
+        for loads, pmf in laws.items():
+            expected = average_throughput(conditional_table(cfg, params), loads).total
+            assert_allclose(math.fsum(pmf * values), expected, rtol=1e-12)
 
 
 def frame_columns(frame):
@@ -164,7 +204,7 @@ def test_seeded_streams_match_frozen_values(params):
     result = simulate(configs["r1_Hl_Hh"], LoadDistribution(10.0, 2.0), params,
                       300, seed=(31, 10, 2), mean_shadowing=True,
                       activation=ActivationModel.MODEL_MATCHED)
-    assert_allclose(result.mean, 49.11424087818744, rtol=1e-13)
+    assert_allclose(result.mean, 49.05909149132052, rtol=1e-13)
 
 
 frames = st.tuples(st.sampled_from(list(all_configurations().values())),
@@ -343,9 +383,9 @@ def test_sampled_shadowing_changes_frames(params, candidates):
 
 
 class Replay:
-    """A stand-in stream for run_frame: its ``random`` and
-    ``standard_normal`` calls hand out, in turn, the next slices of the
-    uniforms and the deviates that a block drew in one call each."""
+    """A stand-in stream for run_frame or draw_activation: its ``random``
+    and ``standard_normal`` calls hand out, in turn, the next slices of
+    the uniforms and the deviates given to it."""
 
     def __init__(self, uniforms, deviates):
         self.draws = {"random": uniforms, "standard_normal": deviates}
