@@ -12,8 +12,9 @@ One engine computes a block of frames at once, from the rows
 ``pairing.schedule_block`` makes of their (K1, K2). A block draws from one
 stream, one call per draw: counts, layouts, then shadowing deviates.
 ``run_frame`` is a block of one; ``simulate`` runs blocks of
-BLOCK_FRAMES, block b from ``frame_rng(seed, b)``. Model activation maps
-one uniform per frame to (K1, K2), a matched chunk's in one search.
+BLOCK_FRAMES, block b from ``frame_rng(seed, b)``, and draws the counts of
+a chunk of blocks in one ``draw_activation`` call. Model activation maps
+one uniform per frame to (K1, K2), a chunk's in one search.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -34,15 +35,15 @@ from .errors import RateExceedsPopulationError
 from .pairing import schedule_block
 from .params import SystemParams
 from .sinr import Configuration
-from .throughput import (ConditionalTable, LoadDistribution, _split_weights, _weighted_table,
-                         average_throughput)
+from .throughput import (ConditionalTable, LoadDistribution, _binomial_row, _split_weights,
+                         _weighted_table, average_throughput)
 
 # Frames per stream and numpy pass of ``simulate``. Larger blocks run
 # faster but hold more rows in memory at once.
 BLOCK_FRAMES = 64
-# Matched mode: frames drawn before their values are looked up (whole
-# blocks), and about the users of an engine pass that fills new values;
-# more users per pass hold more rows in memory at once.
+# Frames whose counts one ``draw_activation`` call draws (whole blocks),
+# and, in matched mode, about the users of an engine pass that fills new
+# values; more users per pass hold more rows in memory at once.
 FILL_FRAMES, FILL_USERS = 64 * BLOCK_FRAMES, 2048
 
 
@@ -77,9 +78,9 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
 @functools.lru_cache(maxsize=None)
 def _split_matrix(n: int) -> np.ndarray:
     """W[K1, K2] on [0, N]^2: normalised split weights, 0 off the admissible set."""
-    weights = np.zeros((n + 1, n + 1))
+    weights, row = np.zeros((n + 1, n + 1)), _binomial_row(n)
     for k in range(1 - n, n):  # |k| = N has no admissible split
-        splits, split_weights = _split_weights(k, n)
+        splits, split_weights = _split_weights(k, row)
         weights[np.add(splits, k), splits] = split_weights
     weights.flags.writeable = False
     return weights
@@ -311,31 +312,33 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
 
     Deterministic given ``seed``: block b of BLOCK_FRAMES frames draws from
     its own stream ``frame_rng(seed, b)``, so results do not depend on
-    scheduling order or worker count. A block draws its counts with
-    ``draw_activation``, then what ``run_frame`` draws, for all its frames
-    at once. With worst-case distances and mean shadowing a frame's value
-    is a function of (K1, K2): one ``draw_activation`` call draws the
-    counts of a chunk of FILL_FRAMES frames, each block from its own
-    stream, then the chunk's new values fill an (N + 1)^2 array that the
+    scheduling order or worker count. One ``draw_activation`` call draws
+    the counts of a chunk of FILL_FRAMES frames, each block from its own
+    stream. Each block then draws what ``run_frame`` draws, for all its
+    frames at once, from its stream. With worst-case distances and mean
+    shadowing a frame draws nothing and its value is a function of
+    (K1, K2): the chunk's new values fill an (N + 1)^2 array that the
     frames read. Nothing outlives the call.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
 
-    def blocks(start, stop):  # (stream, frames) of each block in [start, stop)
-        for first in range(start, min(stop, n_frames), BLOCK_FRAMES):
-            yield frame_rng(seed, first // BLOCK_FRAMES), min(BLOCK_FRAMES, n_frames - first)
+    def chunks():  # per chunk of FILL_FRAMES frames: its blocks' (stream, frames), their counts
+        for start in range(0, n_frames, FILL_FRAMES):
+            streams = [(frame_rng(seed, first // BLOCK_FRAMES), min(BLOCK_FRAMES, n_frames - first))
+                       for first in range(start, min(start + FILL_FRAMES, n_frames), BLOCK_FRAMES)]
+            yield streams, draw_activation(loads, params, activation, streams)
 
     if worst_case_distances and mean_shadowing:
         table = np.full((params.n_users + 1,) * 2, np.nan)
-        chunks = (draw_activation(loads, params, activation, blocks(start, start + FILL_FRAMES))
-                  for start in range(0, n_frames, FILL_FRAMES))
-        values = np.concatenate([_matched_values(cfg, params, table, counts) for counts in chunks])
-    else:
+        values = np.concatenate([_matched_values(cfg, params, table, counts)
+                                 for _, counts in chunks()])
+    else:  # each block goes on to draw its layout and deviates from its own stream
         values = np.concatenate([
-            _receptions(cfg, draw_activation(loads, params, activation, [(rng, frames)]), rng,
-                        params, worst_case_distances, mean_shadowing).throughput
-            for rng, frames in blocks(0, n_frames)])
+            _receptions(cfg, block, rng, params, worst_case_distances, mean_shadowing).throughput
+            for streams, counts in chunks()
+            for (rng, _), block in zip(streams, np.split(
+                counts, range(BLOCK_FRAMES, len(counts), BLOCK_FRAMES)))])
 
     std = float(values.std(ddof=1)) if n_frames > 1 else 0.0
     return SimResult(mean=float(values.mean()), ci_half_width=1.96 * std / math.sqrt(n_frames))
@@ -348,7 +351,8 @@ def _matched_table(cfg: Configuration, params: SystemParams) -> ConditionalTable
     table = np.full((params.n_users + 1,) * 2, np.nan)
     _matched_values(cfg, params, table, np.argwhere(np.isnan(table[1:, 1:])) + 1)  # [1, N]^2
     values = table.tolist()
-    return _weighted_table(cfg, params.n_users, lambda k, big_k2: values[big_k2 + k][big_k2])
+    return _weighted_table(cfg, params.n_users,
+                           lambda k, splits: [values[big_k2 + k][big_k2] for big_k2 in splits])
 
 
 def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams) -> float:

@@ -5,7 +5,9 @@ The difference k = K1 - K2 of two independent Poisson loads follows the
 Skellam distribution. For each k, the admissible splits (K2, K2 + k) with
 both counts in [1, N] are averaged with weights C(N, K2+k)*C(N, K2)
 (the number of distinct active-user cases), and each split contributes its
-conditional per-slot throughput.
+conditional per-slot throughput. Only the cross-cell pair count depends on
+K2, so a k's values come from one ``pair_counts`` call, and its weights
+from one row of binomial coefficients built once per table.
 
 The average therefore factors into a load-only vector P(lambda)[k]
 (``skellam_vector``) and a configuration-only vector C(cfg)[k]
@@ -17,6 +19,7 @@ at position k and -k at position -k, so ``vector[k]`` reads either sign.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import NonPositiveRateError
@@ -145,34 +148,51 @@ def admissible_k2(k: int, n: int) -> range:
     return range(max(1, 1 - k), min(n, n - k) + 1)
 
 
-def _split_weights(k: int, n: int) -> tuple[list[int], list[float]]:
+def _binomial_row(n: int) -> list[int]:
+    """C(n, j) for j = 0..n, exact integers."""
+    return [math.comb(n, j) for j in range(n + 1)]
+
+
+def _split_weights(k: int, row: list[int]) -> tuple[range, list[float]]:
     """Admissible K2 for load difference k, with the case-count weights
-    C(n, K2 + k) * C(n, K2) normalized to sum to one."""
-    splits = list(admissible_k2(k, n))
-    weights = [math.comb(n, big_k2 + k) * math.comb(n, big_k2) for big_k2 in splits]
+    C(N, K2 + k) * C(N, K2) normalized to sum to one; ``row`` is
+    ``_binomial_row(N)``."""
+    splits = admissible_k2(k, len(row) - 1)
+    first, stop = splits.start, splits.stop
+    weights = list(map(operator.mul, row[first + k:stop + k], row[first:stop]))
     total = float(sum(weights))
     return splits, [weight / total for weight in weights]
+
+
+def _frame_throughputs(k: int, splits: range, cfg: Configuration, mode: AccountingMode,
+                       rates: RateSet) -> list[float]:
+    """Per-slot throughput [bits/s/Hz] of the frames with loads (K2 + k, K2),
+    one per K2 of ``splits`` (no empty frame among them).
+
+    a_s and b depend on k alone and a_d = K2 + min(k, 0), so one
+    ``pair_counts`` call serves all the splits. The individual rate applies
+    the altitude of the surplus cell's own UAV, which is the one that serves
+    leftover users in the final step.
+    """
+    counts = pair_counts(k, splits.start, cfg.t1, cfg.t2, mode)
+    shift, others = min(k, 0), counts.a_s + counts.b
+    same = counts.a_s * rates.r_cochannel_same
+    alone = counts.b * (rates.r_individual_1 if k > 0 else rates.r_individual_2)
+    r_d = rates.r_cochannel_diff
+    return [(a_d * r_d + same + alone) / (2 * (a_d + others))
+            for a_d in range(splits.start + shift, splits.stop + shift)]
 
 
 def conditional_throughput(k: int, big_k2: int, cfg: Configuration, params: SystemParams,
                            mode: AccountingMode = AccountingMode.CONSISTENT,
                            rates: RateSet | None = None) -> float:
     """Per-slot throughput [bits/s/Hz] of one frame with loads (K2 + k, K2).
-
-    The individual rate applies the altitude of the surplus cell's own UAV,
-    which is the one that serves leftover users in the final step. An empty
-    frame (no units at all) contributes 0 by convention.
-    """
-    counts = pair_counts(k, big_k2, cfg.t1, cfg.t2, mode)
-    if counts.units == 0:
+    An empty frame (no units at all) contributes 0 by convention."""
+    if k == 0 and big_k2 == 0:
         return 0.0
     if rates is None:
         rates = rate_set(cfg, params)
-    r_ind = rates.r_individual_1 if k > 0 else rates.r_individual_2
-    numerator = (counts.a_d * rates.r_cochannel_diff
-                 + counts.a_s * rates.r_cochannel_same
-                 + counts.b * r_ind)
-    return numerator / (2 * counts.units)
+    return _frame_throughputs(k, range(big_k2, big_k2 + 1), cfg, mode, rates)[0]
 
 
 @dataclass(frozen=True)
@@ -185,14 +205,17 @@ class ConditionalTable:
     values: tuple[float, ...]
 
 
-def _weighted_table(cfg: Configuration, n: int, value) -> ConditionalTable:
-    """C(cfg) from ``value(k, K2)``, the throughput of the frame with loads
-    (K2 + k, K2). Each entry is an exactly rounded sum (``math.fsum``), so
-    it does not depend on the order of the splits."""
+def _weighted_table(cfg: Configuration, n: int, values) -> ConditionalTable:
+    """C(cfg) from ``values(k, splits)``, the throughputs of the frames with
+    loads (K2 + k, K2) for the admissible K2 of a k, built k by k with the
+    split weights read from one ``_binomial_row(n)``. Each entry is an
+    exactly rounded sum (``math.fsum``), so it does not depend on the order
+    of the splits."""
+    row = _binomial_row(n)
 
     def entry(k: int) -> float:
-        splits, weights = _split_weights(k, n)
-        return math.fsum(weight * value(k, big_k2) for weight, big_k2 in zip(weights, splits))
+        splits, weights = _split_weights(k, row)
+        return math.fsum(map(operator.mul, weights, values(k, splits)))
 
     return ConditionalTable(config=cfg,
                             values=tuple(entry(k) for k in (*range(n + 1), *range(-n, 0))))
@@ -201,10 +224,11 @@ def _weighted_table(cfg: Configuration, n: int, value) -> ConditionalTable:
 def conditional_table(cfg: Configuration, params: SystemParams,
                       mode: AccountingMode = AccountingMode.CONSISTENT) -> ConditionalTable:
     """Build C(cfg) from the closed-form conditional throughput under
-    accounting ``mode``."""
+    accounting ``mode``: one ``pair_counts`` call and one pass over the
+    splits per k."""
     rates = rate_set(cfg, params)
-    return _weighted_table(cfg, params.n_users, lambda k, big_k2: conditional_throughput(
-        k, big_k2, cfg, params, mode, rates))
+    return _weighted_table(cfg, params.n_users, lambda k, splits: _frame_throughputs(
+        k, splits, cfg, mode, rates))
 
 
 def average_throughput(table: ConditionalTable, loads: LoadDistribution) -> ThroughputBreakdown:

@@ -426,14 +426,18 @@ def frame_by_frame(cfg, loads, params, n_frames, seed, activation, mode):
     return np.array(values)
 
 
-@pytest.mark.parametrize("mode", [{}, {"mean_shadowing": True}, {"worst_case_distances": True},
-                                  {"worst_case_distances": True, "mean_shadowing": True}],
-                         ids=["exact_sampled", "exact_mean", "worst_sampled", "worst_mean"])
-@pytest.mark.parametrize("activation,lambdas", [
-    (ActivationModel.TRUNCATED_POISSON, (6.0, 4.0)),
-    (ActivationModel.BINOMIAL_PER_USER, (0.05, 0.3)),  # mostly empty frames
-    (ActivationModel.MODEL_MATCHED, (34.0, 2.0)),      # often |k| > N: no split
-], ids=["poisson", "binomial", "model"])
+MODES = {"exact_sampled": {}, "exact_mean": {"mean_shadowing": True},
+         "worst_sampled": {"worst_case_distances": True},
+         "worst_mean": {"worst_case_distances": True, "mean_shadowing": True}}
+ACTIVATIONS = {
+    "poisson": (ActivationModel.TRUNCATED_POISSON, (6.0, 4.0)),
+    "binomial": (ActivationModel.BINOMIAL_PER_USER, (0.05, 0.3)),  # mostly empty frames
+    "model": (ActivationModel.MODEL_MATCHED, (34.0, 2.0)),         # often |k| > N: no split
+}
+
+
+@pytest.mark.parametrize("mode", MODES.values(), ids=MODES)
+@pytest.mark.parametrize("activation,lambdas", ACTIVATIONS.values(), ids=ACTIVATIONS)
 def test_block_engine_matches_frame_loop(params, candidates, mode, activation, lambdas):
     # two full blocks and a partial one
     n_frames = 2 * BLOCK_FRAMES + 3
@@ -448,20 +452,20 @@ def test_block_engine_matches_frame_loop(params, candidates, mode, activation, l
             assert 0.0 in values and values.max() > 0.0
 
 
-@pytest.mark.parametrize("activation,lambdas", [
-    (ActivationModel.TRUNCATED_POISSON, (6.0, 4.0)),
-    (ActivationModel.BINOMIAL_PER_USER, (0.05, 0.3)),
-    (ActivationModel.MODEL_MATCHED, (34.0, 2.0)),
-], ids=["poisson", "binomial", "model"])
+@pytest.mark.parametrize("activation,lambdas,mode", [
+    *(pytest.param(*ACTIVATIONS[name], MODES["worst_mean"], id=name) for name in ACTIVATIONS),
+    *(pytest.param(*ACTIVATIONS[name], MODES[mode], id=f"{name}-{mode}")
+      for name in ACTIVATIONS for mode in MODES if mode != "worst_mean"),
+])
 def test_matched_fill_chunks_match_frame_loop(params, candidates, monkeypatch, activation,
-                                              lambdas):
-    # matched mode draws FILL_FRAMES frames' counts before it fills their
-    # values, FILL_USERS users per engine pass; shrunk here, a run crosses a
-    # chunk boundary into a partial chunk and fills in several passes
+                                              lambdas, mode):
+    # simulate draws FILL_FRAMES frames' counts in one call, then runs their
+    # blocks (physical modes) or fills their values, FILL_USERS users per
+    # engine pass (matched mode, the ids without a mode); shrunk here, a run
+    # crosses a chunk boundary into a partial chunk and fills in several passes
     monkeypatch.setattr(montecarlo, "FILL_FRAMES", 2 * BLOCK_FRAMES)
     monkeypatch.setattr(montecarlo, "FILL_USERS", 40)
     n_frames = 2 * BLOCK_FRAMES + 3
-    mode = {"worst_case_distances": True, "mean_shadowing": True}
     loads = LoadDistribution(*lambdas)
     for cfg in candidates.values():
         values = frame_by_frame(cfg, loads, params, n_frames, (3, 7), activation, mode)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from uav_twoway import default_config, validate_and_derive
 from uav_twoway.errors import NonPositiveRateError
-from uav_twoway.pairing import AccountingMode
+from uav_twoway.pairing import AccountingMode, pair_counts
 from uav_twoway.rates import rate_set
 from uav_twoway.sinr import Configuration, all_configurations
 from uav_twoway.throughput import (LoadDistribution, admissible_k2,
@@ -160,6 +160,48 @@ def test_conditional_pinned_mixed_case(params, candidates):
 
 def test_conditional_empty_frame_is_zero(params, candidates):
     assert conditional_throughput(0, 0, candidates["r0_Hl_Hl"], params) == 0.0
+
+
+def per_split_table(cfg, params, mode):
+    """Reference C(cfg), split by split: each frame's value transcribed from
+    its pair counts, weighted by exact integer case counts."""
+    n = params.n_users
+    rates = rate_set(cfg, params)
+    values = []
+    for k in (*range(n + 1), *range(-n, 0)):
+        r_ind = rates.r_individual_1 if k > 0 else rates.r_individual_2
+        splits = admissible_k2(k, n)
+        weights = [math.comb(n, big_k2 + k) * math.comb(n, big_k2) for big_k2 in splits]
+        frames = []
+        for big_k2 in splits:
+            counts = pair_counts(k, big_k2, cfg.t1, cfg.t2, mode)
+            frames.append((counts.a_d * rates.r_cochannel_diff
+                           + counts.a_s * rates.r_cochannel_same
+                           + counts.b * r_ind) / (2 * counts.units))
+            assert conditional_throughput(k, big_k2, cfg, params, mode, rates) == frames[-1]
+        total = float(sum(weights))
+        values.append(math.fsum(weight / total * frame
+                                for weight, frame in zip(weights, frames)))
+    return tuple(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_conditional_table_equals_per_split_reference(n):
+    config = default_config()
+    config["n_users"] = n
+    params = validate_and_derive(config)
+    for cfg in all_configurations().values():
+        for mode in AccountingMode:
+            assert conditional_table(cfg, params, mode).values == per_split_table(cfg, params, mode)
+
+
+def test_conditional_table_equals_per_split_reference_at_200_users():
+    config = default_config()
+    config["n_users"] = 200
+    params = validate_and_derive(config)
+    cfg = Configuration(1, 0, 1)
+    assert (conditional_table(cfg, params, AccountingMode.PAPER_LITERAL).values
+            == per_split_table(cfg, params, AccountingMode.PAPER_LITERAL))
 
 
 def test_average_matches_brute_force_small_n(candidates):
