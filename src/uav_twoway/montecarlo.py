@@ -14,7 +14,10 @@ stream, one call per draw: counts, layouts, then shadowing deviates.
 ``run_frame`` is a block of one; ``simulate`` runs blocks of
 BLOCK_FRAMES, block b from ``frame_rng(seed, b)``, and draws the counts of
 a chunk of blocks in one ``draw_activation`` call. Model activation maps
-one uniform per frame to (K1, K2), a chunk's in one search.
+one uniform per frame to (K1, K2), a chunk's in one search. A chunk's
+streams come from one ``frame_rngs`` call, which restates numpy's
+SeedSequence hash on an array of spawn indices: each is still
+``frame_rng(seed, b)``, bit for bit.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import channel
 from .errors import RateExceedsPopulationError
@@ -281,11 +285,105 @@ def _entropy(seed) -> tuple:
     return (int(seed),)
 
 
+# numpy's SeedSequence hash (NEP 19 keeps it stable): a pool of four 32-bit
+# words, hash constants (init, multiplier) for the entropy and for the output
+MASK32, POOL_WORDS = 0xFFFFFFFF, 4
+ENTROPY_HASH, STATE_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+
+
+def _hash_constants(init: int, multiplier: int):
+    """The (xor, multiplier) pair of each successive hashmix: the constant
+    before and after its update."""
+    while True:
+        updated = init * multiplier & MASK32
+        yield init, updated
+        init = updated
+
+
+def _hashmix(value, xor, multiplier):
+    """SeedSequence's hashmix on Python ints or uint32 arrays alike."""
+    value = (value ^ xor) * multiplier & MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & MASK32
+    return result ^ result >> 16
+
+
+def _words(value: int) -> list:
+    """A non-negative int as 32-bit words, least significant first; 0 is [0]."""
+    if value < 0:
+        raise ValueError(f"seed words must be non-negative, got {value!r}")
+    return [value >> shift & MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+# PCG64 seeds from generate_state(4, uint64): eight output words, the pool
+# cycled twice, each hashed with a fixed constant pair; [pair, cycle, word]
+_STATE_PAIRS = np.array(list(islice(_hash_constants(*STATE_HASH), 2 * POOL_WORDS)),
+                        dtype=np.uint32).T.reshape(2, 2, POOL_WORDS)
+
+
+class _PoolState(ISeedSequence):
+    """One stream's seed for PCG64: the generate_state(4, uint64) of its
+    SeedSequence and nothing else (it cannot spawn)."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (POOL_WORDS, np.uint64):
+            raise ValueError(f"holds only {POOL_WORDS} uint64 words, not {n_words} {dtype}")
+        return self.state
+
+
+def frame_rngs(seed, indices) -> list:
+    """Streams ``frame_rng(seed, i)`` for each i of ``indices``, derived in
+    one numpy pass: each has the state of ``np.random.default_rng(
+    SeedSequence(entropy=_entropy(seed), spawn_key=(i,)))``, bit for bit.
+
+    The entropy words (padded to the pool size) and all the pool mixing
+    before the spawn word depend on ``seed`` alone and are hashed once, in
+    Python ints. Streams differ only in that last word, an index below
+    2**32, so its hash into the pool and the pool's output hash run on an
+    (n, 4) array. An index of 2**32 or more raises ``ValueError``: numpy
+    would split it into two words.
+    """
+    indices = np.asarray(indices)
+    if indices.size == 0:
+        return []
+    if indices.dtype.kind not in "iuO":
+        raise TypeError(f"stream indices must be integers, got {indices.dtype}")
+    if indices.min() < 0 or indices.max() > MASK32:
+        bad = next(i for i in indices.tolist() if not 0 <= i <= MASK32)
+        raise ValueError(f"stream index {bad!r} is outside [0, 2**32)")
+    words = [word for value in _entropy(seed) for word in _words(value)]
+    words += [0] * (POOL_WORDS - len(words))
+    constants = _hash_constants(*ENTROPY_HASH)
+    pool = [_hashmix(word, *next(constants)) for word in words[:POOL_WORDS]]
+    for src in range(POOL_WORDS):  # mix so later words reach earlier ones
+        for dst in range(POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
+    for word in words[POOL_WORDS:]:  # the rest, each into every pool word
+        pool = [_mix(p, _hashmix(word, *next(constants))) for p in pool]
+
+    # per stream: its index word into every pool word, then the output hash
+    pairs = np.array(list(islice(constants, POOL_WORDS)), dtype=np.uint32).T
+    pools = _mix(np.array(pool, dtype=np.uint32),
+                 _hashmix(indices.astype(np.uint32)[:, None], *pairs))
+    state = _hashmix(pools[:, None, :], *_STATE_PAIRS).reshape(-1, 2 * POOL_WORDS)
+    return [np.random.Generator(np.random.PCG64(_PoolState(row)))
+            for row in state.astype("<u4").view("<u8").astype(np.uint64)]
+
+
 def frame_rng(seed, index: int):
     """Independent stream number ``index``, a pure function of (seed,
-    index): block ``index`` of a ``simulate`` run draws from it."""
-    sequence = np.random.SeedSequence(entropy=_entropy(seed), spawn_key=(index,))
-    return np.random.default_rng(sequence)
+    index): block ``index`` of a ``simulate`` run draws from it. It is
+    ``frame_rngs(seed, (index,))[0]``, numpy's SeedSequence stream of
+    entropy ``seed`` and spawn key ``(index,)``."""
+    return frame_rngs(seed, (index,))[0]
 
 
 def _matched_values(cfg: Configuration, params: SystemParams, table: np.ndarray,
@@ -312,10 +410,11 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
 
     Deterministic given ``seed``: block b of BLOCK_FRAMES frames draws from
     its own stream ``frame_rng(seed, b)``, so results do not depend on
-    scheduling order or worker count. One ``draw_activation`` call draws
-    the counts of a chunk of FILL_FRAMES frames, each block from its own
-    stream. Each block then draws what ``run_frame`` draws, for all its
-    frames at once, from its stream. With worst-case distances and mean
+    scheduling order or worker count. A chunk of FILL_FRAMES frames derives
+    its blocks' streams in one ``frame_rngs`` call, bit for bit those of
+    ``frame_rng``, and one ``draw_activation`` call draws its counts, each
+    block from its own stream. Each block then draws what ``run_frame``
+    draws, for all its frames at once, from its stream. With worst-case distances and mean
     shadowing a frame draws nothing and its value is a function of
     (K1, K2): the chunk's new values fill an (N + 1)^2 array that the
     frames read. Nothing outlives the call.
@@ -325,8 +424,9 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
 
     def chunks():  # per chunk of FILL_FRAMES frames: its blocks' (stream, frames), their counts
         for start in range(0, n_frames, FILL_FRAMES):
-            streams = [(frame_rng(seed, first // BLOCK_FRAMES), min(BLOCK_FRAMES, n_frames - first))
-                       for first in range(start, min(start + FILL_FRAMES, n_frames), BLOCK_FRAMES)]
+            firsts = range(start, min(start + FILL_FRAMES, n_frames), BLOCK_FRAMES)
+            streams = [(rng, min(BLOCK_FRAMES, n_frames - first)) for rng, first in
+                       zip(frame_rngs(seed, np.array(firsts) // BLOCK_FRAMES), firsts)]
             yield streams, draw_activation(loads, params, activation, streams)
 
     if worst_case_distances and mean_shadowing:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -11,7 +11,8 @@ from uav_twoway import montecarlo
 from uav_twoway.errors import RateExceedsPopulationError
 from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, _matched_table,
                                    _matched_values, _model_pmf, _positions, draw_activation,
-                                   frame_rng, run_frame, simulate, simulate_exhaustive)
+                                   frame_rng, frame_rngs, run_frame, simulate,
+                                   simulate_exhaustive)
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts,
                                 schedule_frame)
 from uav_twoway.sinr import Configuration, all_configurations
@@ -205,6 +206,38 @@ def test_seeded_streams_match_frozen_values(params):
                       300, seed=(31, 10, 2), mean_shadowing=True,
                       activation=ActivationModel.MODEL_MATCHED)
     assert_allclose(result.mean, 49.05909149132052, rtol=1e-13)
+
+
+seed_words = st.integers(0, 2 ** 80 - 1)
+
+
+@given(st.one_of(seed_words, st.lists(seed_words, min_size=1, max_size=5).map(tuple)),
+       st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=70))
+@example(0, [0])
+@example((0, 0, 0, 0, 0), [0, 2 ** 32 - 1])
+def test_frame_rngs_match_numpy_seed_sequence_streams(seed, indices):
+    # frame_rngs restates numpy's SeedSequence hash over an array of spawn
+    # indices; numpy's own SeedSequence is the oracle, bit for bit
+    streams = frame_rngs(seed, indices)
+    assert len(streams) == len(indices)
+    for index, rng in zip(indices, streams):
+        oracle = np.random.default_rng(
+            np.random.SeedSequence(montecarlo._entropy(seed), spawn_key=(index,)))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert np.array_equal(rng.random(3), oracle.random(3))
+    alone, batched = frame_rng(seed, indices[-1]), frame_rngs(seed, [indices[-1]])[0]
+    assert alone.bit_generator.state == batched.bit_generator.state
+
+
+def test_frame_rngs_reject_bad_stream_input(params, candidates):
+    with pytest.raises(ValueError):  # a negative seed word, as numpy refuses it
+        simulate(candidates["r0_Hl_Hl"], LoadDistribution(5.0, 5.0), params,
+                 10, seed=(-1, 0, 0))
+    with pytest.raises(ValueError, match=str(2 ** 32)):  # numpy would split it in two words
+        frame_rngs(1, [2 ** 32])
+    with pytest.raises(TypeError):  # not truncated to an integer index
+        frame_rngs(1, [2.5])
+    assert frame_rngs(1, []) == []
 
 
 frames = st.tuples(st.sampled_from(list(all_configurations().values())),
