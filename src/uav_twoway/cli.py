@@ -23,7 +23,7 @@ from .pairing import AccountingMode
 from .params import SystemParams, load_params
 from .sinr import all_configurations, candidate_configurations
 from .throughput import (LoadDistribution, average_throughput, check_rate,
-                         conditional_table, optimal_configuration, pick_optimal)
+                         conditional_table, optimal_configuration, pick_optimal, split_weights)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +39,9 @@ OPTIMAL = "optimal"
 EXHAUSTIVE = "exhaustive"
 
 MAX_AXIS_VALUES = 10_000  # values per load axis of a grid
-# Monte Carlo frames per row: a row holds one float per frame, 80 MB here.
+# Monte Carlo frames per row. A row holds one float64 per frame, 80 MB
+# here, and its standard deviation one more at the end: a 10^6-frame
+# physical row peaked 13 MB above a 10^5-frame one (about 15 B a frame).
 MAX_FRAMES = 10_000_000
 # Worker processes of a grid run. A process pool forks all its workers at
 # the first task, so the count is checked before any pool exists.
@@ -112,13 +114,20 @@ def _resolve_configurations(names: str) -> list[tuple[str, object]]:
 
 def _load_params(args) -> SystemParams:
     """The parameters of ``--config`` and ``--set``; a ``--config`` file
-    that cannot be read as text is a configuration error naming the flag."""
+    that cannot be read as text is a configuration error naming the flag.
+    Cells close enough for a low lobe to reach the other cell get a
+    warning on stderr: the worst-case bounds assume they do not."""
     try:
-        return load_params(args.config, args.set)
+        params = load_params(args.config, args.set)
     except OSError as error:
         raise ConfigError(f"--config={args.config!r}: {error.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"--config={args.config!r}: not UTF-8 text") from None
+    if params.d_sep < params.d_sep_min:
+        print(f"warning: d_sep_m={params.d_sep!r} is below 2*d_0 + h_0*tan(phi_b) = "
+              f"{params.d_sep_min!r} m: a low UAV's lobe reaches the other cell, "
+              f"which the worst-case bounds assume it does not", file=sys.stderr)
+    return params
 
 
 def _accounting(args) -> AccountingMode:
@@ -134,6 +143,7 @@ class SweepSpec:
     lambda1_values: tuple
     lambda2_values: tuple
     selections: tuple            # (label, Configuration-or-None) pairs
+    weights: tuple               # split_weights(N), shared by every table
     tables: dict                 # label -> ConditionalTable, optimal's candidates included
     accounting: AccountingMode
     frames: int
@@ -169,12 +179,14 @@ class SweepSpec:
         configs = {label: cfg for label, cfg in selections if label != OPTIMAL}
         if any(label == OPTIMAL for label, _ in selections):
             configs.update(candidate_configurations())
+        weights = split_weights(params.n_users)
         return cls(
             params=params,
             lambda1_values=lambda1_values,
             lambda2_values=lambda2_values,
             selections=selections,
-            tables={label: conditional_table(cfg, params, accounting)
+            weights=weights,
+            tables={label: conditional_table(cfg, params, accounting, weights)
                     for label, cfg in configs.items()},
             accounting=accounting,
             frames=args.frames,
@@ -226,7 +238,7 @@ def _point_rows(spec: SweepSpec, point: tuple) -> list[dict]:
             from .montecarlo import ActivationModel, simulate, simulate_exhaustive
             if activation == "exhaustive":
                 mc_mean, half_width, used_frames = (
-                    simulate_exhaustive(cfg, loads, params), 0.0, 0)
+                    simulate_exhaustive(cfg, loads, params, spec.weights), 0.0, 0)
             else:
                 result = simulate(
                     cfg, loads, params, spec.frames,
@@ -319,7 +331,9 @@ def cmd_eval(args) -> int:
     else:
         configs = candidate_configurations()
 
-    breakdowns = {label: average_throughput(conditional_table(cfg, params, accounting), loads)
+    weights = split_weights(params.n_users)
+    breakdowns = {label: average_throughput(conditional_table(cfg, params, accounting, weights),
+                                            loads)
                   for label, cfg in {**configs, **candidate_configurations()}.items()}
     best = pick_optimal(breakdowns)
 

@@ -8,16 +8,18 @@ matched-assumption mode substitutes the worst-case distances and mean
 shadowing, in which case the frame reproduces the analytical conditional
 throughput and validates the closed form.
 
-One engine computes a block of frames at once, from the rows
-``pairing.schedule_block`` makes of their (K1, K2). A block draws from one
-stream, one call per draw: counts, layouts, then shadowing deviates.
-``run_frame`` is a block of one; ``simulate`` runs blocks of
-BLOCK_FRAMES, block b from ``frame_rng(seed, b)``, and draws the counts of
-a chunk of blocks in one ``draw_activation`` call. Model activation maps
-one uniform per frame to (K1, K2), a chunk's in one search. A chunk's
-streams come from one ``frame_rngs`` call, which restates numpy's
-SeedSequence hash on an array of spawn indices: each is still
-``frame_rng(seed, b)``, bit for bit.
+One engine pass computes many frames at once, from the rows
+``pairing.schedule_block`` makes of their (K1, K2). Frames come in blocks
+of BLOCK_FRAMES, and block b of a ``simulate`` run draws from its own
+stream ``frame_rng(seed, b)``, one call per kind of draw: counts, layouts,
+then shadowing deviates. ``simulate`` derives the streams of a chunk of
+blocks in one ``frame_rngs`` call, which restates numpy's SeedSequence
+hash on an array of spawn indices (each is still ``frame_rng(seed, b)``,
+bit for bit), and draws the chunk's counts in one ``draw_activation``
+call; model activation maps one uniform per frame to (K1, K2), a chunk's
+in one search. One engine pass then runs several whole blocks, about
+FILL_USERS users, each block still drawing its layout and deviates from
+its own stream. ``run_frame`` is a pass of one stream with one frame.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -39,16 +41,17 @@ from .errors import RateExceedsPopulationError
 from .pairing import schedule_block
 from .params import SystemParams
 from .sinr import Configuration
-from .throughput import (ConditionalTable, LoadDistribution, _binomial_row, _split_weights,
-                         _weighted_table, average_throughput)
+from .throughput import (ConditionalTable, LoadDistribution, _weighted_table, admissible_k2,
+                         average_throughput, split_weights)
 
-# Frames per stream and numpy pass of ``simulate``. Larger blocks run
-# faster but hold more rows in memory at once.
+# Frames per stream of ``simulate``: a block draws from its own stream.
 BLOCK_FRAMES = 64
 # Frames whose counts one ``draw_activation`` call draws (whole blocks),
-# and, in matched mode, about the users of an engine pass that fills new
-# values; more users per pass hold more rows in memory at once.
-FILL_FRAMES, FILL_USERS = 64 * BLOCK_FRAMES, 2048
+# and about the users of one engine pass, in both modes: whole blocks of a
+# chunk in the physical modes, its new (K1, K2) in matched mode. Larger
+# passes pay numpy's per-call overhead less often but hold more rows in
+# memory at once.
+FILL_FRAMES, FILL_USERS = 64 * BLOCK_FRAMES, 4096
 
 
 class ActivationModel(enum.Enum):
@@ -82,12 +85,12 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
 @functools.lru_cache(maxsize=None)
 def _split_matrix(n: int) -> np.ndarray:
     """W[K1, K2] on [0, N]^2: normalised split weights, 0 off the admissible set."""
-    weights, row = np.zeros((n + 1, n + 1)), _binomial_row(n)
+    matrix, weights = np.zeros((n + 1, n + 1)), split_weights(n)
     for k in range(1 - n, n):  # |k| = N has no admissible split
-        splits, split_weights = _split_weights(k, row)
-        weights[np.add(splits, k), splits] = split_weights
-    weights.flags.writeable = False
-    return weights
+        splits = admissible_k2(k, n)
+        matrix[np.add(splits, k), splits] = weights[k]
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _model_pmf(loads: LoadDistribution, n: int) -> np.ndarray:
@@ -138,11 +141,11 @@ def draw_activation(loads: LoadDistribution, params: SystemParams,
 
 @dataclass(frozen=True, eq=False)
 class FrameRealization:
-    """The receptions of a block of frames as columns, one row per receiver
+    """The receptions of a pass of frames as columns, one row per receiver
     and slot, frame after frame in slot order; a slot holds one row, or two
     for a co-channel pair.
 
-    Slots and users are numbered as in the block's ``schedule_block``, so
+    Slots and users are numbered as in the pass's ``schedule_block``, so
     a row's service class is its ``kinds[slot // 2]``. ``link`` is the
     serving UAV, ``user`` the ground endpoint, ``downlink`` whether the UAV
     transmits and ``hit`` whether the slot's co-channel transmitter reaches
@@ -159,32 +162,37 @@ class FrameRealization:
     interference: np.ndarray
     rate: np.ndarray
     cell: np.ndarray
-    throughput: list
+    throughput: np.ndarray
 
     @property
     def slot_count(self) -> int:
         return int(self.slot[-1]) + 1 if self.slot.size else 0
 
 
-def _receptions(cfg: Configuration, counts: np.ndarray, rng, params: SystemParams,
+def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemParams,
                 worst_case_distances: bool, mean_shadowing: bool) -> FrameRealization:
-    """Every reception of a block of frames, in one pass.
+    """Every reception of a pass of frames, computed at once.
 
     Frame j has counts[j] = (K1, K2) and follows ``schedule_block``. The
-    block draws from ``rng`` in two calls: the layout of all its users,
-    frame after frame (unless worst-case), then one shadowing deviate per
-    reception, frame after frame in slot order, for its signal and then
-    for its interferer if one reaches it (unless mean). In worst-case mode
-    the serving distance is the lobe edge, every reachable interferer sits
-    at its closest admissible position, and whether it is reachable
-    follows from the altitude levels and cell membership instead of
-    actual positions.
+    frames belong in turn to the (rng, frames) pairs of ``streams`` (whole
+    blocks of ``simulate``), and each stream draws for its own frames only,
+    in two calls: the layout of all its users, frame after frame (unless
+    worst-case), then one shadowing deviate per reception, frame after
+    frame in slot order, for its signal and then for its interferer if one
+    reaches it (unless mean). A stream thus draws what a pass of its own
+    would draw. In worst-case mode the serving distance is the lobe edge,
+    every reachable interferer sits at its closest admissible position,
+    and whether it is reachable follows from the altitude levels and cell
+    membership instead of actual positions.
     """
     schedule = schedule_block(cfg, counts[:, 0], counts[:, 1])
     slot, link, user, partner = schedule.rows
     sizes = counts.reshape(-1)
     downlink = ((link == 2) * cfg.r + slot) % 2 == 0  # link 1 is downlink-first
     cell = np.repeat(np.tile((1, 2), len(counts)), sizes)
+    # the users before each stream's first frame, then all (a frame has two cells)
+    users_before = np.concatenate(([0], np.cumsum(sizes)))[
+        2 * np.cumsum([0, *(frames for _, frames in streams)])]
 
     # With r = 0 a pair shares one direction and its interference is LoS:
     # the other UAV at a downlink receiver, the partner at an uplink one.
@@ -201,7 +209,9 @@ def _receptions(cfg: Configuration, counts: np.ndarray, rng, params: SystemParam
         reaches = high | (cell[ground] == uav)
         nlos = np.full(slot.shape, params.d_min)
     else:
-        x, y = _positions(rng.random(2 * int(sizes.sum())), sizes, params)
+        x, y = _positions(np.concatenate([
+            rng.random(2 * users) for (rng, _), users in zip(streams, np.diff(users_before))]),
+            sizes, params)
         center = np.array([0.0, params.d_sep])
 
         def slant(links, users):
@@ -218,8 +228,11 @@ def _receptions(cfg: Configuration, counts: np.ndarray, rng, params: SystemParam
         z_signal = z_interference = 0.0
     else:
         deviates = 1 + hit  # per row: its signal's, then its interferer's
-        first = np.cumsum(deviates) - deviates
-        z = rng.standard_normal(int(deviates.sum()))
+        through = np.concatenate(([0], np.cumsum(deviates)))  # the deviates before each row
+        per_stream = np.diff(through[2 * users_before])  # a user has two rows
+        z = np.concatenate([rng.standard_normal(count)
+                            for (rng, _), count in zip(streams, per_stream)])
+        first = through[:-1]
         z_signal, z_interference = z[first], z[first[hit] + 1]
 
     signal = np.where(downlink,
@@ -235,10 +248,16 @@ def _receptions(cfg: Configuration, counts: np.ndarray, rng, params: SystemParam
         interference[hit] = channel.rx_power_ground_to_ground(nlos[hit], params, z_interference)
     rate = np.log2(1.0 + signal / (interference + params.noise_power))
 
-    # summed slot by slot in order; numpy's pairwise sum would round differently
-    slot_rates = iter(np.bincount(slot, weights=rate).tolist())
-    throughput = [sum(islice(slot_rates, n)) / n if n else 0.0
-                  for n in schedule.slot_counts.tolist()]
+    # Each frame's slot rates summed in slot order, as a loop adds them: one
+    # column per frame, zero-padded, and cumsum runs down it sequentially,
+    # where numpy's sum would add some shapes pairwise and round differently.
+    slot_counts = schedule.slot_counts
+    first_slot = np.cumsum(slot_counts) - slot_counts
+    frame = np.repeat(np.arange(slot_counts.size), slot_counts)
+    padded = np.zeros((slot_counts.max(initial=1), slot_counts.size))
+    padded[np.arange(frame.size) - first_slot[frame], frame] = np.bincount(slot, weights=rate)
+    throughput = np.divide(np.cumsum(padded, axis=0)[-1], slot_counts,
+                           out=np.zeros(slot_counts.size), where=slot_counts > 0)
     return FrameRealization(slot=slot, link=link, user=user, downlink=downlink, hit=hit,
                             signal=signal, interference=interference, rate=rate, cell=cell,
                             throughput=throughput)
@@ -259,7 +278,7 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=No
         distances = "worst-case" if worst_case_distances else "exact"
         shadowing = "mean" if mean_shadowing else "sampled"
         raise ValueError(f"rng is required for {distances} distances with {shadowing} shadowing")
-    return _receptions(cfg, np.array([[k1, k2]]), rng, params, worst_case_distances,
+    return _receptions(cfg, np.array([[k1, k2]]), [(rng, 1)], params, worst_case_distances,
                        mean_shadowing)
 
 
@@ -386,6 +405,13 @@ def frame_rng(seed, index: int):
     return frame_rngs(seed, (index,))[0]
 
 
+def _pass_starts(users: np.ndarray) -> np.ndarray:
+    """Where engine passes of about FILL_USERS users start, given the running
+    user count at the end of each item: at every item that carries the
+    count across a multiple of FILL_USERS."""
+    return np.flatnonzero(np.diff(users // FILL_USERS)) + 1
+
+
 def _matched_values(cfg: Configuration, params: SystemParams, table: np.ndarray,
                     counts: np.ndarray) -> np.ndarray:
     """The matched-assumption value of each frame, a row (K1, K2) of
@@ -395,9 +421,10 @@ def _matched_values(cfg: Configuration, params: SystemParams, table: np.ndarray,
     drawn = np.zeros(table.shape, dtype=bool)
     drawn[tuple(counts.T)] = True
     missing = np.argwhere(drawn & np.isnan(table))  # each new (K1, K2) once
-    passes = np.flatnonzero(np.diff(np.cumsum(missing.sum(axis=1)) // FILL_USERS)) + 1
+    passes = _pass_starts(np.cumsum(missing.sum(axis=1)))
     for block in filter(len, np.split(missing, passes)):  # no pass when nothing is new
-        table[tuple(block.T)] = _receptions(cfg, block, None, params, True, True).throughput
+        table[tuple(block.T)] = _receptions(cfg, block, [(None, len(block))], params,
+                                            True, True).throughput
     return table[tuple(counts.T)]
 
 
@@ -413,51 +440,59 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     scheduling order or worker count. A chunk of FILL_FRAMES frames derives
     its blocks' streams in one ``frame_rngs`` call, bit for bit those of
     ``frame_rng``, and one ``draw_activation`` call draws its counts, each
-    block from its own stream. Each block then draws what ``run_frame``
-    draws, for all its frames at once, from its stream. With worst-case distances and mean
-    shadowing a frame draws nothing and its value is a function of
-    (K1, K2): the chunk's new values fill an (N + 1)^2 array that the
-    frames read. Nothing outlives the call.
+    block from its own stream. In the physical modes one engine pass then
+    runs several whole blocks of the chunk, about FILL_USERS users, and
+    each block draws what ``run_frame`` draws, for all its frames at once,
+    from its own stream. With worst-case distances and mean shadowing a
+    frame draws nothing and its value is a function of (K1, K2): the
+    chunk's new values fill an (N + 1)^2 array that the frames read. The
+    frame values go into one float64 array of ``n_frames``; nothing
+    outlives the call.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
 
-    def chunks():  # per chunk of FILL_FRAMES frames: its blocks' (stream, frames), their counts
-        for start in range(0, n_frames, FILL_FRAMES):
-            firsts = range(start, min(start + FILL_FRAMES, n_frames), BLOCK_FRAMES)
-            streams = [(rng, min(BLOCK_FRAMES, n_frames - first)) for rng, first in
-                       zip(frame_rngs(seed, np.array(firsts) // BLOCK_FRAMES), firsts)]
-            yield streams, draw_activation(loads, params, activation, streams)
-
-    if worst_case_distances and mean_shadowing:
-        table = np.full((params.n_users + 1,) * 2, np.nan)
-        values = np.concatenate([_matched_values(cfg, params, table, counts)
-                                 for _, counts in chunks()])
-    else:  # each block goes on to draw its layout and deviates from its own stream
-        values = np.concatenate([
-            _receptions(cfg, block, rng, params, worst_case_distances, mean_shadowing).throughput
-            for streams, counts in chunks()
-            for (rng, _), block in zip(streams, np.split(
-                counts, range(BLOCK_FRAMES, len(counts), BLOCK_FRAMES)))])
+    matched = worst_case_distances and mean_shadowing
+    table = np.full((params.n_users + 1,) * 2, np.nan) if matched else None
+    values = np.empty(n_frames)
+    for start in range(0, n_frames, FILL_FRAMES):
+        firsts = range(start, min(start + FILL_FRAMES, n_frames), BLOCK_FRAMES)
+        streams = [(rng, min(BLOCK_FRAMES, n_frames - first)) for rng, first in
+                   zip(frame_rngs(seed, np.array(firsts) // BLOCK_FRAMES), firsts)]
+        counts = draw_activation(loads, params, activation, streams)
+        chunk = values[start:start + len(counts)]  # a view: writes land in values
+        if matched:
+            chunk[:] = _matched_values(cfg, params, table, counts)
+            continue
+        # passes of whole blocks, cut by the running user count at each block's end
+        ends = np.cumsum([frames for _, frames in streams])
+        cuts = _pass_starts(np.cumsum(counts.sum(axis=1))[ends - 1]).tolist()
+        for first, stop in zip([0, *cuts], [*cuts, len(streams)]):
+            frames = slice(first * BLOCK_FRAMES, stop * BLOCK_FRAMES)
+            chunk[frames] = _receptions(cfg, counts[frames], streams[first:stop], params,
+                                        worst_case_distances, mean_shadowing).throughput
 
     std = float(values.std(ddof=1)) if n_frames > 1 else 0.0
     return SimResult(mean=float(values.mean()), ci_half_width=1.96 * std / math.sqrt(n_frames))
 
 
-def _matched_table(cfg: Configuration, params: SystemParams) -> ConditionalTable:
+def _matched_table(cfg: Configuration, params: SystemParams, weights=None) -> ConditionalTable:
     """C(cfg) of the matched-assumption engine: each entry the split-weighted
     sum of the frame values that ``simulate`` reads in that mode, every
-    admissible (K1, K2) filled into one array that lives for this call."""
+    admissible (K1, K2) filled into one array that lives for this call.
+    ``weights`` is ``split_weights(N)``, built here unless given."""
     table = np.full((params.n_users + 1,) * 2, np.nan)
     _matched_values(cfg, params, table, np.argwhere(np.isnan(table[1:, 1:])) + 1)  # [1, N]^2
     values = table.tolist()
-    return _weighted_table(cfg, params.n_users,
+    return _weighted_table(cfg, params.n_users, weights,
                            lambda k, splits: [values[big_k2 + k][big_k2] for big_k2 in splits])
 
 
-def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams) -> float:
+def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
+                        weights=None) -> float:
     """Exact expectation of the matched-assumption simulator: the engine's
     own C(cfg) times the closed form's P(lambda). Agreement with the
     analytical average validates the scheduler and slot engine end to end.
+    ``weights`` is ``throughput.split_weights(N)``, built here unless given.
     """
-    return average_throughput(_matched_table(cfg, params), loads).total
+    return average_throughput(_matched_table(cfg, params, weights), loads).total

@@ -79,6 +79,13 @@ class SystemParams:
                             ("k_freespace", 4.0 * math.pi * self.f_c / self.c_light)):
             object.__setattr__(self, name, value)
 
+    @property
+    def d_sep_min(self) -> float:
+        """The least d_sep [m] at which a low UAV's lobe, of footprint radius
+        d_0 + h_0 tan(phi_b) around its cell's center, misses the other
+        cell: 2 d_0 + h_0 tan(phi_b). The worst-case bounds assume it."""
+        return 2.0 * self.d_0 + self.h_0 * math.tan(self.phi_b)
+
     def altitude(self, t: int) -> float:
         """Altitude [m] of level ``t``: 0 is h_low, 1 is h_high."""
         return self.h_high if t else self.h_low

@@ -6,8 +6,9 @@ Skellam distribution. For each k, the admissible splits (K2, K2 + k) with
 both counts in [1, N] are averaged with weights C(N, K2+k)*C(N, K2)
 (the number of distinct active-user cases), and each split contributes its
 conditional per-slot throughput. Only the cross-cell pair count depends on
-K2, so a k's values come from one ``pair_counts`` call, and its weights
-from one row of binomial coefficients built once per table.
+K2, so a k's values come from one ``pair_counts`` call. The weights depend
+on N alone (``split_weights``), and a call that builds several tables
+builds them once.
 
 The average therefore factors into a load-only vector P(lambda)[k]
 (``skellam_vector``) and a configuration-only vector C(cfg)[k]
@@ -148,20 +149,23 @@ def admissible_k2(k: int, n: int) -> range:
     return range(max(1, 1 - k), min(n, n - k) + 1)
 
 
-def _binomial_row(n: int) -> list[int]:
-    """C(n, j) for j = 0..n, exact integers."""
-    return [math.comb(n, j) for j in range(n + 1)]
+def split_weights(n: int) -> tuple[tuple[float, ...], ...]:
+    """The case-count weights C(N, K2 + k) * C(N, K2) of the admissible K2
+    of each k in [-N, N], normalised to sum to one, indexed by k (see the
+    module notes); a k without admissible split holds none. Each is an
+    exact integer product over the products' exact sum, rounded once. They
+    depend on N alone: a call that builds several tables builds them once
+    and passes them to each."""
+    row = [math.comb(n, j) for j in range(n + 1)]
 
+    def weights(k: int) -> tuple[float, ...]:
+        splits = admissible_k2(k, n)
+        products = list(map(operator.mul, row[splits.start + k:splits.stop + k],
+                            row[splits.start:splits.stop]))
+        total = float(sum(products))
+        return tuple(product / total for product in products)
 
-def _split_weights(k: int, row: list[int]) -> tuple[range, list[float]]:
-    """Admissible K2 for load difference k, with the case-count weights
-    C(N, K2 + k) * C(N, K2) normalized to sum to one; ``row`` is
-    ``_binomial_row(N)``."""
-    splits = admissible_k2(k, len(row) - 1)
-    first, stop = splits.start, splits.stop
-    weights = list(map(operator.mul, row[first + k:stop + k], row[first:stop]))
-    total = float(sum(weights))
-    return splits, [weight / total for weight in weights]
+    return tuple(weights(k) for k in (*range(n + 1), *range(-n, 0)))
 
 
 def _frame_throughputs(k: int, splits: range, cfg: Configuration, mode: AccountingMode,
@@ -205,29 +209,33 @@ class ConditionalTable:
     values: tuple[float, ...]
 
 
-def _weighted_table(cfg: Configuration, n: int, values) -> ConditionalTable:
+def _weighted_table(cfg: Configuration, n: int, weights, values) -> ConditionalTable:
     """C(cfg) from ``values(k, splits)``, the throughputs of the frames with
     loads (K2 + k, K2) for the admissible K2 of a k, built k by k with the
-    split weights read from one ``_binomial_row(n)``. Each entry is an
-    exactly rounded sum (``math.fsum``), so it does not depend on the order
-    of the splits."""
-    row = _binomial_row(n)
+    ``split_weights(n)`` of ``weights`` (built here when None). Each entry
+    is an exactly rounded sum (``math.fsum``), so it does not depend on the
+    order of the splits."""
+    if weights is None:
+        weights = split_weights(n)
+    elif len(weights) != 2 * n + 1:
+        raise ValueError(f"split weights of N={len(weights) // 2} for a table of N={n}")
 
     def entry(k: int) -> float:
-        splits, weights = _split_weights(k, row)
-        return math.fsum(map(operator.mul, weights, values(k, splits)))
+        return math.fsum(map(operator.mul, weights[k], values(k, admissible_k2(k, n))))
 
     return ConditionalTable(config=cfg,
                             values=tuple(entry(k) for k in (*range(n + 1), *range(-n, 0))))
 
 
 def conditional_table(cfg: Configuration, params: SystemParams,
-                      mode: AccountingMode = AccountingMode.CONSISTENT) -> ConditionalTable:
+                      mode: AccountingMode = AccountingMode.CONSISTENT,
+                      weights=None) -> ConditionalTable:
     """Build C(cfg) from the closed-form conditional throughput under
     accounting ``mode``: one ``pair_counts`` call and one pass over the
-    splits per k."""
+    splits per k. ``weights``, ``split_weights(params.n_users)``, is built
+    here unless given."""
     rates = rate_set(cfg, params)
-    return _weighted_table(cfg, params.n_users, lambda k, splits: _frame_throughputs(
+    return _weighted_table(cfg, params.n_users, weights, lambda k, splits: _frame_throughputs(
         k, splits, cfg, mode, rates))
 
 
@@ -267,6 +275,8 @@ def optimal_configuration(loads: LoadDistribution, params: SystemParams,
 
     Ties prefer the same-direction low/low configuration, then low/high.
     """
-    best = pick_optimal({label: average_throughput(conditional_table(cfg, params, mode), loads)
+    weights = split_weights(params.n_users)
+    best = pick_optimal({label: average_throughput(conditional_table(cfg, params, mode, weights),
+                                                   loads)
                          for label, cfg in candidate_configurations().items()})
     return best.config, best

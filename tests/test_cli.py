@@ -12,12 +12,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import uav_twoway
-from uav_twoway import cli, default_config, validate_and_derive
+from uav_twoway import cli, default_config, throughput, validate_and_derive
 from uav_twoway.cli import CSV_COLUMNS, MAX_FRAMES, MAX_WORKERS, main
 from uav_twoway.errors import NonPositiveRateError
-from uav_twoway.params import CONFIG_SCHEMA, MAX_USERS
+from uav_twoway.params import CONFIG_SCHEMA, MAX_USERS, SystemParams
 from uav_twoway.throughput import (LoadDistribution, average_throughput, conditional_table,
-                                   optimal_configuration)
+                                   optimal_configuration, split_weights)
 
 
 def run_cli(*argv):
@@ -313,6 +313,57 @@ def test_config_file_and_overrides_flow(tmp_path, capsys):
     assert f"{params.h_low:.4f}" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--lambda1", "5", "--lambda2", "3", "--exhaustive"),
+    ("optimize", "--lambda1", "5", "--lambda2", "3"),
+    ("sweep", "--lambda1", "5,7", "--lambda2", "3", "--configurations", "exhaustive,optimal"),
+    ("compare", "--lambda1", "5,7", "--lambda2", "3", "--configurations", "r1_Hl_Hh,r0_Hl_Hl",
+     "--activation", "exhaustive"),
+], ids=["eval", "optimize", "sweep", "compare"])
+def test_split_weights_built_once_per_call(capsys, monkeypatch, argv):
+    # they depend on N alone; every table of a call, the matched engine's
+    # included, shares one build
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return split_weights(n)
+
+    for module in (cli, throughput):
+        monkeypatch.setattr(module, "split_weights", counted)
+    assert run_cli(*argv) == 0
+    assert built == [30]
+
+
+OVERLAP_ARGV = {
+    "eval": ("eval", "--lambda1", "5", "--lambda2", "3"),
+    "optimize": ("optimize", "--lambda1", "5", "--lambda2", "3"),
+    "sweep": ("sweep", "--lambda1", "5", "--lambda2", "3"),
+    "compare": ("compare", "--lambda1", "5", "--lambda2", "3", "--frames", "10"),
+}
+
+
+@pytest.mark.parametrize("argv", OVERLAP_ARGV.values(), ids=OVERLAP_ARGV)
+def test_overlapping_cells_warn_once_on_stderr(capsys, monkeypatch, argv):
+    # a low lobe's footprint, of radius d_0 + h_0 tan(phi_b), reaches the
+    # other cell below d_sep = 2 d_0 + h_0 tan(phi_b), 201.73 m by default
+    for d_sep, warnings in (("201.7", 1), ("201.8", 0)):
+        assert run_cli(*argv, "--set", f"d_sep_m={d_sep}") == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: d_sep_m=") == warnings
+        if warnings:
+            assert err.startswith("warning: d_sep_m=201.7 is below 2*d_0 + h_0*tan(phi_b) "
+                                  "= 201.73205080756887 m")
+    # the warning leaves the exit code and stdout as they are
+    assert run_cli(*argv) == 0
+    quiet = capsys.readouterr()
+    monkeypatch.setattr(SystemParams, "d_sep_min", property(lambda self: math.inf))
+    assert run_cli(*argv) == 0
+    warned = capsys.readouterr()
+    assert quiet.err == "" and warned.err.count("warning: d_sep_m=300.0 ") == 1
+    assert warned.out == quiet.out
+
+
 def test_missing_config_file_exits_2(capsys):
     assert run_cli("eval", "--lambda1", "1", "--lambda2", "1",
                    "--config", "/nonexistent/path.cfg") == 2
@@ -426,5 +477,6 @@ def test_point_commands_exit_0_or_2_naming_the_input(command, values, lambda1, l
     message = err.getvalue()
     event(f"exit {code}")
     assert code in (0, 2), message
-    if code == 2:
-        assert any(name in message for name in (*values, "--lambda1=", "--lambda2=")), message
+    if code == 2:  # the error, not the overlap warning, names the input
+        error = message.split("error: ", 1)[-1]
+        assert any(name in error for name in (*values, "--lambda1=", "--lambda2=")), message

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from uav_twoway import montecarlo
 from uav_twoway.errors import RateExceedsPopulationError
-from uav_twoway.montecarlo import (BLOCK_FRAMES, ActivationModel, _matched_table,
+from uav_twoway.montecarlo import (BLOCK_FRAMES, FILL_FRAMES, ActivationModel, _matched_table,
                                    _matched_values, _model_pmf, _positions, draw_activation,
                                    frame_rng, frame_rngs, run_frame, simulate,
                                    simulate_exhaustive)
@@ -506,6 +507,68 @@ def test_matched_fill_chunks_match_frame_loop(params, candidates, monkeypatch, a
                           activation=activation, **mode)
         assert result.mean == float(values.mean())
         assert result.ci_half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(n_frames)
+
+
+PHYSICAL = [mode for mode in MODES if mode != "worst_mean"]
+# (activation, lambdas, frames, FILL_USERS, blocks per engine pass, blocks
+# without users per pass) at seed (3, 7). At lambda = 0.001 only block 8
+# draws a user: blocks 0-7 cross no multiple of one user and form a pass
+# without receptions, the rest a pass with empty blocks after block 8.
+PASS_CASES = {
+    "two_blocks_then_one": (ActivationModel.TRUNCATED_POISSON, (6.0, 4.0), 3 * BLOCK_FRAMES,
+                            1500, [2, 1], [0, 0]),  # 607, 1260, 1886 users in all
+    "empty_blocks_in_a_pass": (ActivationModel.BINOMIAL_PER_USER, (0.001, 0.001),
+                               10 * BLOCK_FRAMES + 5, 4096, [11], [10]),
+    "pass_without_receptions": (ActivationModel.BINOMIAL_PER_USER, (0.001, 0.001),
+                                10 * BLOCK_FRAMES + 5, 1, [8, 3], [8, 2]),
+}
+
+
+@pytest.mark.parametrize("mode", PHYSICAL)
+@pytest.mark.parametrize("case", PASS_CASES)
+def test_physical_passes_match_frame_loop(params, candidates, monkeypatch, case, mode):
+    # a physical engine pass runs whole blocks, about FILL_USERS users, each
+    # block drawing from its own stream; the values stay the frame loop's,
+    # bit for bit, wherever the passes are cut and however empty they are
+    activation, lambdas, n_frames, fill_users, blocks, empty = PASS_CASES[case]
+    monkeypatch.setattr(montecarlo, "FILL_USERS", fill_users)
+    receptions, passes = montecarlo._receptions, []
+
+    def spy(cfg, counts, streams, *args):  # each pass's users, stream by stream
+        bounds = np.cumsum([0, *(frames for _, frames in streams)])
+        passes.append([int(counts[a:b].sum()) for a, b in zip(bounds[:-1], bounds[1:])])
+        return receptions(cfg, counts, streams, *args)
+
+    loads = LoadDistribution(*lambdas)
+    for cfg in candidates.values():
+        values = frame_by_frame(cfg, loads, params, n_frames, (3, 7), activation, MODES[mode])
+        passes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_receptions", spy)
+            result = simulate(cfg, loads, params, n_frames, seed=(3, 7),
+                              activation=activation, **MODES[mode])
+        assert [len(users) for users in passes] == blocks
+        assert [users.count(0) for users in passes] == empty
+        assert result.mean == float(values.mean())
+        assert result.ci_half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(n_frames)
+
+
+def test_physical_row_memory_grows_by_one_float_per_frame(params, candidates):
+    # each frame's value goes into one float64 array, and the row's std
+    # takes one more; the engine passes' rows do not grow with the row
+    cfg, loads = candidates["r0_Hl_Hl"], LoadDistribution(1.0, 1.0)
+
+    def traced_peak(n_frames):
+        tracemalloc.start()
+        try:
+            simulate(cfg, loads, params, n_frames, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = FILL_FRAMES, 6 * FILL_FRAMES
+    traced_peak(short)  # warm: lazy set-up is not the row's
+    assert traced_peak(long) - traced_peak(short) <= 16 * (long - short)
 
 
 def test_simulate_rejects_zero_frames(params, candidates):
