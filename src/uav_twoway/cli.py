@@ -22,8 +22,8 @@ from .errors import ConfigError, NonPositiveRateError
 from .pairing import AccountingMode
 from .params import SystemParams, load_params
 from .sinr import all_configurations, candidate_configurations
-from .throughput import (LoadDistribution, average_throughput, check_rate,
-                         conditional_table, optimal_configuration, pick_optimal, split_weights)
+from .throughput import (OPTIMAL_PRIORITY, LoadDistribution, average_throughput, check_rate,
+                         conditional_table, optimal_configuration, pick_optimal)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,7 +143,6 @@ class SweepSpec:
     lambda1_values: tuple
     lambda2_values: tuple
     selections: tuple            # (label, Configuration-or-None) pairs
-    weights: tuple               # split_weights(N), shared by every table
     tables: dict                 # label -> ConditionalTable, optimal's candidates included
     accounting: AccountingMode
     frames: int
@@ -179,14 +178,12 @@ class SweepSpec:
         configs = {label: cfg for label, cfg in selections if label != OPTIMAL}
         if any(label == OPTIMAL for label, _ in selections):
             configs.update(candidate_configurations())
-        weights = split_weights(params.n_users)
         return cls(
             params=params,
             lambda1_values=lambda1_values,
             lambda2_values=lambda2_values,
             selections=selections,
-            weights=weights,
-            tables={label: conditional_table(cfg, params, accounting, weights)
+            tables={label: conditional_table(cfg, params, accounting)
                     for label, cfg in configs.items()},
             accounting=accounting,
             frames=args.frames,
@@ -202,9 +199,26 @@ def _float_cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _point_rows(spec: SweepSpec, point: tuple) -> list[dict]:
-    """All CSV rows for one grid point ``(index, lambda1, lambda2)``.
-    Module-level so worker processes can run it.
+def _matched_tables(spec: SweepSpec, points: list[tuple]) -> dict:
+    """Under exhaustive activation, the matched engine's table (label ->
+    ConditionalTable) of each configuration a row reads, built once: the
+    selected ones, and the optimum's winner at each point. Else empty."""
+    if spec.activation != "exhaustive":
+        return {}
+    from .montecarlo import _matched_table
+    read = [cfg for label, cfg in spec.selections if label != OPTIMAL]
+    if len(read) < len(spec.selections):  # an optimal row reads its winner's
+        for _, lambda1, lambda2 in points:
+            loads = LoadDistribution(lambda1, lambda2)
+            read.append(pick_optimal({label: average_throughput(spec.tables[label], loads)
+                                      for label in OPTIMAL_PRIORITY}).config)
+    return {cfg.label: _matched_table(cfg, spec.params) for cfg in dict.fromkeys(read)}
+
+
+def _point_rows(spec: SweepSpec, matched: dict, point: tuple) -> list[dict]:
+    """All CSV rows for one grid point ``(index, lambda1, lambda2)``, the
+    exhaustive rows reading ``matched`` (``_matched_tables``). Module-level
+    so worker processes can run it.
 
     The Skellam vector is computed once for the point, and every table's
     average once, the optimum reusing the candidates'."""
@@ -235,11 +249,11 @@ def _point_rows(spec: SweepSpec, point: tuple) -> list[dict]:
             "seed": spec.seed,
         }
         if spec.frames or activation == "exhaustive":
-            from .montecarlo import ActivationModel, simulate, simulate_exhaustive
             if activation == "exhaustive":
                 mc_mean, half_width, used_frames = (
-                    simulate_exhaustive(cfg, loads, params, spec.weights), 0.0, 0)
+                    average_throughput(matched[cfg.label], loads).total, 0.0, 0)
             else:
+                from .montecarlo import ActivationModel, simulate
                 result = simulate(
                     cfg, loads, params, spec.frames,
                     seed=(spec.seed, point_index, config_index),
@@ -293,7 +307,7 @@ def _run_grid(args, with_flag: bool) -> list[dict]:
     with _output(args.out) as out:
         points = [(index, *loads) for index, loads in
                   enumerate(product(spec.lambda1_values, spec.lambda2_values))]
-        rows_of = partial(_point_rows, spec)
+        rows_of = partial(_point_rows, spec, _matched_tables(spec, points))
         if spec.workers > 1:
             # imported here: it loads multiprocessing, which one process does not need
             from concurrent.futures import ProcessPoolExecutor
@@ -331,9 +345,7 @@ def cmd_eval(args) -> int:
     else:
         configs = candidate_configurations()
 
-    weights = split_weights(params.n_users)
-    breakdowns = {label: average_throughput(conditional_table(cfg, params, accounting, weights),
-                                            loads)
+    breakdowns = {label: average_throughput(conditional_table(cfg, params, accounting), loads)
                   for label, cfg in {**configs, **candidate_configurations()}.items()}
     best = pick_optimal(breakdowns)
 

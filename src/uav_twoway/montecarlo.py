@@ -28,7 +28,6 @@ outside the high UAV's main lobe.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -41,8 +40,7 @@ from .errors import RateExceedsPopulationError
 from .pairing import schedule_block
 from .params import SystemParams
 from .sinr import Configuration
-from .throughput import (ConditionalTable, LoadDistribution, _weighted_table, admissible_k2,
-                         average_throughput, split_weights)
+from .throughput import ConditionalTable, LoadDistribution, _weighted_table, average_throughput
 
 # Frames per stream of ``simulate``: a block draws from its own stream.
 BLOCK_FRAMES = 64
@@ -82,23 +80,15 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
     return center_x + radius * np.cos(angle), radius * np.sin(angle)
 
 
-@functools.lru_cache(maxsize=None)
-def _split_matrix(n: int) -> np.ndarray:
-    """W[K1, K2] on [0, N]^2: normalised split weights, 0 off the admissible set."""
-    matrix, weights = np.zeros((n + 1, n + 1)), split_weights(n)
-    for k in range(1 - n, n):  # |k| = N has no admissible split
-        splits = admissible_k2(k, n)
-        matrix[np.add(splits, k), splits] = weights[k]
-    matrix.flags.writeable = False
-    return matrix
-
-
-def _model_pmf(loads: LoadDistribution, n: int) -> np.ndarray:
+def _model_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
     """The joint pmf of MODEL_MATCHED's (K1, K2) on [0, N]^2, the closed
-    form's law: P(lambda)[K1 - K2] * W[K1, K2], and the rest, the Skellam
-    mass of |k| >= N, on (0, 0), the empty frame."""
+    form's law: P(lambda)[K1 - K2] times ``params.split_weights`` as an
+    (N + 1)^2 array, and the rest, the Skellam mass of |k| >= N, on (0, 0),
+    the empty frame."""
+    n = params.n_users
     big_k1, big_k2 = np.indices((n + 1, n + 1))
-    pmf = np.asarray(loads.skellam_vector(n))[big_k1 - big_k2] * _split_matrix(n)
+    pmf = (np.asarray(loads.skellam_vector(n))[big_k1 - big_k2]
+           * np.fromiter(params.split_weights, float, big_k1.size).reshape(big_k1.shape))
     pmf[0, 0] = max(0.0, 1.0 - pmf.sum())
     return pmf
 
@@ -134,7 +124,7 @@ def draw_activation(loads: LoadDistribution, params: SystemParams,
     draws = np.concatenate([draw(rng, frames) for rng, frames in streams])
     if model is not ActivationModel.MODEL_MATCHED:
         return draws
-    cdf = np.cumsum(_model_pmf(loads, n))  # u >= cdf[-1]: the last cell where cdf rises
+    cdf = np.cumsum(_model_pmf(loads, params))  # u >= cdf[-1]: the last cell where cdf rises
     cell = np.minimum(np.searchsorted(cdf, draws, side="right"), np.searchsorted(cdf, cdf[-1]))
     return np.column_stack(np.divmod(cell, n + 1))
 
@@ -476,23 +466,22 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     return SimResult(mean=float(values.mean()), ci_half_width=1.96 * std / math.sqrt(n_frames))
 
 
-def _matched_table(cfg: Configuration, params: SystemParams, weights=None) -> ConditionalTable:
-    """C(cfg) of the matched-assumption engine: each entry the split-weighted
-    sum of the frame values that ``simulate`` reads in that mode, every
-    admissible (K1, K2) filled into one array that lives for this call.
-    ``weights`` is ``split_weights(N)``, built here unless given."""
+def _matched_table(cfg: Configuration, params: SystemParams) -> ConditionalTable:
+    """C(cfg) of the matched-assumption engine: each entry the sum of the
+    frame values that ``simulate`` reads in that mode, weighted by
+    ``params.split_weights``, every admissible (K1, K2) filled into one
+    array that lives for this call."""
     table = np.full((params.n_users + 1,) * 2, np.nan)
     _matched_values(cfg, params, table, np.argwhere(np.isnan(table[1:, 1:])) + 1)  # [1, N]^2
     values = table.tolist()
-    return _weighted_table(cfg, params.n_users, weights,
+    return _weighted_table(cfg, params,
                            lambda k, splits: [values[big_k2 + k][big_k2] for big_k2 in splits])
 
 
-def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
-                        weights=None) -> float:
+def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
+                        params: SystemParams) -> float:
     """Exact expectation of the matched-assumption simulator: the engine's
-    own C(cfg) times the closed form's P(lambda). Agreement with the
-    analytical average validates the scheduler and slot engine end to end.
-    ``weights`` is ``throughput.split_weights(N)``, built here unless given.
-    """
-    return average_throughput(_matched_table(cfg, params, weights), loads).total
+    own C(cfg), ``_matched_table``, times the closed form's P(lambda).
+    Agreement with the analytical average validates the scheduler and slot
+    engine end to end."""
+    return average_throughput(_matched_table(cfg, params), loads).total

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ConfigError, GuardViolationError, MissingKeyError, OutOfRangeError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
-# Users per cell. The conditional tables cost O(N^2) big-integer binomials:
-# `eval` takes about 1 s at this ceiling, and their float sum overflows
-# from about N = 512.
+# Users per cell. The split weights and each table cost O(N^2): `eval
+# --exhaustive` takes about 0.16 s in process at this ceiling on a 2-core
+# Xeon, and the weights' big-integer sums overflow a float from N = 515 on.
 MAX_USERS = 200
 
 
@@ -89,6 +90,35 @@ class SystemParams:
     def altitude(self, t: int) -> float:
         """Altitude [m] of level ``t``: 0 is h_low, 1 is h_high."""
         return self.h_high if t else self.h_low
+
+    @cached_property
+    def split_weights(self) -> tuple[float, ...]:
+        """``split_weight_grid(n_users)``, built on first use and kept with
+        this object only (a ``dataclasses.replace`` copy builds its own)."""
+        return split_weight_grid(self.n_users)
+
+
+def admissible_k2(k: int, n: int) -> range:
+    """K2 values with both K2 and K2 + k inside [1, n]."""
+    return range(max(1, 1 - k), min(n, n - k) + 1)
+
+
+def split_weight_grid(n: int) -> tuple[float, ...]:
+    """The case-count weights C(N, K1) * C(N, K2) of the splits (K1, K2) of
+    [1, N]^2, normalised to sum to one over each difference k = K1 - K2, as
+    a row-major (N + 1)^2 grid: cell (K1, K2) at K1 * (N + 1) + K2, 0 off
+    [1, N]^2, so a k's weights lie at stride N + 2 along its diagonal. Each
+    is an exact integer product over the products' exact integer sum, both
+    rounded to floats before the division."""
+    row = [math.comb(n, j) for j in range(n + 1)]
+    grid = [0.0] * (n + 1) ** 2
+    for k in range(1 - n, n):  # |k| = N has no admissible split
+        splits = admissible_k2(k, n)
+        products = [row[big_k2 + k] * row[big_k2] for big_k2 in splits]
+        total = float(sum(products))
+        first = (splits.start + k) * (n + 1) + splits.start  # cell (K2 + k, K2)
+        grid[first:first + len(products) * (n + 2):n + 2] = [p / total for p in products]
+    return tuple(grid)
 
 
 def _non_negative(value: float, key: str) -> float:

@@ -7,8 +7,8 @@ both counts in [1, N] are averaged with weights C(N, K2+k)*C(N, K2)
 (the number of distinct active-user cases), and each split contributes its
 conditional per-slot throughput. Only the cross-cell pair count depends on
 K2, so a k's values come from one ``pair_counts`` call. The weights depend
-on N alone (``split_weights``), and a call that builds several tables
-builds them once.
+on N alone: ``SystemParams.split_weights`` builds them once per parameter
+set, and every table built from it reads them.
 
 The average therefore factors into a load-only vector P(lambda)[k]
 (``skellam_vector``) and a configuration-only vector C(cfg)[k]
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import NonPositiveRateError
 from .pairing import AccountingMode, pair_counts
-from .params import SystemParams
+from .params import SystemParams, admissible_k2
 from .rates import RateSet, rate_set
 from .sinr import Configuration, candidate_configurations
 
@@ -144,30 +144,6 @@ def skellam_vector(n: int, lambda1: float, lambda2: float) -> list[float]:
             + [math.exp(base - k * half_log_ratio + logs[k]) for k in range(n, 0, -1)])
 
 
-def admissible_k2(k: int, n: int) -> range:
-    """K2 values with both K2 and K2 + k inside [1, n]."""
-    return range(max(1, 1 - k), min(n, n - k) + 1)
-
-
-def split_weights(n: int) -> tuple[tuple[float, ...], ...]:
-    """The case-count weights C(N, K2 + k) * C(N, K2) of the admissible K2
-    of each k in [-N, N], normalised to sum to one, indexed by k (see the
-    module notes); a k without admissible split holds none. Each is an
-    exact integer product over the products' exact sum, rounded once. They
-    depend on N alone: a call that builds several tables builds them once
-    and passes them to each."""
-    row = [math.comb(n, j) for j in range(n + 1)]
-
-    def weights(k: int) -> tuple[float, ...]:
-        splits = admissible_k2(k, n)
-        products = list(map(operator.mul, row[splits.start + k:splits.stop + k],
-                            row[splits.start:splits.stop]))
-        total = float(sum(products))
-        return tuple(product / total for product in products)
-
-    return tuple(weights(k) for k in (*range(n + 1), *range(-n, 0)))
-
-
 def _frame_throughputs(k: int, splits: range, cfg: Configuration, mode: AccountingMode,
                        rates: RateSet) -> list[float]:
     """Per-slot throughput [bits/s/Hz] of the frames with loads (K2 + k, K2),
@@ -188,15 +164,12 @@ def _frame_throughputs(k: int, splits: range, cfg: Configuration, mode: Accounti
 
 
 def conditional_throughput(k: int, big_k2: int, cfg: Configuration, params: SystemParams,
-                           mode: AccountingMode = AccountingMode.CONSISTENT,
-                           rates: RateSet | None = None) -> float:
+                           mode: AccountingMode = AccountingMode.CONSISTENT) -> float:
     """Per-slot throughput [bits/s/Hz] of one frame with loads (K2 + k, K2).
     An empty frame (no units at all) contributes 0 by convention."""
     if k == 0 and big_k2 == 0:
         return 0.0
-    if rates is None:
-        rates = rate_set(cfg, params)
-    return _frame_throughputs(k, range(big_k2, big_k2 + 1), cfg, mode, rates)[0]
+    return _frame_throughputs(k, range(big_k2, big_k2 + 1), cfg, mode, rate_set(cfg, params))[0]
 
 
 @dataclass(frozen=True)
@@ -209,33 +182,30 @@ class ConditionalTable:
     values: tuple[float, ...]
 
 
-def _weighted_table(cfg: Configuration, n: int, weights, values) -> ConditionalTable:
+def _weighted_table(cfg: Configuration, params: SystemParams, values) -> ConditionalTable:
     """C(cfg) from ``values(k, splits)``, the throughputs of the frames with
-    loads (K2 + k, K2) for the admissible K2 of a k, built k by k with the
-    ``split_weights(n)`` of ``weights`` (built here when None). Each entry
-    is an exactly rounded sum (``math.fsum``), so it does not depend on the
-    order of the splits."""
-    if weights is None:
-        weights = split_weights(n)
-    elif len(weights) != 2 * n + 1:
-        raise ValueError(f"split weights of N={len(weights) // 2} for a table of N={n}")
+    loads (K2 + k, K2) for the admissible K2 of a k, weighted k by k with
+    ``params.split_weights`` read at stride N + 2 from the first split's
+    cell (``map`` stops with the splits). Each entry is an exactly rounded
+    sum (``math.fsum``), so it does not depend on the order of the splits."""
+    n, weights = params.n_users, params.split_weights
 
     def entry(k: int) -> float:
-        return math.fsum(map(operator.mul, weights[k], values(k, admissible_k2(k, n))))
+        splits = admissible_k2(k, n)
+        first = (splits.start + k) * (n + 1) + splits.start  # cell (K2 + k, K2)
+        return math.fsum(map(operator.mul, weights[first::n + 2], values(k, splits)))
 
     return ConditionalTable(config=cfg,
                             values=tuple(entry(k) for k in (*range(n + 1), *range(-n, 0))))
 
 
 def conditional_table(cfg: Configuration, params: SystemParams,
-                      mode: AccountingMode = AccountingMode.CONSISTENT,
-                      weights=None) -> ConditionalTable:
+                      mode: AccountingMode = AccountingMode.CONSISTENT) -> ConditionalTable:
     """Build C(cfg) from the closed-form conditional throughput under
     accounting ``mode``: one ``pair_counts`` call and one pass over the
-    splits per k. ``weights``, ``split_weights(params.n_users)``, is built
-    here unless given."""
+    splits per k."""
     rates = rate_set(cfg, params)
-    return _weighted_table(cfg, params.n_users, weights, lambda k, splits: _frame_throughputs(
+    return _weighted_table(cfg, params, lambda k, splits: _frame_throughputs(
         k, splits, cfg, mode, rates))
 
 
@@ -275,8 +245,6 @@ def optimal_configuration(loads: LoadDistribution, params: SystemParams,
 
     Ties prefer the same-direction low/low configuration, then low/high.
     """
-    weights = split_weights(params.n_users)
-    best = pick_optimal({label: average_throughput(conditional_table(cfg, params, mode, weights),
-                                                   loads)
+    best = pick_optimal({label: average_throughput(conditional_table(cfg, params, mode), loads)
                          for label, cfg in candidate_configurations().items()})
     return best.config, best

@@ -12,12 +12,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import uav_twoway
-from uav_twoway import cli, default_config, throughput, validate_and_derive
+from uav_twoway import all_configurations, cli, default_config, montecarlo, validate_and_derive
 from uav_twoway.cli import CSV_COLUMNS, MAX_FRAMES, MAX_WORKERS, main
 from uav_twoway.errors import NonPositiveRateError
-from uav_twoway.params import CONFIG_SCHEMA, MAX_USERS, SystemParams
+from uav_twoway.params import CONFIG_SCHEMA, MAX_USERS, SystemParams, split_weight_grid
 from uav_twoway.throughput import (LoadDistribution, average_throughput, conditional_table,
-                                   optimal_configuration, split_weights)
+                                   optimal_configuration)
 
 
 def run_cli(*argv):
@@ -322,17 +322,73 @@ def test_config_file_and_overrides_flow(tmp_path, capsys):
 ], ids=["eval", "optimize", "sweep", "compare"])
 def test_split_weights_built_once_per_call(capsys, monkeypatch, argv):
     # they depend on N alone; every table of a call, the matched engine's
-    # included, shares one build
+    # included, reads the one build its parameter set keeps
     built = []
 
     def counted(n):
         built.append(n)
-        return split_weights(n)
+        return split_weight_grid(n)
 
-    for module in (cli, throughput):
-        monkeypatch.setattr(module, "split_weights", counted)
+    monkeypatch.setattr("uav_twoway.params.split_weight_grid", counted)
     assert run_cli(*argv) == 0
     assert built == [30]
+
+
+def test_split_weights_outlive_no_call(capsys, monkeypatch):
+    # the weights live with the call's parameter set: a second command in
+    # the same process builds them again
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return split_weight_grid(n)
+
+    monkeypatch.setattr("uav_twoway.params.split_weight_grid", counted)
+    argv = ("compare", "--lambda1", "6", "--lambda2", "4", "--configurations", "r1_Hl_Hh",
+            "--frames", "100", "--activation", "model", "--distances", "worst",
+            "--shadowing", "mean")
+    assert run_cli(*argv) == 0
+    first = capsys.readouterr().out
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == first
+    assert built == [30, 30]
+
+
+def test_exhaustive_matched_tables_built_once_per_call(capsys, monkeypatch):
+    # a matched table depends on the configuration alone: one build per
+    # configuration a row reads, whatever the number of points
+    built = []
+
+    def counted(cfg, system):
+        built.append(cfg.label)
+        return matched_table(cfg, system)
+
+    matched_table = montecarlo._matched_table
+    monkeypatch.setattr(montecarlo, "_matched_table", counted)
+    assert run_cli("compare", "--lambda1", "6,12", "--lambda2", "4", "--configurations",
+                   "exhaustive", "--activation", "exhaustive") == 0
+    assert sorted(built) == sorted(all_configurations())
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 + 2 * 8 and "DEVIATION" not in out
+
+
+@pytest.mark.parametrize("lambdas", [(1.0, 18.0), (6.0, 4.0), (18.0, 1.0)])
+def test_exhaustive_optimal_builds_only_its_winner(capsys, monkeypatch, params, lambdas):
+    # an optimal row reads its winner's table alone
+    built = []
+
+    def counted(cfg, system):
+        built.append(cfg.label)
+        return matched_table(cfg, system)
+
+    matched_table = montecarlo._matched_table
+    monkeypatch.setattr(montecarlo, "_matched_table", counted)
+    best, _ = optimal_configuration(LoadDistribution(*lambdas), params)
+    assert run_cli("compare", "--lambda1", repr(lambdas[0]), "--lambda2", repr(lambdas[1]),
+                   "--configurations", "optimal", "--activation", "exhaustive") == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert built == [best.label]
+    assert len(rows) == 1 and rows[0]["deviation_flag"] == "ok"
 
 
 OVERLAP_ARGV = {

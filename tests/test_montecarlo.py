@@ -114,7 +114,7 @@ def test_model_activation_inverts_the_joint_cdf(params, lambdas):
     # cdf up go to the last cell whose step is not empty
     n = params.n_users
     loads = LoadDistribution(*lambdas)
-    pmf = _model_pmf(loads, n).ravel()
+    pmf = _model_pmf(loads, params).ravel()
     cdf = np.cumsum(pmf)
     lower = np.concatenate(([0.0], cdf[:-1]))
     steps = cdf[np.flatnonzero(pmf)][:-1]
@@ -136,6 +136,20 @@ def test_model_activation_inverts_the_joint_cdf(params, lambdas):
     assert np.all(np.abs(drawn[:, 0] - drawn[:, 1]) < n)  # |k| >= N only as (0, 0)
 
 
+@pytest.mark.parametrize("n", [1, 30, 200])
+def test_model_pmf_is_skellam_times_split_weights(params, n):
+    # cell (K1, K2) is P(lambda)[K1 - K2] times the parameter set's split
+    # weight of that cell, bit for bit (the empty frame, (0, 0), holds the
+    # rest of the mass: see the next test)
+    system = dataclasses.replace(params, n_users=n)
+    loads = LoadDistribution(6.0, 4.0)
+    skellam, weights = loads.skellam_vector(n), system.split_weights
+    pmf = _model_pmf(loads, system).ravel().tolist()
+    cells = range(1, (n + 1) ** 2)
+    assert [pmf[cell] for cell in cells] == [
+        skellam[cell // (n + 1) - cell % (n + 1)] * weights[cell] for cell in cells]
+
+
 def test_model_pmf_expectation_is_the_closed_form(params):
     # the exact expectation of the sampled law, sum of pmf * c over [0, N]^2,
     # is the closed form: why matched sampling with model activation is
@@ -145,7 +159,7 @@ def test_model_pmf_expectation_is_the_closed_form(params):
     laws = {}
     for lambdas in ((6.0, 4.0), (34.0, 2.0), (1.0, 18.0)):
         loads = LoadDistribution(*lambdas)
-        pmf = _model_pmf(loads, n)
+        pmf = _model_pmf(loads, params)
         assert abs(math.fsum(pmf.flat) - 1.0) <= 1e-15
         # the empty frame holds the Skellam mass of every |k| >= N; a cell
         # with a zero count and the other not holds none

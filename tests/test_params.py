@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -10,7 +11,8 @@ from uav_twoway.errors import (ConfigError, GuardViolationError, MissingKeyError
                                OutOfRangeError)
 from uav_twoway.cli import main
 from uav_twoway.params import (MAX_HALF_BEAMWIDTH, MAX_USERS, apply_overrides, dbm_to_watts,
-                               load_params, parse_config_file, watts_to_dbm)
+                               load_params, parse_config_file, split_weight_grid,
+                               watts_to_dbm)
 
 # frozen from a standalone transcription of the defining formulas
 G0 = 2.2846306484003143
@@ -139,6 +141,23 @@ def test_geometry_is_computed_not_passed(params):
         dataclasses.replace(params, h_low=1.0)
     narrower = dataclasses.replace(params, n_users=10)
     assert narrower.d_min == 2.0 * params.d_0 / 10
+
+
+def test_split_weights_are_kept_per_parameter_set():
+    params = validate_and_derive(default_config())
+    fresh = validate_and_derive(default_config())
+    weights = params.split_weights
+    assert params.split_weights is weights and weights == split_weight_grid(30)
+    # the memo is no field: equality and hashing ignore it
+    assert params == fresh and hash(params) == hash(fresh) and "split_weights" not in vars(fresh)
+    # a copy with another N builds its own, never the original's
+    narrower = dataclasses.replace(params, n_users=10)
+    assert narrower.split_weights == split_weight_grid(10) and len(narrower.split_weights) == 121
+    assert dataclasses.replace(narrower, n_users=30).split_weights == weights
+    assert len(params.split_weights) == 961
+    # a pickled copy, as worker processes get it, keeps the built weights
+    shipped = pickle.loads(pickle.dumps(params))
+    assert shipped == params and vars(shipped)["split_weights"] == weights
 
 
 def test_derivation_is_pure():

@@ -162,6 +162,31 @@ def test_conditional_empty_frame_is_zero(params, candidates):
     assert conditional_throughput(0, 0, candidates["r0_Hl_Hl"], params) == 0.0
 
 
+def reference_weights(k, n):
+    """The admissible splits' weights of k: exact integer case counts over
+    their exact sum."""
+    counts = [math.comb(n, big_k2 + k) * math.comb(n, big_k2) for big_k2 in admissible_k2(k, n)]
+    total = float(sum(counts))
+    return [count / total for count in counts]
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 200])
+def test_split_weights_are_the_reference_weights(n):
+    # a k's weights lie at stride N + 2 from the cell (K2 + k, K2) of its
+    # least admissible K2, bit for bit the reference; every other cell is 0
+    config = default_config()
+    config["n_users"] = n
+    grid = validate_and_derive(config).split_weights
+    expected = [0.0] * (n + 1) ** 2
+    for k in range(-n, n + 1):
+        splits, weights = admissible_k2(k, n), reference_weights(k, n)
+        first = (splits.start + k) * (n + 1) + splits.start
+        assert list(grid[first::n + 2][:len(splits)]) == weights
+        for big_k2, weight in zip(splits, weights):
+            expected[(big_k2 + k) * (n + 1) + big_k2] = weight
+    assert list(grid) == expected
+
+
 def per_split_table(cfg, params, mode):
     """Reference C(cfg), split by split: each frame's value transcribed from
     its pair counts, weighted by exact integer case counts."""
@@ -171,17 +196,15 @@ def per_split_table(cfg, params, mode):
     for k in (*range(n + 1), *range(-n, 0)):
         r_ind = rates.r_individual_1 if k > 0 else rates.r_individual_2
         splits = admissible_k2(k, n)
-        weights = [math.comb(n, big_k2 + k) * math.comb(n, big_k2) for big_k2 in splits]
+        weights = reference_weights(k, n)
         frames = []
         for big_k2 in splits:
             counts = pair_counts(k, big_k2, cfg.t1, cfg.t2, mode)
             frames.append((counts.a_d * rates.r_cochannel_diff
                            + counts.a_s * rates.r_cochannel_same
                            + counts.b * r_ind) / (2 * counts.units))
-            assert conditional_throughput(k, big_k2, cfg, params, mode, rates) == frames[-1]
-        total = float(sum(weights))
-        values.append(math.fsum(weight / total * frame
-                                for weight, frame in zip(weights, frames)))
+            assert conditional_throughput(k, big_k2, cfg, params, mode) == frames[-1]
+        values.append(math.fsum(weight * frame for weight, frame in zip(weights, frames)))
     return tuple(values)
 
 
