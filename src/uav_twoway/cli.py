@@ -40,8 +40,9 @@ EXHAUSTIVE = "exhaustive"
 
 MAX_AXIS_VALUES = 10_000  # values per load axis of a grid
 # Monte Carlo frames per row. A row holds one float64 per frame, 80 MB
-# here, and its standard deviation one more at the end: a 10^6-frame
-# physical row peaked 13 MB above a 10^5-frame one (about 15 B a frame).
+# here, a matched row also its cell, 2 B at N <= 255, and its standard
+# deviation works in place: a 10^6-frame physical row peaked 7 MB above a
+# 10^5-frame one, a model-matched row 8 MB.
 MAX_FRAMES = 10_000_000
 # Worker processes of a grid run. A process pool forks all its workers at
 # the first task, so the count is checked before any pool exists.
@@ -201,8 +202,9 @@ def _float_cell(value) -> str:
 
 def _matched_tables(spec: SweepSpec, points: list[tuple]) -> dict:
     """Under exhaustive activation, the matched engine's table (label ->
-    ConditionalTable) of each configuration a row reads, built once: the
-    selected ones, and the optimum's winner at each point. Else empty."""
+    ConditionalTable) of each configuration a row reads, built once from
+    its own ``MatchedGrid``: the selected ones, and the optimum's winner at
+    each point. Else empty."""
     if spec.activation != "exhaustive":
         return {}
     from .montecarlo import _matched_table
@@ -215,10 +217,13 @@ def _matched_tables(spec: SweepSpec, points: list[tuple]) -> dict:
     return {cfg.label: _matched_table(cfg, spec.params) for cfg in dict.fromkeys(read)}
 
 
-def _point_rows(spec: SweepSpec, matched: dict, point: tuple) -> list[dict]:
+def _point_rows(spec: SweepSpec, matched: dict, grids: dict, point: tuple) -> list[dict]:
     """All CSV rows for one grid point ``(index, lambda1, lambda2)``, the
-    exhaustive rows reading ``matched`` (``_matched_tables``). Module-level
-    so worker processes can run it.
+    exhaustive rows reading ``matched`` (``_matched_tables``). A matched
+    Monte Carlo row reads the ``MatchedGrid`` of its configuration in
+    ``grids``, made by the first row that needs it, so the rows of one
+    configuration compute each (K1, K2) once across the points a process
+    runs. Module-level so worker processes can run it.
 
     The Skellam vector is computed once for the point, and every table's
     average once, the optimum reusing the candidates'."""
@@ -253,13 +258,15 @@ def _point_rows(spec: SweepSpec, matched: dict, point: tuple) -> list[dict]:
                 mc_mean, half_width, used_frames = (
                     average_throughput(matched[cfg.label], loads).total, 0.0, 0)
             else:
-                from .montecarlo import ActivationModel, simulate
+                from .montecarlo import ActivationModel, MatchedGrid, simulate
+                if spec.worst_case_distances and spec.mean_shadowing and cfg not in grids:
+                    grids[cfg] = MatchedGrid(cfg, params)
                 result = simulate(
                     cfg, loads, params, spec.frames,
                     seed=(spec.seed, point_index, config_index),
                     activation=ActivationModel(activation),
                     worst_case_distances=spec.worst_case_distances,
-                    mean_shadowing=spec.mean_shadowing)
+                    mean_shadowing=spec.mean_shadowing, grid=grids.get(cfg))
                 mc_mean, half_width, used_frames = (
                     result.mean, result.ci_half_width, spec.frames)
             row.update(mc_mean=_float_cell(mc_mean),
@@ -307,17 +314,35 @@ def _run_grid(args, with_flag: bool) -> list[dict]:
     with _output(args.out) as out:
         points = [(index, *loads) for index, loads in
                   enumerate(product(spec.lambda1_values, spec.lambda2_values))]
-        rows_of = partial(_point_rows, spec, _matched_tables(spec, points))
+        # configuration -> MatchedGrid, one set per process, each grid made
+        # when a row first needs it: nothing is computed or sent up front
+        rows_of = partial(_point_rows, spec, _matched_tables(spec, points), {})
         if spec.workers > 1:
             # imported here: it loads multiprocessing, which one process does not need
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                per_point = list(pool.map(rows_of, points))
+            with ProcessPoolExecutor(max_workers=spec.workers, initializer=_start_worker,
+                                     initargs=(rows_of,)) as pool:
+                per_point = list(pool.map(_worker_rows, points))
         else:
             per_point = [rows_of(point) for point in points]
         rows = [row for rows in per_point for row in rows]
         _write_csv(rows, out, with_flag)
     return rows
+
+
+# A worker process's ``_point_rows`` with the command's spec bound, sent
+# once when the worker starts; a task then sends only its point. The
+# worker, and this with it, ends with the command's pool.
+_WORKER_ROWS = None
+
+
+def _start_worker(rows_of) -> None:
+    global _WORKER_ROWS
+    _WORKER_ROWS = rows_of
+
+
+def _worker_rows(point: tuple) -> list[dict]:
+    return _WORKER_ROWS(point)
 
 
 def _write_csv(rows: list[dict], out, with_flag: bool) -> None:

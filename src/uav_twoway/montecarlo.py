@@ -15,11 +15,16 @@ stream ``frame_rng(seed, b)``, one call per kind of draw: counts, layouts,
 then shadowing deviates. ``simulate`` derives the streams of a chunk of
 blocks in one ``frame_rngs`` call, which restates numpy's SeedSequence
 hash on an array of spawn indices (each is still ``frame_rng(seed, b)``,
-bit for bit), and draws the chunk's counts in one ``draw_activation``
-call; model activation maps one uniform per frame to (K1, K2), a chunk's
-in one search. One engine pass then runs several whole blocks, about
-FILL_USERS users, each block still drawing its layout and deviates from
-its own stream. ``run_frame`` is a pass of one stream with one frame.
+bit for bit), and draws the chunk's counts in one call of the row's
+activation law; model activation builds its cdf once per row and maps one
+uniform per frame to (K1, K2), a chunk's in one search of their sorted
+order. In the physical modes one engine pass then runs several whole
+blocks, about FILL_USERS users, each block still drawing its layout and
+deviates from its own stream. In matched mode a frame draws nothing, so
+its value is a function of (K1, K2): a row records every frame's cell,
+computes the cells its ``MatchedGrid`` still lacks in passes of about
+FILL_USERS users, and reads its values from the grid. ``run_frame`` is a
+pass of one stream with one frame.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -44,9 +49,9 @@ from .throughput import ConditionalTable, LoadDistribution, _weighted_table, ave
 
 # Frames per stream of ``simulate``: a block draws from its own stream.
 BLOCK_FRAMES = 64
-# Frames whose counts one ``draw_activation`` call draws (whole blocks),
+# Frames whose counts one draw of the activation law takes (whole blocks),
 # and about the users of one engine pass, in both modes: whole blocks of a
-# chunk in the physical modes, its new (K1, K2) in matched mode. Larger
+# chunk in the physical modes, a row's new (K1, K2) in matched mode. Larger
 # passes pay numpy's per-call overhead less often but hold more rows in
 # memory at once.
 FILL_FRAMES, FILL_USERS = 64 * BLOCK_FRAMES, 4096
@@ -93,40 +98,69 @@ def _model_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
     return pmf
 
 
-def draw_activation(loads: LoadDistribution, params: SystemParams,
-                    model: ActivationModel, streams) -> np.ndarray:
-    """Draw (K1, K2) for the frames of ``streams``, (rng, frames) pairs, one
-    row per frame, stream after stream. A stream draws, one call per draw,
-    its frames' Poisson or binomial counts, both cells at once, and
-    TRUNCATED_POISSON redraws those outside [1, N] until none is left. Under
-    MODEL_MATCHED it draws one uniform per frame, and one search of the
-    row-major cdf of ``_model_pmf`` inverts them all. No stream's rows or
-    final state depend on another.
-    """
-    n = params.n_users
-    lambdas = np.array((loads.lambda1, loads.lambda2))
-    if not isinstance(model, ActivationModel):
-        raise ValueError(f"draw_activation does not handle {model!r}")
-    if model is ActivationModel.BINOMIAL_PER_USER and (loads.lambda1 > n or loads.lambda2 > n):
-        raise RateExceedsPopulationError(
-            f"lambda exceeds the {n}-user population: ({loads.lambda1!r}, {loads.lambda2!r})")
+class _Activation:
+    """The (K1, K2) law of one (loads, params, model), drawn from by
+    (rng, frames) streams, one row per frame, stream after stream; its
+    MODEL_MATCHED cdf is built once. ``simulate`` makes one per row.
 
-    def draw(rng, frames):
+    A stream draws, one call per draw, its frames' Poisson or binomial
+    counts, both cells at once, and TRUNCATED_POISSON redraws those outside
+    [1, N] until none is left. MODEL_MATCHED draws one uniform per frame.
+    No stream's frames or final state depend on another.
+    """
+
+    def __init__(self, loads: LoadDistribution, params: SystemParams, model: ActivationModel):
+        n = params.n_users
+        if not isinstance(model, ActivationModel):
+            raise ValueError(f"draw_activation does not handle {model!r}")
+        if model is ActivationModel.BINOMIAL_PER_USER and (loads.lambda1 > n or loads.lambda2 > n):
+            raise RateExceedsPopulationError(
+                f"lambda exceeds the {n}-user population: ({loads.lambda1!r}, {loads.lambda2!r})")
+        self.model, self.n = model, n
+        self.lambdas = np.array((loads.lambda1, loads.lambda2))
         if model is ActivationModel.MODEL_MATCHED:
+            self.cdf = np.cumsum(_model_pmf(loads, params))
+            self.top = np.searchsorted(self.cdf, self.cdf[-1])  # the last cell where cdf rises
+
+    def _draw(self, rng, frames):
+        n, lambdas = self.n, self.lambdas
+        if self.model is ActivationModel.MODEL_MATCHED:
             return rng.random(frames)
-        if model is ActivationModel.BINOMIAL_PER_USER:
+        if self.model is ActivationModel.BINOMIAL_PER_USER:
             return rng.binomial(n, lambdas / n, size=(frames, 2))
         counts = rng.poisson(lambdas, size=(frames, 2))
         while (redraw := (counts < 1) | (counts > n)).any():
             counts[redraw] = rng.poisson(np.broadcast_to(lambdas, counts.shape)[redraw])
         return counts
 
-    draws = np.concatenate([draw(rng, frames) for rng, frames in streams])
-    if model is not ActivationModel.MODEL_MATCHED:
-        return draws
-    cdf = np.cumsum(_model_pmf(loads, params))  # u >= cdf[-1]: the last cell where cdf rises
-    cell = np.minimum(np.searchsorted(cdf, draws, side="right"), np.searchsorted(cdf, cdf[-1]))
-    return np.column_stack(np.divmod(cell, n + 1))
+    def cells(self, streams) -> np.ndarray:
+        """Each frame's flat cell K1 (N + 1) + K2. A uniform takes the cell
+        i of its step [cdf[i - 1], cdf[i]) of the row-major cdf of
+        ``_model_pmf``, and from the top of the cdf up the last cell whose
+        step is not empty. One search inverts all of them in sorted order,
+        each search starting where the last ended, and scatters the cells
+        back."""
+        draws = np.concatenate([self._draw(rng, frames) for rng, frames in streams])
+        if self.model is not ActivationModel.MODEL_MATCHED:
+            return draws[:, 0] * (self.n + 1) + draws[:, 1]
+        order = np.argsort(draws)
+        cells = np.empty(draws.size, dtype=np.intp)
+        cells[order] = np.searchsorted(self.cdf, draws[order], side="right")
+        return np.minimum(cells, self.top, out=cells)
+
+    def counts(self, streams) -> np.ndarray:
+        """Each frame's (K1, K2)."""
+        if self.model is ActivationModel.MODEL_MATCHED:
+            return np.column_stack(np.divmod(self.cells(streams), self.n + 1))
+        return np.concatenate([self._draw(rng, frames) for rng, frames in streams])
+
+
+def draw_activation(loads: LoadDistribution, params: SystemParams,
+                    model: ActivationModel, streams) -> np.ndarray:
+    """Draw (K1, K2) for the frames of ``streams``, (rng, frames) pairs, one
+    row per frame, stream after stream: ``_Activation``, made and drawn
+    from once."""
+    return _Activation(loads, params, model).counts(streams)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,58 +436,111 @@ def _pass_starts(users: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(users // FILL_USERS)) + 1
 
 
-def _matched_values(cfg: Configuration, params: SystemParams, table: np.ndarray,
-                    counts: np.ndarray) -> np.ndarray:
-    """The matched-assumption value of each frame, a row (K1, K2) of
-    ``counts``, read from ``table[K1, K2]``. Entries still NaN are computed
-    first, in engine passes of about FILL_USERS users. Such a frame draws
-    nothing, so its value is a function of (K1, K2)."""
-    drawn = np.zeros(table.shape, dtype=bool)
-    drawn[tuple(counts.T)] = True
-    missing = np.argwhere(drawn & np.isnan(table))  # each new (K1, K2) once
-    passes = _pass_starts(np.cumsum(missing.sum(axis=1)))
+class MatchedGrid:
+    """The matched-assumption value of each (K1, K2) of one configuration
+    and parameter set, computed as rows need it: a flat (N + 1)^2 float
+    array ``values``, cell (K1, K2) at K1 (N + 1) + K2, NaN until computed.
+    A frame with worst-case distances and mean shadowing draws nothing, so
+    its value depends on (K1, K2) alone, and the rows of any load point,
+    seed or activation can share one grid. It lives as long as its holder:
+    ``simulate`` makes one per call unless given one, and a CLI command
+    keeps one per configuration."""
+
+    def __init__(self, cfg: Configuration, params: SystemParams):
+        self.cfg, self.params = cfg, params
+        self.values = np.full((params.n_users + 1) ** 2, np.nan)
+
+    @classmethod
+    def serving(cls, cfg: Configuration, params: SystemParams, grid=None) -> "MatchedGrid":
+        """``grid`` if it holds (cfg, params), a fresh grid if it is None;
+        a grid of another configuration or parameter set is a ValueError."""
+        if grid is None:
+            return cls(cfg, params)
+        if grid.cfg != cfg or grid.params != params:
+            other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
+            raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
+        return grid
+
+
+def _matched_values(grid: MatchedGrid, cells: np.ndarray) -> np.ndarray:
+    """The matched-assumption value of each frame, given by its flat cell
+    K1 (N + 1) + K2 in ``cells``, read from ``grid``. The cells these frames
+    need that the grid still lacks are computed first, each once, in engine
+    passes of about FILL_USERS users. Cells are marked and read FILL_FRAMES
+    at a time, so a narrow index array is never widened whole."""
+    chunks = [slice(start, start + FILL_FRAMES) for start in range(0, cells.size, FILL_FRAMES)]
+    drawn = np.zeros(grid.values.size, dtype=bool)
+    for chunk in chunks:
+        drawn[cells[chunk]] = True
+    missing = np.flatnonzero(drawn & np.isnan(grid.values))
+    stride = grid.params.n_users + 1
+    passes = _pass_starts(np.cumsum(missing // stride + missing % stride))  # K1 + K2 users
     for block in filter(len, np.split(missing, passes)):  # no pass when nothing is new
-        table[tuple(block.T)] = _receptions(cfg, block, [(None, len(block))], params,
-                                            True, True).throughput
-    return table[tuple(counts.T)]
+        grid.values[block] = _receptions(grid.cfg, np.column_stack(np.divmod(block, stride)),
+                                         [(None, len(block))], grid.params, True,
+                                         True).throughput
+    values = np.empty(cells.size)
+    for chunk in chunks:
+        np.take(grid.values, cells[chunk], out=values[chunk])
+    return values
+
+
+def _mean_and_std(values: np.ndarray) -> tuple:
+    """``values.mean()`` and ``values.std(ddof=1)`` (0 for one value), bit
+    for bit: numpy's own steps, the mean, the squared deviations from it,
+    their sum over n - 1 and its root, with the deviations taken in place.
+    ``values`` is overwritten."""
+    mean = values.mean()
+    if values.size < 2:
+        return float(mean), 0.0
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    return float(mean), math.sqrt(values.sum() / (values.size - 1))
 
 
 def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
              n_frames: int, seed, *,
              activation: ActivationModel = ActivationModel.TRUNCATED_POISSON,
              worst_case_distances: bool = False,
-             mean_shadowing: bool = False) -> SimResult:
+             mean_shadowing: bool = False,
+             grid: MatchedGrid | None = None) -> SimResult:
     """Empirical mean throughput over ``n_frames`` independent frames.
 
     Deterministic given ``seed``: block b of BLOCK_FRAMES frames draws from
     its own stream ``frame_rng(seed, b)``, so results do not depend on
-    scheduling order or worker count. A chunk of FILL_FRAMES frames derives
-    its blocks' streams in one ``frame_rngs`` call, bit for bit those of
-    ``frame_rng``, and one ``draw_activation`` call draws its counts, each
-    block from its own stream. In the physical modes one engine pass then
-    runs several whole blocks of the chunk, about FILL_USERS users, and
-    each block draws what ``run_frame`` draws, for all its frames at once,
-    from its own stream. With worst-case distances and mean shadowing a
-    frame draws nothing and its value is a function of (K1, K2): the
-    chunk's new values fill an (N + 1)^2 array that the frames read. The
-    frame values go into one float64 array of ``n_frames``; nothing
-    outlives the call.
+    scheduling order or worker count. The row builds its ``_Activation``
+    once. A chunk of FILL_FRAMES frames derives its blocks' streams in one
+    ``frame_rngs`` call, bit for bit those of ``frame_rng``, and draws its
+    counts in one call, each block from its own stream. In the physical
+    modes one engine pass then runs several whole blocks of the chunk,
+    about FILL_USERS users, and each block draws what ``run_frame`` draws,
+    for all its frames at once, from its own stream; the frame values go
+    into one float64 array of ``n_frames``. With worst-case distances and
+    mean shadowing a frame's value is a function of (K1, K2): the row first
+    records every frame's flat cell, in the narrowest integer type that
+    holds (N + 1)^2 cells, then ``_matched_values`` reads them from
+    ``grid`` (a ``MatchedGrid`` of (cfg, params), read in this mode only;
+    a fresh one without it). A shared grid changes no bit of the result.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
 
+    law = _Activation(loads, params, activation)
     matched = worst_case_distances and mean_shadowing
-    table = np.full((params.n_users + 1,) * 2, np.nan) if matched else None
-    values = np.empty(n_frames)
+    if matched:
+        grid = MatchedGrid.serving(cfg, params, grid)
+        cells = np.empty(n_frames, dtype=np.min_scalar_type(grid.values.size - 1))
+    else:
+        values = np.empty(n_frames)
     for start in range(0, n_frames, FILL_FRAMES):
         firsts = range(start, min(start + FILL_FRAMES, n_frames), BLOCK_FRAMES)
         streams = [(rng, min(BLOCK_FRAMES, n_frames - first)) for rng, first in
                    zip(frame_rngs(seed, np.array(firsts) // BLOCK_FRAMES), firsts)]
-        counts = draw_activation(loads, params, activation, streams)
-        chunk = values[start:start + len(counts)]  # a view: writes land in values
         if matched:
-            chunk[:] = _matched_values(cfg, params, table, counts)
+            cells[start:start + FILL_FRAMES] = law.cells(streams)
             continue
+        counts = law.counts(streams)
+        chunk = values[start:start + len(counts)]  # a view: writes land in values
         # passes of whole blocks, cut by the running user count at each block's end
         ends = np.cumsum([frames for _, frames in streams])
         cuts = _pass_starts(np.cumsum(counts.sum(axis=1))[ends - 1]).tolist()
@@ -461,21 +548,26 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
             frames = slice(first * BLOCK_FRAMES, stop * BLOCK_FRAMES)
             chunk[frames] = _receptions(cfg, counts[frames], streams[first:stop], params,
                                         worst_case_distances, mean_shadowing).throughput
+    if matched:
+        values = _matched_values(grid, cells)
 
-    std = float(values.std(ddof=1)) if n_frames > 1 else 0.0
-    return SimResult(mean=float(values.mean()), ci_half_width=1.96 * std / math.sqrt(n_frames))
+    mean, std = _mean_and_std(values)
+    return SimResult(mean=mean, ci_half_width=1.96 * std / math.sqrt(n_frames))
 
 
-def _matched_table(cfg: Configuration, params: SystemParams) -> ConditionalTable:
+def _matched_table(cfg: Configuration, params: SystemParams,
+                   grid: MatchedGrid | None = None) -> ConditionalTable:
     """C(cfg) of the matched-assumption engine: each entry the sum of the
     frame values that ``simulate`` reads in that mode, weighted by
-    ``params.split_weights``, every admissible (K1, K2) filled into one
-    array that lives for this call."""
-    table = np.full((params.n_users + 1,) * 2, np.nan)
-    _matched_values(cfg, params, table, np.argwhere(np.isnan(table[1:, 1:])) + 1)  # [1, N]^2
-    values = table.tolist()
-    return _weighted_table(cfg, params,
-                           lambda k, splits: [values[big_k2 + k][big_k2] for big_k2 in splits])
+    ``params.split_weights``, every admissible (K1, K2), [1, N]^2, filled
+    into ``grid`` (a fresh ``MatchedGrid`` without it)."""
+    grid = MatchedGrid.serving(cfg, params, grid)
+    stride = params.n_users + 1
+    k1, k2 = np.divmod(np.arange(grid.values.size), stride)
+    _matched_values(grid, np.flatnonzero((k1 > 0) & (k2 > 0)))
+    values = grid.values.tolist()
+    return _weighted_table(cfg, params, lambda k, splits: [
+        values[(big_k2 + k) * stride + big_k2] for big_k2 in splits])
 
 
 def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,

@@ -270,6 +270,34 @@ def test_matched_compare_across_fill_chunks_byte_identical(tmp_path):
     assert {row["deviation_flag"] for row in rows} == {"ok"}
 
 
+def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monkeypatch):
+    # the rows of a configuration share one grid across load points, so a
+    # command computes each (K1, K2) of a configuration once, in a few
+    # passes; each row builds its model cdf once
+    passes, builds = [], []
+    receptions, model_pmf = montecarlo._receptions, montecarlo._model_pmf
+
+    def count_passes(cfg, counts, *args):
+        passes.append((cfg, counts))
+        return receptions(cfg, counts, *args)
+
+    def count_builds(*args):
+        builds.append(args)
+        return model_pmf(*args)
+
+    monkeypatch.setattr(montecarlo, "_receptions", count_passes)
+    monkeypatch.setattr(montecarlo, "_model_pmf", count_builds)
+    assert run_cli("compare", "--lambda1", "6,12", "--lambda2", "4", "--configurations",
+                   "r1_Hl_Hh,r1_Hh_Hl,r0_Hl_Hl", "--frames", "20000", "--activation", "model",
+                   "--distances", "worst", "--shadowing", "mean") == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == len(builds) == 6 and {row["deviation_flag"] for row in rows} == {"ok"}
+    assert 3 <= len(passes) <= 12
+    for cfg in {cfg for cfg, _ in passes}:
+        cells = [tuple(key) for c, counts in passes if c == cfg for key in counts.tolist()]
+        assert len(cells) == len(set(cells))
+
+
 def test_compare_matched_mode_agrees(tmp_path):
     out = tmp_path / "compare.csv"
     assert run_cli("compare", "--lambda1", "6", "--lambda2", "4",

@@ -4,14 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from uav_twoway import montecarlo
 from uav_twoway.errors import RateExceedsPopulationError
-from uav_twoway.montecarlo import (BLOCK_FRAMES, FILL_FRAMES, ActivationModel, _matched_table,
-                                   _matched_values, _model_pmf, _positions, draw_activation,
+from uav_twoway.montecarlo import (BLOCK_FRAMES, FILL_FRAMES, FILL_USERS, ActivationModel,
+                                   MatchedGrid, _Activation, _matched_table, _matched_values,
+                                   _mean_and_std, _model_pmf, _positions, draw_activation,
                                    frame_rng, frame_rngs, run_frame, simulate,
                                    simulate_exhaustive)
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts,
@@ -134,6 +135,23 @@ def test_model_activation_inverts_the_joint_cdf(params, lambdas):
     assert empty[0] and not empty.all()  # u = 0 draws the empty frame
     assert drawn[~empty].min() >= 1 and drawn[~empty].max() <= n
     assert np.all(np.abs(drawn[:, 0] - drawn[:, 1]) < n)  # |k| >= N only as (0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 30, 200])
+def test_sorted_inversion_matches_plain_search(params, n):
+    # searching the uniforms in sorted order and scattering the cells back
+    # gives each uniform the cell of a plain search: random keys, keys equal
+    # to the cdf's steps and just below them, and keys from the top up
+    system = dataclasses.replace(params, n_users=n)
+    law = _Activation(LoadDistribution(6.0, 4.0), system, ActivationModel.MODEL_MATCHED)
+    cdf = law.cdf
+    uniforms = np.concatenate((np.random.default_rng(n).random(5000), cdf, cdf[::-1],
+                               np.nextafter(cdf, 0.0), [cdf[-1], 1.0 - 2.0 ** -53, 0.0]))
+    assert (uniforms >= cdf[-1]).sum() > 2  # the last steps repeat the top
+    cells = law.cells([(Replay(uniforms, np.empty(0)), uniforms.size)])
+    plain = np.minimum(np.searchsorted(cdf, uniforms, side="right"),
+                       np.searchsorted(cdf, cdf[-1]))
+    assert cells.dtype == plain.dtype and np.array_equal(cells, plain)
 
 
 @pytest.mark.parametrize("n", [1, 30, 200])
@@ -375,17 +393,93 @@ def test_matched_table_matches_conditional_table_per_k(params):
 
 
 def test_matched_values_match_conditional_per_key(params):
-    # every (K1, K2) in [0, 30]^2, computed in one call's array, against the
+    # every (K1, K2) in [0, 30]^2, computed in one call's grid, against the
     # closed form's conditional throughput of that frame
     n = params.n_users
-    k1, k2 = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    cells = np.arange((n + 1) ** 2)
+    k1, k2 = np.divmod(cells, n + 1)
     for cfg in all_configurations().values():
-        values = _matched_values(cfg, params, np.full((n + 1, n + 1), np.nan),
-                                 np.column_stack((k1, k2)))
+        values = _matched_values(MatchedGrid(cfg, params), cells)
         expected = [conditional_throughput(a - b, b, cfg, params)
                     for a, b in zip(k1.tolist(), k2.tolist())]
         assert_allclose(values, expected, rtol=1e-12)
         assert values[0] == expected[0] == 0.0
+
+
+def spy_on(monkeypatch, name):
+    """The arguments of every call of montecarlo's ``name``, which still runs."""
+    calls, real = [], getattr(montecarlo, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, name, spy)
+    return calls
+
+
+MATCHED = dict(worst_case_distances=True, mean_shadowing=True)
+
+
+def test_matched_row_fills_its_grid_once(params, candidates, monkeypatch):
+    # a 20,000-frame row draws in five chunks but computes its cells only
+    # after the last, in as few passes as FILL_USERS allows
+    passes = spy_on(monkeypatch, "_receptions")
+    grid = MatchedGrid(candidates["r1_Hl_Hh"], params)
+    simulate(grid.cfg, LoadDistribution(6.0, 4.0), params, 20_000, seed=3,
+             activation=ActivationModel.MODEL_MATCHED, grid=grid, **MATCHED)
+    filled = np.flatnonzero(~np.isnan(grid.values))
+    users = int(sum(np.divmod(filled, params.n_users + 1)).sum())
+    assert -(-20_000 // FILL_FRAMES) == 5 and users > FILL_USERS
+    assert 1 < len(passes) <= -(-users // FILL_USERS)
+    assert sum(len(counts) for _, counts, *_ in passes) == filled.size
+    # a second row of the same loads finds every cell it needs, or nearly
+    passes.clear()
+    simulate(grid.cfg, LoadDistribution(6.0, 4.0), params, 20_000, seed=4,
+             activation=ActivationModel.MODEL_MATCHED, grid=grid, **MATCHED)
+    assert len(passes) <= 1
+
+
+@pytest.mark.parametrize("mode", ["worst_mean", "exact_sampled"])
+def test_model_pmf_built_once_per_row(params, candidates, monkeypatch, mode):
+    builds = spy_on(monkeypatch, "_model_pmf")
+    simulate(candidates["r0_Hl_Hl"], LoadDistribution(6.0, 4.0), params, 2 * FILL_FRAMES + 1,
+             seed=2, activation=ActivationModel.MODEL_MATCHED, **MODES[mode])
+    assert len(builds) == 1
+
+
+def test_rows_sharing_a_grid_match_fresh_grids(params, candidates):
+    # a cell's value does not depend on the pass that computed it, so rows
+    # of other loads, seeds and activations that share a grid keep their bits
+    rows = [((6.0, 4.0), 1, ActivationModel.MODEL_MATCHED, 9000),
+            ((12.0, 4.0), 2, ActivationModel.MODEL_MATCHED, 5000),
+            ((3.0, 9.0), 3, ActivationModel.TRUNCATED_POISSON, 3000),
+            ((0.5, 0.2), 4, ActivationModel.BINOMIAL_PER_USER, 3000),
+            ((6.0, 4.0), 5, ActivationModel.MODEL_MATCHED, 1)]
+    for cfg in candidates.values():
+        grid = MatchedGrid(cfg, params)
+        for lambdas, seed, activation, n_frames in rows:
+            loads = LoadDistribution(*lambdas)
+            shared = simulate(cfg, loads, params, n_frames, seed, activation=activation,
+                              grid=grid, **MATCHED)
+            fresh = simulate(cfg, loads, params, n_frames, seed, activation=activation,
+                             **MATCHED)
+            assert shared == fresh
+        assert _matched_table(cfg, params, grid) == _matched_table(cfg, params)
+
+
+def test_grid_of_another_configuration_or_params_is_refused(params, candidates):
+    cfg, other = candidates["r1_Hl_Hh"], candidates["r0_Hl_Hl"]
+    loads = LoadDistribution(6.0, 4.0)
+    for grid in (MatchedGrid(other, params),
+                 MatchedGrid(cfg, dataclasses.replace(params, n_users=29)),
+                 MatchedGrid(cfg, dataclasses.replace(params, p_u=2.0 * params.p_u))):
+        with pytest.raises(ValueError, match="matched grid of"):
+            simulate(cfg, loads, params, 10, seed=1, activation=ActivationModel.MODEL_MATCHED,
+                     grid=grid, **MATCHED)
+        with pytest.raises(ValueError, match="matched grid of"):
+            _matched_table(cfg, params, grid)
+        assert np.isnan(grid.values).all()  # refused before anything was computed
 
 
 def test_model_matched_sampling_is_unbiased(params, candidates):
@@ -567,22 +661,49 @@ def test_physical_passes_match_frame_loop(params, candidates, monkeypatch, case,
         assert result.ci_half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(n_frames)
 
 
+def traced_peak(cfg, loads, params, n_frames, **mode):
+    """The traced memory peak [B] of one ``simulate`` row."""
+    tracemalloc.start()
+    try:
+        simulate(cfg, loads, params, n_frames, seed=5, **mode)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_physical_row_memory_grows_by_one_float_per_frame(params, candidates):
     # each frame's value goes into one float64 array, and the row's std
-    # takes one more; the engine passes' rows do not grow with the row
-    cfg, loads = candidates["r0_Hl_Hl"], LoadDistribution(1.0, 1.0)
-
-    def traced_peak(n_frames):
-        tracemalloc.start()
-        try:
-            simulate(cfg, loads, params, n_frames, seed=5)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
+    # takes its deviations in place; the engine passes' rows do not grow
+    # with the row
+    row = (candidates["r0_Hl_Hl"], LoadDistribution(1.0, 1.0), params)
     short, long = FILL_FRAMES, 6 * FILL_FRAMES
-    traced_peak(short)  # warm: lazy set-up is not the row's
-    assert traced_peak(long) - traced_peak(short) <= 16 * (long - short)
+    traced_peak(*row, short)  # warm: lazy set-up is not the row's
+    assert traced_peak(*row, long) - traced_peak(*row, short) <= 12 * (long - short)
+
+
+def test_matched_row_memory_grows_by_a_float_and_a_cell_per_frame(params, candidates):
+    # a matched row holds each frame's cell, two bytes at N = 30, and then
+    # its value; neither the marks nor the reads widen the cells whole. The
+    # engine passes dominate the shorter row's peak, the arrays the longer's
+    row = (candidates["r0_Hl_Hl"], LoadDistribution(6.0, 4.0), params)
+    mode = dict(activation=ActivationModel.MODEL_MATCHED, **MATCHED)
+    short, long = 16 * FILL_FRAMES, 64 * FILL_FRAMES
+    traced_peak(*row, FILL_FRAMES, **mode)  # warm: lazy set-up is not the row's
+    assert (traced_peak(*row, long, **mode) - traced_peak(*row, short, **mode)
+            <= 10 * (long - short))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 100_000), st.integers(-300, 300), st.sampled_from([0.0, 1.0, -3.5]),
+       st.integers(0, 2 ** 32 - 1))
+@example(2, 0, 0.0, 0)
+@example(100_000, 300, 1.0, 1)
+def test_mean_and_std_in_place_match_numpy(n, exponent, offset, seed):
+    # a row's mean and std, the deviations taken in place, keep numpy's bits
+    values = (np.random.default_rng(seed).random(n) + offset) * 2.0 ** exponent
+    mean, std = _mean_and_std(values.copy())
+    assert mean == float(values.mean())
+    assert std == float(values.std(ddof=1))
 
 
 def test_simulate_rejects_zero_frames(params, candidates):
