@@ -450,17 +450,6 @@ class MatchedGrid:
         self.cfg, self.params = cfg, params
         self.values = np.full((params.n_users + 1) ** 2, np.nan)
 
-    @classmethod
-    def serving(cls, cfg: Configuration, params: SystemParams, grid=None) -> "MatchedGrid":
-        """``grid`` if it holds (cfg, params), a fresh grid if it is None;
-        a grid of another configuration or parameter set is a ValueError."""
-        if grid is None:
-            return cls(cfg, params)
-        if grid.cfg != cfg or grid.params != params:
-            other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
-            raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
-        return grid
-
 
 def _matched_values(grid: MatchedGrid, cells: np.ndarray) -> np.ndarray:
     """The matched-assumption value of each frame, given by its flat cell
@@ -520,7 +509,9 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     records every frame's flat cell, in the narrowest integer type that
     holds (N + 1)^2 cells, then ``_matched_values`` reads them from
     ``grid`` (a ``MatchedGrid`` of (cfg, params), read in this mode only;
-    a fresh one without it). A shared grid changes no bit of the result.
+    a fresh one without it, and a grid of another configuration or
+    parameter set is a ValueError). A shared grid changes no bit of the
+    result.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
@@ -528,7 +519,11 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     law = _Activation(loads, params, activation)
     matched = worst_case_distances and mean_shadowing
     if matched:
-        grid = MatchedGrid.serving(cfg, params, grid)
+        if grid is None:
+            grid = MatchedGrid(cfg, params)
+        elif grid.cfg != cfg or grid.params != params:
+            other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
+            raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
         cells = np.empty(n_frames, dtype=np.min_scalar_type(grid.values.size - 1))
     else:
         values = np.empty(n_frames)
@@ -555,13 +550,12 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     return SimResult(mean=mean, ci_half_width=1.96 * std / math.sqrt(n_frames))
 
 
-def _matched_table(cfg: Configuration, params: SystemParams,
-                   grid: MatchedGrid | None = None) -> ConditionalTable:
+def _matched_table(cfg: Configuration, params: SystemParams) -> ConditionalTable:
     """C(cfg) of the matched-assumption engine: each entry the sum of the
     frame values that ``simulate`` reads in that mode, weighted by
     ``params.split_weights``, every admissible (K1, K2), [1, N]^2, filled
-    into ``grid`` (a fresh ``MatchedGrid`` without it)."""
-    grid = MatchedGrid.serving(cfg, params, grid)
+    into a fresh ``MatchedGrid``."""
+    grid = MatchedGrid(cfg, params)
     stride = params.n_users + 1
     k1, k2 = np.divmod(np.arange(grid.values.size), stride)
     _matched_values(grid, np.flatnonzero((k1 > 0) & (k2 > 0)))
