@@ -40,9 +40,8 @@ EXHAUSTIVE = "exhaustive"
 
 MAX_AXIS_VALUES = 10_000  # values per load axis of a grid
 # Monte Carlo frames per row. A row holds one float64 per frame, 80 MB
-# here, a matched row also its cell, 2 B at N <= 255, and its standard
-# deviation works in place: a 10^6-frame physical row peaked 7 MB above a
-# 10^5-frame one, a model-matched row 8 MB.
+# here, and its standard deviation works in place: a 10^6-frame physical
+# row peaked 7.1 MB above a 10^5-frame one, a model-matched row 6.9 MB.
 MAX_FRAMES = 10_000_000
 # Worker processes of a grid run. A process pool forks all its workers at
 # the first task, so the count is checked before any pool exists.
@@ -221,9 +220,9 @@ def _point_rows(spec: SweepSpec, matched: dict, grids: dict, point: tuple) -> li
     """All CSV rows for one grid point ``(index, lambda1, lambda2)``, the
     exhaustive rows reading ``matched`` (``_matched_tables``). A matched
     Monte Carlo row reads the ``MatchedGrid`` of its configuration in
-    ``grids``, made by the first row that needs it, so the rows of one
-    configuration compute each (K1, K2) once across the points a process
-    runs. Module-level so worker processes can run it.
+    ``grids``, made by the first row that needs it, so a process builds
+    each configuration's grid once across the points it runs. Module-level
+    so worker processes can run it.
 
     The Skellam vector is computed once for the point, and every table's
     average once, the optimum reusing the candidates'."""

@@ -21,10 +21,9 @@ uniform per frame to (K1, K2), a chunk's in one search of their sorted
 order. In the physical modes one engine pass then runs several whole
 blocks, about FILL_USERS users, each block still drawing its layout and
 deviates from its own stream. In matched mode a frame draws nothing, so
-its value is a function of (K1, K2): a row records every frame's cell,
-computes the cells its ``MatchedGrid`` still lacks in passes of about
-FILL_USERS users, and reads its values from the grid. ``run_frame`` is a
-pass of one stream with one frame.
+its value is a function of (K1, K2): a row reads each chunk's values from
+its ``MatchedGrid``, built whole from one engine pass over five one-unit
+frames. ``run_frame`` is a pass of one stream with one frame.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -50,10 +49,9 @@ from .throughput import ConditionalTable, LoadDistribution, _weighted_table, ave
 # Frames per stream of ``simulate``: a block draws from its own stream.
 BLOCK_FRAMES = 64
 # Frames whose counts one draw of the activation law takes (whole blocks),
-# and about the users of one engine pass, in both modes: whole blocks of a
-# chunk in the physical modes, a row's new (K1, K2) in matched mode. Larger
-# passes pay numpy's per-call overhead less often but hold more rows in
-# memory at once.
+# and about the users of one physical engine pass, whole blocks of a chunk.
+# Larger passes pay numpy's per-call overhead less often but hold more rows
+# in memory at once.
 FILL_FRAMES, FILL_USERS = 64 * BLOCK_FRAMES, 4096
 
 
@@ -429,49 +427,53 @@ def frame_rng(seed, index: int):
     return frame_rngs(seed, (index,))[0]
 
 
-def _pass_starts(users: np.ndarray) -> np.ndarray:
-    """Where engine passes of about FILL_USERS users start, given the running
-    user count at the end of each item: at every item that carries the
-    count across a multiple of FILL_USERS."""
-    return np.flatnonzero(np.diff(users // FILL_USERS)) + 1
-
-
 class MatchedGrid:
-    """The matched-assumption value of each (K1, K2) of one configuration
-    and parameter set, computed as rows need it: a flat (N + 1)^2 float
-    array ``values``, cell (K1, K2) at K1 (N + 1) + K2, NaN until computed.
-    A frame with worst-case distances and mean shadowing draws nothing, so
-    its value depends on (K1, K2) alone, and the rows of any load point,
-    seed or activation can share one grid. It lives as long as its holder:
-    ``simulate`` makes one per call unless given one, and a CLI command
-    keeps one per configuration."""
+    """The matched-assumption value of every (K1, K2) of one configuration
+    and parameter set, computed when built: a flat (N + 1)^2 float array
+    ``values``, cell (K1, K2) at K1 (N + 1) + K2. A frame with worst-case
+    distances and mean shadowing draws nothing, so its value depends on
+    (K1, K2) alone and the rows of any load point, seed or activation can
+    share one grid. It lives as long as its holder: ``simulate`` makes one
+    per call unless given one, and a CLI command keeps one per configuration.
+
+    In this mode a unit's two slot rates depend only on its kind and, for a
+    same-cell pair or a lone user, on its cell, and a frame serves its
+    cross-cell pairs, then same-cell pairs, then lone users. One engine pass
+    over the one-unit frames (1, 1), (2, 0), (1, 0), (0, 2), (0, 1) gives
+    every slot rate, summed per slot as the engine sums them; a cell's value
+    is its slot rates added in slot order, as the engine's column cumsum
+    adds them, over its slot count.
+    """
 
     def __init__(self, cfg: Configuration, params: SystemParams):
         self.cfg, self.params = cfg, params
-        self.values = np.full((params.n_users + 1) ** 2, np.nan)
+        n = params.n_users
+        frames = np.array([[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]])
+        units = _receptions(cfg, frames, [(None, len(frames))], params, True, True)
+        slot_counts = schedule_block(cfg, frames[:, 0], frames[:, 1]).slot_counts
+        # each frame's first unit: a cross-cell pair, then per cell a same-cell
+        # pair (two lone users if the other UAV is low) and a lone user
+        rates = np.bincount(units.slot, weights=units.rate)[
+            (np.cumsum(slot_counts) - slot_counts)[:, None] + [0, 1]]
+        cross, pairs, lone = rates[0], rates[[1, 3]], rates[[2, 4]]
+        # per surplus cell and per m: m cross-cell pairs' running sum, then
+        # that cell's pairs if the other UAV is high, else its lone users
+        helped = np.array([cfg.t2, cfg.t1]) == 1
+        running = np.zeros((2, n + 1, 2 * n + 1))
+        running[:, 1:, 0] = np.cumsum(np.tile(cross, n))[1::2]
+        running[:, :, 1:] = np.tile(np.where(helped[:, None], pairs, lone), n)[:, None, :]
+        np.cumsum(running, axis=2, out=running)
 
-
-def _matched_values(grid: MatchedGrid, cells: np.ndarray) -> np.ndarray:
-    """The matched-assumption value of each frame, given by its flat cell
-    K1 (N + 1) + K2 in ``cells``, read from ``grid``. The cells these frames
-    need that the grid still lacks are computed first, each once, in engine
-    passes of about FILL_USERS users. Cells are marked and read FILL_FRAMES
-    at a time, so a narrow index array is never widened whole."""
-    chunks = [slice(start, start + FILL_FRAMES) for start in range(0, cells.size, FILL_FRAMES)]
-    drawn = np.zeros(grid.values.size, dtype=bool)
-    for chunk in chunks:
-        drawn[cells[chunk]] = True
-    missing = np.flatnonzero(drawn & np.isnan(grid.values))
-    stride = grid.params.n_users + 1
-    passes = _pass_starts(np.cumsum(missing // stride + missing % stride))  # K1 + K2 users
-    for block in filter(len, np.split(missing, passes)):  # no pass when nothing is new
-        grid.values[block] = _receptions(grid.cfg, np.column_stack(np.divmod(block, stride)),
-                                         [(None, len(block))], grid.params, True,
-                                         True).throughput
-    values = np.empty(cells.size)
-    for chunk in chunks:
-        np.take(grid.values, cells[chunk], out=values[chunk])
-    return values
+        big_k1, big_k2 = np.indices((n + 1, n + 1)).reshape(2, -1)
+        shared, surplus, cell = (np.minimum(big_k1, big_k2), np.abs(big_k1 - big_k2),
+                                 (big_k1 < big_k2).astype(np.intp))
+        tail_units = np.where(helped[cell], surplus // 2, surplus)
+        sums = running[cell, shared, 2 * tail_units]
+        odd = helped[cell] & (surplus % 2 == 1)  # a lone user after the pairs
+        for rate in lone[cell[odd]].T:
+            sums[odd] += rate
+        slots = 2 * (shared + tail_units + odd)
+        self.values = np.divide(sums, slots, out=np.zeros(sums.size), where=slots > 0)
 
 
 def _mean_and_std(values: np.ndarray) -> tuple:
@@ -503,15 +505,13 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     counts in one call, each block from its own stream. In the physical
     modes one engine pass then runs several whole blocks of the chunk,
     about FILL_USERS users, and each block draws what ``run_frame`` draws,
-    for all its frames at once, from its own stream; the frame values go
-    into one float64 array of ``n_frames``. With worst-case distances and
-    mean shadowing a frame's value is a function of (K1, K2): the row first
-    records every frame's flat cell, in the narrowest integer type that
-    holds (N + 1)^2 cells, then ``_matched_values`` reads them from
-    ``grid`` (a ``MatchedGrid`` of (cfg, params), read in this mode only;
-    a fresh one without it, and a grid of another configuration or
-    parameter set is a ValueError). A shared grid changes no bit of the
-    result.
+    for all its frames at once, from its own stream. With worst-case
+    distances and mean shadowing a frame's value is a function of (K1, K2),
+    and each chunk's values are read straight from ``grid`` (a
+    ``MatchedGrid`` of (cfg, params), read in this mode only; a fresh one
+    without it, and a grid of another configuration or parameter set is a
+    ValueError). A shared grid changes no bit of the result. Either way the
+    frame values go into one float64 array of ``n_frames``.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
@@ -524,27 +524,25 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
         elif grid.cfg != cfg or grid.params != params:
             other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
             raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
-        cells = np.empty(n_frames, dtype=np.min_scalar_type(grid.values.size - 1))
-    else:
-        values = np.empty(n_frames)
+    values = np.empty(n_frames)
     for start in range(0, n_frames, FILL_FRAMES):
         firsts = range(start, min(start + FILL_FRAMES, n_frames), BLOCK_FRAMES)
         streams = [(rng, min(BLOCK_FRAMES, n_frames - first)) for rng, first in
                    zip(frame_rngs(seed, np.array(firsts) // BLOCK_FRAMES), firsts)]
+        chunk = values[start:start + FILL_FRAMES]  # a view: writes land in values
         if matched:
-            cells[start:start + FILL_FRAMES] = law.cells(streams)
+            np.take(grid.values, law.cells(streams), out=chunk)
             continue
         counts = law.counts(streams)
-        chunk = values[start:start + len(counts)]  # a view: writes land in values
-        # passes of whole blocks, cut by the running user count at each block's end
+        # passes of whole blocks, cut after each block whose end carries the
+        # running user count across a multiple of FILL_USERS
         ends = np.cumsum([frames for _, frames in streams])
-        cuts = _pass_starts(np.cumsum(counts.sum(axis=1))[ends - 1]).tolist()
+        passes = np.cumsum(counts.sum(axis=1))[ends - 1] // FILL_USERS
+        cuts = (np.flatnonzero(np.diff(passes)) + 1).tolist()
         for first, stop in zip([0, *cuts], [*cuts, len(streams)]):
             frames = slice(first * BLOCK_FRAMES, stop * BLOCK_FRAMES)
             chunk[frames] = _receptions(cfg, counts[frames], streams[first:stop], params,
                                         worst_case_distances, mean_shadowing).throughput
-    if matched:
-        values = _matched_values(grid, cells)
 
     mean, std = _mean_and_std(values)
     return SimResult(mean=mean, ci_half_width=1.96 * std / math.sqrt(n_frames))
@@ -553,13 +551,10 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
 def _matched_table(cfg: Configuration, params: SystemParams) -> ConditionalTable:
     """C(cfg) of the matched-assumption engine: each entry the sum of the
     frame values that ``simulate`` reads in that mode, weighted by
-    ``params.split_weights``, every admissible (K1, K2), [1, N]^2, filled
-    into a fresh ``MatchedGrid``."""
-    grid = MatchedGrid(cfg, params)
+    ``params.split_weights``, every admissible (K1, K2), [1, N]^2, read from
+    a fresh ``MatchedGrid``."""
     stride = params.n_users + 1
-    k1, k2 = np.divmod(np.arange(grid.values.size), stride)
-    _matched_values(grid, np.flatnonzero((k1 > 0) & (k2 > 0)))
-    values = grid.values.tolist()
+    values = MatchedGrid(cfg, params).values.tolist()
     return _weighted_table(cfg, params, lambda k, splits: [
         values[(big_k2 + k) * stride + big_k2] for big_k2 in splits])
 

@@ -272,8 +272,8 @@ def test_matched_compare_across_fill_chunks_byte_identical(tmp_path):
 
 def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monkeypatch):
     # the rows of a configuration share one grid across load points, so a
-    # command computes each (K1, K2) of a configuration once, in a few
-    # passes; each row builds its model cdf once
+    # command builds each configuration's grid once, in one engine pass, and
+    # computes each (K1, K2) once; each row builds its model cdf once
     passes, builds = [], []
     receptions, model_pmf = montecarlo._receptions, montecarlo._model_pmf
 
@@ -292,7 +292,7 @@ def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monke
                    "--distances", "worst", "--shadowing", "mean") == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == len(builds) == 6 and {row["deviation_flag"] for row in rows} == {"ok"}
-    assert 3 <= len(passes) <= 12
+    assert len(passes) == len({cfg for cfg, _ in passes}) == 3
     for cfg in {cfg for cfg, _ in passes}:
         cells = [tuple(key) for c, counts in passes if c == cfg for key in counts.tolist()]
         assert len(cells) == len(set(cells))
