@@ -404,12 +404,6 @@ def test_matched_values_match_conditional_per_key(params):
         assert values[0] == expected[0] == 0.0
 
 
-def unit_params(n_users, d_sep_m, phi_b_rad, n_los, p_u_dbm, p_g_dbm):
-    return validate_and_derive({**default_config(), "n_users": n_users, "d_sep_m": d_sep_m,
-                                "phi_b_rad": phi_b_rad, "n_los": n_los, "p_u_dbm": p_u_dbm,
-                                "p_g_dbm": p_g_dbm})
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12), st.floats(150.0, 1000.0), st.floats(0.1, 1.4), st.floats(1.5, 5.0),
        st.floats(-10.0, 50.0), st.floats(-10.0, 50.0))
@@ -418,7 +412,9 @@ def test_grid_equals_one_engine_pass_over_every_cell(n_users, d_sep_m, phi_b_rad
                                                      p_u_dbm, p_g_dbm):
     # a grid built from the five unit frames holds, bit for bit, what the
     # engine computes for every (K1, K2) of [0, N]^2, both axes included
-    params = unit_params(n_users, d_sep_m, phi_b_rad, n_los, p_u_dbm, p_g_dbm)
+    params = validate_and_derive({**default_config(), "n_users": n_users, "d_sep_m": d_sep_m,
+                                  "phi_b_rad": phi_b_rad, "n_los": n_los, "p_u_dbm": p_u_dbm,
+                                  "p_g_dbm": p_g_dbm})
     n = params.n_users
     counts = np.column_stack(np.divmod(np.arange((n + 1) ** 2), n + 1))
     for cfg in all_configurations().values():
@@ -444,6 +440,7 @@ MATCHED = dict(worst_case_distances=True, mean_shadowing=True)
 def test_matched_row_fills_its_grid_once(params, candidates, monkeypatch):
     # a grid makes one engine pass, over its five one-unit frames, and a
     # 20,000-frame row of five chunks reads the grid without any
+    assert -(-20_000 // FILL_FRAMES) == 5
     passes = spy_on(monkeypatch, "_receptions")
     for cfg in candidates.values():
         passes.clear()
@@ -452,7 +449,6 @@ def test_matched_row_fills_its_grid_once(params, candidates, monkeypatch):
         assert passes[0][1].tolist() == [[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]]
         assert passes[0][2:] == ([(None, 5)], params, True, True)
         passes.clear()
-        assert -(-20_000 // FILL_FRAMES) == 5
         simulate(cfg, LoadDistribution(6.0, 4.0), params, 20_000, seed=3,
                  activation=ActivationModel.MODEL_MATCHED, grid=grid, **MATCHED)
         assert passes == []
