@@ -240,6 +240,39 @@ def test_seeded_streams_match_frozen_values(params):
     assert_allclose(result.mean, 49.05909149132052, rtol=1e-13)
 
 
+# (cfg label, lambda1, lambda2, seed, mode) -> mean of a 1,000-frame
+# Poisson row, frozen from the engine before its per-level rework. The
+# first six are the rows of the benchmark's physical compare at --seed 1;
+# each row runs in three or four engine passes
+FROZEN_ROWS = {
+    ("r1_Hl_Hh", 6.0, 4.0, (1, 0, 0), "exact_sampled"): 46.10925991290436,
+    ("r1_Hh_Hl", 6.0, 4.0, (1, 0, 1), "exact_sampled"): 40.794473696827396,
+    ("r0_Hl_Hl", 6.0, 4.0, (1, 0, 2), "exact_sampled"): 42.031995548817505,
+    ("r1_Hl_Hh", 12.0, 4.0, (1, 1, 0), "exact_sampled"): 48.06995953235416,
+    ("r1_Hh_Hl", 12.0, 4.0, (1, 1, 1), "exact_sampled"): 33.422315222704555,
+    ("r0_Hl_Hl", 12.0, 4.0, (1, 1, 2), "exact_sampled"): 36.23834151811126,
+    ("r0_Hh_Hl", 12.0, 4.0, (1, 1, 0), "exact_mean"): 25.312793776088395,
+    ("r1_Hh_Hh", 12.0, 4.0, (1, 1, 0), "worst_sampled"): 36.40108193368717,
+}
+
+
+def test_physical_rows_match_frozen_means(params, monkeypatch):
+    configs, receptions, passes = all_configurations(), montecarlo._receptions, []
+
+    def spy(*args):
+        passes.append(1)
+        return receptions(*args)
+
+    monkeypatch.setattr(montecarlo, "_receptions", spy)
+    modes = {**MODES, "worst_sampled": {"worst_case_distances": True}}
+    for (label, lambda1, lambda2, seed, mode), expected in FROZEN_ROWS.items():
+        passes.clear()
+        result = simulate(configs[label], LoadDistribution(lambda1, lambda2), params, 1000,
+                          seed=seed, **modes[mode])
+        assert_allclose(result.mean, expected, rtol=1e-13)
+        assert len(passes) >= 3
+
+
 seed_words = st.integers(0, 2 ** 80 - 1)
 
 
