@@ -191,6 +191,18 @@ class FrameRealization:
         return int(self.slot[-1]) + 1 if self.slot.size else 0
 
 
+def _two_way_power(downlink: np.ndarray, distance: np.ndarray, params: SystemParams, z):
+    """Received power [W] of LoS receptions, one per row: a UAV's downlink
+    where ``downlink``, else a ground user's uplink, each direction's
+    ``channel`` function applied to its own rows. ``z`` is 0.0 or one
+    deviate per row."""
+    power = np.empty(distance.shape)
+    for rows, rx_power in ((downlink, channel.rx_power_uav_to_ground),
+                           (~downlink, channel.rx_power_ground_to_uav)):
+        power[rows] = rx_power(distance[rows], params, z[rows] if np.ndim(z) else z)
+    return power
+
+
 def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemParams,
                 worst_case_distances: bool, mean_shadowing: bool) -> FrameRealization:
     """Every reception of a pass of frames, computed at once.
@@ -210,41 +222,40 @@ def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemP
     schedule = schedule_block(cfg, counts[:, 0], counts[:, 1])
     slot, link, user, partner = schedule.rows
     sizes = counts.reshape(-1)
-    downlink = ((link == 2) * cfg.r + slot) % 2 == 0  # link 1 is downlink-first
+    downlink = ((link == 2) * cfg.r + slot) & 1 == 0  # link 1 is downlink-first
     cell = np.repeat(np.tile((1, 2), len(counts)), sizes)
     # the users before each stream's first frame, then all (a frame has two cells)
     users_before = np.concatenate(([0], np.cumsum(sizes)))[
         2 * np.cumsum([0, *(frames for _, frames in streams)])]
 
     # With r = 0 a pair shares one direction and its interference is LoS:
-    # the other UAV at a downlink receiver, the partner at an uplink one.
-    # With r = 1 only a downlink receiver is interfered, by the partner
-    # over NLoS.
-    uav = np.where(downlink, 3 - link, link)
-    ground = np.where(downlink, user, partner)
+    # the other UAV at a downlink receiver, the partner at an uplink one,
+    # if it reaches the receiver. With r = 1 only a downlink receiver is
+    # interfered, by the partner over NLoS.
+    hit = partner != user  # a lone user is its own partner
+    if cfg.r == 0:
+        uav = np.where(downlink, 3 - link, link)
+        ground = np.where(downlink, user, partner)
     altitude = np.array([params.altitude(cfg.t1), params.altitude(cfg.t2)])
     edge = altitude / math.cos(params.phi_b)
     if worst_case_distances:
         serve = edge[link - 1]
-        los = altitude[uav - 1]
-        high = np.array([cfg.t1, cfg.t2])[uav - 1] == 1
-        reaches = high | (cell[ground] == uav)
-        nlos = np.full(slot.shape, params.d_min)
+        if cfg.r == 0:
+            los = altitude[uav - 1]
+            hit &= (np.array([cfg.t1, cfg.t2])[uav - 1] == 1) | (cell[ground] == uav)
     else:
         x, y = _positions(np.concatenate([
             rng.random(2 * users) for (rng, _), users in zip(streams, np.diff(users_before))]),
             sizes, params)
-        center = np.array([0.0, params.d_sep])
-
-        def slant(links, users):
-            return np.sqrt((x[users] - center[links - 1]) ** 2 + y[users] ** 2
-                           + altitude[links - 1] * altitude[links - 1])
-
-        serve = slant(link, user)
-        los = slant(uav, ground)
-        reaches = los <= edge[uav - 1]
-        nlos = np.hypot(x[partner] - x[user], y[partner] - y[user])
-    hit = (partner != user) & (reaches if cfg.r == 0 else downlink)
+        # every user's slant distance to each UAV, one row per UAV
+        center = np.array([[0.0], [params.d_sep]])
+        slant = np.sqrt((x - center) ** 2 + y ** 2 + (altitude * altitude)[:, None])
+        serve = slant[link - 1, user]
+        if cfg.r == 0:
+            los = slant[uav - 1, ground]
+            hit &= los <= edge[uav - 1]
+    if cfg.r == 1:
+        hit &= downlink
 
     if mean_shadowing:
         z_signal = z_interference = 0.0
@@ -257,28 +268,26 @@ def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemP
         first = through[:-1]
         z_signal, z_interference = z[first], z[first[hit] + 1]
 
-    signal = np.where(downlink,
-                      channel.rx_power_uav_to_ground(serve, params, z_signal),
-                      channel.rx_power_ground_to_uav(serve, params, z_signal))
+    signal = _two_way_power(downlink, serve, params, z_signal)
     interference = np.zeros(slot.shape)
     if cfg.r == 0:
-        interference[hit] = np.where(
-            downlink[hit],
-            channel.rx_power_uav_to_ground(los[hit], params, z_interference),
-            channel.rx_power_ground_to_uav(los[hit], params, z_interference))
+        interference[hit] = _two_way_power(downlink[hit], los[hit], params, z_interference)
     else:
-        interference[hit] = channel.rx_power_ground_to_ground(nlos[hit], params, z_interference)
+        nlos = (np.full(np.count_nonzero(hit), params.d_min) if worst_case_distances else
+                np.hypot(x[partner[hit]] - x[user[hit]], y[partner[hit]] - y[user[hit]]))
+        interference[hit] = channel.rx_power_ground_to_ground(nlos, params, z_interference)
     rate = np.log2(1.0 + signal / (interference + params.noise_power))
 
     # Each frame's slot rates summed in slot order, as a loop adds them: one
-    # column per frame, zero-padded, and cumsum runs down it sequentially,
+    # row per frame, zero-padded, and cumsum runs along it sequentially,
     # where numpy's sum would add some shapes pairwise and round differently.
     slot_counts = schedule.slot_counts
-    first_slot = np.cumsum(slot_counts) - slot_counts
-    frame = np.repeat(np.arange(slot_counts.size), slot_counts)
-    padded = np.zeros((slot_counts.max(initial=1), slot_counts.size))
-    padded[np.arange(frame.size) - first_slot[frame], frame] = np.bincount(slot, weights=rate)
-    throughput = np.divide(np.cumsum(padded, axis=0)[-1], slot_counts,
+    width = slot_counts.max(initial=1)
+    padded = np.zeros((slot_counts.size, width))
+    padded.reshape(-1)[np.arange(slot_counts.sum()) + np.repeat(
+        width * np.arange(slot_counts.size) - (np.cumsum(slot_counts) - slot_counts),
+        slot_counts)] = np.bincount(slot, weights=rate)
+    throughput = np.divide(np.cumsum(padded, axis=1)[:, -1], slot_counts,
                            out=np.zeros(slot_counts.size), where=slot_counts > 0)
     return FrameRealization(slot=slot, link=link, user=user, downlink=downlink, hit=hit,
                             signal=signal, interference=interference, rate=rate, cell=cell,

@@ -111,11 +111,20 @@ def schedule_block(cfg: Configuration, k1, k2) -> Schedule:
     partner = user + np.where(cross, k1[frame], ~solo)
     link = 1 + (~cross & surplus_in_2[frame])  # the surplus cell's own UAV serves first
     slot = 2 * np.arange(frame.size)
-    columns = np.array([[slot, slot, slot + 1, slot + 1], [link, 3 - link, link, 3 - link],
-                        [user, partner, user, partner], [partner, user, partner, user]])
-    receivers = np.array([True, False, True, False]) | ~solo[:, None]
-    return Schedule(columns.transpose(0, 2, 1)[:, receivers],
-                    np.where(cross, CROSS_CELL, np.where(solo, INDIVIDUAL, SAME_CELL)), 2 * units)
+    # a unit's rows, slot 2u then 2u + 1: its first receiver's and, unless
+    # the user is alone, its partner's, each written straight to its place
+    size = 4 - 2 * solo
+    start = np.cumsum(size) - size
+    rows = np.empty((4, int(size.sum())), dtype=np.int64)
+    paired = ~solo
+    for at, step in ((start, 0), (start + size // 2, 1)):
+        for row, value in zip(rows, (slot + step, link, user, partner)):
+            row[at] = value
+        at = at[paired] + 1
+        for row, value in zip(rows, (slot + step, 3 - link, partner, user)):
+            row[at] = value[paired]
+    return Schedule(rows, np.where(cross, CROSS_CELL, np.where(solo, INDIVIDUAL, SAME_CELL)),
+                    2 * units)
 
 
 def schedule_frame(cfg: Configuration, k1: int, k2: int) -> Schedule:
