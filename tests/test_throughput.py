@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from uav_twoway import default_config, validate_and_derive
@@ -346,3 +348,31 @@ def test_exhaustive_covers_all_eight(params):
     best_candidate = max(results[label].total
                          for label in ("r1_Hl_Hh", "r1_Hh_Hl", "r0_Hl_Hl"))
     assert best_candidate >= best_excluded
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the three candidates miss the 8-configuration optimum of the bound at a "
+    "non-overlapping corner: at lambda = (12, 12) with p_u 45 dBm, p_g 0 dBm, "
+    "noise -130 dBm, d_0 20 m, d_sep 100 m, phi_b 1.3 rad, n_nlos 5, mu_nlos "
+    "40 dB and h_0 10 m, r1_Hh_Hh gives 47.9088 and the best candidate, "
+    "r1_Hl_Hh, 47.6038"))
+@settings(max_examples=50, deadline=None)
+@given(st.floats(10.0, 45.0), st.floats(0.0, 35.0), st.floats(-130.0, -90.0),
+       st.floats(20.0, 500.0), st.floats(2.1, 5.0), st.floats(0.3, 1.3), st.floats(2.0, 3.0),
+       st.floats(2.5, 5.0), st.floats(0.0, 40.0), st.floats(0.0, 10.0),
+       st.floats(0.5, 30.0), st.floats(0.5, 30.0))
+@example(45.0, 0.0, -130.0, 20.0, 5.0, 1.3, 2.0, 5.0, 40.0, 10.0, 12.0, 12.0)
+def test_candidates_hold_the_optimum_of_the_bound(p_u_dbm, p_g_dbm, noise_dbm, d_0_m, d_sep_per_d_0,
+                                                  phi_b_rad, n_los, n_nlos, mu_nlos_db, h_0_m,
+                                                  lambda1, lambda2):
+    # ROADMAP item 7's ranges, with the cells apart (d_sep >= d_sep_min),
+    # the case the worst-case bounds assume
+    params = validate_and_derive({
+        **default_config(), "p_u_dbm": p_u_dbm, "p_g_dbm": p_g_dbm, "noise_dbm": noise_dbm,
+        "d_0_m": d_0_m, "d_sep_m": d_sep_per_d_0 * d_0_m, "phi_b_rad": phi_b_rad,
+        "n_los": n_los, "n_nlos": n_nlos, "mu_nlos_db": mu_nlos_db, "h_0_m": h_0_m})
+    assume(params.d_sep >= params.d_sep_min)
+    loads = LoadDistribution(lambda1, lambda2)
+    _, best = optimal_configuration(loads, params)
+    assert best.total >= max(average_throughput(conditional_table(cfg, params), loads).total
+                             for cfg in all_configurations().values())
