@@ -5,7 +5,8 @@ ground-ground links are NLoS and omnidirectional. Shadow fading is normal
 in dB and divides the received power as a linear factor. Its draw enters
 as a standard-normal deviate ``z``: the shadowing is ``mu + sigma * z`` dB,
 so the default ``z = 0.0`` is the mean. Distances and deviates may be
-floats or equal-shaped arrays; nothing here needs numpy.
+floats or equal-shaped arrays; nothing here needs numpy. The simulator
+applies each function to the receptions of its own link type only.
 """
 
 from __future__ import annotations

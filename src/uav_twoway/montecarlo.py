@@ -3,7 +3,10 @@
 Each frame draws the active-user counts, places users uniformly in their
 cells, schedules service units with the three-step scheme, and computes
 all its receptions at once as columns (one row per receiver and slot)
-from exact distances and per-reception shadowing draws. A
+from exact distances and per-reception shadowing draws. Each quantity is
+computed where it varies: a user's slant distance to each UAV once per
+user, a reception's received power once, by the ``channel`` function of
+its direction, and only what its configuration reads. A
 matched-assumption mode substitutes the worst-case distances and mean
 shadowing, in which case the frame reproduces the analytical conditional
 throughput and validates the closed form.
@@ -171,8 +174,9 @@ class FrameRealization:
     a row's service class is its ``kinds[slot // 2]``. ``link`` is the
     serving UAV, ``user`` the ground endpoint, ``downlink`` whether the UAV
     transmits and ``hit`` whether the slot's co-channel transmitter reaches
-    the receiver. ``cell`` is indexed by user. Powers are in W; ``rate``
-    and ``throughput``, one mean slot sum-rate per frame, in bits/s/Hz.
+    the receiver. ``cell`` is indexed by user. Powers are in W: ``signal``
+    of every row, ``interference`` 0 where not ``hit``. ``rate`` and
+    ``throughput``, one mean slot sum-rate per frame, are in bits/s/Hz.
     """
 
     slot: np.ndarray
@@ -218,6 +222,14 @@ def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemP
     every reachable interferer sits at its closest admissible position,
     and whether it is reachable follows from the altitude levels and cell
     membership instead of actual positions.
+
+    Each quantity is computed once, at the level where it varies. Exact
+    distances come from every user's slant distance to each UAV, one
+    2 x users array the rows gather from. Only r = 0 reads the interfering
+    UAV-ground distance and the reach test; r = 1 takes a ground-to-ground
+    distance on its interfered rows alone. Each received power comes from
+    the ``channel`` function of its direction, applied to that direction's
+    rows only.
     """
     schedule = schedule_block(cfg, counts[:, 0], counts[:, 1])
     slot, link, user, partner = schedule.rows
@@ -279,15 +291,17 @@ def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemP
     rate = np.log2(1.0 + signal / (interference + params.noise_power))
 
     # Each frame's slot rates summed in slot order, as a loop adds them: one
-    # row per frame, zero-padded, and cumsum runs along it sequentially,
-    # where numpy's sum would add some shapes pairwise and round differently.
+    # zero-padded row per frame, filled by one flat scatter, and cumsum runs
+    # along it sequentially, where numpy's sum would add some shapes
+    # pairwise and round differently.
     slot_counts = schedule.slot_counts
     width = slot_counts.max(initial=1)
-    padded = np.zeros((slot_counts.size, width))
-    padded.reshape(-1)[np.arange(slot_counts.sum()) + np.repeat(
-        width * np.arange(slot_counts.size) - (np.cumsum(slot_counts) - slot_counts),
-        slot_counts)] = np.bincount(slot, weights=rate)
-    throughput = np.divide(np.cumsum(padded, axis=1)[:, -1], slot_counts,
+    # a frame's slot i at column i of its row, in the flat buffer
+    at = np.arange(slot_counts.sum()) + np.repeat(
+        width * np.arange(slot_counts.size) - (np.cumsum(slot_counts) - slot_counts), slot_counts)
+    padded = np.zeros(slot_counts.size * width)
+    padded[at] = np.bincount(slot, weights=rate)
+    throughput = np.divide(np.cumsum(padded.reshape(-1, width), axis=1)[:, -1], slot_counts,
                            out=np.zeros(slot_counts.size), where=slot_counts > 0)
     return FrameRealization(slot=slot, link=link, user=user, downlink=downlink, hit=hit,
                             signal=signal, interference=interference, rate=rate, cell=cell,
@@ -450,7 +464,7 @@ class MatchedGrid:
     cross-cell pairs, then same-cell pairs, then lone users. One engine pass
     over the one-unit frames (1, 1), (2, 0), (1, 0), (0, 2), (0, 1) gives
     every slot rate, summed per slot as the engine sums them; a cell's value
-    is its slot rates added in slot order, as the engine's column cumsum
+    is its slot rates added in slot order, as the engine's row cumsum
     adds them, over its slot count.
     """
 
