@@ -201,9 +201,9 @@ def _two_way_power(downlink: np.ndarray, distance: np.ndarray, params: SystemPar
     ``channel`` function applied to its own rows. ``z`` is 0.0 or one
     deviate per row."""
     power = np.empty(distance.shape)
-    for rows, rx_power in ((downlink, channel.rx_power_uav_to_ground),
-                           (~downlink, channel.rx_power_ground_to_uav)):
-        power[rows] = rx_power(distance[rows], params, z[rows] if np.ndim(z) else z)
+    for rows, rx_power in ((np.flatnonzero(downlink), channel.rx_power_uav_to_ground),
+                           (np.flatnonzero(~downlink), channel.rx_power_ground_to_uav)):
+        power[rows] = rx_power(distance.take(rows), params, z.take(rows) if np.ndim(z) else z)
     return power
 
 
@@ -259,15 +259,16 @@ def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemP
         x, y = _positions(np.concatenate([
             rng.random(2 * users) for (rng, _), users in zip(streams, np.diff(users_before))]),
             sizes, params)
-        # every user's slant distance to each UAV, one row per UAV
+        # every user's slant distance to each UAV, one row per UAV, read flat
         center = np.array([[0.0], [params.d_sep]])
-        slant = np.sqrt((x - center) ** 2 + y ** 2 + (altitude * altitude)[:, None])
-        serve = slant[link - 1, user]
+        slant = np.sqrt((x - center) ** 2 + y ** 2 + (altitude * altitude)[:, None]).ravel()
+        serve = slant[(link - 1) * x.size + user]
         if cfg.r == 0:
-            los = slant[uav - 1, ground]
+            los = slant[(uav - 1) * x.size + ground]
             hit &= los <= edge[uav - 1]
     if cfg.r == 1:
         hit &= downlink
+    hits = np.flatnonzero(hit)
 
     if mean_shadowing:
         z_signal = z_interference = 0.0
@@ -278,16 +279,16 @@ def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemP
         z = np.concatenate([rng.standard_normal(count)
                             for (rng, _), count in zip(streams, per_stream)])
         first = through[:-1]
-        z_signal, z_interference = z[first], z[first[hit] + 1]
+        z_signal, z_interference = z[first], z[first[hits] + 1]
 
     signal = _two_way_power(downlink, serve, params, z_signal)
     interference = np.zeros(slot.shape)
     if cfg.r == 0:
-        interference[hit] = _two_way_power(downlink[hit], los[hit], params, z_interference)
+        interference[hits] = _two_way_power(downlink[hits], los[hits], params, z_interference)
     else:
-        nlos = (np.full(np.count_nonzero(hit), params.d_min) if worst_case_distances else
-                np.hypot(x[partner[hit]] - x[user[hit]], y[partner[hit]] - y[user[hit]]))
-        interference[hit] = channel.rx_power_ground_to_ground(nlos, params, z_interference)
+        nlos = (np.full(hits.size, params.d_min) if worst_case_distances else
+                np.hypot(x[partner[hits]] - x[user[hits]], y[partner[hits]] - y[user[hits]]))
+        interference[hits] = channel.rx_power_ground_to_ground(nlos, params, z_interference)
     rate = np.log2(1.0 + signal / (interference + params.noise_power))
 
     # Each frame's slot rates summed in slot order, as a loop adds them: one

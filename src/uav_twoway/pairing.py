@@ -116,7 +116,7 @@ def schedule_block(cfg: Configuration, k1, k2) -> Schedule:
     size = 4 - 2 * solo
     start = np.cumsum(size) - size
     rows = np.empty((4, int(size.sum())), dtype=np.int64)
-    paired = ~solo
+    paired = np.flatnonzero(~solo)
     for at, step in ((start, 0), (start + size // 2, 1)):
         for row, value in zip(rows, (slot + step, link, user, partner)):
             row[at] = value
