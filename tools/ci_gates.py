@@ -6,9 +6,9 @@
 Each gate runs the console script (and, for memory, the package through
 ``python -c``) with the flags, timeouts and bounds the workflow has always
 used, and prints what it ran. The first failing gate stops the run with
-exit 1; no name, or an unknown one, exits 2 and lists the gates. Output files (``*.csv``, ``*.err``) land
-in the working directory. Needs only the standard library and an installed
-package (``pip install -e .``).
+exit 1; no name, or an unknown one, exits 2 and lists the gates. Output
+files (``*.csv``, ``*.err``) land in the working directory. Needs only the
+standard library and an installed package (``pip install -e .``).
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ def run(argv, *, timeout=None, expect=0, stdout=None, stderr=None) -> str:
         done = subprocess.run(argv, timeout=timeout, stdout=stdout, stderr=stderr, text=True)
     except subprocess.TimeoutExpired:
         raise GateFailed(f"over the {timeout} s limit: {' '.join(argv)}") from None
+    except OSError as error:  # e.g. the console script is not installed
+        raise GateFailed(f"cannot run {argv[0]}: {error}") from None
     if done.returncode != expect:
         raise GateFailed(f"exit {done.returncode}, expected {expect}: {' '.join(argv)}")
     return done.stdout
