@@ -5,8 +5,10 @@ ground-ground links are NLoS and omnidirectional. Shadow fading is normal
 in dB and divides the received power as a linear factor. Its draw enters
 as a standard-normal deviate ``z``: the shadowing is ``mu + sigma * z`` dB,
 so the default ``z = 0.0`` is the mean. Distances and deviates may be
-floats or equal-shaped arrays; nothing here needs numpy. The simulator
-applies each function to the receptions of its own link type only.
+floats or equal-shaped arrays; nothing here needs numpy. The two LoS
+directions differ only in their transmit term, so both are
+``rx_power_los``: the simulator computes every LoS reception of a pass in
+one call, with one transmit term per row.
 """
 
 from __future__ import annotations
@@ -18,20 +20,31 @@ def _shadowing_factor(mu_db: float, sigma_db: float, z):
     return 10.0 ** ((mu_db + sigma_db * z) / 10.0)
 
 
+def los_tx(params: SystemParams) -> tuple[float, float]:
+    """The (downlink, uplink) transmit terms [W] of the LoS links: transmit
+    power times antenna gains."""
+    return params.p_u * (params.g0 / params.phi_b ** 2), params.p_g * params.g0
+
+
+def rx_power_los(d, tx, params: SystemParams, z=0.0):
+    """Received power [W] of a LoS UAV-ground link at slant distance d [m]
+    with transmit term ``tx`` [W] (see ``los_tx``), a float or one per
+    distance."""
+    psi = _shadowing_factor(params.mu_los, params.sigma_los, z)
+    return tx / psi * (params.k_freespace * d) ** (-params.n_los)
+
+
 def rx_power_uav_to_ground(d, params: SystemParams, z=0.0):
     """Received power [W] of a downlink at slant distance d [m].
 
     Caller guarantees the receiver is inside the main lobe (gain > 0).
     """
-    gain = params.g0 / params.phi_b ** 2
-    psi = _shadowing_factor(params.mu_los, params.sigma_los, z)
-    return params.p_u * gain / psi * (params.k_freespace * d) ** (-params.n_los)
+    return rx_power_los(d, los_tx(params)[0], params, z)
 
 
 def rx_power_ground_to_uav(d, params: SystemParams, z=0.0):
     """Received power [W] at a UAV from a ground transmitter at distance d [m]."""
-    psi = _shadowing_factor(params.mu_los, params.sigma_los, z)
-    return params.p_g * params.g0 / psi * (params.k_freespace * d) ** (-params.n_los)
+    return rx_power_los(d, los_tx(params)[1], params, z)
 
 
 def rx_power_ground_to_ground(d, params: SystemParams, z=0.0):

@@ -41,7 +41,7 @@ EXHAUSTIVE = "exhaustive"
 MAX_AXIS_VALUES = 10_000  # values per load axis of a grid
 # Monte Carlo frames per row. A row holds one float64 per frame, 80 MB
 # here, and its standard deviation works in place: a 10^6-frame physical
-# row peaked 7.1 MB above a 10^5-frame one, a model-matched row 6.9 MB.
+# row peaked 7.1 MB above a 10^5-frame one, a model-matched row 6.8 MB.
 MAX_FRAMES = 10_000_000
 # Worker processes of a grid run. A process pool forks all its workers at
 # the first task, so the count is checked before any pool exists.

@@ -5,11 +5,13 @@ cells, schedules service units with the three-step scheme, and computes
 all its receptions at once as columns (one row per receiver and slot)
 from exact distances and per-reception shadowing draws. Each quantity is
 computed where it varies: a user's slant distance to each UAV once per
-user, a reception's received power once, by the ``channel`` function of
-its direction, and only what its configuration reads. A
-matched-assumption mode substitutes the worst-case distances and mean
-shadowing, in which case the frame reproduces the analytical conditional
-throughput and validates the closed form.
+user, a reception's received power once, every LoS one of the pass in one
+``channel.rx_power_los`` call with its row's transmit term, and only what
+its configuration reads. A pass keeps each temporary only while it still
+reads it, so its memory per user stays small. A matched-assumption mode
+substitutes the worst-case distances and mean shadowing, in which case the
+frame reproduces the analytical conditional throughput and validates the
+closed form.
 
 One engine pass computes many frames at once, from the rows
 ``pairing.schedule_block`` makes of their (K1, K2). Frames come in blocks
@@ -113,7 +115,7 @@ class _Activation:
     def __init__(self, loads: LoadDistribution, params: SystemParams, model: ActivationModel):
         n = params.n_users
         if not isinstance(model, ActivationModel):
-            raise ValueError(f"draw_activation does not handle {model!r}")
+            raise ValueError(f"activation must be an ActivationModel, got {model!r}")
         if model is ActivationModel.BINOMIAL_PER_USER and (loads.lambda1 > n or loads.lambda2 > n):
             raise RateExceedsPopulationError(
                 f"lambda exceeds the {n}-user population: ({loads.lambda1!r}, {loads.lambda2!r})")
@@ -195,16 +197,71 @@ class FrameRealization:
         return int(self.slot[-1]) + 1 if self.slot.size else 0
 
 
-def _two_way_power(downlink: np.ndarray, distance: np.ndarray, params: SystemParams, z):
-    """Received power [W] of LoS receptions, one per row: a UAV's downlink
-    where ``downlink``, else a ground user's uplink, each direction's
-    ``channel`` function applied to its own rows. ``z`` is 0.0 or one
-    deviate per row."""
-    power = np.empty(distance.shape)
-    for rows, rx_power in ((np.flatnonzero(downlink), channel.rx_power_uav_to_ground),
-                           (np.flatnonzero(~downlink), channel.rx_power_ground_to_uav)):
-        power[rows] = rx_power(distance.take(rows), params, z.take(rows) if np.ndim(z) else z)
-    return power
+def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell: np.ndarray,
+               sizes: np.ndarray, params: SystemParams, draws):
+    """The geometry of a pass: each row's serving distance [m], whether its
+    slot's co-channel transmitter reaches its receiver (``hit``), and that
+    transmitter's distance [m] at each hit row, in row order.
+
+    ``draws`` gives each stream as (rng, users): it draws the layout of its
+    users (``_positions``, cells of ``sizes``), in one call. Exact distances
+    come from every user's slant distance to each UAV, one 2 x users array
+    the rows gather from. With ``draws`` None the distances are the worst
+    case: the serving distance is the lobe edge, every reachable interferer
+    sits at its closest admissible position, and whether it is reachable
+    follows from the altitude levels and cell membership instead of actual
+    positions. With r = 0 a pair shares one direction and its interference
+    is LoS: the other UAV at a downlink receiver, the partner at an uplink
+    one, if it reaches the receiver. With r = 1 only a downlink receiver is
+    interfered, by the partner over NLoS, at a ground-to-ground distance
+    taken on those rows alone.
+    """
+    _, link, user, partner = rows
+    hit = partner != user  # a lone user is its own partner
+    altitude = np.array([params.altitude(cfg.t1), params.altitude(cfg.t2)])
+    edge = altitude / math.cos(params.phi_b)
+    if cfg.r == 1:
+        hit &= downlink
+    else:
+        uav = np.where(downlink, 3 - link, link)
+        ground = np.where(downlink, user, partner)
+    if draws is None:
+        if cfg.r == 1:
+            return edge[link - 1], hit, np.full(np.count_nonzero(hit), params.d_min)
+        hit &= (np.array([cfg.t1, cfg.t2])[uav - 1] == 1) | (cell[ground] == uav)
+        return edge[link - 1], hit, altitude[uav[hit] - 1]
+
+    x, y = _positions(np.concatenate([rng.random(2 * users) for rng, users in draws]),
+                      sizes, params)
+    if cfg.r == 1:
+        source, sink = partner[hit], user[hit]
+        nlos = np.hypot(x[source] - x[sink], y[source] - y[sink])
+    # every user's slant distance to each UAV, one row per UAV, read flat
+    center = np.array([[0.0], [params.d_sep]])
+    slant = np.sqrt((x - center) ** 2 + y ** 2 + (altitude * altitude)[:, None]).ravel()
+    users = x.size
+    del x, y
+    serve = slant[(link - 1) * users + user]
+    if cfg.r == 1:
+        return serve, hit, nlos
+    los = slant[(uav - 1) * users + ground]
+    del slant, ground
+    hit &= los <= edge[uav - 1]
+    return serve, hit, los[hit]
+
+
+def _deviates(draws, hit: np.ndarray):
+    """The shadowing deviates of a pass: each row's signal's, and each hit
+    row's interferer's. ``draws`` gives each stream as (rng, users), its
+    rows the next 2 x users, and it draws in one call, frame after frame in
+    slot order, one deviate per row for its signal, then one for its
+    interferer if one reaches it."""
+    through = np.concatenate(([0], np.cumsum(1 + hit)))  # the deviates before each row
+    rows_before = 2 * np.cumsum([0, *(users for _, users in draws)])
+    z = np.concatenate([rng.standard_normal(count)
+                        for (rng, _), count in zip(draws, np.diff(through[rows_before]))])
+    first = through[:-1]
+    return z[first], z[first[hit] + 1]
 
 
 def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemParams,
@@ -215,95 +272,60 @@ def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemP
     frames belong in turn to the (rng, frames) pairs of ``streams`` (whole
     blocks of ``simulate``), and each stream draws for its own frames only,
     in two calls: the layout of all its users, frame after frame (unless
-    worst-case), then one shadowing deviate per reception, frame after
-    frame in slot order, for its signal and then for its interferer if one
-    reaches it (unless mean). A stream thus draws what a pass of its own
-    would draw. In worst-case mode the serving distance is the lobe edge,
-    every reachable interferer sits at its closest admissible position,
-    and whether it is reachable follows from the altitude levels and cell
-    membership instead of actual positions.
+    worst-case, ``_distances``), then one shadowing deviate per reception,
+    frame after frame in slot order, for its signal and then for its
+    interferer if one reaches it (unless mean, ``_deviates``). A stream thus
+    draws what a pass of its own would draw.
 
-    Each quantity is computed once, at the level where it varies. Exact
-    distances come from every user's slant distance to each UAV, one
-    2 x users array the rows gather from. Only r = 0 reads the interfering
-    UAV-ground distance and the reach test; r = 1 takes a ground-to-ground
-    distance on its interfered rows alone. Each received power comes from
-    the ``channel`` function of its direction, applied to that direction's
-    rows only.
+    Each quantity is computed once, at the level where it varies, and each
+    temporary is dropped once read: the geometry and the deviates live in
+    their own functions, and the distances and deviates go once the powers
+    exist. Every LoS power, signal or r = 0 interference, comes from one
+    ``channel.rx_power_los`` call over its rows, with each row's transmit
+    term. The rate is computed in one fresh array, in place.
     """
     schedule = schedule_block(cfg, counts[:, 0], counts[:, 1])
-    slot, link, user, partner = schedule.rows
+    slot, link, user, _ = schedule.rows
     sizes = counts.reshape(-1)
     downlink = ((link == 2) * cfg.r + slot) & 1 == 0  # link 1 is downlink-first
     cell = np.repeat(np.tile((1, 2), len(counts)), sizes)
-    # the users before each stream's first frame, then all (a frame has two cells)
+    # each stream with its users (a frame has two cells)
     users_before = np.concatenate(([0], np.cumsum(sizes)))[
         2 * np.cumsum([0, *(frames for _, frames in streams)])]
+    draws = [(rng, users) for (rng, _), users in zip(streams, np.diff(users_before).tolist())]
 
-    # With r = 0 a pair shares one direction and its interference is LoS:
-    # the other UAV at a downlink receiver, the partner at an uplink one,
-    # if it reaches the receiver. With r = 1 only a downlink receiver is
-    # interfered, by the partner over NLoS.
-    hit = partner != user  # a lone user is its own partner
-    if cfg.r == 0:
-        uav = np.where(downlink, 3 - link, link)
-        ground = np.where(downlink, user, partner)
-    altitude = np.array([params.altitude(cfg.t1), params.altitude(cfg.t2)])
-    edge = altitude / math.cos(params.phi_b)
-    if worst_case_distances:
-        serve = edge[link - 1]
-        if cfg.r == 0:
-            los = altitude[uav - 1]
-            hit &= (np.array([cfg.t1, cfg.t2])[uav - 1] == 1) | (cell[ground] == uav)
-    else:
-        x, y = _positions(np.concatenate([
-            rng.random(2 * users) for (rng, _), users in zip(streams, np.diff(users_before))]),
-            sizes, params)
-        # every user's slant distance to each UAV, one row per UAV, read flat
-        center = np.array([[0.0], [params.d_sep]])
-        slant = np.sqrt((x - center) ** 2 + y ** 2 + (altitude * altitude)[:, None]).ravel()
-        serve = slant[(link - 1) * x.size + user]
-        if cfg.r == 0:
-            los = slant[(uav - 1) * x.size + ground]
-            hit &= los <= edge[uav - 1]
-    if cfg.r == 1:
-        hit &= downlink
+    serve, hit, far = _distances(cfg, schedule.rows, downlink, cell, sizes, params,
+                                 None if worst_case_distances else draws)
     hits = np.flatnonzero(hit)
-
-    if mean_shadowing:
-        z_signal = z_interference = 0.0
-    else:
-        deviates = 1 + hit  # per row: its signal's, then its interferer's
-        through = np.concatenate(([0], np.cumsum(deviates)))  # the deviates before each row
-        per_stream = np.diff(through[2 * users_before])  # a user has two rows
-        z = np.concatenate([rng.standard_normal(count)
-                            for (rng, _), count in zip(streams, per_stream)])
-        first = through[:-1]
-        z_signal, z_interference = z[first], z[first[hits] + 1]
-
-    signal = _two_way_power(downlink, serve, params, z_signal)
+    z_signal, z_interference = (0.0, 0.0) if mean_shadowing else _deviates(draws, hit)
+    tx = np.where(downlink, *channel.los_tx(params))
+    signal = channel.rx_power_los(serve, tx, params, z_signal)
+    del serve, z_signal
     interference = np.zeros(slot.shape)
-    if cfg.r == 0:
-        interference[hits] = _two_way_power(downlink[hits], los[hits], params, z_interference)
-    else:
-        nlos = (np.full(hits.size, params.d_min) if worst_case_distances else
-                np.hypot(x[partner[hits]] - x[user[hits]], y[partner[hits]] - y[user[hits]]))
-        interference[hits] = channel.rx_power_ground_to_ground(nlos, params, z_interference)
-    rate = np.log2(1.0 + signal / (interference + params.noise_power))
+    interference[hits] = (channel.rx_power_los(far, tx[hits], params, z_interference)
+                          if cfg.r == 0 else
+                          channel.rx_power_ground_to_ground(far, params, z_interference))
+    del tx, far, z_interference
+    rate = interference + params.noise_power
+    np.divide(signal, rate, out=rate)
+    rate += 1.0
+    np.log2(rate, out=rate)
 
-    # Each frame's slot rates summed in slot order, as a loop adds them: one
-    # zero-padded row per frame, filled by one flat scatter, and cumsum runs
-    # along it sequentially, where numpy's sum would add some shapes
+    # Each frame's slot rates summed in slot order, as a loop adds them: a
+    # zero-padded buffer with one column per frame, frame j's slot i at row
+    # i, column j, filled by one flat scatter, and its rows added into the
+    # first in place, in slot order, where numpy's sum would add some shapes
     # pairwise and round differently.
     slot_counts = schedule.slot_counts
-    width = slot_counts.max(initial=1)
-    # a frame's slot i at column i of its row, in the flat buffer
-    at = np.arange(slot_counts.sum()) + np.repeat(
-        width * np.arange(slot_counts.size) - (np.cumsum(slot_counts) - slot_counts), slot_counts)
-    padded = np.zeros(slot_counts.size * width)
-    padded[at] = np.bincount(slot, weights=rate)
-    throughput = np.divide(np.cumsum(padded.reshape(-1, width), axis=1)[:, -1], slot_counts,
-                           out=np.zeros(slot_counts.size), where=slot_counts > 0)
+    frames = slot_counts.size
+    padded = np.zeros((slot_counts.max(initial=1), frames))
+    padded.reshape(-1)[np.arange(slot_counts.sum()) * frames - np.repeat(
+        frames * (np.cumsum(slot_counts) - slot_counts) - np.arange(frames), slot_counts)
+    ] = np.bincount(slot, weights=rate)
+    sums = padded[0]
+    for slot_rates in padded[1:]:  # every frame's slot i
+        sums += slot_rates
+    throughput = np.divide(sums, slot_counts, out=np.zeros(frames), where=slot_counts > 0)
     return FrameRealization(slot=slot, link=link, user=user, downlink=downlink, hit=hit,
                             signal=signal, interference=interference, rate=rate, cell=cell,
                             throughput=throughput)
@@ -465,8 +487,8 @@ class MatchedGrid:
     cross-cell pairs, then same-cell pairs, then lone users. One engine pass
     over the one-unit frames (1, 1), (2, 0), (1, 0), (0, 2), (0, 1) gives
     every slot rate, summed per slot as the engine sums them; a cell's value
-    is its slot rates added in slot order, as the engine's row cumsum
-    adds them, over its slot count.
+    is its slot rates added in slot order, as the engine adds them, over
+    its slot count.
     """
 
     def __init__(self, cfg: Configuration, params: SystemParams):

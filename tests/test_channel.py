@@ -2,11 +2,13 @@ import math
 import random
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from uav_twoway import default_config, validate_and_derive
-from uav_twoway.channel import (rx_power_ground_to_ground, rx_power_ground_to_uav,
-                                rx_power_uav_to_ground)
+from uav_twoway.channel import (los_tx, rx_power_ground_to_ground, rx_power_ground_to_uav,
+                                rx_power_los, rx_power_uav_to_ground)
 
 # frozen from a standalone transcription of the link-budget formulas
 P_UAV_GROUND_EDGE_LOW = 5.395927595490394e-08   # slant = h_low / cos(phi_b)
@@ -124,3 +126,16 @@ def test_mean_mode_is_deterministic(params):
     assert_allclose(rx_power_uav_to_ground(100.0, params, 1.0),
                     rx_power_uav_to_ground(100.0, params)
                     / 10.0 ** (params.sigma_los / 10.0), rtol=1e-12)
+
+
+@given(st.lists(st.tuples(st.floats(1.0, 5000.0), st.floats(-6.0, 6.0), st.booleans()),
+                min_size=1, max_size=40),
+       st.booleans())
+def test_los_power_keeps_the_bits_of_both_directions(params, receptions, mean):
+    # the simulator computes a pass's LoS powers in one call, with each row's
+    # transmit term; each direction's own function on its own rows gives
+    # the same bits
+    d, z, downlink = (np.array(column) for column in zip(*receptions))
+    power = rx_power_los(d, np.where(downlink, *los_tx(params)), params, 0.0 if mean else z)
+    for rows, rx_power in ((downlink, rx_power_uav_to_ground), (~downlink, rx_power_ground_to_uav)):
+        assert np.array_equal(power[rows], rx_power(d[rows], params, 0.0 if mean else z[rows]))

@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from uav_twoway import default_config, montecarlo, validate_and_derive
+from uav_twoway import channel, default_config, montecarlo, validate_and_derive
 from uav_twoway.errors import RateExceedsPopulationError
 from uav_twoway.montecarlo import (BLOCK_FRAMES, FILL_FRAMES, ActivationModel, MatchedGrid,
                                    _Activation, _matched_table, _mean_and_std, _model_pmf,
                                    _positions, _receptions, draw_activation, frame_rng,
                                    frame_rngs, run_frame, simulate, simulate_exhaustive)
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts,
-                                schedule_frame)
+                                schedule_block, schedule_frame)
 from uav_twoway.sinr import Configuration, all_configurations
 from uav_twoway.throughput import (LoadDistribution, admissible_k2, average_throughput,
                                    conditional_table, conditional_throughput)
@@ -746,6 +746,81 @@ def test_matched_row_memory_grows_by_one_float_per_frame(params, candidates):
             <= 8 * (long - short) + 4096)
 
 
+def pass_streams(params, seed, blocks, lambdas=(12.0, 4.0)):
+    """The counts and streams of one engine pass of ``blocks`` whole blocks,
+    each block's counts drawn from its own stream first, as ``simulate``
+    draws them."""
+    streams = [(rng, BLOCK_FRAMES) for rng in frame_rngs(seed, range(blocks))]
+    law = _Activation(LoadDistribution(*lambdas), params, ActivationModel.TRUNCATED_POISSON)
+    return law.counts(streams), streams
+
+
+def traced_pass(cfg, params, seed, mode):
+    """(users, traced memory peak [B]) of one engine pass of 4 blocks at
+    lambda = (12, 4), about 4,100 users."""
+    counts, streams = pass_streams(params, seed, 4)
+    tracemalloc.start()
+    try:
+        _receptions(cfg, counts, streams, params, mode.get("worst_case_distances", False),
+                    mode.get("mean_shadowing", False))
+        return int(counts.sum()), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", PHYSICAL)
+def test_pass_memory_per_user(params, candidates, mode):
+    # a pass keeps alive only what it still has to read: the layout, the
+    # distances and the deviates go once read, and the rate is made in one
+    # array. Its record alone holds about 125 B per user
+    for cfg in candidates.values():
+        traced_pass(cfg, params, (9, 9), MODES[mode])  # warm: lazy set-up is not the pass's
+        users, peak = traced_pass(cfg, params, (1, 1, 0), MODES[mode])
+        assert 4000 <= users <= 4200
+        assert peak <= 240 * users
+
+
+def slot_by_slot(frame, slot_counts):
+    """Each frame's value as a loop computes it, in Python floats: its rows'
+    rates added per slot, the slots' sums added in slot order, over its
+    slot count."""
+    sums = [0.0] * frame.slot_count
+    for slot, rate in zip(frame.slot.tolist(), frame.rate.tolist()):
+        sums[slot] += rate
+    values, start = [], 0
+    for count in slot_counts.tolist():
+        total = 0.0
+        for value in sums[start:start + count]:
+            total += value
+        values.append(total / count if count else 0.0)
+        start += count
+    return np.array(values)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pass_keeps_the_bits_of_rate_throughput_and_signal(params, mode):
+    # the pass computes the rate in place, every LoS power in one call with
+    # one transmit term per row, and the frame sums by adding slot rows in
+    # place: each must keep the bits of the plain formula
+    for cfg in all_configurations().values():
+        counts, streams = pass_streams(params, (21, cfg.r, cfg.t1, cfg.t2), 2, (6.0, 4.0))
+        frame = _receptions(cfg, counts, streams, params,
+                            MODES[mode].get("worst_case_distances", False),
+                            MODES[mode].get("mean_shadowing", False))
+        assert np.array_equal(frame.rate, np.log2(
+            1.0 + frame.signal / (frame.interference + params.noise_power)))
+        slot_counts = schedule_block(cfg, counts[:, 0], counts[:, 1]).slot_counts
+        assert np.array_equal(frame.throughput, slot_by_slot(frame, slot_counts))
+        if mode == "worst_mean":  # each direction's function on its own rows
+            altitude = np.array([params.altitude(cfg.t1), params.altitude(cfg.t2)])
+            edge = altitude[frame.link - 1] / math.cos(params.phi_b)
+            down = frame.downlink
+            assert np.array_equal(frame.signal[down],
+                                  channel.rx_power_uav_to_ground(edge[down], params))
+            assert np.array_equal(frame.signal[~down],
+                                  channel.rx_power_ground_to_uav(edge[~down], params))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 100_000), st.integers(-300, 300), st.sampled_from([0.0, 1.0, -3.5]),
        st.integers(0, 2 ** 32 - 1))
@@ -757,6 +832,12 @@ def test_mean_and_std_in_place_match_numpy(n, exponent, offset, seed):
     mean, std = _mean_and_std(values.copy())
     assert mean == float(values.mean())
     assert std == float(values.std(ddof=1))
+
+
+def test_simulate_names_an_activation_of_another_type(params, candidates):
+    with pytest.raises(ValueError, match="activation must be an ActivationModel, got 'poisson'"):
+        simulate(candidates["r0_Hl_Hl"], LoadDistribution(5.0, 5.0), params, 10, seed=1,
+                 activation="poisson")
 
 
 def test_simulate_rejects_zero_frames(params, candidates):
