@@ -273,6 +273,60 @@ def test_physical_rows_match_frozen_means(params, monkeypatch):
         assert len(passes) >= 3
 
 
+MATCHED_ROW_FRAMES = (1, 63, 64, 65, 4095, 4096, 4097, 20_000)
+# (cfg label, lambda1, lambda2, seed) -> (mean, ci_half_width) of a
+# model-activation matched row of each of MATCHED_ROW_FRAMES frames: the
+# benchmark's matched compare rows at --seed 1, across block and chunk ends
+FROZEN_MATCHED_ROWS = {
+    ("r1_Hl_Hh", 6.0, 4.0, (1, 0, 0)): [
+        (40.40766982789502, 0.0), (40.36136673364234, 0.31169483749967963),
+        (40.37640249343493, 0.3081981596954284), (40.37500458466771, 0.30343197473873557),
+        (40.38990343015586, 0.038635538297128055), (40.3901313969357, 0.03862868886304925),
+        (40.3903592524308, 0.03862184133909963), (40.35693818220278, 0.017942240112125765)],
+    ("r1_Hh_Hl", 6.0, 4.0, (1, 0, 1)): [
+        (33.28510030471785, 0.0), (38.67428768290139, 0.620345749029894),
+        (38.67501279216358, 0.6105775681095099), (38.67821843718374, 0.6011435115869708),
+        (38.3510161555745, 0.07799070822138963), (38.35148845105009, 0.0779771600685882),
+        (38.35197635250995, 0.07796399000802733), (38.36305034666098, 0.03570060918310651)],
+    ("r0_Hl_Hl", 6.0, 4.0, (1, 0, 2)): [
+        (48.928612485833405, 0.0), (47.102200716393185, 0.6633660941840677),
+        (47.1039135030945, 0.6529273614360376), (47.17160410484177, 0.6563528470696997),
+        (46.97169154920243, 0.09780381336309846), (46.97175017408429, 0.09778000007785481),
+        (46.971202269839424, 0.09776202932292082), (46.99716692058599, 0.04426402185590851)],
+    ("r1_Hl_Hh", 12.0, 4.0, (1, 1, 0)): [
+        (40.21138721379374, 0.0), (40.69752905365953, 0.13192329686246168),
+        (40.70731227720185, 0.13125385338299994), (40.71679447848132, 0.13054846344670193),
+        (40.80324608061834, 0.016993337653376656), (40.80337313366515, 0.016991013355377543),
+        (40.80326257657422, 0.016988247717163316), (40.789687907373285, 0.00792841852666082)],
+    ("r1_Hh_Hl", 12.0, 4.0, (1, 1, 1)): [
+        (32.95699601673216, 0.0), (33.1243452523619, 0.9582943957299599),
+        (33.171116951403036, 0.9476466889159866), (33.179741101330656, 0.9331067177573655),
+        (33.24418145298457, 0.1010435110065748), (33.24355425532321, 0.10102631866840842),
+        (33.243257407128304, 0.10100333283711586), (33.31286711633923, 0.04595721250545939)],
+    ("r0_Hl_Hl", 12.0, 4.0, (1, 1, 2)): [
+        (37.76945525222227, 0.0), (41.07608067690095, 0.9689123220212366),
+        (41.14959750822253, 0.9644774003901639), (41.282480764959274, 0.984596071364346),
+        (40.97952573085981, 0.133022277204697), (40.981256856358996, 0.13303307341256637),
+        (40.982568100073586, 0.13302542734855893), (40.96347572722769, 0.06041735097156396)],
+}
+
+
+def test_model_activation_rows_keep_their_frozen_bits(params):
+    # every stream, uniform and cell of a model-activation row, matched or
+    # physical (they share _Activation.cells), keeps its bits: the row's
+    # mean and CI half-width are compared with ==
+    configs = all_configurations()
+    for (label, lambda1, lambda2, seed), frozen in FROZEN_MATCHED_ROWS.items():
+        for n_frames, expected in zip(MATCHED_ROW_FRAMES, frozen):
+            result = simulate(configs[label], LoadDistribution(lambda1, lambda2), params,
+                              n_frames, seed, activation=ActivationModel.MODEL_MATCHED,
+                              **MATCHED)
+            assert (result.mean, result.ci_half_width) == expected, (label, n_frames)
+    physical = simulate(configs["r0_Hl_Hl"], LoadDistribution(6.0, 4.0), params, 4097,
+                        (1, 0, 2), activation=ActivationModel.MODEL_MATCHED)
+    assert (physical.mean, physical.ci_half_width) == (48.43685435464679, 0.1009798457030166)
+
+
 seed_words = st.integers(0, 2 ** 80 - 1)
 
 
