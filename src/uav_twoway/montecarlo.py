@@ -17,15 +17,16 @@ One engine pass computes many frames at once, from the rows
 ``pairing.schedule_block`` makes of their (K1, K2). Frames come in blocks
 of BLOCK_FRAMES, and block b of a ``simulate`` run draws from its own
 stream ``frame_rng(seed, b)``, one call per kind of draw: counts, layouts,
-then shadowing deviates. ``simulate`` derives the streams of a chunk of
-blocks in one ``frame_rngs`` call, which restates numpy's SeedSequence
-hash on an array of spawn indices (each is still ``frame_rng(seed, b)``,
-bit for bit), and draws the chunk's counts in one call of the row's
-activation law; model activation builds its cdf once per row and maps one
-uniform per frame to (K1, K2), a chunk's in one search of their sorted
-order. In the physical modes one engine pass then runs several whole
-blocks, about FILL_USERS users, each block still drawing its layout and
-deviates from its own stream. In matched mode a frame draws nothing, so
+then shadowing deviates. ``simulate`` hashes the seed's part of numpy's
+SeedSequence once per row (``_SeedHash``) and derives the streams of a
+chunk of blocks from it in one call, the spawn indices' part on an array
+(each is still ``frame_rng(seed, b)``, bit for bit), and draws the chunk's
+counts in one call of the row's activation law; model activation builds
+its cdf and a guide table once per row, and maps one uniform per frame to
+(K1, K2), a chunk's drawn into one buffer and looked up in the table. In
+the physical modes one engine pass then runs several whole blocks, about
+FILL_USERS users, each block still drawing its layout and deviates from
+its own stream. In matched mode a frame draws nothing, so
 its value is a function of (K1, K2): a row reads each chunk's values from
 its ``MatchedGrid``, built whole from one engine pass over five one-unit
 frames. ``run_frame`` is a pass of one stream with one frame.
@@ -58,6 +59,8 @@ BLOCK_FRAMES = 64
 # Larger passes pay numpy's per-call overhead less often but hold more rows
 # in memory at once.
 FILL_FRAMES, FILL_USERS = 64 * BLOCK_FRAMES, 4096
+# The fewest buckets of a model activation's guide table, a power of two.
+GUIDE_BUCKETS = 4096
 
 
 class ActivationModel(enum.Enum):
@@ -104,12 +107,16 @@ def _model_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
 class _Activation:
     """The (K1, K2) law of one (loads, params, model), drawn from by
     (rng, frames) streams, one row per frame, stream after stream; its
-    MODEL_MATCHED cdf is built once. ``simulate`` makes one per row.
+    MODEL_MATCHED cdf and guide table are built once. ``simulate`` makes
+    one per row.
 
     A stream draws, one call per draw, its frames' Poisson or binomial
     counts, both cells at once, and TRUNCATED_POISSON redraws those outside
-    [1, N] until none is left. MODEL_MATCHED draws one uniform per frame.
-    No stream's frames or final state depend on another.
+    [1, N] until none is left. MODEL_MATCHED draws one uniform per frame,
+    every stream's into one buffer, and ``invert`` maps them to cells
+    through the guide table, never to a cell after ``top``, the last one
+    whose cdf step is not empty. No stream's frames or final state depend
+    on another.
     """
 
     def __init__(self, loads: LoadDistribution, params: SystemParams, model: ActivationModel):
@@ -124,11 +131,18 @@ class _Activation:
         if model is ActivationModel.MODEL_MATCHED:
             self.cdf = np.cumsum(_model_pmf(loads, params))
             self.top = np.searchsorted(self.cdf, self.cdf[-1])  # the last cell where cdf rises
+            # the guide table (Chen and Asau): bucket j, the uniforms in [j/m, (j + 1)/m),
+            # starts at cell guide[j], capped at top. m is a power of two, at least
+            # one bucket per cell, so u * m and j/m are exact
+            self.buckets = max(GUIDE_BUCKETS, 1 << (self.cdf.size - 1).bit_length())
+            self.guide = np.minimum(np.searchsorted(
+                self.cdf, np.arange(self.buckets + 1) / self.buckets, side="right"), self.top)
+            # whether a cdf step cuts each bucket; bucket m, 1 <= u < 1 + 1/m, is
+            # never drawn but holds a cdf entry rounded above 1, so it is searched
+            self.steps = np.append(self.guide[1:] != self.guide[:-1], True)
 
     def _draw(self, rng, frames):
         n, lambdas = self.n, self.lambdas
-        if self.model is ActivationModel.MODEL_MATCHED:
-            return rng.random(frames)
         if self.model is ActivationModel.BINOMIAL_PER_USER:
             return rng.binomial(n, lambdas / n, size=(frames, 2))
         counts = rng.poisson(lambdas, size=(frames, 2))
@@ -136,20 +150,33 @@ class _Activation:
             counts[redraw] = rng.poisson(np.broadcast_to(lambdas, counts.shape)[redraw])
         return counts
 
+    def invert(self, uniforms: np.ndarray) -> np.ndarray:
+        """Each uniform's flat cell K1 (N + 1) + K2: the cell i of its step
+        [cdf[i - 1], cdf[i]) of the row-major cdf of ``_model_pmf``, and
+        from the top of the cdf up ``top``, bit for bit
+        ``np.minimum(np.searchsorted(cdf, uniforms, side="right"), top)``.
+        A uniform takes its bucket's first cell; only those in a bucket
+        that a cdf step cuts are searched for."""
+        bucket = (uniforms * self.buckets).astype(np.intp)
+        cells = self.guide[bucket]
+        cut = np.flatnonzero(self.steps[bucket])
+        cells[cut] = np.minimum(np.searchsorted(self.cdf, uniforms[cut], side="right"), self.top)
+        return cells
+
     def cells(self, streams) -> np.ndarray:
-        """Each frame's flat cell K1 (N + 1) + K2. A uniform takes the cell
-        i of its step [cdf[i - 1], cdf[i]) of the row-major cdf of
-        ``_model_pmf``, and from the top of the cdf up the last cell whose
-        step is not empty. One search inverts all of them in sorted order,
-        each search starting where the last ended, and scatters the cells
-        back."""
-        draws = np.concatenate([self._draw(rng, frames) for rng, frames in streams])
+        """Each frame's flat cell K1 (N + 1) + K2. MODEL_MATCHED: each
+        stream fills its frames' slice of one buffer of uniforms, which
+        ``invert`` maps to cells."""
         if self.model is not ActivationModel.MODEL_MATCHED:
+            draws = self.counts(streams)
             return draws[:, 0] * (self.n + 1) + draws[:, 1]
-        order = np.argsort(draws)
-        cells = np.empty(draws.size, dtype=np.intp)
-        cells[order] = np.searchsorted(self.cdf, draws[order], side="right")
-        return np.minimum(cells, self.top, out=cells)
+        streams = list(streams)
+        uniforms = np.empty(sum(frames for _, frames in streams))
+        start = 0
+        for rng, frames in streams:
+            rng.random(out=uniforms[start:start + frames])
+            start += frames
+        return self.invert(uniforms)
 
     def counts(self, streams) -> np.ndarray:
         """Each frame's (K1, K2)."""
@@ -425,44 +452,55 @@ class _PoolState(ISeedSequence):
         return self.state
 
 
+class _SeedHash:
+    """The SeedSequence hash of one seed, up to the spawn word: the entropy
+    words (padded to the pool size) and all the pool mixing before the
+    spawn word depend on ``seed`` alone and are hashed once, in Python
+    ints, when it is made. ``streams`` finishes the hash for each index."""
+
+    def __init__(self, seed):
+        words = [word for value in _entropy(seed) for word in _words(value)]
+        words += [0] * (POOL_WORDS - len(words))
+        constants = _hash_constants(*ENTROPY_HASH)
+        pool = [_hashmix(word, *next(constants)) for word in words[:POOL_WORDS]]
+        for src in range(POOL_WORDS):  # mix so later words reach earlier ones
+            for dst in range(POOL_WORDS):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
+        for word in words[POOL_WORDS:]:  # the rest, each into every pool word
+            pool = [_mix(p, _hashmix(word, *next(constants))) for p in pool]
+        self.pool = np.array(pool, dtype=np.uint32)
+        self.pairs = np.array(list(islice(constants, POOL_WORDS)), dtype=np.uint32).T
+
+    def streams(self, indices) -> list:
+        """Stream ``frame_rng(seed, i)`` for each i of ``indices``: each
+        index word hashed into the pool, then the pool's output hash, on an
+        (n, 4) array."""
+        indices = np.asarray(indices)
+        if indices.size == 0:
+            return []
+        if indices.dtype.kind not in "iuO":
+            raise TypeError(f"stream indices must be integers, got {indices.dtype}")
+        if indices.min() < 0 or indices.max() > MASK32:
+            bad = next(i for i in indices.tolist() if not 0 <= i <= MASK32)
+            raise ValueError(f"stream index {bad!r} is outside [0, 2**32)")
+        pools = _mix(self.pool, _hashmix(indices.astype(np.uint32)[:, None], *self.pairs))
+        state = _hashmix(pools[:, None, :], *_STATE_PAIRS).reshape(-1, 2 * POOL_WORDS)
+        return [np.random.Generator(np.random.PCG64(_PoolState(row)))
+                for row in state.astype("<u4").view("<u8").astype(np.uint64)]
+
+
 def frame_rngs(seed, indices) -> list:
     """Streams ``frame_rng(seed, i)`` for each i of ``indices``, derived in
     one numpy pass: each has the state of ``np.random.default_rng(
     SeedSequence(entropy=_entropy(seed), spawn_key=(i,)))``, bit for bit.
 
-    The entropy words (padded to the pool size) and all the pool mixing
-    before the spawn word depend on ``seed`` alone and are hashed once, in
-    Python ints. Streams differ only in that last word, an index below
-    2**32, so its hash into the pool and the pool's output hash run on an
-    (n, 4) array. An index of 2**32 or more raises ``ValueError``: numpy
-    would split it into two words.
+    Streams differ only in the last word the hash reads, an index below
+    2**32, so the seed's part of the hash runs once (``_SeedHash``) and the
+    index's part on an array. An index of 2**32 or more raises
+    ``ValueError``: numpy would split it into two words.
     """
-    indices = np.asarray(indices)
-    if indices.size == 0:
-        return []
-    if indices.dtype.kind not in "iuO":
-        raise TypeError(f"stream indices must be integers, got {indices.dtype}")
-    if indices.min() < 0 or indices.max() > MASK32:
-        bad = next(i for i in indices.tolist() if not 0 <= i <= MASK32)
-        raise ValueError(f"stream index {bad!r} is outside [0, 2**32)")
-    words = [word for value in _entropy(seed) for word in _words(value)]
-    words += [0] * (POOL_WORDS - len(words))
-    constants = _hash_constants(*ENTROPY_HASH)
-    pool = [_hashmix(word, *next(constants)) for word in words[:POOL_WORDS]]
-    for src in range(POOL_WORDS):  # mix so later words reach earlier ones
-        for dst in range(POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
-    for word in words[POOL_WORDS:]:  # the rest, each into every pool word
-        pool = [_mix(p, _hashmix(word, *next(constants))) for p in pool]
-
-    # per stream: its index word into every pool word, then the output hash
-    pairs = np.array(list(islice(constants, POOL_WORDS)), dtype=np.uint32).T
-    pools = _mix(np.array(pool, dtype=np.uint32),
-                 _hashmix(indices.astype(np.uint32)[:, None], *pairs))
-    state = _hashmix(pools[:, None, :], *_STATE_PAIRS).reshape(-1, 2 * POOL_WORDS)
-    return [np.random.Generator(np.random.PCG64(_PoolState(row)))
-            for row in state.astype("<u4").view("<u8").astype(np.uint64)]
+    return _SeedHash(seed).streams(indices)
 
 
 def frame_rng(seed, index: int):
@@ -546,12 +584,13 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     Deterministic given ``seed``: block b of BLOCK_FRAMES frames draws from
     its own stream ``frame_rng(seed, b)``, so results do not depend on
     scheduling order or worker count. The row builds its ``_Activation``
-    once. A chunk of FILL_FRAMES frames derives its blocks' streams in one
-    ``frame_rngs`` call, bit for bit those of ``frame_rng``, and draws its
-    counts in one call, each block from its own stream. In the physical
-    modes one engine pass then runs several whole blocks of the chunk,
-    about FILL_USERS users, and each block draws what ``run_frame`` draws,
-    for all its frames at once, from its own stream. With worst-case
+    and hashes its seed (``_SeedHash``) once. A chunk of FILL_FRAMES
+    frames derives its blocks' streams from that hash in one call, bit for
+    bit those of ``frame_rng``, and draws its counts in one call, each
+    block from its own stream. In the physical modes one engine pass then
+    runs several whole blocks of the chunk, about FILL_USERS users, and
+    each block draws what ``run_frame`` draws, for all its frames at once,
+    from its own stream. With worst-case
     distances and mean shadowing a frame's value is a function of (K1, K2),
     and each chunk's values are read straight from ``grid`` (a
     ``MatchedGrid`` of (cfg, params), read in this mode only; a fresh one
@@ -570,11 +609,12 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
         elif grid.cfg != cfg or grid.params != params:
             other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
             raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
+    seeds = _SeedHash(seed)
     values = np.empty(n_frames)
     for start in range(0, n_frames, FILL_FRAMES):
         firsts = range(start, min(start + FILL_FRAMES, n_frames), BLOCK_FRAMES)
         streams = [(rng, min(BLOCK_FRAMES, n_frames - first)) for rng, first in
-                   zip(frame_rngs(seed, np.array(firsts) // BLOCK_FRAMES), firsts)]
+                   zip(seeds.streams(np.array(firsts) // BLOCK_FRAMES), firsts)]
         chunk = values[start:start + FILL_FRAMES]  # a view: writes land in values
         if matched:
             np.take(grid.values, law.cells(streams), out=chunk)

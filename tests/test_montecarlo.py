@@ -138,9 +138,9 @@ def test_model_activation_inverts_the_joint_cdf(params, lambdas):
 
 @pytest.mark.parametrize("n", [1, 30, 200])
 def test_sorted_inversion_matches_plain_search(params, n):
-    # searching the uniforms in sorted order and scattering the cells back
-    # gives each uniform the cell of a plain search: random keys, keys equal
-    # to the cdf's steps and just below them, and keys from the top up
+    # the inversion gives each uniform the cell of a plain search: random
+    # keys, keys equal to the cdf's steps and just below them, and keys
+    # from the top up
     system = dataclasses.replace(params, n_users=n)
     law = _Activation(LoadDistribution(6.0, 4.0), system, ActivationModel.MODEL_MATCHED)
     cdf = law.cdf
@@ -151,6 +151,42 @@ def test_sorted_inversion_matches_plain_search(params, n):
     plain = np.minimum(np.searchsorted(cdf, uniforms, side="right"),
                        np.searchsorted(cdf, cdf[-1]))
     assert cells.dtype == plain.dtype and np.array_equal(cells, plain)
+
+
+loads_axis = st.floats(0.001, 1000.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 30, 200]),
+       st.one_of(st.sampled_from([(1000.0, 4.0), (0.1, 0.1), (29.0, 0.5), (6.0, 4.0)]),
+                 st.tuples(loads_axis, loads_axis)),
+       st.integers(0, 2 ** 32 - 1))
+@example(200, (1000.0, 4.0), 0)
+@example(2, (0.1, 0.1), 1)
+@example(30, (29.0, 0.5), 2)
+def test_guide_inversion_keeps_the_bits_of_a_plain_search(params, n, lambdas, seed):
+    # the guide table maps each uniform to the cell of a plain search capped
+    # at top, so no cell after top, where the float cdf stops rising, is
+    # ever drawn: for drawn uniforms, through cells' one-buffer fill, and
+    # for the edges, 0, the largest double below 1, each cdf entry (the last
+    # may round above 1) and its neighbours, and every bucket's first uniform
+    law = _Activation(LoadDistribution(*lambdas), dataclasses.replace(params, n_users=n),
+                      ActivationModel.MODEL_MATCHED)
+    cdf, top, buckets = law.cdf, law.top, law.buckets
+    assert buckets >= cdf.size and buckets & (buckets - 1) == 0
+
+    def plain(uniforms):
+        return np.minimum(np.searchsorted(cdf, uniforms, side="right"), top)
+
+    sizes = (64, 64, 17)
+    cells = law.cells(zip(frame_rngs(seed, range(3)), sizes))
+    drawn = np.concatenate([rng.random(size) for rng, size in
+                            zip(frame_rngs(seed, range(3)), sizes)])
+    assert cells.dtype == np.intp and np.array_equal(cells, plain(drawn))
+    edges = np.concatenate(([0.0, 1.0 - 2.0 ** -53], cdf, np.nextafter(cdf, 0.0),
+                            np.nextafter(cdf, 2.0), np.arange(buckets) / buckets))
+    inverted = law.invert(edges)
+    assert np.array_equal(inverted, plain(edges)) and inverted.max() <= top
 
 
 @pytest.mark.parametrize("n", [1, 30, 200])
@@ -640,8 +676,11 @@ class Replay:
         assert self.used[kind] <= self.draws[kind].size
         return self.draws[kind][start:start + count]
 
-    def random(self, count):
-        return self.take("random", count)
+    def random(self, count=None, out=None):
+        if out is None:
+            return self.take("random", count)
+        out[...] = self.take("random", out.size)  # as a Generator fills ``out``
+        return out
 
     def standard_normal(self, count):
         return self.take("standard_normal", count)
