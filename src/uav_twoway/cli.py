@@ -22,8 +22,8 @@ from .errors import ConfigError, NonPositiveRateError
 from .pairing import AccountingMode
 from .params import SystemParams, load_params
 from .sinr import all_configurations, candidate_configurations
-from .throughput import (OPTIMAL_PRIORITY, LoadDistribution, average_throughput, check_rate,
-                         conditional_table, optimal_configuration, pick_optimal)
+from .throughput import (LoadDistribution, average_throughput, check_rate, conditional_table,
+                         optimal_configuration, pick_optimal)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -199,30 +199,14 @@ def _float_cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _matched_tables(spec: SweepSpec, points: list[tuple]) -> dict:
-    """Under exhaustive activation, the matched engine's table (label ->
-    ConditionalTable) of each configuration a row reads, built once from
-    its own ``MatchedGrid``: the selected ones, and the optimum's winner at
-    each point. Else empty."""
-    if spec.activation != "exhaustive":
-        return {}
-    from .montecarlo import _matched_table
-    read = [cfg for label, cfg in spec.selections if label != OPTIMAL]
-    if len(read) < len(spec.selections):  # an optimal row reads its winner's
-        for _, lambda1, lambda2 in points:
-            loads = LoadDistribution(lambda1, lambda2)
-            read.append(pick_optimal({label: average_throughput(spec.tables[label], loads)
-                                      for label in OPTIMAL_PRIORITY}).config)
-    return {cfg.label: _matched_table(cfg, spec.params) for cfg in dict.fromkeys(read)}
-
-
-def _point_rows(spec: SweepSpec, matched: dict, grids: dict, point: tuple) -> list[dict]:
-    """All CSV rows for one grid point ``(index, lambda1, lambda2)``, the
-    exhaustive rows reading ``matched`` (``_matched_tables``). A matched
-    Monte Carlo row reads the ``MatchedGrid`` of its configuration in
-    ``grids``, made by the first row that needs it, so a process builds
-    each configuration's grid once across the points it runs. Module-level
-    so worker processes can run it.
+def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
+    """All CSV rows for one grid point ``(index, lambda1, lambda2)``. A
+    matched Monte Carlo row, and every exhaustive one, reads the
+    ``MatchedGrid`` of its configuration in ``grids``, made by the first row
+    that needs it, so a process builds each configuration's grid once across
+    the points it runs; an ``optimal`` row reads its winner's. An exhaustive
+    row is the product ``simulate_exhaustive`` returns, with the point's
+    model pmf built once. Module-level so worker processes can run it.
 
     The Skellam vector is computed once for the point, and every table's
     average once, the optimum reusing the candidates'."""
@@ -230,6 +214,11 @@ def _point_rows(spec: SweepSpec, matched: dict, grids: dict, point: tuple) -> li
     params, accounting, activation = spec.params, spec.accounting, spec.activation
     loads = LoadDistribution(lambda1, lambda2)
     breakdowns = {label: average_throughput(table, loads) for label, table in spec.tables.items()}
+    exhaustive = activation == "exhaustive"
+    simulated = spec.frames or exhaustive
+    if simulated:
+        from .montecarlo import ActivationModel, MatchedGrid, _model_pmf, simulate
+        pmf = _model_pmf(loads, params).ravel() if exhaustive else None
     rows = []
     for config_index, (label, cfg) in enumerate(spec.selections):
         if label == OPTIMAL:
@@ -252,14 +241,13 @@ def _point_rows(spec: SweepSpec, matched: dict, grids: dict, point: tuple) -> li
             "n_frames": 0,
             "seed": spec.seed,
         }
-        if spec.frames or activation == "exhaustive":
-            if activation == "exhaustive":
-                mc_mean, half_width, used_frames = (
-                    average_throughput(matched[cfg.label], loads).total, 0.0, 0)
+        if simulated:
+            matched = exhaustive or (spec.worst_case_distances and spec.mean_shadowing)
+            if matched and cfg not in grids:
+                grids[cfg] = MatchedGrid(cfg, params)
+            if exhaustive:
+                mc_mean, half_width, used_frames = float(pmf @ grids[cfg].values), 0.0, 0
             else:
-                from .montecarlo import ActivationModel, MatchedGrid, simulate
-                if spec.worst_case_distances and spec.mean_shadowing and cfg not in grids:
-                    grids[cfg] = MatchedGrid(cfg, params)
                 result = simulate(
                     cfg, loads, params, spec.frames,
                     seed=(spec.seed, point_index, config_index),
@@ -315,7 +303,7 @@ def _run_grid(args, with_flag: bool) -> list[dict]:
                   enumerate(product(spec.lambda1_values, spec.lambda2_values))]
         # configuration -> MatchedGrid, one set per process, each grid made
         # when a row first needs it: nothing is computed or sent up front
-        rows_of = partial(_point_rows, spec, _matched_tables(spec, points), {})
+        rows_of = partial(_point_rows, spec, {})
         if spec.workers > 1:
             # imported here: it loads multiprocessing, which one process does not need
             from concurrent.futures import ProcessPoolExecutor

@@ -29,7 +29,9 @@ FILL_USERS users, each block still drawing its layout and deviates from
 its own stream. In matched mode a frame draws nothing, so
 its value is a function of (K1, K2): a row reads each chunk's values from
 its ``MatchedGrid``, built whole from one engine pass over five one-unit
-frames. ``run_frame`` is a pass of one stream with one frame.
+frames, and ``simulate_exhaustive``, the exact mean of such rows under
+model activation, is that law's pmf times the grid, one dot product.
+``run_frame`` is a pass of one stream with one frame.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -50,7 +52,7 @@ from .errors import RateExceedsPopulationError
 from .pairing import schedule_block
 from .params import SystemParams
 from .sinr import Configuration
-from .throughput import ConditionalTable, LoadDistribution, _weighted_table, average_throughput
+from .throughput import LoadDistribution
 
 # Frames per stream of ``simulate``: a block draws from its own stream.
 BLOCK_FRAMES = 64
@@ -132,11 +134,14 @@ class _Activation:
             self.cdf = np.cumsum(_model_pmf(loads, params))
             self.top = np.searchsorted(self.cdf, self.cdf[-1])  # the last cell where cdf rises
             # the guide table (Chen and Asau): bucket j, the uniforms in [j/m, (j + 1)/m),
-            # starts at cell guide[j], capped at top. m is a power of two, at least
-            # one bucket per cell, so u * m and j/m are exact
-            self.buckets = max(GUIDE_BUCKETS, 1 << (self.cdf.size - 1).bit_length())
-            self.guide = np.minimum(np.searchsorted(
-                self.cdf, np.arange(self.buckets + 1) / self.buckets, side="right"), self.top)
+            # starts at cell guide[j], the count of cdf entries <= j/m, capped at top.
+            # m is a power of two, at least one bucket per cell, so u * m, j/m and
+            # cdf * m are exact, and an entry is <= j/m where ceil(cdf * m) <= j: the
+            # counts of each ceiling, those above m pooled at m + 1, summed up
+            m = self.buckets = max(GUIDE_BUCKETS, 1 << (self.cdf.size - 1).bit_length())
+            ceilings = np.minimum(np.ceil(self.cdf * m).astype(np.intp), m + 1)
+            self.guide = np.minimum(
+                np.cumsum(np.bincount(ceilings, minlength=m + 2)[:m + 1]), self.top)
             # whether a cdf step cuts each bucket; bucket m, 1 <= u < 1 + 1/m, is
             # never drawn but holds a cdf entry rounded above 1, so it is searched
             self.steps = np.append(self.guide[1:] != self.guide[:-1], True)
@@ -517,8 +522,9 @@ class MatchedGrid:
     ``values``, cell (K1, K2) at K1 (N + 1) + K2. A frame with worst-case
     distances and mean shadowing draws nothing, so its value depends on
     (K1, K2) alone and the rows of any load point, seed or activation can
-    share one grid. It lives as long as its holder: ``simulate`` makes one
-    per call unless given one, and a CLI command keeps one per configuration.
+    share one grid. It lives as long as its holder: ``simulate`` and
+    ``simulate_exhaustive`` make one per call unless given one, and a CLI
+    command keeps one per configuration.
 
     In this mode a unit's two slot rates depend only on its kind and, for a
     same-cell pair or a lone user, on its cell, and a frame serves its
@@ -558,6 +564,17 @@ class MatchedGrid:
             sums[odd] += rate
         slots = 2 * (shared + tail_units + odd)
         self.values = np.divide(sums, slots, out=np.zeros(sums.size), where=slots > 0)
+
+
+def _grid_of(cfg: Configuration, params: SystemParams, grid: MatchedGrid | None) -> MatchedGrid:
+    """``grid``, or a fresh ``MatchedGrid`` of (cfg, params) without one; a
+    grid of another configuration or parameter set is a ValueError."""
+    if grid is None:
+        return MatchedGrid(cfg, params)
+    if grid.cfg != cfg or grid.params != params:
+        other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
+        raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
+    return grid
 
 
 def _mean_and_std(values: np.ndarray) -> tuple:
@@ -604,11 +621,7 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     law = _Activation(loads, params, activation)
     matched = worst_case_distances and mean_shadowing
     if matched:
-        if grid is None:
-            grid = MatchedGrid(cfg, params)
-        elif grid.cfg != cfg or grid.params != params:
-            other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
-            raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
+        grid = _grid_of(cfg, params, grid)
     seeds = _SeedHash(seed)
     values = np.empty(n_frames)
     for start in range(0, n_frames, FILL_FRAMES):
@@ -634,21 +647,13 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     return SimResult(mean=mean, ci_half_width=1.96 * std / math.sqrt(n_frames))
 
 
-def _matched_table(cfg: Configuration, params: SystemParams) -> ConditionalTable:
-    """C(cfg) of the matched-assumption engine: each entry the sum of the
-    frame values that ``simulate`` reads in that mode, weighted by
-    ``params.split_weights``, every admissible (K1, K2), [1, N]^2, read from
-    a fresh ``MatchedGrid``."""
-    stride = params.n_users + 1
-    values = MatchedGrid(cfg, params).values.tolist()
-    return _weighted_table(cfg, params, lambda k, splits: [
-        values[(big_k2 + k) * stride + big_k2] for big_k2 in splits])
-
-
-def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
-                        params: SystemParams) -> float:
-    """Exact expectation of the matched-assumption simulator: the engine's
-    own C(cfg), ``_matched_table``, times the closed form's P(lambda).
-    Agreement with the analytical average validates the scheduler and slot
-    engine end to end."""
-    return average_throughput(_matched_table(cfg, params), loads).total
+def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams, *,
+                        grid: MatchedGrid | None = None) -> float:
+    """Exact expectation of the matched-assumption simulator under
+    MODEL_MATCHED activation: the law's pmf, ``_model_pmf``, times the
+    engine's value of every (K1, K2), ``grid`` (as in ``simulate``: a
+    ``MatchedGrid`` of (cfg, params), a fresh one without it), one
+    (N + 1)^2 dot product. Agreement with the analytical average validates
+    the scheduler and slot engine end to end."""
+    grid = _grid_of(cfg, params, grid)
+    return float(_model_pmf(loads, params).ravel() @ grid.values)

@@ -182,31 +182,25 @@ class ConditionalTable:
     values: tuple[float, ...]
 
 
-def _weighted_table(cfg: Configuration, params: SystemParams, values) -> ConditionalTable:
-    """C(cfg) from ``values(k, splits)``, the throughputs of the frames with
-    loads (K2 + k, K2) for the admissible K2 of a k, weighted k by k with
-    ``params.split_weights`` read at stride N + 2 from the first split's
-    cell (``map`` stops with the splits). Each entry is an exactly rounded
-    sum (``math.fsum``), so it does not depend on the order of the splits."""
-    n, weights = params.n_users, params.split_weights
-
-    def entry(k: int) -> float:
-        splits = admissible_k2(k, n)
-        first = (splits.start + k) * (n + 1) + splits.start  # cell (K2 + k, K2)
-        return math.fsum(map(operator.mul, weights[first::n + 2], values(k, splits)))
-
-    return ConditionalTable(config=cfg,
-                            values=tuple(entry(k) for k in (*range(n + 1), *range(-n, 0))))
-
-
 def conditional_table(cfg: Configuration, params: SystemParams,
                       mode: AccountingMode = AccountingMode.CONSISTENT) -> ConditionalTable:
     """Build C(cfg) from the closed-form conditional throughput under
     accounting ``mode``: one ``pair_counts`` call and one pass over the
-    splits per k."""
-    rates = rate_set(cfg, params)
-    return _weighted_table(cfg, params, lambda k, splits: _frame_throughputs(
-        k, splits, cfg, mode, rates))
+    splits per k. A k's frames (K2 + k, K2), one per admissible K2, are
+    weighted with ``params.split_weights`` read at stride N + 2 from the
+    first split's cell (``map`` stops with the splits). Each entry is an
+    exactly rounded sum (``math.fsum``), so it does not depend on the order
+    of the splits."""
+    n, weights, rates = params.n_users, params.split_weights, rate_set(cfg, params)
+
+    def entry(k: int) -> float:
+        splits = admissible_k2(k, n)
+        first = (splits.start + k) * (n + 1) + splits.start  # cell (K2 + k, K2)
+        return math.fsum(map(operator.mul, weights[first::n + 2],
+                             _frame_throughputs(k, splits, cfg, mode, rates)))
+
+    return ConditionalTable(config=cfg,
+                            values=tuple(entry(k) for k in (*range(n + 1), *range(-n, 0))))
 
 
 def average_throughput(table: ConditionalTable, loads: LoadDistribution) -> ThroughputBreakdown:

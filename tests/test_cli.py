@@ -239,11 +239,17 @@ def test_sweep_byte_identical_across_runs_and_workers(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_compare_blocks_byte_identical_across_workers(tmp_path):
+@pytest.mark.parametrize("args", [
     # three blocks of frames per row, each from its own stream, with model
     # activation's empty frames among them
-    args = ("--lambda1", "6,31", "--lambda2", "4", "--configurations", "r1_Hl_Hh,r0_Hl_Hl",
-            "--frames", "150", "--activation", "model", "--seed", "13")
+    ("--configurations", "r1_Hl_Hh,r0_Hl_Hl", "--frames", "150", "--activation", "model",
+     "--seed", "13"),
+    # each worker builds the grids its points' rows read, an optimal row's
+    # winner's included
+    ("--configurations", "r1_Hl_Hh,optimal", "--activation", "exhaustive"),
+], ids=["model", "exhaustive"])
+def test_compare_blocks_byte_identical_across_workers(tmp_path, args):
+    args = ("--lambda1", "6,31", "--lambda2", "4", *args)
     paths = [tmp_path / f"run{i}.csv" for i in range(2)]
     assert run_cli("compare", *args, "--workers", "1", "--out", str(paths[0])) == 0
     assert run_cli("compare", *args, "--workers", "2", "--out", str(paths[1])) == 0
@@ -382,17 +388,23 @@ def test_split_weights_outlive_no_call(capsys, monkeypatch):
     assert built == [30, 30]
 
 
-def test_exhaustive_matched_tables_built_once_per_call(capsys, monkeypatch):
-    # a matched table depends on the configuration alone: one build per
-    # configuration a row reads, whatever the number of points
+def count_grids(monkeypatch):
+    """The configuration labels of every ``MatchedGrid`` built, in order."""
     built = []
 
-    def counted(cfg, system):
-        built.append(cfg.label)
-        return matched_table(cfg, system)
+    class Counted(montecarlo.MatchedGrid):
+        def __init__(self, cfg, system):
+            built.append(cfg.label)
+            super().__init__(cfg, system)
 
-    matched_table = montecarlo._matched_table
-    monkeypatch.setattr(montecarlo, "_matched_table", counted)
+    monkeypatch.setattr(montecarlo, "MatchedGrid", Counted)
+    return built
+
+
+def test_exhaustive_matched_tables_built_once_per_call(capsys, monkeypatch):
+    # a matched grid depends on the configuration alone: one build per
+    # configuration a row reads, whatever the number of points
+    built = count_grids(monkeypatch)
     assert run_cli("compare", "--lambda1", "6,12", "--lambda2", "4", "--configurations",
                    "exhaustive", "--activation", "exhaustive") == 0
     assert sorted(built) == sorted(all_configurations())
@@ -402,21 +414,31 @@ def test_exhaustive_matched_tables_built_once_per_call(capsys, monkeypatch):
 
 @pytest.mark.parametrize("lambdas", [(1.0, 18.0), (6.0, 4.0), (18.0, 1.0)])
 def test_exhaustive_optimal_builds_only_its_winner(capsys, monkeypatch, params, lambdas):
-    # an optimal row reads its winner's table alone
-    built = []
-
-    def counted(cfg, system):
-        built.append(cfg.label)
-        return matched_table(cfg, system)
-
-    matched_table = montecarlo._matched_table
-    monkeypatch.setattr(montecarlo, "_matched_table", counted)
+    # an optimal row reads its winner's grid alone
+    built = count_grids(monkeypatch)
     best, _ = optimal_configuration(LoadDistribution(*lambdas), params)
     assert run_cli("compare", "--lambda1", repr(lambdas[0]), "--lambda2", repr(lambdas[1]),
                    "--configurations", "optimal", "--activation", "exhaustive") == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert built == [best.label]
     assert len(rows) == 1 and rows[0]["deviation_flag"] == "ok"
+
+
+def test_exhaustive_rows_are_the_library_value(capsys, params):
+    # the CLI's exhaustive mean is simulate_exhaustive's, bit for bit, with
+    # no interval, for every configuration at each point
+    assert run_cli("compare", "--lambda1", "6,1", "--lambda2", "4,18", "--configurations",
+                   "exhaustive", "--activation", "exhaustive") == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    configs = all_configurations()
+    assert len(rows) == 4 * len(configs)
+    for row in rows:
+        cfg = configs[row["configuration"]]
+        loads = LoadDistribution(float(row["lambda1"]), float(row["lambda2"]))
+        exact = montecarlo.simulate_exhaustive(cfg, loads, params,
+                                               grid=montecarlo.MatchedGrid(cfg, params))
+        assert row["mc_ci_low"] == row["mc_ci_high"] == row["mc_mean"] == repr(exact)
+        assert row["n_frames"] == "0" and row["deviation_flag"] == "ok"
 
 
 OVERLAP_ARGV = {

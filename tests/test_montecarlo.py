@@ -11,14 +11,14 @@ from numpy.testing import assert_allclose
 from uav_twoway import channel, default_config, montecarlo, validate_and_derive
 from uav_twoway.errors import RateExceedsPopulationError
 from uav_twoway.montecarlo import (BLOCK_FRAMES, FILL_FRAMES, ActivationModel, MatchedGrid,
-                                   _Activation, _matched_table, _mean_and_std, _model_pmf,
+                                   _Activation, _mean_and_std, _model_pmf,
                                    _positions, _receptions, draw_activation, frame_rng,
                                    frame_rngs, run_frame, simulate, simulate_exhaustive)
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts,
                                 schedule_block, schedule_frame)
 from uav_twoway.sinr import Configuration, all_configurations
-from uav_twoway.throughput import (LoadDistribution, admissible_k2, average_throughput,
-                                   conditional_table, conditional_throughput)
+from uav_twoway.throughput import (LoadDistribution, average_throughput, conditional_table,
+                                   conditional_throughput)
 
 
 def test_layout_inside_discs(params):
@@ -169,7 +169,8 @@ def test_guide_inversion_keeps_the_bits_of_a_plain_search(params, n, lambdas, se
     # at top, so no cell after top, where the float cdf stops rising, is
     # ever drawn: for drawn uniforms, through cells' one-buffer fill, and
     # for the edges, 0, the largest double below 1, each cdf entry (the last
-    # may round above 1) and its neighbours, and every bucket's first uniform
+    # may round above 1) and its neighbours, and every bucket's first uniform;
+    # the table, built by counting, is the search of each bucket's first
     law = _Activation(LoadDistribution(*lambdas), dataclasses.replace(params, n_users=n),
                       ActivationModel.MODEL_MATCHED)
     cdf, top, buckets = law.cdf, law.top, law.buckets
@@ -177,6 +178,9 @@ def test_guide_inversion_keeps_the_bits_of_a_plain_search(params, n, lambdas, se
 
     def plain(uniforms):
         return np.minimum(np.searchsorted(cdf, uniforms, side="right"), top)
+
+    searched = plain(np.arange(buckets + 1) / buckets)
+    assert law.guide.dtype == searched.dtype and np.array_equal(law.guide, searched)
 
     sizes = (64, 64, 17)
     cells = law.cells(zip(frame_rngs(seed, range(3)), sizes))
@@ -500,18 +504,18 @@ def test_exhaustive_matches_analytical(params, candidates):
                         analytical, rtol=1e-9)
 
 
-def test_matched_table_matches_conditional_table_per_k(params):
-    # the engine's C(cfg) entry by entry, every configuration; a load
-    # difference without admissible split holds exactly 0 on both sides
-    n = params.n_users
+@pytest.mark.parametrize("n", [1, 2, 30, 200])
+def test_exhaustive_is_the_closed_form_at_any_population(params, n):
+    # the model pmf times the grid, every configuration, against the closed
+    # form; (6, 4) puts mass beyond N = 1 and 2 on the empty frame
+    system = dataclasses.replace(params, n_users=n)
     for cfg in all_configurations().values():
-        matched = _matched_table(cfg, params)
-        expected = conditional_table(cfg, params)
-        assert matched.config == cfg and len(matched.values) == 2 * n + 1
-        assert_allclose(matched.values, expected.values, rtol=1e-12)
-        for k in range(-n, n + 1):
-            if not admissible_k2(k, n):
-                assert matched.values[k] == expected.values[k] == 0.0
+        grid, table = MatchedGrid(cfg, system), conditional_table(cfg, system)
+        for lambdas in ((6.0, 4.0), (1.0, 18.0)):
+            loads = LoadDistribution(*lambdas)
+            exact = simulate_exhaustive(cfg, loads, system, grid=grid)
+            assert exact == simulate_exhaustive(cfg, loads, system)
+            assert_allclose(exact, average_throughput(table, loads).total, rtol=1e-9)
 
 
 def test_matched_values_match_conditional_per_key(params):
@@ -610,12 +614,16 @@ def test_grid_of_another_configuration_or_params_is_refused(params, candidates, 
     grids = (MatchedGrid(other, params),
              MatchedGrid(cfg, dataclasses.replace(params, n_users=29)),
              MatchedGrid(cfg, dataclasses.replace(params, p_u=2.0 * params.p_u)))
-    # refused before any stream is derived or any frame computed
+    # refused before any stream is derived or any frame computed, and by
+    # simulate_exhaustive with the same message
     spies = [spy_on(monkeypatch, name) for name in ("frame_rngs", "_receptions")]
     for grid in grids:
-        with pytest.raises(ValueError, match="matched grid of"):
+        with pytest.raises(ValueError, match="matched grid of") as refused:
             simulate(cfg, loads, params, 10, seed=1, activation=ActivationModel.MODEL_MATCHED,
                      grid=grid, **MATCHED)
+        with pytest.raises(ValueError) as exhaustive:
+            simulate_exhaustive(cfg, loads, params, grid=grid)
+        assert str(exhaustive.value) == str(refused.value)
     assert spies == [[], []]
 
 

@@ -111,7 +111,7 @@ def exhaustive():
 
 
 def exhaustive_100():
-    """The large-N matched path, each table built once, in bounded time."""
+    """The large-N matched path, each grid built once, in bounded time."""
     matches_closed_form("exhaustive100", [
         "--lambda1", "6,12", "--lambda2", "4", "--configurations", CANDIDATES,
         "--activation", "exhaustive", "--set", "n_users=100"], timeout=120)
