@@ -245,8 +245,9 @@ def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
             matched = exhaustive or (spec.worst_case_distances and spec.mean_shadowing)
             if matched and cfg not in grids:
                 grids[cfg] = MatchedGrid(cfg, params)
-            if exhaustive:
-                mc_mean, half_width, used_frames = float(pmf @ grids[cfg].values), 0.0, 0
+            if exhaustive:  # simulate_exhaustive's sum of products, bit for bit
+                mc_mean, half_width, used_frames = (
+                    float((pmf * grids[cfg].values).sum()), 0.0, 0)
             else:
                 result = simulate(
                     cfg, loads, params, spec.frames,
@@ -307,6 +308,9 @@ def _run_grid(args, with_flag: bool) -> list[dict]:
         if spec.workers > 1:
             # imported here: it loads multiprocessing, which one process does not need
             from concurrent.futures import ProcessPoolExecutor
+            if spec.activation == "exhaustive":
+                # and numpy with it, once before the workers fork, not once per worker
+                from . import montecarlo  # noqa: F401
             with ProcessPoolExecutor(max_workers=spec.workers, initializer=_start_worker,
                                      initargs=(rows_of,)) as pool:
                 per_point = list(pool.map(_worker_rows, points))

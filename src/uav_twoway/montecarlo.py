@@ -30,7 +30,7 @@ its own stream. In matched mode a frame draws nothing, so
 its value is a function of (K1, K2): a row reads each chunk's values from
 its ``MatchedGrid``, built whole from one engine pass over five one-unit
 frames, and ``simulate_exhaustive``, the exact mean of such rows under
-model activation, is that law's pmf times the grid, one dot product.
+model activation, is that law's pmf times the grid, summed over the cells.
 ``run_frame`` is a pass of one stream with one frame.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
@@ -522,9 +522,9 @@ class MatchedGrid:
     ``values``, cell (K1, K2) at K1 (N + 1) + K2. A frame with worst-case
     distances and mean shadowing draws nothing, so its value depends on
     (K1, K2) alone and the rows of any load point, seed or activation can
-    share one grid. It lives as long as its holder: ``simulate`` and
-    ``simulate_exhaustive`` make one per call unless given one, and a CLI
-    command keeps one per configuration.
+    share one grid. It lives as long as its holder: ``simulate`` makes one
+    per call unless given one, ``simulate_exhaustive`` one per call, and a
+    CLI command keeps one per configuration.
 
     In this mode a unit's two slot rates depend only on its kind and, for a
     same-cell pair or a lone user, on its cell, and a frame serves its
@@ -564,17 +564,6 @@ class MatchedGrid:
             sums[odd] += rate
         slots = 2 * (shared + tail_units + odd)
         self.values = np.divide(sums, slots, out=np.zeros(sums.size), where=slots > 0)
-
-
-def _grid_of(cfg: Configuration, params: SystemParams, grid: MatchedGrid | None) -> MatchedGrid:
-    """``grid``, or a fresh ``MatchedGrid`` of (cfg, params) without one; a
-    grid of another configuration or parameter set is a ValueError."""
-    if grid is None:
-        return MatchedGrid(cfg, params)
-    if grid.cfg != cfg or grid.params != params:
-        other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
-        raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
-    return grid
 
 
 def _mean_and_std(values: np.ndarray) -> tuple:
@@ -621,7 +610,11 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     law = _Activation(loads, params, activation)
     matched = worst_case_distances and mean_shadowing
     if matched:
-        grid = _grid_of(cfg, params, grid)
+        if grid is None:
+            grid = MatchedGrid(cfg, params)
+        elif grid.cfg != cfg or grid.params != params:
+            other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
+            raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
     seeds = _SeedHash(seed)
     values = np.empty(n_frames)
     for start in range(0, n_frames, FILL_FRAMES):
@@ -647,13 +640,14 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     return SimResult(mean=mean, ci_half_width=1.96 * std / math.sqrt(n_frames))
 
 
-def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution, params: SystemParams, *,
-                        grid: MatchedGrid | None = None) -> float:
+def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
+                        params: SystemParams) -> float:
     """Exact expectation of the matched-assumption simulator under
     MODEL_MATCHED activation: the law's pmf, ``_model_pmf``, times the
-    engine's value of every (K1, K2), ``grid`` (as in ``simulate``: a
-    ``MatchedGrid`` of (cfg, params), a fresh one without it), one
-    (N + 1)^2 dot product. Agreement with the analytical average validates
+    engine's value of every (K1, K2), a fresh ``MatchedGrid``, summed over
+    the (N + 1)^2 cells. numpy's pairwise sum, not a BLAS dot: a threaded
+    dot's bits depend on its thread count, and it oversubscribes the cores
+    under ``--workers``. Agreement with the analytical average validates
     the scheduler and slot engine end to end."""
-    grid = _grid_of(cfg, params, grid)
-    return float(_model_pmf(loads, params).ravel() @ grid.values)
+    pmf = _model_pmf(loads, params).ravel()
+    return float((pmf * MatchedGrid(cfg, params).values).sum())

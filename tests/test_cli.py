@@ -435,10 +435,22 @@ def test_exhaustive_rows_are_the_library_value(capsys, params):
     for row in rows:
         cfg = configs[row["configuration"]]
         loads = LoadDistribution(float(row["lambda1"]), float(row["lambda2"]))
-        exact = montecarlo.simulate_exhaustive(cfg, loads, params,
-                                               grid=montecarlo.MatchedGrid(cfg, params))
+        exact = montecarlo.simulate_exhaustive(cfg, loads, params)
         assert row["mc_ci_low"] == row["mc_ci_high"] == row["mc_mean"] == repr(exact)
         assert row["n_frames"] == "0" and row["deviation_flag"] == "ok"
+
+
+def test_exhaustive_rows_keep_their_bits_at_any_blas_thread_count(tmp_path):
+    # at N = 200 a row sums 40,401 products, which a threaded BLAS dot would
+    # split by its thread count; each row must hold the same bits either way
+    env = dict(os.environ, PYTHONPATH=str(Path(uav_twoway.__file__).parents[1]))
+    argv = (sys.executable, "-m", "uav_twoway.cli", "compare", "--lambda1", "6,1",
+            "--lambda2", "4", "--configurations", "exhaustive", "--activation", "exhaustive",
+            "--set", "n_users=200")
+    blobs = [subprocess.run(argv, env=dict(env, OPENBLAS_NUM_THREADS=threads), cwd=tmp_path,
+                            capture_output=True, timeout=60, check=True).stdout
+             for threads in ("1", "2")]
+    assert blobs[0] == blobs[1] and blobs[0].count(b"\n") == 17
 
 
 OVERLAP_ARGV = {
