@@ -11,7 +11,7 @@ never imports it.
 from .errors import (ConfigError, GuardViolationError, MissingKeyError,
                      NonPositiveRateError, OutOfRangeError,
                      RateExceedsPopulationError)
-from .pairing import AccountingMode, PairCounts, Schedule, pair_counts, schedule_frame
+from .pairing import AccountingMode, PairCounts, Schedule, pair_counts
 from .params import (SystemParams, default_config, load_params,
                      validate_and_derive)
 from .rates import (RateSet, rate_cochannel_diff, rate_cochannel_same,
@@ -20,14 +20,13 @@ from .sinr import (Configuration, all_configurations, candidate_configurations,
                    sinr_dl_diff, sinr_dl_same, sinr_ul_diff, sinr_ul_same,
                    snr_individual)
 from .throughput import (ConditionalTable, LoadDistribution, ThroughputBreakdown,
-                         average_throughput, conditional_table,
-                         conditional_throughput, optimal_configuration,
+                         average_throughput, conditional_table, optimal_configuration,
                          skellam_vector)
 
 __version__ = "0.1.0"
 
 _SIMULATOR = ("ActivationModel", "FrameRealization", "MatchedGrid", "SimResult",
-              "draw_activation", "run_frame", "simulate", "simulate_exhaustive")
+              "run_frame", "simulate", "simulate_exhaustive")
 
 __all__ = [name for name in dir() if not name.startswith("_")] + list(_SIMULATOR)
 

@@ -152,6 +152,11 @@ class SweepSpec:
     mean_shadowing: bool
     workers: int
 
+    @property
+    def simulated(self) -> bool:
+        """Whether the rows carry a Monte Carlo or exhaustive mean."""
+        return bool(self.frames) or self.activation == "exhaustive"
+
     @classmethod
     def from_args(cls, args) -> "SweepSpec":
         params = _load_params(args)
@@ -205,8 +210,9 @@ def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
     ``MatchedGrid`` of its configuration in ``grids``, made by the first row
     that needs it, so a process builds each configuration's grid once across
     the points it runs; an ``optimal`` row reads its winner's. An exhaustive
-    row is the product ``simulate_exhaustive`` returns, with the point's
-    model pmf built once. Module-level so worker processes can run it.
+    row is its grid's ``expectation`` under the point's model pmf, built
+    once: what ``simulate_exhaustive`` returns, bit for bit. Module-level so
+    worker processes can run it.
 
     The Skellam vector is computed once for the point, and every table's
     average once, the optimum reusing the candidates'."""
@@ -214,11 +220,10 @@ def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
     params, accounting, activation = spec.params, spec.accounting, spec.activation
     loads = LoadDistribution(lambda1, lambda2)
     breakdowns = {label: average_throughput(table, loads) for label, table in spec.tables.items()}
-    exhaustive = activation == "exhaustive"
-    simulated = spec.frames or exhaustive
+    exhaustive, simulated = activation == "exhaustive", spec.simulated
     if simulated:
         from .montecarlo import ActivationModel, MatchedGrid, _model_pmf, simulate
-        pmf = _model_pmf(loads, params).ravel() if exhaustive else None
+        pmf = _model_pmf(loads, params) if exhaustive else None
     rows = []
     for config_index, (label, cfg) in enumerate(spec.selections):
         if label == OPTIMAL:
@@ -245,9 +250,8 @@ def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
             matched = exhaustive or (spec.worst_case_distances and spec.mean_shadowing)
             if matched and cfg not in grids:
                 grids[cfg] = MatchedGrid(cfg, params)
-            if exhaustive:  # simulate_exhaustive's sum of products, bit for bit
-                mc_mean, half_width, used_frames = (
-                    float((pmf * grids[cfg].values).sum()), 0.0, 0)
+            if exhaustive:
+                mc_mean, half_width, used_frames = grids[cfg].expectation(pmf), 0.0, 0
             else:
                 result = simulate(
                     cfg, loads, params, spec.frames,
@@ -308,7 +312,7 @@ def _run_grid(args, with_flag: bool) -> list[dict]:
         if spec.workers > 1:
             # imported here: it loads multiprocessing, which one process does not need
             from concurrent.futures import ProcessPoolExecutor
-            if spec.activation == "exhaustive":
+            if spec.simulated:
                 # and numpy with it, once before the workers fork, not once per worker
                 from . import montecarlo  # noqa: F401
             with ProcessPoolExecutor(max_workers=spec.workers, initializer=_start_worker,

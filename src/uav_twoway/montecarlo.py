@@ -190,14 +190,6 @@ class _Activation:
         return np.concatenate([self._draw(rng, frames) for rng, frames in streams])
 
 
-def draw_activation(loads: LoadDistribution, params: SystemParams,
-                    model: ActivationModel, streams) -> np.ndarray:
-    """Draw (K1, K2) for the frames of ``streams``, (rng, frames) pairs, one
-    row per frame, stream after stream: ``_Activation``, made and drawn
-    from once."""
-    return _Activation(loads, params, model).counts(streams)
-
-
 @dataclass(frozen=True, eq=False)
 class FrameRealization:
     """The receptions of a pass of frames as columns, one row per receiver
@@ -565,6 +557,14 @@ class MatchedGrid:
         slots = 2 * (shared + tail_units + odd)
         self.values = np.divide(sums, slots, out=np.zeros(sums.size), where=slots > 0)
 
+    def expectation(self, pmf: np.ndarray) -> float:
+        """The mean of the grid's values under ``pmf``, an (N + 1)^2 law of
+        (K1, K2) such as ``_model_pmf`` returns: the cells' products, added
+        by numpy's pairwise sum. Not a BLAS dot: a threaded dot's bits
+        depend on its thread count, and it oversubscribes the cores under
+        ``--workers``."""
+        return float((pmf.reshape(-1) * self.values).sum())
+
 
 def _mean_and_std(values: np.ndarray) -> tuple:
     """``values.mean()`` and ``values.std(ddof=1)`` (0 for one value), bit
@@ -644,10 +644,7 @@ def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
                         params: SystemParams) -> float:
     """Exact expectation of the matched-assumption simulator under
     MODEL_MATCHED activation: the law's pmf, ``_model_pmf``, times the
-    engine's value of every (K1, K2), a fresh ``MatchedGrid``, summed over
-    the (N + 1)^2 cells. numpy's pairwise sum, not a BLAS dot: a threaded
-    dot's bits depend on its thread count, and it oversubscribes the cores
-    under ``--workers``. Agreement with the analytical average validates
-    the scheduler and slot engine end to end."""
-    pmf = _model_pmf(loads, params).ravel()
-    return float((pmf * MatchedGrid(cfg, params).values).sum())
+    engine's value of every (K1, K2), a fresh ``MatchedGrid``'s
+    ``expectation``. Agreement with the analytical average validates the
+    scheduler and slot engine end to end."""
+    return MatchedGrid(cfg, params).expectation(_model_pmf(loads, params))

@@ -38,14 +38,6 @@ class PairCounts:
     a_s: int
     b: int
 
-    @property
-    def units(self) -> int:
-        return self.a_d + self.a_s + self.b
-
-    @property
-    def slot_count(self) -> int:
-        return 2 * self.units
-
 
 def pair_counts(k: int, big_k2: int, t1: int, t2: int,
                 mode: AccountingMode = AccountingMode.CONSISTENT) -> PairCounts:
@@ -80,15 +72,6 @@ class Schedule:
     rows: object  # 4 x R int64 numpy array
     kinds: object  # per unit: CROSS_CELL, SAME_CELL or INDIVIDUAL
     slot_counts: object  # per frame
-
-    @property
-    def slot_count(self) -> int:
-        return 2 * len(self.kinds)
-
-    @property
-    def counts(self) -> PairCounts:
-        """The units tallied into pair counts (always consistent)."""
-        return PairCounts(*map(self.kinds.tolist().count, (CROSS_CELL, SAME_CELL, INDIVIDUAL)))
 
 
 def schedule_block(cfg: Configuration, k1, k2) -> Schedule:
@@ -125,8 +108,3 @@ def schedule_block(cfg: Configuration, k1, k2) -> Schedule:
             row[at] = value[paired]
     return Schedule(rows, np.where(cross, CROSS_CELL, np.where(solo, INDIVIDUAL, SAME_CELL)),
                     2 * units)
-
-
-def schedule_frame(cfg: Configuration, k1: int, k2: int) -> Schedule:
-    """The plan of a frame with k1 and k2 active users: a block of one."""
-    return schedule_block(cfg, [k1], [k2])

@@ -26,10 +26,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts) + 30.0
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Validated physical and layout constants, with the geometry they imply.

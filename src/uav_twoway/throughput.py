@@ -163,15 +163,6 @@ def _frame_throughputs(k: int, splits: range, cfg: Configuration, mode: Accounti
             for a_d in range(splits.start + shift, splits.stop + shift)]
 
 
-def conditional_throughput(k: int, big_k2: int, cfg: Configuration, params: SystemParams,
-                           mode: AccountingMode = AccountingMode.CONSISTENT) -> float:
-    """Per-slot throughput [bits/s/Hz] of one frame with loads (K2 + k, K2).
-    An empty frame (no units at all) contributes 0 by convention."""
-    if k == 0 and big_k2 == 0:
-        return 0.0
-    return _frame_throughputs(k, range(big_k2, big_k2 + 1), cfg, mode, rate_set(cfg, params))[0]
-
-
 @dataclass(frozen=True)
 class ConditionalTable:
     """C(cfg)[k]: the split-weighted conditional throughput of one

@@ -10,11 +10,12 @@ import pytest
 from uav_twoway import default_config, validate_and_derive
 from uav_twoway.cli import main as cli_main
 from uav_twoway.montecarlo import ActivationModel, simulate, simulate_exhaustive
-from uav_twoway.pairing import AccountingMode, pair_counts, schedule_frame
+from uav_twoway.pairing import AccountingMode, pair_counts, schedule_block
 from uav_twoway.sinr import Configuration, candidate_configurations
 from uav_twoway.throughput import (LoadDistribution, average_throughput, conditional_table,
                                    optimal_configuration, skellam_vector)
 
+from test_pairing import tally
 from test_throughput import brute_force_average, skellam_convolution
 
 GRID_LAMBDA1 = [float(v) for v in range(1, 21)]          # 20 values
@@ -77,7 +78,7 @@ def test_criterion_4_pair_count_conservation():
                 counts = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2, AccountingMode.CONSISTENT)
                 if 2 * counts.a_d + 2 * counts.a_s + counts.b != k1 + k2:
                     ok = False
-                scheduled = schedule_frame(cfg, k1, k2).counts
+                scheduled = tally(schedule_block(cfg, [k1], [k2]).kinds)
                 if scheduled != counts:
                     ok = False
     literal = pair_counts(3, 2, 0, 1, AccountingMode.PAPER_LITERAL)

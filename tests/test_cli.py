@@ -201,6 +201,13 @@ def test_analytical_commands_do_not_import_numpy(tmp_path):
           "assert simulate is mc.simulate and ActivationModel is mc.ActivationModel\n")
 
 
+def test_every_exported_name_resolves():
+    # the simulator's names load lazily, so a stale entry would only fail
+    # at a user's call
+    for name in uav_twoway.__all__:
+        getattr(uav_twoway, name)  # raises AttributeError for a stale name
+
+
 def test_sweep_rejects_bad_range(capsys, tmp_path):
     assert run_cli("sweep", "--lambda1", "5:1:-1", "--lambda2", "2",
                    "--out", str(tmp_path / "x.csv")) == 2

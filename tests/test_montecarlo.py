@@ -12,13 +12,14 @@ from uav_twoway import channel, default_config, montecarlo, validate_and_derive
 from uav_twoway.errors import RateExceedsPopulationError
 from uav_twoway.montecarlo import (BLOCK_FRAMES, FILL_FRAMES, ActivationModel, MatchedGrid,
                                    _Activation, _mean_and_std, _model_pmf,
-                                   _positions, _receptions, draw_activation, frame_rng,
-                                   frame_rngs, run_frame, simulate, simulate_exhaustive)
-from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts,
-                                schedule_block, schedule_frame)
+                                   _positions, _receptions, frame_rng, frame_rngs, run_frame,
+                                   simulate, simulate_exhaustive)
+from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts, schedule_block
+from uav_twoway.rates import rate_set
 from uav_twoway.sinr import Configuration, all_configurations
-from uav_twoway.throughput import (LoadDistribution, average_throughput, conditional_table,
-                                   conditional_throughput)
+from uav_twoway.throughput import LoadDistribution, average_throughput, conditional_table
+
+from test_throughput import frame_throughput
 
 
 def test_layout_inside_discs(params):
@@ -39,14 +40,13 @@ def test_layout_reproducible(params):
 def test_binomial_full_rate_always_everyone(params):
     loads = LoadDistribution(30.0, 30.0)
     rng = np.random.default_rng(1)
-    assert np.all(draw_activation(loads, params, ActivationModel.BINOMIAL_PER_USER,
-                                  [(rng, 20)]) == (30, 30))
+    law = _Activation(loads, params, ActivationModel.BINOMIAL_PER_USER)
+    assert np.all(law.counts([(rng, 20)]) == (30, 30))
 
 
 def test_binomial_rejects_excess_rate(params):
     with pytest.raises(RateExceedsPopulationError):
-        draw_activation(LoadDistribution(31.0, 5.0), params,
-                        ActivationModel.BINOMIAL_PER_USER, [(np.random.default_rng(2), 1)])
+        _Activation(LoadDistribution(31.0, 5.0), params, ActivationModel.BINOMIAL_PER_USER)
 
 
 def test_truncated_poisson_mean(params):
@@ -59,8 +59,8 @@ def test_truncated_poisson_mean(params):
         weights) - expected ** 2
     rng = np.random.default_rng(3)
     loads = LoadDistribution(lam, lam)
-    draws = draw_activation(loads, params, ActivationModel.TRUNCATED_POISSON,
-                            [(rng, 20_000)])[:, 0]
+    draws = _Activation(loads, params, ActivationModel.TRUNCATED_POISSON).counts(
+        [(rng, 20_000)])[:, 0]
     assert abs(np.mean(draws) - expected) < 3.0 * math.sqrt(variance / len(draws))
     assert min(draws) >= 1 and max(draws) <= n
 
@@ -68,8 +68,8 @@ def test_truncated_poisson_mean(params):
 def test_activation_deterministic(params):
     loads = LoadDistribution(7.0, 3.0)
     for model in ActivationModel:
-        first = draw_activation(loads, params, model, [(np.random.default_rng(4), 50)])
-        second = draw_activation(loads, params, model, [(np.random.default_rng(4), 50)])
+        first = _Activation(loads, params, model).counts([(np.random.default_rng(4), 50)])
+        second = _Activation(loads, params, model).counts([(np.random.default_rng(4), 50)])
         assert np.array_equal(first, second)
 
 
@@ -87,8 +87,9 @@ def test_activation_over_streams_concatenates_one_stream_calls(params, case, siz
     loads = LoadDistribution(*lambdas)
     joint = [frame_rng(seed, b) for b in range(len(sizes))]
     alone = [frame_rng(seed, b) for b in range(len(sizes))]
-    rows = draw_activation(loads, params, model, zip(joint, sizes))
-    one_by_one = [draw_activation(loads, params, model, [stream]) for stream in zip(alone, sizes)]
+    law = _Activation(loads, params, model)
+    rows = law.counts(zip(joint, sizes))
+    one_by_one = [law.counts([stream]) for stream in zip(alone, sizes)]
     assert np.array_equal(rows, np.concatenate(one_by_one))
     assert [rng.bit_generator.state for rng in joint] == [rng.bit_generator.state for rng in alone]
 
@@ -99,8 +100,8 @@ def test_truncated_poisson_redraws_only_out_of_range(params):
     lambdas = (2.0, 29.0)  # often 0 in cell 1, often above N in cell 2
     first = np.random.default_rng(5).poisson(lambdas, size=(400, 2))
     kept = (first >= 1) & (first <= n)
-    drawn = draw_activation(LoadDistribution(*lambdas), params,
-                            ActivationModel.TRUNCATED_POISSON, [(np.random.default_rng(5), 400)])
+    drawn = _Activation(LoadDistribution(*lambdas), params, ActivationModel.TRUNCATED_POISSON
+                        ).counts([(np.random.default_rng(5), 400)])
     assert not kept[:, 0].all() and not kept[:, 1].all()
     assert np.array_equal(drawn[kept], first[kept])
     assert drawn.min() >= 1 and drawn.max() <= n
@@ -122,8 +123,8 @@ def test_model_activation_inverts_the_joint_cdf(params, lambdas):
     uniforms = np.concatenate(([0.0, 1.0 - 2.0 ** -53], chosen, np.nextafter(chosen, 0.0),
                                np.linspace(0.0, 1.0, 4001)[:-1]))
     stream = Replay(uniforms, np.empty(0))  # hands out the chosen uniforms
-    drawn = draw_activation(loads, params, ActivationModel.MODEL_MATCHED,
-                            [(stream, uniforms.size)])
+    drawn = _Activation(loads, params, ActivationModel.MODEL_MATCHED).counts(
+        [(stream, uniforms.size)])
     assert stream.used == {"random": uniforms.size, "standard_normal": 0}
     cell = drawn[:, 0] * (n + 1) + drawn[:, 1]
     inside = uniforms < cdf[-1]
@@ -225,7 +226,8 @@ def test_model_pmf_expectation_is_the_closed_form(params):
         assert not pmf[0, 1:].any() and not pmf[1:, 0].any()
         laws[loads] = pmf.ravel()
     for cfg in all_configurations().values():
-        values = [conditional_throughput(a - b, b, cfg, params)
+        rates = rate_set(cfg, params)
+        values = [frame_throughput(a - b, b, cfg, rates)
                   for a, b in zip(big_k1.tolist(), big_k2.tolist())]
         for loads, pmf in laws.items():
             expected = average_throughput(conditional_table(cfg, params), loads).total
@@ -411,15 +413,15 @@ def draw_frame(args, params):
 
 def row_kinds(frame, cfg, k1, k2):
     """Each row's service class, read from its frame's schedule."""
-    return schedule_frame(cfg, k1, k2).kinds[frame.slot // 2]
+    return schedule_block(cfg, [k1], [k2]).kinds[frame.slot // 2]
 
 
 @given(frames)
 def test_slot_accounting_matches_pairing(params, args):
     cfg, k1, k2, frame = draw_frame(args, params)
     expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
-    assert frame.slot_count == expected.slot_count
-    assert np.array_equal(frame.slot, schedule_frame(cfg, k1, k2).rows[0])
+    assert frame.slot_count == 2 * (expected.a_d + expected.a_s + expected.b)
+    assert np.array_equal(frame.slot, schedule_block(cfg, [k1], [k2]).rows[0])
     _, first_rows = np.unique(frame.slot, return_index=True)
     slot_kinds = row_kinds(frame, cfg, k1, k2)[first_rows].tolist()
     assert [slot_kinds.count(kind) for kind in (CROSS_CELL, SAME_CELL, INDIVIDUAL)] == [
@@ -456,7 +458,7 @@ def matched_frame(cfg, k1, k2, params):
 def test_matched_frame_equals_conditional(params, args):
     cfg, k1, k2, _, _ = args
     frame = matched_frame(cfg, k1, k2, params)
-    expected = conditional_throughput(k1 - k2, k2, cfg, params)
+    expected = frame_throughput(k1 - k2, k2, cfg, rate_set(cfg, params))
     if frame.slot_count:
         assert_allclose(frame.throughput, expected, rtol=1e-12)
     else:
@@ -524,7 +526,8 @@ def test_matched_values_match_conditional_per_key(params):
     k1, k2 = np.divmod(np.arange((n + 1) ** 2), n + 1)
     for cfg in all_configurations().values():
         values = MatchedGrid(cfg, params).values
-        expected = [conditional_throughput(a - b, b, cfg, params)
+        rates = rate_set(cfg, params)
+        expected = [frame_throughput(a - b, b, cfg, rates)
                     for a, b in zip(k1.tolist(), k2.tolist())]
         assert_allclose(values, expected, rtol=1e-12)
         assert values[0] == expected[0] == 0.0
@@ -665,7 +668,7 @@ def test_sampled_shadowing_changes_frames(params, candidates):
 
 
 class Replay:
-    """A stand-in stream for run_frame or draw_activation: its ``random``
+    """A stand-in stream for run_frame or an activation law: its ``random``
     and ``standard_normal`` calls hand out, in turn, the next slices of
     the uniforms and the deviates given to it."""
 
@@ -697,8 +700,8 @@ def frame_by_frame(cfg, loads, params, n_frames, seed, activation, mode):
     values = []
     for block, start in enumerate(range(0, n_frames, BLOCK_FRAMES)):
         rng = frame_rng(seed, block)
-        keys = draw_activation(loads, params, activation,
-                               [(rng, min(BLOCK_FRAMES, n_frames - start))])
+        keys = _Activation(loads, params, activation).counts(
+            [(rng, min(BLOCK_FRAMES, n_frames - start))])
         users = int(keys.sum())
         uniforms = rng.random(0 if mode.get("worst_case_distances") else 2 * users)
         # a user has two receptions and a reception at most two deviates; a

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, AccountingMode,
-                                PairCounts, pair_counts, schedule_block, schedule_frame)
+                                PairCounts, pair_counts, schedule_block)
 from uav_twoway.sinr import Configuration, all_configurations
 
 
@@ -52,7 +52,6 @@ def test_conservation_consistent():
             for t1, t2 in ((0, 1), (1, 0), (0, 0)):
                 counts = pair_counts(k1 - k2, k2, t1, t2)
                 assert 2 * counts.a_d + 2 * counts.a_s + counts.b == k1 + k2
-                assert counts.slot_count == 2 * counts.units
 
 
 @given(st.sampled_from(list(all_configurations().values())),
@@ -80,6 +79,11 @@ def test_mirror_symmetry():
         assert direct == mirrored
 
 
+def tally(kinds) -> PairCounts:
+    """Service units of each class (CROSS_CELL, SAME_CELL, INDIVIDUAL) as pair counts."""
+    return PairCounts(*map(kinds.tolist().count, (CROSS_CELL, SAME_CELL, INDIVIDUAL)))
+
+
 def units_of(schedule):
     """(kind, ((link, user), ...)) per unit, read from the rows of its first slot."""
     slot, link, user, _ = schedule.rows.tolist()
@@ -89,10 +93,10 @@ def units_of(schedule):
 
 def test_schedule_three_steps():
     # users 0-4 in cell 1, 5-6 in cell 2
-    schedule = schedule_frame(Configuration(1, 0, 1), 5, 2)
+    schedule = schedule_block(Configuration(1, 0, 1), [5], [2])
     units = units_of(schedule)
     assert [kind for kind, _ in units] == [CROSS_CELL, CROSS_CELL, SAME_CELL, INDIVIDUAL]
-    assert schedule.slot_count == 8
+    assert schedule.slot_counts.tolist() == [8]
     assert units[:2] == [(CROSS_CELL, ((1, 0), (2, 5))), (CROSS_CELL, ((1, 1), (2, 6)))]
     # the high partner serves the second member of the same-cell pair
     assert units[2] == (SAME_CELL, ((1, 2), (2, 3)))
@@ -106,21 +110,20 @@ def test_schedule_three_steps():
 
 
 def test_schedule_balanced_only_cross():
-    schedule = schedule_frame(Configuration(0, 0, 0), 3, 3)
+    schedule = schedule_block(Configuration(0, 0, 0), [3], [3])
     assert schedule.kinds.tolist() == [CROSS_CELL] * 3
-    assert schedule.slot_count == 2 * 3  # one 2-slot unit per cross pair
+    assert schedule.slot_counts.tolist() == [2 * 3]  # one 2-slot unit per cross pair
 
 
 def test_schedule_single_user():
-    schedule = schedule_frame(Configuration(0, 0, 0), 1, 0)
+    schedule = schedule_block(Configuration(0, 0, 0), [1], [0])
     assert units_of(schedule) == [(INDIVIDUAL, ((1, 0),))]
 
 
 def test_schedule_surplus_cell2():
     # user 0 in cell 1, users 1-5 in cell 2
-    schedule = schedule_frame(Configuration(1, 1, 0), 1, 5)
-    counts = schedule.counts
-    assert (counts.a_d, counts.a_s, counts.b) == (1, 2, 0)
+    schedule = schedule_block(Configuration(1, 1, 0), [1], [5])
+    assert tally(schedule.kinds) == PairCounts(1, 2, 0)
     same = [served for kind, served in units_of(schedule) if kind == SAME_CELL]
     # cell 2's own UAV serves first, the high helper (UAV1) second
     assert same == [((2, 2), (1, 3)), ((2, 4), (1, 5))]
@@ -131,7 +134,7 @@ def test_schedule_matches_pair_counts_everywhere():
         for k1 in range(0, 31, 3):
             for k2 in range(0, 31, 3):
                 expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
-                assert schedule_frame(cfg, k1, k2).counts == expected
+                assert tally(schedule_block(cfg, [k1], [k2]).kinds) == expected
 
 
 blocks = st.tuples(st.sampled_from(list(all_configurations().values())),
@@ -146,15 +149,16 @@ def test_block_schedule_joins_frame_schedules(args):
     # past those of frames 0..j-1
     cfg, keys = args
     block = schedule_block(cfg, [k1 for k1, _ in keys], [k2 for _, k2 in keys])
-    rows, kinds, slots, users = [np.zeros((4, 0), dtype=np.int64)], [], 0, 0
+    rows, kinds, slot_counts, slots, users = [np.zeros((4, 0), dtype=np.int64)], [], [], 0, 0
     for k1, k2 in keys:
-        frame = schedule_frame(cfg, k1, k2)
+        frame = schedule_block(cfg, [k1], [k2])
         rows.append(frame.rows + np.array([[slots], [0], [users], [users]]))
         kinds += frame.kinds.tolist()
-        slots, users = slots + frame.slot_count, users + k1 + k2
+        slot_counts.append(2 * len(frame.kinds))
+        slots, users = slots + slot_counts[-1], users + k1 + k2
     assert np.array_equal(block.rows, np.concatenate(rows, axis=1))
     assert block.kinds.tolist() == kinds
-    assert block.slot_counts.tolist() == [schedule_frame(cfg, *key).slot_count for key in keys]
+    assert block.slot_counts.tolist() == slot_counts
 
 
 @given(blocks)
@@ -165,11 +169,9 @@ def test_block_schedule_tallies_to_pair_counts(args):
     block = schedule_block(cfg, [k1 for k1, _ in keys], [k2 for _, k2 in keys])
     ends = np.cumsum(block.slot_counts) // 2
     for (k1, k2), kinds in zip(keys, np.split(block.kinds, ends[:-1])):
-        expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
-        assert [kinds.tolist().count(kind) for kind in (CROSS_CELL, SAME_CELL, INDIVIDUAL)] == [
-            expected.a_d, expected.a_s, expected.b]
+        assert tally(kinds) == pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
 
 
 def test_pair_counts_is_a_value_type():
-    assert PairCounts(1, 2, 3).units == 6
     assert PairCounts(1, 2, 3) == PairCounts(1, 2, 3)
+    assert PairCounts(1, 2, 3) != PairCounts(3, 2, 1)

@@ -8,13 +8,13 @@ from numpy.testing import assert_allclose
 
 from uav_twoway import default_config, validate_and_derive
 from uav_twoway.errors import NonPositiveRateError
+from uav_twoway.montecarlo import MatchedGrid
 from uav_twoway.pairing import AccountingMode, pair_counts
 from uav_twoway.rates import rate_set
 from uav_twoway.sinr import Configuration, all_configurations
-from uav_twoway.throughput import (LoadDistribution, admissible_k2,
+from uav_twoway.throughput import (LoadDistribution, _frame_throughputs, admissible_k2,
                                    average_throughput, conditional_table,
-                                   conditional_throughput, optimal_configuration,
-                                   skellam_vector)
+                                   optimal_configuration, skellam_vector)
 
 SKELLAM_0_1_1 = 0.30850832255367105  # frozen from the convolution oracle below
 COND_K3_K2_2_MIXED = 37.43071684735904
@@ -150,18 +150,19 @@ def test_conditional_single_rate_class(params, candidates):
     cfg = candidates["r0_Hl_Hl"]
     rates = rate_set(cfg, params)
     for big_k2 in (1, 3, 17):
-        assert conditional_throughput(0, big_k2, cfg, params) == (
-            rates.r_cochannel_diff / 2.0)
+        assert _frame_throughputs(0, range(big_k2, big_k2 + 1), cfg, AccountingMode.CONSISTENT,
+                                  rates) == [rates.r_cochannel_diff / 2.0]
 
 
 def test_conditional_pinned_mixed_case(params, candidates):
-    value = conditional_throughput(3, 2, candidates["r1_Hl_Hh"], params,
-                                   AccountingMode.CONSISTENT)
+    cfg = candidates["r1_Hl_Hh"]
+    [value] = _frame_throughputs(3, range(2, 3), cfg, AccountingMode.CONSISTENT,
+                                 rate_set(cfg, params))
     assert_allclose(value, COND_K3_K2_2_MIXED, rtol=1e-12)
 
 
 def test_conditional_empty_frame_is_zero(params, candidates):
-    assert conditional_throughput(0, 0, candidates["r0_Hl_Hl"], params) == 0.0
+    assert MatchedGrid(candidates["r0_Hl_Hl"], params).values[0] == 0.0
 
 
 def reference_weights(k, n):
@@ -189,24 +190,31 @@ def test_split_weights_are_the_reference_weights(n):
     assert list(grid) == expected
 
 
+def frame_throughput(k, big_k2, cfg, rates, mode=AccountingMode.CONSISTENT):
+    """Reference per-slot throughput of the frame with loads (K2 + k, K2),
+    transcribed from its pair counts and the configuration's ``rate_set``;
+    an empty frame gives 0."""
+    counts = pair_counts(k, big_k2, cfg.t1, cfg.t2, mode)
+    units = counts.a_d + counts.a_s + counts.b
+    if not units:
+        return 0.0
+    r_ind = rates.r_individual_1 if k > 0 else rates.r_individual_2
+    return (counts.a_d * rates.r_cochannel_diff + counts.a_s * rates.r_cochannel_same
+            + counts.b * r_ind) / (2 * units)
+
+
 def per_split_table(cfg, params, mode):
-    """Reference C(cfg), split by split: each frame's value transcribed from
-    its pair counts, weighted by exact integer case counts."""
+    """Reference C(cfg), split by split: each frame's ``frame_throughput``,
+    weighted by exact integer case counts."""
     n = params.n_users
     rates = rate_set(cfg, params)
     values = []
     for k in (*range(n + 1), *range(-n, 0)):
-        r_ind = rates.r_individual_1 if k > 0 else rates.r_individual_2
         splits = admissible_k2(k, n)
-        weights = reference_weights(k, n)
-        frames = []
-        for big_k2 in splits:
-            counts = pair_counts(k, big_k2, cfg.t1, cfg.t2, mode)
-            frames.append((counts.a_d * rates.r_cochannel_diff
-                           + counts.a_s * rates.r_cochannel_same
-                           + counts.b * r_ind) / (2 * counts.units))
-            assert conditional_throughput(k, big_k2, cfg, params, mode) == frames[-1]
-        values.append(math.fsum(weight * frame for weight, frame in zip(weights, frames)))
+        frames = [frame_throughput(k, big_k2, cfg, rates, mode) for big_k2 in splits]
+        assert _frame_throughputs(k, splits, cfg, mode, rates) == frames
+        values.append(math.fsum(weight * frame
+                                for weight, frame in zip(reference_weights(k, n), frames)))
     return tuple(values)
 
 
