@@ -14,24 +14,22 @@ frame reproduces the analytical conditional throughput and validates the
 closed form.
 
 One engine pass computes many frames at once, from the rows
-``pairing.schedule_block`` makes of their (K1, K2). Frames come in blocks
-of BLOCK_FRAMES, and block b of a ``simulate`` run draws from its own
-stream ``frame_rng(seed, b)``, one call per kind of draw: counts, layouts,
-then shadowing deviates. ``simulate`` hashes the seed's part of numpy's
-SeedSequence once per row (``_SeedHash``) and derives the streams of a
-chunk of blocks from it in one call, the spawn indices' part on an array
-(each is still ``frame_rng(seed, b)``, bit for bit), and draws the chunk's
-counts in one call of the row's activation law; model activation builds
-its cdf and a guide table once per row, and maps one uniform per frame to
-(K1, K2), a chunk's drawn into one buffer and looked up in the table. In
-the physical modes one engine pass then runs several whole blocks, about
-FILL_USERS users, each block still drawing its layout and deviates from
-its own stream. In matched mode a frame draws nothing, so
-its value is a function of (K1, K2): a row reads each chunk's values from
-its ``MatchedGrid``, built whole from one engine pass over five one-unit
-frames, and ``simulate_exhaustive``, the exact mean of such rows under
-model activation, is that law's pmf times the grid, summed over the cells.
-``run_frame`` is a pass of one stream with one frame.
+``pairing.schedule_block`` makes of their (K1, K2). A ``simulate`` row
+draws from three streams of its seed, one per kind of draw (``_stream``):
+its frames' counts, their layouts and their shadowing deviates. Each
+stream is read in frame order, so no value depends on how the row's
+frames are cut into chunks and passes. A chunk of FILL_FRAMES frames draws
+its counts in one call of the row's activation law; model activation
+builds its cdf and a guide table once per row, and maps one uniform per
+frame to (K1, K2) through the table. In the physical modes an engine pass
+then runs about FILL_USERS users' frames of the chunk and draws their
+layout and their deviates in one call each. In matched mode a frame draws
+nothing, so its value is a function of (K1, K2): a row reads each chunk's
+values from its ``MatchedGrid``, built whole from one engine pass over
+five one-unit frames, and ``simulate_exhaustive``, the exact mean of such
+rows under model activation, is that law's pmf times the grid, summed over
+the cells. ``run_frame`` is a pass of one frame that draws its layout,
+then its deviates, from one stream.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -41,11 +39,10 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import channel
 from .errors import RateExceedsPopulationError
@@ -54,13 +51,13 @@ from .params import SystemParams
 from .sinr import Configuration
 from .throughput import LoadDistribution
 
-# Frames per stream of ``simulate``: a block draws from its own stream.
-BLOCK_FRAMES = 64
-# Frames whose counts one draw of the activation law takes (whole blocks),
-# and about the users of one physical engine pass, whole blocks of a chunk.
-# Larger passes pay numpy's per-call overhead less often but hold more rows
-# in memory at once.
-FILL_FRAMES, FILL_USERS = 64 * BLOCK_FRAMES, 4096
+# Frames whose counts one draw of the activation law takes, and about the
+# users of one physical engine pass. Larger passes pay numpy's per-call
+# overhead less often but hold more rows in memory at once. Neither changes
+# a value: each stream is read in frame order.
+FILL_FRAMES, FILL_USERS = 4096, 4096
+# The kinds of draw of a row, each the spawn key of its own stream
+COUNTS, LAYOUTS, DEVIATES = 0, 1, 2
 # The fewest buckets of a model activation's guide table, a power of two.
 GUIDE_BUCKETS = 4096
 
@@ -68,11 +65,12 @@ GUIDE_BUCKETS = 4096
 class ActivationModel(enum.Enum):
     """How the per-cell active-user counts are drawn.
 
-    TRUNCATED_POISSON resamples a Poisson count until it lands in [1, N].
-    BINOMIAL_PER_USER activates each of the N users independently with
-    probability lambda/N. MODEL_MATCHED draws (K1, K2) from the closed
-    form's own law (``_model_pmf``), so the sampled mean is an unbiased
-    estimate of the closed-form average.
+    TRUNCATED_POISSON draws a frame's two Poisson counts again until both
+    land in [1, N]; the cells are independent, so each count follows its
+    Poisson law truncated to [1, N]. BINOMIAL_PER_USER activates each of
+    the N users independently with probability lambda/N. MODEL_MATCHED
+    draws (K1, K2) from the closed form's own law (``_model_pmf``), so the
+    sampled mean is an unbiased estimate of the closed-form average.
     """
 
     TRUNCATED_POISSON = "poisson"
@@ -93,32 +91,42 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
     return center_x + radius * np.cos(angle), radius * np.sin(angle)
 
 
+# Each parameter set's split weights as one float64 array, converted on
+# first use and kept while the set lives
+_WEIGHTS = weakref.WeakKeyDictionary()
+
+
 def _model_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
     """The joint pmf of MODEL_MATCHED's (K1, K2) on [0, N]^2, the closed
     form's law: P(lambda)[K1 - K2] times ``params.split_weights`` as an
     (N + 1)^2 array, and the rest, the Skellam mass of |k| >= N, on (0, 0),
     the empty frame."""
     n = params.n_users
+    weights = _WEIGHTS.get(params)
+    if weights is None:
+        weights = _WEIGHTS[params] = np.fromiter(params.split_weights, float, (n + 1) ** 2)
     big_k1, big_k2 = np.indices((n + 1, n + 1))
     pmf = (np.asarray(loads.skellam_vector(n))[big_k1 - big_k2]
-           * np.fromiter(params.split_weights, float, big_k1.size).reshape(big_k1.shape))
+           * weights.reshape(big_k1.shape))
     pmf[0, 0] = max(0.0, 1.0 - pmf.sum())
     return pmf
 
 
 class _Activation:
-    """The (K1, K2) law of one (loads, params, model), drawn from by
-    (rng, frames) streams, one row per frame, stream after stream; its
-    MODEL_MATCHED cdf and guide table are built once. ``simulate`` makes
-    one per row.
+    """The (K1, K2) law of one (loads, params, model), drawn from a stream
+    a run of frames at a time, one row per frame; its MODEL_MATCHED cdf
+    and guide table are built once. ``simulate`` makes one per row.
 
-    A stream draws, one call per draw, its frames' Poisson or binomial
-    counts, both cells at once, and TRUNCATED_POISSON redraws those outside
-    [1, N] until none is left. MODEL_MATCHED draws one uniform per frame,
-    every stream's into one buffer, and ``invert`` maps them to cells
-    through the guide table, never to a cell after ``top``, the last one
-    whose cdf step is not empty. No stream's frames or final state depend
-    on another.
+    Each law reads its stream in frame order, so drawing a row's frames in
+    one call or in several, of any sizes, gives the same rows and leaves
+    the stream in the same state. BINOMIAL_PER_USER draws its frames'
+    counts, both cells at once, in one call. TRUNCATED_POISSON filters
+    pairs: it draws the Poisson pairs of the frames still missing, keeps in
+    order those with both counts in [1, N], and repeats until none is
+    missing, so a call stops reading right after its last kept pair.
+    MODEL_MATCHED draws one uniform per frame, which ``invert`` maps to
+    cells through the guide table, never to a cell after ``top``, the last
+    one whose cdf step is not empty.
     """
 
     def __init__(self, loads: LoadDistribution, params: SystemParams, model: ActivationModel):
@@ -146,15 +154,6 @@ class _Activation:
             # never drawn but holds a cdf entry rounded above 1, so it is searched
             self.steps = np.append(self.guide[1:] != self.guide[:-1], True)
 
-    def _draw(self, rng, frames):
-        n, lambdas = self.n, self.lambdas
-        if self.model is ActivationModel.BINOMIAL_PER_USER:
-            return rng.binomial(n, lambdas / n, size=(frames, 2))
-        counts = rng.poisson(lambdas, size=(frames, 2))
-        while (redraw := (counts < 1) | (counts > n)).any():
-            counts[redraw] = rng.poisson(np.broadcast_to(lambdas, counts.shape)[redraw])
-        return counts
-
     def invert(self, uniforms: np.ndarray) -> np.ndarray:
         """Each uniform's flat cell K1 (N + 1) + K2: the cell i of its step
         [cdf[i - 1], cdf[i]) of the row-major cdf of ``_model_pmf``, and
@@ -168,26 +167,27 @@ class _Activation:
         cells[cut] = np.minimum(np.searchsorted(self.cdf, uniforms[cut], side="right"), self.top)
         return cells
 
-    def cells(self, streams) -> np.ndarray:
-        """Each frame's flat cell K1 (N + 1) + K2. MODEL_MATCHED: each
-        stream fills its frames' slice of one buffer of uniforms, which
-        ``invert`` maps to cells."""
-        if self.model is not ActivationModel.MODEL_MATCHED:
-            draws = self.counts(streams)
-            return draws[:, 0] * (self.n + 1) + draws[:, 1]
-        streams = list(streams)
-        uniforms = np.empty(sum(frames for _, frames in streams))
-        start = 0
-        for rng, frames in streams:
-            rng.random(out=uniforms[start:start + frames])
-            start += frames
-        return self.invert(uniforms)
-
-    def counts(self, streams) -> np.ndarray:
-        """Each frame's (K1, K2)."""
+    def cells(self, rng, frames: int) -> np.ndarray:
+        """The next ``frames`` frames' flat cells K1 (N + 1) + K2."""
         if self.model is ActivationModel.MODEL_MATCHED:
-            return np.column_stack(np.divmod(self.cells(streams), self.n + 1))
-        return np.concatenate([self._draw(rng, frames) for rng, frames in streams])
+            return self.invert(rng.random(frames))
+        counts = self.counts(rng, frames)
+        return counts[:, 0] * (self.n + 1) + counts[:, 1]
+
+    def counts(self, rng, frames: int) -> np.ndarray:
+        """The next ``frames`` frames' (K1, K2)."""
+        n, lambdas = self.n, self.lambdas
+        if self.model is ActivationModel.MODEL_MATCHED:
+            return np.column_stack(np.divmod(self.cells(rng, frames), n + 1))
+        if self.model is ActivationModel.BINOMIAL_PER_USER:
+            return rng.binomial(n, lambdas / n, size=(frames, 2))
+        counts, kept = np.empty((frames, 2), dtype=np.int64), 0
+        while kept < frames:
+            pairs = rng.poisson(lambdas, size=(frames - kept, 2))
+            pairs = pairs[((pairs >= 1) & (pairs <= n)).all(axis=1)]
+            counts[kept:kept + len(pairs)] = pairs
+            kept += len(pairs)
+        return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,15 +222,15 @@ class FrameRealization:
 
 
 def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell: np.ndarray,
-               sizes: np.ndarray, params: SystemParams, draws):
+               sizes: np.ndarray, params: SystemParams, layouts):
     """The geometry of a pass: each row's serving distance [m], whether its
     slot's co-channel transmitter reaches its receiver (``hit``), and that
     transmitter's distance [m] at each hit row, in row order.
 
-    ``draws`` gives each stream as (rng, users): it draws the layout of its
-    users (``_positions``, cells of ``sizes``), in one call. Exact distances
-    come from every user's slant distance to each UAV, one 2 x users array
-    the rows gather from. With ``draws`` None the distances are the worst
+    The stream ``layouts`` draws the layout of the pass's users
+    (``_positions``, cells of ``sizes``) in one call. Exact distances come
+    from every user's slant distance to each UAV, one 2 x users array the
+    rows gather from. With ``layouts`` None the distances are the worst
     case: the serving distance is the lobe edge, every reachable interferer
     sits at its closest admissible position, and whether it is reachable
     follows from the altitude levels and cell membership instead of actual
@@ -249,14 +249,13 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
     else:
         uav = np.where(downlink, 3 - link, link)
         ground = np.where(downlink, user, partner)
-    if draws is None:
+    if layouts is None:
         if cfg.r == 1:
             return edge[link - 1], hit, np.full(np.count_nonzero(hit), params.d_min)
         hit &= (np.array([cfg.t1, cfg.t2])[uav - 1] == 1) | (cell[ground] == uav)
         return edge[link - 1], hit, altitude[uav[hit] - 1]
 
-    x, y = _positions(np.concatenate([rng.random(2 * users) for rng, users in draws]),
-                      sizes, params)
+    x, y = _positions(layouts.random(2 * cell.size), sizes, params)
     if cfg.r == 1:
         source, sink = partner[hit], user[hit]
         nlos = np.hypot(x[source] - x[sink], y[source] - y[sink])
@@ -274,32 +273,29 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
     return serve, hit, los[hit]
 
 
-def _deviates(draws, hit: np.ndarray):
+def _deviates(rng, hit: np.ndarray):
     """The shadowing deviates of a pass: each row's signal's, and each hit
-    row's interferer's. ``draws`` gives each stream as (rng, users), its
-    rows the next 2 x users, and it draws in one call, frame after frame in
+    row's interferer's, drawn from ``rng`` in one call, frame after frame in
     slot order, one deviate per row for its signal, then one for its
     interferer if one reaches it."""
     through = np.concatenate(([0], np.cumsum(1 + hit)))  # the deviates before each row
-    rows_before = 2 * np.cumsum([0, *(users for _, users in draws)])
-    z = np.concatenate([rng.standard_normal(count)
-                        for (rng, _), count in zip(draws, np.diff(through[rows_before]))])
+    z = rng.standard_normal(through[-1])
     first = through[:-1]
     return z[first], z[first[hit] + 1]
 
 
-def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemParams,
-                worst_case_distances: bool, mean_shadowing: bool) -> FrameRealization:
+def _receptions(cfg: Configuration, counts: np.ndarray, params: SystemParams,
+                layouts, deviates) -> FrameRealization:
     """Every reception of a pass of frames, computed at once.
 
     Frame j has counts[j] = (K1, K2) and follows ``schedule_block``. The
-    frames belong in turn to the (rng, frames) pairs of ``streams`` (whole
-    blocks of ``simulate``), and each stream draws for its own frames only,
-    in two calls: the layout of all its users, frame after frame (unless
-    worst-case, ``_distances``), then one shadowing deviate per reception,
-    frame after frame in slot order, for its signal and then for its
-    interferer if one reaches it (unless mean, ``_deviates``). A stream thus
-    draws what a pass of its own would draw.
+    pass draws in two calls: from ``layouts`` the layout of all its users,
+    frame after frame (``_distances``; None: worst-case distances), then
+    from ``deviates`` one shadowing deviate per reception, frame after frame
+    in slot order, for its signal and then for its interferer if one
+    reaches it (``_deviates``; None: mean shadowing). Frames thus read the
+    same numbers in one pass as in several passes in turn, and ``layouts``
+    and ``deviates`` may be one stream.
 
     Each quantity is computed once, at the level where it varies, and each
     temporary is dropped once read: the geometry and the deviates live in
@@ -313,15 +309,10 @@ def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemP
     sizes = counts.reshape(-1)
     downlink = ((link == 2) * cfg.r + slot) & 1 == 0  # link 1 is downlink-first
     cell = np.repeat(np.tile((1, 2), len(counts)), sizes)
-    # each stream with its users (a frame has two cells)
-    users_before = np.concatenate(([0], np.cumsum(sizes)))[
-        2 * np.cumsum([0, *(frames for _, frames in streams)])]
-    draws = [(rng, users) for (rng, _), users in zip(streams, np.diff(users_before).tolist())]
 
-    serve, hit, far = _distances(cfg, schedule.rows, downlink, cell, sizes, params,
-                                 None if worst_case_distances else draws)
+    serve, hit, far = _distances(cfg, schedule.rows, downlink, cell, sizes, params, layouts)
     hits = np.flatnonzero(hit)
-    z_signal, z_interference = (0.0, 0.0) if mean_shadowing else _deviates(draws, hit)
+    z_signal, z_interference = (0.0, 0.0) if deviates is None else _deviates(deviates, hit)
     tx = np.where(downlink, *channel.los_tx(params))
     signal = channel.rx_power_los(serve, tx, params, z_signal)
     del serve, z_signal
@@ -358,20 +349,19 @@ def _receptions(cfg: Configuration, counts: np.ndarray, streams, params: SystemP
 def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=None, *,
               worst_case_distances: bool = False,
               mean_shadowing: bool = False) -> FrameRealization:
-    """Simulate one frame: the record of a block of one, whose
+    """Simulate one frame: the record of a pass of one, whose
     ``throughput[0]`` is the frame's value.
 
     It draws its layout (unless worst-case), then its shadowing deviates
-    (unless mean), as a block of ``simulate`` does after its counts. Only
-    worst-case distances with mean shadowing draw nothing and may leave
-    ``rng`` out.
+    (unless mean), both from ``rng``. Only worst-case distances with mean
+    shadowing draw nothing and may leave ``rng`` out.
     """
     if rng is None and not (worst_case_distances and mean_shadowing):
         distances = "worst-case" if worst_case_distances else "exact"
         shadowing = "mean" if mean_shadowing else "sampled"
         raise ValueError(f"rng is required for {distances} distances with {shadowing} shadowing")
-    return _receptions(cfg, np.array([[k1, k2]]), [(rng, 1)], params, worst_case_distances,
-                       mean_shadowing)
+    return _receptions(cfg, np.array([[k1, k2]]), params,
+                       None if worst_case_distances else rng, None if mean_shadowing else rng)
 
 
 @dataclass(frozen=True)
@@ -390,122 +380,10 @@ class SimResult:
         return self.mean + self.ci_half_width
 
 
-def _entropy(seed) -> tuple:
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed)
-    return (int(seed),)
-
-
-# numpy's SeedSequence hash (NEP 19 keeps it stable): a pool of four 32-bit
-# words, hash constants (init, multiplier) for the entropy and for the output
-MASK32, POOL_WORDS = 0xFFFFFFFF, 4
-ENTROPY_HASH, STATE_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
-
-
-def _hash_constants(init: int, multiplier: int):
-    """The (xor, multiplier) pair of each successive hashmix: the constant
-    before and after its update."""
-    while True:
-        updated = init * multiplier & MASK32
-        yield init, updated
-        init = updated
-
-
-def _hashmix(value, xor, multiplier):
-    """SeedSequence's hashmix on Python ints or uint32 arrays alike."""
-    value = (value ^ xor) * multiplier & MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of a pool word x with a hashed word y."""
-    result = (0xCA01F9DD * x - 0x4973F715 * y) & MASK32
-    return result ^ result >> 16
-
-
-def _words(value: int) -> list:
-    """A non-negative int as 32-bit words, least significant first; 0 is [0]."""
-    if value < 0:
-        raise ValueError(f"seed words must be non-negative, got {value!r}")
-    return [value >> shift & MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
-# PCG64 seeds from generate_state(4, uint64): eight output words, the pool
-# cycled twice, each hashed with a fixed constant pair; [pair, cycle, word]
-_STATE_PAIRS = np.array(list(islice(_hash_constants(*STATE_HASH), 2 * POOL_WORDS)),
-                        dtype=np.uint32).T.reshape(2, 2, POOL_WORDS)
-
-
-class _PoolState(ISeedSequence):
-    """One stream's seed for PCG64: the generate_state(4, uint64) of its
-    SeedSequence and nothing else (it cannot spawn)."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (POOL_WORDS, np.uint64):
-            raise ValueError(f"holds only {POOL_WORDS} uint64 words, not {n_words} {dtype}")
-        return self.state
-
-
-class _SeedHash:
-    """The SeedSequence hash of one seed, up to the spawn word: the entropy
-    words (padded to the pool size) and all the pool mixing before the
-    spawn word depend on ``seed`` alone and are hashed once, in Python
-    ints, when it is made. ``streams`` finishes the hash for each index."""
-
-    def __init__(self, seed):
-        words = [word for value in _entropy(seed) for word in _words(value)]
-        words += [0] * (POOL_WORDS - len(words))
-        constants = _hash_constants(*ENTROPY_HASH)
-        pool = [_hashmix(word, *next(constants)) for word in words[:POOL_WORDS]]
-        for src in range(POOL_WORDS):  # mix so later words reach earlier ones
-            for dst in range(POOL_WORDS):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
-        for word in words[POOL_WORDS:]:  # the rest, each into every pool word
-            pool = [_mix(p, _hashmix(word, *next(constants))) for p in pool]
-        self.pool = np.array(pool, dtype=np.uint32)
-        self.pairs = np.array(list(islice(constants, POOL_WORDS)), dtype=np.uint32).T
-
-    def streams(self, indices) -> list:
-        """Stream ``frame_rng(seed, i)`` for each i of ``indices``: each
-        index word hashed into the pool, then the pool's output hash, on an
-        (n, 4) array."""
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            return []
-        if indices.dtype.kind not in "iuO":
-            raise TypeError(f"stream indices must be integers, got {indices.dtype}")
-        if indices.min() < 0 or indices.max() > MASK32:
-            bad = next(i for i in indices.tolist() if not 0 <= i <= MASK32)
-            raise ValueError(f"stream index {bad!r} is outside [0, 2**32)")
-        pools = _mix(self.pool, _hashmix(indices.astype(np.uint32)[:, None], *self.pairs))
-        state = _hashmix(pools[:, None, :], *_STATE_PAIRS).reshape(-1, 2 * POOL_WORDS)
-        return [np.random.Generator(np.random.PCG64(_PoolState(row)))
-                for row in state.astype("<u4").view("<u8").astype(np.uint64)]
-
-
-def frame_rngs(seed, indices) -> list:
-    """Streams ``frame_rng(seed, i)`` for each i of ``indices``, derived in
-    one numpy pass: each has the state of ``np.random.default_rng(
-    SeedSequence(entropy=_entropy(seed), spawn_key=(i,)))``, bit for bit.
-
-    Streams differ only in the last word the hash reads, an index below
-    2**32, so the seed's part of the hash runs once (``_SeedHash``) and the
-    index's part on an array. An index of 2**32 or more raises
-    ``ValueError``: numpy would split it into two words.
-    """
-    return _SeedHash(seed).streams(indices)
-
-
-def frame_rng(seed, index: int):
-    """Independent stream number ``index``, a pure function of (seed,
-    index): block ``index`` of a ``simulate`` run draws from it. It is
-    ``frame_rngs(seed, (index,))[0]``, numpy's SeedSequence stream of
-    entropy ``seed`` and spawn key ``(index,)``."""
-    return frame_rngs(seed, (index,))[0]
+def _stream(seed, kind: int):
+    """The stream of one kind of draw (COUNTS, LAYOUTS or DEVIATES) of a
+    row with ``seed``: numpy's ``SeedSequence(seed, spawn_key=(kind,))``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind,)))
 
 
 class MatchedGrid:
@@ -531,7 +409,7 @@ class MatchedGrid:
         self.cfg, self.params = cfg, params
         n = params.n_users
         frames = np.array([[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]])
-        units = _receptions(cfg, frames, [(None, len(frames))], params, True, True)
+        units = _receptions(cfg, frames, params, None, None)
         slot_counts = schedule_block(cfg, frames[:, 0], frames[:, 1]).slot_counts
         # each frame's first unit: a cross-cell pair, then per cell a same-cell
         # pair (two lone users if the other UAV is low) and a lone user
@@ -587,16 +465,14 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
              grid: MatchedGrid | None = None) -> SimResult:
     """Empirical mean throughput over ``n_frames`` independent frames.
 
-    Deterministic given ``seed``: block b of BLOCK_FRAMES frames draws from
-    its own stream ``frame_rng(seed, b)``, so results do not depend on
-    scheduling order or worker count. The row builds its ``_Activation``
-    and hashes its seed (``_SeedHash``) once. A chunk of FILL_FRAMES
-    frames derives its blocks' streams from that hash in one call, bit for
-    bit those of ``frame_rng``, and draws its counts in one call, each
-    block from its own stream. In the physical modes one engine pass then
-    runs several whole blocks of the chunk, about FILL_USERS users, and
-    each block draws what ``run_frame`` draws, for all its frames at once,
-    from its own stream. With worst-case
+    Deterministic given ``seed``: the row draws its frames' counts, layouts
+    and shadowing deviates from three streams of its own (``_stream``),
+    each read in frame order, so results depend on none of scheduling
+    order, worker count, FILL_FRAMES and FILL_USERS. The row builds its
+    ``_Activation`` once and draws the counts of each chunk of FILL_FRAMES
+    frames in one call. In the physical modes it runs a chunk in engine
+    passes of about FILL_USERS users, cut after any frame, and each pass
+    draws its layout and its deviates in one call each. With worst-case
     distances and mean shadowing a frame's value is a function of (K1, K2),
     and each chunk's values are read straight from ``grid`` (a
     ``MatchedGrid`` of (cfg, params), read in this mode only; a fresh one
@@ -615,26 +491,23 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
         elif grid.cfg != cfg or grid.params != params:
             other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
             raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
-    seeds = _SeedHash(seed)
+    draws = _stream(seed, COUNTS)
+    layouts = None if worst_case_distances else _stream(seed, LAYOUTS)
+    deviates = None if mean_shadowing else _stream(seed, DEVIATES)
     values = np.empty(n_frames)
     for start in range(0, n_frames, FILL_FRAMES):
-        firsts = range(start, min(start + FILL_FRAMES, n_frames), BLOCK_FRAMES)
-        streams = [(rng, min(BLOCK_FRAMES, n_frames - first)) for rng, first in
-                   zip(seeds.streams(np.array(firsts) // BLOCK_FRAMES), firsts)]
         chunk = values[start:start + FILL_FRAMES]  # a view: writes land in values
         if matched:
-            np.take(grid.values, law.cells(streams), out=chunk)
+            np.take(grid.values, law.cells(draws, chunk.size), out=chunk)
             continue
-        counts = law.counts(streams)
-        # passes of whole blocks, cut after each block whose end carries the
-        # running user count across a multiple of FILL_USERS
-        ends = np.cumsum([frames for _, frames in streams])
-        passes = np.cumsum(counts.sum(axis=1))[ends - 1] // FILL_USERS
+        counts = law.counts(draws, chunk.size)
+        # passes cut before each frame whose end carries the running user
+        # count across a multiple of FILL_USERS
+        passes = np.cumsum(counts.sum(axis=1)) // FILL_USERS
         cuts = (np.flatnonzero(np.diff(passes)) + 1).tolist()
-        for first, stop in zip([0, *cuts], [*cuts, len(streams)]):
-            frames = slice(first * BLOCK_FRAMES, stop * BLOCK_FRAMES)
-            chunk[frames] = _receptions(cfg, counts[frames], streams[first:stop], params,
-                                        worst_case_distances, mean_shadowing).throughput
+        for first, stop in zip([0, *cuts], [*cuts, chunk.size]):
+            chunk[first:stop] = _receptions(cfg, counts[first:stop], params, layouts,
+                                            deviates).throughput
 
     mean, std = _mean_and_std(values)
     return SimResult(mean=mean, ci_half_width=1.96 * std / math.sqrt(n_frames))

@@ -252,8 +252,8 @@ def test_sweep_byte_identical_across_runs_and_workers(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    # three blocks of frames per row, each from its own stream, with model
-    # activation's empty frames among them
+    # physical rows whose frames draw from their rows' own streams, with
+    # model activation's empty frames among them
     ("--configurations", "r1_Hl_Hh,r0_Hl_Hl", "--frames", "150", "--activation", "model",
      "--seed", "13"),
     # each worker builds the grids its points' rows read, an optimal row's
@@ -270,8 +270,8 @@ def test_compare_blocks_byte_identical_across_workers(tmp_path, args):
 
 
 def test_matched_compare_across_fill_chunks_byte_identical(tmp_path):
-    # 4,200 matched frames per row cross a FILL_FRAMES chunk; each chunk's
-    # counts come from one draw over its blocks' streams
+    # 4,200 matched frames per row cross a FILL_FRAMES chunk; each chunk
+    # reads its counts from the row's counts stream in one draw
     from uav_twoway.montecarlo import FILL_FRAMES
     assert FILL_FRAMES < 4200
     args = ("--lambda1", "6,31", "--lambda2", "4", "--configurations", "r1_Hl_Hh,r0_Hl_Hl",
@@ -286,6 +286,27 @@ def test_matched_compare_across_fill_chunks_byte_identical(tmp_path):
     rows = read_rows(paths[0])
     assert len(rows) == 4 and {row["n_frames"] for row in rows} == {"4200"}
     assert {row["deviation_flag"] for row in rows} == {"ok"}
+
+
+@pytest.mark.parametrize("activation", ["poisson", "binomial", "model"])
+@pytest.mark.parametrize("mode", [
+    pytest.param(("--distances", "exact", "--shadowing", "sampled"), id="physical"),
+    pytest.param(("--distances", "worst", "--shadowing", "mean"), id="matched"),
+])
+def test_row_streams_keep_csv_bytes_across_fill_settings(tmp_path, monkeypatch, activation,
+                                                        mode):
+    # each row stream is read in frame order, so cutting a row's 250 frames
+    # into chunks of 100 and passes of about 40 users, not one chunk at the
+    # default sizes, changes no byte of the CSV
+    args = ("--lambda1", "6,12", "--lambda2", "4", "--configurations", "r1_Hl_Hh,r0_Hl_Hl",
+            "--frames", "250", "--activation", activation, *mode)
+    paths = [tmp_path / f"run{i}.csv" for i in range(2)]
+    assert run_cli("compare", *args, "--out", str(paths[0])) == 0
+    monkeypatch.setattr(montecarlo, "FILL_FRAMES", 100)
+    monkeypatch.setattr(montecarlo, "FILL_USERS", 40)
+    assert run_cli("compare", *args, "--out", str(paths[1])) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(read_rows(paths[0])) == 4
 
 
 def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,16 +11,21 @@ from numpy.testing import assert_allclose
 
 from uav_twoway import channel, default_config, montecarlo, validate_and_derive
 from uav_twoway.errors import RateExceedsPopulationError
-from uav_twoway.montecarlo import (BLOCK_FRAMES, FILL_FRAMES, ActivationModel, MatchedGrid,
-                                   _Activation, _mean_and_std, _model_pmf,
-                                   _positions, _receptions, frame_rng, frame_rngs, run_frame,
-                                   simulate, simulate_exhaustive)
+from uav_twoway.montecarlo import (COUNTS, DEVIATES, FILL_FRAMES, LAYOUTS, ActivationModel,
+                                   MatchedGrid, _Activation, _mean_and_std, _model_pmf,
+                                   _positions, _receptions, _stream, run_frame, simulate,
+                                   simulate_exhaustive)
 from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts, schedule_block
 from uav_twoway.rates import rate_set
 from uav_twoway.sinr import Configuration, all_configurations
 from uav_twoway.throughput import LoadDistribution, average_throughput, conditional_table
 
 from test_throughput import frame_throughput
+
+
+def spawn(seed, key):
+    """numpy's own stream of entropy ``seed`` and spawn key ``(key,)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
 def test_layout_inside_discs(params):
@@ -41,7 +47,7 @@ def test_binomial_full_rate_always_everyone(params):
     loads = LoadDistribution(30.0, 30.0)
     rng = np.random.default_rng(1)
     law = _Activation(loads, params, ActivationModel.BINOMIAL_PER_USER)
-    assert np.all(law.counts([(rng, 20)]) == (30, 30))
+    assert np.all(law.counts(rng, 20) == (30, 30))
 
 
 def test_binomial_rejects_excess_rate(params):
@@ -60,7 +66,7 @@ def test_truncated_poisson_mean(params):
     rng = np.random.default_rng(3)
     loads = LoadDistribution(lam, lam)
     draws = _Activation(loads, params, ActivationModel.TRUNCATED_POISSON).counts(
-        [(rng, 20_000)])[:, 0]
+        rng, 20_000)[:, 0]
     assert abs(np.mean(draws) - expected) < 3.0 * math.sqrt(variance / len(draws))
     assert min(draws) >= 1 and max(draws) <= n
 
@@ -68,8 +74,8 @@ def test_truncated_poisson_mean(params):
 def test_activation_deterministic(params):
     loads = LoadDistribution(7.0, 3.0)
     for model in ActivationModel:
-        first = _Activation(loads, params, model).counts([(np.random.default_rng(4), 50)])
-        second = _Activation(loads, params, model).counts([(np.random.default_rng(4), 50)])
+        first = _Activation(loads, params, model).counts(np.random.default_rng(4), 50)
+        second = _Activation(loads, params, model).counts(np.random.default_rng(4), 50)
         assert np.array_equal(first, second)
 
 
@@ -80,31 +86,46 @@ def test_activation_deterministic(params):
                         (ActivationModel.MODEL_MATCHED, (34.0, 2.0))]),  # empty frames
        st.lists(st.integers(1, 64), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
 def test_activation_over_streams_concatenates_one_stream_calls(params, case, sizes, seed):
-    # one call over several streams, as simulate's matched mode makes per
-    # chunk, gives each stream's rows and leaves each stream where a call
-    # of its own would, bit for bit
+    # a row's frames drawn from its counts stream in calls of any sizes, as
+    # simulate's chunks draw them, are the rows of one call over all of
+    # them, bit for bit, and leave the stream where that call would
     model, lambdas = case
-    loads = LoadDistribution(*lambdas)
-    joint = [frame_rng(seed, b) for b in range(len(sizes))]
-    alone = [frame_rng(seed, b) for b in range(len(sizes))]
-    law = _Activation(loads, params, model)
-    rows = law.counts(zip(joint, sizes))
-    one_by_one = [law.counts([stream]) for stream in zip(alone, sizes)]
-    assert np.array_equal(rows, np.concatenate(one_by_one))
-    assert [rng.bit_generator.state for rng in joint] == [rng.bit_generator.state for rng in alone]
+    law = _Activation(LoadDistribution(*lambdas), params, model)
+    joint, pieces = spawn(seed, COUNTS), spawn(seed, COUNTS)
+    rows = law.counts(joint, sum(sizes))
+    piece_by_piece = [law.counts(pieces, frames) for frames in sizes]
+    assert np.array_equal(rows, np.concatenate(piece_by_piece))
+    assert joint.bit_generator.state == pieces.bit_generator.state
 
 
 def test_truncated_poisson_redraws_only_out_of_range(params):
-    # the first draw of every frame's pair stays where it lies in [1, N]
+    # a frame keeps the stream's next pair whose counts both lie in [1, N]:
+    # only a pair with a count out of range is drawn again
     n = params.n_users
     lambdas = (2.0, 29.0)  # often 0 in cell 1, often above N in cell 2
-    first = np.random.default_rng(5).poisson(lambdas, size=(400, 2))
-    kept = (first >= 1) & (first <= n)
+    pairs = np.random.default_rng(5).poisson(lambdas, size=(4000, 2))
+    kept = ((pairs >= 1) & (pairs <= n)).all(axis=1)
     drawn = _Activation(LoadDistribution(*lambdas), params, ActivationModel.TRUNCATED_POISSON
-                        ).counts([(np.random.default_rng(5), 400)])
-    assert not kept[:, 0].all() and not kept[:, 1].all()
-    assert np.array_equal(drawn[kept], first[kept])
-    assert drawn.min() >= 1 and drawn.max() <= n
+                        ).counts(np.random.default_rng(5), 400)
+    assert not kept[:400].all() and kept.sum() >= 400
+    assert np.array_equal(drawn, pairs[kept][:400])
+
+
+def test_truncated_poisson_pairs_follow_the_truncated_marginals(params):
+    # the cells are independent, so keeping the pairs with both counts in
+    # [1, N] gives the product of the two truncated Poisson pmfs; every
+    # cell of the 10^5-frame joint frequencies within 4 standard errors
+    n, lambdas, frames = 2, (1.5, 0.7), 100_000
+    law = _Activation(LoadDistribution(*lambdas), dataclasses.replace(params, n_users=n),
+                      ActivationModel.TRUNCATED_POISSON)
+    counts = law.counts(np.random.default_rng(6), frames)
+    assert counts.min() >= 1 and counts.max() <= n
+    marginals = [np.array([lam ** k / math.factorial(k) for k in range(1, n + 1)])
+                 for lam in lambdas]
+    expected = np.outer(*(weights / weights.sum() for weights in marginals))
+    observed = np.bincount((counts[:, 0] - 1) * n + counts[:, 1] - 1,
+                           minlength=n * n).reshape(n, n) / frames
+    assert np.all(np.abs(observed - expected) <= 4.0 * np.sqrt(expected * (1 - expected) / frames))
 
 
 @pytest.mark.parametrize("lambdas", [(6.0, 4.0), (34.0, 2.0), (1.0, 18.0)],
@@ -124,7 +145,7 @@ def test_model_activation_inverts_the_joint_cdf(params, lambdas):
                                np.linspace(0.0, 1.0, 4001)[:-1]))
     stream = Replay(uniforms, np.empty(0))  # hands out the chosen uniforms
     drawn = _Activation(loads, params, ActivationModel.MODEL_MATCHED).counts(
-        [(stream, uniforms.size)])
+        stream, uniforms.size)
     assert stream.used == {"random": uniforms.size, "standard_normal": 0}
     cell = drawn[:, 0] * (n + 1) + drawn[:, 1]
     inside = uniforms < cdf[-1]
@@ -148,7 +169,7 @@ def test_sorted_inversion_matches_plain_search(params, n):
     uniforms = np.concatenate((np.random.default_rng(n).random(5000), cdf, cdf[::-1],
                                np.nextafter(cdf, 0.0), [cdf[-1], 1.0 - 2.0 ** -53, 0.0]))
     assert (uniforms >= cdf[-1]).sum() > 2  # the last steps repeat the top
-    cells = law.cells([(Replay(uniforms, np.empty(0)), uniforms.size)])
+    cells = law.cells(Replay(uniforms, np.empty(0)), uniforms.size)
     plain = np.minimum(np.searchsorted(cdf, uniforms, side="right"),
                        np.searchsorted(cdf, cdf[-1]))
     assert cells.dtype == plain.dtype and np.array_equal(cells, plain)
@@ -168,10 +189,10 @@ loads_axis = st.floats(0.001, 1000.0)
 def test_guide_inversion_keeps_the_bits_of_a_plain_search(params, n, lambdas, seed):
     # the guide table maps each uniform to the cell of a plain search capped
     # at top, so no cell after top, where the float cdf stops rising, is
-    # ever drawn: for drawn uniforms, through cells' one-buffer fill, and
-    # for the edges, 0, the largest double below 1, each cdf entry (the last
-    # may round above 1) and its neighbours, and every bucket's first uniform;
-    # the table, built by counting, is the search of each bucket's first
+    # ever drawn: for drawn uniforms, through cells, and for the edges, 0,
+    # the largest double below 1, each cdf entry (the last may round above
+    # 1) and its neighbours, and every bucket's first uniform; the table,
+    # built by counting, is the search of each bucket's first
     law = _Activation(LoadDistribution(*lambdas), dataclasses.replace(params, n_users=n),
                       ActivationModel.MODEL_MATCHED)
     cdf, top, buckets = law.cdf, law.top, law.buckets
@@ -183,10 +204,8 @@ def test_guide_inversion_keeps_the_bits_of_a_plain_search(params, n, lambdas, se
     searched = plain(np.arange(buckets + 1) / buckets)
     assert law.guide.dtype == searched.dtype and np.array_equal(law.guide, searched)
 
-    sizes = (64, 64, 17)
-    cells = law.cells(zip(frame_rngs(seed, range(3)), sizes))
-    drawn = np.concatenate([rng.random(size) for rng, size in
-                            zip(frame_rngs(seed, range(3)), sizes)])
+    cells = law.cells(np.random.default_rng(seed), 145)
+    drawn = np.random.default_rng(seed).random(145)
     assert cells.dtype == np.intp and np.array_equal(cells, plain(drawn))
     edges = np.concatenate(([0.0, 1.0 - 2.0 ** -53], cdf, np.nextafter(cdf, 0.0),
                             np.nextafter(cdf, 2.0), np.arange(buckets) / buckets))
@@ -206,6 +225,23 @@ def test_model_pmf_is_skellam_times_split_weights(params, n):
     cells = range(1, (n + 1) ** 2)
     assert [pmf[cell] for cell in cells] == [
         skellam[cell // (n + 1) - cell % (n + 1)] * weights[cell] for cell in cells]
+
+
+def test_two_rows_convert_their_split_weights_once(params, candidates, monkeypatch):
+    # a parameter set's split weights become one float64 array on first use,
+    # which every later row of that set reads
+    monkeypatch.setattr(montecarlo, "_WEIGHTS", weakref.WeakKeyDictionary())
+    conversions, fromiter = [], np.fromiter
+
+    def spy(*args, **kwargs):
+        conversions.append(args[0])
+        return fromiter(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromiter", spy)
+    for seed in (1, 2):
+        simulate(candidates["r0_Hl_Hl"], LoadDistribution(6.0, 4.0), params, 10, seed,
+                 activation=ActivationModel.MODEL_MATCHED, **MATCHED)
+    assert len(conversions) == 1 and conversions[0] is params.split_weights
 
 
 def test_model_pmf_expectation_is_the_closed_form(params):
@@ -240,16 +276,16 @@ def frame_columns(frame):
 
 def test_frame_ledger_bit_identical(params, candidates):
     cfg = candidates["r1_Hl_Hh"]
-    one = frame_columns(run_frame(cfg, 6, 3, params, frame_rng(42, 0)))
-    other = frame_columns(run_frame(cfg, 6, 3, params, frame_rng(42, 0)))
+    one = frame_columns(run_frame(cfg, 6, 3, params, np.random.default_rng(42)))
+    other = frame_columns(run_frame(cfg, 6, 3, params, np.random.default_rng(42)))
     assert all(np.array_equal(one[name], other[name]) for name in one)
-    different = frame_columns(run_frame(cfg, 6, 3, params, frame_rng(43, 0)))
+    different = frame_columns(run_frame(cfg, 6, 3, params, np.random.default_rng(43)))
     assert not np.array_equal(different["signal"], one["signal"])
 
 
-# (cfg label, K1, K2, frame index) -> throughput of frame_rng(2024, index),
-# frozen per mode from the per-reception engine the columnar one replaced;
-# they pin the layout and shadowing draw order
+# (cfg label, K1, K2, spawn key) -> throughput of a frame drawn from
+# spawn(2024, key), frozen per mode from the per-reception engine the
+# columnar one replaced; they pin the layout and shadowing draw order
 FROZEN_FRAMES = {
     "exact_sampled": {("r1_Hl_Hh", 9, 4, 0): 46.734043655864305,
                       ("r0_Hl_Hl", 7, 7, 1): 54.01902848921328,
@@ -273,28 +309,28 @@ def test_seeded_streams_match_frozen_values(params):
     for mode, frozen in FROZEN_FRAMES.items():
         for (label, k1, k2, index), expected in frozen.items():
             frame = run_frame(configs[label], k1, k2, params,
-                              frame_rng(2024, index), **MODES[mode])
+                              spawn(2024, index), **MODES[mode])
             assert_allclose(frame.throughput, expected, rtol=1e-13)
-    # one cell of the acceptance criterion 8 grid; it pins the per-block streams
+    # one cell of the acceptance criterion 8 grid; it pins the row streams
     result = simulate(configs["r1_Hl_Hh"], LoadDistribution(10.0, 2.0), params,
                       300, seed=(31, 10, 2), mean_shadowing=True,
                       activation=ActivationModel.MODEL_MATCHED)
-    assert_allclose(result.mean, 49.05909149132052, rtol=1e-13)
+    assert_allclose(result.mean, 49.08885992979756, rtol=1e-13)
 
 
 # (cfg label, lambda1, lambda2, seed, mode) -> mean of a 1,000-frame
-# Poisson row, frozen from the engine before its per-level rework. The
-# first six are the rows of the benchmark's physical compare at --seed 1;
-# each row runs in three or four engine passes
+# Poisson row, frozen from its three row streams. The first six are the
+# rows of the benchmark's physical compare at --seed 1; each row runs in
+# three or four engine passes
 FROZEN_ROWS = {
-    ("r1_Hl_Hh", 6.0, 4.0, (1, 0, 0), "exact_sampled"): 46.10925991290436,
-    ("r1_Hh_Hl", 6.0, 4.0, (1, 0, 1), "exact_sampled"): 40.794473696827396,
-    ("r0_Hl_Hl", 6.0, 4.0, (1, 0, 2), "exact_sampled"): 42.031995548817505,
-    ("r1_Hl_Hh", 12.0, 4.0, (1, 1, 0), "exact_sampled"): 48.06995953235416,
-    ("r1_Hh_Hl", 12.0, 4.0, (1, 1, 1), "exact_sampled"): 33.422315222704555,
-    ("r0_Hl_Hl", 12.0, 4.0, (1, 1, 2), "exact_sampled"): 36.23834151811126,
-    ("r0_Hh_Hl", 12.0, 4.0, (1, 1, 0), "exact_mean"): 25.312793776088395,
-    ("r1_Hh_Hh", 12.0, 4.0, (1, 1, 0), "worst_sampled"): 36.40108193368717,
+    ("r1_Hl_Hh", 6.0, 4.0, (1, 0, 0), "exact_sampled"): 46.03855881229632,
+    ("r1_Hh_Hl", 6.0, 4.0, (1, 0, 1), "exact_sampled"): 40.753024246873565,
+    ("r0_Hl_Hl", 6.0, 4.0, (1, 0, 2), "exact_sampled"): 42.18185086547305,
+    ("r1_Hl_Hh", 12.0, 4.0, (1, 1, 0), "exact_sampled"): 48.06465866299107,
+    ("r1_Hh_Hl", 12.0, 4.0, (1, 1, 1), "exact_sampled"): 33.34196323697198,
+    ("r0_Hl_Hl", 12.0, 4.0, (1, 1, 2), "exact_sampled"): 36.16198456478441,
+    ("r0_Hh_Hl", 12.0, 4.0, (1, 1, 0), "exact_mean"): 25.287090576597702,
+    ("r1_Hh_Hh", 12.0, 4.0, (1, 1, 0), "worst_sampled"): 36.38606989846748,
 }
 
 
@@ -318,43 +354,43 @@ def test_physical_rows_match_frozen_means(params, monkeypatch):
 MATCHED_ROW_FRAMES = (1, 63, 64, 65, 4095, 4096, 4097, 20_000)
 # (cfg label, lambda1, lambda2, seed) -> (mean, ci_half_width) of a
 # model-activation matched row of each of MATCHED_ROW_FRAMES frames: the
-# benchmark's matched compare rows at --seed 1, across block and chunk ends
+# benchmark's matched compare rows at --seed 1, across chunk ends
 FROZEN_MATCHED_ROWS = {
     ("r1_Hl_Hh", 6.0, 4.0, (1, 0, 0)): [
         (40.40766982789502, 0.0), (40.36136673364234, 0.31169483749967963),
-        (40.37640249343493, 0.3081981596954284), (40.37500458466771, 0.30343197473873557),
-        (40.38990343015586, 0.038635538297128055), (40.3901313969357, 0.03862868886304925),
-        (40.3903592524308, 0.03862184133909963), (40.35693818220278, 0.017942240112125765)],
+        (40.37640249343493, 0.3081981596954284), (40.39097561446466, 0.3047610856488471),
+        (40.38207448273916, 0.038446157412295755), (40.38230436088311, 0.0384394106769161),
+        (40.382262643248964, 0.038430114186662236), (40.35871290443536, 0.017774208078001702)],
     ("r1_Hh_Hl", 6.0, 4.0, (1, 0, 1)): [
         (33.28510030471785, 0.0), (38.67428768290139, 0.620345749029894),
-        (38.67501279216358, 0.6105775681095099), (38.67821843718374, 0.6011435115869708),
-        (38.3510161555745, 0.07799070822138963), (38.35148845105009, 0.0779771600685882),
-        (38.35197635250995, 0.07796399000802733), (38.36305034666098, 0.03570060918310651)],
+        (38.67501279216358, 0.6105775681095099), (38.68715717579873, 0.6015817708769553),
+        (38.344172610766286, 0.07933581384214387), (38.34380013969394, 0.07931980203807515),
+        (38.34277193951212, 0.07932604227125285), (38.35537051103866, 0.035980494989379934)],
     ("r0_Hl_Hl", 6.0, 4.0, (1, 0, 2)): [
         (48.928612485833405, 0.0), (47.102200716393185, 0.6633660941840677),
-        (47.1039135030945, 0.6529273614360376), (47.17160410484177, 0.6563528470696997),
-        (46.97169154920243, 0.09780381336309846), (46.97175017408429, 0.09778000007785481),
-        (46.971202269839424, 0.09776202932292082), (46.99716692058599, 0.04426402185590851)],
+        (47.1039135030945, 0.6529273614360376), (47.020677210726994, 0.6631835817006974),
+        (46.98550899640758, 0.09571254886851903), (46.986612095435966, 0.09571360135059931),
+        (46.987321809053114, 0.09570034677983587), (46.97547238064594, 0.043901464157300174)],
     ("r1_Hl_Hh", 12.0, 4.0, (1, 1, 0)): [
         (40.21138721379374, 0.0), (40.69752905365953, 0.13192329686246168),
         (40.70731227720185, 0.13125385338299994), (40.71679447848132, 0.13054846344670193),
-        (40.80324608061834, 0.016993337653376656), (40.80337313366515, 0.016991013355377543),
-        (40.80326257657422, 0.016988247717163316), (40.789687907373285, 0.00792841852666082)],
+        (40.79802656769551, 0.017047418461907427), (40.79815489503747, 0.017045111842578984),
+        (40.79828315973489, 0.01704280524180985), (40.791766268542894, 0.00799437538564134)],
     ("r1_Hh_Hl", 12.0, 4.0, (1, 1, 1)): [
         (32.95699601673216, 0.0), (33.1243452523619, 0.9582943957299599),
-        (33.171116951403036, 0.9476466889159866), (33.179741101330656, 0.9331067177573655),
-        (33.24418145298457, 0.1010435110065748), (33.24355425532321, 0.10102631866840842),
-        (33.243257407128304, 0.10100333283711586), (33.31286711633923, 0.04595721250545939)],
+        (33.171116951403036, 0.9476466889159866), (33.17367359390715, 0.9329670596237092),
+        (33.33510601922245, 0.10236480866127785), (33.33675846344126, 0.10239105105323311),
+        (33.335985056339815, 0.10237727953985983), (33.35792365494552, 0.046241596236544204)],
     ("r0_Hl_Hl", 12.0, 4.0, (1, 1, 2)): [
         (37.76945525222227, 0.0), (41.07608067690095, 0.9689123220212366),
-        (41.14959750822253, 0.9644774003901639), (41.282480764959274, 0.984596071364346),
-        (40.97952573085981, 0.133022277204697), (40.981256856358996, 0.13303307341256637),
-        (40.982568100073586, 0.13302542734855893), (40.96347572722769, 0.06041735097156396)],
+        (41.14959750822253, 0.9644774003901639), (41.12400752613876, 0.9508471306430502),
+        (40.91186046346728, 0.13514612825091454), (40.91193155273238, 0.13511320140637964),
+        (40.91102485495986, 0.1350919083311812), (40.911669268651806, 0.06004744015823751)],
 }
 
 
 def test_model_activation_rows_keep_their_frozen_bits(params):
-    # every stream, uniform and cell of a model-activation row, matched or
+    # the stream, every uniform and every cell of a model-activation row, matched or
     # physical (they share _Activation.cells), keeps its bits: the row's
     # mean and CI half-width are compared with ==
     configs = all_configurations()
@@ -366,39 +402,29 @@ def test_model_activation_rows_keep_their_frozen_bits(params):
             assert (result.mean, result.ci_half_width) == expected, (label, n_frames)
     physical = simulate(configs["r0_Hl_Hl"], LoadDistribution(6.0, 4.0), params, 4097,
                         (1, 0, 2), activation=ActivationModel.MODEL_MATCHED)
-    assert (physical.mean, physical.ci_half_width) == (48.43685435464679, 0.1009798457030166)
+    assert (physical.mean, physical.ci_half_width) == (48.4515206713052, 0.09869181161136084)
 
 
 seed_words = st.integers(0, 2 ** 80 - 1)
 
 
-@given(st.one_of(seed_words, st.lists(seed_words, min_size=1, max_size=5).map(tuple)),
-       st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=70))
-@example(0, [0])
-@example((0, 0, 0, 0, 0), [0, 2 ** 32 - 1])
-def test_frame_rngs_match_numpy_seed_sequence_streams(seed, indices):
-    # frame_rngs restates numpy's SeedSequence hash over an array of spawn
-    # indices; numpy's own SeedSequence is the oracle, bit for bit
-    streams = frame_rngs(seed, indices)
-    assert len(streams) == len(indices)
-    for index, rng in zip(indices, streams):
-        oracle = np.random.default_rng(
-            np.random.SeedSequence(montecarlo._entropy(seed), spawn_key=(index,)))
+@given(st.one_of(seed_words, st.lists(seed_words, min_size=1, max_size=5).map(tuple)))
+@example(0)
+@example((0, 0, 0, 0, 0))
+def test_row_streams_match_numpy_seed_sequence_spawns(seed):
+    # a row's counts, layouts and deviates come from numpy's own streams of
+    # entropy seed and spawn keys (0,), (1,) and (2,), bit for bit
+    assert (COUNTS, LAYOUTS, DEVIATES) == (0, 1, 2)
+    for kind in (COUNTS, LAYOUTS, DEVIATES):
+        rng, oracle = _stream(seed, kind), spawn(seed, kind)
         assert rng.bit_generator.state == oracle.bit_generator.state
         assert np.array_equal(rng.random(3), oracle.random(3))
-    alone, batched = frame_rng(seed, indices[-1]), frame_rngs(seed, [indices[-1]])[0]
-    assert alone.bit_generator.state == batched.bit_generator.state
 
 
-def test_frame_rngs_reject_bad_stream_input(params, candidates):
-    with pytest.raises(ValueError):  # a negative seed word, as numpy refuses it
+def test_row_streams_reject_a_negative_seed_word(params, candidates):
+    with pytest.raises(ValueError):  # as numpy's SeedSequence refuses it
         simulate(candidates["r0_Hl_Hl"], LoadDistribution(5.0, 5.0), params,
                  10, seed=(-1, 0, 0))
-    with pytest.raises(ValueError, match=str(2 ** 32)):  # numpy would split it in two words
-        frame_rngs(1, [2 ** 32])
-    with pytest.raises(TypeError):  # not truncated to an integer index
-        frame_rngs(1, [2.5])
-    assert frame_rngs(1, []) == []
 
 
 frames = st.tuples(st.sampled_from(list(all_configurations().values())),
@@ -408,7 +434,7 @@ frames = st.tuples(st.sampled_from(list(all_configurations().values())),
 
 def draw_frame(args, params):
     cfg, k1, k2, seed, mode = args
-    return cfg, k1, k2, run_frame(cfg, k1, k2, params, frame_rng(seed, 0), **mode)
+    return cfg, k1, k2, run_frame(cfg, k1, k2, params, np.random.default_rng(seed), **mode)
 
 
 def row_kinds(frame, cfg, k1, k2):
@@ -480,7 +506,7 @@ def test_exact_receptions_dominate_worst_case(params, args):
     # row by row against the worst-case frame of the same (cfg, K1, K2); a
     # same-cell ground interferer may stand closer than d_min (see README)
     cfg, k1, k2, seed, _ = args
-    exact = run_frame(cfg, k1, k2, params, frame_rng(seed, 0), mean_shadowing=True)
+    exact = run_frame(cfg, k1, k2, params, np.random.default_rng(seed), mean_shadowing=True)
     worst = matched_frame(cfg, k1, k2, params)
     assert np.array_equal(exact.slot, worst.slot) and np.array_equal(exact.user, worst.user)
     ground = exact.hit & ((cfg.r == 1) | ~exact.downlink)  # a ground user interferes
@@ -547,7 +573,7 @@ def test_grid_equals_one_engine_pass_over_every_cell(n_users, d_sep_m, phi_b_rad
     n = params.n_users
     counts = np.column_stack(np.divmod(np.arange((n + 1) ** 2), n + 1))
     for cfg in all_configurations().values():
-        expected = _receptions(cfg, counts, [(None, len(counts))], params, True, True)
+        expected = _receptions(cfg, counts, params, None, None)
         assert np.array_equal(MatchedGrid(cfg, params).values, expected.throughput)
 
 
@@ -576,7 +602,7 @@ def test_matched_row_fills_its_grid_once(params, candidates, monkeypatch):
         grid = MatchedGrid(cfg, params)
         assert len(passes) == 1
         assert passes[0][1].tolist() == [[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]]
-        assert passes[0][2:] == ([(None, 5)], params, True, True)
+        assert passes[0][2:] == (params, None, None)
         passes.clear()
         simulate(cfg, LoadDistribution(6.0, 4.0), params, 20_000, seed=3,
                  activation=ActivationModel.MODEL_MATCHED, grid=grid, **MATCHED)
@@ -617,7 +643,7 @@ def test_grid_of_another_configuration_or_params_is_refused(params, candidates, 
              MatchedGrid(cfg, dataclasses.replace(params, n_users=29)),
              MatchedGrid(cfg, dataclasses.replace(params, p_u=2.0 * params.p_u)))
     # refused before any stream is derived or any frame computed
-    spies = [spy_on(monkeypatch, name) for name in ("frame_rngs", "_receptions")]
+    spies = [spy_on(monkeypatch, name) for name in ("_stream", "_receptions")]
     for grid in grids:
         with pytest.raises(ValueError, match="matched grid of"):
             simulate(cfg, loads, params, 10, seed=1, activation=ActivationModel.MODEL_MATCHED,
@@ -662,8 +688,8 @@ def test_exact_distances_dominate_bound(params, candidates):
 def test_sampled_shadowing_changes_frames(params, candidates):
     # the same stream places the same users; only the shadowing differs
     cfg = candidates["r0_Hl_Hl"]
-    sampled = run_frame(cfg, 4, 4, params, frame_rng(18, 0))
-    mean = run_frame(cfg, 4, 4, params, frame_rng(18, 0), mean_shadowing=True)
+    sampled = run_frame(cfg, 4, 4, params, np.random.default_rng(18))
+    mean = run_frame(cfg, 4, 4, params, np.random.default_rng(18), mean_shadowing=True)
     assert sampled.throughput != mean.throughput
 
 
@@ -682,36 +708,30 @@ class Replay:
         assert self.used[kind] <= self.draws[kind].size
         return self.draws[kind][start:start + count]
 
-    def random(self, count=None, out=None):
-        if out is None:
-            return self.take("random", count)
-        out[...] = self.take("random", out.size)  # as a Generator fills ``out``
-        return out
+    def random(self, count):
+        return self.take("random", count)
 
     def standard_normal(self, count):
         return self.take("standard_normal", count)
 
 
 def frame_by_frame(cfg, loads, params, n_frames, seed, activation, mode):
-    """Per-frame throughputs of a plain run_frame loop, the reference the
-    block engine must match bit for bit. Block b draws from frame_rng(seed,
-    b) its counts, then the uniforms of all its users, then its deviates;
-    each frame's run_frame replays its slice of the two."""
-    values = []
-    for block, start in enumerate(range(0, n_frames, BLOCK_FRAMES)):
-        rng = frame_rng(seed, block)
-        keys = _Activation(loads, params, activation).counts(
-            [(rng, min(BLOCK_FRAMES, n_frames - start))])
-        users = int(keys.sum())
-        uniforms = rng.random(0 if mode.get("worst_case_distances") else 2 * users)
-        # a user has two receptions and a reception at most two deviates; a
-        # generator's draws in several calls equal its draws in one, so the
-        # block's deviates lead this draw
-        replay = Replay(uniforms, rng.standard_normal(4 * users))
-        values += [run_frame(cfg, k1, k2, params, replay, **mode).throughput
-                   for k1, k2 in keys.tolist()]
-        assert replay.used["random"] == uniforms.size
-    return np.array(values)
+    """Per-frame throughputs of a plain run_frame loop over numpy's three
+    streams of ``seed``, the reference the engine must match bit for bit:
+    all frames' counts from spawn key 0, then each frame's layout from the
+    uniforms of spawn key 1 and its deviates from spawn key 2, frame after
+    frame, which one stand-in stream replays."""
+    keys = _Activation(loads, params, activation).counts(spawn(seed, COUNTS), n_frames)
+    users = int(keys.sum())
+    # a user has two receptions and a reception at most two deviates; a
+    # generator's draws in several calls equal its draws in one, so these
+    # draws lead the row's
+    replay = Replay(spawn(seed, LAYOUTS).random(2 * users),
+                    spawn(seed, DEVIATES).standard_normal(4 * users))
+    values = [run_frame(cfg, k1, k2, params, replay, **mode).throughput
+              for k1, k2 in keys.tolist()]
+    assert replay.used["random"] == (0 if mode.get("worst_case_distances") else 2 * users)
+    return np.concatenate(values)
 
 
 MODES = {"exact_sampled": {}, "exact_mean": {"mean_shadowing": True},
@@ -724,18 +744,24 @@ ACTIVATIONS = {
 }
 
 
+def assert_row_is_frame_loop(cfg, loads, params, n_frames, activation, mode, row=simulate):
+    """The frame loop's values at seed (3, 7), which ``row``, ``simulate``
+    or a stand-in that calls it, reduces to their mean and CI, bit for bit."""
+    values = frame_by_frame(cfg, loads, params, n_frames, (3, 7), activation, mode)
+    result = row(cfg, loads, params, n_frames, seed=(3, 7), activation=activation, **mode)
+    assert result.mean == float(values.mean())
+    assert result.ci_half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(n_frames)
+    return values
+
+
 @pytest.mark.parametrize("mode", MODES.values(), ids=MODES)
 @pytest.mark.parametrize("activation,lambdas", ACTIVATIONS.values(), ids=ACTIVATIONS)
 def test_block_engine_matches_frame_loop(params, candidates, mode, activation, lambdas):
-    # two full blocks and a partial one
-    n_frames = 2 * BLOCK_FRAMES + 3
+    # one chunk, run as one block of frames: one engine pass (physical
+    # modes) or one read of the grid (matched mode)
     loads = LoadDistribution(*lambdas)
     for cfg in candidates.values():
-        values = frame_by_frame(cfg, loads, params, n_frames, (3, 7), activation, mode)
-        result = simulate(cfg, loads, params, n_frames, seed=(3, 7),
-                          activation=activation, **mode)
-        assert result.mean == float(values.mean())
-        assert result.ci_half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(n_frames)
+        values = assert_row_is_frame_loop(cfg, loads, params, 131, activation, mode)
         if activation is not ActivationModel.TRUNCATED_POISSON:
             assert 0.0 in values and values.max() > 0.0
 
@@ -747,64 +773,61 @@ def test_block_engine_matches_frame_loop(params, candidates, mode, activation, l
 ])
 def test_matched_fill_chunks_match_frame_loop(params, candidates, monkeypatch, activation,
                                               lambdas, mode):
-    # simulate draws FILL_FRAMES frames' counts in one call, then runs their
-    # blocks, FILL_USERS users per engine pass (physical modes), or reads
+    # simulate draws FILL_FRAMES frames' counts in one call, then runs them
+    # in engine passes of about FILL_USERS users (physical modes), or reads
     # their values from the grid (matched mode, the ids without a mode);
     # shrunk here, a run crosses a chunk boundary into a partial chunk
-    monkeypatch.setattr(montecarlo, "FILL_FRAMES", 2 * BLOCK_FRAMES)
+    monkeypatch.setattr(montecarlo, "FILL_FRAMES", 100)
     monkeypatch.setattr(montecarlo, "FILL_USERS", 40)
-    n_frames = 2 * BLOCK_FRAMES + 3
     loads = LoadDistribution(*lambdas)
     for cfg in candidates.values():
-        values = frame_by_frame(cfg, loads, params, n_frames, (3, 7), activation, mode)
-        result = simulate(cfg, loads, params, n_frames, seed=(3, 7),
-                          activation=activation, **mode)
-        assert result.mean == float(values.mean())
-        assert result.ci_half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(n_frames)
+        assert_row_is_frame_loop(cfg, loads, params, 131, activation, mode)
 
 
 PHYSICAL = [mode for mode in MODES if mode != "worst_mean"]
-# (activation, lambdas, frames, FILL_USERS, blocks per engine pass, blocks
-# without users per pass) at seed (3, 7). At lambda = 0.001 only block 8
-# draws a user: blocks 0-7 cross no multiple of one user and form a pass
-# without receptions, the rest a pass with empty blocks after block 8.
+# (activation, lambdas, frames, FILL_FRAMES, FILL_USERS, frames of each
+# engine pass, frames without users of each pass) at seed (3, 7); a block is
+# the frames one pass computes, which ``schedule_block`` plans. Full
+# binomial activation puts 60 users in every frame: the first chunk's 240
+# users cross 121 once, the second's 120 never. At lambda = 0.003 only
+# frames 29 and 387 hold a user; with FILL_USERS = 1 each of them starts a
+# pass, and the frames before the first form a pass without receptions.
 PASS_CASES = {
-    "two_blocks_then_one": (ActivationModel.TRUNCATED_POISSON, (6.0, 4.0), 3 * BLOCK_FRAMES,
-                            1500, [2, 1], [0, 0]),  # 607, 1260, 1886 users in all
-    "empty_blocks_in_a_pass": (ActivationModel.BINOMIAL_PER_USER, (0.001, 0.001),
-                               10 * BLOCK_FRAMES + 5, 4096, [11], [10]),
-    "pass_without_receptions": (ActivationModel.BINOMIAL_PER_USER, (0.001, 0.001),
-                                10 * BLOCK_FRAMES + 5, 1, [8, 3], [8, 2]),
+    "two_blocks_then_one": (ActivationModel.BINOMIAL_PER_USER, (30.0, 30.0), 6, 4, 121,
+                            [2, 2, 2], [0, 0, 0]),
+    "empty_frames_in_a_pass": (ActivationModel.BINOMIAL_PER_USER, (0.003, 0.003), 645,
+                               4096, 4096, [645], [643]),
+    "pass_without_receptions": (ActivationModel.BINOMIAL_PER_USER, (0.003, 0.003), 645,
+                                4096, 1, [29, 358, 258], [29, 357, 257]),
 }
 
 
 @pytest.mark.parametrize("mode", PHYSICAL)
 @pytest.mark.parametrize("case", PASS_CASES)
 def test_physical_passes_match_frame_loop(params, candidates, monkeypatch, case, mode):
-    # a physical engine pass runs whole blocks, about FILL_USERS users, each
-    # block drawing from its own stream; the values stay the frame loop's,
-    # bit for bit, wherever the passes are cut and however empty they are
-    activation, lambdas, n_frames, fill_users, blocks, empty = PASS_CASES[case]
+    # a physical engine pass runs about FILL_USERS users' frames of a chunk,
+    # cut after any frame; the values stay the frame loop's, bit for bit,
+    # wherever the passes are cut and however empty they are
+    activation, lambdas, n_frames, fill_frames, fill_users, frames, empty = PASS_CASES[case]
+    monkeypatch.setattr(montecarlo, "FILL_FRAMES", fill_frames)
     monkeypatch.setattr(montecarlo, "FILL_USERS", fill_users)
     receptions, passes = montecarlo._receptions, []
 
-    def spy(cfg, counts, streams, *args):  # each pass's users, stream by stream
-        bounds = np.cumsum([0, *(frames for _, frames in streams)])
-        passes.append([int(counts[a:b].sum()) for a, b in zip(bounds[:-1], bounds[1:])])
-        return receptions(cfg, counts, streams, *args)
+    def spy(cfg, counts, *args):  # each pass's users, frame by frame
+        passes.append(counts.sum(axis=1).tolist())
+        return receptions(cfg, counts, *args)
+
+    def spied(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_receptions", spy)
+            return simulate(*args, **kwargs)
 
     loads = LoadDistribution(*lambdas)
     for cfg in candidates.values():
-        values = frame_by_frame(cfg, loads, params, n_frames, (3, 7), activation, MODES[mode])
         passes.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_receptions", spy)
-            result = simulate(cfg, loads, params, n_frames, seed=(3, 7),
-                              activation=activation, **MODES[mode])
-        assert [len(users) for users in passes] == blocks
+        assert_row_is_frame_loop(cfg, loads, params, n_frames, activation, MODES[mode], spied)
+        assert [len(users) for users in passes] == frames
         assert [users.count(0) for users in passes] == empty
-        assert result.mean == float(values.mean())
-        assert result.ci_half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(n_frames)
 
 
 def traced_peak(cfg, loads, params, n_frames, **mode):
@@ -845,23 +868,22 @@ def test_matched_row_memory_grows_by_one_float_per_frame(params, candidates):
             <= 8 * (long - short) + 4096)
 
 
-def pass_streams(params, seed, blocks, lambdas=(12.0, 4.0)):
-    """The counts and streams of one engine pass of ``blocks`` whole blocks,
-    each block's counts drawn from its own stream first, as ``simulate``
-    draws them."""
-    streams = [(rng, BLOCK_FRAMES) for rng in frame_rngs(seed, range(blocks))]
+def pass_streams(params, seed, frames, lambdas=(12.0, 4.0)):
+    """The counts of one engine pass of ``frames`` frames and its layout
+    and deviate streams, drawn as ``simulate`` draws them."""
     law = _Activation(LoadDistribution(*lambdas), params, ActivationModel.TRUNCATED_POISSON)
-    return law.counts(streams), streams
+    counts = law.counts(_stream(seed, COUNTS), frames)
+    return counts, _stream(seed, LAYOUTS), _stream(seed, DEVIATES)
 
 
 def traced_pass(cfg, params, seed, mode):
-    """(users, traced memory peak [B]) of one engine pass of 4 blocks at
+    """(users, traced memory peak [B]) of one engine pass of 256 frames at
     lambda = (12, 4), about 4,100 users."""
-    counts, streams = pass_streams(params, seed, 4)
+    counts, layouts, deviates = pass_streams(params, seed, 256)
     tracemalloc.start()
     try:
-        _receptions(cfg, counts, streams, params, mode.get("worst_case_distances", False),
-                    mode.get("mean_shadowing", False))
+        _receptions(cfg, counts, params, None if mode.get("worst_case_distances") else layouts,
+                    None if mode.get("mean_shadowing") else deviates)
         return int(counts.sum()), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -902,10 +924,11 @@ def test_pass_keeps_the_bits_of_rate_throughput_and_signal(params, mode):
     # one transmit term per row, and the frame sums by adding slot rows in
     # place: each must keep the bits of the plain formula
     for cfg in all_configurations().values():
-        counts, streams = pass_streams(params, (21, cfg.r, cfg.t1, cfg.t2), 2, (6.0, 4.0))
-        frame = _receptions(cfg, counts, streams, params,
-                            MODES[mode].get("worst_case_distances", False),
-                            MODES[mode].get("mean_shadowing", False))
+        counts, layouts, deviates = pass_streams(params, (21, cfg.r, cfg.t1, cfg.t2), 128,
+                                                 (6.0, 4.0))
+        frame = _receptions(cfg, counts, params,
+                            None if MODES[mode].get("worst_case_distances") else layouts,
+                            None if MODES[mode].get("mean_shadowing") else deviates)
         assert np.array_equal(frame.rate, np.log2(
             1.0 + frame.signal / (frame.interference + params.noise_power)))
         slot_counts = schedule_block(cfg, counts[:, 0], counts[:, 1]).slot_counts
