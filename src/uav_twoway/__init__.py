@@ -20,8 +20,8 @@ from .sinr import (Configuration, all_configurations, candidate_configurations,
                    sinr_dl_diff, sinr_dl_same, sinr_ul_diff, sinr_ul_same,
                    snr_individual)
 from .throughput import (ConditionalTable, LoadDistribution, ThroughputBreakdown,
-                         average_throughput, conditional_table, optimal_configuration,
-                         skellam_vector)
+                         average_throughput, conditional_table, conditional_tables,
+                         optimal_configuration, skellam_vector)
 
 __version__ = "0.1.0"
 

@@ -22,7 +22,7 @@ from .errors import ConfigError, NonPositiveRateError
 from .pairing import AccountingMode
 from .params import SystemParams, load_params
 from .sinr import all_configurations, candidate_configurations
-from .throughput import (LoadDistribution, average_throughput, check_rate, conditional_table,
+from .throughput import (LoadDistribution, average_throughput, check_rate, conditional_tables,
                          optimal_configuration, pick_optimal)
 
 EXIT_OK = 0
@@ -137,14 +137,14 @@ def _accounting(args) -> AccountingMode:
 @dataclass(frozen=True)
 class SweepSpec:
     """One grid run: parameters, load ranges, configuration set with the
-    conditional tables it needs, and mode flags."""
+    conditional tables and constant CSV cells it needs, and mode flags."""
 
     params: SystemParams
     lambda1_values: tuple
     lambda2_values: tuple
     selections: tuple            # (label, Configuration-or-None) pairs
     tables: dict                 # label -> ConditionalTable, optimal's candidates included
-    accounting: AccountingMode
+    cells: dict                  # Configuration -> its CSV cells r .. accounting_mode
     frames: int
     seed: int
     activation: str              # poisson | binomial | model | exhaustive
@@ -188,9 +188,11 @@ class SweepSpec:
             lambda1_values=lambda1_values,
             lambda2_values=lambda2_values,
             selections=selections,
-            tables={label: conditional_table(cfg, params, accounting)
-                    for label, cfg in configs.items()},
-            accounting=accounting,
+            tables=conditional_tables(configs, params, accounting),
+            cells={cfg: {"r": cfg.r, "h1": ALTITUDE_SYMBOLS[cfg.t1],
+                         "h2": ALTITUDE_SYMBOLS[cfg.t2], "h1_m": repr(params.altitude(cfg.t1)),
+                         "h2_m": repr(params.altitude(cfg.t2)), "accounting_mode": accounting.value}
+                   for cfg in configs.values()},
             frames=args.frames,
             seed=args.seed,
             activation=args.activation,
@@ -215,9 +217,11 @@ def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
     worker processes can run it.
 
     The Skellam vector is computed once for the point, and every table's
-    average once, the optimum reusing the candidates'."""
+    average once, the optimum reusing the candidates'; the load cells are
+    formatted once for the point, a configuration's cells once per run."""
     point_index, lambda1, lambda2 = point
-    params, accounting, activation = spec.params, spec.accounting, spec.activation
+    params, activation = spec.params, spec.activation
+    load_cells = {"lambda1": repr(float(lambda1)), "lambda2": repr(float(lambda2))}
     loads = LoadDistribution(lambda1, lambda2)
     breakdowns = {label: average_throughput(table, loads) for label, table in spec.tables.items()}
     exhaustive, simulated = activation == "exhaustive", spec.simulated
@@ -232,15 +236,9 @@ def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
         else:
             breakdown = breakdowns[label]
         row = {
-            "lambda1": repr(float(lambda1)),
-            "lambda2": repr(float(lambda2)),
+            **load_cells,
             "configuration": label,
-            "r": cfg.r,
-            "h1": ALTITUDE_SYMBOLS[cfg.t1],
-            "h2": ALTITUDE_SYMBOLS[cfg.t2],
-            "h1_m": repr(params.altitude(cfg.t1)),
-            "h2_m": repr(params.altitude(cfg.t2)),
-            "accounting_mode": accounting.value,
+            **spec.cells[cfg],
             "throughput_bpshz": repr(breakdown.total),
             "mc_mean": "", "mc_ci_low": "", "mc_ci_high": "",
             "n_frames": 0,
@@ -365,8 +363,8 @@ def cmd_eval(args) -> int:
     else:
         configs = candidate_configurations()
 
-    breakdowns = {label: average_throughput(conditional_table(cfg, params, accounting), loads)
-                  for label, cfg in {**configs, **candidate_configurations()}.items()}
+    tables = conditional_tables({**configs, **candidate_configurations()}, params, accounting)
+    breakdowns = {label: average_throughput(table, loads) for label, table in tables.items()}
     best = pick_optimal(breakdowns)
 
     print(f"lambda1={args.lambda1!r} lambda2={args.lambda2!r} "

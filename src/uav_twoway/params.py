@@ -105,15 +105,16 @@ def split_weight_grid(n: int) -> tuple[float, ...]:
     a row-major (N + 1)^2 grid: cell (K1, K2) at K1 * (N + 1) + K2, 0 off
     [1, N]^2, so a k's weights lie at stride N + 2 along its diagonal. Each
     is an exact integer product over the products' exact integer sum, both
-    rounded to floats before the division."""
+    rounded to floats before the division. The grid is its own transpose:
+    each k >= 0 diagonal is computed once and written to the -k one too."""
     row = [math.comb(n, j) for j in range(n + 1)]
     grid = [0.0] * (n + 1) ** 2
-    for k in range(1 - n, n):  # |k| = N has no admissible split
-        splits = admissible_k2(k, n)
-        products = [row[big_k2 + k] * row[big_k2] for big_k2 in splits]
+    for k in range(n):  # |k| = N has no admissible split
+        products = [row[big_k2 + k] * row[big_k2] for big_k2 in admissible_k2(k, n)]
         total = float(sum(products))
-        first = (splits.start + k) * (n + 1) + splits.start  # cell (K2 + k, K2)
-        grid[first:first + len(products) * (n + 2):n + 2] = [p / total for p in products]
+        weights = [p / total for p in products]
+        for first in ((k + 1) * (n + 1) + 1, n + 2 + k):  # cells (1 + k, 1) and (1, 1 + k)
+            grid[first:first + len(weights) * (n + 2):n + 2] = weights
     return tuple(grid)
 
 

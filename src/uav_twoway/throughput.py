@@ -8,7 +8,11 @@ both counts in [1, N] are averaged with weights C(N, K2+k)*C(N, K2)
 conditional per-slot throughput. Only the cross-cell pair count depends on
 K2, so a k's values come from one ``pair_counts`` call. The weights depend
 on N alone: ``SystemParams.split_weights`` builds them once per parameter
-set, and every table built from it reads them.
+set, each k < 0 diagonal the transpose of the -k one, and every table built
+from it reads them. Swapping the cells maps (r, t1, t2) to its mirror
+(r, t2, t1) and k to -k, bit for bit, so a table is its own k >= 0 half
+followed by its mirror's k > 0 entries, reversed: ``conditional_tables``
+builds each half once for all the tables of a call.
 
 The average therefore factors into a load-only vector P(lambda)[k]
 (``skellam_vector``) and a configuration-only vector C(cfg)[k]
@@ -173,10 +177,9 @@ class ConditionalTable:
     values: tuple[float, ...]
 
 
-def conditional_table(cfg: Configuration, params: SystemParams,
-                      mode: AccountingMode = AccountingMode.CONSISTENT) -> ConditionalTable:
-    """Build C(cfg) from the closed-form conditional throughput under
-    accounting ``mode``: one ``pair_counts`` call and one pass over the
+def _half_table(cfg: Configuration, params: SystemParams, mode: AccountingMode) -> list[float]:
+    """C(cfg)[k] for k = 0..N from the closed-form conditional throughput
+    under accounting ``mode``: one ``pair_counts`` call and one pass over the
     splits per k. A k's frames (K2 + k, K2), one per admissible K2, are
     weighted with ``params.split_weights`` read at stride N + 2 from the
     first split's cell (``map`` stops with the splits). Each entry is an
@@ -185,13 +188,29 @@ def conditional_table(cfg: Configuration, params: SystemParams,
     n, weights, rates = params.n_users, params.split_weights, rate_set(cfg, params)
 
     def entry(k: int) -> float:
-        splits = admissible_k2(k, n)
-        first = (splits.start + k) * (n + 1) + splits.start  # cell (K2 + k, K2)
+        first = (k + 1) * (n + 1) + 1  # cell (1 + k, 1): K2 = 1 is the first split
         return math.fsum(map(operator.mul, weights[first::n + 2],
-                             _frame_throughputs(k, splits, cfg, mode, rates)))
+                             _frame_throughputs(k, admissible_k2(k, n), cfg, mode, rates)))
 
-    return ConditionalTable(config=cfg,
-                            values=tuple(entry(k) for k in (*range(n + 1), *range(-n, 0))))
+    return [entry(k) for k in range(n + 1)]
+
+
+def conditional_tables(configs: dict[str, Configuration], params: SystemParams,
+                       mode: AccountingMode = AccountingMode.CONSISTENT
+                       ) -> dict[str, ConditionalTable]:
+    """C(cfg) under accounting ``mode`` for each label -> configuration of
+    ``configs``, from one k >= 0 half per configuration or mirror (r, t2, t1):
+    C(r, t2, t1)[k] == C(r, t1, t2)[-k]."""
+    mirrors = {cfg: Configuration(cfg.r, cfg.t2, cfg.t1) for cfg in configs.values()}
+    halves = {cfg: _half_table(cfg, params, mode) for cfg in {*mirrors, *mirrors.values()}}
+    return {label: ConditionalTable(cfg, tuple(halves[cfg] + halves[mirrors[cfg]][:0:-1]))
+            for label, cfg in configs.items()}
+
+
+def conditional_table(cfg: Configuration, params: SystemParams,
+                      mode: AccountingMode = AccountingMode.CONSISTENT) -> ConditionalTable:
+    """C(cfg) alone: ``conditional_tables`` of one configuration."""
+    return conditional_tables({cfg.label: cfg}, params, mode)[cfg.label]
 
 
 def average_throughput(table: ConditionalTable, loads: LoadDistribution) -> ThroughputBreakdown:
@@ -230,6 +249,6 @@ def optimal_configuration(loads: LoadDistribution, params: SystemParams,
 
     Ties prefer the same-direction low/low configuration, then low/high.
     """
-    best = pick_optimal({label: average_throughput(conditional_table(cfg, params, mode), loads)
-                         for label, cfg in candidate_configurations().items()})
+    tables = conditional_tables(candidate_configurations(), params, mode)
+    best = pick_optimal({label: average_throughput(t, loads) for label, t in tables.items()})
     return best.config, best

@@ -22,6 +22,11 @@ from uav_twoway.throughput import LoadDistribution, average_throughput, conditio
 
 from test_throughput import frame_throughput
 
+# the simulator's distance and shadowing modes, as keyword arguments
+MODES = {"exact_sampled": {}, "exact_mean": {"mean_shadowing": True},
+         "worst_sampled": {"worst_case_distances": True},
+         "worst_mean": {"worst_case_distances": True, "mean_shadowing": True}}
+
 
 def spawn(seed, key):
     """numpy's own stream of entropy ``seed`` and spawn key ``(key,)``."""
@@ -300,8 +305,6 @@ FROZEN_FRAMES = {
                    ("r0_Hh_Hh", 5, 12, 2): 2.9946999363675264,
                    ("r1_Hh_Hl", 3, 11, 3): 41.3236553603676},
 }
-MODES = {"exact_sampled": {}, "exact_mean": {"mean_shadowing": True},
-         "worst_mean": {"worst_case_distances": True, "mean_shadowing": True}}
 
 
 def test_seeded_streams_match_frozen_values(params):
@@ -342,11 +345,10 @@ def test_physical_rows_match_frozen_means(params, monkeypatch):
         return receptions(*args)
 
     monkeypatch.setattr(montecarlo, "_receptions", spy)
-    modes = {**MODES, "worst_sampled": {"worst_case_distances": True}}
     for (label, lambda1, lambda2, seed, mode), expected in FROZEN_ROWS.items():
         passes.clear()
         result = simulate(configs[label], LoadDistribution(lambda1, lambda2), params, 1000,
-                          seed=seed, **modes[mode])
+                          seed=seed, **MODES[mode])
         assert_allclose(result.mean, expected, rtol=1e-13)
         assert len(passes) >= 3
 
@@ -429,7 +431,7 @@ def test_row_streams_reject_a_negative_seed_word(params, candidates):
 
 frames = st.tuples(st.sampled_from(list(all_configurations().values())),
                    st.integers(0, 30), st.integers(0, 30), st.integers(0, 2 ** 32 - 1),
-                   st.sampled_from(list(MODES.values()) + [{"worst_case_distances": True}]))
+                   st.sampled_from(list(MODES.values())))
 
 
 def draw_frame(args, params):
@@ -734,9 +736,6 @@ def frame_by_frame(cfg, loads, params, n_frames, seed, activation, mode):
     return np.concatenate(values)
 
 
-MODES = {"exact_sampled": {}, "exact_mean": {"mean_shadowing": True},
-         "worst_sampled": {"worst_case_distances": True},
-         "worst_mean": {"worst_case_distances": True, "mean_shadowing": True}}
 ACTIVATIONS = {
     "poisson": (ActivationModel.TRUNCATED_POISSON, (6.0, 4.0)),
     "binomial": (ActivationModel.BINOMIAL_PER_USER, (0.05, 0.3)),  # mostly empty frames

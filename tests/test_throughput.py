@@ -6,14 +6,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from uav_twoway import default_config, validate_and_derive
+from uav_twoway import default_config, throughput, validate_and_derive
 from uav_twoway.errors import NonPositiveRateError
 from uav_twoway.montecarlo import MatchedGrid
 from uav_twoway.pairing import AccountingMode, pair_counts
+from uav_twoway.params import split_weight_grid
 from uav_twoway.rates import rate_set
-from uav_twoway.sinr import Configuration, all_configurations
+from uav_twoway.sinr import Configuration, all_configurations, candidate_configurations
 from uav_twoway.throughput import (LoadDistribution, _frame_throughputs, admissible_k2,
-                                   average_throughput, conditional_table,
+                                   average_throughput, conditional_table, conditional_tables,
                                    optimal_configuration, skellam_vector)
 
 SKELLAM_0_1_1 = 0.30850832255367105  # frozen from the convolution oracle below
@@ -190,6 +191,13 @@ def test_split_weights_are_the_reference_weights(n):
     assert list(grid) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 30, 200])
+def test_split_weight_grid_is_its_own_transpose(n):
+    grid = split_weight_grid(n)
+    assert all(grid[k1 * (n + 1) + k2] == grid[k2 * (n + 1) + k1]
+               for k1 in range(n + 1) for k2 in range(n + 1))
+
+
 def frame_throughput(k, big_k2, cfg, rates, mode=AccountingMode.CONSISTENT):
     """Reference per-slot throughput of the frame with loads (K2 + k, K2),
     transcribed from its pair counts and the configuration's ``rate_set``;
@@ -218,23 +226,55 @@ def per_split_table(cfg, params, mode):
     return tuple(values)
 
 
-@pytest.mark.parametrize("n", [1, 2, 30])
-def test_conditional_table_equals_per_split_reference(n):
+def params_with_users(n):
     config = default_config()
     config["n_users"] = n
-    params = validate_and_derive(config)
+    return validate_and_derive(config)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 30])
+def test_conditional_table_equals_per_split_reference(n):
+    params = params_with_users(n)
     for cfg in all_configurations().values():
         for mode in AccountingMode:
             assert conditional_table(cfg, params, mode).values == per_split_table(cfg, params, mode)
 
 
 def test_conditional_table_equals_per_split_reference_at_200_users():
-    config = default_config()
-    config["n_users"] = 200
-    params = validate_and_derive(config)
-    cfg = Configuration(1, 0, 1)
-    assert (conditional_table(cfg, params, AccountingMode.PAPER_LITERAL).values
-            == per_split_table(cfg, params, AccountingMode.PAPER_LITERAL))
+    params = params_with_users(200)
+    for cfg in (Configuration(1, 0, 1), Configuration(1, 1, 0)):
+        for mode in AccountingMode:
+            assert conditional_table(cfg, params, mode).values == per_split_table(cfg, params, mode)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 30])
+def test_mirror_table_is_the_table_at_minus_k(n):
+    # C(r, t2, t1)[k] == C(r, t1, t2)[-k], read through the public one-table call
+    params = params_with_users(n)
+    for cfg in all_configurations().values():
+        mirror = Configuration(cfg.r, cfg.t2, cfg.t1)
+        for mode in AccountingMode:
+            values = conditional_table(cfg, params, mode).values
+            mirrored = conditional_table(mirror, params, mode).values
+            assert all(mirrored[k] == values[-k] for k in range(-n, n + 1))
+
+
+@pytest.mark.parametrize("configs,halves", [(all_configurations(), 8),
+                                            (candidate_configurations(), 3)],
+                         ids=["all", "candidates"])
+def test_tables_share_mirror_halves(params, monkeypatch, configs, halves):
+    built, half_table = [], throughput._half_table
+
+    def spy(cfg, *args):
+        built.append(cfg)
+        return half_table(cfg, *args)
+
+    monkeypatch.setattr(throughput, "_half_table", spy)
+    tables = conditional_tables(configs, params)
+    assert len(built) == len(set(built)) == halves
+    assert {label: table.config for label, table in tables.items()} == configs
+    for label, cfg in configs.items():
+        assert tables[label].values == conditional_table(cfg, params).values
 
 
 def test_average_matches_brute_force_small_n(candidates):

@@ -54,11 +54,13 @@ def console_script(out: Path):
 
 
 def closed_form_200(out: Path):
-    """The closed form at n_users=200 in bounded time."""
+    """eval, optimize and an exhaustive sweep at n_users=200, each within 30 s."""
     run(["uav-twoway", "eval", "--lambda1", "60", "--lambda2", "40", "--exhaustive",
          "--set", "n_users=200"], timeout=30)
     run(["uav-twoway", "optimize", "--lambda1", "60", "--lambda2", "40",
          "--set", "n_users=200"], timeout=30)
+    run(["uav-twoway", "sweep", "--lambda1", "6", "--lambda2", "4",
+         "--configurations", "exhaustive,optimal", "--set", "n_users=200"], timeout=30)
 
 
 def peak_mb(frames: int, out: Path, *flags: str) -> float:
