@@ -1,11 +1,13 @@
 import math
+from dataclasses import astuple
 
+import pytest
 from numpy.testing import assert_allclose
 
 from uav_twoway import default_config, validate_and_derive
 from uav_twoway.rates import (rate_cochannel_diff, rate_cochannel_same,
                               rate_individual, rate_set)
-from uav_twoway.sinr import Configuration, snr_individual
+from uav_twoway.sinr import Configuration, all_configurations, snr_individual
 
 # frozen from a standalone transcription of the sum-rate expressions
 R_DIFF_LOW_HIGH_R1 = 82.6473107207352
@@ -96,3 +98,44 @@ def test_all_rates_nonnegative_finite(params):
                       rate_cochannel_same(cfg, params),
                       rate_individual(params.altitude(cfg.t1), params)):
             assert value >= 0 and math.isfinite(value)
+
+
+# Each configuration's (r_cochannel_diff, r_cochannel_same, UAV1's individual
+# rate), frozen bit for bit; UAV2's individual rate is its mirror's third value.
+FOUND_56 = {"p_u_dbm": 45.0, "p_g_dbm": 0.0, "noise_dbm": -130.0, "d_0_m": 20.0,
+            "d_sep_m": 100.0, "phi_b_rad": 1.3, "n_nlos": 5.0, "mu_nlos_db": 40.0,
+            "h_0_m": 10.0}
+FROZEN_RATE_SETS = {
+    "defaults": {
+        "r0_Hl_Hl": (103.00760523333344, 1.2877123744376782, 51.50380261666672),
+        "r0_Hl_Hh": (50.15770587451853, 2.9494255487829455, 51.50380261666672),
+        "r0_Hh_Hl": (50.15770587451853, 2.9494255487829455, 43.60290045043636),
+        "r0_Hh_Hh": (1.2877123005223887, 1.2877123005223887, 43.60290045043636),
+        "r1_Hl_Hl": (90.54818426030886, 90.54818426030886, 51.50380261666672),
+        "r1_Hl_Hh": (82.6473107207352, 82.6473107207352, 51.50380261666672),
+        "r1_Hh_Hl": (82.6473107207352, 82.6473107207352, 43.60290045043636),
+        "r1_Hh_Hh": (74.74643718116155, 74.74643718116155, 43.60290045043636),
+    },
+    "found_56": {
+        "r0_Hl_Hl": (106.55534038923685, 0.39882694485895487, 53.27767019461842),
+        "r0_Hl_Hh": (51.58899697567323, 0.6313468751531364, 53.27767019461842),
+        "r0_Hh_Hl": (51.58899697567323, 0.6313468751531364, 48.88170043641585),
+        "r0_Hh_Hh": (0.39882688008974543, 0.39882688008974543, 48.88170043641585),
+        "r1_Hl_Hl": (106.20033083831689, 106.20033083831689, 53.27767019461842),
+        "r1_Hl_Hh": (101.80436108016173, 101.80436108016173, 53.27767019461842),
+        "r1_Hh_Hl": (101.80436108016173, 101.80436108016173, 48.88170043641585),
+        "r1_Hh_Hh": (97.40839132200657, 97.40839132200657, 48.88170043641585),
+    },
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_RATE_SETS)
+def test_rate_sets_keep_their_bits(name):
+    config = default_config()
+    if name == "found_56":
+        config.update(FOUND_56)
+    params = validate_and_derive(config)
+    for label, cfg in all_configurations().items():
+        assert astuple(rate_set(cfg, params))[:3] == FROZEN_RATE_SETS[name][label]
+        mirror = FROZEN_RATE_SETS[name][f"r{cfg.r}_{label[6:]}_{label[3:5]}"]  # tags swapped
+        assert rate_individual(params.altitude(cfg.t2), params) == mirror[2]
