@@ -14,11 +14,9 @@ from .errors import (ConfigError, GuardViolationError, MissingKeyError,
 from .pairing import AccountingMode, PairCounts, Schedule, pair_counts
 from .params import (SystemParams, default_config, load_params,
                      validate_and_derive)
-from .rates import (RateSet, rate_cochannel_diff, rate_cochannel_same,
-                    rate_individual, rate_set)
+from .rates import RateSet, rate_individual, rate_set
 from .sinr import (Configuration, all_configurations, candidate_configurations,
-                   sinr_dl_diff, sinr_dl_same, sinr_ul_diff, sinr_ul_same,
-                   snr_individual)
+                   link_sinr, snr_individual)
 from .throughput import (ConditionalTable, LoadDistribution, ThroughputBreakdown,
                          average_throughput, conditional_table, conditional_tables,
                          optimal_configuration, skellam_vector)

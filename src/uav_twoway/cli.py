@@ -202,10 +202,6 @@ class SweepSpec:
         )
 
 
-def _float_cell(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
     """All CSV rows for one grid point ``(index, lambda1, lambda2)``. A
     matched Monte Carlo row, and every exhaustive one, reads the
@@ -259,9 +255,9 @@ def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
                     mean_shadowing=spec.mean_shadowing, grid=grids.get(cfg))
                 mc_mean, half_width, used_frames = (
                     result.mean, result.ci_half_width, spec.frames)
-            row.update(mc_mean=_float_cell(mc_mean),
-                       mc_ci_low=_float_cell(mc_mean - half_width),
-                       mc_ci_high=_float_cell(mc_mean + half_width),
+            row.update(mc_mean=repr(float(mc_mean)),
+                       mc_ci_low=repr(float(mc_mean - half_width)),
+                       mc_ci_high=repr(float(mc_mean + half_width)),
                        n_frames=used_frames)
             row["_deviation"] = _deviation_flag(
                 breakdown.total, mc_mean, half_width, spec.worst_case_distances,

@@ -11,52 +11,37 @@ import math
 from dataclasses import dataclass
 
 from .params import SystemParams
-from .sinr import (Configuration, sinr_dl_diff, sinr_dl_same, sinr_ul_diff,
-                   sinr_ul_same, snr_individual)
+from .sinr import Configuration, link_sinr, snr_individual
 
 
 @dataclass(frozen=True)
 class RateSet:
-    """The sum-rates entering the throughput average for one configuration."""
+    """The sum-rates entering the throughput average for one configuration.
+    UAV2's individual rate is ``r_individual`` of the mirror configuration."""
 
     r_cochannel_diff: float   # cross-cell pair, two links
     r_cochannel_same: float   # same-cell pair, two links
-    r_individual_1: float     # single user under UAV1's altitude
-    r_individual_2: float     # single user under UAV2's altitude
+    r_individual: float       # single user under UAV1's altitude
 
 
-def _shannon(sinr: float) -> float:
-    return math.log2(1.0 + sinr)
-
-
-def rate_cochannel_diff(cfg: Configuration, params: SystemParams) -> float:
-    """Sum-rate of two co-channel links serving users in different cells.
-
-    Per-link sums are grouped before the final add so that mirrored
-    configurations produce bitwise-identical totals.
-    """
-    link1 = _shannon(sinr_dl_diff(cfg, params, 1)) + _shannon(sinr_ul_diff(cfg, params, 1))
-    link2 = _shannon(sinr_dl_diff(cfg, params, 2)) + _shannon(sinr_ul_diff(cfg, params, 2))
-    return link1 + link2
-
-
-def rate_cochannel_same(cfg: Configuration, params: SystemParams) -> float:
-    """Sum-rate of two co-channel links jointly serving one cell."""
-    link1 = _shannon(sinr_dl_same(cfg, params, 1)) + _shannon(sinr_ul_same(cfg, params, 1))
-    link2 = _shannon(sinr_dl_same(cfg, params, 2)) + _shannon(sinr_ul_same(cfg, params, 2))
-    return link1 + link2
+def _two_way(sinrs: tuple[float, float]) -> float:
+    """Sum-rate of one link's (downlink, uplink) slots: their Shannon rates."""
+    downlink, uplink = sinrs
+    return math.log2(1.0 + downlink) + math.log2(1.0 + uplink)
 
 
 def rate_individual(h: float, params: SystemParams) -> float:
     """Two-way sum-rate of an interference-free individually served user."""
-    snr_dl, snr_ul = snr_individual(h, params)
-    return _shannon(snr_dl) + _shannon(snr_ul)
+    return _two_way(snr_individual(h, params))
 
 
 def rate_set(cfg: Configuration, params: SystemParams) -> RateSet:
-    return RateSet(
-        r_cochannel_diff=rate_cochannel_diff(cfg, params),
-        r_cochannel_same=rate_cochannel_same(cfg, params),
-        r_individual_1=rate_individual(params.altitude(cfg.t1), params),
-        r_individual_2=rate_individual(params.altitude(cfg.t2), params),
-    )
+    """A co-channel pair's sum-rate adds UAV1's link and the mirror's UAV1
+    link, each link's two slots summed first, so that mirrored
+    configurations give bitwise-identical totals."""
+    def pair(same_cell: bool) -> float:
+        return (_two_way(link_sinr(cfg, params, same_cell))
+                + _two_way(link_sinr(cfg.mirror, params, same_cell)))
+
+    return RateSet(r_cochannel_diff=pair(False), r_cochannel_same=pair(True),
+                   r_individual=rate_individual(params.altitude(cfg.t1), params))

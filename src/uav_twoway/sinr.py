@@ -36,6 +36,12 @@ class Configuration:
                 raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
     @property
+    def mirror(self) -> Configuration:
+        """The same configuration seen from the other cell: the UAVs'
+        altitudes swap, and UAV2's link becomes UAV1's."""
+        return Configuration(self.r, self.t2, self.t1)
+
+    @property
     def label(self) -> str:
         low_high = ("Hl", "Hh")
         return f"r{self.r}_{low_high[self.t1]}_{low_high[self.t2]}"
@@ -53,69 +59,31 @@ def all_configurations() -> dict[str, Configuration]:
     return {cfg.label: cfg for cfg in configs}
 
 
-def _serving_and_other(cfg: Configuration, link: int) -> tuple[int, int]:
-    """Altitude levels of the serving UAV and of the other UAV."""
-    if link == 1:
-        return cfg.t1, cfg.t2
-    if link == 2:
-        return cfg.t2, cfg.t1
-    raise ValueError(f"link must be 1 or 2, got {link!r}")
+def link_sinr(cfg: Configuration, params: SystemParams, same_cell: bool) -> tuple[float, float]:
+    """(downlink, uplink) SINR bounds of UAV1's link; UAV2's are those of
+    ``cfg.mirror``.
 
-
-def sinr_dl_diff(cfg: Configuration, params: SystemParams, link: int = 1) -> float:
-    """Downlink SINR bound when the co-channel users sit in different cells.
-
-    With r=1 the interference is ground-to-ground at d_min; with r=0 the
-    other UAV interferes only if it is high enough for its lobe to cover
-    the receiver's cell.
+    ``same_cell`` says whether the co-channel partner's user shares UAV1's
+    cell. The downlink receiver hears the partner's ground user at d_min
+    when r=1, and the partner UAV when r=0, if its lobe reaches the
+    receiver: always in the same cell, only when it is high (t2) in the
+    other. The uplink receiver hears the co-channel user only when r=0 and
+    that user is inside its cone: always in the same cell, only when UAV1
+    is high (t1) in the other, since a low UAV's cone excludes the other
+    cell.
     """
-    t_serve, t_other = _serving_and_other(cfg, link)
-    h_serve, h_other = params.altitude(t_serve), params.altitude(t_other)
-    signal = channel.rx_power_uav_to_ground(h_serve / math.cos(params.phi_b), params)
-    denom = (cfg.r * channel.rx_power_ground_to_ground(params.d_min, params)
-             + t_other * (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params)
-             + params.noise_power)
-    return signal / denom
-
-
-def sinr_ul_diff(cfg: Configuration, params: SystemParams, link: int = 1) -> float:
-    """Uplink SINR bound, different-cell scenario.
-
-    The other cell's simultaneous uplink (r=0) is heard only when the
-    receiving UAV is high; a low UAV's receive cone excludes the other cell.
-    """
-    t_serve, _ = _serving_and_other(cfg, link)
-    h_serve = params.altitude(t_serve)
-    signal = channel.rx_power_ground_to_uav(h_serve / math.cos(params.phi_b), params)
-    denom = (t_serve * (1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params)
-             + params.noise_power)
-    return signal / denom
-
-
-def sinr_dl_same(cfg: Configuration, params: SystemParams, link: int = 1) -> float:
-    """Downlink SINR bound when both co-channel users share one cell.
-
-    The partner UAV serves the same cell, so with r=0 its downlink always
-    interferes regardless of the altitude indicator.
-    """
-    t_serve, t_other = _serving_and_other(cfg, link)
-    h_serve, h_other = params.altitude(t_serve), params.altitude(t_other)
-    signal = channel.rx_power_uav_to_ground(h_serve / math.cos(params.phi_b), params)
-    denom = (cfg.r * channel.rx_power_ground_to_ground(params.d_min, params)
-             + (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params)
-             + params.noise_power)
-    return signal / denom
-
-
-def sinr_ul_same(cfg: Configuration, params: SystemParams, link: int = 1) -> float:
-    """Uplink SINR bound, same-cell scenario: the co-channel user is always
-    inside the receiving UAV's cone, so only r=1 silences it."""
-    t_serve, _ = _serving_and_other(cfg, link)
-    h_serve = params.altitude(t_serve)
-    signal = channel.rx_power_ground_to_uav(h_serve / math.cos(params.phi_b), params)
-    denom = ((1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params)
-             + params.noise_power)
-    return signal / denom
+    reach_dl = 1 if same_cell else cfg.t2  # the partner UAV's lobe
+    reach_ul = 1 if same_cell else cfg.t1  # UAV1's own cone
+    h_serve, h_other = params.altitude(cfg.t1), params.altitude(cfg.t2)
+    edge = h_serve / math.cos(params.phi_b)
+    downlink = channel.rx_power_uav_to_ground(edge, params) / (
+        cfg.r * channel.rx_power_ground_to_ground(params.d_min, params)
+        + reach_dl * (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params)
+        + params.noise_power)
+    uplink = channel.rx_power_ground_to_uav(edge, params) / (
+        reach_ul * (1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params)
+        + params.noise_power)
+    return downlink, uplink
 
 
 def snr_individual(h: float, params: SystemParams) -> tuple[float, float]:

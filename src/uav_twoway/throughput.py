@@ -151,20 +151,18 @@ def skellam_vector(n: int, lambda1: float, lambda2: float) -> list[float]:
 def _frame_throughputs(k: int, splits: range, cfg: Configuration, mode: AccountingMode,
                        rates: RateSet) -> list[float]:
     """Per-slot throughput [bits/s/Hz] of the frames with loads (K2 + k, K2),
-    one per K2 of ``splits`` (no empty frame among them).
+    k >= 0, one per K2 of ``splits`` (no empty frame among them).
 
-    a_s and b depend on k alone and a_d = K2 + min(k, 0), so one
-    ``pair_counts`` call serves all the splits. The individual rate applies
-    the altitude of the surplus cell's own UAV, which is the one that serves
-    leftover users in the final step.
+    a_s and b depend on k alone and a_d = K2, so one ``pair_counts`` call
+    serves all the splits. Leftover users are in cell 1, whose own UAV
+    serves them in the final step: they get UAV1's individual rate.
     """
     counts = pair_counts(k, splits.start, cfg.t1, cfg.t2, mode)
-    shift, others = min(k, 0), counts.a_s + counts.b
+    others = counts.a_s + counts.b
     same = counts.a_s * rates.r_cochannel_same
-    alone = counts.b * (rates.r_individual_1 if k > 0 else rates.r_individual_2)
+    alone = counts.b * rates.r_individual
     r_d = rates.r_cochannel_diff
-    return [(a_d * r_d + same + alone) / (2 * (a_d + others))
-            for a_d in range(splits.start + shift, splits.stop + shift)]
+    return [(a_d * r_d + same + alone) / (2 * (a_d + others)) for a_d in splits]
 
 
 @dataclass(frozen=True)
@@ -199,11 +197,11 @@ def conditional_tables(configs: dict[str, Configuration], params: SystemParams,
                        mode: AccountingMode = AccountingMode.CONSISTENT
                        ) -> dict[str, ConditionalTable]:
     """C(cfg) under accounting ``mode`` for each label -> configuration of
-    ``configs``, from one k >= 0 half per configuration or mirror (r, t2, t1):
-    C(r, t2, t1)[k] == C(r, t1, t2)[-k]."""
-    mirrors = {cfg: Configuration(cfg.r, cfg.t2, cfg.t1) for cfg in configs.values()}
-    halves = {cfg: _half_table(cfg, params, mode) for cfg in {*mirrors, *mirrors.values()}}
-    return {label: ConditionalTable(cfg, tuple(halves[cfg] + halves[mirrors[cfg]][:0:-1]))
+    ``configs``, from one k >= 0 half per configuration or mirror:
+    C(cfg.mirror)[k] == C(cfg)[-k]."""
+    needed = {*configs.values(), *(cfg.mirror for cfg in configs.values())}
+    halves = {cfg: _half_table(cfg, params, mode) for cfg in needed}
+    return {label: ConditionalTable(cfg, tuple(halves[cfg] + halves[cfg.mirror][:0:-1]))
             for label, cfg in configs.items()}
 
 

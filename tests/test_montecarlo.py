@@ -17,7 +17,7 @@ from uav_twoway.montecarlo import (COUNTS, DEVIATES, FILL_FRAMES, LAYOUTS, Activ
                                    simulate_exhaustive)
 from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts, schedule_block
 from uav_twoway.rates import rate_set
-from uav_twoway.sinr import Configuration, all_configurations
+from uav_twoway.sinr import all_configurations
 from uav_twoway.throughput import LoadDistribution, average_throughput, conditional_table
 
 from test_throughput import frame_throughput
@@ -268,7 +268,7 @@ def test_model_pmf_expectation_is_the_closed_form(params):
         laws[loads] = pmf.ravel()
     for cfg in all_configurations().values():
         rates = rate_set(cfg, params)
-        values = [frame_throughput(a - b, b, cfg, rates)
+        values = [frame_throughput(a - b, b, cfg, rates, params)
                   for a, b in zip(big_k1.tolist(), big_k2.tolist())]
         for loads, pmf in laws.items():
             expected = average_throughput(conditional_table(cfg, params), loads).total
@@ -486,7 +486,7 @@ def matched_frame(cfg, k1, k2, params):
 def test_matched_frame_equals_conditional(params, args):
     cfg, k1, k2, _, _ = args
     frame = matched_frame(cfg, k1, k2, params)
-    expected = frame_throughput(k1 - k2, k2, cfg, rate_set(cfg, params))
+    expected = frame_throughput(k1 - k2, k2, cfg, rate_set(cfg, params), params)
     if frame.slot_count:
         assert_allclose(frame.throughput, expected, rtol=1e-12)
     else:
@@ -498,8 +498,7 @@ def test_matched_frame_mirror(params, args):
     # swapping the cells and the UAVs' altitudes serves the mirrored system;
     # the rows come in another order, so the sums agree to rounding only
     cfg, k1, k2, _, _ = args
-    mirrored = Configuration(cfg.r, cfg.t2, cfg.t1)
-    assert_allclose(matched_frame(mirrored, k2, k1, params).throughput,
+    assert_allclose(matched_frame(cfg.mirror, k2, k1, params).throughput,
                     matched_frame(cfg, k1, k2, params).throughput, rtol=1e-14)
 
 
@@ -555,7 +554,7 @@ def test_matched_values_match_conditional_per_key(params):
     for cfg in all_configurations().values():
         values = MatchedGrid(cfg, params).values
         rates = rate_set(cfg, params)
-        expected = [frame_throughput(a - b, b, cfg, rates)
+        expected = [frame_throughput(a - b, b, cfg, rates, params)
                     for a, b in zip(k1.tolist(), k2.tolist())]
         assert_allclose(values, expected, rtol=1e-12)
         assert values[0] == expected[0] == 0.0

@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from uav_twoway import default_config, validate_and_derive
-from uav_twoway.rates import (rate_cochannel_diff, rate_cochannel_same,
-                              rate_individual, rate_set)
-from uav_twoway.sinr import Configuration, all_configurations, snr_individual
+from uav_twoway.rates import rate_individual, rate_set
+from uav_twoway.sinr import Configuration, all_configurations, link_sinr, snr_individual
 
 # frozen from a standalone transcription of the sum-rate expressions
 R_DIFF_LOW_HIGH_R1 = 82.6473107207352
@@ -18,11 +17,11 @@ R_IND_HIGH = 43.60290045043636
 
 
 def test_pinned_rates(params, candidates):
-    assert_allclose(rate_cochannel_diff(candidates["r1_Hl_Hh"], params),
+    assert_allclose(rate_set(candidates["r1_Hl_Hh"], params).r_cochannel_diff,
                     R_DIFF_LOW_HIGH_R1, rtol=1e-12)
-    assert_allclose(rate_cochannel_diff(candidates["r0_Hl_Hl"], params),
+    assert_allclose(rate_set(candidates["r0_Hl_Hl"], params).r_cochannel_diff,
                     R_DIFF_LOW_LOW_R0, rtol=1e-12)
-    assert_allclose(rate_cochannel_same(candidates["r1_Hh_Hl"], params),
+    assert_allclose(rate_set(candidates["r1_Hh_Hl"], params).r_cochannel_same,
                     R_SAME_HIGH_LOW_R1, rtol=1e-12)
     assert_allclose(rate_individual(params.h_low, params), R_IND_LOW, rtol=1e-12)
     assert_allclose(rate_individual(params.h_high, params), R_IND_HIGH, rtol=1e-12)
@@ -37,7 +36,7 @@ def test_four_equal_streams():
     cfg = Configuration(0, 0, 0)
     snr_dl, snr_ul = snr_individual(params.h_low, params)
     assert snr_dl == snr_ul
-    assert_allclose(rate_cochannel_diff(cfg, params),
+    assert_allclose(rate_set(cfg, params).r_cochannel_diff,
                     4.0 * math.log2(1.0 + snr_dl), rtol=1e-12)
 
 
@@ -46,16 +45,16 @@ def test_interference_free_reduction(params, candidates):
     # cross-cell sum-rate is exactly twice the individual rate
     cfg = candidates["r0_Hl_Hl"]
     individual = rate_individual(params.h_low, params)
-    assert rate_cochannel_diff(cfg, params) == individual + individual
+    assert rate_set(cfg, params).r_cochannel_diff == individual + individual
 
 
 def test_cochannel_bounded_by_individual_sum(params):
-    from uav_twoway.sinr import all_configurations
     for cfg in all_configurations().values():
+        rates = rate_set(cfg, params)
         ceiling = (rate_individual(params.altitude(cfg.t1), params)
                    + rate_individual(params.altitude(cfg.t2), params))
-        assert rate_cochannel_diff(cfg, params) <= ceiling
-        assert rate_cochannel_same(cfg, params) <= ceiling
+        assert rates.r_cochannel_diff <= ceiling
+        assert rates.r_cochannel_same <= ceiling
 
 
 def test_rates_decrease_with_noise(candidates):
@@ -64,7 +63,7 @@ def test_rates_decrease_with_noise(candidates):
     noisier = validate_and_derive(noisier_cfg)
     base = validate_and_derive(default_config())
     cfg = Configuration(1, 0, 1)
-    assert rate_cochannel_diff(cfg, noisier) < rate_cochannel_diff(cfg, base)
+    assert rate_set(cfg, noisier).r_cochannel_diff < rate_set(cfg, base).r_cochannel_diff
     assert rate_individual(noisier.h_low, noisier) < rate_individual(base.h_low, base)
 
 
@@ -73,13 +72,23 @@ def test_low_altitude_beats_high(params):
         params.h_high, params)
 
 
+def link_rate(cfg, params, same_cell):
+    """UAV1's two-way rate: its downlink and uplink Shannon rates."""
+    downlink, uplink = link_sinr(cfg, params, same_cell)
+    return math.log2(1.0 + downlink) + math.log2(1.0 + uplink)
+
+
 def test_rate_set_bundles_everything(params, candidates):
+    # a pair's sum-rate is UAV1's link plus the mirror's UAV1 link, UAV2's
     cfg = candidates["r1_Hl_Hh"]
     rates = rate_set(cfg, params)
-    assert rates.r_cochannel_diff == rate_cochannel_diff(cfg, params)
-    assert rates.r_cochannel_same == rate_cochannel_same(cfg, params)
-    assert rates.r_individual_1 == rate_individual(params.altitude(cfg.t1), params)
-    assert rates.r_individual_2 == rate_individual(params.altitude(cfg.t2), params)
+    assert rates.r_cochannel_diff == (link_rate(cfg, params, False)
+                                      + link_rate(cfg.mirror, params, False))
+    assert rates.r_cochannel_same == (link_rate(cfg, params, True)
+                                      + link_rate(cfg.mirror, params, True))
+    assert rates.r_individual == rate_individual(params.altitude(cfg.t1), params)
+    assert rate_set(cfg.mirror, params).r_individual == rate_individual(
+        params.altitude(cfg.t2), params)
 
 
 def test_mirrored_configs_have_identical_rates(params, candidates):
@@ -87,16 +96,13 @@ def test_mirrored_configs_have_identical_rates(params, candidates):
     other = rate_set(candidates["r1_Hh_Hl"], params)
     assert one.r_cochannel_diff == other.r_cochannel_diff
     assert one.r_cochannel_same == other.r_cochannel_same
-    assert one.r_individual_1 == other.r_individual_2
-    assert one.r_individual_2 == other.r_individual_1
+    assert one.r_individual == rate_individual(params.h_low, params)
+    assert other.r_individual == rate_individual(params.h_high, params)
 
 
 def test_all_rates_nonnegative_finite(params):
-    from uav_twoway.sinr import all_configurations
     for cfg in all_configurations().values():
-        for value in (rate_cochannel_diff(cfg, params),
-                      rate_cochannel_same(cfg, params),
-                      rate_individual(params.altitude(cfg.t1), params)):
+        for value in astuple(rate_set(cfg, params)):
             assert value >= 0 and math.isfinite(value)
 
 

@@ -3,9 +3,8 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from uav_twoway import default_config, validate_and_derive
-from uav_twoway.sinr import (Configuration, all_configurations, sinr_dl_diff,
-                             sinr_dl_same, sinr_ul_diff, sinr_ul_same, snr_individual)
+from uav_twoway import channel, default_config, validate_and_derive
+from uav_twoway.sinr import Configuration, all_configurations, link_sinr, snr_individual
 
 # frozen from a standalone transcription of the bound expressions
 SINR_DL_DIFF_LOW_SERVE_R1 = 719011.4340840313      # serve h_low, r=1
@@ -14,6 +13,22 @@ SINR_DL_SAME_R0_LOW_LOW = 0.24999999884171922
 SINR_UL_SAME_R0_LOW = 0.24999999894377462
 SNR_DL_LOW = 53959275.95490394
 SNR_UL_LOW = 59172967.49379055
+
+
+def dl_diff(cfg, params):
+    return link_sinr(cfg, params, same_cell=False)[0]
+
+
+def ul_diff(cfg, params):
+    return link_sinr(cfg, params, same_cell=False)[1]
+
+
+def dl_same(cfg, params):
+    return link_sinr(cfg, params, same_cell=True)[0]
+
+
+def ul_same(cfg, params):
+    return link_sinr(cfg, params, same_cell=True)[1]
 
 
 def test_configuration_validation():
@@ -33,55 +48,54 @@ def test_candidate_set(candidates):
 def test_dl_diff_r1_only_ground_interference(params, candidates):
     # r=1 with the partner high: the altitude-gated UAV term vanishes
     cfg = candidates["r1_Hl_Hh"]
-    value = sinr_dl_diff(cfg, params, link=1)
+    value = dl_diff(cfg, params)
     assert_allclose(value, SINR_DL_DIFF_LOW_SERVE_R1, rtol=1e-12)
 
 
 def test_dl_diff_r0_low_partner_is_interference_free(params, candidates):
     cfg = candidates["r0_Hl_Hl"]
     snr_dl, _ = snr_individual(params.altitude(cfg.t1), params)
-    assert sinr_dl_diff(cfg, params, link=1) == snr_dl
+    assert dl_diff(cfg, params) == snr_dl
 
 
 def test_ul_diff_trivial_zeros(params, candidates):
     # serving UAV low: interference-free for either spin
     low_cfg = candidates["r0_Hl_Hl"]
     _, snr_ul = snr_individual(params.altitude(low_cfg.t1), params)
-    assert sinr_ul_diff(low_cfg, params, link=1) == snr_ul
+    assert ul_diff(low_cfg, params) == snr_ul
     # r=1: interference-free even at the high altitude
     high_r1 = candidates["r1_Hh_Hl"]
     _, snr_ul_high = snr_individual(params.altitude(high_r1.t1), params)
-    assert sinr_ul_diff(high_r1, params, link=1) == snr_ul_high
+    assert ul_diff(high_r1, params) == snr_ul_high
 
 
 def test_ul_diff_high_serve_r0_pin(params):
     cfg = Configuration(0, 1, 0)
-    assert_allclose(sinr_ul_diff(cfg, params, link=1),
+    assert_allclose(ul_diff(cfg, params),
                     SINR_UL_DIFF_HIGH_SERVE_R0, rtol=1e-12)
 
 
 def test_dl_same_matches_diff_when_r1(params, candidates):
     # with r=1 both scenarios see only the d_min ground interferer
     cfg = candidates["r1_Hh_Hl"]
-    assert sinr_dl_same(cfg, params, link=2) == sinr_dl_diff(
-        cfg, params, link=2)
-    assert_allclose(sinr_dl_same(cfg, params, link=2),
+    assert dl_same(cfg.mirror, params) == dl_diff(cfg.mirror, params)
+    assert_allclose(dl_same(cfg.mirror, params),
                     SINR_DL_DIFF_LOW_SERVE_R1, rtol=1e-12)
 
 
 def test_dl_same_r0_pin(params, candidates):
     cfg = candidates["r0_Hl_Hl"]
-    assert_allclose(sinr_dl_same(cfg, params, link=1),
+    assert_allclose(dl_same(cfg, params),
                     SINR_DL_SAME_R0_LOW_LOW, rtol=1e-12)
 
 
 def test_ul_same_pins(params, candidates):
     low_low = candidates["r0_Hl_Hl"]
-    assert_allclose(sinr_ul_same(low_low, params, link=1),
+    assert_allclose(ul_same(low_low, params),
                     SINR_UL_SAME_R0_LOW, rtol=1e-12)
     r1 = candidates["r1_Hl_Hh"]
     _, snr_ul = snr_individual(params.altitude(r1.t1), params)
-    assert sinr_ul_same(r1, params, link=1) == snr_ul
+    assert ul_same(r1, params) == snr_ul
 
 
 def test_snr_individual_pins(params):
@@ -107,20 +121,16 @@ def test_snr_ratio_is_beamwidth_squared(params):
 
 def test_every_sinr_below_matching_snr(params):
     for cfg in all_configurations().values():
-        for link in (1, 2):
-            h_serve = params.altitude(cfg.t1 if link == 1 else cfg.t2)
-            snr_dl, snr_ul = snr_individual(h_serve, params)
-            assert sinr_dl_diff(cfg, params, link) <= snr_dl
-            assert sinr_dl_same(cfg, params, link) <= snr_dl
-            assert sinr_ul_diff(cfg, params, link) <= snr_ul
-            assert sinr_ul_same(cfg, params, link) <= snr_ul
+        snr_dl, snr_ul = snr_individual(params.altitude(cfg.t1), params)
+        for func, snr in ((dl_diff, snr_dl), (dl_same, snr_dl), (ul_diff, snr_ul),
+                          (ul_same, snr_ul)):
+            assert func(cfg, params) <= snr
 
 
 def test_all_bounds_positive_finite(params):
     for cfg in all_configurations().values():
-        for link in (1, 2):
-            for func in (sinr_dl_diff, sinr_ul_diff, sinr_dl_same, sinr_ul_same):
-                value = func(cfg, params, link)
+        for same_cell in (False, True):
+            for value in link_sinr(cfg, params, same_cell):
                 assert value > 0 and math.isfinite(value)
 
 
@@ -128,12 +138,31 @@ def test_same_cell_dl_below_diff_cell_when_low_partner_r0(params, candidates):
     # the shared-cell bound keeps the partner-UAV term that the cross-cell
     # bound gates away at the low altitude
     cfg = candidates["r0_Hl_Hl"]
-    assert sinr_dl_same(cfg, params, link=1) < sinr_dl_diff(
-        cfg, params, link=1)
+    assert dl_same(cfg, params) < dl_diff(cfg, params)
+
+
+def link_two_bounds(cfg, params, same_cell):
+    """UAV2's (downlink, uplink) bounds, transcribed with UAV2 serving at
+    altitude t2 and UAV1 the partner at t1."""
+    h_serve, h_other = params.altitude(cfg.t2), params.altitude(cfg.t1)
+    reach_dl = 1 if same_cell else cfg.t1
+    reach_ul = 1 if same_cell else cfg.t2
+    edge = h_serve / math.cos(params.phi_b)
+    downlink = channel.rx_power_uav_to_ground(edge, params) / (
+        cfg.r * channel.rx_power_ground_to_ground(params.d_min, params)
+        + reach_dl * (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params)
+        + params.noise_power)
+    uplink = channel.rx_power_ground_to_uav(edge, params) / (
+        reach_ul * (1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params)
+        + params.noise_power)
+    return downlink, uplink
 
 
 def test_link_two_swaps_roles(params):
-    cfg = Configuration(1, 0, 1)
-    mirrored = Configuration(1, 1, 0)
-    for func in (sinr_dl_diff, sinr_ul_diff, sinr_dl_same, sinr_ul_same):
-        assert func(cfg, params, link=2) == func(mirrored, params, link=1)
+    # UAV2's bounds are the mirror's UAV1 bounds, bit for bit
+    for cfg in all_configurations().values():
+        assert cfg.mirror == Configuration(cfg.r, cfg.t2, cfg.t1)
+        assert cfg.mirror.mirror == cfg
+        for same_cell in (False, True):
+            assert link_sinr(cfg.mirror, params, same_cell) == link_two_bounds(
+                cfg, params, same_cell)

@@ -11,7 +11,7 @@ from uav_twoway.errors import NonPositiveRateError
 from uav_twoway.montecarlo import MatchedGrid
 from uav_twoway.pairing import AccountingMode, pair_counts
 from uav_twoway.params import split_weight_grid
-from uav_twoway.rates import rate_set
+from uav_twoway.rates import rate_individual, rate_set
 from uav_twoway.sinr import Configuration, all_configurations, candidate_configurations
 from uav_twoway.throughput import (LoadDistribution, _frame_throughputs, admissible_k2,
                                    average_throughput, conditional_table, conditional_tables,
@@ -50,7 +50,8 @@ def brute_force_average(cfg, lam1, lam2, params):
             helping = (cfg.t2 if k > 0 else cfg.t1) == 1
             a_s = surplus // 2 if helping else 0
             b = surplus - 2 * a_s
-            r_ind = rates.r_individual_1 if k > 0 else rates.r_individual_2
+            r_ind = (rates.r_individual if k > 0
+                     else rate_individual(params.altitude(cfg.t2), params))
             value = (a_d * rates.r_cochannel_diff + a_s * rates.r_cochannel_same
                      + b * r_ind) / (2 * (a_d + a_s + b))
             total += weight * value
@@ -198,29 +199,32 @@ def test_split_weight_grid_is_its_own_transpose(n):
                for k1 in range(n + 1) for k2 in range(n + 1))
 
 
-def frame_throughput(k, big_k2, cfg, rates, mode=AccountingMode.CONSISTENT):
+def frame_throughput(k, big_k2, cfg, rates, params, mode=AccountingMode.CONSISTENT):
     """Reference per-slot throughput of the frame with loads (K2 + k, K2),
-    transcribed from its pair counts and the configuration's ``rate_set``;
-    an empty frame gives 0."""
+    transcribed from its pair counts and the configuration's ``rate_set``,
+    with UAV2's individual rate for a surplus in cell 2; an empty frame
+    gives 0."""
     counts = pair_counts(k, big_k2, cfg.t1, cfg.t2, mode)
     units = counts.a_d + counts.a_s + counts.b
     if not units:
         return 0.0
-    r_ind = rates.r_individual_1 if k > 0 else rates.r_individual_2
+    r_ind = rates.r_individual if k > 0 else rate_individual(params.altitude(cfg.t2), params)
     return (counts.a_d * rates.r_cochannel_diff + counts.a_s * rates.r_cochannel_same
             + counts.b * r_ind) / (2 * units)
 
 
 def per_split_table(cfg, params, mode):
     """Reference C(cfg), split by split: each frame's ``frame_throughput``,
-    weighted by exact integer case counts."""
+    weighted by exact integer case counts. ``_frame_throughputs`` must give
+    the k >= 0 frames bit for bit."""
     n = params.n_users
     rates = rate_set(cfg, params)
     values = []
     for k in (*range(n + 1), *range(-n, 0)):
         splits = admissible_k2(k, n)
-        frames = [frame_throughput(k, big_k2, cfg, rates, mode) for big_k2 in splits]
-        assert _frame_throughputs(k, splits, cfg, mode, rates) == frames
+        frames = [frame_throughput(k, big_k2, cfg, rates, params, mode) for big_k2 in splits]
+        if k >= 0:
+            assert _frame_throughputs(k, splits, cfg, mode, rates) == frames
         values.append(math.fsum(weight * frame
                                 for weight, frame in zip(reference_weights(k, n), frames)))
     return tuple(values)
@@ -252,10 +256,9 @@ def test_mirror_table_is_the_table_at_minus_k(n):
     # C(r, t2, t1)[k] == C(r, t1, t2)[-k], read through the public one-table call
     params = params_with_users(n)
     for cfg in all_configurations().values():
-        mirror = Configuration(cfg.r, cfg.t2, cfg.t1)
         for mode in AccountingMode:
             values = conditional_table(cfg, params, mode).values
-            mirrored = conditional_table(mirror, params, mode).values
+            mirrored = conditional_table(cfg.mirror, params, mode).values
             assert all(mirrored[k] == values[-k] for k in range(-n, n + 1))
 
 
