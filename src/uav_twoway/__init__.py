@@ -23,8 +23,8 @@ from .throughput import (ConditionalTable, LoadDistribution, ThroughputBreakdown
 
 __version__ = "0.1.0"
 
-_SIMULATOR = ("ActivationModel", "FrameRealization", "MatchedGrid", "SimResult",
-              "run_frame", "simulate", "simulate_exhaustive")
+_SIMULATOR = ("ActivationModel", "FrameRealization", "SimResult", "run_frame", "simulate",
+              "simulate_exhaustive")
 
 __all__ = [name for name in dir() if not name.startswith("_")] + list(_SIMULATOR)
 

@@ -130,10 +130,6 @@ def _load_params(args) -> SystemParams:
     return params
 
 
-def _accounting(args) -> AccountingMode:
-    return AccountingMode.PAPER_LITERAL if args.accounting == "paper" else AccountingMode.CONSISTENT
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One grid run: parameters, load ranges, configuration set with the
@@ -179,7 +175,7 @@ class SweepSpec:
                         raise ConfigError(f"{flag}={value!r}: binomial activation needs "
                                           f"lambda <= n_users={params.n_users}")
 
-        accounting = _accounting(args)
+        accounting = AccountingMode(args.accounting)
         configs = {label: cfg for label, cfg in selections if label != OPTIMAL}
         if any(label == OPTIMAL for label, _ in selections):
             configs.update(candidate_configurations())
@@ -202,15 +198,11 @@ class SweepSpec:
         )
 
 
-def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
+def _point_rows(spec: SweepSpec, point: tuple) -> list[dict]:
     """All CSV rows for one grid point ``(index, lambda1, lambda2)``. A
-    matched Monte Carlo row, and every exhaustive one, reads the
-    ``MatchedGrid`` of its configuration in ``grids``, made by the first row
-    that needs it, so a process builds each configuration's grid once across
-    the points it runs; an ``optimal`` row reads its winner's. An exhaustive
-    row is its grid's ``expectation`` under the point's model pmf, built
-    once: what ``simulate_exhaustive`` returns, bit for bit. Module-level so
-    worker processes can run it.
+    Monte Carlo row is a ``simulate`` call and an exhaustive one a
+    ``simulate_exhaustive`` call; an ``optimal`` row runs its winner's.
+    Module-level so worker processes can run it.
 
     The Skellam vector is computed once for the point, and every table's
     average once, the optimum reusing the candidates'; the load cells are
@@ -222,8 +214,7 @@ def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
     breakdowns = {label: average_throughput(table, loads) for label, table in spec.tables.items()}
     exhaustive, simulated = activation == "exhaustive", spec.simulated
     if simulated:
-        from .montecarlo import ActivationModel, MatchedGrid, _model_pmf, simulate
-        pmf = _model_pmf(loads, params) if exhaustive else None
+        from .montecarlo import ActivationModel, simulate, simulate_exhaustive
     rows = []
     for config_index, (label, cfg) in enumerate(spec.selections):
         if label == OPTIMAL:
@@ -241,18 +232,16 @@ def _point_rows(spec: SweepSpec, grids: dict, point: tuple) -> list[dict]:
             "seed": spec.seed,
         }
         if simulated:
-            matched = exhaustive or (spec.worst_case_distances and spec.mean_shadowing)
-            if matched and cfg not in grids:
-                grids[cfg] = MatchedGrid(cfg, params)
             if exhaustive:
-                mc_mean, half_width, used_frames = grids[cfg].expectation(pmf), 0.0, 0
+                mc_mean, half_width, used_frames = (
+                    simulate_exhaustive(cfg, loads, params), 0.0, 0)
             else:
                 result = simulate(
                     cfg, loads, params, spec.frames,
                     seed=(spec.seed, point_index, config_index),
                     activation=ActivationModel(activation),
                     worst_case_distances=spec.worst_case_distances,
-                    mean_shadowing=spec.mean_shadowing, grid=grids.get(cfg))
+                    mean_shadowing=spec.mean_shadowing)
                 mc_mean, half_width, used_frames = (
                     result.mean, result.ci_half_width, spec.frames)
             row.update(mc_mean=repr(float(mc_mean)),
@@ -300,9 +289,7 @@ def _run_grid(args, with_flag: bool) -> list[dict]:
     with _output(args.out) as out:
         points = [(index, *loads) for index, loads in
                   enumerate(product(spec.lambda1_values, spec.lambda2_values))]
-        # configuration -> MatchedGrid, one set per process, each grid made
-        # when a row first needs it: nothing is computed or sent up front
-        rows_of = partial(_point_rows, spec, {})
+        rows_of = partial(_point_rows, spec)
         if spec.workers > 1:
             # imported here: it loads multiprocessing, which one process does not need
             from concurrent.futures import ProcessPoolExecutor
@@ -347,7 +334,7 @@ def _write_csv(rows: list[dict], out, with_flag: bool) -> None:
 def cmd_eval(args) -> int:
     params = _load_params(args)
     loads = _point_loads(args)
-    accounting = _accounting(args)
+    accounting = AccountingMode(args.accounting)
     if args.exhaustive:
         configs = all_configurations()
     elif args.configuration:
@@ -386,7 +373,7 @@ def cmd_eval(args) -> int:
 def cmd_optimize(args) -> int:
     params = _load_params(args)
     loads = _point_loads(args)
-    cfg, breakdown = optimal_configuration(loads, params, _accounting(args))
+    cfg, breakdown = optimal_configuration(loads, params, AccountingMode(args.accounting))
     print(f"optimal configuration for lambda1={args.lambda1!r}, lambda2={args.lambda2!r}: "
           f"{cfg.label}")
     print(f"  r={cfg.r} h1={ALTITUDE_SYMBOLS[cfg.t1]} ({params.altitude(cfg.t1)!r} m) "

@@ -25,11 +25,12 @@ frame to (K1, K2) through the table. In the physical modes an engine pass
 then runs about FILL_USERS users' frames of the chunk and draws their
 layout and their deviates in one call each. In matched mode a frame draws
 nothing, so its value is a function of (K1, K2): a row reads each chunk's
-values from its ``MatchedGrid``, built whole from one engine pass over
-five one-unit frames, and ``simulate_exhaustive``, the exact mean of such
-rows under model activation, is that law's pmf times the grid, summed over
-the cells. ``run_frame`` is a pass of one frame that draws its layout,
-then its deviates, from one stream.
+values from its configuration's ``_matched_values``, built whole from one
+engine pass over five one-unit frames and kept while the parameter set
+lives, and ``simulate_exhaustive``, the exact mean of such rows under model
+activation, is that law's pmf times those values, summed over the cells.
+``run_frame`` is a pass of one frame that draws its layout, then its
+deviates, from one stream.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -91,9 +92,11 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
     return center_x + radius * np.cos(angle), radius * np.sin(angle)
 
 
-# Each parameter set's split weights as one float64 array, converted on
-# first use and kept while the set lives
+# Each parameter set's split weights as one float64 array, and its matched
+# values as one read-only array per configuration (``_matched_values``),
+# each made on first use and kept while the set lives
 _WEIGHTS = weakref.WeakKeyDictionary()
+_GRIDS = weakref.WeakKeyDictionary()
 
 
 def _model_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
@@ -386,15 +389,13 @@ def _stream(seed, kind: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind,)))
 
 
-class MatchedGrid:
+def _matched_values(cfg: Configuration, params: SystemParams) -> np.ndarray:
     """The matched-assumption value of every (K1, K2) of one configuration
-    and parameter set, computed when built: a flat (N + 1)^2 float array
-    ``values``, cell (K1, K2) at K1 (N + 1) + K2. A frame with worst-case
-    distances and mean shadowing draws nothing, so its value depends on
-    (K1, K2) alone and the rows of any load point, seed or activation can
-    share one grid. It lives as long as its holder: ``simulate`` makes one
-    per call unless given one, ``simulate_exhaustive`` one per call, and a
-    CLI command keeps one per configuration.
+    and parameter set: a flat, read-only (N + 1)^2 float array, cell
+    (K1, K2) at K1 (N + 1) + K2. A frame with worst-case distances and mean
+    shadowing draws nothing, so its value depends on (K1, K2) alone and the
+    rows of any load point, seed or activation read the same array, built
+    once per configuration while the parameter set lives.
 
     In this mode a unit's two slot rates depend only on its kind and, for a
     same-cell pair or a lone user, on its cell, and a frame serves its
@@ -404,44 +405,38 @@ class MatchedGrid:
     is its slot rates added in slot order, as the engine adds them, over
     its slot count.
     """
+    grids = _GRIDS.setdefault(params, {})
+    if cfg in grids:
+        return grids[cfg]
+    n = params.n_users
+    frames = np.array([[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]])
+    units = _receptions(cfg, frames, params, None, None)
+    slot_counts = schedule_block(cfg, frames[:, 0], frames[:, 1]).slot_counts
+    # each frame's first unit: a cross-cell pair, then per cell a same-cell
+    # pair (two lone users if the other UAV is low) and a lone user
+    rates = np.bincount(units.slot, weights=units.rate)[
+        (np.cumsum(slot_counts) - slot_counts)[:, None] + [0, 1]]
+    cross, pairs, lone = rates[0], rates[[1, 3]], rates[[2, 4]]
+    # per surplus cell and per m: m cross-cell pairs' running sum, then
+    # that cell's pairs if the other UAV is high, else its lone users
+    helped = np.array([cfg.t2, cfg.t1]) == 1
+    running = np.zeros((2, n + 1, 2 * n + 1))
+    running[:, 1:, 0] = np.cumsum(np.tile(cross, n))[1::2]
+    running[:, :, 1:] = np.tile(np.where(helped[:, None], pairs, lone), n)[:, None, :]
+    np.cumsum(running, axis=2, out=running)
 
-    def __init__(self, cfg: Configuration, params: SystemParams):
-        self.cfg, self.params = cfg, params
-        n = params.n_users
-        frames = np.array([[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]])
-        units = _receptions(cfg, frames, params, None, None)
-        slot_counts = schedule_block(cfg, frames[:, 0], frames[:, 1]).slot_counts
-        # each frame's first unit: a cross-cell pair, then per cell a same-cell
-        # pair (two lone users if the other UAV is low) and a lone user
-        rates = np.bincount(units.slot, weights=units.rate)[
-            (np.cumsum(slot_counts) - slot_counts)[:, None] + [0, 1]]
-        cross, pairs, lone = rates[0], rates[[1, 3]], rates[[2, 4]]
-        # per surplus cell and per m: m cross-cell pairs' running sum, then
-        # that cell's pairs if the other UAV is high, else its lone users
-        helped = np.array([cfg.t2, cfg.t1]) == 1
-        running = np.zeros((2, n + 1, 2 * n + 1))
-        running[:, 1:, 0] = np.cumsum(np.tile(cross, n))[1::2]
-        running[:, :, 1:] = np.tile(np.where(helped[:, None], pairs, lone), n)[:, None, :]
-        np.cumsum(running, axis=2, out=running)
-
-        big_k1, big_k2 = np.indices((n + 1, n + 1)).reshape(2, -1)
-        shared, surplus, cell = (np.minimum(big_k1, big_k2), np.abs(big_k1 - big_k2),
-                                 (big_k1 < big_k2).astype(np.intp))
-        tail_units = np.where(helped[cell], surplus // 2, surplus)
-        sums = running[cell, shared, 2 * tail_units]
-        odd = helped[cell] & (surplus % 2 == 1)  # a lone user after the pairs
-        for rate in lone[cell[odd]].T:
-            sums[odd] += rate
-        slots = 2 * (shared + tail_units + odd)
-        self.values = np.divide(sums, slots, out=np.zeros(sums.size), where=slots > 0)
-
-    def expectation(self, pmf: np.ndarray) -> float:
-        """The mean of the grid's values under ``pmf``, an (N + 1)^2 law of
-        (K1, K2) such as ``_model_pmf`` returns: the cells' products, added
-        by numpy's pairwise sum. Not a BLAS dot: a threaded dot's bits
-        depend on its thread count, and it oversubscribes the cores under
-        ``--workers``."""
-        return float((pmf.reshape(-1) * self.values).sum())
+    big_k1, big_k2 = np.indices((n + 1, n + 1)).reshape(2, -1)
+    shared, surplus, cell = (np.minimum(big_k1, big_k2), np.abs(big_k1 - big_k2),
+                             (big_k1 < big_k2).astype(np.intp))
+    tail_units = np.where(helped[cell], surplus // 2, surplus)
+    sums = running[cell, shared, 2 * tail_units]
+    odd = helped[cell] & (surplus % 2 == 1)  # a lone user after the pairs
+    for rate in lone[cell[odd]].T:
+        sums[odd] += rate
+    slots = 2 * (shared + tail_units + odd)
+    values = grids[cfg] = np.divide(sums, slots, out=np.zeros(sums.size), where=slots > 0)
+    values.flags.writeable = False
+    return values
 
 
 def _mean_and_std(values: np.ndarray) -> tuple:
@@ -461,8 +456,7 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
              n_frames: int, seed, *,
              activation: ActivationModel = ActivationModel.TRUNCATED_POISSON,
              worst_case_distances: bool = False,
-             mean_shadowing: bool = False,
-             grid: MatchedGrid | None = None) -> SimResult:
+             mean_shadowing: bool = False) -> SimResult:
     """Empirical mean throughput over ``n_frames`` independent frames.
 
     Deterministic given ``seed``: the row draws its frames' counts, layouts
@@ -474,23 +468,16 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     passes of about FILL_USERS users, cut after any frame, and each pass
     draws its layout and its deviates in one call each. With worst-case
     distances and mean shadowing a frame's value is a function of (K1, K2),
-    and each chunk's values are read straight from ``grid`` (a
-    ``MatchedGrid`` of (cfg, params), read in this mode only; a fresh one
-    without it, and a grid of another configuration or parameter set is a
-    ValueError). A shared grid changes no bit of the result. Either way the
-    frame values go into one float64 array of ``n_frames``.
+    and each chunk's values are read straight from the configuration's
+    ``_matched_values``. Either way the frame values go into one float64
+    array of ``n_frames``.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
 
     law = _Activation(loads, params, activation)
     matched = worst_case_distances and mean_shadowing
-    if matched:
-        if grid is None:
-            grid = MatchedGrid(cfg, params)
-        elif grid.cfg != cfg or grid.params != params:
-            other = f"configuration, {grid.cfg.label}," if grid.cfg != cfg else "parameter set"
-            raise ValueError(f"a matched grid of another {other} cannot serve {cfg.label}")
+    grid = _matched_values(cfg, params) if matched else None
     draws = _stream(seed, COUNTS)
     layouts = None if worst_case_distances else _stream(seed, LAYOUTS)
     deviates = None if mean_shadowing else _stream(seed, DEVIATES)
@@ -498,7 +485,7 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     for start in range(0, n_frames, FILL_FRAMES):
         chunk = values[start:start + FILL_FRAMES]  # a view: writes land in values
         if matched:
-            np.take(grid.values, law.cells(draws, chunk.size), out=chunk)
+            np.take(grid, law.cells(draws, chunk.size), out=chunk)
             continue
         counts = law.counts(draws, chunk.size)
         # passes cut before each frame whose end carries the running user
@@ -517,7 +504,10 @@ def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
                         params: SystemParams) -> float:
     """Exact expectation of the matched-assumption simulator under
     MODEL_MATCHED activation: the law's pmf, ``_model_pmf``, times the
-    engine's value of every (K1, K2), a fresh ``MatchedGrid``'s
-    ``expectation``. Agreement with the analytical average validates the
-    scheduler and slot engine end to end."""
-    return MatchedGrid(cfg, params).expectation(_model_pmf(loads, params))
+    engine's value of every (K1, K2), ``_matched_values``, the cells'
+    products added by numpy's pairwise sum. Not a BLAS dot: a threaded
+    dot's bits depend on its thread count, and it oversubscribes the cores
+    under ``--workers``. Agreement with the analytical average validates
+    the scheduler and slot engine end to end."""
+    pmf = _model_pmf(loads, params)
+    return float((pmf.reshape(-1) * _matched_values(cfg, params)).sum())

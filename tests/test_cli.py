@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import uav_twoway
-from uav_twoway import all_configurations, cli, default_config, montecarlo, validate_and_derive
+from uav_twoway import (all_configurations, candidate_configurations, cli, default_config,
+                        montecarlo, validate_and_derive)
 from uav_twoway.cli import CSV_COLUMNS, MAX_FRAMES, MAX_WORKERS, main
 from uav_twoway.errors import NonPositiveRateError
 from uav_twoway.params import CONFIG_SCHEMA, MAX_USERS, SystemParams, split_weight_grid
@@ -213,9 +215,13 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
                    "--out", str(tmp_path / "x.csv")) == 2
     assert run_cli("sweep", "--lambda1", "abc", "--lambda2", "2",
                    "--out", str(tmp_path / "x.csv")) == 2
-    assert run_cli("sweep", "--lambda1", "3", "--lambda2", "2",
-                   "--configurations", "bogus",
-                   "--out", str(tmp_path / "x.csv")) == 2
+    for names, message in (("bogus", "unknown configuration 'bogus'"),
+                           (" , ", "no configurations selected")):
+        capsys.readouterr()
+        assert run_cli("sweep", "--lambda1", "3", "--lambda2", "2",
+                       "--configurations", names,
+                       "--out", str(tmp_path / "x.csv")) == 2
+        assert message in capsys.readouterr().err
     # (extra arguments, the flag the error must name); --lambda2 0 stops
     # the run before any frame or worker process, should an over-long range
     # or a count above its ceiling ever be accepted
@@ -225,6 +231,8 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
                         (("--lambda1", "5", "--lambda2", "5", "--workers", "0"), "--workers"),
                         (("--lambda1", "5", "--lambda2", "5", "--workers", "-2"), "--workers"),
                         (("--lambda1", "1:10001:1", "--lambda2", "0"), "--lambda1"),
+                        (("--lambda1", ",".join(["1"] * (cli.MAX_AXIS_VALUES + 1)),
+                          "--lambda2", "0"), "--lambda1"),
                         (("--lambda1", "5", "--lambda2", "5", "--frames", "3", "--seed", "-1"),
                          "--seed"),
                         (("--lambda1", "5", "--lambda2", "0", "--frames", str(MAX_FRAMES + 1)),
@@ -234,6 +242,21 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
         capsys.readouterr()
         assert run_cli("sweep", *extra, "--out", str(tmp_path / "x.csv")) == 2
         assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ValueError("math domain error"),
+                                   ZeroDivisionError("float division by zero")],
+                         ids=["value", "arithmetic"])
+def test_numeric_error_in_a_command_exits_3(capsys, monkeypatch, error):
+    # README's exit-code contract: a numeric failure inside a command is
+    # reported on stderr and exits 3, with nothing on stdout
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "average_throughput", fail)
+    assert run_cli("eval", "--lambda1", "5", "--lambda2", "3") == cli.EXIT_NUMERIC == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"numeric error: {error}\n"
 
 
 def test_range_whose_stop_is_its_start_is_one_value():
@@ -315,6 +338,7 @@ def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monke
     # computes each (K1, K2) once; each row builds its model cdf once
     passes, builds = [], []
     receptions, model_pmf = montecarlo._receptions, montecarlo._model_pmf
+    monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
 
     def count_passes(cfg, counts, *args):
         passes.append((cfg, counts))
@@ -422,15 +446,18 @@ def test_split_weights_outlive_no_call(capsys, monkeypatch):
 
 
 def count_grids(monkeypatch):
-    """The configuration labels of every ``MatchedGrid`` built, in order."""
-    built = []
+    """The configuration labels of every engine pass, in order, from an
+    empty grid store: an exhaustive or matched command's only passes are its
+    grid builds."""
+    built, receptions = [], montecarlo._receptions
 
-    class Counted(montecarlo.MatchedGrid):
-        def __init__(self, cfg, system):
-            built.append(cfg.label)
-            super().__init__(cfg, system)
+    def counted(cfg, *args):
+        built.append(cfg.label)
+        return receptions(cfg, *args)
 
-    monkeypatch.setattr(montecarlo, "MatchedGrid", Counted)
+    # an empty store of the simulator's own kind, so what it keeps is tested
+    monkeypatch.setattr(montecarlo, "_GRIDS", type(montecarlo._GRIDS)())
+    monkeypatch.setattr(montecarlo, "_receptions", counted)
     return built
 
 
@@ -455,6 +482,20 @@ def test_exhaustive_optimal_builds_only_its_winner(capsys, monkeypatch, params, 
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert built == [best.label]
     assert len(rows) == 1 and rows[0]["deviation_flag"] == "ok"
+
+
+def test_grids_outlive_no_command(capsys, monkeypatch):
+    # the grids live with the command's parameter set: a second command in
+    # the same process builds them again
+    built = count_grids(monkeypatch)
+    argv = ("compare", "--lambda1", "6,12", "--lambda2", "4", "--frames", "100",
+            "--activation", "model", "--distances", "worst", "--shadowing", "mean")
+    assert run_cli(*argv) == 0
+    first = capsys.readouterr().out
+    assert sorted(built) == sorted(candidate_configurations())
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == first
+    assert built[3:] == built[:3]
 
 
 def test_exhaustive_rows_are_the_library_value(capsys, params):

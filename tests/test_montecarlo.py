@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from uav_twoway import channel, default_config, montecarlo, validate_and_derive
 from uav_twoway.errors import RateExceedsPopulationError
 from uav_twoway.montecarlo import (COUNTS, DEVIATES, FILL_FRAMES, LAYOUTS, ActivationModel,
-                                   MatchedGrid, _Activation, _mean_and_std, _model_pmf,
+                                   _Activation, _matched_values, _mean_and_std, _model_pmf,
                                    _positions, _receptions, _stream, run_frame, simulate,
                                    simulate_exhaustive)
 from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts, schedule_block
@@ -552,7 +552,7 @@ def test_matched_values_match_conditional_per_key(params):
     n = params.n_users
     k1, k2 = np.divmod(np.arange((n + 1) ** 2), n + 1)
     for cfg in all_configurations().values():
-        values = MatchedGrid(cfg, params).values
+        values = _matched_values(cfg, params)
         rates = rate_set(cfg, params)
         expected = [frame_throughput(a - b, b, cfg, rates, params)
                     for a, b in zip(k1.tolist(), k2.tolist())]
@@ -575,7 +575,7 @@ def test_grid_equals_one_engine_pass_over_every_cell(n_users, d_sep_m, phi_b_rad
     counts = np.column_stack(np.divmod(np.arange((n + 1) ** 2), n + 1))
     for cfg in all_configurations().values():
         expected = _receptions(cfg, counts, params, None, None)
-        assert np.array_equal(MatchedGrid(cfg, params).values, expected.throughput)
+        assert np.array_equal(_matched_values(cfg, params), expected.throughput)
 
 
 def spy_on(monkeypatch, name):
@@ -597,17 +597,15 @@ def test_matched_row_fills_its_grid_once(params, candidates, monkeypatch):
     # a grid makes one engine pass, over its five one-unit frames, and a
     # 20,000-frame row of five chunks reads the grid without any
     assert -(-20_000 // FILL_FRAMES) == 5
+    monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
     passes = spy_on(monkeypatch, "_receptions")
     for cfg in candidates.values():
         passes.clear()
-        grid = MatchedGrid(cfg, params)
+        simulate(cfg, LoadDistribution(6.0, 4.0), params, 20_000, seed=3,
+                 activation=ActivationModel.MODEL_MATCHED, **MATCHED)
         assert len(passes) == 1
         assert passes[0][1].tolist() == [[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]]
         assert passes[0][2:] == (params, None, None)
-        passes.clear()
-        simulate(cfg, LoadDistribution(6.0, 4.0), params, 20_000, seed=3,
-                 activation=ActivationModel.MODEL_MATCHED, grid=grid, **MATCHED)
-        assert passes == []
 
 
 @pytest.mark.parametrize("mode", ["worst_mean", "exact_sampled"])
@@ -618,38 +616,45 @@ def test_model_pmf_built_once_per_row(params, candidates, monkeypatch, mode):
     assert len(builds) == 1
 
 
-def test_rows_sharing_a_grid_match_fresh_grids(params, candidates):
+def test_rows_sharing_a_grid_match_fresh_grids(params, candidates, monkeypatch):
     # a cell's value does not depend on the pass that computed it, so rows
-    # of other loads, seeds and activations that share a grid keep their bits
+    # of other loads, seeds and activations that read a kept grid keep the
+    # bits of rows that build their own
     rows = [((6.0, 4.0), 1, ActivationModel.MODEL_MATCHED, 9000),
             ((12.0, 4.0), 2, ActivationModel.MODEL_MATCHED, 5000),
             ((3.0, 9.0), 3, ActivationModel.TRUNCATED_POISSON, 3000),
             ((0.5, 0.2), 4, ActivationModel.BINOMIAL_PER_USER, 3000),
             ((6.0, 4.0), 5, ActivationModel.MODEL_MATCHED, 1)]
+    kept = weakref.WeakKeyDictionary()
     for cfg in candidates.values():
-        grid = MatchedGrid(cfg, params)
         for lambdas, seed, activation, n_frames in rows:
             loads = LoadDistribution(*lambdas)
+            monkeypatch.setattr(montecarlo, "_GRIDS", kept)
             shared = simulate(cfg, loads, params, n_frames, seed, activation=activation,
-                              grid=grid, **MATCHED)
+                              **MATCHED)
+            monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
             fresh = simulate(cfg, loads, params, n_frames, seed, activation=activation,
                              **MATCHED)
             assert shared == fresh
+    assert len(kept[params]) == len(candidates)
 
 
-def test_grid_of_another_configuration_or_params_is_refused(params, candidates, monkeypatch):
+def test_grid_is_kept_per_configuration_and_parameter_set(params, candidates, monkeypatch):
+    # one read-only array per configuration and parameter set: a second
+    # call, or an equal parameter set, reads it; another configuration or
+    # parameter set gets its own
+    monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
     cfg, other = candidates["r1_Hl_Hh"], candidates["r0_Hl_Hl"]
-    loads = LoadDistribution(6.0, 4.0)
-    grids = (MatchedGrid(other, params),
-             MatchedGrid(cfg, dataclasses.replace(params, n_users=29)),
-             MatchedGrid(cfg, dataclasses.replace(params, p_u=2.0 * params.p_u)))
-    # refused before any stream is derived or any frame computed
-    spies = [spy_on(monkeypatch, name) for name in ("_stream", "_receptions")]
-    for grid in grids:
-        with pytest.raises(ValueError, match="matched grid of"):
-            simulate(cfg, loads, params, 10, seed=1, activation=ActivationModel.MODEL_MATCHED,
-                     grid=grid, **MATCHED)
-    assert spies == [[], []]
+    values = _matched_values(cfg, params)
+    assert _matched_values(cfg, params) is values
+    assert _matched_values(cfg, dataclasses.replace(params)) is values
+    assert not np.array_equal(_matched_values(other, params), values)
+    louder = dataclasses.replace(params, p_u=2.0 * params.p_u)
+    assert not np.array_equal(_matched_values(cfg, louder), values)
+    assert _matched_values(cfg, dataclasses.replace(params, n_users=29)).size == 30 ** 2
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 1.0
+    assert values[0] == 0.0
 
 
 def test_model_matched_sampling_is_unbiased(params, candidates):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from uav_twoway import default_config, throughput, validate_and_derive
 from uav_twoway.errors import NonPositiveRateError
-from uav_twoway.montecarlo import MatchedGrid
+from uav_twoway.montecarlo import _matched_values
 from uav_twoway.pairing import AccountingMode, pair_counts
 from uav_twoway.params import split_weight_grid
 from uav_twoway.rates import rate_individual, rate_set
@@ -164,7 +164,7 @@ def test_conditional_pinned_mixed_case(params, candidates):
 
 
 def test_conditional_empty_frame_is_zero(params, candidates):
-    assert MatchedGrid(candidates["r0_Hl_Hl"], params).values[0] == 0.0
+    assert _matched_values(candidates["r0_Hl_Hl"], params)[0] == 0.0
 
 
 def reference_weights(k, n):
