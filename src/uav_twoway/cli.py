@@ -140,7 +140,7 @@ class SweepSpec:
     lambda2_values: tuple
     selections: tuple            # (label, Configuration-or-None) pairs
     tables: dict                 # label -> ConditionalTable, optimal's candidates included
-    cells: dict                  # Configuration -> its CSV cells r .. accounting_mode
+    cells: dict                  # Configuration -> its CSV cells r .. accounting_mode, a list
     frames: int
     seed: int
     activation: str              # poisson | binomial | model | exhaustive
@@ -185,9 +185,9 @@ class SweepSpec:
             lambda2_values=lambda2_values,
             selections=selections,
             tables=conditional_tables(configs, params, accounting),
-            cells={cfg: {"r": cfg.r, "h1": ALTITUDE_SYMBOLS[cfg.t1],
-                         "h2": ALTITUDE_SYMBOLS[cfg.t2], "h1_m": repr(params.altitude(cfg.t1)),
-                         "h2_m": repr(params.altitude(cfg.t2)), "accounting_mode": accounting.value}
+            cells={cfg: [cfg.r, ALTITUDE_SYMBOLS[cfg.t1], ALTITUDE_SYMBOLS[cfg.t2],
+                         repr(params.altitude(cfg.t1)), repr(params.altitude(cfg.t2)),
+                         accounting.value]
                    for cfg in configs.values()},
             frames=args.frames,
             seed=args.seed,
@@ -198,18 +198,19 @@ class SweepSpec:
         )
 
 
-def _point_rows(spec: SweepSpec, point: tuple) -> list[dict]:
-    """All CSV rows for one grid point ``(index, lambda1, lambda2)``. A
-    Monte Carlo row is a ``simulate`` call and an exhaustive one a
+def _point_rows(spec: SweepSpec, point: tuple) -> list[list]:
+    """The CSV rows of one grid point ``(index, (lambda1, lambda2))``, each
+    a list in ``CSV_COLUMNS`` order with its deviation flag last. A Monte
+    Carlo row is a ``simulate`` call and an exhaustive one a
     ``simulate_exhaustive`` call; an ``optimal`` row runs its winner's.
     Module-level so worker processes can run it.
 
     The Skellam vector is computed once for the point, and every table's
     average once, the optimum reusing the candidates'; the load cells are
     formatted once for the point, a configuration's cells once per run."""
-    point_index, lambda1, lambda2 = point
+    point_index, (lambda1, lambda2) = point
     params, activation = spec.params, spec.activation
-    load_cells = {"lambda1": repr(float(lambda1)), "lambda2": repr(float(lambda2))}
+    load_cells = [repr(float(lambda1)), repr(float(lambda2))]
     loads = LoadDistribution(lambda1, lambda2)
     breakdowns = {label: average_throughput(table, loads) for label, table in spec.tables.items()}
     exhaustive, simulated = activation == "exhaustive", spec.simulated
@@ -222,36 +223,25 @@ def _point_rows(spec: SweepSpec, point: tuple) -> list[dict]:
             cfg = breakdown.config
         else:
             breakdown = breakdowns[label]
-        row = {
-            **load_cells,
-            "configuration": label,
-            **spec.cells[cfg],
-            "throughput_bpshz": repr(breakdown.total),
-            "mc_mean": "", "mc_ci_low": "", "mc_ci_high": "",
-            "n_frames": 0,
-            "seed": spec.seed,
-        }
-        if simulated:
-            if exhaustive:
-                mc_mean, half_width, used_frames = (
-                    simulate_exhaustive(cfg, loads, params), 0.0, 0)
-            else:
-                result = simulate(
-                    cfg, loads, params, spec.frames,
-                    seed=(spec.seed, point_index, config_index),
-                    activation=ActivationModel(activation),
-                    worst_case_distances=spec.worst_case_distances,
-                    mean_shadowing=spec.mean_shadowing)
-                mc_mean, half_width, used_frames = (
-                    result.mean, result.ci_half_width, spec.frames)
-            row.update(mc_mean=repr(float(mc_mean)),
-                       mc_ci_low=repr(float(mc_mean - half_width)),
-                       mc_ci_high=repr(float(mc_mean + half_width)),
-                       n_frames=used_frames)
-            row["_deviation"] = _deviation_flag(
-                breakdown.total, mc_mean, half_width, spec.worst_case_distances,
-                spec.mean_shadowing, activation)
-        rows.append(row)
+        row = [*load_cells, label, *spec.cells[cfg], repr(breakdown.total)]
+        if not simulated:
+            rows.append([*row, "", "", "", 0, spec.seed, ""])
+            continue
+        if exhaustive:
+            mc_mean, half_width, used_frames = simulate_exhaustive(cfg, loads, params), 0.0, 0
+        else:
+            result = simulate(
+                cfg, loads, params, spec.frames,
+                seed=(spec.seed, point_index, config_index),
+                activation=ActivationModel(activation),
+                worst_case_distances=spec.worst_case_distances,
+                mean_shadowing=spec.mean_shadowing)
+            mc_mean, half_width, used_frames = result.mean, result.ci_half_width, spec.frames
+        rows.append([*row, repr(float(mc_mean)), repr(float(mc_mean - half_width)),
+                     repr(float(mc_mean + half_width)), used_frames, spec.seed,
+                     _deviation_flag(breakdown.total, mc_mean, half_width,
+                                     spec.worst_case_distances, spec.mean_shadowing,
+                                     activation)])
     return rows
 
 
@@ -282,33 +272,50 @@ def _output(path):
         yield out
 
 
-def _run_grid(args, with_flag: bool) -> list[dict]:
-    """Validate the run, open ``--out`` before any row is computed, then
-    compute the rows and write them as CSV."""
+def _run_grid(args, with_flag: bool) -> int:
+    """Validate the run and open ``--out`` before any row is computed; then
+    write the CSV header, and each point's rows as soon as they are
+    computed, in point order. Returns the number of ``DEVIATION`` rows."""
     spec = SweepSpec.from_args(args)
-    with _output(args.out) as out:
-        points = [(index, *loads) for index, loads in
-                  enumerate(product(spec.lambda1_values, spec.lambda2_values))]
-        rows_of = partial(_point_rows, spec)
-        if spec.workers > 1:
-            # imported here: it loads multiprocessing, which one process does not need
-            from concurrent.futures import ProcessPoolExecutor
-            if spec.simulated:
-                # and numpy with it, once before the workers fork, not once per worker
-                from . import montecarlo  # noqa: F401
-            with ProcessPoolExecutor(max_workers=spec.workers, initializer=_start_worker,
-                                     initargs=(rows_of,)) as pool:
-                per_point = list(pool.map(_worker_rows, points))
-        else:
-            per_point = [rows_of(point) for point in points]
-        rows = [row for rows in per_point for row in rows]
-        _write_csv(rows, out, with_flag)
-    return rows
+    with _output(args.out) as out, _rows_per_point(spec) as rows_per_point:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS + (["deviation_flag"] if with_flag else []))
+        deviations = 0
+        for rows in rows_per_point:
+            for row in rows:
+                deviations += row[-1] == "DEVIATION"
+                writer.writerow(row if with_flag else row[:-1])
+            out.flush()
+    return deviations
+
+
+@contextmanager
+def _rows_per_point(spec: SweepSpec):
+    """Each grid point's rows, in point order: computed in this process, or
+    by ``spec.workers`` processes, in chunks of points."""
+    points = enumerate(product(spec.lambda1_values, spec.lambda2_values))
+    rows_of = partial(_point_rows, spec)
+    if spec.workers == 1:
+        yield map(rows_of, points)
+        return
+    # imported here: it loads multiprocessing, which one process does not need
+    from concurrent.futures import ProcessPoolExecutor
+    if spec.simulated:
+        # and numpy with it, once before the workers fork, not once per worker
+        from . import montecarlo  # noqa: F401
+    # multiprocessing.Pool.map's rule: about four chunks per worker
+    chunksize = -(-len(spec.lambda1_values) * len(spec.lambda2_values) // (4 * spec.workers))
+    with ProcessPoolExecutor(max_workers=spec.workers, initializer=_start_worker,
+                             initargs=(rows_of,)) as pool:
+        try:
+            yield pool.map(_worker_rows, points, chunksize=chunksize)
+        finally:  # a failed run waits for the chunks in progress, not for the rest
+            pool.shutdown(cancel_futures=True)
 
 
 # A worker process's ``_point_rows`` with the command's spec bound, sent
-# once when the worker starts; a task then sends only its point. The
-# worker, and this with it, ends with the command's pool.
+# once when the worker starts; a task then sends only its chunk of points.
+# The worker, and this with it, ends with the command's pool.
 _WORKER_ROWS = None
 
 
@@ -317,18 +324,8 @@ def _start_worker(rows_of) -> None:
     _WORKER_ROWS = rows_of
 
 
-def _worker_rows(point: tuple) -> list[dict]:
+def _worker_rows(point: tuple) -> list[list]:
     return _WORKER_ROWS(point)
-
-
-def _write_csv(rows: list[dict], out, with_flag: bool) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS + (["deviation_flag"] if with_flag else []))
-    for row in rows:
-        record = [row.get(c, "") for c in CSV_COLUMNS]
-        if with_flag:
-            record.append(row.get("_deviation", ""))
-        writer.writerow(record)
 
 
 def cmd_eval(args) -> int:
@@ -388,10 +385,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    rows = _run_grid(args, with_flag=True)
-    flagged = [row for row in rows if row.get("_deviation") == "DEVIATION"]
+    flagged = _run_grid(args, with_flag=True)
     if flagged:
-        print(f"warning: {len(flagged)} row(s) deviate from the closed form "
+        print(f"warning: {flagged} row(s) deviate from the closed form "
               f"in matched-assumption mode", file=sys.stderr)
     return EXIT_OK
 
