@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -46,6 +47,15 @@ MAX_FRAMES = 10_000_000
 # Worker processes of a grid run. A process pool forks all its workers at
 # the first task, so the count is checked before any pool exists.
 MAX_WORKERS = 64
+SHOWN_CHARS = 50  # characters of a long flag value that an error message repeats
+
+
+def _shown(spec: str) -> str:
+    """``spec`` quoted for an error message; a long one cut to its first
+    characters and its length, so the message stays one short line."""
+    if len(spec) <= SHOWN_CHARS:
+        return repr(spec)
+    return f"{spec[:SHOWN_CHARS]!r}... ({len(spec):,} characters)"
 
 
 def _parse_values(spec: str, flag: str) -> list[float]:
@@ -57,24 +67,24 @@ def _parse_values(spec: str, flag: str) -> list[float]:
                 raise ValueError
             start, stop, step = parts
             if not all(math.isfinite(p) for p in parts):
-                raise ConfigError(f"{flag}={spec!r}: start, stop and step must be finite")
+                raise ConfigError(f"{flag}={_shown(spec)}: start, stop and step must be finite")
             if step <= 0:
-                raise ConfigError(f"{flag}={spec!r}: step must be > 0")
+                raise ConfigError(f"{flag}={_shown(spec)}: step must be > 0")
             last = (stop - start) / step + 1e-9  # index of the last value, < 0 if none
             if last >= MAX_AXIS_VALUES:  # checked before the list is built
-                raise ConfigError(f"{flag}={spec!r}: more than {MAX_AXIS_VALUES} values")
+                raise ConfigError(f"{flag}={_shown(spec)}: more than {MAX_AXIS_VALUES} values")
             values = [start + i * step for i in range(math.floor(last) + 1)]
         else:
             values = [float(p) for p in spec.split(",") if p.strip()]
     except ConfigError:
         raise
     except ValueError:
-        raise ConfigError(
-            f"{flag}={spec!r}: expected a number, a comma list, or start:stop:step") from None
+        raise ConfigError(f"{flag}={_shown(spec)}: expected a number, a comma list, "
+                          "or start:stop:step") from None
     if not values:
-        raise ConfigError(f"{flag}={spec!r}: empty range")
+        raise ConfigError(f"{flag}={_shown(spec)}: empty range")
     if len(values) > MAX_AXIS_VALUES:
-        raise ConfigError(f"{flag}={spec!r}: more than {MAX_AXIS_VALUES} values")
+        raise ConfigError(f"{flag}={_shown(spec)}: more than {MAX_AXIS_VALUES} values")
     return values
 
 
@@ -106,9 +116,10 @@ def _resolve_configurations(names: str) -> list[tuple[str, object]]:
             selected.append((name, everything[name]))
         else:
             known = ", ".join([*everything, OPTIMAL, EXHAUSTIVE])
-            raise ConfigError(f"unknown configuration {name!r}; choose from: {known}")
+            raise ConfigError(f"--configurations: unknown configuration {_shown(name)}; "
+                              f"choose from: {known}")
     if not selected:
-        raise ConfigError("no configurations selected")
+        raise ConfigError(f"--configurations={_shown(names)}: no configurations selected")
     return selected
 
 
@@ -280,6 +291,7 @@ def _run_grid(args, with_flag: bool) -> int:
     with _output(args.out) as out, _rows_per_point(spec) as rows_per_point:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS + (["deviation_flag"] if with_flag else []))
+        out.flush()
         deviations = 0
         for rows in rows_per_point:
             for row in rows:
@@ -471,6 +483,12 @@ def main(argv=None) -> int:
     except (ArithmeticError, ValueError) as error:
         print(f"numeric error: {error}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # stdout's reader has gone (``sweep ... | head -1``). As Python's
+        # signal docs advise (note on SIGPIPE), point stdout at devnull, so
+        # that the interpreter's last flush cannot fail again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

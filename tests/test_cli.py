@@ -211,10 +211,6 @@ def test_every_exported_name_resolves():
 
 
 def test_sweep_rejects_bad_range(capsys, tmp_path):
-    assert run_cli("sweep", "--lambda1", "5:1:-1", "--lambda2", "2",
-                   "--out", str(tmp_path / "x.csv")) == 2
-    assert run_cli("sweep", "--lambda1", "abc", "--lambda2", "2",
-                   "--out", str(tmp_path / "x.csv")) == 2
     for names, message in (("bogus", "unknown configuration 'bogus'"),
                            (" , ", "no configurations selected")):
         capsys.readouterr()
@@ -224,15 +220,28 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
         assert message in capsys.readouterr().err
     # (extra arguments, the flag the error must name); --lambda2 0 stops
     # the run before any frame or worker process, should an over-long range
-    # or a count above its ceiling ever be accepted
-    for extra, flag in ((("--lambda1", "1:inf:1", "--lambda2", "5"), "--lambda1"),
+    # or a count above its ceiling ever be accepted. Each error is one line
+    # of under 500 bytes that names its flag, however long the input.
+    long_list = ",".join(["1"] * (cli.MAX_AXIS_VALUES + 1))
+    for extra, flag in ((("--lambda1", "5:1:-1", "--lambda2", "2"), "--lambda1"),
+                        (("--lambda1", "abc", "--lambda2", "2"), "--lambda1"),
+                        (("--lambda1", "x" * 20_000, "--lambda2", "2"), "--lambda1"),
+                        (("--lambda1", "3", "--lambda2", "2", "--configurations", "bogus"),
+                         "--configurations"),
+                        (("--lambda1", "3", "--lambda2", "2", "--configurations", " , "),
+                         "--configurations"),
+                        (("--lambda1", "3", "--lambda2", "2", "--configurations", " ," * 10_000),
+                         "--configurations"),
+                        (("--lambda1", "3", "--lambda2", "2", "--configurations", "b" * 10_000),
+                         "--configurations"),
+                        (("--lambda1", "1:inf:1", "--lambda2", "5"), "--lambda1"),
                         (("--lambda1", "5:4:1", "--lambda2", "5"), "--lambda1"),
                         (("--lambda1", "5", "--lambda2", "5", "--frames", "-3"), "--frames"),
                         (("--lambda1", "5", "--lambda2", "5", "--workers", "0"), "--workers"),
                         (("--lambda1", "5", "--lambda2", "5", "--workers", "-2"), "--workers"),
                         (("--lambda1", "1:10001:1", "--lambda2", "0"), "--lambda1"),
-                        (("--lambda1", ",".join(["1"] * (cli.MAX_AXIS_VALUES + 1)),
-                          "--lambda2", "0"), "--lambda1"),
+                        (("--lambda1", long_list, "--lambda2", "0"), "--lambda1"),
+                        (("--lambda1", "3", "--lambda2", long_list), "--lambda2"),
                         (("--lambda1", "5", "--lambda2", "5", "--frames", "3", "--seed", "-1"),
                          "--seed"),
                         (("--lambda1", "5", "--lambda2", "0", "--frames", str(MAX_FRAMES + 1)),
@@ -241,7 +250,9 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
                          "--workers")):
         capsys.readouterr()
         assert run_cli("sweep", *extra, "--out", str(tmp_path / "x.csv")) == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1, err[:200]
+        assert len(err.encode()) < 500, err[:200]
 
 
 @pytest.mark.parametrize("error", [ValueError("math domain error"),
@@ -264,14 +275,65 @@ def test_range_whose_stop_is_its_start_is_one_value():
 
 
 def test_sweep_byte_identical_across_runs_and_workers(tmp_path):
-    args = ("--lambda1", "2,7", "--lambda2", "3,5", "--frames", "25",
-            "--seed", "99", "--activation", "poisson")
-    paths = [tmp_path / f"run{i}.csv" for i in range(3)]
-    assert run_cli("sweep", *args, "--out", str(paths[0])) == 0
-    assert run_cli("sweep", *args, "--out", str(paths[1])) == 0
-    assert run_cli("sweep", *args, "--workers", "2", "--out", str(paths[2])) == 0
-    blobs = [path.read_bytes() for path in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    # 4 points, one per chunk at two workers, and 9 points, two per chunk
+    for grid in (("--lambda1", "2,7", "--lambda2", "3,5"),
+                 ("--lambda1", "2,7,12", "--lambda2", "3,5,9")):
+        args = (*grid, "--frames", "25", "--seed", "99", "--activation", "poisson")
+        paths = [tmp_path / f"run{i}.csv" for i in range(3)]
+        assert run_cli("sweep", *args, "--out", str(paths[0])) == 0
+        assert run_cli("sweep", *args, "--out", str(paths[1])) == 0
+        assert run_cli("sweep", *args, "--workers", "2", "--out", str(paths[2])) == 0
+        blobs = [path.read_bytes() for path in paths]
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0].count(b"\n") == 1 + 4 * len(grid[1].split(",")) * len(grid[3].split(","))
+
+
+def test_sweep_writes_each_point_before_computing_the_next(tmp_path, monkeypatch):
+    # a killed run leaves the header and every finished point's rows
+    out = tmp_path / "grid.csv"
+    point_rows, written = cli._point_rows, []
+
+    def recorded(spec, point):
+        written.append(out.read_text())
+        return point_rows(spec, point)
+
+    monkeypatch.setattr(cli, "_point_rows", recorded)
+    assert run_cli("sweep", "--lambda1", "1,2,3", "--lambda2", "4", "--out", str(out)) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    assert written == ["".join(lines[:1 + 4 * point]) for point in range(3)]
+
+
+def test_numeric_error_midway_keeps_the_finished_points(capsys, monkeypatch):
+    # exit 3 at the second of three points: the header and the first
+    # point's rows are already out, and nothing after them
+    assert run_cli("sweep", "--lambda1", "1", "--lambda2", "4") == 0
+    first_point = capsys.readouterr().out
+    point_rows = cli._point_rows
+
+    def second_fails(spec, point):
+        if point[0] == 1:
+            raise ValueError("math domain error")
+        return point_rows(spec, point)
+
+    monkeypatch.setattr(cli, "_point_rows", second_fails)
+    assert run_cli("sweep", "--lambda1", "1,2,3", "--lambda2", "4") == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numeric error: math domain error\n"
+    assert captured.out == first_point and first_point.count("\n") == 5
+
+
+def test_closed_stdout_ends_quietly_with_exit_0(tmp_path):
+    # `sweep ... | head -1`: the reader goes after the header, and the run
+    # ends at its next write, without a traceback, not after the whole grid
+    env = dict(os.environ, PYTHONPATH=str(Path(uav_twoway.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "uav_twoway.cli", "sweep", "--lambda1", "1:600:1",
+         "--lambda2", "1:100:1"], env=env, cwd=tmp_path, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    assert child.stdout.readline().startswith(b"lambda1,lambda2,configuration,")
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (cli.EXIT_OK, b"")
 
 
 @pytest.mark.parametrize("args", [

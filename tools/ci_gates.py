@@ -21,7 +21,7 @@ from pathlib import Path
 
 CANDIDATES = "r1_Hl_Hh,r1_Hh_Hl,r0_Hl_Hl"
 MATCHED = ("--activation", "model", "--distances", "worst", "--shadowing", "mean")
-# a one-row compare's peak RSS [MB], printed after the CSV is written
+# a command's peak RSS [MB], printed after the CSV is written
 PEAK_MB = ("import resource, sys; from uav_twoway import cli; code = cli.main(sys.argv[1:]); "
            "sys.exit(code) if code else "
            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
@@ -63,21 +63,30 @@ def closed_form_200(out: Path):
          "--configurations", "exhaustive,optimal", "--set", "n_users=200"], timeout=30)
 
 
-def peak_mb(frames: int, out: Path, *flags: str) -> float:
-    """Peak RSS [MB] of a one-row compare of ``frames`` frames."""
-    return float(run([sys.executable, "-c", PEAK_MB, "compare", "--lambda1", "6",
-                      "--lambda2", "4", "--configurations", "r0_Hl_Hl", "--frames", str(frames),
-                      "--out", str(out), *flags], timeout=120, stdout=subprocess.PIPE))
+def peak_mb(out: Path, *argv: str) -> float:
+    """Peak RSS [MB] of ``argv`` run in one process, its CSV written to ``out``."""
+    return float(run([sys.executable, "-c", PEAK_MB, *argv, "--out", str(out)],
+                     timeout=120, stdout=subprocess.PIPE))
 
 
 def memory(out: Path):
-    """A 10^6-frame row within 20 MB of a 10^5-frame one, physical and model-matched."""
-    for name, flags in (("row", ()), ("matched_row", MATCHED)):
-        small = peak_mb(100_000, out / f"{name}_100000.csv", *flags)
-        large = peak_mb(1_000_000, out / f"{name}_1000000.csv", *flags)
-        print(f"{name} peak RSS: {small} MB at 10^5 frames, {large} MB at 10^6 frames")
-        if large - small >= 20:
-            raise GateFailed(f"{name}: a 10^6-frame row peaks {large - small:.1f} MB higher")
+    """Rows of 10^6 frames within 20 MB of 10^5; a 600 x 100 sweep within 10 MB of 10 x 10."""
+    row = ("compare", "--lambda1", "6", "--lambda2", "4", "--configurations", "r0_Hl_Hl")
+    # (name, what is compared, small command, large command, bound [MB])
+    for name, sizes, small, large, bound in (
+            ("row", ("10^5 frames", "10^6 frames"), (*row, "--frames", "100000"),
+             (*row, "--frames", "1000000"), 20),
+            ("matched_row", ("10^5 frames", "10^6 frames"),
+             (*row, "--frames", "100000", *MATCHED), (*row, "--frames", "1000000", *MATCHED), 20),
+            ("sweep", ("10 x 10 points", "600 x 100 points"),
+             ("sweep", "--lambda1", "1:10:1", "--lambda2", "1:10:1"),
+             ("sweep", "--lambda1", "1:600:1", "--lambda2", "1:100:1"), 10)):
+        small_mb = peak_mb(out / f"{name}_small.csv", *small)
+        large_mb = peak_mb(out / f"{name}_large.csv", *large)
+        print(f"{name} peak RSS: {small_mb} MB at {sizes[0]}, {large_mb} MB at {sizes[1]}")
+        if large_mb - small_mb >= bound:
+            raise GateFailed(f"{name}: {sizes[1]} peak {large_mb - small_mb:.1f} MB higher "
+                             f"than {sizes[0]}")
 
 
 def matches_closed_form(out: Path, name: str, argv, timeout=None):
