@@ -286,7 +286,9 @@ def _output(path):
 def _run_grid(args, with_flag: bool) -> int:
     """Validate the run and open ``--out`` before any row is computed; then
     write the CSV header, and each point's rows as soon as they are
-    computed, in point order. Returns the number of ``DEVIATION`` rows."""
+    computed, in point order. Each is flushed, so a run that fails or is
+    killed leaves the header and its finished points. Returns the number
+    of ``DEVIATION`` rows."""
     spec = SweepSpec.from_args(args)
     with _output(args.out) as out, _rows_per_point(spec) as rows_per_point:
         writer = csv.writer(out, lineterminator="\n")
@@ -319,10 +321,7 @@ def _rows_per_point(spec: SweepSpec):
     chunksize = -(-len(spec.lambda1_values) * len(spec.lambda2_values) // (4 * spec.workers))
     with ProcessPoolExecutor(max_workers=spec.workers, initializer=_start_worker,
                              initargs=(rows_of,)) as pool:
-        try:
-            yield pool.map(_worker_rows, points, chunksize=chunksize)
-        finally:  # a failed run waits for the chunks in progress, not for the rest
-            pool.shutdown(cancel_futures=True)
+        yield pool.map(_worker_rows, points, chunksize=chunksize)
 
 
 # A worker process's ``_point_rows`` with the command's spec bound, sent
