@@ -44,9 +44,14 @@ MAX_AXIS_VALUES = 10_000  # values per load axis of a grid
 # here, and its standard deviation works in place: a 10^6-frame physical
 # row peaked 7.1 MB above a 10^5-frame one, a model-matched row 6.8 MB.
 MAX_FRAMES = 10_000_000
-# Worker processes of a grid run. A process pool forks all its workers at
-# the first task, so the count is checked before any pool exists.
+# Worker processes of a grid run. A multiprocessing.Pool forks all its
+# workers when it is built, so the count is checked before any pool exists.
 MAX_WORKERS = 64
+# Grid points per worker task at most: a worker holds its chunk's rows, and
+# a closed output is noticed at the next chunk. Each chunk costs the main
+# process CPU, as the pool's threads wake on every result: a 600 x 100
+# two-worker sweep took 3.5 s at 64 points and 3.0 s at 512 (2-core Xeon).
+CHUNK_POINTS = 512
 SHOWN_CHARS = 50  # characters of a long flag value that an error message repeats
 
 
@@ -312,16 +317,15 @@ def _rows_per_point(spec: SweepSpec):
     if spec.workers == 1:
         yield map(rows_of, points)
         return
-    # imported here: it loads multiprocessing, which one process does not need
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing  # here: one process does not need it
     if spec.simulated:
-        # and numpy with it, once before the workers fork, not once per worker
+        # numpy too, once before the workers fork, not once per worker
         from . import montecarlo  # noqa: F401
-    # multiprocessing.Pool.map's rule: about four chunks per worker
+    # multiprocessing.Pool.map's rule, about four chunks per worker, capped
     chunksize = -(-len(spec.lambda1_values) * len(spec.lambda2_values) // (4 * spec.workers))
-    with ProcessPoolExecutor(max_workers=spec.workers, initializer=_start_worker,
-                             initargs=(rows_of,)) as pool:
-        yield pool.map(_worker_rows, points, chunksize=chunksize)
+    # imap feeds chunks as workers take them; leaving the block terminates the pool
+    with multiprocessing.Pool(spec.workers, _start_worker, (rows_of,)) as pool:
+        yield pool.imap(_worker_rows, points, min(chunksize, CHUNK_POINTS))
 
 
 # A worker process's ``_point_rows`` with the command's spec bound, sent
@@ -348,7 +352,8 @@ def cmd_eval(args) -> int:
     elif args.configuration:
         everything = all_configurations()
         if args.configuration not in everything:
-            raise ConfigError(f"unknown configuration {args.configuration!r}; "
+            raise ConfigError(f"--configuration: unknown configuration "
+                              f"{_shown(args.configuration)}; "
                               f"choose from: {', '.join(everything)}")
         configs = {args.configuration: everything[args.configuration]}
     else:

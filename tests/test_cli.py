@@ -2,9 +2,12 @@ import contextlib
 import csv
 import io
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -69,6 +72,16 @@ def test_eval_configuration_and_exhaustive_exclude_each_other(capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "--exhaustive" in err and "--configuration" in err, err
+
+
+@pytest.mark.parametrize("label", ["bogus", "optimal", "r1_Hh_Hl,r0_Hl_Hl", "b" * 20_000],
+                         ids=["bogus", "optimal", "list", "long"])
+def test_eval_unknown_configuration_exits_2_naming_the_flag(capsys, label):
+    # one line of under 500 bytes, however long the label
+    assert run_cli("eval", "--lambda1", "5", "--lambda2", "3", "--configuration", label) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --configuration") and err.count("\n") == 1, err[:200]
+    assert len(err.encode()) < 500, err[:200]
 
 
 def test_eval_per_k_table(capsys):
@@ -275,17 +288,21 @@ def test_range_whose_stop_is_its_start_is_one_value():
 
 
 def test_sweep_byte_identical_across_runs_and_workers(tmp_path):
-    # 4 points, one per chunk at two workers, and 9 points, two per chunk
-    for grid in (("--lambda1", "2,7", "--lambda2", "3,5"),
-                 ("--lambda1", "2,7,12", "--lambda2", "3,5,9")):
-        args = (*grid, "--frames", "25", "--seed", "99", "--activation", "poisson")
+    # at two workers: 4 points, one per chunk; 9 points, two per chunk; and
+    # 4,200 analytical points, whose chunks of 525 are capped at CHUNK_POINTS
+    simulated = ("--frames", "25", "--seed", "99", "--activation", "poisson")
+    assert 4200 > 4 * 2 * cli.CHUNK_POINTS
+    for lambda1, lambda2, extra, points in (("2,7", "3,5", simulated, 4),
+                                            ("2,7,12", "3,5,9", simulated, 9),
+                                            ("1:2100:1", "1,2", (), 4200)):
+        args = ("--lambda1", lambda1, "--lambda2", lambda2, *extra)
         paths = [tmp_path / f"run{i}.csv" for i in range(3)]
         assert run_cli("sweep", *args, "--out", str(paths[0])) == 0
         assert run_cli("sweep", *args, "--out", str(paths[1])) == 0
         assert run_cli("sweep", *args, "--workers", "2", "--out", str(paths[2])) == 0
         blobs = [path.read_bytes() for path in paths]
         assert blobs[0] == blobs[1] == blobs[2]
-        assert blobs[0].count(b"\n") == 1 + 4 * len(grid[1].split(",")) * len(grid[3].split(","))
+        assert blobs[0].count(b"\n") == 1 + 4 * points
 
 
 def test_sweep_writes_each_point_before_computing_the_next(tmp_path, monkeypatch):
@@ -322,18 +339,49 @@ def test_numeric_error_midway_keeps_the_finished_points(capsys, monkeypatch):
     assert captured.out == first_point and first_point.count("\n") == 5
 
 
-def test_closed_stdout_ends_quietly_with_exit_0(tmp_path):
+# a grid that takes more than 10 s at two workers (2-core Xeon)
+LONG_GRID = ("--lambda1", "1:2000:1", "--lambda2", "1:100:1")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["one-process", "two-workers"])
+def test_closed_stdout_ends_quietly_with_exit_0(tmp_path, workers):
     # `sweep ... | head -1`: the reader goes after the header, and the run
-    # ends at its next write, without a traceback, not after the whole grid
+    # ends at its next write, without a traceback, not after the whole grid;
+    # under workers the pool is terminated, its queued chunks dropped
     env = dict(os.environ, PYTHONPATH=str(Path(uav_twoway.__file__).parents[1]))
     child = subprocess.Popen(
-        [sys.executable, "-m", "uav_twoway.cli", "sweep", "--lambda1", "1:600:1",
-         "--lambda2", "1:100:1"], env=env, cwd=tmp_path, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE)
-    assert child.stdout.readline().startswith(b"lambda1,lambda2,configuration,")
-    child.stdout.close()
-    _, err = child.communicate(timeout=120)
+        [sys.executable, "-m", "uav_twoway.cli", "sweep", *LONG_GRID, "--workers", workers],
+        env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True)
+    try:
+        assert child.stdout.readline().startswith(b"lambda1,lambda2,configuration,")
+        child.stdout.close()
+        _, err = child.communicate(timeout=5)
+    finally:  # a run past the timeout is ended with its workers
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
     assert (child.returncode, err) == (cli.EXIT_OK, b"")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched _point_rows reaches the workers only through fork")
+def test_numeric_error_in_a_worker_exits_3_at_once(capsys, monkeypatch, tmp_path):
+    # the failing chunk's error ends the run: the pool is terminated, and
+    # the chunks queued behind it are not waited for
+    point_rows = cli._point_rows
+
+    def one_fails(spec, point):
+        if point[0] == 2000:
+            raise ValueError("math domain error")
+        return point_rows(spec, point)
+
+    monkeypatch.setattr(cli, "_point_rows", one_fails)
+    start = time.perf_counter()
+    assert run_cli("sweep", *LONG_GRID, "--workers", "2",
+                   "--out", str(tmp_path / "grid.csv")) == cli.EXIT_NUMERIC
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == "numeric error: math domain error\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -21,10 +21,12 @@ from pathlib import Path
 
 CANDIDATES = "r1_Hl_Hh,r1_Hh_Hl,r0_Hl_Hl"
 MATCHED = ("--activation", "model", "--distances", "worst", "--shadowing", "mean")
-# a command's peak RSS [MB], printed after the CSV is written
+# a command's peak RSS [MB] and its largest worker's (0 without workers),
+# printed after the CSV is written
 PEAK_MB = ("import resource, sys; from uav_twoway import cli; code = cli.main(sys.argv[1:]); "
            "sys.exit(code) if code else "
-           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
+           "print(*(resource.getrusage(who).ru_maxrss / 1024 "
+           "for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))")
 
 
 class GateFailed(Exception):
@@ -63,30 +65,35 @@ def closed_form_200(out: Path):
          "--configurations", "exhaustive,optimal", "--set", "n_users=200"], timeout=30)
 
 
-def peak_mb(out: Path, *argv: str) -> float:
-    """Peak RSS [MB] of ``argv`` run in one process, its CSV written to ``out``."""
-    return float(run([sys.executable, "-c", PEAK_MB, *argv, "--out", str(out)],
-                     timeout=120, stdout=subprocess.PIPE))
+def peak_mb(out: Path, *argv: str) -> tuple[float, float]:
+    """Peak RSS [MB] of ``argv`` run in one process, its CSV written to
+    ``out``, and of its largest worker (0 without workers)."""
+    main_mb, worker_mb = run([sys.executable, "-c", PEAK_MB, *argv, "--out", str(out)],
+                             timeout=120, stdout=subprocess.PIPE).split()
+    return float(main_mb), float(worker_mb)
 
 
 def memory(out: Path):
-    """Rows of 10^6 frames within 20 MB of 10^5; a 600 x 100 sweep within 10 MB of 10 x 10."""
+    """Rows of 10^6 frames within 20 MB of 10^5; 600 x 100 sweeps within 10 MB of 10 x 10."""
     row = ("compare", "--lambda1", "6", "--lambda2", "4", "--configurations", "r0_Hl_Hl")
+    small_grid = ("sweep", "--lambda1", "1:10:1", "--lambda2", "1:10:1")
+    large_grid = ("sweep", "--lambda1", "1:600:1", "--lambda2", "1:100:1")
     # (name, what is compared, small command, large command, bound [MB])
     for name, sizes, small, large, bound in (
             ("row", ("10^5 frames", "10^6 frames"), (*row, "--frames", "100000"),
              (*row, "--frames", "1000000"), 20),
             ("matched_row", ("10^5 frames", "10^6 frames"),
              (*row, "--frames", "100000", *MATCHED), (*row, "--frames", "1000000", *MATCHED), 20),
-            ("sweep", ("10 x 10 points", "600 x 100 points"),
-             ("sweep", "--lambda1", "1:10:1", "--lambda2", "1:10:1"),
-             ("sweep", "--lambda1", "1:600:1", "--lambda2", "1:100:1"), 10)):
-        small_mb = peak_mb(out / f"{name}_small.csv", *small)
-        large_mb = peak_mb(out / f"{name}_large.csv", *large)
-        print(f"{name} peak RSS: {small_mb} MB at {sizes[0]}, {large_mb} MB at {sizes[1]}")
-        if large_mb - small_mb >= bound:
-            raise GateFailed(f"{name}: {sizes[1]} peak {large_mb - small_mb:.1f} MB higher "
-                             f"than {sizes[0]}")
+            ("sweep", ("10 x 10 points", "600 x 100 points"), small_grid, large_grid, 10),
+            ("workers_sweep", ("10 x 10 points", "600 x 100 points at two workers"),
+             small_grid, (*large_grid, "--workers", "2"), 10)):
+        small_mb, _ = peak_mb(out / f"{name}_small.csv", *small)
+        large_mb, worker_mb = peak_mb(out / f"{name}_large.csv", *large)
+        print(f"{name} peak RSS: {small_mb} MB at {sizes[0]}, {large_mb} MB at {sizes[1]}"
+              + (f" (largest worker {worker_mb} MB)" if worker_mb else ""))
+        excess = max(large_mb, worker_mb) - small_mb  # each process within the bound
+        if excess >= bound:
+            raise GateFailed(f"{name}: {sizes[1]} peak {excess:.1f} MB higher than {sizes[0]}")
 
 
 def matches_closed_form(out: Path, name: str, argv, timeout=None):
