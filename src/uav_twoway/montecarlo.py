@@ -19,8 +19,9 @@ draws from three streams of its seed, one per kind of draw (``_stream``):
 its frames' counts, their layouts and their shadowing deviates. Each
 stream is read in frame order, so no value depends on how the row's
 frames are cut into chunks and passes. A chunk of FILL_FRAMES frames draws
-its counts in one call of the row's activation law; model activation
-builds its cdf and a guide table once per row, and maps one uniform per
+its counts in one call of the row's activation law, built once per load
+point and parameter set and shared by the point's rows (``_law``); model
+activation's law holds a cdf and a guide table, and maps one uniform per
 frame to (K1, K2) through the table. In the physical modes an engine pass
 then runs about FILL_USERS users' frames of the chunk and draws their
 layout and their deviates in one call each. In matched mode a frame draws
@@ -28,7 +29,8 @@ nothing, so its value is a function of (K1, K2): a row reads each chunk's
 values from its configuration's ``_matched_values``, built whole from one
 engine pass over five one-unit frames and kept while the parameter set
 lives, and ``simulate_exhaustive``, the exact mean of such rows under model
-activation, is that law's pmf times those values, summed over the cells.
+activation, is the point's pmf, from the same store, times those values,
+summed over the cells.
 ``run_frame`` is a pass of one frame that draws its layout, then its
 deviates, from one stream.
 
@@ -94,9 +96,12 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
 
 # Each parameter set's split weights as one float64 array, and its matched
 # values as one read-only array per configuration (``_matched_values``),
-# each made on first use and kept while the set lives
+# each made on first use and kept while the set lives; and each load pair's
+# activation laws and model pmf, per parameter set (``_shared``), kept while
+# both live
 _WEIGHTS = weakref.WeakKeyDictionary()
 _GRIDS = weakref.WeakKeyDictionary()
+_LAWS = weakref.WeakKeyDictionary()
 
 
 def _model_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
@@ -115,10 +120,45 @@ def _model_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
     return pmf
 
 
+def _shared(loads: LoadDistribution, params: SystemParams) -> dict:
+    """What the rows of one (loads, params) share: its model pmf under
+    "pmf", and its ``_Activation`` under each model, each made on first use
+    and read-only. The store holds neither object, only weak references, so
+    it lives as long as both do: a command's point drops its loads, and
+    with them its laws, before the next point."""
+    per_params = _LAWS.get(loads)
+    if per_params is None:
+        per_params = _LAWS[loads] = weakref.WeakKeyDictionary()
+    return per_params.setdefault(params, {})
+
+
+def _point_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
+    """``_model_pmf(loads, params)``, built once and read-only."""
+    store = _shared(loads, params)
+    pmf = store.get("pmf")
+    if pmf is None:
+        pmf = store["pmf"] = _model_pmf(loads, params)
+        pmf.flags.writeable = False
+    return pmf
+
+
+def _law(loads: LoadDistribution, params: SystemParams, model: ActivationModel):
+    """``_Activation(loads, params, model)``, built once and shared."""
+    if not isinstance(model, ActivationModel):
+        raise ValueError(f"activation must be an ActivationModel, got {model!r}")
+    store = _shared(loads, params)
+    law = store.get(model)
+    if law is None:
+        law = store[model] = _Activation(loads, params, model)
+    return law
+
+
 class _Activation:
     """The (K1, K2) law of one (loads, params, model), drawn from a stream
     a run of frames at a time, one row per frame; its MODEL_MATCHED cdf
-    and guide table are built once. ``simulate`` makes one per row.
+    and guide table are built once. It holds no state of a draw, and its
+    arrays are read-only, so one law serves every row of its load point:
+    ``simulate`` takes it from ``_law``.
 
     Each law reads its stream in frame order, so drawing a row's frames in
     one call or in several, of any sizes, gives the same rows and leaves
@@ -134,15 +174,13 @@ class _Activation:
 
     def __init__(self, loads: LoadDistribution, params: SystemParams, model: ActivationModel):
         n = params.n_users
-        if not isinstance(model, ActivationModel):
-            raise ValueError(f"activation must be an ActivationModel, got {model!r}")
         if model is ActivationModel.BINOMIAL_PER_USER and (loads.lambda1 > n or loads.lambda2 > n):
             raise RateExceedsPopulationError(
                 f"lambda exceeds the {n}-user population: ({loads.lambda1!r}, {loads.lambda2!r})")
         self.model, self.n = model, n
         self.lambdas = np.array((loads.lambda1, loads.lambda2))
         if model is ActivationModel.MODEL_MATCHED:
-            self.cdf = np.cumsum(_model_pmf(loads, params))
+            self.cdf = np.cumsum(_point_pmf(loads, params))
             self.top = np.searchsorted(self.cdf, self.cdf[-1])  # the last cell where cdf rises
             # the guide table (Chen and Asau): bucket j, the uniforms in [j/m, (j + 1)/m),
             # starts at cell guide[j], the count of cdf entries <= j/m, capped at top.
@@ -156,6 +194,9 @@ class _Activation:
             # whether a cdf step cuts each bucket; bucket m, 1 <= u < 1 + 1/m, is
             # never drawn but holds a cdf entry rounded above 1, so it is searched
             self.steps = np.append(self.guide[1:] != self.guide[:-1], True)
+            for array in (self.cdf, self.guide, self.steps):
+                array.flags.writeable = False
+        self.lambdas.flags.writeable = False
 
     def invert(self, uniforms: np.ndarray) -> np.ndarray:
         """Each uniform's flat cell K1 (N + 1) + K2: the cell i of its step
@@ -206,6 +247,7 @@ class FrameRealization:
     the receiver. ``cell`` is indexed by user. Powers are in W: ``signal``
     of every row, ``interference`` 0 where not ``hit``. ``rate`` and
     ``throughput``, one mean slot sum-rate per frame, are in bits/s/Hz.
+    ``slot_counts`` is the schedule's slot count of each frame.
     """
 
     slot: np.ndarray
@@ -218,6 +260,7 @@ class FrameRealization:
     rate: np.ndarray
     cell: np.ndarray
     throughput: np.ndarray
+    slot_counts: np.ndarray
 
     @property
     def slot_count(self) -> int:
@@ -346,7 +389,7 @@ def _receptions(cfg: Configuration, counts: np.ndarray, params: SystemParams,
     throughput = np.divide(sums, slot_counts, out=np.zeros(frames), where=slot_counts > 0)
     return FrameRealization(slot=slot, link=link, user=user, downlink=downlink, hit=hit,
                             signal=signal, interference=interference, rate=rate, cell=cell,
-                            throughput=throughput)
+                            throughput=throughput, slot_counts=slot_counts)
 
 
 def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=None, *,
@@ -411,7 +454,7 @@ def _matched_values(cfg: Configuration, params: SystemParams) -> np.ndarray:
     n = params.n_users
     frames = np.array([[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]])
     units = _receptions(cfg, frames, params, None, None)
-    slot_counts = schedule_block(cfg, frames[:, 0], frames[:, 1]).slot_counts
+    slot_counts = units.slot_counts
     # each frame's first unit: a cross-cell pair, then per cell a same-cell
     # pair (two lone users if the other UAV is low) and a lone user
     rates = np.bincount(units.slot, weights=units.rate)[
@@ -462,11 +505,12 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     Deterministic given ``seed``: the row draws its frames' counts, layouts
     and shadowing deviates from three streams of its own (``_stream``),
     each read in frame order, so results depend on none of scheduling
-    order, worker count, FILL_FRAMES and FILL_USERS. The row builds its
-    ``_Activation`` once and draws the counts of each chunk of FILL_FRAMES
-    frames in one call. In the physical modes it runs a chunk in engine
-    passes of about FILL_USERS users, cut after any frame, and each pass
-    draws its layout and its deviates in one call each. With worst-case
+    order, worker count, FILL_FRAMES and FILL_USERS. The row takes its
+    ``_Activation`` from ``_law``, built once per load point and parameter
+    set and shared by the point's rows, and draws the counts of each chunk
+    of FILL_FRAMES frames in one call. In the physical modes it runs a
+    chunk in engine passes of about FILL_USERS users, cut after any frame,
+    and each pass draws its layout and its deviates in one call each. With worst-case
     distances and mean shadowing a frame's value is a function of (K1, K2),
     and each chunk's values are read straight from the configuration's
     ``_matched_values``. Either way the frame values go into one float64
@@ -475,7 +519,7 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
 
-    law = _Activation(loads, params, activation)
+    law = _law(loads, params, activation)
     matched = worst_case_distances and mean_shadowing
     grid = _matched_values(cfg, params) if matched else None
     draws = _stream(seed, COUNTS)
@@ -503,11 +547,12 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
 def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
                         params: SystemParams) -> float:
     """Exact expectation of the matched-assumption simulator under
-    MODEL_MATCHED activation: the law's pmf, ``_model_pmf``, times the
-    engine's value of every (K1, K2), ``_matched_values``, the cells'
-    products added by numpy's pairwise sum. Not a BLAS dot: a threaded
-    dot's bits depend on its thread count, and it oversubscribes the cores
-    under ``--workers``. Agreement with the analytical average validates
-    the scheduler and slot engine end to end."""
-    pmf = _model_pmf(loads, params)
+    MODEL_MATCHED activation: the law's pmf, ``_model_pmf``, built once
+    per load point and parameter set (``_point_pmf``, without the law's
+    cdf or guide table), times the engine's value of every (K1, K2),
+    ``_matched_values``, the cells' products added by numpy's pairwise
+    sum. Not a BLAS dot: a threaded dot's bits depend on its thread count,
+    and it oversubscribes the cores under ``--workers``. Agreement with the
+    analytical average validates the scheduler and slot engine end to end."""
+    pmf = _point_pmf(loads, params)
     return float((pmf.reshape(-1) * _matched_values(cfg, params)).sum())

@@ -445,7 +445,7 @@ def test_row_streams_keep_csv_bytes_across_fill_settings(tmp_path, monkeypatch, 
 def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monkeypatch):
     # the rows of a configuration share one grid across load points, so a
     # command builds each configuration's grid once, in one engine pass, and
-    # computes each (K1, K2) once; each row builds its model cdf once
+    # computes each (K1, K2) once; the rows of a point share one model law
     passes, builds = [], []
     receptions, model_pmf = montecarlo._receptions, montecarlo._model_pmf
     monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
@@ -464,11 +464,30 @@ def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monke
                    "r1_Hl_Hh,r1_Hh_Hl,r0_Hl_Hl", "--frames", "20000", "--activation", "model",
                    "--distances", "worst", "--shadowing", "mean") == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert len(rows) == len(builds) == 6 and {row["deviation_flag"] for row in rows} == {"ok"}
+    assert len(rows) == 6 and {row["deviation_flag"] for row in rows} == {"ok"}
+    assert [loads.lambda1 for loads, _ in builds] == [6.0, 12.0]
     assert len(passes) == len({cfg for cfg, _ in passes}) == 3
     for cfg in {cfg for cfg, _ in passes}:
         cells = [tuple(key) for c, counts in passes if c == cfg for key in counts.tolist()]
         assert len(cells) == len(set(cells))
+
+
+def test_exhaustive_compare_builds_one_pmf_per_point(capsys, monkeypatch):
+    # a point's rows, the optimum's included, read the point's one pmf, and
+    # none builds an activation law's cdf or guide table
+    builds, model_pmf = [], montecarlo._model_pmf
+
+    def count_builds(*args):
+        builds.append(args)
+        return model_pmf(*args)
+
+    monkeypatch.setattr(montecarlo, "_model_pmf", count_builds)
+    monkeypatch.setattr(montecarlo, "_Activation", None)  # a law build would fail
+    assert run_cli("compare", "--lambda1", "6,12", "--lambda2", "4", "--configurations",
+                   "exhaustive,optimal", "--activation", "exhaustive") == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 2 * (len(all_configurations()) + 1)
+    assert [loads.lambda1 for loads, _ in builds] == [6.0, 12.0]
 
 
 def test_compare_matched_mode_agrees(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 import weakref
@@ -12,9 +13,9 @@ from numpy.testing import assert_allclose
 from uav_twoway import channel, default_config, montecarlo, validate_and_derive
 from uav_twoway.errors import RateExceedsPopulationError
 from uav_twoway.montecarlo import (COUNTS, DEVIATES, FILL_FRAMES, LAYOUTS, ActivationModel,
-                                   _Activation, _matched_values, _mean_and_std, _model_pmf,
-                                   _positions, _receptions, _stream, run_frame, simulate,
-                                   simulate_exhaustive)
+                                   _Activation, _law, _matched_values, _mean_and_std,
+                                   _model_pmf, _point_pmf, _positions, _receptions, _stream,
+                                   run_frame, simulate, simulate_exhaustive)
 from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts, schedule_block
 from uav_twoway.rates import rate_set
 from uav_twoway.sinr import all_configurations
@@ -614,6 +615,61 @@ def test_model_pmf_built_once_per_row(params, candidates, monkeypatch, mode):
     simulate(candidates["r0_Hl_Hl"], LoadDistribution(6.0, 4.0), params, 2 * FILL_FRAMES + 1,
              seed=2, activation=ActivationModel.MODEL_MATCHED, **MODES[mode])
     assert len(builds) == 1
+
+
+def test_law_store_lives_with_its_loads(params, monkeypatch):
+    # one law per load pair, parameter set and model, and one pmf, built
+    # once; the store holds neither object, so dropping either drops what
+    # it keeps for it
+    monkeypatch.setattr(montecarlo, "_LAWS", weakref.WeakKeyDictionary())
+    builds = spy_on(monkeypatch, "_model_pmf")
+    loads, other = LoadDistribution(6.0, 4.0), dataclasses.replace(params, n_users=29)
+    law = _law(loads, params, ActivationModel.MODEL_MATCHED)
+    assert _law(loads, params, ActivationModel.MODEL_MATCHED) is law
+    assert _law(loads, params, ActivationModel.TRUNCATED_POISSON).model is not law.model
+    assert _point_pmf(loads, params) is _point_pmf(loads, params)
+    assert _law(loads, other, ActivationModel.MODEL_MATCHED).n == 29
+    assert len(builds) == 2 and len(montecarlo._LAWS[loads]) == 2
+    del other, builds[:]
+    gc.collect()
+    assert len(montecarlo._LAWS[loads]) == 1
+    del loads, law
+    gc.collect()
+    assert len(montecarlo._LAWS) == 0
+
+
+@pytest.mark.parametrize("model", list(ActivationModel))
+def test_shared_law_arrays_are_read_only(params, model):
+    # a point's rows share its law and pmf, so no row may write to them
+    loads = LoadDistribution(6.0, 4.0)
+    law = _law(loads, params, model)
+    arrays = [value for value in vars(law).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == (4 if model is ActivationModel.MODEL_MATCHED else 1)
+    for array in [*arrays, _point_pmf(loads, params)]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert law.lambdas.tolist() == [6.0, 4.0]
+
+
+def test_matched_values_schedule_once_per_grid(params, monkeypatch):
+    # a grid reads each unit frame's slot count off its one engine pass
+    monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
+    schedules = spy_on(monkeypatch, "schedule_block")
+    for built, cfg in enumerate(all_configurations().values(), 1):
+        _matched_values(cfg, params)
+        _matched_values(cfg, params)
+        assert len(schedules) == built
+
+
+@pytest.mark.parametrize("n", [2, 3, 30])
+def test_matched_grid_is_its_mirror_transposed_to_rounding(params, n):
+    # a mirror's grid is this grid transposed, but for r = 1 the engine adds
+    # the slot rates in another order, so the cells agree to rounding only
+    # and a transpose cannot stand in for the mirror's own grid
+    system = dataclasses.replace(params, n_users=n)
+    for cfg in all_configurations().values():
+        mirrored = _matched_values(cfg.mirror, system).reshape(n + 1, n + 1).T.ravel()
+        assert_allclose(mirrored, _matched_values(cfg, system), rtol=1e-15, atol=0)
 
 
 def test_rows_sharing_a_grid_match_fresh_grids(params, candidates, monkeypatch):
