@@ -29,8 +29,7 @@ nothing, so its value is a function of (K1, K2): a row reads each chunk's
 values from its configuration's ``_matched_values``, built whole from one
 engine pass over five one-unit frames and kept while the parameter set
 lives, and ``simulate_exhaustive``, the exact mean of such rows under model
-activation, is the point's pmf, from the same store, times those values,
-summed over the cells.
+activation, is that law's pmf times those values, summed over the cells.
 ``run_frame`` is a pass of one frame that draws its layout, then its
 deviates, from one stream.
 
@@ -96,9 +95,8 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
 
 # Each parameter set's split weights as one float64 array, and its matched
 # values as one read-only array per configuration (``_matched_values``),
-# each made on first use and kept while the set lives; and each load pair's
-# activation laws and model pmf, per parameter set (``_shared``), kept while
-# both live
+# each made on first use and kept while the set lives; and the activation
+# laws of the last load pair and parameter set, by model (``_law``)
 _WEIGHTS = weakref.WeakKeyDictionary()
 _GRIDS = weakref.WeakKeyDictionary()
 _LAWS = weakref.WeakKeyDictionary()
@@ -120,36 +118,21 @@ def _model_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
     return pmf
 
 
-def _shared(loads: LoadDistribution, params: SystemParams) -> dict:
-    """What the rows of one (loads, params) share: its model pmf under
-    "pmf", and its ``_Activation`` under each model, each made on first use
-    and read-only. The store holds neither object, only weak references, so
-    it lives as long as both do: a command's point drops its loads, and
-    with them its laws, before the next point."""
-    per_params = _LAWS.get(loads)
-    if per_params is None:
-        per_params = _LAWS[loads] = weakref.WeakKeyDictionary()
-    return per_params.setdefault(params, {})
-
-
-def _point_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
-    """``_model_pmf(loads, params)``, built once and read-only."""
-    store = _shared(loads, params)
-    pmf = store.get("pmf")
-    if pmf is None:
-        pmf = store["pmf"] = _model_pmf(loads, params)
-        pmf.flags.writeable = False
-    return pmf
-
-
 def _law(loads: LoadDistribution, params: SystemParams, model: ActivationModel):
-    """``_Activation(loads, params, model)``, built once and shared."""
+    """``_Activation(loads, params, model)``, built once and shared by the
+    rows of one load point. The store keeps the laws of one (loads, params),
+    the last asked for, as a point's rows run one after another, so it
+    holds one point's laws whoever calls it. It holds neither object, only
+    weak references: the laws go with their loads, or with the next pair."""
     if not isinstance(model, ActivationModel):
         raise ValueError(f"activation must be an ActivationModel, got {model!r}")
-    store = _shared(loads, params)
-    law = store.get(model)
+    entry = _LAWS.get(loads)
+    if entry is None or entry[0]() is not params:
+        _LAWS.clear()
+        entry = _LAWS[loads] = (weakref.ref(params), {})
+    law = entry[1].get(model)
     if law is None:
-        law = store[model] = _Activation(loads, params, model)
+        law = entry[1][model] = _Activation(loads, params, model)
     return law
 
 
@@ -180,7 +163,7 @@ class _Activation:
         self.model, self.n = model, n
         self.lambdas = np.array((loads.lambda1, loads.lambda2))
         if model is ActivationModel.MODEL_MATCHED:
-            self.cdf = np.cumsum(_point_pmf(loads, params))
+            self.cdf = np.cumsum(_model_pmf(loads, params))
             self.top = np.searchsorted(self.cdf, self.cdf[-1])  # the last cell where cdf rises
             # the guide table (Chen and Asau): bucket j, the uniforms in [j/m, (j + 1)/m),
             # starts at cell guide[j], the count of cdf entries <= j/m, capped at top.
@@ -247,7 +230,8 @@ class FrameRealization:
     the receiver. ``cell`` is indexed by user. Powers are in W: ``signal``
     of every row, ``interference`` 0 where not ``hit``. ``rate`` and
     ``throughput``, one mean slot sum-rate per frame, are in bits/s/Hz.
-    ``slot_counts`` is the schedule's slot count of each frame.
+    ``slot_counts`` is the schedule's slot count of each frame, and
+    ``slot_count`` their sum.
     """
 
     slot: np.ndarray
@@ -264,7 +248,7 @@ class FrameRealization:
 
     @property
     def slot_count(self) -> int:
-        return int(self.slot[-1]) + 1 if self.slot.size else 0
+        return int(self.slot_counts.sum())
 
 
 def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell: np.ndarray,
@@ -547,12 +531,11 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
 def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
                         params: SystemParams) -> float:
     """Exact expectation of the matched-assumption simulator under
-    MODEL_MATCHED activation: the law's pmf, ``_model_pmf``, built once
-    per load point and parameter set (``_point_pmf``, without the law's
-    cdf or guide table), times the engine's value of every (K1, K2),
-    ``_matched_values``, the cells' products added by numpy's pairwise
-    sum. Not a BLAS dot: a threaded dot's bits depend on its thread count,
-    and it oversubscribes the cores under ``--workers``. Agreement with the
-    analytical average validates the scheduler and slot engine end to end."""
-    pmf = _point_pmf(loads, params)
+    MODEL_MATCHED activation: the law's pmf, ``_model_pmf``, times the
+    engine's value of every (K1, K2), ``_matched_values``, the cells'
+    products added by numpy's pairwise sum. Not a BLAS dot: a threaded
+    dot's bits depend on its thread count, and it oversubscribes the cores
+    under ``--workers``. Agreement with the analytical average validates
+    the scheduler and slot engine end to end."""
+    pmf = _model_pmf(loads, params)
     return float((pmf.reshape(-1) * _matched_values(cfg, params)).sum())

@@ -472,24 +472,6 @@ def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monke
         assert len(cells) == len(set(cells))
 
 
-def test_exhaustive_compare_builds_one_pmf_per_point(capsys, monkeypatch):
-    # a point's rows, the optimum's included, read the point's one pmf, and
-    # none builds an activation law's cdf or guide table
-    builds, model_pmf = [], montecarlo._model_pmf
-
-    def count_builds(*args):
-        builds.append(args)
-        return model_pmf(*args)
-
-    monkeypatch.setattr(montecarlo, "_model_pmf", count_builds)
-    monkeypatch.setattr(montecarlo, "_Activation", None)  # a law build would fail
-    assert run_cli("compare", "--lambda1", "6,12", "--lambda2", "4", "--configurations",
-                   "exhaustive,optimal", "--activation", "exhaustive") == 0
-    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert len(rows) == 2 * (len(all_configurations()) + 1)
-    assert [loads.lambda1 for loads, _ in builds] == [6.0, 12.0]
-
-
 def test_compare_matched_mode_agrees(tmp_path):
     out = tmp_path / "compare.csv"
     assert run_cli("compare", "--lambda1", "6", "--lambda2", "4",

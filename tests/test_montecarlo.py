@@ -14,8 +14,8 @@ from uav_twoway import channel, default_config, montecarlo, validate_and_derive
 from uav_twoway.errors import RateExceedsPopulationError
 from uav_twoway.montecarlo import (COUNTS, DEVIATES, FILL_FRAMES, LAYOUTS, ActivationModel,
                                    _Activation, _law, _matched_values, _mean_and_std,
-                                   _model_pmf, _point_pmf, _positions, _receptions, _stream,
-                                   run_frame, simulate, simulate_exhaustive)
+                                   _model_pmf, _positions, _receptions, _stream, run_frame,
+                                   simulate, simulate_exhaustive)
 from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts, schedule_block
 from uav_twoway.rates import rate_set
 from uav_twoway.sinr import all_configurations
@@ -617,10 +617,10 @@ def test_model_pmf_built_once_per_row(params, candidates, monkeypatch, mode):
     assert len(builds) == 1
 
 
-def test_law_store_lives_with_its_loads(params, monkeypatch):
-    # one law per load pair, parameter set and model, and one pmf, built
-    # once; the store holds neither object, so dropping either drops what
-    # it keeps for it
+def test_law_store_keeps_one_load_point(params, candidates, monkeypatch):
+    # one law per model for the last (loads, params) asked for, built once;
+    # another pair takes its place, and the store holds neither object, so
+    # dropping the loads empties it
     monkeypatch.setattr(montecarlo, "_LAWS", weakref.WeakKeyDictionary())
     builds = spy_on(monkeypatch, "_model_pmf")
     loads, other = LoadDistribution(6.0, 4.0), dataclasses.replace(params, n_users=29)
@@ -628,26 +628,29 @@ def test_law_store_lives_with_its_loads(params, monkeypatch):
     assert _law(loads, params, ActivationModel.MODEL_MATCHED) is law
     poisson = _law(loads, params, ActivationModel.TRUNCATED_POISSON)
     assert poisson.model is ActivationModel.TRUNCATED_POISSON
-    assert _point_pmf(loads, params) is _point_pmf(loads, params)
+    assert len(builds) == 1 and len(montecarlo._LAWS[loads][1]) == 2
     assert _law(loads, other, ActivationModel.MODEL_MATCHED).n == 29
-    assert len(builds) == 2 and len(montecarlo._LAWS[loads]) == 2
-    builds.clear()  # the spy's records hold both objects
-    del other
-    gc.collect()
-    assert len(montecarlo._LAWS[loads]) == 1
-    del loads, law, poisson
+    assert _law(loads, params, ActivationModel.MODEL_MATCHED) is not law
+    assert len(builds) == 3 and len(montecarlo._LAWS[loads][1]) == 1
+    # a caller that holds its load pairs through its rows keeps one pair's laws
+    held = [LoadDistribution(lambda1, 4.0) for lambda1 in (2.0, 6.0, 12.0)]
+    for pair in held:
+        simulate(candidates["r0_Hl_Hl"], pair, params, 10, seed=1,
+                 activation=ActivationModel.MODEL_MATCHED, **MATCHED)
+    assert list(montecarlo._LAWS) == [held[-1]]
+    builds.clear()  # the spy's records hold the load pairs
+    del loads, other, law, poisson, held, pair
     gc.collect()
     assert len(montecarlo._LAWS) == 0
 
 
 @pytest.mark.parametrize("model", list(ActivationModel))
 def test_shared_law_arrays_are_read_only(params, model):
-    # a point's rows share its law and pmf, so no row may write to them
-    loads = LoadDistribution(6.0, 4.0)
-    law = _law(loads, params, model)
+    # a point's rows share its law, so no row may write to it
+    law = _law(LoadDistribution(6.0, 4.0), params, model)
     arrays = [value for value in vars(law).values() if isinstance(value, np.ndarray)]
     assert len(arrays) == (4 if model is ActivationModel.MODEL_MATCHED else 1)
-    for array in [*arrays, _point_pmf(loads, params)]:
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     assert law.lambdas.tolist() == [6.0, 4.0]
