@@ -19,16 +19,18 @@ draws from three streams of its seed, one per kind of draw (``_stream``):
 its frames' counts, their layouts and their shadowing deviates. Each
 stream is read in frame order, so no value depends on how the row's
 frames are cut into chunks and passes. A chunk of FILL_FRAMES frames draws
-its counts in one call of the row's activation law, built once per load
-point and parameter set and shared by the point's rows (``_law``); model
-activation's law holds a cdf and a guide table, and maps one uniform per
-frame to (K1, K2) through the table. In the physical modes an engine pass
-then runs about FILL_USERS users' frames of the chunk and draws their
-layout and their deviates in one call each. In matched mode a frame draws
-nothing, so its value is a function of (K1, K2): a row reads each chunk's
-values from its configuration's ``_matched_values``, built whole from one
-engine pass over five one-unit frames and kept while the parameter set
-lives, and ``simulate_exhaustive``, the exact mean of such rows under model
+its flat cells K1 (N + 1) + K2 in one ``cells`` call of the row's
+activation law, built once per load point and parameter set and shared by
+the point's rows (``_law``); model activation's law maps one uniform per
+frame to a cell through a cdf and a guide table. In the physical modes the
+cells are split into (K1, K2), and an engine pass runs about FILL_USERS
+users' frames of the chunk, draws their layout and their deviates in one
+call each, and adds each frame's slot sum-rates in slot order with one
+``np.bincount``. In matched mode a frame draws nothing, so its value is a
+function of (K1, K2): a row reads each chunk's values from its
+configuration's ``_matched_values``, built whole from one engine pass over
+five one-unit frames and kept while the parameter set lives, and
+``simulate_exhaustive``, the exact mean of such rows under model
 activation, is that law's pmf times those values, summed over the cells.
 ``run_frame`` is a pass of one frame that draws its layout, then its
 deviates, from one stream.
@@ -53,7 +55,7 @@ from .params import SystemParams
 from .sinr import Configuration
 from .throughput import LoadDistribution
 
-# Frames whose counts one draw of the activation law takes, and about the
+# Frames whose cells one draw of the activation law takes, and about the
 # users of one physical engine pass. Larger passes pay numpy's per-call
 # overhead less often but hold more rows in memory at once. Neither changes
 # a value: each stream is read in frame order.
@@ -138,21 +140,23 @@ def _law(loads: LoadDistribution, params: SystemParams, model: ActivationModel):
 
 class _Activation:
     """The (K1, K2) law of one (loads, params, model), drawn from a stream
-    a run of frames at a time, one row per frame; its MODEL_MATCHED cdf
-    and guide table are built once. It holds no state of a draw, and its
-    arrays are read-only, so one law serves every row of its load point:
-    ``simulate`` takes it from ``_law``.
+    a run of frames at a time by ``cells``, one flat cell K1 (N + 1) + K2
+    per frame; its MODEL_MATCHED cdf and guide table are built once. It
+    holds no state of a draw, and its arrays are read-only, so one law
+    serves every row of its load point: ``simulate`` takes it from
+    ``_law``.
 
     Each law reads its stream in frame order, so drawing a row's frames in
-    one call or in several, of any sizes, gives the same rows and leaves
-    the stream in the same state. BINOMIAL_PER_USER draws its frames'
-    counts, both cells at once, in one call. TRUNCATED_POISSON filters
-    pairs: it draws the Poisson pairs of the frames still missing, keeps in
-    order those with both counts in [1, N], and repeats until none is
-    missing, so a call stops reading right after its last kept pair.
-    MODEL_MATCHED draws one uniform per frame, which ``invert`` maps to
-    cells through the guide table, never to a cell after ``top``, the last
-    one whose cdf step is not empty.
+    one call or in several, of any sizes, gives the same cells and leaves
+    the stream in the same state. MODEL_MATCHED draws one uniform per
+    frame, which ``invert`` maps to cells through the guide table, never to
+    a cell after ``top``, the last one whose cdf step is not empty. The
+    other two laws draw (K1, K2) pairs and flatten them: BINOMIAL_PER_USER
+    draws its frames' counts, both cells at once, in one call.
+    TRUNCATED_POISSON filters pairs: it draws the Poisson pairs of the
+    frames still missing, keeps in order those with both counts in [1, N],
+    and repeats until none is missing, so a call stops reading right after
+    its last kept pair.
     """
 
     def __init__(self, loads: LoadDistribution, params: SystemParams, model: ActivationModel):
@@ -196,25 +200,19 @@ class _Activation:
 
     def cells(self, rng, frames: int) -> np.ndarray:
         """The next ``frames`` frames' flat cells K1 (N + 1) + K2."""
-        if self.model is ActivationModel.MODEL_MATCHED:
-            return self.invert(rng.random(frames))
-        counts = self.counts(rng, frames)
-        return counts[:, 0] * (self.n + 1) + counts[:, 1]
-
-    def counts(self, rng, frames: int) -> np.ndarray:
-        """The next ``frames`` frames' (K1, K2)."""
         n, lambdas = self.n, self.lambdas
         if self.model is ActivationModel.MODEL_MATCHED:
-            return np.column_stack(np.divmod(self.cells(rng, frames), n + 1))
+            return self.invert(rng.random(frames))
         if self.model is ActivationModel.BINOMIAL_PER_USER:
-            return rng.binomial(n, lambdas / n, size=(frames, 2))
-        counts, kept = np.empty((frames, 2), dtype=np.int64), 0
-        while kept < frames:
-            pairs = rng.poisson(lambdas, size=(frames - kept, 2))
-            pairs = pairs[((pairs >= 1) & (pairs <= n)).all(axis=1)]
-            counts[kept:kept + len(pairs)] = pairs
-            kept += len(pairs)
-        return counts
+            counts = rng.binomial(n, lambdas / n, size=(frames, 2))
+        else:
+            counts, kept = np.empty((frames, 2), dtype=np.int64), 0
+            while kept < frames:
+                pairs = rng.poisson(lambdas, size=(frames - kept, 2))
+                pairs = pairs[((pairs >= 1) & (pairs <= n)).all(axis=1)]
+                counts[kept:kept + len(pairs)] = pairs
+                kept += len(pairs)
+        return counts[:, 0] * (n + 1) + counts[:, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,20 +354,13 @@ def _receptions(cfg: Configuration, counts: np.ndarray, params: SystemParams,
     rate += 1.0
     np.log2(rate, out=rate)
 
-    # Each frame's slot rates summed in slot order, as a loop adds them: a
-    # zero-padded buffer with one column per frame, frame j's slot i at row
-    # i, column j, filled by one flat scatter, and its rows added into the
-    # first in place, in slot order, where numpy's sum would add some shapes
-    # pairwise and round differently.
+    # Each frame's slot rates added in slot order, as a loop adds them:
+    # bincount adds its weights one at a time in index order, where numpy's
+    # sum would add some shapes pairwise and round differently
     slot_counts = schedule.slot_counts
     frames = slot_counts.size
-    padded = np.zeros((slot_counts.max(initial=1), frames))
-    padded.reshape(-1)[np.arange(slot_counts.sum()) * frames - np.repeat(
-        frames * (np.cumsum(slot_counts) - slot_counts) - np.arange(frames), slot_counts)
-    ] = np.bincount(slot, weights=rate)
-    sums = padded[0]
-    for slot_rates in padded[1:]:  # every frame's slot i
-        sums += slot_rates
+    sums = np.bincount(np.repeat(np.arange(frames), slot_counts),
+                       weights=np.bincount(slot, weights=rate), minlength=frames)
     throughput = np.divide(sums, slot_counts, out=np.zeros(frames), where=slot_counts > 0)
     return FrameRealization(slot=slot, link=link, user=user, downlink=downlink, hit=hit,
                             signal=signal, interference=interference, rate=rate, cell=cell,
@@ -491,14 +482,14 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
     each read in frame order, so results depend on none of scheduling
     order, worker count, FILL_FRAMES and FILL_USERS. The row takes its
     ``_Activation`` from ``_law``, built once per load point and parameter
-    set and shared by the point's rows, and draws the counts of each chunk
-    of FILL_FRAMES frames in one call. In the physical modes it runs a
-    chunk in engine passes of about FILL_USERS users, cut after any frame,
-    and each pass draws its layout and its deviates in one call each. With worst-case
-    distances and mean shadowing a frame's value is a function of (K1, K2),
-    and each chunk's values are read straight from the configuration's
-    ``_matched_values``. Either way the frame values go into one float64
-    array of ``n_frames``.
+    set and shared by the point's rows, and draws the cells of each chunk
+    of FILL_FRAMES frames in one call. In the physical modes it splits them
+    into (K1, K2) and runs a chunk in engine passes of about FILL_USERS
+    users, cut after any frame, and each pass draws its layout and its
+    deviates in one call each. With worst-case distances and mean
+    shadowing a frame's value is a function of (K1, K2), and each chunk's
+    values are read straight from the configuration's ``_matched_values``.
+    Either way the frame values go into one float64 array of ``n_frames``.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")
@@ -515,7 +506,7 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
         if matched:
             np.take(grid, law.cells(draws, chunk.size), out=chunk)
             continue
-        counts = law.counts(draws, chunk.size)
+        counts = np.column_stack(np.divmod(law.cells(draws, chunk.size), law.n + 1))
         # passes cut before each frame whose end carries the running user
         # count across a multiple of FILL_USERS
         passes = np.cumsum(counts.sum(axis=1)) // FILL_USERS

@@ -34,6 +34,12 @@ def spawn(seed, key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
+def draw_counts(law, rng, frames):
+    """The next ``frames`` frames' (K1, K2) of an activation law: its flat
+    cells split as ``simulate`` splits them."""
+    return np.column_stack(np.divmod(law.cells(rng, frames), law.n + 1))
+
+
 def test_layout_inside_discs(params):
     # two frames of (200, 200) users: cell 1 around the origin, cell 2 at d_sep
     sizes = np.array((200, 200, 200, 200))
@@ -53,7 +59,7 @@ def test_binomial_full_rate_always_everyone(params):
     loads = LoadDistribution(30.0, 30.0)
     rng = np.random.default_rng(1)
     law = _Activation(loads, params, ActivationModel.BINOMIAL_PER_USER)
-    assert np.all(law.counts(rng, 20) == (30, 30))
+    assert np.all(draw_counts(law, rng, 20) == (30, 30))
 
 
 def test_binomial_rejects_excess_rate(params):
@@ -71,8 +77,8 @@ def test_truncated_poisson_mean(params):
         weights) - expected ** 2
     rng = np.random.default_rng(3)
     loads = LoadDistribution(lam, lam)
-    draws = _Activation(loads, params, ActivationModel.TRUNCATED_POISSON).counts(
-        rng, 20_000)[:, 0]
+    draws = draw_counts(_Activation(loads, params, ActivationModel.TRUNCATED_POISSON),
+                        rng, 20_000)[:, 0]
     assert abs(np.mean(draws) - expected) < 3.0 * math.sqrt(variance / len(draws))
     assert min(draws) >= 1 and max(draws) <= n
 
@@ -80,8 +86,8 @@ def test_truncated_poisson_mean(params):
 def test_activation_deterministic(params):
     loads = LoadDistribution(7.0, 3.0)
     for model in ActivationModel:
-        first = _Activation(loads, params, model).counts(np.random.default_rng(4), 50)
-        second = _Activation(loads, params, model).counts(np.random.default_rng(4), 50)
+        first = draw_counts(_Activation(loads, params, model), np.random.default_rng(4), 50)
+        second = draw_counts(_Activation(loads, params, model), np.random.default_rng(4), 50)
         assert np.array_equal(first, second)
 
 
@@ -98,8 +104,8 @@ def test_activation_over_streams_concatenates_one_stream_calls(params, case, siz
     model, lambdas = case
     law = _Activation(LoadDistribution(*lambdas), params, model)
     joint, pieces = spawn(seed, COUNTS), spawn(seed, COUNTS)
-    rows = law.counts(joint, sum(sizes))
-    piece_by_piece = [law.counts(pieces, frames) for frames in sizes]
+    rows = draw_counts(law, joint, sum(sizes))
+    piece_by_piece = [draw_counts(law, pieces, frames) for frames in sizes]
     assert np.array_equal(rows, np.concatenate(piece_by_piece))
     assert joint.bit_generator.state == pieces.bit_generator.state
 
@@ -111,8 +117,8 @@ def test_truncated_poisson_redraws_only_out_of_range(params):
     lambdas = (2.0, 29.0)  # often 0 in cell 1, often above N in cell 2
     pairs = np.random.default_rng(5).poisson(lambdas, size=(4000, 2))
     kept = ((pairs >= 1) & (pairs <= n)).all(axis=1)
-    drawn = _Activation(LoadDistribution(*lambdas), params, ActivationModel.TRUNCATED_POISSON
-                        ).counts(np.random.default_rng(5), 400)
+    law = _Activation(LoadDistribution(*lambdas), params, ActivationModel.TRUNCATED_POISSON)
+    drawn = draw_counts(law, np.random.default_rng(5), 400)
     assert not kept[:400].all() and kept.sum() >= 400
     assert np.array_equal(drawn, pairs[kept][:400])
 
@@ -124,7 +130,7 @@ def test_truncated_poisson_pairs_follow_the_truncated_marginals(params):
     n, lambdas, frames = 2, (1.5, 0.7), 100_000
     law = _Activation(LoadDistribution(*lambdas), dataclasses.replace(params, n_users=n),
                       ActivationModel.TRUNCATED_POISSON)
-    counts = law.counts(np.random.default_rng(6), frames)
+    counts = draw_counts(law, np.random.default_rng(6), frames)
     assert counts.min() >= 1 and counts.max() <= n
     marginals = [np.array([lam ** k / math.factorial(k) for k in range(1, n + 1)])
                  for lam in lambdas]
@@ -150,8 +156,8 @@ def test_model_activation_inverts_the_joint_cdf(params, lambdas):
     uniforms = np.concatenate(([0.0, 1.0 - 2.0 ** -53], chosen, np.nextafter(chosen, 0.0),
                                np.linspace(0.0, 1.0, 4001)[:-1]))
     stream = Replay(uniforms, np.empty(0))  # hands out the chosen uniforms
-    drawn = _Activation(loads, params, ActivationModel.MODEL_MATCHED).counts(
-        stream, uniforms.size)
+    drawn = draw_counts(_Activation(loads, params, ActivationModel.MODEL_MATCHED), stream,
+                        uniforms.size)
     assert stream.used == {"random": uniforms.size, "standard_normal": 0}
     cell = drawn[:, 0] * (n + 1) + drawn[:, 1]
     inside = uniforms < cdf[-1]
@@ -788,7 +794,7 @@ def frame_by_frame(cfg, loads, params, n_frames, seed, activation, mode):
     all frames' counts from spawn key 0, then each frame's layout from the
     uniforms of spawn key 1 and its deviates from spawn key 2, frame after
     frame, which one stand-in stream replays."""
-    keys = _Activation(loads, params, activation).counts(spawn(seed, COUNTS), n_frames)
+    keys = draw_counts(_Activation(loads, params, activation), spawn(seed, COUNTS), n_frames)
     users = int(keys.sum())
     # a user has two receptions and a reception at most two deviates; a
     # generator's draws in several calls equal its draws in one, so these
@@ -936,7 +942,7 @@ def pass_streams(params, seed, frames, lambdas=(12.0, 4.0)):
     """The counts of one engine pass of ``frames`` frames and its layout
     and deviate streams, drawn as ``simulate`` draws them."""
     law = _Activation(LoadDistribution(*lambdas), params, ActivationModel.TRUNCATED_POISSON)
-    counts = law.counts(_stream(seed, COUNTS), frames)
+    counts = draw_counts(law, _stream(seed, COUNTS), frames)
     return counts, _stream(seed, LAYOUTS), _stream(seed, DEVIATES)
 
 
@@ -985,26 +991,29 @@ def slot_by_slot(frame, slot_counts):
 @pytest.mark.parametrize("mode", MODES)
 def test_pass_keeps_the_bits_of_rate_throughput_and_signal(params, mode):
     # the pass computes the rate in place, every LoS power in one call with
-    # one transmit term per row, and the frame sums by adding slot rows in
-    # place: each must keep the bits of the plain formula
+    # one transmit term per row, and the frame sums with one bincount in
+    # slot order: each must keep the bits of the plain formula, on drawn
+    # frames and on empty frames, the last among them, beside one-unit ones
+    edges = np.array([[0, 0], [1, 0], [0, 0], [1, 1], [0, 1], [0, 0]])
     for cfg in all_configurations().values():
-        counts, layouts, deviates = pass_streams(params, (21, cfg.r, cfg.t1, cfg.t2), 128,
-                                                 (6.0, 4.0))
-        frame = _receptions(cfg, counts, params,
-                            None if MODES[mode].get("worst_case_distances") else layouts,
-                            None if MODES[mode].get("mean_shadowing") else deviates)
-        assert np.array_equal(frame.rate, np.log2(
-            1.0 + frame.signal / (frame.interference + params.noise_power)))
-        slot_counts = schedule_block(cfg, counts[:, 0], counts[:, 1]).slot_counts
-        assert np.array_equal(frame.throughput, slot_by_slot(frame, slot_counts))
-        if mode == "worst_mean":  # each direction's function on its own rows
-            altitude = np.array([params.altitude(cfg.t1), params.altitude(cfg.t2)])
-            edge = altitude[frame.link - 1] / math.cos(params.phi_b)
-            down = frame.downlink
-            assert np.array_equal(frame.signal[down],
-                                  channel.rx_power_uav_to_ground(edge[down], params))
-            assert np.array_equal(frame.signal[~down],
-                                  channel.rx_power_ground_to_uav(edge[~down], params))
+        drawn, layouts, deviates = pass_streams(params, (21, cfg.r, cfg.t1, cfg.t2), 128,
+                                                (6.0, 4.0))
+        for counts in (drawn, edges):
+            frame = _receptions(cfg, counts, params,
+                                None if MODES[mode].get("worst_case_distances") else layouts,
+                                None if MODES[mode].get("mean_shadowing") else deviates)
+            assert np.array_equal(frame.rate, np.log2(
+                1.0 + frame.signal / (frame.interference + params.noise_power)))
+            slot_counts = schedule_block(cfg, counts[:, 0], counts[:, 1]).slot_counts
+            assert np.array_equal(frame.throughput, slot_by_slot(frame, slot_counts))
+            if mode == "worst_mean":  # each direction's function on its own rows
+                altitude = np.array([params.altitude(cfg.t1), params.altitude(cfg.t2)])
+                edge = altitude[frame.link - 1] / math.cos(params.phi_b)
+                down = frame.downlink
+                assert np.array_equal(frame.signal[down],
+                                      channel.rx_power_uav_to_ground(edge[down], params))
+                assert np.array_equal(frame.signal[~down],
+                                      channel.rx_power_ground_to_uav(edge[~down], params))
 
 
 @settings(max_examples=60, deadline=None)
