@@ -14,7 +14,7 @@ import csv
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -45,7 +45,8 @@ MAX_AXIS_VALUES = 10_000  # values per load axis of a grid
 # row peaked 7.1 MB above a 10^5-frame one, a model-matched row 6.8 MB.
 MAX_FRAMES = 10_000_000
 # Worker processes of a grid run. A multiprocessing.Pool forks all its
-# workers when it is built, so the count is checked before any pool exists.
+# workers when it is built, so the count is checked before any pool exists,
+# and a run starts at most one per grid point.
 MAX_WORKERS = 64
 # Grid points per worker task at most: a worker holds its chunk's rows, and
 # a closed output is noticed at the next chunk. Each chunk costs the main
@@ -274,18 +275,52 @@ def _deviation_flag(analytical, mc_mean, half_width, worst_case, mean_shadow,
     return "DEVIATION" if gap > 3.0 * half_width + 1e-12 else "ok"
 
 
+def _quiet_stdout() -> None:
+    """Point stdout at devnull, so that the interpreter's last flush of
+    what a failed write left buffered cannot fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+class _Writing:
+    """A ``with`` block of writes to ``out`` that ends with its own flush;
+    one object serves every block. A write, flush or close that fails is a
+    configuration error naming ``name``, ``--out=...`` or ``stdout``; a
+    closed pipe is left to ``main``."""
+
+    def __init__(self, out, name: str):
+        self.out, self.name = out, name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, traceback):
+        if isinstance(error, OSError) and not isinstance(error, BrokenPipeError):
+            if self.out is sys.stdout:
+                _quiet_stdout()
+            raise ConfigError(f"{self.name}: {error.strerror}") from None
+
+
 @contextmanager
 def _output(path):
-    """``--out`` opened for writing, or stdout without it."""
+    """``--out`` opened for writing, or stdout without it, and the
+    ``_Writing`` of its blocks of writes."""
     if not path:
-        yield sys.stdout
+        yield sys.stdout, _Writing(sys.stdout, "stdout")
         return
+    name = f"--out={path!r}"
     try:
         out = open(path, "w", newline="", encoding="utf-8")
     except OSError as error:
-        raise ConfigError(f"--out={path!r}: {error.strerror}") from None
-    with out:
-        yield out
+        raise ConfigError(f"{name}: {error.strerror}") from None
+    writing = _Writing(out, name)
+    try:
+        yield out, writing
+    except BaseException:
+        with suppress(OSError):  # a failed write's bytes, flushed again
+            out.close()
+        raise
+    with writing:
+        out.close()
 
 
 def _run_grid(args, with_flag: bool) -> int:
@@ -295,26 +330,31 @@ def _run_grid(args, with_flag: bool) -> int:
     killed leaves the header and its finished points. Returns the number
     of ``DEVIATION`` rows."""
     spec = SweepSpec.from_args(args)
-    with _output(args.out) as out, _rows_per_point(spec) as rows_per_point:
+    with _output(args.out) as (out, writing), _rows_per_point(spec) as rows_per_point:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS + (["deviation_flag"] if with_flag else []))
-        out.flush()
+        with writing:
+            writer.writerow(CSV_COLUMNS + (["deviation_flag"] if with_flag else []))
+            out.flush()
         deviations = 0
         for rows in rows_per_point:
-            for row in rows:
-                deviations += row[-1] == "DEVIATION"
-                writer.writerow(row if with_flag else row[:-1])
-            out.flush()
+            with writing:
+                for row in rows:
+                    deviations += row[-1] == "DEVIATION"
+                    writer.writerow(row if with_flag else row[:-1])
+                out.flush()
     return deviations
 
 
 @contextmanager
 def _rows_per_point(spec: SweepSpec):
     """Each grid point's rows, in point order: computed in this process, or
-    by ``spec.workers`` processes, in chunks of points."""
+    by up to ``spec.workers`` processes, at most one per point, in chunks
+    of points."""
     points = enumerate(product(spec.lambda1_values, spec.lambda2_values))
+    count = len(spec.lambda1_values) * len(spec.lambda2_values)
+    workers = min(spec.workers, count)
     rows_of = partial(_point_rows, spec)
-    if spec.workers == 1:
+    if workers == 1:
         yield map(rows_of, points)
         return
     import multiprocessing  # here: one process does not need it
@@ -322,9 +362,9 @@ def _rows_per_point(spec: SweepSpec):
         # numpy too, once before the workers fork, not once per worker
         from . import montecarlo  # noqa: F401
     # multiprocessing.Pool.map's rule, about four chunks per worker, capped
-    chunksize = -(-len(spec.lambda1_values) * len(spec.lambda2_values) // (4 * spec.workers))
+    chunksize = -(-count // (4 * workers))
     # imap feeds chunks as workers take them; leaving the block terminates the pool
-    with multiprocessing.Pool(spec.workers, _start_worker, (rows_of,)) as pool:
+    with multiprocessing.Pool(workers, _start_worker, (rows_of,)) as pool:
         yield pool.imap(_worker_rows, points, min(chunksize, CHUNK_POINTS))
 
 
@@ -363,23 +403,25 @@ def cmd_eval(args) -> int:
     breakdowns = {label: average_throughput(table, loads) for label, table in tables.items()}
     best = pick_optimal(breakdowns)
 
-    print(f"lambda1={args.lambda1!r} lambda2={args.lambda2!r} "
-          f"accounting={accounting.value} covered_mass={best.covered_mass!r}")
-    print(f"{'configuration':<14} {'r':>1} {'h1':>3} {'h2':>3} {'h1_m':>10} "
-          f"{'h2_m':>10}  throughput_bpshz")
-    for label, cfg in configs.items():
-        print(f"{label:<14} {cfg.r:>1} {ALTITUDE_SYMBOLS[cfg.t1]:>3} "
-              f"{ALTITUDE_SYMBOLS[cfg.t2]:>3} {params.altitude(cfg.t1):>10.4f} "
-              f"{params.altitude(cfg.t2):>10.4f}  {breakdowns[label].total!r}")
-    print(f"optimal: {best.config.label} -> {best.total!r}")
+    with _Writing(sys.stdout, "stdout"):
+        print(f"lambda1={args.lambda1!r} lambda2={args.lambda2!r} "
+              f"accounting={accounting.value} covered_mass={best.covered_mass!r}")
+        print(f"{'configuration':<14} {'r':>1} {'h1':>3} {'h2':>3} {'h1_m':>10} "
+              f"{'h2_m':>10}  throughput_bpshz")
+        for label, cfg in configs.items():
+            print(f"{label:<14} {cfg.r:>1} {ALTITUDE_SYMBOLS[cfg.t1]:>3} "
+                  f"{ALTITUDE_SYMBOLS[cfg.t2]:>3} {params.altitude(cfg.t1):>10.4f} "
+                  f"{params.altitude(cfg.t2):>10.4f}  {breakdowns[label].total!r}")
+        print(f"optimal: {best.config.label} -> {best.total!r}")
 
-    if args.per_k:
-        n = params.n_users
-        for label in configs:
-            breakdown = breakdowns[label]
-            print(f"\nper-k breakdown for {label} (k, weight, conditional):")
-            for k in range(-n, n + 1):
-                print(f"  {k:>4} {breakdown.pmf[k]!r} {breakdown.conditional[k]!r}")
+        if args.per_k:
+            n = params.n_users
+            for label in configs:
+                breakdown = breakdowns[label]
+                print(f"\nper-k breakdown for {label} (k, weight, conditional):")
+                for k in range(-n, n + 1):
+                    print(f"  {k:>4} {breakdown.pmf[k]!r} {breakdown.conditional[k]!r}")
+        sys.stdout.flush()
     return EXIT_OK
 
 
@@ -387,11 +429,13 @@ def cmd_optimize(args) -> int:
     params = _load_params(args)
     loads = _point_loads(args)
     cfg, breakdown = optimal_configuration(loads, params, AccountingMode(args.accounting))
-    print(f"optimal configuration for lambda1={args.lambda1!r}, lambda2={args.lambda2!r}: "
-          f"{cfg.label}")
-    print(f"  r={cfg.r} h1={ALTITUDE_SYMBOLS[cfg.t1]} ({params.altitude(cfg.t1)!r} m) "
-          f"h2={ALTITUDE_SYMBOLS[cfg.t2]} ({params.altitude(cfg.t2)!r} m)")
-    print(f"  throughput_bpshz={breakdown.total!r}")
+    with _Writing(sys.stdout, "stdout"):
+        print(f"optimal configuration for lambda1={args.lambda1!r}, "
+              f"lambda2={args.lambda2!r}: {cfg.label}")
+        print(f"  r={cfg.r} h1={ALTITUDE_SYMBOLS[cfg.t1]} ({params.altitude(cfg.t1)!r} m) "
+              f"h2={ALTITUDE_SYMBOLS[cfg.t2]} ({params.altitude(cfg.t2)!r} m)")
+        print(f"  throughput_bpshz={breakdown.total!r}")
+        sys.stdout.flush()
     return EXIT_OK
 
 
@@ -448,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--shadowing", choices=["sampled", "mean"], default="sampled",
                       help="simulator shadowing mode")
     grid.add_argument("--workers", type=int, default=1,
-                      help=f"parallel workers over grid points, 1 to {MAX_WORKERS} "
-                           "(output order is fixed)")
+                      help=f"parallel workers over grid points, 1 to {MAX_WORKERS}, "
+                           "at most one per point (output order is fixed)")
 
     sub = subparsers.add_parser("eval", parents=[common, point],
                                 help="evaluate the candidate configurations at one point")
@@ -489,9 +533,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except BrokenPipeError:
         # stdout's reader has gone (``sweep ... | head -1``). As Python's
-        # signal docs advise (note on SIGPIPE), point stdout at devnull, so
-        # that the interpreter's last flush cannot fail again, and end quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # signal docs advise (note on SIGPIPE), point stdout at devnull and
+        # end quietly
+        _quiet_stdout()
         return EXIT_OK
 
 

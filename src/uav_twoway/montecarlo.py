@@ -82,17 +82,17 @@ class ActivationModel(enum.Enum):
     MODEL_MATCHED = "model"
 
 
-def _positions(uniforms: np.ndarray, sizes: np.ndarray, params: SystemParams):
+def _positions(uniforms: np.ndarray, sizes: np.ndarray, cell: np.ndarray,
+               params: SystemParams):
     """User coordinates [m], users numbered cell after cell, from one draw
     of uniforms: a cell of k users takes 2k of them, its k radii and then
     its k angles. ``sizes`` gives the cells' user counts in turn, cell 1,
-    cell 2, cell 1, ... of successive frames."""
+    cell 2, cell 1, ... of successive frames, and ``cell`` each user's cell."""
     count = np.repeat(sizes, sizes)  # per user: the user count of its cell
     radius_at = np.repeat(np.cumsum(sizes) - sizes, sizes) + np.arange(count.size)
     radius = params.d_0 * np.sqrt(uniforms[radius_at])
     angle = 2.0 * np.pi * uniforms[radius_at + count]
-    center_x = np.repeat(np.tile((0.0, params.d_sep), sizes.size // 2), sizes)
-    return center_x + radius * np.cos(angle), radius * np.sin(angle)
+    return params.d_sep * (cell - 1) + radius * np.cos(angle), radius * np.sin(angle)
 
 
 # Each parameter set's split weights as one float64 array, and its matched
@@ -221,15 +221,15 @@ class FrameRealization:
     and slot, frame after frame in slot order; a slot holds one row, or two
     for a co-channel pair.
 
-    Slots and users are numbered as in the pass's ``schedule_block``, so
-    a row's service class is its ``kinds[slot // 2]``. ``link`` is the
-    serving UAV, ``user`` the ground endpoint, ``downlink`` whether the UAV
-    transmits and ``hit`` whether the slot's co-channel transmitter reaches
-    the receiver. ``cell`` is indexed by user. Powers are in W: ``signal``
-    of every row, ``interference`` 0 where not ``hit``. ``rate`` and
-    ``throughput``, one mean slot sum-rate per frame, are in bits/s/Hz.
-    ``slot_counts`` is the schedule's slot count of each frame, and
-    ``slot_count`` their sum.
+    Slots and users are numbered as in the pass's ``schedule_block``: a
+    slot of one row serves a lone user, one of two rows a pair, same-cell
+    if its users' ``cell`` (indexed by user) agree, else cross-cell.
+    ``link`` is the serving UAV, ``user`` the ground endpoint, ``downlink``
+    whether the UAV transmits and ``hit`` whether the slot's co-channel
+    transmitter reaches the receiver. Powers are in W: ``signal`` of every
+    row, ``interference`` 0 where not ``hit``. ``rate`` and ``throughput``,
+    one mean slot sum-rate per frame, are in bits/s/Hz. ``slot_counts`` is
+    the schedule's slot count of each frame, and ``slot_count`` their sum.
     """
 
     slot: np.ndarray
@@ -283,7 +283,7 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
         hit &= (np.array([cfg.t1, cfg.t2])[uav - 1] == 1) | (cell[ground] == uav)
         return edge[link - 1], hit, altitude[uav[hit] - 1]
 
-    x, y = _positions(layouts.random(2 * cell.size), sizes, params)
+    x, y = _positions(layouts.random(2 * cell.size), sizes, cell, params)
     if cfg.r == 1:
         source, sink = partner[hit], user[hit]
         nlos = np.hypot(x[source] - x[sink], y[source] - y[sink])

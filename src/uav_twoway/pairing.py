@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from .sinr import Configuration
 
-CROSS_CELL, SAME_CELL, INDIVIDUAL = range(3)  # service unit classes
-
 
 class AccountingMode(enum.Enum):
     """How same-cell service of a surplus of k users is counted.
@@ -67,10 +65,10 @@ class Schedule:
     """The plan of a block of frames, fixed before any draw: one column of
     ``rows`` (slot, link, user, partner) per reception, in slot order, with
     slots and users numbered across the block, each frame's cell-1 users
-    first; a lone user is its own partner. Unit u holds slots 2u and 2u + 1."""
+    first. Unit u holds slots 2u and 2u + 1: a lone user, its own partner,
+    or a pair, same-cell or cross-cell as its users' cells agree or not."""
 
     rows: object  # 4 x R int64 numpy array
-    kinds: object  # per unit: CROSS_CELL, SAME_CELL or INDIVIDUAL
     slot_counts: object  # per frame
 
 
@@ -106,5 +104,4 @@ def schedule_block(cfg: Configuration, k1, k2) -> Schedule:
         at = at[paired] + 1
         for row, value in zip(rows, (slot + step, 3 - link, partner, user)):
             row[at] = value[paired]
-    return Schedule(rows, np.where(cross, CROSS_CELL, np.where(solo, INDIVIDUAL, SAME_CELL)),
-                    2 * units)
+    return Schedule(rows, 2 * units)

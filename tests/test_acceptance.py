@@ -15,7 +15,7 @@ from uav_twoway.sinr import Configuration, candidate_configurations
 from uav_twoway.throughput import (LoadDistribution, average_throughput, conditional_table,
                                    optimal_configuration, skellam_vector)
 
-from test_pairing import tally
+from test_pairing import tally, unit_classes
 from test_throughput import brute_force_average, skellam_convolution
 
 GRID_LAMBDA1 = [float(v) for v in range(1, 21)]          # 20 values
@@ -78,7 +78,8 @@ def test_criterion_4_pair_count_conservation():
                 counts = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2, AccountingMode.CONSISTENT)
                 if 2 * counts.a_d + 2 * counts.a_s + counts.b != k1 + k2:
                     ok = False
-                scheduled = tally(schedule_block(cfg, [k1], [k2]).kinds)
+                schedule = schedule_block(cfg, [k1], [k2])
+                scheduled = tally(unit_classes(schedule, [k1], [k2]))
                 if scheduled != counts:
                     ok = False
     literal = pair_counts(3, 2, 0, 1, AccountingMode.PAPER_LITERAL)

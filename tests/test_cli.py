@@ -364,6 +364,50 @@ def test_closed_stdout_ends_quietly_with_exit_0(tmp_path, workers):
     assert (child.returncode, err) == (cli.EXIT_OK, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv,named", [
+    (("sweep", "--lambda1", "1", "--lambda2", "1", "--out", "/dev/full"),
+     "--out='/dev/full'"),
+    (("sweep", "--lambda1", "1", "--lambda2", "1"), "stdout"),
+    (("eval", "--lambda1", "1", "--lambda2", "1"), "stdout"),
+], ids=["sweep-out", "sweep-stdout", "eval-stdout"])
+def test_failed_write_exits_2_naming_the_destination(tmp_path, argv, named, buffered):
+    # a full device once ended in exit 1 and a chain of OSError tracebacks;
+    # a buffered stdout fails at a flush, an unbuffered one at the write
+    env = dict(os.environ, PYTHONPATH=str(Path(uav_twoway.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "uav_twoway.cli", *argv], env=env,
+                              cwd=tmp_path, stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    assert (done.returncode, done.stderr) == (
+        cli.EXIT_CONFIG, f"error: {named}: No space left on device\n")
+
+
+@pytest.mark.parametrize("lambda1,processes", [("1,2,3", 3), ("1", None)],
+                         ids=["three-points", "one-point"])
+def test_grid_forks_at_most_one_worker_per_point(tmp_path, monkeypatch, lambda1, processes):
+    # a pool forks all its workers when it is built: eight for three points
+    # would leave five idle, and one point runs in this process
+    pool, built = multiprocessing.Pool, []
+
+    def spy(count, *args, **kwargs):
+        built.append(count)
+        return pool(count, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    args = ("--lambda1", lambda1, "--lambda2", "4")
+    paths = [tmp_path / f"run{i}.csv" for i in range(2)]
+    assert run_cli("sweep", *args, "--workers", "1", "--out", str(paths[0])) == 0
+    assert built == []
+    assert run_cli("sweep", *args, "--workers", "8", "--out", str(paths[1])) == 0
+    assert built == ([processes] if processes else [])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched _point_rows reaches the workers only through fork")
 def test_numeric_error_in_a_worker_exits_3_at_once(capsys, monkeypatch, tmp_path):

@@ -16,11 +16,12 @@ from uav_twoway.montecarlo import (COUNTS, DEVIATES, FILL_FRAMES, LAYOUTS, Activ
                                    _Activation, _law, _matched_values, _mean_and_std,
                                    _model_pmf, _positions, _receptions, _stream, run_frame,
                                    simulate, simulate_exhaustive)
-from uav_twoway.pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, pair_counts, schedule_block
+from uav_twoway.pairing import pair_counts, schedule_block
 from uav_twoway.rates import rate_set
 from uav_twoway.sinr import all_configurations
 from uav_twoway.throughput import LoadDistribution, average_throughput, conditional_table
 
+from test_pairing import CROSS_CELL, INDIVIDUAL, SAME_CELL, unit_classes
 from test_throughput import frame_throughput
 
 # the simulator's distance and shadowing modes, as keyword arguments
@@ -40,18 +41,30 @@ def draw_counts(law, rng, frames):
     return np.column_stack(np.divmod(law.cells(rng, frames), law.n + 1))
 
 
+def cells_of(sizes):
+    """Each user's cell, for cells of ``sizes`` users: cell 1, cell 2, cell
+    1, ... of successive frames."""
+    return np.repeat(np.tile((1, 2), len(sizes) // 2), sizes)
+
+
 def test_layout_inside_discs(params):
-    # two frames of (200, 200) users: cell 1 around the origin, cell 2 at d_sep
-    sizes = np.array((200, 200, 200, 200))
-    x, y = _positions(np.random.default_rng(0).random(1600), sizes, params)
-    center = np.tile(np.repeat((0.0, params.d_sep), 200), 2)
-    assert np.all(np.hypot(x - center, y) <= params.d_0)
+    # cell 1 around the origin, cell 2 at d_sep: every user within d_0 of
+    # its own cell's centre, in two frames of (200, 200) users and in three
+    # frames of unequal and empty cells
+    for sizes in (200, 200, 200, 200), (0, 3, 5, 0, 1, 2):
+        sizes = np.array(sizes)
+        cell = cells_of(sizes)
+        x, y = _positions(np.random.default_rng(0).random(2 * cell.size), sizes, cell, params)
+        center = np.where(cell == 1, 0.0, params.d_sep)
+        assert x.size == cell.size
+        assert np.all(np.hypot(x - center, y) <= params.d_0)
 
 
 def test_layout_reproducible(params):
     sizes = np.array((10, 10))
-    one = _positions(np.random.default_rng(9).random(40), sizes, params)
-    other = _positions(np.random.default_rng(9).random(40), sizes, params)
+    cell = cells_of(sizes)
+    one = _positions(np.random.default_rng(9).random(40), sizes, cell, params)
+    other = _positions(np.random.default_rng(9).random(40), sizes, cell, params)
     assert np.array_equal(one, other)
 
 
@@ -448,7 +461,7 @@ def draw_frame(args, params):
 
 def row_kinds(frame, cfg, k1, k2):
     """Each row's service class, read from its frame's schedule."""
-    return schedule_block(cfg, [k1], [k2]).kinds[frame.slot // 2]
+    return unit_classes(schedule_block(cfg, [k1], [k2]), [k1], [k2])[frame.slot // 2]
 
 
 @given(frames)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uav_twoway.pairing import (CROSS_CELL, INDIVIDUAL, SAME_CELL, AccountingMode,
-                                PairCounts, pair_counts, schedule_block)
+from uav_twoway.pairing import AccountingMode, PairCounts, pair_counts, schedule_block
 from uav_twoway.sinr import Configuration, all_configurations
+
+CROSS_CELL, SAME_CELL, INDIVIDUAL = range(3)  # service unit classes
 
 
 def test_worked_example_paper_literal():
@@ -79,22 +80,37 @@ def test_mirror_symmetry():
         assert direct == mirrored
 
 
-def tally(kinds) -> PairCounts:
+def unit_classes(schedule, k1s, k2s) -> np.ndarray:
+    """Each unit's class, read off the rows of its first slot, 2u, of a
+    schedule of frames with k1s[j] and k2s[j] active users: one receiver is
+    a lone user, two in one cell a same-cell pair, two in different cells a
+    cross-cell pair. Users are numbered across the block, each frame's
+    cell-1 users first."""
+    cell = np.repeat(np.tile((1, 2), len(k1s)), np.array([k1s, k2s], dtype=np.int64).T.ravel())
+    slot, _, user, _ = schedule.rows
+    receivers = np.bincount(slot)[::2]
+    first = np.searchsorted(slot, 2 * np.arange(receivers.size))
+    same = cell[user[first]] == cell[user[first + receivers - 1]]
+    return np.where(receivers == 1, INDIVIDUAL, np.where(same, SAME_CELL, CROSS_CELL))
+
+
+def tally(classes) -> PairCounts:
     """Service units of each class (CROSS_CELL, SAME_CELL, INDIVIDUAL) as pair counts."""
-    return PairCounts(*map(kinds.tolist().count, (CROSS_CELL, SAME_CELL, INDIVIDUAL)))
+    return PairCounts(*map(classes.tolist().count, (CROSS_CELL, SAME_CELL, INDIVIDUAL)))
 
 
-def units_of(schedule):
-    """(kind, ((link, user), ...)) per unit, read from the rows of its first slot."""
+def units_of(schedule, k1, k2):
+    """(class, ((link, user), ...)) per unit of the schedule of one frame
+    with k1 and k2 active users, read from the rows of its first slot."""
     slot, link, user, _ = schedule.rows.tolist()
     return [(kind, tuple((l, u) for s, l, u in zip(slot, link, user) if s == 2 * index))
-            for index, kind in enumerate(schedule.kinds.tolist())]
+            for index, kind in enumerate(unit_classes(schedule, [k1], [k2]).tolist())]
 
 
 def test_schedule_three_steps():
     # users 0-4 in cell 1, 5-6 in cell 2
     schedule = schedule_block(Configuration(1, 0, 1), [5], [2])
-    units = units_of(schedule)
+    units = units_of(schedule, 5, 2)
     assert [kind for kind, _ in units] == [CROSS_CELL, CROSS_CELL, SAME_CELL, INDIVIDUAL]
     assert schedule.slot_counts.tolist() == [8]
     assert units[:2] == [(CROSS_CELL, ((1, 0), (2, 5))), (CROSS_CELL, ((1, 1), (2, 6)))]
@@ -111,20 +127,20 @@ def test_schedule_three_steps():
 
 def test_schedule_balanced_only_cross():
     schedule = schedule_block(Configuration(0, 0, 0), [3], [3])
-    assert schedule.kinds.tolist() == [CROSS_CELL] * 3
+    assert unit_classes(schedule, [3], [3]).tolist() == [CROSS_CELL] * 3
     assert schedule.slot_counts.tolist() == [2 * 3]  # one 2-slot unit per cross pair
 
 
 def test_schedule_single_user():
     schedule = schedule_block(Configuration(0, 0, 0), [1], [0])
-    assert units_of(schedule) == [(INDIVIDUAL, ((1, 0),))]
+    assert units_of(schedule, 1, 0) == [(INDIVIDUAL, ((1, 0),))]
 
 
 def test_schedule_surplus_cell2():
     # user 0 in cell 1, users 1-5 in cell 2
     schedule = schedule_block(Configuration(1, 1, 0), [1], [5])
-    assert tally(schedule.kinds) == PairCounts(1, 2, 0)
-    same = [served for kind, served in units_of(schedule) if kind == SAME_CELL]
+    assert tally(unit_classes(schedule, [1], [5])) == PairCounts(1, 2, 0)
+    same = [served for kind, served in units_of(schedule, 1, 5) if kind == SAME_CELL]
     # cell 2's own UAV serves first, the high helper (UAV1) second
     assert same == [((2, 2), (1, 3)), ((2, 4), (1, 5))]
 
@@ -134,7 +150,8 @@ def test_schedule_matches_pair_counts_everywhere():
         for k1 in range(0, 31, 3):
             for k2 in range(0, 31, 3):
                 expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
-                assert tally(schedule_block(cfg, [k1], [k2]).kinds) == expected
+                schedule = schedule_block(cfg, [k1], [k2])
+                assert tally(unit_classes(schedule, [k1], [k2])) == expected
 
 
 blocks = st.tuples(st.sampled_from(list(all_configurations().values())),
@@ -149,15 +166,13 @@ def test_block_schedule_joins_frame_schedules(args):
     # past those of frames 0..j-1
     cfg, keys = args
     block = schedule_block(cfg, [k1 for k1, _ in keys], [k2 for _, k2 in keys])
-    rows, kinds, slot_counts, slots, users = [np.zeros((4, 0), dtype=np.int64)], [], [], 0, 0
+    rows, slot_counts, slots, users = [np.zeros((4, 0), dtype=np.int64)], [], 0, 0
     for k1, k2 in keys:
         frame = schedule_block(cfg, [k1], [k2])
         rows.append(frame.rows + np.array([[slots], [0], [users], [users]]))
-        kinds += frame.kinds.tolist()
-        slot_counts.append(2 * len(frame.kinds))
+        slot_counts.append(2 * np.unique(frame.rows[0] // 2).size)  # two per unit
         slots, users = slots + slot_counts[-1], users + k1 + k2
     assert np.array_equal(block.rows, np.concatenate(rows, axis=1))
-    assert block.kinds.tolist() == kinds
     assert block.slot_counts.tolist() == slot_counts
 
 
@@ -166,10 +181,11 @@ def test_block_schedule_tallies_to_pair_counts(args):
     # each frame's units, read off the block by its slot count, tally to the
     # closed form's pair counts
     cfg, keys = args
-    block = schedule_block(cfg, [k1 for k1, _ in keys], [k2 for _, k2 in keys])
+    k1s, k2s = [k1 for k1, _ in keys], [k2 for _, k2 in keys]
+    block = schedule_block(cfg, k1s, k2s)
     ends = np.cumsum(block.slot_counts) // 2
-    for (k1, k2), kinds in zip(keys, np.split(block.kinds, ends[:-1])):
-        assert tally(kinds) == pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
+    for (k1, k2), classes in zip(keys, np.split(unit_classes(block, k1s, k2s), ends[:-1])):
+        assert tally(classes) == pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
 
 
 def test_pair_counts_is_a_value_type():
