@@ -26,7 +26,16 @@ __version__ = "0.1.0"
 _SIMULATOR = ("ActivationModel", "FrameRealization", "SimResult", "run_frame", "simulate",
               "simulate_exhaustive")
 
-__all__ = [name for name in dir() if not name.startswith("_")] + list(_SIMULATOR)
+__all__ = ["ConfigError", "GuardViolationError", "MissingKeyError", "NonPositiveRateError",
+           "OutOfRangeError", "RateExceedsPopulationError",
+           "AccountingMode", "PairCounts", "Schedule", "pair_counts",
+           "SystemParams", "default_config", "load_params", "validate_and_derive",
+           "RateSet", "rate_individual", "rate_set",
+           "Configuration", "all_configurations", "candidate_configurations", "link_sinr",
+           "snr_individual",
+           "ConditionalTable", "LoadDistribution", "ThroughputBreakdown", "average_throughput",
+           "conditional_table", "conditional_tables", "optimal_configuration", "skellam_vector",
+           *_SIMULATOR]
 
 
 def __getattr__(name):

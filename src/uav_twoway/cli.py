@@ -184,6 +184,14 @@ class SweepSpec:
         selections = tuple(_resolve_configurations(args.configurations))
         if args.command == "compare" and args.frames < 1 and args.activation != "exhaustive":
             raise ConfigError("compare requires --frames >= 1 (or --activation exhaustive)")
+        if args.activation == "exhaustive":
+            # an exact mean over every (K1, K2) under the matched assumptions
+            for flag, value, honoured, reason in (
+                    ("--frames", args.frames, 0, "draws no frames"),
+                    ("--distances", args.distances, "worst", "reads worst-case distances"),
+                    ("--shadowing", args.shadowing, "mean", "reads mean shadowing")):
+                if value not in (None, honoured):
+                    raise ConfigError(f"{flag}={value}: --activation exhaustive {reason}")
         if args.frames and args.activation == "binomial":
             # each user is active with probability lambda / N
             for flag, values in (("--lambda1", lambda1_values), ("--lambda2", lambda2_values)):
@@ -487,10 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "(0 = analytical only)")
     grid.add_argument("--activation", choices=["poisson", "binomial", "model", "exhaustive"],
                       default="poisson", help="activation model for Monte Carlo rows")
-    grid.add_argument("--distances", choices=["exact", "worst"], default="exact",
-                      help="simulator distance mode")
-    grid.add_argument("--shadowing", choices=["sampled", "mean"], default="sampled",
-                      help="simulator shadowing mode")
+    # None, unless given, resolves to exact and sampled, so that only an
+    # explicit value is rejected under --activation exhaustive
+    grid.add_argument("--distances", choices=["exact", "worst"], default=None,
+                      help="simulator distance mode (default: exact)")
+    grid.add_argument("--shadowing", choices=["sampled", "mean"], default=None,
+                      help="simulator shadowing mode (default: sampled)")
     grid.add_argument("--workers", type=int, default=1,
                       help=f"parallel workers over grid points, 1 to {MAX_WORKERS}, "
                            "at most one per point (output order is fixed)")

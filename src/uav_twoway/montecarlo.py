@@ -73,8 +73,8 @@ class ActivationModel(enum.Enum):
     land in [1, N]; the cells are independent, so each count follows its
     Poisson law truncated to [1, N]. BINOMIAL_PER_USER activates each of
     the N users independently with probability lambda/N. MODEL_MATCHED
-    draws (K1, K2) from the closed form's own law (``_model_pmf``), so the
-    sampled mean is an unbiased estimate of the closed-form average.
+    draws (K1, K2) from the closed form's own law (``_Activation.pmf``), so
+    the sampled mean is an unbiased estimate of the closed-form average.
     """
 
     TRUNCATED_POISSON = "poisson"
@@ -95,29 +95,12 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, cell: np.ndarray,
     return params.d_sep * (cell - 1) + radius * np.cos(angle), radius * np.sin(angle)
 
 
-# Each parameter set's split weights as one float64 array, and its matched
-# values as one read-only array per configuration (``_matched_values``),
-# each made on first use and kept while the set lives; and the activation
-# laws of the last load pair and parameter set, by model (``_law``)
-_WEIGHTS = weakref.WeakKeyDictionary()
+# Each parameter set's matched values, one read-only array per configuration
+# (``_matched_values``), each made on first use and kept while the set
+# lives; and the activation laws of the last load pair and parameter set,
+# by model (``_law``)
 _GRIDS = weakref.WeakKeyDictionary()
 _LAWS = weakref.WeakKeyDictionary()
-
-
-def _model_pmf(loads: LoadDistribution, params: SystemParams) -> np.ndarray:
-    """The joint pmf of MODEL_MATCHED's (K1, K2) on [0, N]^2, the closed
-    form's law: P(lambda)[K1 - K2] times ``params.split_weights`` as an
-    (N + 1)^2 array, and the rest, the Skellam mass of |k| >= N, on (0, 0),
-    the empty frame."""
-    n = params.n_users
-    weights = _WEIGHTS.get(params)
-    if weights is None:
-        weights = _WEIGHTS[params] = np.fromiter(params.split_weights, float, (n + 1) ** 2)
-    big_k1, big_k2 = np.indices((n + 1, n + 1))
-    pmf = (np.asarray(loads.skellam_vector(n))[big_k1 - big_k2]
-           * weights.reshape(big_k1.shape))
-    pmf[0, 0] = max(0.0, 1.0 - pmf.sum())
-    return pmf
 
 
 def _law(loads: LoadDistribution, params: SystemParams, model: ActivationModel):
@@ -141,10 +124,13 @@ def _law(loads: LoadDistribution, params: SystemParams, model: ActivationModel):
 class _Activation:
     """The (K1, K2) law of one (loads, params, model), drawn from a stream
     a run of frames at a time by ``cells``, one flat cell K1 (N + 1) + K2
-    per frame; its MODEL_MATCHED cdf and guide table are built once. It
-    holds no state of a draw, and its arrays are read-only, so one law
-    serves every row of its load point: ``simulate`` takes it from
-    ``_law``.
+    per frame. It holds no state of a draw, and its arrays are read-only,
+    so one law serves every row of its load point: ``simulate`` and
+    ``simulate_exhaustive`` take it from ``_law``. MODEL_MATCHED keeps its
+    joint ``pmf`` on [0, N]^2, the closed form's law: P(lambda)[K1 - K2]
+    times ``params.split_weights`` as an (N + 1)^2 array, and the rest, the
+    Skellam mass of |k| >= N, on (0, 0), the empty frame; its cdf and guide
+    table are built from it.
 
     Each law reads its stream in frame order, so drawing a row's frames in
     one call or in several, of any sizes, gives the same cells and leaves
@@ -167,7 +153,12 @@ class _Activation:
         self.model, self.n = model, n
         self.lambdas = np.array((loads.lambda1, loads.lambda2))
         if model is ActivationModel.MODEL_MATCHED:
-            self.cdf = np.cumsum(_model_pmf(loads, params))
+            big_k1, big_k2 = np.indices((n + 1, n + 1))
+            weights = np.fromiter(params.split_weights, float, (n + 1) ** 2)
+            self.pmf = (np.asarray(loads.skellam_vector(n))[big_k1 - big_k2]
+                        * weights.reshape(big_k1.shape))
+            self.pmf[0, 0] = max(0.0, 1.0 - self.pmf.sum())
+            self.cdf = np.cumsum(self.pmf)
             self.top = np.searchsorted(self.cdf, self.cdf[-1])  # the last cell where cdf rises
             # the guide table (Chen and Asau): bucket j, the uniforms in [j/m, (j + 1)/m),
             # starts at cell guide[j], the count of cdf entries <= j/m, capped at top.
@@ -181,13 +172,13 @@ class _Activation:
             # whether a cdf step cuts each bucket; bucket m, 1 <= u < 1 + 1/m, is
             # never drawn but holds a cdf entry rounded above 1, so it is searched
             self.steps = np.append(self.guide[1:] != self.guide[:-1], True)
-            for array in (self.cdf, self.guide, self.steps):
+            for array in (self.pmf, self.cdf, self.guide, self.steps):
                 array.flags.writeable = False
         self.lambdas.flags.writeable = False
 
     def invert(self, uniforms: np.ndarray) -> np.ndarray:
         """Each uniform's flat cell K1 (N + 1) + K2: the cell i of its step
-        [cdf[i - 1], cdf[i]) of the row-major cdf of ``_model_pmf``, and
+        [cdf[i - 1], cdf[i]) of the row-major cdf of ``pmf``, and
         from the top of the cdf up ``top``, bit for bit
         ``np.minimum(np.searchsorted(cdf, uniforms, side="right"), top)``.
         A uniform takes its bucket's first cell; only those in a bucket
@@ -522,11 +513,11 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
 def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
                         params: SystemParams) -> float:
     """Exact expectation of the matched-assumption simulator under
-    MODEL_MATCHED activation: the law's pmf, ``_model_pmf``, times the
-    engine's value of every (K1, K2), ``_matched_values``, the cells'
-    products added by numpy's pairwise sum. Not a BLAS dot: a threaded
-    dot's bits depend on its thread count, and it oversubscribes the cores
-    under ``--workers``. Agreement with the analytical average validates
-    the scheduler and slot engine end to end."""
-    pmf = _model_pmf(loads, params)
+    MODEL_MATCHED activation: the ``pmf`` of the point's law (``_law``)
+    times the engine's value of every (K1, K2), ``_matched_values``, the
+    cells' products added by numpy's pairwise sum. Not a BLAS dot: a
+    threaded dot's bits depend on its thread count, and it oversubscribes
+    the cores under ``--workers``. Agreement with the analytical average
+    validates the scheduler and slot engine end to end."""
+    pmf = _law(loads, params, ActivationModel.MODEL_MATCHED).pmf
     return float((pmf.reshape(-1) * _matched_values(cfg, params)).sum())

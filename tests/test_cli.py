@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 import weakref
 from pathlib import Path
 
@@ -221,6 +222,19 @@ def test_every_exported_name_resolves():
     # at a user's call
     for name in uav_twoway.__all__:
         getattr(uav_twoway, name)  # raises AttributeError for a stale name
+
+
+def test_no_module_is_exported():
+    # the package exports its public names, not the submodules they come from
+    names = uav_twoway.__all__
+    public = {name for name, value in vars(uav_twoway).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(names) == len(set(names)) == 36
+    assert set(names) == public | set(uav_twoway._SIMULATOR)
+    assert not any(isinstance(getattr(uav_twoway, name), types.ModuleType) for name in names)
+    star = {}
+    exec("from uav_twoway import *", star)
+    assert not any(isinstance(value, types.ModuleType) for value in star.values())
 
 
 def test_sweep_rejects_bad_range(capsys, tmp_path):
@@ -491,7 +505,7 @@ def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monke
     # command builds each configuration's grid once, in one engine pass, and
     # computes each (K1, K2) once; the rows of a point share one model law
     passes, builds = [], []
-    receptions, model_pmf = montecarlo._receptions, montecarlo._model_pmf
+    receptions, law = montecarlo._receptions, montecarlo._Activation
     monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
 
     def count_passes(cfg, counts, *args):
@@ -500,16 +514,16 @@ def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monke
 
     def count_builds(*args):
         builds.append(args)
-        return model_pmf(*args)
+        return law(*args)
 
     monkeypatch.setattr(montecarlo, "_receptions", count_passes)
-    monkeypatch.setattr(montecarlo, "_model_pmf", count_builds)
+    monkeypatch.setattr(montecarlo, "_Activation", count_builds)
     assert run_cli("compare", "--lambda1", "6,12", "--lambda2", "4", "--configurations",
                    "r1_Hl_Hh,r1_Hh_Hl,r0_Hl_Hl", "--frames", "20000", "--activation", "model",
                    "--distances", "worst", "--shadowing", "mean") == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 6 and {row["deviation_flag"] for row in rows} == {"ok"}
-    assert [loads.lambda1 for loads, _ in builds] == [6.0, 12.0]
+    assert [loads.lambda1 for loads, *_ in builds] == [6.0, 12.0]
     assert len(passes) == len({cfg for cfg, _ in passes}) == 3
     for cfg in {cfg for cfg, _ in passes}:
         cells = [tuple(key) for c, counts in passes if c == cfg for key in counts.tolist()]
@@ -528,6 +542,43 @@ def test_compare_matched_mode_agrees(tmp_path):
         assert row["deviation_flag"] == "ok"
         assert abs(float(row["mc_mean"]) - float(row["throughput_bpshz"])) <= (
             1e-9 * float(row["throughput_bpshz"]))
+
+
+def test_exhaustive_point_builds_one_law(capsys, monkeypatch):
+    # every row of an exhaustive point, the optimum's included, reads the
+    # pmf of the point's one model law
+    builds, law = [], montecarlo._Activation
+    monkeypatch.setattr(montecarlo, "_LAWS", weakref.WeakKeyDictionary())
+
+    def count_builds(*args):
+        builds.append(args)
+        return law(*args)
+
+    monkeypatch.setattr(montecarlo, "_Activation", count_builds)
+    assert run_cli("compare", "--lambda1", "6,12", "--lambda2", "4", "--configurations",
+                   "exhaustive,optimal", "--activation", "exhaustive") == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 18 and {row["deviation_flag"] for row in rows} == {"ok"}
+    assert [(loads.lambda1, model) for loads, _, model in builds] == [
+        (6.0, montecarlo.ActivationModel.MODEL_MATCHED),
+        (12.0, montecarlo.ActivationModel.MODEL_MATCHED)]
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("flag, value", [("--frames", "5"), ("--distances", "exact"),
+                                         ("--shadowing", "sampled")])
+def test_exhaustive_rejects_a_flag_it_cannot_honour(capsys, command, flag, value):
+    # an exhaustive row draws no frame and reads worst-case distances and
+    # mean shadowing, so an explicit other value exits 2 naming its flag
+    argv = (command, "--lambda1", "6", "--lambda2", "4", "--configurations", "r0_Hl_Hl",
+            "--activation", "exhaustive")
+    assert run_cli(*argv, flag, value) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}={value}: --activation exhaustive")
+    # the defaults and the values the rows read run, to the same bytes
+    assert run_cli(*argv) == 0
+    default = capsys.readouterr().out
+    assert run_cli(*argv, "--frames", "0", "--distances", "worst", "--shadowing", "mean") == 0
+    assert capsys.readouterr().out == default
 
 
 def test_compare_requires_frames(capsys, tmp_path):

@@ -14,8 +14,8 @@ from uav_twoway import channel, default_config, montecarlo, validate_and_derive
 from uav_twoway.errors import RateExceedsPopulationError
 from uav_twoway.montecarlo import (COUNTS, DEVIATES, FILL_FRAMES, LAYOUTS, ActivationModel,
                                    _Activation, _law, _matched_values, _mean_and_std,
-                                   _model_pmf, _positions, _receptions, _stream, run_frame,
-                                   simulate, simulate_exhaustive)
+                                   _positions, _receptions, _stream, run_frame, simulate,
+                                   simulate_exhaustive)
 from uav_twoway.pairing import pair_counts, schedule_block
 from uav_twoway.rates import rate_set
 from uav_twoway.sinr import all_configurations
@@ -161,7 +161,7 @@ def test_model_activation_inverts_the_joint_cdf(params, lambdas):
     # cdf up go to the last cell whose step is not empty
     n = params.n_users
     loads = LoadDistribution(*lambdas)
-    pmf = _model_pmf(loads, params).ravel()
+    pmf = _Activation(loads, params, ActivationModel.MODEL_MATCHED).pmf.ravel()
     cdf = np.cumsum(pmf)
     lower = np.concatenate(([0.0], cdf[:-1]))
     steps = cdf[np.flatnonzero(pmf)][:-1]
@@ -239,23 +239,24 @@ def test_guide_inversion_keeps_the_bits_of_a_plain_search(params, n, lambdas, se
 
 
 @pytest.mark.parametrize("n", [1, 30, 200])
-def test_model_pmf_is_skellam_times_split_weights(params, n):
+def test_model_law_pmf_is_skellam_times_split_weights(params, n):
     # cell (K1, K2) is P(lambda)[K1 - K2] times the parameter set's split
     # weight of that cell, bit for bit (the empty frame, (0, 0), holds the
     # rest of the mass: see the next test)
     system = dataclasses.replace(params, n_users=n)
     loads = LoadDistribution(6.0, 4.0)
     skellam, weights = loads.skellam_vector(n), system.split_weights
-    pmf = _model_pmf(loads, system).ravel().tolist()
+    pmf = _Activation(loads, system, ActivationModel.MODEL_MATCHED).pmf.ravel().tolist()
     cells = range(1, (n + 1) ** 2)
     assert [pmf[cell] for cell in cells] == [
         skellam[cell // (n + 1) - cell % (n + 1)] * weights[cell] for cell in cells]
 
 
 def test_two_rows_convert_their_split_weights_once(params, candidates, monkeypatch):
-    # a parameter set's split weights become one float64 array on first use,
-    # which every later row of that set reads
-    monkeypatch.setattr(montecarlo, "_WEIGHTS", weakref.WeakKeyDictionary())
+    # a point's model law turns the parameter set's split weights into one
+    # float64 array, which every row of that point reads; the next point's
+    # law converts them again
+    monkeypatch.setattr(montecarlo, "_LAWS", weakref.WeakKeyDictionary())
     conversions, fromiter = [], np.fromiter
 
     def spy(*args, **kwargs):
@@ -263,13 +264,17 @@ def test_two_rows_convert_their_split_weights_once(params, candidates, monkeypat
         return fromiter(*args, **kwargs)
 
     monkeypatch.setattr(np, "fromiter", spy)
+    loads = LoadDistribution(6.0, 4.0)
     for seed in (1, 2):
-        simulate(candidates["r0_Hl_Hl"], LoadDistribution(6.0, 4.0), params, 10, seed,
+        simulate(candidates["r0_Hl_Hl"], loads, params, 10, seed,
                  activation=ActivationModel.MODEL_MATCHED, **MATCHED)
+    simulate_exhaustive(candidates["r1_Hl_Hh"], loads, params)
     assert len(conversions) == 1 and conversions[0] is params.split_weights
+    simulate_exhaustive(candidates["r1_Hl_Hh"], LoadDistribution(12.0, 4.0), params)
+    assert len(conversions) == 2
 
 
-def test_model_pmf_expectation_is_the_closed_form(params):
+def test_model_law_pmf_expectation_is_the_closed_form(params):
     # the exact expectation of the sampled law, sum of pmf * c over [0, N]^2,
     # is the closed form: why matched sampling with model activation is
     # unbiased
@@ -278,7 +283,7 @@ def test_model_pmf_expectation_is_the_closed_form(params):
     laws = {}
     for lambdas in ((6.0, 4.0), (34.0, 2.0), (1.0, 18.0)):
         loads = LoadDistribution(*lambdas)
-        pmf = _model_pmf(loads, params)
+        pmf = _Activation(loads, params, ActivationModel.MODEL_MATCHED).pmf
         assert abs(math.fsum(pmf.flat) - 1.0) <= 1e-15
         # the empty frame holds the Skellam mass of every |k| >= N; a cell
         # with a zero count and the other not holds none
@@ -630,7 +635,9 @@ def test_matched_row_fills_its_grid_once(params, candidates, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["worst_mean", "exact_sampled"])
 def test_model_pmf_built_once_per_row(params, candidates, monkeypatch, mode):
-    builds = spy_on(monkeypatch, "_model_pmf")
+    # the pmf is its law's, built with it once for the row's load point
+    monkeypatch.setattr(montecarlo, "_LAWS", weakref.WeakKeyDictionary())
+    builds = spy_on(monkeypatch, "_Activation")
     simulate(candidates["r0_Hl_Hl"], LoadDistribution(6.0, 4.0), params, 2 * FILL_FRAMES + 1,
              seed=2, activation=ActivationModel.MODEL_MATCHED, **MODES[mode])
     assert len(builds) == 1
@@ -641,16 +648,18 @@ def test_law_store_keeps_one_load_point(params, candidates, monkeypatch):
     # another pair takes its place, and the store holds neither object, so
     # dropping the loads empties it
     monkeypatch.setattr(montecarlo, "_LAWS", weakref.WeakKeyDictionary())
-    builds = spy_on(monkeypatch, "_model_pmf")
+    builds = spy_on(monkeypatch, "_Activation")
     loads, other = LoadDistribution(6.0, 4.0), dataclasses.replace(params, n_users=29)
     law = _law(loads, params, ActivationModel.MODEL_MATCHED)
     assert _law(loads, params, ActivationModel.MODEL_MATCHED) is law
     poisson = _law(loads, params, ActivationModel.TRUNCATED_POISSON)
     assert poisson.model is ActivationModel.TRUNCATED_POISSON
-    assert len(builds) == 1 and len(montecarlo._LAWS[loads][1]) == 2
+    assert [model for *_, model in builds] == [ActivationModel.MODEL_MATCHED,
+                                               ActivationModel.TRUNCATED_POISSON]
+    assert len(montecarlo._LAWS[loads][1]) == 2
     assert _law(loads, other, ActivationModel.MODEL_MATCHED).n == 29
     assert _law(loads, params, ActivationModel.MODEL_MATCHED) is not law
-    assert len(builds) == 3 and len(montecarlo._LAWS[loads][1]) == 1
+    assert len(builds) == 4 and len(montecarlo._LAWS[loads][1]) == 1
     # a caller that holds its load pairs through its rows keeps one pair's laws
     held = [LoadDistribution(lambda1, 4.0) for lambda1 in (2.0, 6.0, 12.0)]
     for pair in held:
@@ -668,7 +677,9 @@ def test_shared_law_arrays_are_read_only(params, model):
     # a point's rows share its law, so no row may write to it
     law = _law(LoadDistribution(6.0, 4.0), params, model)
     arrays = [value for value in vars(law).values() if isinstance(value, np.ndarray)]
-    assert len(arrays) == (4 if model is ActivationModel.MODEL_MATCHED else 1)
+    assert len(arrays) == (5 if model is ActivationModel.MODEL_MATCHED else 1)
+    if model is ActivationModel.MODEL_MATCHED:
+        assert any(array is law.pmf for array in arrays)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
