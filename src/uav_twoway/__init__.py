@@ -17,14 +17,13 @@ from .params import (SystemParams, default_config, load_params,
 from .rates import RateSet, rate_individual, rate_set
 from .sinr import (Configuration, all_configurations, candidate_configurations,
                    link_sinr, snr_individual)
-from .throughput import (ConditionalTable, LoadDistribution, ThroughputBreakdown,
-                         average_throughput, conditional_table, conditional_tables,
-                         optimal_configuration, skellam_vector)
+from .throughput import (ActivationModel, ConditionalTable, LoadDistribution,
+                         ThroughputBreakdown, average_throughput, conditional_table,
+                         conditional_tables, optimal_configuration, skellam_vector)
 
 __version__ = "0.1.0"
 
-_SIMULATOR = ("ActivationModel", "FrameRealization", "SimResult", "run_frame", "simulate",
-              "simulate_exhaustive")
+_SIMULATOR = ("FrameRealization", "SimResult", "run_frame", "simulate", "simulate_exhaustive")
 
 __all__ = ["ConfigError", "GuardViolationError", "MissingKeyError", "NonPositiveRateError",
            "OutOfRangeError", "RateExceedsPopulationError",
@@ -33,8 +32,9 @@ __all__ = ["ConfigError", "GuardViolationError", "MissingKeyError", "NonPositive
            "RateSet", "rate_individual", "rate_set",
            "Configuration", "all_configurations", "candidate_configurations", "link_sinr",
            "snr_individual",
-           "ConditionalTable", "LoadDistribution", "ThroughputBreakdown", "average_throughput",
-           "conditional_table", "conditional_tables", "optimal_configuration", "skellam_vector",
+           "ActivationModel", "ConditionalTable", "LoadDistribution", "ThroughputBreakdown",
+           "average_throughput", "conditional_table", "conditional_tables",
+           "optimal_configuration", "skellam_vector",
            *_SIMULATOR]
 
 

@@ -29,22 +29,10 @@ def los_tx(params: SystemParams) -> tuple[float, float]:
 def rx_power_los(d, tx, params: SystemParams, z=0.0):
     """Received power [W] of a LoS UAV-ground link at slant distance d [m]
     with transmit term ``tx`` [W] (see ``los_tx``), a float or one per
-    distance."""
+    distance. Caller guarantees the ground end is inside the main lobe
+    (gain > 0)."""
     psi = _shadowing_factor(params.mu_los, params.sigma_los, z)
     return tx / psi * (params.k_freespace * d) ** (-params.n_los)
-
-
-def rx_power_uav_to_ground(d, params: SystemParams, z=0.0):
-    """Received power [W] of a downlink at slant distance d [m].
-
-    Caller guarantees the receiver is inside the main lobe (gain > 0).
-    """
-    return rx_power_los(d, los_tx(params)[0], params, z)
-
-
-def rx_power_ground_to_uav(d, params: SystemParams, z=0.0):
-    """Received power [W] at a UAV from a ground transmitter at distance d [m]."""
-    return rx_power_los(d, los_tx(params)[1], params, z)
 
 
 def rx_power_ground_to_ground(d, params: SystemParams, z=0.0):

@@ -23,8 +23,8 @@ from .errors import ConfigError, NonPositiveRateError
 from .pairing import AccountingMode
 from .params import SystemParams, load_params
 from .sinr import all_configurations, candidate_configurations
-from .throughput import (LoadDistribution, average_throughput, check_rate, conditional_tables,
-                         optimal_configuration, pick_optimal)
+from .throughput import (ActivationModel, LoadDistribution, average_throughput, check_rate,
+                         conditional_tables, optimal_configuration, pick_optimal)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,7 +150,12 @@ def _load_params(args) -> SystemParams:
 @dataclass(frozen=True)
 class SweepSpec:
     """One grid run: parameters, load ranges, configuration set with the
-    conditional tables and constant CSV cells it needs, and mode flags."""
+    conditional tables and constant CSV cells it needs, and how its rows
+    are simulated, decided once here. A row runs ``frames`` Monte Carlo
+    frames of the ``activation`` law, or, if ``exact``, is the exact mean
+    over every (K1, K2); with neither it is analytical only.
+    ``--activation exhaustive`` is exact rows of the model law, with
+    worst-case distances and mean shadowing."""
 
     params: SystemParams
     lambda1_values: tuple
@@ -160,15 +165,11 @@ class SweepSpec:
     cells: dict                  # Configuration -> its CSV cells r .. accounting_mode, a list
     frames: int
     seed: int
-    activation: str              # poisson | binomial | model | exhaustive
+    activation: ActivationModel
+    exact: bool
     worst_case_distances: bool
     mean_shadowing: bool
     workers: int
-
-    @property
-    def simulated(self) -> bool:
-        """Whether the rows carry a Monte Carlo or exhaustive mean."""
-        return bool(self.frames) or self.activation == "exhaustive"
 
     @classmethod
     def from_args(cls, args) -> "SweepSpec":
@@ -182,9 +183,8 @@ class SweepSpec:
         lambda1_values = _load_axis(args.lambda1, "--lambda1")
         lambda2_values = _load_axis(args.lambda2, "--lambda2")
         selections = tuple(_resolve_configurations(args.configurations))
-        if args.command == "compare" and args.frames < 1 and args.activation != "exhaustive":
-            raise ConfigError("compare requires --frames >= 1 (or --activation exhaustive)")
-        if args.activation == "exhaustive":
+        exact = args.activation == EXHAUSTIVE
+        if exact:
             # an exact mean over every (K1, K2) under the matched assumptions
             for flag, value, honoured, reason in (
                     ("--frames", args.frames, 0, "draws no frames"),
@@ -192,7 +192,10 @@ class SweepSpec:
                     ("--shadowing", args.shadowing, "mean", "reads mean shadowing")):
                 if value not in (None, honoured):
                     raise ConfigError(f"{flag}={value}: --activation exhaustive {reason}")
-        if args.frames and args.activation == "binomial":
+        elif args.command == "compare" and args.frames < 1:
+            raise ConfigError("compare requires --frames >= 1 (or --activation exhaustive)")
+        activation = ActivationModel.MODEL_MATCHED if exact else ActivationModel(args.activation)
+        if args.frames and activation is ActivationModel.BINOMIAL_PER_USER:
             # each user is active with probability lambda / N
             for flag, values in (("--lambda1", lambda1_values), ("--lambda2", lambda2_values)):
                 for value in values:
@@ -216,31 +219,35 @@ class SweepSpec:
                    for cfg in configs.values()},
             frames=args.frames,
             seed=args.seed,
-            activation=args.activation,
-            worst_case_distances=args.distances == "worst",
-            mean_shadowing=args.shadowing == "mean",
+            activation=activation,
+            exact=exact,
+            worst_case_distances=exact or args.distances == "worst",
+            mean_shadowing=exact or args.shadowing == "mean",
             workers=args.workers,
         )
 
 
 def _point_rows(spec: SweepSpec, point: tuple) -> list[list]:
     """The CSV rows of one grid point ``(index, (lambda1, lambda2))``, each
-    a list in ``CSV_COLUMNS`` order with its deviation flag last. A Monte
-    Carlo row is a ``simulate`` call and an exhaustive one a
-    ``simulate_exhaustive`` call; an ``optimal`` row runs its winner's.
-    Module-level so worker processes can run it.
+    a list in ``CSV_COLUMNS`` order with its deviation flag last. A
+    simulated row is a ``SimResult``: a ``simulate`` call, or an exact
+    row's ``simulate_exhaustive`` value with a zero-width interval; an
+    ``optimal`` row runs its winner's. A row under worst-case distances and
+    mean shadowing must reproduce the closed form, to rounding if exact and
+    within three half-widths if Monte Carlo, and is flagged ``ok`` or
+    ``DEVIATION``; other rows are not gated. Module-level so worker
+    processes can run it.
 
     The Skellam vector is computed once for the point, and every table's
     average once, the optimum reusing the candidates'; the load cells are
     formatted once for the point, a configuration's cells once per run."""
     point_index, (lambda1, lambda2) = point
-    params, activation = spec.params, spec.activation
     load_cells = [repr(float(lambda1)), repr(float(lambda2))]
     loads = LoadDistribution(lambda1, lambda2)
     breakdowns = {label: average_throughput(table, loads) for label, table in spec.tables.items()}
-    exhaustive, simulated = activation == "exhaustive", spec.simulated
+    simulated, gated = spec.exact or spec.frames, spec.worst_case_distances and spec.mean_shadowing
     if simulated:
-        from .montecarlo import ActivationModel, simulate, simulate_exhaustive
+        from .montecarlo import SimResult, simulate, simulate_exhaustive
     rows = []
     for config_index, (label, cfg) in enumerate(spec.selections):
         if label == OPTIMAL:
@@ -252,35 +259,22 @@ def _point_rows(spec: SweepSpec, point: tuple) -> list[list]:
         if not simulated:
             rows.append([*row, "", "", "", 0, spec.seed, ""])
             continue
-        if exhaustive:
-            mc_mean, half_width, used_frames = simulate_exhaustive(cfg, loads, params), 0.0, 0
+        if spec.exact:
+            result = SimResult(simulate_exhaustive(cfg, loads, spec.params), 0.0)
+            tolerance = 1e-9 * max(abs(breakdown.total), 1e-30)
         else:
             result = simulate(
-                cfg, loads, params, spec.frames,
+                cfg, loads, spec.params, spec.frames,
                 seed=(spec.seed, point_index, config_index),
-                activation=ActivationModel(activation),
+                activation=spec.activation,
                 worst_case_distances=spec.worst_case_distances,
                 mean_shadowing=spec.mean_shadowing)
-            mc_mean, half_width, used_frames = result.mean, result.ci_half_width, spec.frames
-        rows.append([*row, repr(float(mc_mean)), repr(float(mc_mean - half_width)),
-                     repr(float(mc_mean + half_width)), used_frames, spec.seed,
-                     _deviation_flag(breakdown.total, mc_mean, half_width,
-                                     spec.worst_case_distances, spec.mean_shadowing,
-                                     activation)])
+            tolerance = 3.0 * result.ci_half_width + 1e-12
+        flag = ("" if not gated else
+                "DEVIATION" if abs(result.mean - breakdown.total) > tolerance else "ok")
+        rows.append([*row, repr(result.mean), repr(result.ci_low), repr(result.ci_high),
+                     spec.frames, spec.seed, flag])
     return rows
-
-
-def _deviation_flag(analytical, mc_mean, half_width, worst_case, mean_shadow,
-                    activation) -> str:
-    """Matched-assumption runs must reproduce the closed form; flag rows
-    that do not. Physical runs are not gated."""
-    gap = abs(mc_mean - analytical)
-    if activation == "exhaustive":
-        # exhaustive weighting always evaluates under matched assumptions
-        return "DEVIATION" if gap > 1e-9 * max(abs(analytical), 1e-30) else "ok"
-    if not (worst_case and mean_shadow):
-        return ""
-    return "DEVIATION" if gap > 3.0 * half_width + 1e-12 else "ok"
 
 
 def _quiet_stdout() -> None:
@@ -312,7 +306,7 @@ class _Writing:
 def _output(path):
     """``--out`` opened for writing, or stdout without it, and the
     ``_Writing`` of its blocks of writes."""
-    if not path:
+    if path is None:
         yield sys.stdout, _Writing(sys.stdout, "stdout")
         return
     name = f"--out={path!r}"
@@ -366,7 +360,7 @@ def _rows_per_point(spec: SweepSpec):
         yield map(rows_of, points)
         return
     import multiprocessing  # here: one process does not need it
-    if spec.simulated:
+    if spec.exact or spec.frames:
         # numpy too, once before the workers fork, not once per worker
         from . import montecarlo  # noqa: F401
     # multiprocessing.Pool.map's rule, about four chunks per worker, capped
@@ -493,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--frames", type=int, default=0,
                       help=f"Monte Carlo frames per row, at most {MAX_FRAMES:,} "
                            "(0 = analytical only)")
-    grid.add_argument("--activation", choices=["poisson", "binomial", "model", "exhaustive"],
+    grid.add_argument("--activation", choices=[*(law.value for law in ActivationModel), EXHAUSTIVE],
                       default="poisson", help="activation model for Monte Carlo rows")
     # None, unless given, resolves to exact and sampled, so that only an
     # explicit value is rejected under --activation exhaustive

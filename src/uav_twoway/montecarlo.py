@@ -41,7 +41,6 @@ outside the high UAV's main lobe.
 
 from __future__ import annotations
 
-import enum
 import math
 import weakref
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ from .errors import RateExceedsPopulationError
 from .pairing import schedule_block
 from .params import SystemParams
 from .sinr import Configuration
-from .throughput import LoadDistribution
+from .throughput import ActivationModel, LoadDistribution
 
 # Frames whose cells one draw of the activation law takes, and about the
 # users of one physical engine pass. Larger passes pay numpy's per-call
@@ -64,22 +63,6 @@ FILL_FRAMES, FILL_USERS = 4096, 4096
 COUNTS, LAYOUTS, DEVIATES = 0, 1, 2
 # The fewest buckets of a model activation's guide table, a power of two.
 GUIDE_BUCKETS = 4096
-
-
-class ActivationModel(enum.Enum):
-    """How the per-cell active-user counts are drawn.
-
-    TRUNCATED_POISSON draws a frame's two Poisson counts again until both
-    land in [1, N]; the cells are independent, so each count follows its
-    Poisson law truncated to [1, N]. BINOMIAL_PER_USER activates each of
-    the N users independently with probability lambda/N. MODEL_MATCHED
-    draws (K1, K2) from the closed form's own law (``_Activation.pmf``), so
-    the sampled mean is an unbiased estimate of the closed-form average.
-    """
-
-    TRUNCATED_POISSON = "poisson"
-    BINOMIAL_PER_USER = "binomial"
-    MODEL_MATCHED = "model"
 
 
 def _positions(uniforms: np.ndarray, sizes: np.ndarray, cell: np.ndarray,

@@ -76,12 +76,13 @@ def link_sinr(cfg: Configuration, params: SystemParams, same_cell: bool) -> tupl
     reach_ul = 1 if same_cell else cfg.t1  # UAV1's own cone
     h_serve, h_other = params.altitude(cfg.t1), params.altitude(cfg.t2)
     edge = h_serve / math.cos(params.phi_b)
-    downlink = channel.rx_power_uav_to_ground(edge, params) / (
+    tx_dl, tx_ul = channel.los_tx(params)
+    downlink = channel.rx_power_los(edge, tx_dl, params) / (
         cfg.r * channel.rx_power_ground_to_ground(params.d_min, params)
-        + reach_dl * (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params)
+        + reach_dl * (1 - cfg.r) * channel.rx_power_los(h_other, tx_dl, params)
         + params.noise_power)
-    uplink = channel.rx_power_ground_to_uav(edge, params) / (
-        reach_ul * (1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params)
+    uplink = channel.rx_power_los(edge, tx_ul, params) / (
+        reach_ul * (1 - cfg.r) * channel.rx_power_los(h_serve, tx_ul, params)
         + params.noise_power)
     return downlink, uplink
 
@@ -89,6 +90,5 @@ def link_sinr(cfg: Configuration, params: SystemParams, same_cell: bool) -> tupl
 def snr_individual(h: float, params: SystemParams) -> tuple[float, float]:
     """(downlink, uplink) SNR of an individually served user at altitude h [m]."""
     d = h / math.cos(params.phi_b)
-    snr_dl = channel.rx_power_uav_to_ground(d, params) / params.noise_power
-    snr_ul = channel.rx_power_ground_to_uav(d, params) / params.noise_power
-    return snr_dl, snr_ul
+    return tuple(channel.rx_power_los(d, tx, params) / params.noise_power
+                 for tx in channel.los_tx(params))

@@ -23,6 +23,7 @@ at position k and -k at position -k, so ``vector[k]`` reads either sign.
 
 from __future__ import annotations
 
+import enum
 import math
 import operator
 from dataclasses import dataclass, field
@@ -78,6 +79,24 @@ class LoadDistribution:
         if vector is None:
             vector = self._vectors[n] = tuple(skellam_vector(n, self.lambda1, self.lambda2))
         return vector
+
+
+class ActivationModel(enum.Enum):
+    """How the simulator draws a frame's per-cell active-user counts from a
+    ``LoadDistribution``; the value names the law on the command line.
+
+    TRUNCATED_POISSON draws a frame's two Poisson counts again until both
+    land in [1, N]; the cells are independent, so each count follows its
+    Poisson law truncated to [1, N]. BINOMIAL_PER_USER activates each of
+    the N users independently with probability lambda/N. MODEL_MATCHED
+    draws (K1, K2) from the closed form's own law, so the sampled mean is
+    an unbiased estimate of the closed-form average. Defined here, not in
+    the simulator, so that naming a law loads no numpy.
+    """
+
+    TRUNCATED_POISSON = "poisson"
+    BINOMIAL_PER_USER = "binomial"
+    MODEL_MATCHED = "model"
 
 
 @dataclass(frozen=True)

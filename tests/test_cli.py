@@ -17,8 +17,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import uav_twoway
-from uav_twoway import (all_configurations, candidate_configurations, cli, default_config,
-                        montecarlo, validate_and_derive)
+from uav_twoway import (ActivationModel, all_configurations, candidate_configurations, cli,
+                        default_config, montecarlo, validate_and_derive)
 from uav_twoway.cli import CSV_COLUMNS, MAX_FRAMES, MAX_WORKERS, main
 from uav_twoway.errors import NonPositiveRateError
 from uav_twoway.params import CONFIG_SCHEMA, MAX_USERS, SystemParams, split_weight_grid
@@ -211,10 +211,22 @@ def test_analytical_commands_do_not_import_numpy(tmp_path):
           "    assert main(['eval', '--lambda1', '4', '--lambda2', '5']) == 0\n"
           "    assert main(['optimize', '--lambda1', '4', '--lambda2', '5']) == 0\n"
           "assert 'numpy' not in sys.modules\n")
+    # naming an activation law loads no numpy
+    child("import sys\n"
+          "from uav_twoway import ActivationModel\n"
+          "assert 'numpy' not in sys.modules\n")
     # the simulator's names stay importable from the package
     child("from uav_twoway import ActivationModel, simulate\n"
           "import uav_twoway.montecarlo as mc\n"
           "assert simulate is mc.simulate and ActivationModel is mc.ActivationModel\n")
+
+
+def test_activation_choices_are_the_laws_and_exhaustive():
+    commands = next(action for action in cli.build_parser()._actions if action.dest == "command")
+    for command in ("sweep", "compare"):
+        activation = next(action for action in commands.choices[command]._actions
+                          if action.dest == "activation")
+        assert activation.choices == [*(law.value for law in ActivationModel), "exhaustive"]
 
 
 def test_every_exported_name_resolves():
@@ -793,6 +805,14 @@ def test_unusable_config_or_out_exits_2_naming_the_flag(capsys, tmp_path, no_row
         capsys.readouterr()
         assert run_cli(*argv) == 2, argv
         assert f"error: {flag}=" in capsys.readouterr().err, argv
+
+
+def test_empty_config_or_out_path_exits_2(capsys, no_rows):
+    # an empty --out once wrote the CSV to stdout and exited 0
+    for flag in ("--config", "--out"):
+        capsys.readouterr()
+        assert run_cli("sweep", "--lambda1", "1", "--lambda2", "1", flag, "") == 2
+        assert capsys.readouterr() == ("", f"error: {flag}='': No such file or directory\n")
 
 
 def test_binomial_rate_above_population_exits_2_naming_the_flag(capsys, no_rows):

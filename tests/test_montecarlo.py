@@ -1030,14 +1030,15 @@ def test_pass_keeps_the_bits_of_rate_throughput_and_signal(params, mode):
                 1.0 + frame.signal / (frame.interference + params.noise_power)))
             slot_counts = schedule_block(cfg, counts[:, 0], counts[:, 1]).slot_counts
             assert np.array_equal(frame.throughput, slot_by_slot(frame, slot_counts))
-            if mode == "worst_mean":  # each direction's function on its own rows
+            if mode == "worst_mean":  # each direction's transmit term on its own rows
                 altitude = np.array([params.altitude(cfg.t1), params.altitude(cfg.t2)])
                 edge = altitude[frame.link - 1] / math.cos(params.phi_b)
                 down = frame.downlink
+                tx_dl, tx_ul = channel.los_tx(params)
                 assert np.array_equal(frame.signal[down],
-                                      channel.rx_power_uav_to_ground(edge[down], params))
+                                      channel.rx_power_los(edge[down], tx_dl, params))
                 assert np.array_equal(frame.signal[~down],
-                                      channel.rx_power_ground_to_uav(edge[~down], params))
+                                      channel.rx_power_los(edge[~down], tx_ul, params))
 
 
 @settings(max_examples=60, deadline=None)

@@ -148,12 +148,13 @@ def link_two_bounds(cfg, params, same_cell):
     reach_dl = 1 if same_cell else cfg.t1
     reach_ul = 1 if same_cell else cfg.t2
     edge = h_serve / math.cos(params.phi_b)
-    downlink = channel.rx_power_uav_to_ground(edge, params) / (
+    tx_dl, tx_ul = channel.los_tx(params)
+    downlink = channel.rx_power_los(edge, tx_dl, params) / (
         cfg.r * channel.rx_power_ground_to_ground(params.d_min, params)
-        + reach_dl * (1 - cfg.r) * channel.rx_power_uav_to_ground(h_other, params)
+        + reach_dl * (1 - cfg.r) * channel.rx_power_los(h_other, tx_dl, params)
         + params.noise_power)
-    uplink = channel.rx_power_ground_to_uav(edge, params) / (
-        reach_ul * (1 - cfg.r) * channel.rx_power_ground_to_uav(h_serve, params)
+    uplink = channel.rx_power_los(edge, tx_ul, params) / (
+        reach_ul * (1 - cfg.r) * channel.rx_power_los(h_serve, tx_ul, params)
         + params.noise_power)
     return downlink, uplink
 

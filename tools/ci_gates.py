@@ -49,12 +49,13 @@ def run(argv, *, timeout=None, expect=0, stdout=None, stderr=None) -> str:
 
 
 def console_script(out: Path):
-    """eval, a 10-frame compare; an unwritable --out, a full one, exhaustive --frames exit 2."""
+    """eval, a 10-frame compare; an unwritable, empty or full --out, exhaustive --frames exit 2."""
     run(["uav-twoway", "eval", "--lambda1", "5", "--lambda2", "3"])
     run(["uav-twoway", "compare", "--lambda1", "6", "--lambda2", "4", "--frames", "10"])
     run(["uav-twoway", "compare", "--lambda1", "6", "--lambda2", "4", "--activation",
          "exhaustive", "--frames", "5"], expect=2)
     run(["uav-twoway", "sweep", "--lambda1", "1", "--lambda2", "1", "--out", "."], expect=2)
+    run(["uav-twoway", "sweep", "--lambda1", "1", "--lambda2", "1", "--out", ""], expect=2)
     run(["uav-twoway", "sweep", "--lambda1", "1", "--lambda2", "1", "--out", "/dev/full"],
         expect=2)
 
