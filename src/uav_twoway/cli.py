@@ -53,15 +53,24 @@ MAX_WORKERS = 64
 # process CPU, as the pool's threads wake on every result: a 600 x 100
 # two-worker sweep took 3.5 s at 64 points and 3.0 s at 512 (2-core Xeon).
 CHUNK_POINTS = 512
-SHOWN_CHARS = 50  # characters of a long flag value that an error message repeats
+BOUND_CHARS = 200  # characters an error line keeps of each end of a longer message
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
-def _shown(spec: str) -> str:
-    """``spec`` quoted for an error message; a long one cut to its first
-    characters and its length, so the message stays one short line."""
-    if len(spec) <= SHOWN_CHARS:
-        return repr(spec)
-    return f"{spec[:SHOWN_CHARS]!r}... ({len(spec):,} characters)"
+def _bounded(message: str) -> str:
+    """``message`` as one short line: each character ``str.splitlines`` breaks
+    at escaped, and the middle of one over ``2 * BOUND_CHARS`` cut to its length."""
+    message = message.translate(_LINE_BREAKS)
+    if len(message) <= 2 * BOUND_CHARS:
+        return message
+    return f"{message[:BOUND_CHARS]}...({len(message):,} characters)...{message[-BOUND_CHARS:]}"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose error line is bounded as ``main``'s are."""
+
+    def error(self, message):
+        super().error(_bounded(message))
 
 
 def _parse_values(spec: str, flag: str) -> list[float]:
@@ -73,24 +82,24 @@ def _parse_values(spec: str, flag: str) -> list[float]:
                 raise ValueError
             start, stop, step = parts
             if not all(math.isfinite(p) for p in parts):
-                raise ConfigError(f"{flag}={_shown(spec)}: start, stop and step must be finite")
+                raise ConfigError(f"{flag}={spec!r}: start, stop and step must be finite")
             if step <= 0:
-                raise ConfigError(f"{flag}={_shown(spec)}: step must be > 0")
+                raise ConfigError(f"{flag}={spec!r}: step must be > 0")
             last = (stop - start) / step + 1e-9  # index of the last value, < 0 if none
             if last >= MAX_AXIS_VALUES:  # checked before the list is built
-                raise ConfigError(f"{flag}={_shown(spec)}: more than {MAX_AXIS_VALUES} values")
+                raise ConfigError(f"{flag}={spec!r}: more than {MAX_AXIS_VALUES} values")
             values = [start + i * step for i in range(math.floor(last) + 1)]
         else:
             values = [float(p) for p in spec.split(",") if p.strip()]
     except ConfigError:
         raise
     except ValueError:
-        raise ConfigError(f"{flag}={_shown(spec)}: expected a number, a comma list, "
+        raise ConfigError(f"{flag}={spec!r}: expected a number, a comma list, "
                           "or start:stop:step") from None
     if not values:
-        raise ConfigError(f"{flag}={_shown(spec)}: empty range")
+        raise ConfigError(f"{flag}={spec!r}: empty range")
     if len(values) > MAX_AXIS_VALUES:
-        raise ConfigError(f"{flag}={_shown(spec)}: more than {MAX_AXIS_VALUES} values")
+        raise ConfigError(f"{flag}={spec!r}: more than {MAX_AXIS_VALUES} values")
     return values
 
 
@@ -122,10 +131,10 @@ def _resolve_configurations(names: str) -> list[tuple[str, object]]:
             selected.append((name, everything[name]))
         else:
             known = ", ".join([*everything, OPTIMAL, EXHAUSTIVE])
-            raise ConfigError(f"--configurations: unknown configuration {_shown(name)}; "
+            raise ConfigError(f"--configurations: unknown configuration {name!r}; "
                               f"choose from: {known}")
     if not selected:
-        raise ConfigError(f"--configurations={_shown(names)}: no configurations selected")
+        raise ConfigError(f"--configurations={names!r}: no configurations selected")
     return selected
 
 
@@ -134,12 +143,8 @@ def _load_params(args) -> SystemParams:
     that cannot be read as text is a configuration error naming the flag.
     Cells close enough for a low lobe to reach the other cell get a
     warning on stderr: the worst-case bounds assume they do not."""
-    try:
+    with _naming(f"--config={args.config!r}"):
         params = load_params(args.config, args.set)
-    except OSError as error:
-        raise ConfigError(f"--config={args.config!r}: {error.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"--config={args.config!r}: not UTF-8 text") from None
     if params.d_sep < params.d_sep_min:
         print(f"warning: d_sep_m={params.d_sep!r} is below 2*d_0 + h_0*tan(phi_b) = "
               f"{params.d_sep_min!r} m: a low UAV's lobe reaches the other cell, "
@@ -283,67 +288,64 @@ def _quiet_stdout() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-class _Writing:
-    """A ``with`` block of writes to ``out`` that ends with its own flush;
-    one object serves every block. A write, flush or close that fails is a
-    configuration error naming ``name``, ``--out=...`` or ``stdout``; a
-    closed pipe is left to ``main``."""
-
-    def __init__(self, out, name: str):
-        self.out, self.name = out, name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, error, traceback):
-        if isinstance(error, OSError) and not isinstance(error, BrokenPipeError):
-            if self.out is sys.stdout:
-                _quiet_stdout()
-            raise ConfigError(f"{self.name}: {error.strerror}") from None
+@contextmanager
+def _naming(name: str, out=None):
+    """A block whose I/O failure is a configuration error naming ``name``:
+    the system's reason, or ``not UTF-8 text``; a closed pipe is left to
+    ``main``. A block of writes to ``out`` ends with its own flush, and one
+    that fails on stdout points stdout at devnull first."""
+    try:
+        yield
+        if out is not None:
+            out.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as error:
+        if out is sys.stdout:
+            _quiet_stdout()
+        raise ConfigError(f"{name}: {error.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{name}: not UTF-8 text") from None
 
 
 @contextmanager
 def _output(path):
-    """``--out`` opened for writing, or stdout without it, and the
-    ``_Writing`` of its blocks of writes."""
+    """``--out`` opened for writing, or stdout without it, and the name
+    that ``_naming`` gives its failures. ``--out`` is closed when the block
+    ends; a failed run closes it quietly, as its error is already raised."""
     if path is None:
-        yield sys.stdout, _Writing(sys.stdout, "stdout")
+        yield sys.stdout, "stdout"
         return
     name = f"--out={path!r}"
-    try:
+    with _naming(name):
         out = open(path, "w", newline="", encoding="utf-8")
-    except OSError as error:
-        raise ConfigError(f"{name}: {error.strerror}") from None
-    writing = _Writing(out, name)
     try:
-        yield out, writing
+        yield out, name
     except BaseException:
         with suppress(OSError):  # a failed write's bytes, flushed again
             out.close()
         raise
-    with writing:
+    with _naming(name):
         out.close()
 
 
 def _run_grid(args, with_flag: bool) -> int:
     """Validate the run and open ``--out`` before any row is computed; then
     write the CSV header, and each point's rows as soon as they are
-    computed, in point order. Each is flushed, so a run that fails or is
-    killed leaves the header and its finished points. Returns the number
-    of ``DEVIATION`` rows."""
+    computed, in point order. Each is a ``_naming`` block of writes, which
+    flushes it, so a run that fails or is killed leaves the header and its
+    finished points. Returns the number of ``DEVIATION`` rows."""
     spec = SweepSpec.from_args(args)
-    with _output(args.out) as (out, writing), _rows_per_point(spec) as rows_per_point:
+    with _output(args.out) as (out, name), _rows_per_point(spec) as rows_per_point:
         writer = csv.writer(out, lineterminator="\n")
-        with writing:
+        with _naming(name, out):
             writer.writerow(CSV_COLUMNS + (["deviation_flag"] if with_flag else []))
-            out.flush()
         deviations = 0
         for rows in rows_per_point:
-            with writing:
+            with _naming(name, out):
                 for row in rows:
                     deviations += row[-1] == "DEVIATION"
                     writer.writerow(row if with_flag else row[:-1])
-                out.flush()
     return deviations
 
 
@@ -391,11 +393,10 @@ def cmd_eval(args) -> int:
     accounting = AccountingMode(args.accounting)
     if args.exhaustive:
         configs = all_configurations()
-    elif args.configuration:
+    elif args.configuration is not None:
         everything = all_configurations()
         if args.configuration not in everything:
-            raise ConfigError(f"--configuration: unknown configuration "
-                              f"{_shown(args.configuration)}; "
+            raise ConfigError(f"--configuration: unknown configuration {args.configuration!r}; "
                               f"choose from: {', '.join(everything)}")
         configs = {args.configuration: everything[args.configuration]}
     else:
@@ -405,7 +406,7 @@ def cmd_eval(args) -> int:
     breakdowns = {label: average_throughput(table, loads) for label, table in tables.items()}
     best = pick_optimal(breakdowns)
 
-    with _Writing(sys.stdout, "stdout"):
+    with _naming("stdout", sys.stdout):
         print(f"lambda1={args.lambda1!r} lambda2={args.lambda2!r} "
               f"accounting={accounting.value} covered_mass={best.covered_mass!r}")
         print(f"{'configuration':<14} {'r':>1} {'h1':>3} {'h2':>3} {'h1_m':>10} "
@@ -423,7 +424,6 @@ def cmd_eval(args) -> int:
                 print(f"\nper-k breakdown for {label} (k, weight, conditional):")
                 for k in range(-n, n + 1):
                     print(f"  {k:>4} {breakdown.pmf[k]!r} {breakdown.conditional[k]!r}")
-        sys.stdout.flush()
     return EXIT_OK
 
 
@@ -431,13 +431,12 @@ def cmd_optimize(args) -> int:
     params = _load_params(args)
     loads = _point_loads(args)
     cfg, breakdown = optimal_configuration(loads, params, AccountingMode(args.accounting))
-    with _Writing(sys.stdout, "stdout"):
+    with _naming("stdout", sys.stdout):
         print(f"optimal configuration for lambda1={args.lambda1!r}, "
               f"lambda2={args.lambda2!r}: {cfg.label}")
         print(f"  r={cfg.r} h1={ALTITUDE_SYMBOLS[cfg.t1]} ({params.altitude(cfg.t1)!r} m) "
               f"h2={ALTITUDE_SYMBOLS[cfg.t2]} ({params.altitude(cfg.t2)!r} m)")
         print(f"  throughput_bpshz={breakdown.total!r}")
-        sys.stdout.flush()
     return EXIT_OK
 
 
@@ -455,12 +454,12 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uav-twoway",
         description="Two-cell UAV two-way TDD throughput model and simulator")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", default=None, metavar="PATH",
                         help="key=value parameter file overriding the built-in defaults")
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -468,13 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--accounting", choices=["paper", "consistent"],
                         default="consistent", help="same-cell pair accounting rule")
 
-    point = argparse.ArgumentParser(add_help=False)
+    point = _Parser(add_help=False)
     point.add_argument("--lambda1", type=float, required=True,
                        help="mean active users in cell 1")
     point.add_argument("--lambda2", type=float, required=True,
                        help="mean active users in cell 2")
 
-    grid = argparse.ArgumentParser(add_help=False)
+    grid = _Parser(add_help=False)
     grid.add_argument("--lambda1", required=True, metavar="SPEC",
                       help="value, comma list, or start:stop:step")
     grid.add_argument("--lambda2", required=True, metavar="SPEC",
@@ -530,10 +529,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, NonPositiveRateError) as error:
-        print(f"error: {error}", file=sys.stderr)
+        print(f"error: {_bounded(str(error))}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, ValueError) as error:
-        print(f"numeric error: {error}", file=sys.stderr)
+        print(f"numeric error: {_bounded(str(error))}", file=sys.stderr)
         return EXIT_NUMERIC
     except BrokenPipeError:
         # stdout's reader has gone (``sweep ... | head -1``). As Python's

@@ -32,7 +32,7 @@ class Configuration:
 
     def __post_init__(self):
         for name, value in (("r", self.r), ("t1", self.t1), ("t2", self.t2)):
-            if value not in (0, 1):
+            if type(value) is not int or value not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
     @property

@@ -75,8 +75,8 @@ def test_eval_configuration_and_exhaustive_exclude_each_other(capsys):
     assert "--exhaustive" in err and "--configuration" in err, err
 
 
-@pytest.mark.parametrize("label", ["bogus", "optimal", "r1_Hh_Hl,r0_Hl_Hl", "b" * 20_000],
-                         ids=["bogus", "optimal", "list", "long"])
+@pytest.mark.parametrize("label", ["bogus", "optimal", "r1_Hh_Hl,r0_Hl_Hl", "b" * 20_000, ""],
+                         ids=["bogus", "optimal", "list", "long", "empty"])
 def test_eval_unknown_configuration_exits_2_naming_the_flag(capsys, label):
     # one line of under 500 bytes, however long the label
     assert run_cli("eval", "--lambda1", "5", "--lambda2", "3", "--configuration", label) == 2
@@ -257,11 +257,16 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
                        "--configurations", names,
                        "--out", str(tmp_path / "x.csv")) == 2
         assert message in capsys.readouterr().err
-    # (extra arguments, the flag the error must name); --lambda2 0 stops
-    # the run before any frame or worker process, should an over-long range
-    # or a count above its ceiling ever be accepted. Each error is one line
-    # of under 500 bytes that names its flag, however long the input.
+    # (extra arguments, the flag or key the error must name); --lambda2 0
+    # stops the run before any frame or worker process, should an over-long
+    # range or a count above its ceiling ever be accepted. Each error is one
+    # line of under 500 bytes that names its flag or key, however long the
+    # input. The default --out comes first, so that a case's own wins.
     long_list = ",".join(["1"] * (cli.MAX_AXIS_VALUES + 1))
+    long = 20_000
+    value_file, line_file = tmp_path / "value.cfg", tmp_path / "line.cfg"
+    value_file.write_text(f"n_users = {'v' * long}\n")
+    line_file.write_text(f"{'w' * long}\n")
     for extra, flag in ((("--lambda1", "5:1:-1", "--lambda2", "2"), "--lambda1"),
                         (("--lambda1", "abc", "--lambda2", "2"), "--lambda1"),
                         (("--lambda1", "x" * 20_000, "--lambda2", "2"), "--lambda1"),
@@ -286,12 +291,39 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
                         (("--lambda1", "5", "--lambda2", "0", "--frames", str(MAX_FRAMES + 1)),
                          "--frames"),
                         (("--lambda1", "5", "--lambda2", "0", "--workers", str(MAX_WORKERS + 1)),
-                         "--workers")):
+                         "--workers"),
+                        (("--lambda1", "3", "--lambda2", "2", "--config", "c" * long), "--config="),
+                        (("--lambda1", "3", "--lambda2", "2", "--out", "o" * long), "--out="),
+                        (("--lambda1", "3", "--lambda2", "2", "--set", f"{'k' * long}=1"),
+                         "unknown configuration key(s): kkk"),
+                        (("--lambda1", "3", "--lambda2", "2", "--set", "n_users=" + "v" * long),
+                         "n_users='vvv"),
+                        (("--lambda1", "3", "--lambda2", "2", "--set", "a" * long),
+                         "override 'aaa"),
+                        (("--lambda1", "3", "--lambda2", "2", "--config", str(value_file)),
+                         "n_users='vvv"),
+                        (("--lambda1", "3", "--lambda2", "2", "--config", str(line_file)),
+                         f"{line_file}:1: expected 'key = value'"),
+                        (("--lambda1", "3", "--lambda2", "2", "--set", "no_such\nkey=1"),
+                         "unknown configuration key(s): no_such\\nkey")):
         capsys.readouterr()
-        assert run_cli("sweep", *extra, "--out", str(tmp_path / "x.csv")) == 2
+        assert run_cli("sweep", "--out", str(tmp_path / "x.csv"), *extra) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}") and err.count("\n") == 1, err[:200]
         assert len(err.encode()) < 500, err[:200]
+    # argparse's own error line, after its usage lines, is bounded too
+    for argv, named in ((("sweep", "--lambda1", "3", "--lambda2", "2", "--frames", "f" * long),
+                         "uav-twoway sweep: error: argument --frames: "),
+                        (("sweep", "--lambda1", "3", "--lambda2", "2", "--activation", "p" * long),
+                         "uav-twoway sweep: error: argument --activation: "),
+                        (("eval", "--lambda1", "l" * long, "--lambda2", "2"),
+                         "uav-twoway eval: error: argument --lambda1: ")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(named) and len(last.encode()) < 500, last[:200]
 
 
 @pytest.mark.parametrize("error", [ValueError("math domain error"),

@@ -27,6 +27,15 @@ def test_every_golden_file_belongs_to_a_command():
     assert stems == set(COMMANDS)
 
 
+def test_every_rejected_command_prints_one_short_line():
+    # each names its flag in one line of under 500 bytes
+    frozen = [golden.frozen(name) for name in COMMANDS]
+    rejected = [files["err"] for files in frozen if files.get("exit") == b"2\n"]
+    assert len(rejected) >= 11
+    for err in rejected:
+        assert err.count(b"\n") == 1 and len(err) < 500, err
+
+
 def test_report_names_the_rows_and_columns_that_moved():
     old = "a,b,c\n1,x,0.5\n2,y,0.25\n3,z,1.0\n"
     new = "a,b,c\n1,x,0.5\n2,w,0.2500000000000001\n3,z,1.5\n"

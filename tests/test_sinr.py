@@ -36,6 +36,11 @@ def test_configuration_validation():
         Configuration(2, 0, 0)
     with pytest.raises(ValueError):
         Configuration(1, 0, 2)
+    # a bool or a float is not a bit, though it equals one
+    with pytest.raises(ValueError, match="r must be 0 or 1"):
+        Configuration(True, 0, 1)
+    with pytest.raises(ValueError, match="r must be 0 or 1"):
+        Configuration(1.0, 0, 1)
 
 
 def test_candidate_set(candidates):

@@ -34,9 +34,13 @@ class GateFailed(Exception):
 
 
 def run(argv, *, timeout=None, expect=0, stdout=None, stderr=None) -> str:
-    """Run ``argv``; fail unless it exits ``expect`` within ``timeout`` s.
-    Returns its stdout when ``stdout`` is ``subprocess.PIPE``."""
+    """Run ``argv``; fail unless it exits ``expect`` within ``timeout`` s,
+    and, if ``expect`` is 2 (a rejected input), unless its stderr is one
+    line under 500 bytes. Returns its stdout when ``stdout`` is
+    ``subprocess.PIPE``."""
     print("+", " ".join(argv), flush=True)
+    if expect == 2:
+        stderr = subprocess.PIPE
     try:
         done = subprocess.run(argv, timeout=timeout, stdout=stdout, stderr=stderr, text=True)
     except subprocess.TimeoutExpired:
@@ -45,11 +49,15 @@ def run(argv, *, timeout=None, expect=0, stdout=None, stderr=None) -> str:
         raise GateFailed(f"cannot run {argv[0]}: {error}") from None
     if done.returncode != expect:
         raise GateFailed(f"exit {done.returncode}, expected {expect}: {' '.join(argv)}")
+    if expect == 2:
+        print(done.stderr, end="")
+        if done.stderr.count("\n") != 1 or len(done.stderr.encode()) >= 500:
+            raise GateFailed(f"stderr not one line under 500 bytes: {' '.join(argv)}")
     return done.stdout
 
 
 def console_script(out: Path):
-    """eval, a 10-frame compare; an unwritable, empty or full --out, exhaustive --frames exit 2."""
+    """eval, a 10-frame compare; bad --out, --frames and --config values exit 2 in one line."""
     run(["uav-twoway", "eval", "--lambda1", "5", "--lambda2", "3"])
     run(["uav-twoway", "compare", "--lambda1", "6", "--lambda2", "4", "--frames", "10"])
     run(["uav-twoway", "compare", "--lambda1", "6", "--lambda2", "4", "--activation",
@@ -57,6 +65,8 @@ def console_script(out: Path):
     run(["uav-twoway", "sweep", "--lambda1", "1", "--lambda2", "1", "--out", "."], expect=2)
     run(["uav-twoway", "sweep", "--lambda1", "1", "--lambda2", "1", "--out", ""], expect=2)
     run(["uav-twoway", "sweep", "--lambda1", "1", "--lambda2", "1", "--out", "/dev/full"],
+        expect=2)
+    run(["uav-twoway", "eval", "--lambda1", "5", "--lambda2", "3", "--config", "c" * 600],
         expect=2)
 
 
