@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import ConfigError, NonPositiveRateError
 from .pairing import AccountingMode
@@ -53,17 +53,34 @@ MAX_WORKERS = 64
 # process CPU, as the pool's threads wake on every result: a 600 x 100
 # two-worker sweep took 3.5 s at 64 points and 3.0 s at 512 (2-core Xeon).
 CHUNK_POINTS = 512
-BOUND_CHARS = 200  # characters an error line keeps of each end of a longer message
+BOUND_BYTES = 200  # bytes an error line keeps of each end of a longer message
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _width(text: str) -> int:
+    """The most bytes stderr writes ``text`` in: one per ASCII character,
+    and per other character its backslash escape (4, 6 or 10 bytes), what
+    an ASCII stream writes and never fewer than its UTF-8 bytes."""
+    return len(text.encode("ascii", "backslashreplace"))
+
+
+def _head(text: str) -> str:
+    """The longest head of ``text`` at most BOUND_BYTES wide (``_width``)."""
+    ends = accumulate(_width(c) for c in text[:BOUND_BYTES])
+    return text[:sum(end <= BOUND_BYTES for end in ends)]
 
 
 def _bounded(message: str) -> str:
     """``message`` as one short line: each character ``str.splitlines`` breaks
-    at escaped, and the middle of one over ``2 * BOUND_CHARS`` cut to its length."""
-    message = message.translate(_LINE_BREAKS)
-    if len(message) <= 2 * BOUND_CHARS:
+    at escaped, a lone surrogate (an undecodable argv byte) escaped as
+    stderr escapes it, and the middle of one over ``2 * BOUND_BYTES`` wide
+    cut to its length, keeping a head and a tail each at most BOUND_BYTES
+    wide."""
+    message = message.translate(_LINE_BREAKS).encode("utf-8", "backslashreplace").decode()
+    if _width(message) <= 2 * BOUND_BYTES:
         return message
-    return f"{message[:BOUND_CHARS]}...({len(message):,} characters)...{message[-BOUND_CHARS:]}"
+    tail = _head(message[:-BOUND_BYTES - 1:-1])[::-1]
+    return f"{_head(message)}...({len(message):,} characters)...{tail}"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -26,14 +26,23 @@ frame to a cell through a cdf and a guide table. In the physical modes the
 cells are split into (K1, K2), and an engine pass runs about FILL_USERS
 users' frames of the chunk, draws their layout and their deviates in one
 call each, and adds each frame's slot sum-rates in slot order with one
-``np.bincount``. In matched mode a frame draws nothing, so its value is a
-function of (K1, K2): a row reads each chunk's values from its
-configuration's ``_matched_values``, built whole from one engine pass over
-five one-unit frames and kept while the parameter set lives, and
-``simulate_exhaustive``, the exact mean of such rows under model
-activation, is that law's pmf times those values, summed over the cells.
+``np.bincount``. A row's passes take their four largest arrays, the
+schedule rows, the layout uniforms, the 2 x users slant distances and the
+shadowing deviates, from the running thread's ``_Workspace``: buffers kept
+for the process and grown to the largest pass served, about 0.98 MB at
+FILL_USERS = 8,192. So passes after the first allocate none of them, and
+the allocator no longer hands their heap back to the system for the next
+pass to fault in again: an in-process ``mc_exact`` call of the benchmark
+takes about 2 minor page faults instead of 2,700. In matched mode a frame
+draws nothing, so its value is a function of (K1, K2): a row reads each
+chunk's values from its configuration's ``_matched_values``, built whole
+from one engine pass over five one-unit frames and kept while the
+parameter set lives, and ``simulate_exhaustive``, the exact mean of such
+rows under model activation, is that law's pmf times those values, summed
+over the cells.
 ``run_frame`` is a pass of one frame that draws its layout, then its
-deviates, from one stream.
+deviates, from one stream; it and ``_matched_values`` keep their records,
+so their passes take new arrays.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -42,6 +51,7 @@ outside the high UAV's main lobe.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -56,9 +66,13 @@ from .throughput import ActivationModel, LoadDistribution
 
 # Frames whose cells one draw of the activation law takes, and about the
 # users of one physical engine pass. Larger passes pay numpy's per-call
-# overhead less often but hold more rows in memory at once. Neither changes
-# a value: each stream is read in frame order.
-FILL_FRAMES, FILL_USERS = 4096, 4096
+# overhead less often but hold more rows in memory at once: on the
+# benchmark's mc_exact workload (perfbench/run.py, 2-core Xeon, 3 runs
+# each) passes of 4,096 / 8,192 / 16,384 users took 33.5-33.6 /
+# 31.8-32.5 / 25.0-30.3 ms per call and peaked at 40.0 / 41.1 / 43.1 MB,
+# 16,384 too close to the benchmark's 10% memory bound. Neither changes a
+# value: each stream is read in frame order.
+FILL_FRAMES, FILL_USERS = 4096, 8192
 # The kinds of draw of a row, each the spawn key of its own stream
 COUNTS, LAYOUTS, DEVIATES = 0, 1, 2
 # The fewest buckets of a model activation's guide table, a power of two.
@@ -223,8 +237,40 @@ class FrameRealization:
         return int(self.slot_counts.sum())
 
 
+class _Workspace(threading.local):
+    """The four largest arrays of a physical engine pass, kept for the
+    thread's later passes so that a row's passes, and the rows after it,
+    allocate none of them: the schedule rows, the layout uniforms, the
+    2 x users slant distances and the shadowing deviates, each a buffer
+    that ``take`` grows to the largest pass it has served. Per thread, so
+    threads running rows at once share none of it, and kept for the
+    process, so it serves every row.
+
+    Only ``simulate``'s passes use it, and each reads the arrays it takes
+    only until its own throughput exists: a record that a caller keeps
+    (``run_frame``, ``_matched_values``) is built from ``_fresh`` arrays."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, name: str, size: int, dtype) -> np.ndarray:
+        """The first ``size`` elements of buffer ``name``, a view."""
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self.buffers[name] = np.empty(size, dtype)
+        return buffer[:size]
+
+
+def _fresh(name: str, size: int, dtype) -> np.ndarray:
+    """A new array of ``size`` elements, for a pass whose arrays outlive it."""
+    return np.empty(size, dtype)
+
+
+_WORKSPACE = _Workspace()
+
+
 def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell: np.ndarray,
-               sizes: np.ndarray, params: SystemParams, layouts):
+               sizes: np.ndarray, params: SystemParams, layouts, take):
     """The geometry of a pass: each row's serving distance [m], whether its
     slot's co-channel transmitter reaches its receiver (``hit``), and that
     transmitter's distance [m] at each hit row, in row order.
@@ -232,7 +278,8 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
     The stream ``layouts`` draws the layout of the pass's users
     (``_positions``, cells of ``sizes``) in one call. Exact distances come
     from every user's slant distance to each UAV, one 2 x users array the
-    rows gather from. With ``layouts`` None the distances are the worst
+    rows gather from. The uniforms and that array are ``take``'s
+    (``_receptions``). With ``layouts`` None the distances are the worst
     case: the serving distance is the lobe edge, every reachable interferer
     sits at its closest admissible position, and whether it is reachable
     follows from the altitude levels and cell membership instead of actual
@@ -257,14 +304,21 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
         hit &= (np.array([cfg.t1, cfg.t2])[uav - 1] == 1) | (cell[ground] == uav)
         return edge[link - 1], hit, altitude[uav[hit] - 1]
 
-    x, y = _positions(layouts.random(2 * cell.size), sizes, cell, params)
+    users = cell.size
+    x, y = _positions(layouts.random(out=take("uniforms", 2 * users, float)), sizes, cell,
+                      params)
     if cfg.r == 1:
         source, sink = partner[hit], user[hit]
         nlos = np.hypot(x[source] - x[sink], y[source] - y[sink])
-    # every user's slant distance to each UAV, one row per UAV, read flat
-    center = np.array([[0.0], [params.d_sep]])
-    slant = np.sqrt((x - center) ** 2 + y ** 2 + (altitude * altitude)[:, None]).ravel()
-    users = x.size
+    # every user's slant distance to each UAV, one row per UAV, read flat:
+    # sqrt((x - center) ** 2 + y ** 2 + altitude ** 2), step by step in place
+    slant = take("slant", 2 * users, float).reshape(2, users)
+    np.subtract(x, np.array([[0.0], [params.d_sep]]), out=slant)
+    np.square(slant, out=slant)
+    slant += y ** 2
+    slant += (altitude * altitude)[:, None]
+    np.sqrt(slant, out=slant)
+    slant = slant.ravel()
     del x, y
     serve = slant[(link - 1) * users + user]
     if cfg.r == 1:
@@ -275,19 +329,19 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
     return serve, hit, los[hit]
 
 
-def _deviates(rng, hit: np.ndarray):
+def _deviates(rng, hit: np.ndarray, take):
     """The shadowing deviates of a pass: each row's signal's, and each hit
     row's interferer's, drawn from ``rng`` in one call, frame after frame in
     slot order, one deviate per row for its signal, then one for its
     interferer if one reaches it."""
     through = np.concatenate(([0], np.cumsum(1 + hit)))  # the deviates before each row
-    z = rng.standard_normal(through[-1])
+    z = rng.standard_normal(out=take("deviates", int(through[-1]), float))
     first = through[:-1]
     return z[first], z[first[hit] + 1]
 
 
 def _receptions(cfg: Configuration, counts: np.ndarray, params: SystemParams,
-                layouts, deviates) -> FrameRealization:
+                layouts, deviates, take=_fresh) -> FrameRealization:
     """Every reception of a pass of frames, computed at once.
 
     Frame j has counts[j] = (K1, K2) and follows ``schedule_block``. The
@@ -305,16 +359,26 @@ def _receptions(cfg: Configuration, counts: np.ndarray, params: SystemParams,
     exist. Every LoS power, signal or r = 0 interference, comes from one
     ``channel.rx_power_los`` call over its rows, with each row's transmit
     term. The rate is computed in one fresh array, in place.
+
+    ``take(name, size, dtype)`` gives the pass its four largest arrays, the
+    schedule rows, the uniforms, the slant distances and the deviates:
+    new ones from ``_fresh``, or a thread's ``_Workspace`` buffers, which
+    the record's ``slot``, ``link`` and ``user`` then view until the
+    thread's next pass.
     """
-    schedule = schedule_block(cfg, counts[:, 0], counts[:, 1])
+    users = int(counts.sum())
+    rows = take("rows", 8 * users, np.int64).reshape(4, 2 * users)
+    schedule = schedule_block(cfg, counts[:, 0], counts[:, 1], out=rows)
     slot, link, user, _ = schedule.rows
     sizes = counts.reshape(-1)
     downlink = ((link == 2) * cfg.r + slot) & 1 == 0  # link 1 is downlink-first
     cell = np.repeat(np.tile((1, 2), len(counts)), sizes)
 
-    serve, hit, far = _distances(cfg, schedule.rows, downlink, cell, sizes, params, layouts)
+    serve, hit, far = _distances(cfg, schedule.rows, downlink, cell, sizes, params, layouts,
+                                 take)
     hits = np.flatnonzero(hit)
-    z_signal, z_interference = (0.0, 0.0) if deviates is None else _deviates(deviates, hit)
+    z_signal, z_interference = ((0.0, 0.0) if deviates is None else
+                                _deviates(deviates, hit, take))
     tx = np.where(downlink, *channel.los_tx(params))
     signal = channel.rx_power_los(serve, tx, params, z_signal)
     del serve, z_signal
@@ -487,7 +551,7 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
         cuts = (np.flatnonzero(np.diff(passes)) + 1).tolist()
         for first, stop in zip([0, *cuts], [*cuts, chunk.size]):
             chunk[first:stop] = _receptions(cfg, counts[first:stop], params, layouts,
-                                            deviates).throughput
+                                            deviates, _WORKSPACE.take).throughput
 
     mean, std = _mean_and_std(values)
     return SimResult(mean=mean, ci_half_width=1.96 * std / math.sqrt(n_frames))

@@ -72,9 +72,13 @@ class Schedule:
     slot_counts: object  # per frame
 
 
-def schedule_block(cfg: Configuration, k1, k2) -> Schedule:
+def schedule_block(cfg: Configuration, k1, k2, out=None) -> Schedule:
     """The plan of the frames with k1[j] and k2[j] active users. Pairing is by
-    index order, admissible because the rate bounds ignore the matching."""
+    index order, admissible because the rate bounds ignore the matching.
+
+    A user receives once in each direction, so the rows are 4 x R with R
+    twice the block's users. ``out``, a 4 x R int64 array, takes them in
+    place of a new array, and the ``Schedule`` then reads it."""
     import numpy as np  # here, so that the closed form loads no numpy
 
     k1, k2 = np.asarray(k1, dtype=np.int64), np.asarray(k2, dtype=np.int64)
@@ -96,7 +100,13 @@ def schedule_block(cfg: Configuration, k1, k2) -> Schedule:
     # the user is alone, its partner's, each written straight to its place
     size = 4 - 2 * solo
     start = np.cumsum(size) - size
-    rows = np.empty((4, int(size.sum())), dtype=np.int64)
+    shape = (4, int(size.sum()))
+    if out is None:
+        rows = np.empty(shape, dtype=np.int64)
+    elif out.shape == shape and out.dtype == np.int64:
+        rows = out
+    else:
+        raise ValueError(f"out must be a {shape} int64 array, got {out.shape} {out.dtype}")
     paired = np.flatnonzero(~solo)
     for at, step in ((start, 0), (start + size // 2, 1)):
         for row, value in zip(rows, (slot + step, link, user, partner)):

@@ -326,6 +326,24 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
         assert last.startswith(named) and len(last.encode()) < 500, last[:200]
 
 
+@pytest.mark.parametrize("char", ["k", "é", "中", "😀", "\udcff"],
+                         ids=["ascii", "latin", "cjk", "emoji", "surrogate"])
+@pytest.mark.parametrize("argv", [("--set", "{}=1"), ("--set", "n_users={}"),
+                                  ("--config", "{}"), ("--frames", "{}")],
+                         ids=["set-key", "set-value", "config-path", "argparse"])
+def test_error_line_is_under_500_bytes_in_any_encoding(capsys, char, argv):
+    # a 20,000-character input of any character, a lone surrogate (an
+    # undecodable argv byte) included, prints one line of under 500 bytes,
+    # whether stderr writes UTF-8 or escapes all but ASCII
+    flag, value = argv
+    with contextlib.suppress(SystemExit):
+        run_cli("sweep", "--lambda1", "3", "--lambda2", "2", flag, value.format(char * 20_000))
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert "error: " in line and "...(" in line
+    for encoding in ("utf-8", "ascii"):
+        assert len(line.encode(encoding, "backslashreplace")) < 500, line[:200]
+
+
 @pytest.mark.parametrize("error", [ValueError("math domain error"),
                                    ZeroDivisionError("float division by zero")],
                          ids=["value", "arithmetic"])

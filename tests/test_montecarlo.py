@@ -1,8 +1,10 @@
 import dataclasses
 import gc
 import math
+import sys
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -363,6 +365,8 @@ FROZEN_ROWS = {
 
 
 def test_physical_rows_match_frozen_means(params, monkeypatch):
+    # passes of about 4,096 users, so each 1,000-frame row spans several
+    monkeypatch.setattr(montecarlo, "FILL_USERS", 4096)
     configs, receptions, passes = all_configurations(), montecarlo._receptions, []
 
     def spy(*args):
@@ -793,23 +797,29 @@ def test_sampled_shadowing_changes_frames(params, candidates):
 class Replay:
     """A stand-in stream for run_frame or an activation law: its ``random``
     and ``standard_normal`` calls hand out, in turn, the next slices of
-    the uniforms and the deviates given to it."""
+    the uniforms and the deviates given to it, a new array of ``size`` or,
+    as numpy's do, written to ``out``."""
 
     def __init__(self, uniforms, deviates):
         self.draws = {"random": uniforms, "standard_normal": deviates}
         self.used = {"random": 0, "standard_normal": 0}
 
-    def take(self, kind, count):
+    def take(self, kind, size, out):
+        count = out.size if out is not None else size
         start = self.used[kind]
         self.used[kind] += count
         assert self.used[kind] <= self.draws[kind].size
-        return self.draws[kind][start:start + count]
+        drawn = self.draws[kind][start:start + count]
+        if out is None:
+            return drawn.copy()
+        out[...] = drawn
+        return out
 
-    def random(self, count):
-        return self.take("random", count)
+    def random(self, size=None, out=None):
+        return self.take("random", size, out)
 
-    def standard_normal(self, count):
-        return self.take("standard_normal", count)
+    def standard_normal(self, size=None, out=None):
+        return self.take("standard_normal", size, out)
 
 
 def frame_by_frame(cfg, loads, params, n_frames, seed, activation, mode):
@@ -924,6 +934,51 @@ def test_physical_passes_match_frame_loop(params, candidates, monkeypatch, case,
         assert [users.count(0) for users in passes] == empty
 
 
+def test_kept_records_keep_their_bits_across_later_rows(params, candidates, monkeypatch):
+    # a row's passes take their largest arrays from the thread's workspace,
+    # which every later row overwrites; a frame record, a schedule and a
+    # matched grid that a caller keeps own their arrays, so a physical row
+    # run after them, over a workspace an earlier row grew, leaves them be
+    monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
+    cfg, loads = candidates["r0_Hl_Hl"], LoadDistribution(12.0, 4.0)
+    simulate(cfg, loads, params, 1000, seed=1)
+    frame = run_frame(cfg, 12, 4, params, np.random.default_rng(2))
+    schedule = schedule_block(cfg, [12, 3], [4, 9])
+    grid = _matched_values(cfg, params)
+    arrays = [*vars(frame).values(), schedule.rows, schedule.slot_counts, grid]
+    kept = [array.copy() for array in arrays]
+    simulate(cfg, loads, params, 1000, seed=2)
+    for array, copy in zip(arrays, kept):
+        assert np.array_equal(array, copy)
+
+
+def test_rows_in_threads_keep_the_bits_of_rows_in_turn(params, candidates, monkeypatch):
+    # each thread's rows use that thread's workspace: four threads, more
+    # than the cores, each running physical rows of many short passes at
+    # once, with the interpreter switching threads often, give the results
+    # of the same rows run one after another in one thread
+    monkeypatch.setattr(montecarlo, "FILL_USERS", 64)
+    jobs = [(cfg, LoadDistribution(*lambdas), seed, mode)
+            for seed, (cfg, lambdas, mode) in enumerate(zip(
+                candidates.values(), [(6.0, 4.0), (12.0, 4.0), (2.0, 1.0)],
+                ["exact_sampled", "exact_mean", "worst_sampled"]))]
+
+    def rows(first):
+        return [simulate(cfg, loads, params, 400, seed=(first, seed), **MODES[mode])
+                for cfg, loads, seed, mode in jobs]
+
+    in_turn = [rows(first) for first in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(rows, first) for first in range(4)]
+            at_once = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert at_once == in_turn
+
+
 def traced_peak(cfg, loads, params, n_frames, **mode):
     """The traced memory peak [B] of one ``simulate`` row."""
     tracemalloc.start()
@@ -970,14 +1025,15 @@ def pass_streams(params, seed, frames, lambdas=(12.0, 4.0)):
     return counts, _stream(seed, LAYOUTS), _stream(seed, DEVIATES)
 
 
-def traced_pass(cfg, params, seed, mode):
+def traced_pass(cfg, params, seed, mode, take):
     """(users, traced memory peak [B]) of one engine pass of 256 frames at
-    lambda = (12, 4), about 4,100 users."""
+    lambda = (12, 4), about 4,100 users, that takes its largest arrays
+    from ``take``."""
     counts, layouts, deviates = pass_streams(params, seed, 256)
     tracemalloc.start()
     try:
         _receptions(cfg, counts, params, None if mode.get("worst_case_distances") else layouts,
-                    None if mode.get("mean_shadowing") else deviates)
+                    None if mode.get("mean_shadowing") else deviates, take)
         return int(counts.sum()), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -987,12 +1043,16 @@ def traced_pass(cfg, params, seed, mode):
 def test_pass_memory_per_user(params, candidates, mode):
     # a pass keeps alive only what it still has to read: the layout, the
     # distances and the deviates go once read, and the rate is made in one
-    # array. Its record alone holds about 125 B per user
+    # array. Its record alone holds about 125 B per user. A row's pass takes
+    # its four largest arrays from a workspace that an earlier pass grew:
+    # it peaked at 101-148 B per user (numpy 2.4), bounded here with 10%
+    # over the largest; a pass of new arrays peaked at 165-213 B
     for cfg in candidates.values():
-        traced_pass(cfg, params, (9, 9), MODES[mode])  # warm: lazy set-up is not the pass's
-        users, peak = traced_pass(cfg, params, (1, 1, 0), MODES[mode])
-        assert 4000 <= users <= 4200
-        assert peak <= 240 * users
+        for take, bound in ((montecarlo._fresh, 240), (montecarlo._Workspace().take, 165)):
+            traced_pass(cfg, params, (9, 9), MODES[mode], take)  # warm: set-up, a grown workspace
+            users, peak = traced_pass(cfg, params, (1, 1, 0), MODES[mode], take)
+            assert 4000 <= users <= 4200
+            assert peak <= bound * users
 
 
 def slot_by_slot(frame, slot_counts):

@@ -174,6 +174,18 @@ def test_block_schedule_joins_frame_schedules(args):
         slots, users = slots + slot_counts[-1], users + k1 + k2
     assert np.array_equal(block.rows, np.concatenate(rows, axis=1))
     assert block.slot_counts.tolist() == slot_counts
+    # written over a used buffer, the rows are the same, two per user
+    out = np.full((4, 2 * users), -1, dtype=np.int64)
+    assert schedule_block(cfg, [k1 for k1, _ in keys], [k2 for _, k2 in keys],
+                          out=out).rows is out
+    assert np.array_equal(out, block.rows)
+
+
+@pytest.mark.parametrize("out", [np.empty((4, 11), np.int64), np.empty((4, 12), float)],
+                         ids=["shape", "dtype"])
+def test_block_schedule_rejects_an_out_that_cannot_hold_its_rows(out):
+    with pytest.raises(ValueError, match=r"out must be a \(4, 12\) int64 array"):
+        schedule_block(Configuration(0, 0, 0), [4], [2], out=out)
 
 
 @given(blocks)
