@@ -26,23 +26,23 @@ frame to a cell through a cdf and a guide table. In the physical modes the
 cells are split into (K1, K2), and an engine pass runs about FILL_USERS
 users' frames of the chunk, draws their layout and their deviates in one
 call each, and adds each frame's slot sum-rates in slot order with one
-``np.bincount``. A row's passes take their four largest arrays, the
-schedule rows, the layout uniforms, the 2 x users slant distances and the
+``np.bincount``. Every pass takes its four largest arrays, the schedule
+rows, the layout uniforms, the 2 x users slant distances and the
 shadowing deviates, from the running thread's ``_Workspace``: buffers kept
 for the process and grown to the largest pass served, about 0.98 MB at
 FILL_USERS = 8,192. So passes after the first allocate none of them, and
 the allocator no longer hands their heap back to the system for the next
 pass to fault in again: an in-process ``mc_exact`` call of the benchmark
-takes about 2 minor page faults instead of 2,700. In matched mode a frame
+takes about 2 minor page faults instead of 2,700. A pass's record views
+its thread's workspace until that thread's next pass, and ``run_frame``'s
+record owns its arrays. ``run_frame`` is a pass of one frame that draws
+its layout, then its deviates, from one stream. In matched mode a frame
 draws nothing, so its value is a function of (K1, K2): a row reads each
 chunk's values from its configuration's ``_matched_values``, built whole
 from one engine pass over five one-unit frames and kept while the
 parameter set lives, and ``simulate_exhaustive``, the exact mean of such
 rows under model activation, is that law's pmf times those values, summed
 over the cells.
-``run_frame`` is a pass of one frame that draws its layout, then its
-deviates, from one stream; it and ``_matched_values`` keep their records,
-so their passes take new arrays.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -218,6 +218,10 @@ class FrameRealization:
     row, ``interference`` 0 where not ``hit``. ``rate`` and ``throughput``,
     one mean slot sum-rate per frame, are in bits/s/Hz. ``slot_counts`` is
     the schedule's slot count of each frame, and ``slot_count`` their sum.
+
+    A pass's record views its thread's workspace until that thread's next
+    pass (its ``slot``, ``link`` and ``user``; every other column is a new
+    array), and ``run_frame``'s record owns its arrays.
     """
 
     slot: np.ndarray
@@ -244,11 +248,9 @@ class _Workspace(threading.local):
     2 x users slant distances and the shadowing deviates, each a buffer
     that ``take`` grows to the largest pass it has served. Per thread, so
     threads running rows at once share none of it, and kept for the
-    process, so it serves every row.
-
-    Only ``simulate``'s passes use it, and each reads the arrays it takes
-    only until its own throughput exists: a record that a caller keeps
-    (``run_frame``, ``_matched_values``) is built from ``_fresh`` arrays."""
+    process, so it serves every pass. A pass's record views its thread's
+    workspace until that thread's next pass, and ``run_frame``'s record
+    owns its arrays."""
 
     def __init__(self):
         self.buffers = {}
@@ -261,16 +263,11 @@ class _Workspace(threading.local):
         return buffer[:size]
 
 
-def _fresh(name: str, size: int, dtype) -> np.ndarray:
-    """A new array of ``size`` elements, for a pass whose arrays outlive it."""
-    return np.empty(size, dtype)
-
-
 _WORKSPACE = _Workspace()
 
 
 def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell: np.ndarray,
-               sizes: np.ndarray, params: SystemParams, layouts, take):
+               sizes: np.ndarray, params: SystemParams, layouts):
     """The geometry of a pass: each row's serving distance [m], whether its
     slot's co-channel transmitter reaches its receiver (``hit``), and that
     transmitter's distance [m] at each hit row, in row order.
@@ -278,8 +275,8 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
     The stream ``layouts`` draws the layout of the pass's users
     (``_positions``, cells of ``sizes``) in one call. Exact distances come
     from every user's slant distance to each UAV, one 2 x users array the
-    rows gather from. The uniforms and that array are ``take``'s
-    (``_receptions``). With ``layouts`` None the distances are the worst
+    rows gather from. The uniforms and that array are the thread's
+    ``_Workspace``'s. With ``layouts`` None the distances are the worst
     case: the serving distance is the lobe edge, every reachable interferer
     sits at its closest admissible position, and whether it is reachable
     follows from the altitude levels and cell membership instead of actual
@@ -305,14 +302,14 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
         return edge[link - 1], hit, altitude[uav[hit] - 1]
 
     users = cell.size
-    x, y = _positions(layouts.random(out=take("uniforms", 2 * users, float)), sizes, cell,
-                      params)
+    uniforms = _WORKSPACE.take("uniforms", 2 * users, float)
+    x, y = _positions(layouts.random(out=uniforms), sizes, cell, params)
     if cfg.r == 1:
         source, sink = partner[hit], user[hit]
         nlos = np.hypot(x[source] - x[sink], y[source] - y[sink])
     # every user's slant distance to each UAV, one row per UAV, read flat:
     # sqrt((x - center) ** 2 + y ** 2 + altitude ** 2), step by step in place
-    slant = take("slant", 2 * users, float).reshape(2, users)
+    slant = _WORKSPACE.take("slant", 2 * users, float).reshape(2, users)
     np.subtract(x, np.array([[0.0], [params.d_sep]]), out=slant)
     np.square(slant, out=slant)
     slant += y ** 2
@@ -329,19 +326,19 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
     return serve, hit, los[hit]
 
 
-def _deviates(rng, hit: np.ndarray, take):
+def _deviates(rng, hit: np.ndarray):
     """The shadowing deviates of a pass: each row's signal's, and each hit
     row's interferer's, drawn from ``rng`` in one call, frame after frame in
     slot order, one deviate per row for its signal, then one for its
     interferer if one reaches it."""
     through = np.concatenate(([0], np.cumsum(1 + hit)))  # the deviates before each row
-    z = rng.standard_normal(out=take("deviates", int(through[-1]), float))
+    z = rng.standard_normal(out=_WORKSPACE.take("deviates", int(through[-1]), float))
     first = through[:-1]
     return z[first], z[first[hit] + 1]
 
 
 def _receptions(cfg: Configuration, counts: np.ndarray, params: SystemParams,
-                layouts, deviates, take=_fresh) -> FrameRealization:
+                layouts, deviates) -> FrameRealization:
     """Every reception of a pass of frames, computed at once.
 
     Frame j has counts[j] = (K1, K2) and follows ``schedule_block``. The
@@ -360,25 +357,23 @@ def _receptions(cfg: Configuration, counts: np.ndarray, params: SystemParams,
     ``channel.rx_power_los`` call over its rows, with each row's transmit
     term. The rate is computed in one fresh array, in place.
 
-    ``take(name, size, dtype)`` gives the pass its four largest arrays, the
-    schedule rows, the uniforms, the slant distances and the deviates:
-    new ones from ``_fresh``, or a thread's ``_Workspace`` buffers, which
-    the record's ``slot``, ``link`` and ``user`` then view until the
-    thread's next pass.
+    The pass takes its four largest arrays, the schedule rows, the
+    uniforms, the slant distances and the deviates, from the thread's
+    ``_Workspace``: its record views that workspace until the thread's
+    next pass.
     """
     users = int(counts.sum())
-    rows = take("rows", 8 * users, np.int64).reshape(4, 2 * users)
+    rows = _WORKSPACE.take("rows", 8 * users, np.int64).reshape(4, 2 * users)
     schedule = schedule_block(cfg, counts[:, 0], counts[:, 1], out=rows)
     slot, link, user, _ = schedule.rows
     sizes = counts.reshape(-1)
     downlink = ((link == 2) * cfg.r + slot) & 1 == 0  # link 1 is downlink-first
     cell = np.repeat(np.tile((1, 2), len(counts)), sizes)
 
-    serve, hit, far = _distances(cfg, schedule.rows, downlink, cell, sizes, params, layouts,
-                                 take)
+    serve, hit, far = _distances(cfg, schedule.rows, downlink, cell, sizes, params, layouts)
     hits = np.flatnonzero(hit)
     z_signal, z_interference = ((0.0, 0.0) if deviates is None else
-                                _deviates(deviates, hit, take))
+                                _deviates(deviates, hit))
     tx = np.where(downlink, *channel.los_tx(params))
     signal = channel.rx_power_los(serve, tx, params, z_signal)
     del serve, z_signal
@@ -413,14 +408,16 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=No
 
     It draws its layout (unless worst-case), then its shadowing deviates
     (unless mean), both from ``rng``. Only worst-case distances with mean
-    shadowing draw nothing and may leave ``rng`` out.
+    shadowing draw nothing and may leave ``rng`` out. The record owns its
+    arrays: the three that view the thread's workspace are copied.
     """
     if rng is None and not (worst_case_distances and mean_shadowing):
         distances = "worst-case" if worst_case_distances else "exact"
         shadowing = "mean" if mean_shadowing else "sampled"
         raise ValueError(f"rng is required for {distances} distances with {shadowing} shadowing")
-    return _receptions(cfg, np.array([[k1, k2]]), params,
-                       None if worst_case_distances else rng, None if mean_shadowing else rng)
+    frame = _receptions(cfg, np.array([[k1, k2]]), params,
+                        None if worst_case_distances else rng, None if mean_shadowing else rng)
+    return replace(frame, slot=frame.slot.copy(), link=frame.link.copy(), user=frame.user.copy())
 
 
 @dataclass(frozen=True)
@@ -466,7 +463,7 @@ def _matched_values(cfg: Configuration, params: SystemParams) -> np.ndarray:
         return grids[cfg]
     n = params.n_users
     frames = np.array([[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]])
-    units = _receptions(cfg, frames, params, None, None)
+    units = _receptions(cfg, frames, params, None, None)  # its slot is read before the next pass
     slot_counts = units.slot_counts
     # each frame's first unit: a cross-cell pair, then per cell a same-cell
     # pair (two lone users if the other UAV is low) and a lone user
@@ -551,7 +548,7 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
         cuts = (np.flatnonzero(np.diff(passes)) + 1).tolist()
         for first, stop in zip([0, *cuts], [*cuts, chunk.size]):
             chunk[first:stop] = _receptions(cfg, counts[first:stop], params, layouts,
-                                            deviates, _WORKSPACE.take).throughput
+                                            deviates).throughput
 
     mean, std = _mean_and_std(values)
     return SimResult(mean=mean, ci_half_width=1.96 * std / math.sqrt(n_frames))

@@ -935,10 +935,11 @@ def test_physical_passes_match_frame_loop(params, candidates, monkeypatch, case,
 
 
 def test_kept_records_keep_their_bits_across_later_rows(params, candidates, monkeypatch):
-    # a row's passes take their largest arrays from the thread's workspace,
-    # which every later row overwrites; a frame record, a schedule and a
-    # matched grid that a caller keeps own their arrays, so a physical row
-    # run after them, over a workspace an earlier row grew, leaves them be
+    # every pass takes its largest arrays from the thread's workspace,
+    # which every later pass overwrites; a frame record, a schedule and a
+    # matched grid that a caller keeps own their arrays, share no memory
+    # with a workspace buffer, and so a physical row run after them, over a
+    # workspace an earlier row grew, leaves them be
     monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
     cfg, loads = candidates["r0_Hl_Hl"], LoadDistribution(12.0, 4.0)
     simulate(cfg, loads, params, 1000, seed=1)
@@ -946,6 +947,8 @@ def test_kept_records_keep_their_bits_across_later_rows(params, candidates, monk
     schedule = schedule_block(cfg, [12, 3], [4, 9])
     grid = _matched_values(cfg, params)
     arrays = [*vars(frame).values(), schedule.rows, schedule.slot_counts, grid]
+    buffers = montecarlo._WORKSPACE.buffers.values()
+    assert not any(np.shares_memory(array, buffer) for array in arrays for buffer in buffers)
     kept = [array.copy() for array in arrays]
     simulate(cfg, loads, params, 1000, seed=2)
     for array, copy in zip(arrays, kept):
@@ -1025,15 +1028,15 @@ def pass_streams(params, seed, frames, lambdas=(12.0, 4.0)):
     return counts, _stream(seed, LAYOUTS), _stream(seed, DEVIATES)
 
 
-def traced_pass(cfg, params, seed, mode, take):
+def traced_pass(cfg, params, seed, mode):
     """(users, traced memory peak [B]) of one engine pass of 256 frames at
-    lambda = (12, 4), about 4,100 users, that takes its largest arrays
-    from ``take``."""
+    lambda = (12, 4), about 4,100 users, on the running thread's
+    workspace."""
     counts, layouts, deviates = pass_streams(params, seed, 256)
     tracemalloc.start()
     try:
         _receptions(cfg, counts, params, None if mode.get("worst_case_distances") else layouts,
-                    None if mode.get("mean_shadowing") else deviates, take)
+                    None if mode.get("mean_shadowing") else deviates)
         return int(counts.sum()), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1043,16 +1046,19 @@ def traced_pass(cfg, params, seed, mode, take):
 def test_pass_memory_per_user(params, candidates, mode):
     # a pass keeps alive only what it still has to read: the layout, the
     # distances and the deviates go once read, and the rate is made in one
-    # array. Its record alone holds about 125 B per user. A row's pass takes
-    # its four largest arrays from a workspace that an earlier pass grew:
-    # it peaked at 101-148 B per user (numpy 2.4), bounded here with 10%
-    # over the largest; a pass of new arrays peaked at 165-213 B
+    # array. Its record alone holds about 125 B per user. A pass takes its
+    # four largest arrays from its thread's workspace: on one that an
+    # earlier pass grew it peaked at 101-148 B per user (numpy 2.4), and as
+    # a new thread's first pass, which grows the workspace, at 189-269 B;
+    # each bounded here with 10% over the largest
     for cfg in candidates.values():
-        for take, bound in ((montecarlo._fresh, 240), (montecarlo._Workspace().take, 165)):
-            traced_pass(cfg, params, (9, 9), MODES[mode], take)  # warm: set-up, a grown workspace
-            users, peak = traced_pass(cfg, params, (1, 1, 0), MODES[mode], take)
-            assert 4000 <= users <= 4200
-            assert peak <= bound * users
+        traced_pass(cfg, params, (9, 9), MODES[mode])  # warm: set-up, a grown workspace
+        users, peak = traced_pass(cfg, params, (1, 1, 0), MODES[mode])
+        assert 4000 <= users <= 4200
+        assert peak <= 165 * users
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread's workspace is empty
+            users, peak = pool.submit(traced_pass, cfg, params, (1, 1, 0), MODES[mode]).result()
+        assert peak <= 296 * users
 
 
 def slot_by_slot(frame, slot_counts):
