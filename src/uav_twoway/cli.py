@@ -42,7 +42,7 @@ EXHAUSTIVE = "exhaustive"
 MAX_AXIS_VALUES = 10_000  # values per load axis of a grid
 # Monte Carlo frames per row. A row holds one float64 per frame, 80 MB
 # here, and its standard deviation works in place: a 10^6-frame physical
-# row peaked 7.1 MB above a 10^5-frame one, a model-matched row 6.8 MB.
+# row peaked 7.1 MB above a 10^5-frame one (CHANGES.md).
 MAX_FRAMES = 10_000_000
 # Worker processes of a grid run. A multiprocessing.Pool forks all its
 # workers when it is built, so the count is checked before any pool exists,
@@ -51,7 +51,8 @@ MAX_WORKERS = 64
 # Grid points per worker task at most: a worker holds its chunk's rows, and
 # a closed output is noticed at the next chunk. Each chunk costs the main
 # process CPU, as the pool's threads wake on every result: a 600 x 100
-# two-worker sweep took 3.5 s at 64 points and 3.0 s at 512 (2-core Xeon).
+# two-worker sweep took a median of 3.54 s at 64 points and 3.01 s at 512
+# (CHANGES.md).
 CHUNK_POINTS = 512
 BOUND_BYTES = 200  # bytes an error line keeps of each end of a longer message
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}

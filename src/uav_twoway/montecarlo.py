@@ -1,48 +1,45 @@
 """Frame-level stochastic simulator with explicit user positions.
 
-Each frame draws the active-user counts, places users uniformly in their
-cells, schedules service units with the three-step scheme, and computes
-all its receptions at once as columns (one row per receiver and slot)
-from exact distances and per-reception shadowing draws. Each quantity is
+A frame draws its active-user counts (K1, K2), places its users uniformly
+in their cells, schedules its service units with the three-step scheme of
+``pairing``, and computes every reception at once as columns, one row per
+receiver and slot, from exact distances and per-reception shadowing
+deviates. A matched-assumption mode substitutes the worst-case distances
+and mean shadowing; its frames reproduce the analytical conditional
+throughput and so validate the closed form.
+
+The engine pass, ``_receptions``, computes many frames at once from the
+rows ``pairing.schedule_block`` makes of their (K1, K2). Each quantity is
 computed where it varies: a user's slant distance to each UAV once per
-user, a reception's received power once, every LoS one of the pass in one
+user, each received power once, every LoS power of the pass in one
 ``channel.rx_power_los`` call with its row's transmit term, and only what
 its configuration reads. A pass keeps each temporary only while it still
-reads it, so its memory per user stays small. A matched-assumption mode
-substitutes the worst-case distances and mean shadowing, in which case the
-frame reproduces the analytical conditional throughput and validates the
-closed form.
+reads it, and adds each frame's slot sum-rates in slot order with one
+``np.bincount``. ``run_frame`` is a pass of one frame.
 
-One engine pass computes many frames at once, from the rows
-``pairing.schedule_block`` makes of their (K1, K2). A ``simulate`` row
-draws from three streams of its seed, one per kind of draw (``_stream``):
-its frames' counts, their layouts and their shadowing deviates. Each
-stream is read in frame order, so no value depends on how the row's
-frames are cut into chunks and passes. A chunk of FILL_FRAMES frames draws
-its flat cells K1 (N + 1) + K2 in one ``cells`` call of the row's
-activation law, built once per load point and parameter set and shared by
-the point's rows (``_law``); model activation's law maps one uniform per
-frame to a cell through a cdf and a guide table. In the physical modes the
-cells are split into (K1, K2), and an engine pass runs about FILL_USERS
-users' frames of the chunk, draws their layout and their deviates in one
-call each, and adds each frame's slot sum-rates in slot order with one
-``np.bincount``. Every pass takes its four largest arrays, the schedule
-rows, the layout uniforms, the 2 x users slant distances and the
-shadowing deviates, from the running thread's ``_Workspace``: buffers kept
-for the process and grown to the largest pass served, about 0.98 MB at
-FILL_USERS = 8,192. So passes after the first allocate none of them, and
-the allocator no longer hands their heap back to the system for the next
-pass to fault in again: an in-process ``mc_exact`` call of the benchmark
-takes about 2 minor page faults instead of 2,700. A pass's record views
-its thread's workspace until that thread's next pass, and ``run_frame``'s
-record owns its arrays. ``run_frame`` is a pass of one frame that draws
-its layout, then its deviates, from one stream. In matched mode a frame
-draws nothing, so its value is a function of (K1, K2): a row reads each
-chunk's values from its configuration's ``_matched_values``, built whole
-from one engine pass over five one-unit frames and kept while the
-parameter set lives, and ``simulate_exhaustive``, the exact mean of such
-rows under model activation, is that law's pmf times those values, summed
-over the cells.
+A physical pass takes its four largest arrays, the schedule rows, the
+layout uniforms, the 2 x users slant distances and the shadowing deviates,
+from the running thread's ``_Workspace``, so later passes allocate none of
+them. A pass's record views its thread's workspace, in its ``slot``,
+``link`` and ``user`` columns, until that thread's next pass, and
+``run_frame``'s record owns its arrays.
+
+A ``simulate`` row draws from three streams of its seed, one per kind of
+draw (``_stream``): its frames' counts, their layouts and their shadowing
+deviates. Each stream is read in frame order, so no value depends on how
+the row's frames are cut into chunks of FILL_FRAMES frames and passes of
+about FILL_USERS users, and one stream may serve a pass's layout and its
+deviates in turn, as in ``run_frame``. A chunk draws its flat cells
+K1 (N + 1) + K2 in one ``cells`` call of the row's activation law, built
+once per load point and parameter set and shared by the point's rows
+(``_law``).
+
+In matched mode a frame draws nothing, so its value is a function of
+(K1, K2): a row reads each chunk's values from its configuration's
+``_matched_values``, built whole from one engine pass over five one-unit
+frames and kept while the parameter set lives, and ``simulate_exhaustive``,
+the exact mean of such rows under model activation, is that law's pmf
+times those values, summed over the cells.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -66,12 +63,9 @@ from .throughput import ActivationModel, LoadDistribution
 
 # Frames whose cells one draw of the activation law takes, and about the
 # users of one physical engine pass. Larger passes pay numpy's per-call
-# overhead less often but hold more rows in memory at once: on the
-# benchmark's mc_exact workload (perfbench/run.py, 2-core Xeon, 3 runs
-# each) passes of 4,096 / 8,192 / 16,384 users took 33.5-33.6 /
-# 31.8-32.5 / 25.0-30.3 ms per call and peaked at 40.0 / 41.1 / 43.1 MB,
-# 16,384 too close to the benchmark's 10% memory bound. Neither changes a
-# value: each stream is read in frame order.
+# overhead less often but hold more rows at once: on the benchmark's
+# mc_exact workload, passes of 16,384 users peaked at 43.1 MB, too close to
+# its 10% bound on peak memory (CHANGES.md).
 FILL_FRAMES, FILL_USERS = 4096, 8192
 # The kinds of draw of a row, each the spawn key of its own stream
 COUNTS, LAYOUTS, DEVIATES = 0, 1, 2
@@ -103,9 +97,9 @@ _LAWS = weakref.WeakKeyDictionary()
 def _law(loads: LoadDistribution, params: SystemParams, model: ActivationModel):
     """``_Activation(loads, params, model)``, built once and shared by the
     rows of one load point. The store keeps the laws of one (loads, params),
-    the last asked for, as a point's rows run one after another, so it
-    holds one point's laws whoever calls it. It holds neither object, only
-    weak references: the laws go with their loads, or with the next pair."""
+    the last asked for, as a point's rows run one after another. It holds
+    neither object, only weak references: the laws go with their loads, or
+    with the next pair."""
     if not isinstance(model, ActivationModel):
         raise ValueError(f"activation must be an ActivationModel, got {model!r}")
     entry = _LAWS.get(loads)
@@ -119,27 +113,12 @@ def _law(loads: LoadDistribution, params: SystemParams, model: ActivationModel):
 
 
 class _Activation:
-    """The (K1, K2) law of one (loads, params, model), drawn from a stream
-    a run of frames at a time by ``cells``, one flat cell K1 (N + 1) + K2
-    per frame. It holds no state of a draw, and its arrays are read-only,
-    so one law serves every row of its load point: ``simulate`` and
-    ``simulate_exhaustive`` take it from ``_law``. MODEL_MATCHED keeps its
-    joint ``pmf`` on [0, N]^2, the closed form's law: P(lambda)[K1 - K2]
-    times ``params.split_weights`` as an (N + 1)^2 array, and the rest, the
+    """The (K1, K2) law of one (loads, params, model). It holds no state of
+    a draw, and its arrays are read-only. MODEL_MATCHED keeps its joint
+    ``pmf`` on [0, N]^2, the closed form's law: P(lambda)[K1 - K2] times
+    ``params.split_weights`` as an (N + 1)^2 array, and the rest, the
     Skellam mass of |k| >= N, on (0, 0), the empty frame; its cdf and guide
     table are built from it.
-
-    Each law reads its stream in frame order, so drawing a row's frames in
-    one call or in several, of any sizes, gives the same cells and leaves
-    the stream in the same state. MODEL_MATCHED draws one uniform per
-    frame, which ``invert`` maps to cells through the guide table, never to
-    a cell after ``top``, the last one whose cdf step is not empty. The
-    other two laws draw (K1, K2) pairs and flatten them: BINOMIAL_PER_USER
-    draws its frames' counts, both cells at once, in one call.
-    TRUNCATED_POISSON filters pairs: it draws the Poisson pairs of the
-    frames still missing, keeps in order those with both counts in [1, N],
-    and repeats until none is missing, so a call stops reading right after
-    its last kept pair.
     """
 
     def __init__(self, loads: LoadDistribution, params: SystemParams, model: ActivationModel):
@@ -187,7 +166,13 @@ class _Activation:
         return cells
 
     def cells(self, rng, frames: int) -> np.ndarray:
-        """The next ``frames`` frames' flat cells K1 (N + 1) + K2."""
+        """The next ``frames`` frames' flat cells K1 (N + 1) + K2, drawn from
+        ``rng``. MODEL_MATCHED draws one uniform per frame (``invert``);
+        BINOMIAL_PER_USER draws its frames' counts, both cells at once, in
+        one call; TRUNCATED_POISSON draws the Poisson pairs of the frames
+        still missing, keeps in order those with both counts in [1, N], and
+        repeats until none is missing, so a call stops reading right after
+        its last kept pair."""
         n, lambdas = self.n, self.lambdas
         if self.model is ActivationModel.MODEL_MATCHED:
             return self.invert(rng.random(frames))
@@ -218,10 +203,6 @@ class FrameRealization:
     row, ``interference`` 0 where not ``hit``. ``rate`` and ``throughput``,
     one mean slot sum-rate per frame, are in bits/s/Hz. ``slot_counts`` is
     the schedule's slot count of each frame, and ``slot_count`` their sum.
-
-    A pass's record views its thread's workspace until that thread's next
-    pass (its ``slot``, ``link`` and ``user``; every other column is a new
-    array), and ``run_frame``'s record owns its arrays.
     """
 
     slot: np.ndarray
@@ -242,15 +223,9 @@ class FrameRealization:
 
 
 class _Workspace(threading.local):
-    """The four largest arrays of a physical engine pass, kept for the
-    thread's later passes so that a row's passes, and the rows after it,
-    allocate none of them: the schedule rows, the layout uniforms, the
-    2 x users slant distances and the shadowing deviates, each a buffer
-    that ``take`` grows to the largest pass it has served. Per thread, so
-    threads running rows at once share none of it, and kept for the
-    process, so it serves every pass. A pass's record views its thread's
-    workspace until that thread's next pass, and ``run_frame``'s record
-    owns its arrays."""
+    """Named buffers, one set per thread, so that threads running rows at
+    once share none, each kept for the process and grown by ``take`` to
+    the largest pass it has served."""
 
     def __init__(self):
         self.buffers = {}
@@ -275,8 +250,7 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
     The stream ``layouts`` draws the layout of the pass's users
     (``_positions``, cells of ``sizes``) in one call. Exact distances come
     from every user's slant distance to each UAV, one 2 x users array the
-    rows gather from. The uniforms and that array are the thread's
-    ``_Workspace``'s. With ``layouts`` None the distances are the worst
+    rows gather from. With ``layouts`` None the distances are the worst
     case: the serving distance is the lobe edge, every reachable interferer
     sits at its closest admissible position, and whether it is reachable
     follows from the altitude levels and cell membership instead of actual
@@ -327,10 +301,9 @@ def _distances(cfg: Configuration, rows: np.ndarray, downlink: np.ndarray, cell:
 
 
 def _deviates(rng, hit: np.ndarray):
-    """The shadowing deviates of a pass: each row's signal's, and each hit
-    row's interferer's, drawn from ``rng`` in one call, frame after frame in
-    slot order, one deviate per row for its signal, then one for its
-    interferer if one reaches it."""
+    """The shadowing deviates of a pass, drawn from ``rng`` in one call, row
+    after row: one for the row's signal, then one for its interferer if one
+    reaches it. Returns the signals' deviates and the hit rows'."""
     through = np.concatenate(([0], np.cumsum(1 + hit)))  # the deviates before each row
     z = rng.standard_normal(out=_WORKSPACE.take("deviates", int(through[-1]), float))
     first = through[:-1]
@@ -339,28 +312,11 @@ def _deviates(rng, hit: np.ndarray):
 
 def _receptions(cfg: Configuration, counts: np.ndarray, params: SystemParams,
                 layouts, deviates) -> FrameRealization:
-    """Every reception of a pass of frames, computed at once.
-
-    Frame j has counts[j] = (K1, K2) and follows ``schedule_block``. The
-    pass draws in two calls: from ``layouts`` the layout of all its users,
-    frame after frame (``_distances``; None: worst-case distances), then
-    from ``deviates`` one shadowing deviate per reception, frame after frame
-    in slot order, for its signal and then for its interferer if one
-    reaches it (``_deviates``; None: mean shadowing). Frames thus read the
-    same numbers in one pass as in several passes in turn, and ``layouts``
-    and ``deviates`` may be one stream.
-
-    Each quantity is computed once, at the level where it varies, and each
-    temporary is dropped once read: the geometry and the deviates live in
-    their own functions, and the distances and deviates go once the powers
-    exist. Every LoS power, signal or r = 0 interference, comes from one
-    ``channel.rx_power_los`` call over its rows, with each row's transmit
-    term. The rate is computed in one fresh array, in place.
-
-    The pass takes its four largest arrays, the schedule rows, the
-    uniforms, the slant distances and the deviates, from the thread's
-    ``_Workspace``: its record views that workspace until the thread's
-    next pass.
+    """Every reception of the frames with counts[j] = (K1, K2), scheduled by
+    ``schedule_block``, as one record. It draws the layout of all its users
+    from ``layouts`` (``_distances``; None: worst-case distances), then its
+    shadowing deviates from ``deviates`` (``_deviates``; None: mean
+    shadowing).
     """
     users = int(counts.sum())
     rows = _WORKSPACE.take("rows", 8 * users, np.int64).reshape(4, 2 * users)
@@ -408,9 +364,10 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=No
 
     It draws its layout (unless worst-case), then its shadowing deviates
     (unless mean), both from ``rng``. Only worst-case distances with mean
-    shadowing draw nothing and may leave ``rng`` out. The record owns its
-    arrays: the three that view the thread's workspace are copied.
+    shadowing draw nothing and may leave ``rng`` out.
     """
+    if k1 < 0 or k2 < 0:
+        raise ValueError(f"active-user counts must be non-negative: K1={k1}, K2={k2}")
     if rng is None and not (worst_case_distances and mean_shadowing):
         distances = "worst-case" if worst_case_distances else "exact"
         shadowing = "mean" if mean_shadowing else "sampled"
@@ -445,10 +402,8 @@ def _stream(seed, kind: int):
 def _matched_values(cfg: Configuration, params: SystemParams) -> np.ndarray:
     """The matched-assumption value of every (K1, K2) of one configuration
     and parameter set: a flat, read-only (N + 1)^2 float array, cell
-    (K1, K2) at K1 (N + 1) + K2. A frame with worst-case distances and mean
-    shadowing draws nothing, so its value depends on (K1, K2) alone and the
-    rows of any load point, seed or activation read the same array, built
-    once per configuration while the parameter set lives.
+    (K1, K2) at K1 (N + 1) + K2, built once per configuration while the
+    parameter set lives.
 
     In this mode a unit's two slot rates depend only on its kind and, for a
     same-cell pair or a lone user, on its cell, and a frame serves its
@@ -510,21 +465,12 @@ def simulate(cfg: Configuration, loads: LoadDistribution, params: SystemParams,
              activation: ActivationModel = ActivationModel.TRUNCATED_POISSON,
              worst_case_distances: bool = False,
              mean_shadowing: bool = False) -> SimResult:
-    """Empirical mean throughput over ``n_frames`` independent frames.
-
-    Deterministic given ``seed``: the row draws its frames' counts, layouts
-    and shadowing deviates from three streams of its own (``_stream``),
-    each read in frame order, so results depend on none of scheduling
-    order, worker count, FILL_FRAMES and FILL_USERS. The row takes its
-    ``_Activation`` from ``_law``, built once per load point and parameter
-    set and shared by the point's rows, and draws the cells of each chunk
-    of FILL_FRAMES frames in one call. In the physical modes it splits them
-    into (K1, K2) and runs a chunk in engine passes of about FILL_USERS
-    users, cut after any frame, and each pass draws its layout and its
-    deviates in one call each. With worst-case distances and mean
-    shadowing a frame's value is a function of (K1, K2), and each chunk's
-    values are read straight from the configuration's ``_matched_values``.
-    Either way the frame values go into one float64 array of ``n_frames``.
+    """Empirical mean throughput of ``cfg`` over ``n_frames`` independent
+    frames, with a normal-approximation 95% interval, deterministic given
+    ``seed``. ``activation`` draws each frame's (K1, K2) from ``loads``;
+    ``worst_case_distances`` and ``mean_shadowing`` put the frames under
+    the bound's assumptions. The frame values go into one float64 array of
+    ``n_frames``.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames!r}")

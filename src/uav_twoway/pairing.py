@@ -45,6 +45,8 @@ def pair_counts(k: int, big_k2: int, t1: int, t2: int,
     The surplus cell's users can be served pairwise only when the *other*
     cell's UAV is high (its lobe then covers both cells).
     """
+    if not isinstance(mode, AccountingMode):
+        raise ValueError(f"mode must be an AccountingMode, got {mode!r}")
     if big_k2 < 0 or big_k2 + k < 0:
         raise ValueError(f"active-user counts must be non-negative: k={k}, K2={big_k2}")
 

@@ -17,8 +17,8 @@ from .errors import ConfigError, GuardViolationError, MissingKeyError, OutOfRang
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 # Users per cell. The split weights and each table cost O(N^2): `eval
-# --exhaustive` takes about 0.14 s in process at this ceiling on a 2-core
-# Xeon, and the weights' big-integer sums overflow a float from N = 515 on.
+# --exhaustive` takes about 0.14 s in process at this ceiling (CHANGES.md),
+# and the weights' big-integer sums overflow a float from N = 515 on.
 MAX_USERS = 200
 
 

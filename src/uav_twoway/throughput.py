@@ -218,6 +218,8 @@ def conditional_tables(configs: dict[str, Configuration], params: SystemParams,
     """C(cfg) under accounting ``mode`` for each label -> configuration of
     ``configs``, from one k >= 0 half per configuration or mirror:
     C(cfg.mirror)[k] == C(cfg)[-k]."""
+    if not isinstance(mode, AccountingMode):
+        raise ValueError(f"mode must be an AccountingMode, got {mode!r}")
     needed = {*configs.values(), *(cfg.mirror for cfg in configs.values())}
     halves = {cfg: _half_table(cfg, params, mode) for cfg in needed}
     return {label: ConditionalTable(cfg, tuple(halves[cfg] + halves[cfg.mirror][:0:-1]))

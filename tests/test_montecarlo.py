@@ -554,6 +554,12 @@ def test_run_frame_without_stream_names_rng_and_mode(params, candidates, mode, n
         run_frame(candidates["r0_Hl_Hl"], 3, 2, params, **mode)
 
 
+@pytest.mark.parametrize("k1,k2", [(-1, 2), (2, -3)])
+def test_run_frame_rejects_negative_counts(params, candidates, k1, k2):
+    with pytest.raises(ValueError, match=f"non-negative: K1={k1}, K2={k2}"):
+        run_frame(candidates["r0_Hl_Hl"], k1, k2, params, np.random.default_rng(1))
+
+
 def test_exhaustive_matches_analytical(params, candidates):
     loads = LoadDistribution(7.0, 4.0)
     for cfg in candidates.values():

@@ -47,6 +47,13 @@ def test_negative_counts_rejected():
         pair_counts(-3, 2, 0, 0)
 
 
+def test_mode_of_another_type_is_named():
+    # "paper" is the value of PAPER_LITERAL, but counting it as CONSISTENT
+    # would give a_s = 1 where PAPER_LITERAL gives 3
+    with pytest.raises(ValueError, match="mode must be an AccountingMode, got 'paper'"):
+        pair_counts(3, 2, 1, 1, "paper")
+
+
 def test_conservation_consistent():
     for k1 in range(0, 31):
         for k2 in range(0, 31):

@@ -139,6 +139,11 @@ def test_skellam_rejects_nonpositive_rates():
         skellam_vector(3, 2e10, 1.0)
 
 
+def test_tables_name_a_mode_of_another_type(params):
+    with pytest.raises(ValueError, match="mode must be an AccountingMode, got 'paper'"):
+        conditional_table(Configuration(1, 0, 1), params, "paper")
+
+
 def test_admissible_k2_bounds():
     assert list(admissible_k2(0, 4)) == [1, 2, 3, 4]
     assert list(admissible_k2(2, 4)) == [1, 2]

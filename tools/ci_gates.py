@@ -5,7 +5,8 @@
 
 Each gate runs the console script (and, for memory, the package through
 ``python -c``) with the flags, timeouts and bounds the workflow has always
-used, and prints what it ran. The first failing gate stops the run with
+used, and prints its name, its docstring and what it ran; the workflow
+names each step after its gate. The first failing gate stops the run with
 exit 1; no name, or an unknown one, exits 2 and lists the gates. Output
 files (``*.csv``, ``*.err``) land in a temporary directory, removed when the
 run ends. Needs only the standard library and an installed package
@@ -127,35 +128,35 @@ def matches_closed_form(out: Path, name: str, argv, timeout=None):
 
 
 def model_matched(out: Path):
-    """One uniform per frame, inverted by the joint cdf."""
+    """A model-matched compare: one uniform per frame, inverted by the joint cdf."""
     matches_closed_form(out, "model_matched", [
         "--lambda1", "6,31", "--lambda2", "4", "--configurations", CANDIDATES,
         "--frames", "5000", *MATCHED])
 
 
 def model_matched_200(out: Path):
-    """The largest cdf, 40,401 cells, in bounded time."""
+    """A model-matched compare at n_users=200: the largest cdf, 40,401 cells, in bounded time."""
     matches_closed_form(out, "model_matched200", [
         "--lambda1", "60", "--lambda2", "40", "--configurations", "r1_Hl_Hh,r0_Hl_Hl",
         "--frames", "5000", *MATCHED, "--set", "n_users=200"], timeout=60)
 
 
 def exhaustive(out: Path):
-    """The matched engine reproduces the closed form."""
+    """An exhaustive compare: the matched engine reproduces the closed form."""
     matches_closed_form(out, "exhaustive", [
         "--lambda1", "6,12", "--lambda2", "4", "--configurations", "exhaustive",
         "--activation", "exhaustive"])
 
 
 def exhaustive_100(out: Path):
-    """The large-N matched path, each grid built once, in bounded time."""
+    """An exhaustive compare at n_users=100: each grid built once, in bounded time."""
     matches_closed_form(out, "exhaustive100", [
         "--lambda1", "6,12", "--lambda2", "4", "--configurations", CANDIDATES,
         "--activation", "exhaustive", "--set", "n_users=100"], timeout=120)
 
 
 def exhaustive_200(out: Path):
-    """All eight grids, each built whole, in bounded time."""
+    """An exhaustive compare at n_users=200: all eight grids, built whole, in bounded time."""
     matches_closed_form(out, "exhaustive200", [
         "--lambda1", "6", "--lambda2", "4", "--configurations", "exhaustive",
         "--activation", "exhaustive", "--set", "n_users=200"], timeout=30)
@@ -177,7 +178,7 @@ def main(argv) -> int:
         return 2
     with tempfile.TemporaryDirectory() as out:
         for name in argv:
-            print(f"== {name}", flush=True)
+            print(f"== {name}", GATES[name].__doc__, sep="\n", flush=True)
             try:
                 GATES[name](Path(out))
             except GateFailed as failure:
