@@ -35,11 +35,10 @@ once per load point and parameter set and shared by the point's rows
 (``_law``).
 
 In matched mode a frame draws nothing, so its value is a function of
-(K1, K2): a row reads each chunk's values from its configuration's
-``_matched_values``, built whole from one engine pass over five one-unit
-frames and kept while the parameter set lives, and ``simulate_exhaustive``,
-the exact mean of such rows under model activation, is that law's pmf
-times those values, summed over the cells.
+(K1, K2): a row reads each chunk's values from its configuration's grid,
+``_matched_values``, and ``simulate_exhaustive``, the exact mean of such
+rows under model activation, is that law's pmf times the grid, summed
+over the cells.
 
 UAV-to-UAV interference never occurs: the guard offset keeps the low UAV
 outside the high UAV's main lobe.
@@ -56,7 +55,7 @@ import numpy as np
 
 from . import channel
 from .errors import RateExceedsPopulationError
-from .pairing import schedule_block
+from .pairing import check_counts, schedule_block, unit_counts
 from .params import SystemParams
 from .sinr import Configuration
 from .throughput import ActivationModel, LoadDistribution
@@ -366,6 +365,7 @@ def run_frame(cfg: Configuration, k1: int, k2: int, params: SystemParams, rng=No
     (unless mean), both from ``rng``. Only worst-case distances with mean
     shadowing draw nothing and may leave ``rng`` out.
     """
+    check_counts(k1=k1, k2=k2)
     if k1 < 0 or k2 < 0:
         raise ValueError(f"active-user counts must be non-negative: K1={k1}, K2={k2}")
     if rng is None and not (worst_case_distances and mean_shadowing):
@@ -402,46 +402,27 @@ def _stream(seed, kind: int):
 def _matched_values(cfg: Configuration, params: SystemParams) -> np.ndarray:
     """The matched-assumption value of every (K1, K2) of one configuration
     and parameter set: a flat, read-only (N + 1)^2 float array, cell
-    (K1, K2) at K1 (N + 1) + K2, built once per configuration while the
-    parameter set lives.
+    (K1, K2) at K1 (N + 1) + K2, kept in ``_GRIDS``.
 
-    In this mode a unit's two slot rates depend only on its kind and, for a
-    same-cell pair or a lone user, on its cell, and a frame serves its
-    cross-cell pairs, then same-cell pairs, then lone users. One engine pass
-    over the one-unit frames (1, 1), (2, 0), (1, 0), (0, 2), (0, 1) gives
-    every slot rate, summed per slot as the engine sums them; a cell's value
-    is its slot rates added in slot order, as the engine adds them, over
-    its slot count.
+    A unit's two slot rates depend only on its kind and, for a same-cell
+    pair or a lone user, on its cell, so one engine pass over the one-unit
+    frames (1, 1), (2, 0), (1, 0), (0, 2), (0, 1) gives each kind's two-slot
+    sum u. With ``unit_counts``' a_d, a_s and b and c the surplus cell, a
+    value is (a_d u_cross + a_s u_pair[c] + b u_lone[c]) / (2 (a_d + a_s + b)),
+    0 for the empty frame. A grid equals its mirror's transposed bit for bit,
+    and ``run_frame``'s matched frames, summed in slot order, to rounding.
     """
     grids = _GRIDS.setdefault(params, {})
     if cfg in grids:
         return grids[cfg]
-    n = params.n_users
     frames = np.array([[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]])
-    units = _receptions(cfg, frames, params, None, None)  # its slot is read before the next pass
-    slot_counts = units.slot_counts
-    # each frame's first unit: a cross-cell pair, then per cell a same-cell
-    # pair (two lone users if the other UAV is low) and a lone user
-    rates = np.bincount(units.slot, weights=units.rate)[
-        (np.cumsum(slot_counts) - slot_counts)[:, None] + [0, 1]]
-    cross, pairs, lone = rates[0], rates[[1, 3]], rates[[2, 4]]
-    # per surplus cell and per m: m cross-cell pairs' running sum, then
-    # that cell's pairs if the other UAV is high, else its lone users
-    helped = np.array([cfg.t2, cfg.t1]) == 1
-    running = np.zeros((2, n + 1, 2 * n + 1))
-    running[:, 1:, 0] = np.cumsum(np.tile(cross, n))[1::2]
-    running[:, :, 1:] = np.tile(np.where(helped[:, None], pairs, lone), n)[:, None, :]
-    np.cumsum(running, axis=2, out=running)
-
-    big_k1, big_k2 = np.indices((n + 1, n + 1)).reshape(2, -1)
-    shared, surplus, cell = (np.minimum(big_k1, big_k2), np.abs(big_k1 - big_k2),
-                             (big_k1 < big_k2).astype(np.intp))
-    tail_units = np.where(helped[cell], surplus // 2, surplus)
-    sums = running[cell, shared, 2 * tail_units]
-    odd = helped[cell] & (surplus % 2 == 1)  # a lone user after the pairs
-    for rate in lone[cell[odd]].T:
-        sums[odd] += rate
-    slots = 2 * (shared + tail_units + odd)
+    # (2, 0) and (0, 2) are no pair where the other UAV is low, but a_s = 0 there
+    u = 2 * _receptions(cfg, frames, params, None, None).throughput
+    big_k1, big_k2 = np.indices((params.n_users + 1,) * 2).reshape(2, -1)
+    a_d, a_s, b = unit_counts(cfg, big_k1, big_k2)
+    c = 2 * (big_k1 < big_k2)  # the surplus cell's pair sum is u[1 + c], its lone one u[2 + c]
+    sums = a_d * u[0] + a_s * u[1 + c] + b * u[2 + c]
+    slots = 2 * (a_d + a_s + b)
     values = grids[cfg] = np.divide(sums, slots, out=np.zeros(sums.size), where=slots > 0)
     values.flags.writeable = False
     return values
@@ -504,10 +485,10 @@ def simulate_exhaustive(cfg: Configuration, loads: LoadDistribution,
                         params: SystemParams) -> float:
     """Exact expectation of the matched-assumption simulator under
     MODEL_MATCHED activation: the ``pmf`` of the point's law (``_law``)
-    times the engine's value of every (K1, K2), ``_matched_values``, the
-    cells' products added by numpy's pairwise sum. Not a BLAS dot: a
-    threaded dot's bits depend on its thread count, and it oversubscribes
-    the cores under ``--workers``. Agreement with the analytical average
-    validates the scheduler and slot engine end to end."""
+    times the grid of ``_matched_values``, the cells' products added by
+    numpy's pairwise sum. Not a BLAS dot: a threaded dot's bits depend on
+    its thread count, and it oversubscribes the cores under ``--workers``.
+    Agreement with the analytical average validates the engine's unit
+    rates and the count rule of ``unit_counts``."""
     pmf = _law(loads, params, ActivationModel.MODEL_MATCHED).pmf
     return float((pmf.reshape(-1) * _matched_values(cfg, params)).sum())

@@ -1,15 +1,16 @@
 """Pair-count combinatorics and the three-step frame scheduler.
 
-Given K1 and K2 active users (k = K1 - K2), a frame serves: cross-cell
-co-channel pairs until the smaller cell is exhausted; then, if the surplus
-cell's partner UAV is high, same-cell pairs in the surplus cell; finally
-the leftovers individually. Every service unit occupies two slots.
+Given K1 and K2 active users (k = K1 - K2), a frame serves cross-cell
+pairs until the smaller cell is exhausted, then same-cell pairs in the
+surplus cell if its partner UAV is high, then the leftovers alone, each
+unit in two slots: ``unit_counts`` counts the units of many frames at once.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from numbers import Integral
 
 from .sinr import Configuration
 
@@ -37,6 +38,13 @@ class PairCounts:
     b: int
 
 
+def check_counts(**counts) -> None:
+    """Reject the first of ``counts`` that is not an integer; numpy integers pass, bools not."""
+    for name, value in counts.items():
+        if type(value) is bool or type(value) is not int and not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def pair_counts(k: int, big_k2: int, t1: int, t2: int,
                 mode: AccountingMode = AccountingMode.CONSISTENT) -> PairCounts:
     """Unit counts for load difference k = K1 - K2 and K2 active users in cell 2,
@@ -47,6 +55,7 @@ def pair_counts(k: int, big_k2: int, t1: int, t2: int,
     """
     if not isinstance(mode, AccountingMode):
         raise ValueError(f"mode must be an AccountingMode, got {mode!r}")
+    check_counts(k=k, big_k2=big_k2)
     if big_k2 < 0 or big_k2 + k < 0:
         raise ValueError(f"active-user counts must be non-negative: k={k}, K2={big_k2}")
 
@@ -60,6 +69,16 @@ def pair_counts(k: int, big_k2: int, t1: int, t2: int,
         a_s = 0
         b = surplus
     return PairCounts(a_d=a_d, a_s=a_s, b=b)
+
+
+def unit_counts(cfg: Configuration, k1, k2):
+    """``pair_counts`` under CONSISTENT accounting over k1 and k2: int64 a_d, a_s and b."""
+    import numpy as np  # here, so that the closed form loads no numpy
+
+    k1, k2 = np.asarray(k1, dtype=np.int64), np.asarray(k2, dtype=np.int64)
+    surplus = np.abs(k1 - k2)
+    pairs = surplus // 2 * np.where(k1 < k2, cfg.t1, cfg.t2)  # the helper must be high
+    return np.minimum(k1, k2), pairs, surplus - 2 * pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +103,8 @@ def schedule_block(cfg: Configuration, k1, k2, out=None) -> Schedule:
     import numpy as np  # here, so that the closed form loads no numpy
 
     k1, k2 = np.asarray(k1, dtype=np.int64), np.asarray(k2, dtype=np.int64)
-    shared, surplus, surplus_in_2 = np.minimum(k1, k2), np.abs(k1 - k2), k1 < k2
-    pairs = surplus // 2 * np.where(surplus_in_2, cfg.t1, cfg.t2)  # the helper must be high
-    units = shared + surplus - pairs
+    shared, pairs, lone = unit_counts(cfg, k1, k2)
+    surplus_in_2, units = k1 < k2, shared + pairs + lone
     # per unit: its frame, and its place among the frame's leftovers (< 0: cross-cell)
     frame = np.repeat(np.arange(k1.size), units)
     leftover = np.arange(frame.size) - (np.cumsum(units) - units + shared)[frame]

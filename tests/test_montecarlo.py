@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import sys
 import tracemalloc
 import weakref
@@ -388,35 +389,35 @@ MATCHED_ROW_FRAMES = (1, 63, 64, 65, 4095, 4096, 4097, 20_000)
 # benchmark's matched compare rows at --seed 1, across chunk ends
 FROZEN_MATCHED_ROWS = {
     ("r1_Hl_Hh", 6.0, 4.0, (1, 0, 0)): [
-        (40.40766982789502, 0.0), (40.36136673364234, 0.31169483749967963),
-        (40.37640249343493, 0.3081981596954284), (40.39097561446466, 0.3047610856488471),
-        (40.38207448273916, 0.038446157412295755), (40.38230436088311, 0.0384394106769161),
-        (40.382262643248964, 0.038430114186662236), (40.35871290443536, 0.017774208078001702)],
+        (40.407669827895, 0.0), (40.36136673364232, 0.3116948374996797),
+        (40.37640249343491, 0.3081981596954284), (40.390975614464644, 0.3047610856488471),
+        (40.38207448273914, 0.038446157412295755), (40.38230436088309, 0.0384394106769161),
+        (40.38226264324894, 0.038430114186662236), (40.35871290443533, 0.017774208078001702)],
     ("r1_Hh_Hl", 6.0, 4.0, (1, 0, 1)): [
-        (33.28510030471785, 0.0), (38.67428768290139, 0.620345749029894),
-        (38.67501279216358, 0.6105775681095099), (38.68715717579873, 0.6015817708769553),
-        (38.344172610766286, 0.07933581384214387), (38.34380013969394, 0.07931980203807515),
-        (38.34277193951212, 0.07932604227125285), (38.35537051103866, 0.035980494989379934)],
+        (33.285100304717844, 0.0), (38.674287682901365, 0.6203457490298937),
+        (38.67501279216355, 0.6105775681095097), (38.6871571757987, 0.601581770876955),
+        (38.344172610766265, 0.07933581384214385), (38.34380013969391, 0.07931980203807512),
+        (38.34277193951209, 0.07932604227125284), (38.35537051103864, 0.03598049498937992)],
     ("r0_Hl_Hl", 6.0, 4.0, (1, 0, 2)): [
-        (48.928612485833405, 0.0), (47.102200716393185, 0.6633660941840677),
-        (47.1039135030945, 0.6529273614360376), (47.020677210726994, 0.6631835817006974),
-        (46.98550899640758, 0.09571254886851903), (46.986612095435966, 0.09571360135059931),
-        (46.987321809053114, 0.09570034677983587), (46.97547238064594, 0.043901464157300174)],
+        (48.928612485833376, 0.0), (47.10220071639317, 0.663366094184066),
+        (47.1039135030945, 0.6529273614360361), (47.020677210726994, 0.663183581700696),
+        (46.985508996407575, 0.09571254886851882), (46.986612095435966, 0.09571360135059909),
+        (46.987321809053114, 0.09570034677983566), (46.97547238064593, 0.04390146415730008)],
     ("r1_Hl_Hh", 12.0, 4.0, (1, 1, 0)): [
-        (40.21138721379374, 0.0), (40.69752905365953, 0.13192329686246168),
-        (40.70731227720185, 0.13125385338299994), (40.71679447848132, 0.13054846344670193),
-        (40.79802656769551, 0.017047418461907427), (40.79815489503747, 0.017045111842578984),
-        (40.79828315973489, 0.01704280524180985), (40.791766268542894, 0.00799437538564134)],
+        (40.21138721379373, 0.0), (40.697529053659515, 0.13192329686246107),
+        (40.70731227720184, 0.13125385338299936), (40.716794478481305, 0.13054846344670132),
+        (40.79802656769549, 0.017047418461907382), (40.79815489503744, 0.017045111842578935),
+        (40.798283159734865, 0.017042805241809806), (40.791766268542865, 0.007994375385641319)],
     ("r1_Hh_Hl", 12.0, 4.0, (1, 1, 1)): [
-        (32.95699601673216, 0.0), (33.1243452523619, 0.9582943957299599),
-        (33.171116951403036, 0.9476466889159866), (33.17367359390715, 0.9329670596237092),
-        (33.33510601922245, 0.10236480866127785), (33.33675846344126, 0.10239105105323311),
-        (33.335985056339815, 0.10237727953985983), (33.35792365494552, 0.046241596236544204)],
+        (32.956996016732134, 0.0), (33.12434525236188, 0.9582943957299583),
+        (33.171116951403015, 0.947646688915985), (33.173673593907125, 0.9329670596237076),
+        (33.33510601922244, 0.10236480866127763), (33.336758463441235, 0.10239105105323291),
+        (33.3359850563398, 0.10237727953985963), (33.35792365494551, 0.04624159623654411)],
     ("r0_Hl_Hl", 12.0, 4.0, (1, 1, 2)): [
-        (37.76945525222227, 0.0), (41.07608067690095, 0.9689123220212366),
-        (41.14959750822253, 0.9644774003901639), (41.12400752613876, 0.9508471306430502),
-        (40.91186046346728, 0.13514612825091454), (40.91193155273238, 0.13511320140637964),
-        (40.91102485495986, 0.1350919083311812), (40.911669268651806, 0.06004744015823751)],
+        (37.769455252222265, 0.0), (41.07608067690096, 0.9689123220212357),
+        (41.14959750822254, 0.9644774003901629), (41.124007526138776, 0.9508471306430492),
+        (40.911860463467285, 0.13514612825091446), (40.91193155273238, 0.13511320140637956),
+        (40.91102485495986, 0.13509190833118112), (40.91166926865181, 0.060047440158237465)],
 }
 
 
@@ -560,6 +561,21 @@ def test_run_frame_rejects_negative_counts(params, candidates, k1, k2):
         run_frame(candidates["r0_Hl_Hl"], k1, k2, params, np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("k1,k2,named", [(2.5, 1, "k1"), (True, 1, "k1"), (3, 2.0, "k2"),
+                                         (3, np.float64(2.0), "k2"), (np.True_, 1, "k1")],
+                         ids=["float", "bool", "float_k2", "numpy_float", "numpy_bool"])
+def test_run_frame_names_a_count_that_is_not_an_integer(params, candidates, k1, k2, named):
+    value = k1 if named == "k1" else k2
+    with pytest.raises(ValueError, match=re.escape(f"{named} must be an integer, got {value!r}")):
+        run_frame(candidates["r0_Hl_Hl"], k1, k2, params, np.random.default_rng(1))
+
+
+def test_run_frame_takes_numpy_integer_counts(params, candidates):
+    cfg = candidates["r1_Hl_Hh"]
+    assert (matched_frame(cfg, np.int64(5), np.int32(2), params).throughput
+            == matched_frame(cfg, 5, 2, params).throughput)
+
+
 def test_exhaustive_matches_analytical(params, candidates):
     loads = LoadDistribution(7.0, 4.0)
     for cfg in candidates.values():
@@ -601,16 +617,29 @@ def test_matched_values_match_conditional_per_key(params):
 @example(30, 300.0, math.pi / 3, 2.0, 35.0, 35.0)  # the default parameter set
 def test_grid_equals_one_engine_pass_over_every_cell(n_users, d_sep_m, phi_b_rad, n_los,
                                                      p_u_dbm, p_g_dbm):
-    # a grid built from the five unit frames holds, bit for bit, what the
-    # engine computes for every (K1, K2) of [0, N]^2, both axes included
+    # every (K1, K2) of [0, N]^2, both axes included: the grid holds, bit for
+    # bit, the share form of pair_counts' units and the two-slot sums of
+    # run_frame's one-unit frames, and the engine's own pass over the cells,
+    # which adds each frame's slot rates in slot order, to rounding
     params = validate_and_derive({**default_config(), "n_users": n_users, "d_sep_m": d_sep_m,
                                   "phi_b_rad": phi_b_rad, "n_los": n_los, "p_u_dbm": p_u_dbm,
                                   "p_g_dbm": p_g_dbm})
     n = params.n_users
     counts = np.column_stack(np.divmod(np.arange((n + 1) ** 2), n + 1))
     for cfg in all_configurations().values():
-        expected = _receptions(cfg, counts, params, None, None)
-        assert np.array_equal(_matched_values(cfg, params), expected.throughput)
+        u = {cell: 2 * matched_frame(cfg, *cell, params).throughput[0].item()
+             for cell in ((1, 1), (2, 0), (1, 0), (0, 2), (0, 1))}
+        expected = []
+        for k1, k2 in counts.tolist():
+            units = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
+            pair, lone = (u[0, 2], u[0, 1]) if k1 < k2 else (u[2, 0], u[1, 0])
+            slots = 2 * (units.a_d + units.a_s + units.b)
+            expected.append((units.a_d * u[1, 1] + units.a_s * pair + units.b * lone) / slots
+                            if slots else 0.0)
+        grid = _matched_values(cfg, params)
+        assert np.array_equal(grid, expected)
+        assert_allclose(grid, _receptions(cfg, counts, params, None, None).throughput,
+                        rtol=4 * n * 2.0 ** -52, atol=0)
 
 
 def spy_on(monkeypatch, name):
@@ -706,15 +735,14 @@ def test_matched_values_schedule_once_per_grid(params, monkeypatch):
         assert len(schedules) == built
 
 
-@pytest.mark.parametrize("n", [2, 3, 30])
-def test_matched_grid_is_its_mirror_transposed_to_rounding(params, n):
-    # a mirror's grid is this grid transposed, but for r = 1 the engine adds
-    # the slot rates in another order, so the cells agree to rounding only
-    # and a transpose cannot stand in for the mirror's own grid
+@pytest.mark.parametrize("n", [2, 3, 30, 200])
+def test_matched_grid_is_its_mirror_transposed(params, n):
+    # the mirror serves cell (K2, K1) with the same unit counts and unit
+    # sums, so its grid is this grid transposed, bit for bit
     system = dataclasses.replace(params, n_users=n)
     for cfg in all_configurations().values():
         mirrored = _matched_values(cfg.mirror, system).reshape(n + 1, n + 1).T.ravel()
-        assert_allclose(mirrored, _matched_values(cfg, system), rtol=1e-15, atol=0)
+        assert np.array_equal(mirrored, _matched_values(cfg, system))
 
 
 def test_rows_sharing_a_grid_match_fresh_grids(params, candidates, monkeypatch):
@@ -829,12 +857,16 @@ class Replay:
 
 
 def frame_by_frame(cfg, loads, params, n_frames, seed, activation, mode):
-    """Per-frame throughputs of a plain run_frame loop over numpy's three
-    streams of ``seed``, the reference the engine must match bit for bit:
-    all frames' counts from spawn key 0, then each frame's layout from the
-    uniforms of spawn key 1 and its deviates from spawn key 2, frame after
-    frame, which one stand-in stream replays."""
+    """Per-frame throughputs of a plain loop over numpy's three streams of
+    ``seed``, the reference a row must match bit for bit: all frames'
+    counts from spawn key 0, then each frame's layout from the uniforms of
+    spawn key 1 and its deviates from spawn key 2, frame after frame, which
+    one stand-in stream replays for run_frame. A matched frame, which
+    run_frame sums in slot order, is read off the grid at its cell."""
     keys = draw_counts(_Activation(loads, params, activation), spawn(seed, COUNTS), n_frames)
+    if mode == MODES["worst_mean"]:
+        grid = _matched_values(cfg, params)
+        return np.array([grid[k1 * (params.n_users + 1) + k2] for k1, k2 in keys.tolist()])
     users = int(keys.sum())
     # a user has two receptions and a reception at most two deviates; a
     # generator's draws in several calls equal its draws in one, so these

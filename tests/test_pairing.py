@@ -1,11 +1,13 @@
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uav_twoway.pairing import AccountingMode, PairCounts, pair_counts, schedule_block
+from uav_twoway.pairing import (AccountingMode, PairCounts, pair_counts, schedule_block,
+                                unit_counts)
 from uav_twoway.sinr import Configuration, all_configurations
 
 CROSS_CELL, SAME_CELL, INDIVIDUAL = range(3)  # service unit classes
@@ -52,6 +54,20 @@ def test_mode_of_another_type_is_named():
     # would give a_s = 1 where PAPER_LITERAL gives 3
     with pytest.raises(ValueError, match="mode must be an AccountingMode, got 'paper'"):
         pair_counts(3, 2, 1, 1, "paper")
+
+
+@pytest.mark.parametrize("k,big_k2,named", [(2.5, 1, "k"), (True, 1, "k"), (1, 1.0, "big_k2"),
+                                             (1, np.float64(2.0), "big_k2"), (np.True_, 1, "k")],
+                         ids=["float", "bool", "float_k2", "numpy_float", "numpy_bool"])
+def test_non_integer_count_is_named(k, big_k2, named):
+    # 2.5 counted a_s = 1.0 and b = 0.5, and True counted as k = 1
+    value = k if named == "k" else big_k2
+    with pytest.raises(ValueError, match=re.escape(f"{named} must be an integer, got {value!r}")):
+        pair_counts(k, big_k2, 0, 1)
+
+
+def test_numpy_integer_counts_are_counts():
+    assert pair_counts(np.int64(3), np.int32(2), 0, 1) == pair_counts(3, 2, 0, 1)
 
 
 def test_conservation_consistent():
@@ -159,6 +175,24 @@ def test_schedule_matches_pair_counts_everywhere():
                 expected = pair_counts(k1 - k2, k2, cfg.t1, cfg.t2)
                 schedule = schedule_block(cfg, [k1], [k2])
                 assert tally(unit_classes(schedule, [k1], [k2])) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_unit_count_grids_are_pair_counts_and_the_schedule_tallies(n):
+    # the vectorized count rule over every cell of [0, N]^2: the scalar
+    # closed form's counts, and the units schedule_block plans, by class
+    # and in slots
+    k1s, k2s = np.indices((n + 1, n + 1)).reshape(2, -1)
+    for cfg in all_configurations().values():
+        a_d, a_s, b = unit_counts(cfg, k1s, k2s)
+        counts = [PairCounts(*cell) for cell in zip(a_d.tolist(), a_s.tolist(), b.tolist())]
+        assert counts == [pair_counts(k1 - k2, k2, cfg.t1, cfg.t2, AccountingMode.CONSISTENT)
+                          for k1, k2 in zip(k1s.tolist(), k2s.tolist())]
+        block = schedule_block(cfg, k1s, k2s)
+        assert np.array_equal(block.slot_counts, 2 * (a_d + a_s + b))
+        ends = np.cumsum(block.slot_counts)[:-1] // 2
+        assert [tally(classes) for classes in
+                np.split(unit_classes(block, k1s, k2s), ends)] == counts
 
 
 blocks = st.tuples(st.sampled_from(list(all_configurations().values())),
