@@ -44,6 +44,12 @@ MAX_AXIS_VALUES = 10_000  # values per load axis of a grid
 # here, and its standard deviation works in place: a 10^6-frame physical
 # row peaked 7.1 MB above a 10^5-frame one (CHANGES.md).
 MAX_FRAMES = 10_000_000
+# Rows of a grid, points times rows per point: 26 s of analytical rows at
+# 26 us each (sweep_grid, 10.2 ms for 400 rows, BENCH_39.json).
+MAX_GRID_ROWS = 1_000_000
+# Monte Carlo frames of a grid, its rows times --frames: 9 minutes at 5.4 us
+# per physical frame (mc_exact, 32.5 ms for 6,000 frames, BENCH_39.json).
+MAX_GRID_FRAMES = 100_000_000
 # Worker processes of a grid run. A multiprocessing.Pool forks all its
 # workers when it is built, so the count is checked before any pool exists,
 # and a run starts at most one per grid point.
@@ -217,6 +223,13 @@ class SweepSpec:
                     raise ConfigError(f"{flag}={value}: --activation exhaustive {reason}")
         elif args.command == "compare" and args.frames < 1:
             raise ConfigError("compare requires --frames >= 1 (or --activation exhaustive)")
+        rows = len(lambda1_values) * len(lambda2_values) * len(selections)
+        flags = "--lambda1 values x --lambda2 values x --configurations rows"
+        if rows > MAX_GRID_ROWS:
+            raise ConfigError(f"{flags}: {rows:,} rows, more than {MAX_GRID_ROWS:,}")
+        if rows * args.frames > MAX_GRID_FRAMES:
+            raise ConfigError(f"{flags} x --frames: {rows * args.frames:,} frames, "
+                              f"more than {MAX_GRID_FRAMES:,}")
         activation = ActivationModel.MODEL_MATCHED if exact else ActivationModel(args.activation)
         if args.frames and activation is ActivationModel.BINOMIAL_PER_USER:
             # each user is active with probability lambda / N

@@ -86,9 +86,9 @@ def _positions(uniforms: np.ndarray, sizes: np.ndarray, cell: np.ndarray,
 
 
 # Each parameter set's matched values, one read-only array per configuration
-# (``_matched_values``), each made on first use and kept while the set
-# lives; and the activation laws of the last load pair and parameter set,
-# by model (``_law``)
+# (``_matched_values``), each made on first use, from one engine pass per
+# mirror pair, and kept while the set lives; and the activation laws of the
+# last load pair and parameter set, by model (``_law``)
 _GRIDS = weakref.WeakKeyDictionary()
 _LAWS = weakref.WeakKeyDictionary()
 
@@ -410,11 +410,18 @@ def _matched_values(cfg: Configuration, params: SystemParams) -> np.ndarray:
     sum u. With ``unit_counts``' a_d, a_s and b and c the surplus cell, a
     value is (a_d u_cross + a_s u_pair[c] + b u_lone[c]) / (2 (a_d + a_s + b)),
     0 for the empty frame. A grid equals its mirror's transposed bit for bit,
-    and ``run_frame``'s matched frames, summed in slot order, to rounding.
+    and ``run_frame``'s matched frames, summed in slot order, to rounding, so
+    a configuration whose mirror's grid is kept takes that grid transposed,
+    a copy, and a mirror pair makes one engine pass.
     """
     grids = _GRIDS.setdefault(params, {})
     if cfg in grids:
         return grids[cfg]
+    twin = grids.get(cfg.mirror)
+    if twin is not None:
+        values = grids[cfg] = twin.reshape(params.n_users + 1, -1).T.flatten()
+        values.flags.writeable = False
+        return values
     frames = np.array([[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]])
     # (2, 0) and (0, 2) are no pair where the other UAV is low, but a_s = 0 there
     u = 2 * _receptions(cfg, frames, params, None, None).throughput

@@ -3,7 +3,11 @@
 Given K1 and K2 active users (k = K1 - K2), a frame serves cross-cell
 pairs until the smaller cell is exhausted, then same-cell pairs in the
 surplus cell if its partner UAV is high, then the leftovers alone, each
-unit in two slots: ``unit_counts`` counts the units of many frames at once.
+unit in two slots. ``pair_counts``, the public entry, validates its counts
+and its mode, then takes a_s and b from ``surplus_counts``, the rule stated
+once without checks, which the closed form calls with counts it makes
+itself. ``unit_counts`` is the engine's own vectorized copy: it counts the
+units of many frames at once.
 """
 
 from __future__ import annotations
@@ -58,17 +62,19 @@ def pair_counts(k: int, big_k2: int, t1: int, t2: int,
     check_counts(k=k, big_k2=big_k2)
     if big_k2 < 0 or big_k2 + k < 0:
         raise ValueError(f"active-user counts must be non-negative: k={k}, K2={big_k2}")
+    return PairCounts(min(big_k2 + k, big_k2), *surplus_counts(k, t1, t2, mode))
 
-    a_d = min(big_k2 + k, big_k2)
+
+def surplus_counts(k: int, t1: int, t2: int, mode: AccountingMode) -> tuple[int, int]:
+    """``pair_counts``' a_s and b, which depend on k alone, without its
+    checks: the caller vouches that k is an integer and ``mode`` an
+    AccountingMode."""
     surplus = abs(k)
-    helping = t2 if k > 0 else t1
+    helping = t2 if k > 0 else t1  # the other cell's UAV, which must be high
     if surplus and helping:
-        a_s = surplus if mode is AccountingMode.PAPER_LITERAL else surplus // 2
-        b = surplus - 2 * (surplus // 2)
-    else:
-        a_s = 0
-        b = surplus
-    return PairCounts(a_d=a_d, a_s=a_s, b=b)
+        return (surplus if mode is AccountingMode.PAPER_LITERAL else surplus // 2,
+                surplus & 1)
+    return 0, surplus
 
 
 def unit_counts(cfg: Configuration, k1, k2):

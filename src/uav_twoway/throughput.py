@@ -6,13 +6,15 @@ Skellam distribution. For each k, the admissible splits (K2, K2 + k) with
 both counts in [1, N] are averaged with weights C(N, K2+k)*C(N, K2)
 (the number of distinct active-user cases), and each split contributes its
 conditional per-slot throughput. Only the cross-cell pair count depends on
-K2, so a k's values come from one ``pair_counts`` call. The weights depend
-on N alone: ``SystemParams.split_weights`` builds them once per parameter
-set, each k < 0 diagonal the transpose of the -k one, and every table built
-from it reads them. Swapping the cells maps (r, t1, t2) to its mirror
-(r, t2, t1) and k to -k, bit for bit, so a table is its own k >= 0 half
-followed by its mirror's k > 0 entries, reversed: ``conditional_tables``
-builds each half once for all the tables of a call.
+K2, so a k's values come from one ``surplus_counts`` call: the count rule
+of ``pair_counts`` without its checks, as the loops make every count
+themselves. The weights depend on N alone: ``SystemParams.split_weights``
+builds them once per parameter set, each k < 0 diagonal the transpose of
+the -k one, and every table built from it reads them. Swapping the cells
+maps (r, t1, t2) to its mirror (r, t2, t1) and k to -k, bit for bit, so a
+table is its own k >= 0 half followed by its mirror's k > 0 entries,
+reversed: ``conditional_tables`` builds each half once for all the tables
+of a call.
 
 The average therefore factors into a load-only vector P(lambda)[k]
 (``skellam_vector``) and a configuration-only vector C(cfg)[k]
@@ -29,7 +31,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import NonPositiveRateError
-from .pairing import AccountingMode, pair_counts
+from .pairing import AccountingMode, surplus_counts
 from .params import SystemParams, admissible_k2
 from .rates import RateSet, rate_set
 from .sinr import Configuration, candidate_configurations
@@ -172,14 +174,14 @@ def _frame_throughputs(k: int, splits: range, cfg: Configuration, mode: Accounti
     """Per-slot throughput [bits/s/Hz] of the frames with loads (K2 + k, K2),
     k >= 0, one per K2 of ``splits`` (no empty frame among them).
 
-    a_s and b depend on k alone and a_d = K2, so one ``pair_counts`` call
-    serves all the splits. Leftover users are in cell 1, whose own UAV
+    a_s and b depend on k alone and a_d = K2, so one ``surplus_counts``
+    call serves all the splits. Leftover users are in cell 1, whose own UAV
     serves them in the final step: they get UAV1's individual rate.
     """
-    counts = pair_counts(k, splits.start, cfg.t1, cfg.t2, mode)
-    others = counts.a_s + counts.b
-    same = counts.a_s * rates.r_cochannel_same
-    alone = counts.b * rates.r_individual
+    a_s, b = surplus_counts(k, cfg.t1, cfg.t2, mode)
+    others = a_s + b
+    same = a_s * rates.r_cochannel_same
+    alone = b * rates.r_individual
     r_d = rates.r_cochannel_diff
     return [(a_d * r_d + same + alone) / (2 * (a_d + others)) for a_d in splits]
 
@@ -196,10 +198,11 @@ class ConditionalTable:
 
 def _half_table(cfg: Configuration, params: SystemParams, mode: AccountingMode) -> list[float]:
     """C(cfg)[k] for k = 0..N from the closed-form conditional throughput
-    under accounting ``mode``: one ``pair_counts`` call and one pass over the
-    splits per k. A k's frames (K2 + k, K2), one per admissible K2, are
-    weighted with ``params.split_weights`` read at stride N + 2 from the
-    first split's cell (``map`` stops with the splits). Each entry is an
+    under accounting ``mode``: one ``surplus_counts`` call and one pass over
+    the splits per k, with no count checked again (``conditional_tables``
+    checks the mode once). A k's frames (K2 + k, K2), one per admissible
+    K2, are weighted with ``params.split_weights`` read at stride N + 2 from
+    the first split's cell (``map`` stops with the splits). Each entry is an
     exactly rounded sum (``math.fsum``), so it does not depend on the order
     of the splits."""
     n, weights, rates = params.n_users, params.split_weights, rate_set(cfg, params)

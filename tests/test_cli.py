@@ -20,7 +20,7 @@ import uav_twoway
 from uav_twoway import (ActivationModel, all_configurations, candidate_configurations, cli,
                         default_config, montecarlo, validate_and_derive)
 from uav_twoway.cli import CSV_COLUMNS, MAX_FRAMES, MAX_WORKERS, main
-from uav_twoway.errors import NonPositiveRateError
+from uav_twoway.errors import ConfigError, NonPositiveRateError
 from uav_twoway.params import CONFIG_SCHEMA, MAX_USERS, SystemParams, split_weight_grid
 from uav_twoway.throughput import (LoadDistribution, average_throughput, conditional_table,
                                    optimal_configuration)
@@ -563,9 +563,10 @@ def test_row_streams_keep_csv_bytes_across_fill_settings(tmp_path, monkeypatch, 
 
 
 def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monkeypatch):
-    # the rows of a configuration share one grid across load points, so a
-    # command builds each configuration's grid once, in one engine pass, and
-    # computes each (K1, K2) once; the rows of a point share one model law
+    # the rows of a configuration share one grid across load points, and a
+    # mirror's grid is its twin's transposed, so a command makes one engine
+    # pass per mirror pair, r1_Hl_Hh's and r0_Hl_Hl's, and computes each
+    # (K1, K2) once in it; the rows of a point share one model law
     passes, builds = [], []
     receptions, law = montecarlo._receptions, montecarlo._Activation
     monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
@@ -586,7 +587,7 @@ def test_matched_compare_computes_each_cell_once_per_configuration(capsys, monke
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 6 and {row["deviation_flag"] for row in rows} == {"ok"}
     assert [loads.lambda1 for loads, *_ in builds] == [6.0, 12.0]
-    assert len(passes) == len({cfg for cfg, _ in passes}) == 3
+    assert len(passes) == len(mirror_pairs(cfg for cfg, _ in passes)) == 2
     for cfg in {cfg for cfg, _ in passes}:
         cells = [tuple(key) for c, counts in passes if c == cfg for key in counts.tolist()]
         assert len(cells) == len(set(cells))
@@ -646,6 +647,50 @@ def test_exhaustive_rejects_a_flag_it_cannot_honour(capsys, command, flag, value
 def test_compare_requires_frames(capsys, tmp_path):
     assert run_cli("compare", "--lambda1", "5", "--lambda2", "5",
                    "--out", str(tmp_path / "c.csv")) == 2
+
+
+GRID_FLAGS = "--lambda1 values x --lambda2 values x --configurations rows"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("sweep", "--lambda1", "1:10000:1", "--lambda2", "1:10000:1"),
+     f"{GRID_FLAGS}: 400,000,000 rows, more than 1,000,000"),
+    (("compare", "--lambda1", "1:100:1", "--lambda2", "1:100:1", "--frames", "10000000",
+      "--configurations", "exhaustive,optimal"),
+     f"{GRID_FLAGS} x --frames: 900,000,000,000 frames, more than 100,000,000")],
+    ids=["rows", "frames"])
+def test_grid_over_its_work_bound_exits_naming_its_flags(capsys, tmp_path, argv, error):
+    # 4 * 10^8 rows, or 9 * 10^11 frames, would run for days: the command
+    # exits 2 in one line before it opens --out
+    out = tmp_path / "grid.csv"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+def grid_spec(*argv):
+    """The ``SweepSpec`` of a command, which computes no row."""
+    return cli.SweepSpec.from_args(cli.build_parser().parse_args(argv))
+
+
+def test_grid_at_its_work_bounds_is_accepted():
+    # a grid exactly at either bound is accepted, and one row or frame per
+    # row more is not
+    side = cli.MAX_GRID_ROWS // 1000
+    assert 1000 * side == cli.MAX_GRID_ROWS and side < cli.MAX_AXIS_VALUES
+    argv = ("sweep", "--lambda1", "1:1000:1", "--configurations", "r0_Hl_Hl")
+    spec = grid_spec(*argv, "--lambda2", f"1:{side}:1")
+    assert len(spec.lambda1_values) * len(spec.lambda2_values) == cli.MAX_GRID_ROWS
+    with pytest.raises(ConfigError, match=f"{GRID_FLAGS}: 1,001,000 rows"):
+        grid_spec(*argv, "--lambda2", f"1:{side + 1}:1")
+    # one point of 16 rows, the 8 configurations twice
+    frames = cli.MAX_GRID_FRAMES // 16
+    assert 16 * frames == cli.MAX_GRID_FRAMES and frames < MAX_FRAMES
+    argv = ("compare", "--lambda1", "6", "--lambda2", "4", "--configurations",
+            "exhaustive,exhaustive", "--frames")
+    assert grid_spec(*argv, str(frames)).frames == frames
+    with pytest.raises(ConfigError, match=f"{GRID_FLAGS} x --frames: 100,000,016 frames"):
+        grid_spec(*argv, str(frames + 1))
 
 
 def test_compare_sampled_matched_flags_nothing(tmp_path):
@@ -713,6 +758,12 @@ def test_split_weights_outlive_no_call(capsys, monkeypatch):
     assert built == [30, 30]
 
 
+def mirror_pairs(configs):
+    """The mirror pairs among ``configs``, each a set of a configuration and
+    its mirror, one element for a configuration that is its own mirror."""
+    return {frozenset((cfg, cfg.mirror)) for cfg in configs}
+
+
 def count_grids(monkeypatch):
     """The configuration labels of every engine pass, in order, from an
     empty grid store: an exhaustive or matched command's only passes are its
@@ -730,12 +781,15 @@ def count_grids(monkeypatch):
 
 
 def test_exhaustive_matched_tables_built_once_per_call(capsys, monkeypatch):
-    # a matched grid depends on the configuration alone: one build per
-    # configuration a row reads, whatever the number of points
+    # a matched grid depends on the configuration alone, and a mirror's is
+    # its twin's transposed: one build per mirror pair a row reads, whatever
+    # the number of points, so 6 for the 8 configurations
     built = count_grids(monkeypatch)
     assert run_cli("compare", "--lambda1", "6,12", "--lambda2", "4", "--configurations",
                    "exhaustive", "--activation", "exhaustive") == 0
-    assert sorted(built) == sorted(all_configurations())
+    configs = all_configurations()
+    assert len(built) == 6
+    assert mirror_pairs(map(configs.get, built)) == mirror_pairs(configs.values())
     out = capsys.readouterr().out
     assert out.count("\n") == 1 + 2 * 8 and "DEVIATION" not in out
 
@@ -754,16 +808,19 @@ def test_exhaustive_optimal_builds_only_its_winner(capsys, monkeypatch, params, 
 
 def test_grids_outlive_no_command(capsys, monkeypatch):
     # the grids live with the command's parameter set: a second command in
-    # the same process builds them again
+    # the same process builds them again, one per mirror pair of the
+    # candidates
     built = count_grids(monkeypatch)
     argv = ("compare", "--lambda1", "6,12", "--lambda2", "4", "--frames", "100",
             "--activation", "model", "--distances", "worst", "--shadowing", "mean")
     assert run_cli(*argv) == 0
     first = capsys.readouterr().out
-    assert sorted(built) == sorted(candidate_configurations())
+    candidates = candidate_configurations()
+    assert len(built) == 2
+    assert mirror_pairs(map(candidates.get, built)) == mirror_pairs(candidates.values())
     assert run_cli(*argv) == 0
     assert capsys.readouterr().out == first
-    assert built[3:] == built[:3]
+    assert built[2:] == built[:2]
 
 
 def test_exhaustive_rows_are_the_library_value(capsys, params):

@@ -658,18 +658,22 @@ MATCHED = dict(worst_case_distances=True, mean_shadowing=True)
 
 
 def test_matched_row_fills_its_grid_once(params, candidates, monkeypatch):
-    # a grid makes one engine pass, over its five one-unit frames, and a
-    # 20,000-frame row of five chunks reads the grid without any
+    # a grid makes one engine pass, over its five one-unit frames, unless
+    # its mirror's grid is kept, and a 20,000-frame row of five chunks reads
+    # the grid without any: r1_Hh_Hl's row takes r1_Hl_Hh's grid transposed
     assert -(-20_000 // FILL_FRAMES) == 5
     monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
     passes = spy_on(monkeypatch, "_receptions")
-    for cfg in candidates.values():
+    counts = {}
+    for label, cfg in candidates.items():
         passes.clear()
         simulate(cfg, LoadDistribution(6.0, 4.0), params, 20_000, seed=3,
                  activation=ActivationModel.MODEL_MATCHED, **MATCHED)
-        assert len(passes) == 1
-        assert passes[0][1].tolist() == [[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]]
-        assert passes[0][2:] == (params, None, None)
+        counts[label] = len(passes)
+        for pass_ in passes:
+            assert pass_[1].tolist() == [[1, 1], [2, 0], [1, 0], [0, 2], [0, 1]]
+            assert pass_[2:] == (params, None, None)
+    assert counts == {"r1_Hl_Hh": 1, "r1_Hh_Hl": 0, "r0_Hl_Hl": 1}
 
 
 @pytest.mark.parametrize("mode", ["worst_mean", "exact_sampled"])
@@ -726,23 +730,50 @@ def test_shared_law_arrays_are_read_only(params, model):
 
 
 def test_matched_values_schedule_once_per_grid(params, monkeypatch):
-    # a grid reads each unit frame's slot count off its one engine pass
+    # a grid reads each unit frame's slot count off its one engine pass,
+    # made once per mirror pair: 6 for the 8 configurations
     monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
     schedules = spy_on(monkeypatch, "schedule_block")
-    for built, cfg in enumerate(all_configurations().values(), 1):
-        _matched_values(cfg, params)
-        _matched_values(cfg, params)
-        assert len(schedules) == built
-
-
-@pytest.mark.parametrize("n", [2, 3, 30, 200])
-def test_matched_grid_is_its_mirror_transposed(params, n):
-    # the mirror serves cell (K2, K1) with the same unit counts and unit
-    # sums, so its grid is this grid transposed, bit for bit
-    system = dataclasses.replace(params, n_users=n)
+    pairs = set()
     for cfg in all_configurations().values():
-        mirrored = _matched_values(cfg.mirror, system).reshape(n + 1, n + 1).T.ravel()
-        assert np.array_equal(mirrored, _matched_values(cfg, system))
+        _matched_values(cfg, params)
+        _matched_values(cfg, params)
+        pairs.add(frozenset((cfg, cfg.mirror)))
+        assert len(schedules) == len(pairs)
+    assert len(schedules) == 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 30, 200])
+def test_matched_grid_is_its_mirror_transposed(params, n, monkeypatch):
+    # the mirror serves cell (K2, K1) with the same unit counts and unit
+    # sums, so its grid is this grid transposed, bit for bit; each grid
+    # comes from its own engine pass, in an empty store, so that no grid is
+    # the other's kept transpose
+    system = dataclasses.replace(params, n_users=n)
+
+    def fresh(cfg):
+        monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
+        return _matched_values(cfg, system)
+
+    for cfg in all_configurations().values():
+        mirrored = fresh(cfg.mirror).reshape(n + 1, n + 1).T.ravel()
+        assert np.array_equal(mirrored, fresh(cfg))
+
+
+def test_mirror_grid_is_a_read_only_transposed_copy(params, monkeypatch):
+    # a mirror's grid taken from its twin's is flat, C-contiguous, its own
+    # memory and read-only, as a grid from an engine pass is
+    monkeypatch.setattr(montecarlo, "_GRIDS", weakref.WeakKeyDictionary())
+    passes = spy_on(monkeypatch, "_receptions")
+    cfg, n = all_configurations()["r1_Hl_Hh"], params.n_users
+    twin = _matched_values(cfg, params)
+    grid = _matched_values(cfg.mirror, params)
+    assert len(passes) == 1 and _matched_values(cfg.mirror, params) is grid
+    assert np.array_equal(grid, twin.reshape(n + 1, n + 1).T.ravel())
+    assert grid.shape == ((n + 1) ** 2,) and grid.flags.c_contiguous
+    assert not np.shares_memory(grid, twin)
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 1.0
 
 
 def test_rows_sharing_a_grid_match_fresh_grids(params, candidates, monkeypatch):

@@ -49,6 +49,13 @@ def test_negative_counts_rejected():
         pair_counts(-3, 2, 0, 0)
 
 
+@pytest.mark.parametrize("k,big_k2", [(-3, 2), (1, -1), (-1, 0)])
+def test_negative_count_message_names_both(k, big_k2):
+    message = f"active-user counts must be non-negative: k={k}, K2={big_k2}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pair_counts(k, big_k2, 0, 0)
+
+
 def test_mode_of_another_type_is_named():
     # "paper" is the value of PAPER_LITERAL, but counting it as CONSISTENT
     # would give a_s = 1 where PAPER_LITERAL gives 3

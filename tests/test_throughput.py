@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from uav_twoway import default_config, throughput, validate_and_derive
+from uav_twoway import default_config, pairing, throughput, validate_and_derive
 from uav_twoway.errors import NonPositiveRateError
 from uav_twoway.montecarlo import _matched_values
 from uav_twoway.pairing import AccountingMode, pair_counts
@@ -254,6 +254,30 @@ def test_conditional_table_equals_per_split_reference_at_200_users():
     for cfg in (Configuration(1, 0, 1), Configuration(1, 1, 0)):
         for mode in AccountingMode:
             assert conditional_table(cfg, params, mode).values == per_split_table(cfg, params, mode)
+
+
+@pytest.mark.parametrize("configs", [candidate_configurations, all_configurations])
+@pytest.mark.parametrize("mode", list(AccountingMode))
+def test_tables_validate_no_count_and_build_no_pair_counts(configs, mode, monkeypatch):
+    # the closed form's loops make every count themselves, so building the
+    # tables reads the count rule alone: no pair_counts validation, no
+    # PairCounts; a pair_counts call after them shows the spies see both
+    calls = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real[name](*args, **kwargs)
+        return record
+
+    real = {name: getattr(pairing, name) for name in ("check_counts", "PairCounts")}
+    for name in real:
+        monkeypatch.setattr(pairing, name, spy(name))
+    tables = conditional_tables(configs(), params_with_users(30), mode)
+    assert len(tables) == len(configs()) and calls == []
+    assert pairing.pair_counts(3, 2, 0, 1, mode) == real["PairCounts"](2, *(
+        (3, 1) if mode is AccountingMode.PAPER_LITERAL else (1, 1)))
+    assert calls == ["check_counts", "PairCounts"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 30])
